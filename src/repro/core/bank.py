@@ -71,13 +71,15 @@ class Bank:
     two requests addressing the same bank within the window conflict
     (paper §IV.C.3/4) — the second cannot issue until the bank frees.
 
-    Storage is a sparse dict of numpy ``uint64`` pages (64 KiB of
+    Storage is a sparse dict of numpy ``uint64`` pages (4 KiB of
     payload each), materialised on first write, with a per-page
     touched-atom bitmap so ``touched_atoms`` / patrol scrub observe
     exactly the atoms demand traffic wrote — bit-identical to the
     historical dict-of-atoms store, including atoms written as zero.
-    A dirty-page set records pages modified since the last
-    :meth:`clear_dirty`, giving checkpoint/IPC layers a cheap delta.
+    ``_dirty`` holds the pages written since the last
+    :meth:`sync_image`; its one consumer is the delta checkpoint
+    (:class:`repro.core.checkpoint.PageStore`), which copies exactly
+    those pages per epoch instead of pickling the whole bank.
     """
 
     __slots__ = ("bank_id", "capacity_bytes", "drams", "_pages",
@@ -86,6 +88,15 @@ class Bank:
                  "busy_until", "reads", "writes", "atomics", "conflicts",
                  "column_fetches", "open_row", "row_hits", "row_misses",
                  "ras", "dram_access_count", "_owner")
+
+    #: Slots pickled by name: all but page storage, which travels as
+    #: ``_storage_v2`` (or outside the stream, see :meth:`sync_image`),
+    #: and the stateless DRAM leaves, which travel as a count.
+    _STATE_SLOTS = tuple(
+        name for name in __slots__
+        if name not in ("drams", "_pages", "_touched", "_dirty",
+                        "_chunk", "_tchunk", "_chunk_used")
+    )
 
     def __init__(self, bank_id: int, capacity_bytes: int, num_drams: int = 8) -> None:
         if capacity_bytes <= 0 or capacity_bytes % ATOM_BYTES:
@@ -409,13 +420,6 @@ class Bank:
 
     # -- page-level access (checkpoint / IPC / diagnostics) -------------------
 
-    def dirty_pages(self) -> List[int]:
-        """Page indices modified since the last :meth:`clear_dirty`."""
-        return sorted(self._dirty)
-
-    def clear_dirty(self) -> None:
-        self._dirty.clear()
-
     def export_storage(self) -> list:
         """Compact storage image: ``[(page, words, touched), ...]``.
 
@@ -428,6 +432,27 @@ class Bank:
             for pg in sorted(self._pages)
         ]
 
+    def sync_image(self, image: dict, full: bool = False) -> None:
+        """Bring *image* — ``{page: (words, touched)}`` copies held
+        outside this bank — up to date, and clear the dirty set.
+
+        Copies only the pages written since the last sync unless *full*.
+        Pages appear one at a time, each marking itself dirty, and
+        vanish only wholesale (:meth:`reset`, :meth:`import_storage`), so
+        a page-count mismatch after the copy means exactly "wiped since
+        the last sync" and falls back to a full copy.
+        """
+        pages, touched = self._pages, self._touched
+        if not full:
+            for pg in self._dirty:
+                image[pg] = (pages[pg].copy(), touched[pg].copy())
+            full = len(image) != len(pages)
+        if full:
+            image.clear()
+            for pg, words, bits in self.export_storage():
+                image[pg] = (words, bits)
+        self._dirty.clear()
+
     def import_storage(self, image: list) -> None:
         """Inverse of :meth:`export_storage` (replaces all contents)."""
         self._pages = {pg: np.array(words, dtype=np.uint64)
@@ -438,13 +463,14 @@ class Bank:
 
     # -- versioned pickling ---------------------------------------------------
 
+    def skeleton_state(self) -> dict:
+        """Everything :meth:`__getstate__` pickles except page storage."""
+        state = {name: getattr(self, name) for name in self._STATE_SLOTS}
+        state["num_drams"] = len(self.drams)
+        return state
+
     def __getstate__(self) -> dict:
-        state = {
-            name: getattr(self, name)
-            for name in self.__slots__
-            if name not in ("_pages", "_touched", "_dirty",
-                            "_chunk", "_tchunk", "_chunk_used")
-        }
+        state = self.skeleton_state()
         # v2 storage codec: raw page bytes + bit-packed touched maps.
         state["_storage_v2"] = [
             (pg, self._pages[pg].tobytes(),
@@ -461,8 +487,13 @@ class Bank:
             state = dict(state)
         storage = state.pop("_storage_v2", None)
         blocks = state.pop("_blocks", None)
+        num_drams = state.pop("num_drams", None)
         for name, value in state.items():
             setattr(self, name, value)
+        if num_drams is not None:
+            # Blobs written before the count replaced the leaves carry
+            # the DRAM objects themselves under "drams" (set above).
+            self.drams = [DRAM(i, self) for i in range(num_drams)]
         if "_page_words" not in state:
             # Pre-flat-core blob: the slot didn't exist yet.
             self._page_words = min(_PAGE_WORDS, self.capacity_bytes // 8)

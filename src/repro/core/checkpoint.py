@@ -1,9 +1,9 @@
 """Simulation checkpoint / restore.
 
-Long paper-scale runs (2^25 requests take hours in pure Python) benefit
-from checkpointing: snapshot the complete simulation state, resume
-later — or fork a state to explore two what-if continuations.  Because
-the engine is fully deterministic, a restored simulation continues
+Snapshot the complete simulation state and resume later, fork a state
+to explore two what-if continuations, spin a service shard up from a
+provisioned template, or roll one back after a crash.  Because the
+engine is fully deterministic, a restored simulation continues
 bit-identically to the original.
 
 Snapshots serialise the :class:`~repro.core.simulator.HMCSim` object
@@ -31,13 +31,27 @@ corrupt, truncated, or incompatible blob raises a typed
 pickle traceback — callers (the service recovery layer in particular)
 can catch one exception type and decide whether to retry, rebuild, or
 abort.
+
+Repeated checkpoints of one running simulation (the service's epochs)
+pass a :class:`PageStore` to :func:`snapshot_bundle` /
+:func:`restore_bundle`.  It is the same codec with bank storage
+diverted: the pickle stream carries every object except the bank pages
+(the *skeleton*), and the store keeps one copy of each page, refreshed
+per snapshot from each bank's dirty set — so a checkpoint costs what
+was written since the last one, not the touched footprint.
 """
 
 from __future__ import annotations
 
+import copyreg
+import io
 import pickle
-from typing import Any, List, Tuple
+import weakref
+from typing import Any, Dict, List, Optional, Tuple
 
+import numpy as np
+
+from repro.core.bank import ATOM_WORDS, Bank
 from repro.core.errors import CheckpointError
 from repro.core.simulator import HMCSim
 from repro.trace.tracer import Tracer
@@ -48,31 +62,36 @@ from repro.trace.tracer import Tracer
 MAGIC = b"HMCSNAP\x01"
 
 
-def _strip_magic(blob: bytes, kind: str) -> bytes:
-    """Validate and remove the magic header; raises CheckpointError."""
+def _strip_magic(blob: bytes, kind: str) -> memoryview:
+    """Validate the magic header and return a view of the payload
+    behind it (no copy of the blob); raises CheckpointError."""
     if not isinstance(blob, (bytes, bytearray, memoryview)):
         raise CheckpointError(
             f"{kind}: expected bytes, got {type(blob).__name__}"
         )
-    blob = bytes(blob)
-    if len(blob) < len(MAGIC):
+    try:
+        view = memoryview(blob).cast("B")
+    except TypeError as exc:
+        raise CheckpointError(f"{kind}: blob is not contiguous bytes") from exc
+    if len(view) < len(MAGIC):
         raise CheckpointError(
-            f"{kind}: blob truncated ({len(blob)} bytes, "
+            f"{kind}: blob truncated ({len(view)} bytes, "
             f"shorter than the {len(MAGIC)}-byte header)"
         )
-    if blob[: len(MAGIC) - 1] != MAGIC[:-1]:
+    head = bytes(view[: len(MAGIC)])
+    if head[:-1] != MAGIC[:-1]:
         raise CheckpointError(
-            f"{kind}: bad magic {blob[:len(MAGIC)]!r} — not a snapshot blob"
+            f"{kind}: bad magic {head!r} — not a snapshot blob"
         )
-    if blob[len(MAGIC) - 1] != MAGIC[-1]:
+    if head[-1] != MAGIC[-1]:
         raise CheckpointError(
-            f"{kind}: snapshot format version {blob[len(MAGIC) - 1]} "
+            f"{kind}: snapshot format version {head[-1]} "
             f"is not supported (want {MAGIC[-1]})"
         )
-    return blob[len(MAGIC):]
+    return view[len(MAGIC):]
 
 
-def _unpickle(payload: bytes, kind: str) -> Any:
+def _unpickle(payload: memoryview, kind: str) -> Any:
     """Deserialise a validated payload; raises CheckpointError."""
     try:
         return pickle.loads(payload)
@@ -99,8 +118,108 @@ def _tracer_holders(sim: HMCSim) -> List[Any]:
     return holders
 
 
-def _pickle_detached(sim: HMCSim, payload_of) -> bytes:
-    """Pickle ``payload_of(sim)`` with every tracer reference detached."""
+def _banks(sim: HMCSim) -> List[Bank]:
+    """Every bank of *sim* in (device, vault, bank) order — the order
+    that numbers banks in a :class:`PageStore`."""
+    return [b for d in sim.devices for v in d.vaults for b in v.banks]
+
+
+def _reduce_bank_skeleton(bank: Bank) -> tuple:
+    """Per-``Pickler`` reducer that leaves the pages out of the stream."""
+    return copyreg.__newobj__, (Bank,), bank.skeleton_state()
+
+
+class PageStore:
+    """Bank pages of one simulation's latest delta checkpoint.
+
+    One store belongs to one simulation lineage (the service keeps one
+    per shard) and holds exactly one checkpoint: each
+    ``snapshot_bundle(..., store=)`` overwrites the pages written since
+    the previous one, so only the newest skeleton blob can be restored
+    against it (:attr:`generation` ties the two together).  The first
+    snapshot of a simulation object the store has not seen — after
+    spin-up, after a restore — exports every page.
+    """
+
+    def __init__(self) -> None:
+        #: ``pages[i][pg] = (words, touched)`` for bank *i* of
+        #: :func:`_banks` — private copies, never views of live pages.
+        self.pages: List[Dict[int, Tuple[np.ndarray, np.ndarray]]] = []
+        #: Snapshots taken into this store; the skeleton records it.
+        self.generation = 0
+        self._sim: Optional[weakref.ref] = None
+
+    def capture(self, sim: HMCSim) -> tuple:
+        """Copy what *sim*'s banks wrote since the last capture; returns
+        the manifest the skeleton carries: (generation, page counts)."""
+        banks = _banks(sim)
+        full = self._sim is None or self._sim() is not sim
+        if full:
+            self._sim = weakref.ref(sim)
+            self.pages = [{} for _ in banks]
+        for bank, image in zip(banks, self.pages):
+            bank.sync_image(image, full)
+        self.generation += 1
+        return self.generation, [len(image) for image in self.pages]
+
+    def fill(self, sim: HMCSim, manifest: Any) -> None:
+        """Load the pages *manifest* references into the freshly
+        unpickled skeleton *sim*; raises CheckpointError when store and
+        skeleton do not belong together."""
+        try:
+            generation, counts = manifest
+            counts = list(counts)
+        except (TypeError, ValueError):
+            raise CheckpointError(
+                f"restore_bundle: malformed page manifest {manifest!r}"
+            ) from None
+        if generation != self.generation:
+            raise CheckpointError(
+                f"restore_bundle: skeleton is checkpoint {generation!r} "
+                f"but the page store holds checkpoint {self.generation}"
+            )
+        banks = _banks(sim)
+        if len(counts) != len(banks) or len(self.pages) != len(banks):
+            raise CheckpointError(
+                f"restore_bundle: skeleton has {len(banks)} banks, its "
+                f"manifest {len(counts)}, the page store {len(self.pages)}"
+            )
+        for i, (bank, image) in enumerate(zip(banks, self.pages)):
+            if len(image) != counts[i]:
+                raise CheckpointError(
+                    f"restore_bundle: bank #{i} references {counts[i]!r} "
+                    f"pages, the page store holds {len(image)}"
+                )
+            words = bank._page_words
+            limit = -(-bank.capacity_bytes // (8 * words))
+            for pg, (page, touched) in image.items():
+                if not 0 <= pg < limit:
+                    raise CheckpointError(
+                        f"restore_bundle: bank #{i} page {pg} is outside "
+                        f"the bank's {limit} pages"
+                    )
+                if not (
+                    isinstance(page, np.ndarray)
+                    and isinstance(touched, np.ndarray)
+                    and page.dtype == np.uint64
+                    and touched.dtype == np.bool_
+                    and page.shape == (words,)
+                    and touched.shape == (words // ATOM_WORDS,)
+                ):
+                    raise CheckpointError(
+                        f"restore_bundle: bank #{i} page {pg} is not "
+                        f"{words} uint64 words plus a touched map"
+                    )
+            bank.import_storage(
+                [(pg, *image[pg]) for pg in sorted(image)]
+            )
+
+
+def _pickle_detached(
+    sim: HMCSim, payload_of, divert_pages: bool = False
+) -> bytes:
+    """Pickle ``payload_of(sim)`` with every tracer reference detached
+    (and, with *divert_pages*, bank pages left out of the stream)."""
     # Sharded engines (SimConfig.workers > 1) keep authoritative bank
     # state in worker processes; pull it into this process first so the
     # pickled storage is current.  Serial engines have no such hook.
@@ -113,10 +232,18 @@ def _pickle_detached(sim: HMCSim, payload_of) -> bytes:
     sim.tracer = standin
     for h in holders:
         h.tracer = standin
+    buf = io.BytesIO()
+    buf.write(MAGIC)
+    pickler = pickle.Pickler(buf, protocol=pickle.HIGHEST_PROTOCOL)
+    if divert_pages:
+        # Scoped to this one pickler: no process-wide switch, so a
+        # concurrent full snapshot elsewhere still carries its pages.
+        pickler.dispatch_table = {
+            **copyreg.dispatch_table, Bank: _reduce_bank_skeleton,
+        }
     try:
-        return MAGIC + pickle.dumps(
-            payload_of(sim), protocol=pickle.HIGHEST_PROTOCOL
-        )
+        pickler.dump(payload_of(sim))
+        return buf.getvalue()
     finally:
         sim.tracer = saved_tracer
         for h in holders:
@@ -156,7 +283,9 @@ def restore(blob: bytes) -> HMCSim:
     return sim
 
 
-def snapshot_bundle(sim: HMCSim, *extras: Any) -> bytes:
+def snapshot_bundle(
+    sim: HMCSim, *extras: Any, store: Optional[PageStore] = None
+) -> bytes:
     """Snapshot *sim* together with host-side objects referencing it.
 
     Pickling them in one pass preserves shared references (a restored
@@ -164,16 +293,28 @@ def snapshot_bundle(sim: HMCSim, *extras: Any) -> bytes:
 
         blob = snapshot_bundle(sim, host)
         sim2, (host2,) = restore_bundle(blob)
+
+    With a *store* the blob is the skeleton only and the bank pages go
+    to the store (see :class:`PageStore`); restore it with the same
+    store.
     """
-    return _pickle_detached(sim, lambda s: (s, tuple(extras)))
+    if store is None:
+        return _pickle_detached(sim, lambda s: (s, tuple(extras)))
+    return _pickle_detached(
+        sim, lambda s: (s, tuple(extras), store.capture(s)),
+        divert_pages=True,
+    )
 
 
-def restore_bundle(blob: bytes) -> Tuple[HMCSim, tuple]:
+def restore_bundle(
+    blob: bytes, store: Optional[PageStore] = None
+) -> Tuple[HMCSim, tuple]:
     """Inverse of :func:`snapshot_bundle`; raises
-    :class:`~repro.core.errors.CheckpointError` on a bad blob."""
+    :class:`~repro.core.errors.CheckpointError` on a bad blob, or on a
+    *store* that is not the one the blob was written against."""
     payload = _unpickle(_strip_magic(blob, "restore_bundle"), "restore_bundle")
     try:
-        sim, extras = payload
+        sim, extras, *manifest = payload
     except (TypeError, ValueError):
         raise CheckpointError(
             f"restore_bundle: blob does not contain a (sim, extras) "
@@ -184,6 +325,16 @@ def restore_bundle(blob: bytes) -> Tuple[HMCSim, tuple]:
             f"restore_bundle: snapshot does not contain an HMCSim: "
             f"{type(sim)!r}"
         )
+    if len(manifest) > 1 or (store is None) != (not manifest):
+        raise CheckpointError(
+            "restore_bundle: a skeleton blob restores only with the "
+            "page store it was written against"
+            if manifest else
+            "restore_bundle: the blob is self-contained; it takes no "
+            "page store"
+        )
+    if store is not None:
+        store.fill(sim, manifest[0])
     _rewire_tracer(sim)
     return sim, extras
 

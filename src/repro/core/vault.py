@@ -426,6 +426,7 @@ class Vault:
                 blocked |= bit  # one access per bank per cycle
                 issued += 1
                 removed.append(pos)
+                consumed.append(pkt)
             closed += 1
             if closed >= free and not specials:
                 break

@@ -23,10 +23,17 @@ engine scheduler.
 
 Self-healing (PR 8) — with ``checkpoint_interval`` armed the shard
 keeps an *epoch*: a :func:`~repro.core.checkpoint.snapshot_bundle` of
-its sim + per-slot hosts plus copies of every resumable counter, taken
-every N pumped cycles and forced at each lease and retirement (so a
-completed session is always durable — a restore can never resurrect
-resolved work).  Sessions journal the request items they consume; a
+its sim + per-slot hosts plus copies of every resumable counter.  An
+epoch becomes *due* every N pumped cycles and at each lease and
+retirement (so a completed session is always durable — a restore can
+never resurrect resolved work), and the due epoch is taken once, at the
+top of the next pump: before chaos fires and before the send phase, the
+only places a crash can originate, and after every lease of the tick —
+so it is the same epoch an eager one would have left behind, at most
+one per pump.  Bank pages live in the shard's
+:class:`~repro.core.checkpoint.PageStore`, refreshed per epoch from the
+banks' dirty sets; the epoch blob carries everything else.  Sessions
+journal the request items they consume; a
 crash (chaos ``shard_crash``, chaos ``watchdog_trip``, or an organic
 :class:`~repro.core.errors.WatchdogError`) restores the epoch and
 re-feeds the post-epoch journal through the same deterministic pump, so
@@ -44,7 +51,7 @@ from __future__ import annotations
 from itertools import chain
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.core.checkpoint import restore_bundle, snapshot_bundle
+from repro.core.checkpoint import PageStore, restore_bundle, snapshot_bundle
 from repro.core.errors import LinkDeadError, WatchdogError
 from repro.core.simulator import HMCSim
 from repro.faults.chaos import ChaosEvent
@@ -166,6 +173,10 @@ class Shard:
         #: Journal request items (needed by both crash replay and failover).
         self._journaling = self._recovery_armed or config.failover_retries > 0
         self._epoch: Optional[dict] = None
+        #: Set by lease / retirement / the interval tick; the next pump
+        #: takes the epoch before anything can crash.
+        self._epoch_due = False
+        self._page_store = PageStore()
         self.crashes = 0
         self.recoveries = 0
         self.recovery_events: List[dict] = []
@@ -195,10 +206,9 @@ class Shard:
         account.slot = slot
         account.status = "active"
         self.sessions[slot] = session
-        if self._recovery_armed:
-            # Membership changed: force an epoch so a later restore
-            # brings the new resident back with everyone else.
-            self._take_epoch()
+        # Membership changed: a later restore must bring the new
+        # resident back with everyone else.
+        self._epoch_due = self._recovery_armed
         return session
 
     def install_chaos(self, events: List[ChaosEvent]) -> None:
@@ -216,6 +226,8 @@ class Shard:
         """
         if self.dead or not self.sessions:
             return []
+        if self._epoch_due:
+            self._take_epoch()
         if self._chaos_idx < len(self._chaos):
             displaced = self._fire_chaos()
             if displaced is not None:
@@ -264,9 +276,9 @@ class Shard:
             completed
             or self.cycles_pumped % self.config.checkpoint_interval == 0
         ):
-            # Retirement forces an epoch: completed work is durable and
-            # can never be resurrected (and re-billed) by a restore.
-            self._take_epoch()
+            # Retirement makes an epoch due: completed work is durable
+            # and can never be resurrected (and re-billed) by a restore.
+            self._epoch_due = True
         return completed
 
     def _send_phase(self, sess: Session, cycle: int) -> None:
@@ -443,8 +455,10 @@ class Shard:
         session cursors, account countables, shard counters — is copied
         as plain data.  Request iterators are generators and cannot be
         pickled: the journal marks recorded here are what makes them
-        resumable.
+        resumable.  Latencies are append-only between epochs, so their
+        length is the whole record.
         """
+        self._epoch_due = False
         sessions: Dict[int, dict] = {}
         accounts: Dict[int, dict] = {}
         hosts: Dict[int, Host] = {}
@@ -459,10 +473,10 @@ class Shard:
                 "mark": len(sess._consumed),
             }
             snap = {f: getattr(sess.account, f) for f in _ACCT_EPOCH_FIELDS}
-            snap["latencies"] = list(sess.account.latencies)
+            snap["latencies"] = len(sess.account.latencies)
             accounts[slot] = snap
         self._epoch = {
-            "blob": snapshot_bundle(self.sim, hosts),
+            "blob": snapshot_bundle(self.sim, hosts, store=self._page_store),
             "sessions": sessions,
             "accounts": accounts,
             "cycles_pumped": self.cycles_pumped,
@@ -497,7 +511,7 @@ class Shard:
     def _restore_epoch(self, reason: str) -> None:
         ep = self._epoch
         lost_cycles = self.cycles_pumped - ep["cycles_pumped"]
-        sim, (hosts,) = restore_bundle(ep["blob"])
+        sim, (hosts,) = restore_bundle(ep["blob"], store=self._page_store)
         self.executor.retire(self.sim)  # the crashed sim is discarded
         self.sim = sim
         replayed_total = 0
@@ -527,7 +541,7 @@ class Shard:
             snap = ep["accounts"][slot]
             for f in _ACCT_EPOCH_FIELDS:
                 setattr(acct, f, snap[f])
-            acct.latencies[:] = snap["latencies"]
+            del acct.latencies[snap["latencies"]:]
             acct.replayed_requests += len(replay)
             acct.replay_cycles += lost_cycles
             acct.crash_recoveries += 1

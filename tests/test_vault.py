@@ -283,3 +283,42 @@ class TestLifecycle:
         v.rqst.push(wr(amap, 1))
         v.process_requests(0, amap, 4, 0, tracer, 0)
         assert v.total_requests == 2
+
+
+class TestUnfusedWalkReleasesRequests:
+    """The split stage-4 walk (taken whenever SUBCYCLE markers are on)
+    must hand executed requests back to the arena, as ``stage34`` does."""
+
+    def test_subcycle_traced_run_recycles_every_record(self, monkeypatch):
+        from repro.core import vault as vault_mod
+        from repro.core.config import DeviceConfig, SimConfig
+        from repro.core.simulator import HMCSim
+        from repro.host import host as host_mod
+        from repro.packets.arena import PacketArena
+        from repro.trace.tracer import NullSink
+        from repro.workloads.random_access import (
+            RandomAccessConfig,
+            random_access_requests,
+        )
+
+        # A private pool above the live set (4 links x 512 tags) and
+        # below the run: one leaked record per executed request would
+        # drain it and force fresh builds.
+        arena = PacketArena(capacity=4096)
+        monkeypatch.setattr(vault_mod, "_ARENA", arena)
+        monkeypatch.setattr(host_mod, "_ARENA", arena)
+        device = DeviceConfig(num_links=4, num_banks=8, capacity=2)
+        sim = HMCSim(SimConfig(device=device))
+        for link in range(device.num_links):
+            sim.attach_host(0, link)
+        sim.set_trace_mask(EventType.SUBCYCLE)
+        sim.add_trace_sink(NullSink())
+        run = host_mod.Host(sim).run(
+            random_access_requests(
+                device.capacity_bytes, RandomAccessConfig(num_requests=8192)
+            ),
+            cub=0,
+        )
+        assert run.responses_received == 8192
+        assert arena.fresh_builds == 0
+        assert arena.free_records == arena.capacity
