@@ -18,11 +18,11 @@ sim and must be checkpointed *with* it via :func:`snapshot_bundle` to
 keep the object graph consistent.
 
 The in-band link fault machinery (:mod:`repro.faults.inband`) is part
-of the pickled graph: per-direction retry pointers, cached replay
-words, the degradation-ladder position and the LRS register mirrors
-all round-trip, so a simulation restored mid-degradation resumes
-bit-identically — a HALF link stays HALF with its doubled FLIT
-serialization, it does not silently reset to FULL
+of the pickled graph: per-direction retry pointers, the fault
+injector's block of pending flips, the degradation-ladder position and
+the LRS register mirrors all round-trip, so a simulation restored
+mid-degradation resumes bit-identically — a HALF link stays HALF with
+its doubled FLIT serialization, it does not silently reset to FULL
 (tests/test_link_inband.py::TestCheckpointRoundTrip).
 
 Every blob starts with a versioned magic header (:data:`MAGIC`), so a

@@ -9,14 +9,21 @@ or device↔device), and every traversal of that link — host send/recv,
 stage-1/2 remote request hops, stage-5 chain response hops — must pass
 its :meth:`~InbandLinkState.try_transmit` gate.
 
+Each attempt samples only its *outcome*
+(:meth:`~repro.faults.link_model.LinkFaultModel.outcome`): the drop draw,
+then the next ``64·W`` bits (``W`` wire words, two per FLIT) of the
+injector's one sequential flip stream.  Any flipped bit is a CRC failure,
+so no wire words are encoded, cached or decoded here; the real encode →
+corrupt → CRC-checked decode round trip lives in
+:class:`~repro.faults.retry.RetrySession`.
+
 A failed transmission poisons the sender's direction for
 ``retry_delay`` cycles (the IRTRY exchange + replay window); the packet
 stays at the head of its crossbar queue, which *is* the per-link retry
-buffer — the replay retransmits the cached wire words from the original
-encode, so delivered bits are identical to a first-attempt success.
-The stall is visible to the clock engine as a non-empty queue, so the
-active-set scheduler naturally treats a poisoned/replaying link as
-activity and never fast-forwards across a replay window.
+buffer a replay resends from.  The stall is visible to the clock engine
+as a non-empty queue, so the active-set scheduler naturally treats a
+poisoned/replaying link as activity and never fast-forwards across a
+replay window.
 
 Degradation ladder (per link, both directions share health):
 
@@ -66,7 +73,6 @@ class _DirState:
         "failures",
         "pointers",
         "pending_serial",
-        "pending_words",
         "pending_frp",
         "pending_attempts",
     )
@@ -80,13 +86,19 @@ class _DirState:
         self.failures = 0
         #: HMC retry pointers (FRP stamped per packet, cumulative ack).
         self.pointers = RetryPointerState(buffer_slots=retry_slots)
-        #: Serial of the packet currently held in the retry buffer.
+        #: Serial of the packet currently held in the retry buffer (the
+        #: head of the sender's queue; -1 when none is pending).
         self.pending_serial = -1
-        #: Cached wire words of that packet — replays resend these bits.
-        self.pending_words = None
         self.pending_frp = -1
         #: Transmission attempts for the pending packet (recovery stat).
         self.pending_attempts = 0
+
+    def __setstate__(self, state) -> None:
+        # Blobs from before the outcome-only gate also carry the cached
+        # wire words of the pending packet; nothing reads them now.
+        for name, value in state[1].items():
+            if name != "pending_words":
+                setattr(self, name, value)
 
 
 class InbandLinkState:
@@ -119,6 +131,8 @@ class InbandLinkState:
             raise ValueError("max_retries must be >= 0")
         if retry_delay < 0:
             raise ValueError("retry_delay must be >= 0")
+        # Directions are created lazily; reject a bad slot count now.
+        RetryPointerState(buffer_slots=retry_slots)
         self.endpoints: Tuple[Tuple[int, int], ...] = tuple(
             (int(d), int(l)) for d, l in endpoints
         )
@@ -159,10 +173,11 @@ class InbandLinkState:
         packet stays queued and the caller retries next cycle), or
         ``TX_DEAD`` (link FAILED — the caller reroutes or drops).
 
-        The RNG is consumed exactly once per attempt, and attempts
-        happen only for queued head-of-line packets in deterministic
-        stage order — both schedulers therefore consume the stream
-        identically.
+        Each attempt consumes one drop draw (when ``drop_rate`` is set)
+        and ``128 * pkt.num_flits`` bits of the flip stream, and
+        attempts happen only for queued head-of-line packets in
+        deterministic stage order — both schedulers therefore consume
+        the streams identically.
         """
         if self.health is LinkHealth.FAILED:
             return TX_DEAD
@@ -172,26 +187,25 @@ class InbandLinkState:
         if cycle < d.busy_until:
             return TX_STALL
         if d.pending_serial != pkt.serial:
-            # New head-of-line packet: stamp an FRP and cache the wire
-            # words (the retry buffer entry replays these exact bits).
+            # New head-of-line packet: stamp an FRP.  The queued packet
+            # itself is the retry-buffer entry a replay resends.
             d.pending_serial = pkt.serial
-            d.pending_words = pkt.encode()
             d.pending_frp = d.pointers.stamp(pkt)
             d.pending_attempts = 0
             self.stats.packets += 1
         d.pending_attempts += 1
         self.stats.transmissions += 1
-        kind, _delivered = self.model.transmit(d.pending_words)
+        kind, _flips = self.model.outcome(128 * pkt.num_flits)
         if kind is FaultKind.CLEAN:
-            # CRC verifies at the receiver (single-bit detection is
-            # guaranteed and property-tested at the RetrySession layer);
-            # the receiver's RRP acknowledges the FRP cumulatively.
+            # No wire bit flipped, so the receiver's CRC verifies (that
+            # any flip fails it is enforced and property-tested at the
+            # RetrySession layer, which does decode); the receiver's RRP
+            # acknowledges the FRP cumulatively.
             d.pointers.acknowledge(d.pending_frp)
             if d.pending_attempts > 1:
                 self.stats.recovered += 1
             d.failures = 0
             d.pending_serial = -1
-            d.pending_words = None
             if self.health is LinkHealth.HALF:
                 # Half-width lanes: each FLIT takes twice as long, so
                 # the direction stays busy for one extra cycle per FLIT
@@ -245,13 +259,7 @@ class InbandLinkState:
                 extra={"health": self.health.name},
             )
         else:
-            self.health = LinkHealth.FAILED
-            for d in self._dirs.values():
-                if d.pending_serial != -1:
-                    self.stats.failed += 1
-                    d.pointers.acknowledge(d.pending_frp)
-                    d.pending_serial = -1
-                    d.pending_words = None
+            self.fail()
             tracer.event(
                 EventType.LINK_FAILED,
                 cycle,
@@ -274,14 +282,14 @@ class InbandLinkState:
             self._degrade(cycle, tracer)
 
     def fail(self) -> None:
-        """Administratively force the link to FAILED (tests/experiments)."""
+        """Force the link to FAILED, abandoning any pending packets (the
+        ladder's last step; also administrative, for tests/experiments)."""
         self.health = LinkHealth.FAILED
         for d in self._dirs.values():
             if d.pending_serial != -1:
                 self.stats.failed += 1
                 d.pointers.acknowledge(d.pending_frp)
                 d.pending_serial = -1
-                d.pending_words = None
 
     # -- register mirroring -----------------------------------------------------
 

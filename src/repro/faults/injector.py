@@ -9,60 +9,111 @@ Two injectors cover the common scenarios:
   transmission ordinals, counted **0-based** (ordinal 0 is the first
   transmission) — regression tests and targeted what-if studies.
 
-Both corrupt *copies* of the wire words; the caller decides what the
-corrupted transmission means (usually: receiver CRC check fails and the
-link retry protocol replays).
+Both answer one question per transmission — :meth:`flips`: which of the
+next *nbits* wire bits flip (almost always none) — and share one
+:meth:`corrupt`, which applies those flips to a *copy* of the wire
+words.  The caller decides what a flipped transmission means (usually:
+receiver CRC check fails and the link retry protocol replays).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Set
+from bisect import bisect_left
+from typing import Iterable, List, Sequence, Set, Tuple
 
 import numpy as np
 
-_MASK64 = (1 << 64) - 1
+#: Uniforms drawn per refill of :class:`BitErrorInjector`'s block.
+_BLOCK = 8192
 
 
-class BitErrorInjector:
+def apply_flips(words: Sequence[int], flips: Sequence[int]) -> List[int]:
+    """Copy of *words* with the wire bits at offsets *flips* inverted."""
+    out = list(words)
+    for bit in flips:
+        out[bit >> 6] ^= 1 << (bit & 63)
+    return out
+
+
+class _Injector:
+    """Transmission counters and the one ``corrupt`` both injectors share."""
+
+    transmissions = 0
+    corrupted_transmissions = 0
+
+    def corrupt(self, words: Sequence[int]) -> List[int]:
+        """Return a possibly-corrupted copy of *words*."""
+        return apply_flips(words, self.flips(64 * len(words)))
+
+
+class BitErrorInjector(_Injector):
     """Flip each transmitted bit independently with probability *ber*.
 
-    A 64-bit word sequence of ``W`` words exposes ``64 * W`` bits per
-    transmission; for the small packets involved the exact Bernoulli
-    model is affordable and exactly reproducible under a fixed seed.
+    Every wire bit consumes one uniform of a single sequential stream,
+    so the flip pattern depends only on the seed and on how many bits
+    went before — not on how they were grouped into transmissions.  The
+    uniforms are drawn ``_BLOCK`` at a time and reduced to the sorted
+    flip offsets of that block; a transmission that ends before the next
+    pending flip costs one integer compare.
     """
 
     def __init__(self, ber: float, seed: int = 1) -> None:
         if not 0.0 <= ber <= 1.0:
             raise ValueError(f"bit error rate must be in [0, 1], got {ber}")
-        self.ber = ber
+        self._ber = ber
         self._rng = np.random.default_rng(seed)
-        self.transmissions = 0
-        self.corrupted_transmissions = 0
         self.bits_flipped = 0
+        #: Unconsumed flip offsets of the current block, ascending, then
+        #: the sentinel ``_BLOCK``: a transmission ending at or before
+        #: ``_pending[0]`` is clean.
+        self._pending: List[int] = [_BLOCK]
+        #: Bits of the block consumed (fresh = exhausted: first bit draws).
+        self._pos = _BLOCK
 
-    def corrupt(self, words: Sequence[int]) -> List[int]:
-        """Return a possibly-corrupted copy of *words*."""
+    def __setstate__(self, state: dict) -> None:
+        # A pre-block-sampling blob has ``ber`` and no block fields; its
+        # generator sits at the next undrawn bit: an exhausted block.
+        state = dict(state)
+        if "ber" in state:
+            state["_ber"] = state.pop("ber")
+        self.__dict__.update(_pending=[_BLOCK], _pos=_BLOCK)
+        self.__dict__.update(state)
+
+    @property
+    def ber(self) -> float:
+        """Bit error rate (fixed at construction)."""
+        return self._ber
+
+    def flips(self, nbits: int) -> Tuple[int, ...]:
+        """Offsets (ascending) of the flipped bits among the next *nbits*."""
         self.transmissions += 1
-        out = [int(w) & _MASK64 for w in words]
-        if self.ber == 0.0 or not out:
-            return out
-        nbits = 64 * len(out)
-        flips = self._rng.random(nbits) < self.ber
-        if not flips.any():
-            return out
-        self.corrupted_transmissions += 1
-        for bit in np.flatnonzero(flips):
-            word_i, bit_i = divmod(int(bit), 64)
-            out[word_i] ^= 1 << bit_i
-            self.bits_flipped += 1
-        return out
+        if self._ber == 0.0:
+            return ()
+        end = self._pos + nbits
+        pending = self._pending
+        if end <= pending[0]:
+            self._pos = end
+            return ()
+        out: List[int] = []
+        base = -self._pos  # transmission offset of the block's bit 0
+        while True:
+            taken = bisect_left(pending, min(end, _BLOCK))
+            out.extend([base + bit for bit in pending[:taken]])
+            del pending[:taken]
+            if end <= _BLOCK:
+                break
+            base += _BLOCK
+            end -= _BLOCK
+            draws = self._rng.random(_BLOCK)
+            pending[:] = np.flatnonzero(draws < self._ber).tolist() + [_BLOCK]
+        self._pos = end
+        if out:
+            self.corrupted_transmissions += 1
+            self.bits_flipped += len(out)
+        return tuple(out)
 
-    def would_corrupt(self) -> bool:  # pragma: no cover - convenience
-        """Peek-free estimate: True with probability ~1-(1-ber)^bits."""
-        return self.ber > 0.0
 
-
-class ScheduledInjector:
+class ScheduledInjector(_Injector):
     """Corrupt exactly the scheduled transmission ordinals (0-based).
 
     ``ScheduledInjector({0, 2})`` corrupts the first and third packets
@@ -77,26 +128,18 @@ class ScheduledInjector:
         if not 0 <= bit < 64:
             raise ValueError("bit must be in [0, 64)")
         self.bit = bit
-        self.transmissions = 0
-        self.corrupted_transmissions = 0
 
-    def corrupt(self, words: Sequence[int]) -> List[int]:
-        """Return *words*, corrupted iff this ordinal is scheduled.
-
-        Ordinals are 0-based: the first call to ``corrupt`` is
-        ordinal 0, so ``transmissions`` equals the ordinal of the call
-        about to happen.
-        """
-        out = [int(w) & _MASK64 for w in words]
+    def flips(self, nbits: int) -> Tuple[int, ...]:
+        """The scheduled flip iff this call's 0-based ordinal (the value
+        of ``transmissions`` on entry) is scheduled."""
         ordinal = self.transmissions
-        assert ordinal >= 0, "transmission ordinals are 0-based"
         self.transmissions += 1
-        if ordinal in self._targets and out:
-            # Flip a bit in the middle word: survives header AND tail
-            # heuristics, caught only by the CRC.
-            out[len(out) // 2] ^= 1 << self.bit
-            self.corrupted_transmissions += 1
-        return out
+        if ordinal not in self._targets or nbits < 64:
+            return ()
+        # Flip a bit in the middle word: survives header AND tail
+        # heuristics, caught only by the CRC.
+        self.corrupted_transmissions += 1
+        return (64 * (nbits // 128) + self.bit,)
 
     @property
     def remaining(self) -> int:

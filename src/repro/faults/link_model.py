@@ -14,7 +14,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.faults.injector import BitErrorInjector
+from repro.faults.injector import BitErrorInjector, apply_flips
 
 
 class FaultKind(enum.Enum):
@@ -59,22 +59,31 @@ class LinkFaultModel:
         self.drops = 0
         self.corruptions = 0
 
-    def transmit(self, words: Sequence[int]) -> Tuple[FaultKind, Optional[List[int]]]:
-        """Run one transmission; returns (outcome, delivered_words).
-
-        ``DROP`` outcomes deliver ``None``; ``CORRUPT``/``CLEAN`` deliver
-        the (possibly modified) word list.
+    def outcome(self, nbits: int) -> Tuple[FaultKind, Tuple[int, ...]]:
+        """Decide one transmission of *nbits* wire bits — the one place
+        drop/corrupt is decided.  Returns ``(kind, flips)``; the flipped
+        bit offsets are non-empty exactly when *kind* is ``CORRUPT``.
         """
         self.transmissions += 1
         if self.drop_rate and self._rng.random() < self.drop_rate:
             self.drops += 1
-            return (FaultKind.DROP, None)
-        original = [int(w) for w in words]
-        delivered = self.injector.corrupt(original)
-        if delivered != original:
+            return (FaultKind.DROP, ())
+        flips = self.injector.flips(nbits)
+        if flips:
             self.corruptions += 1
-            return (FaultKind.CORRUPT, delivered)
-        return (FaultKind.CLEAN, delivered)
+            return (FaultKind.CORRUPT, flips)
+        return (FaultKind.CLEAN, flips)
+
+    def transmit(self, words: Sequence[int]) -> Tuple[FaultKind, Optional[List[int]]]:
+        """Run one transmission; returns (outcome, delivered_words).
+
+        ``DROP`` outcomes deliver ``None``; ``CORRUPT``/``CLEAN`` deliver
+        a copy of *words* with the outcome's flips applied.
+        """
+        kind, flips = self.outcome(64 * len(words))
+        if kind is FaultKind.DROP:
+            return (kind, None)
+        return (kind, apply_flips(words, flips))
 
     @property
     def fault_rate(self) -> float:

@@ -23,6 +23,12 @@ Replay is modelled at transaction granularity: the retry latency is
 accumulated in :attr:`RetryStats.recovery_cycles` rather than stalling
 the global clock, keeping the error model orthogonal to the six-stage
 cycle engine (DESIGN.md substitution notes).
+
+This is the one place wire words exist under a fault model: every
+attempt encodes, applies the sampled flips and CRC-checks the decode.
+The in-band gate (:mod:`repro.faults.inband`) samples the same outcome
+per attempt — 64·W bits of one sequential stream — and takes "any bit
+flipped" as the CRC verdict, the property enforced and tested here.
 """
 
 from __future__ import annotations
@@ -116,29 +122,24 @@ class RetrySession:
         while True:
             self.stats.transmissions += 1
             kind, delivered = self.fault_model.transmit(words)
-            if kind is FaultKind.CLEAN:
+            if kind is FaultKind.DROP:
+                self.stats.drops += 1
+            else:
                 decoded = self._receive(delivered)
                 if decoded is not None:
+                    if kind is FaultKind.CORRUPT:
+                        raise AssertionError(
+                            "corrupted transmission passed CRC — impossible for "
+                            "single-bit errors; check the injector"
+                        )
                     self.pointers.acknowledge(frp)
                     if attempts > 0:
                         self.stats.recovered += 1
                     return decoded
-                # CRC failure despite a "clean" fault verdict can only
-                # mean the fault model's injector corrupted silently;
-                # treat identically to CORRUPT.
-                kind = FaultKind.CORRUPT
-            if kind is FaultKind.CORRUPT:
-                # Receiver saw a bad CRC: poison + IRTRY exchange.
-                if delivered is not None and self._receive(delivered) is not None:
-                    raise AssertionError(
-                        "corrupted transmission passed CRC — impossible for "
-                        "single-bit errors; check the injector"
-                    )
+                # Receiver saw a bad CRC (whatever the fault verdict
+                # said): poison + IRTRY exchange.
                 self.stats.crc_failures += 1
-                self.stats.irtry_events += 1
-            else:  # DROP
-                self.stats.drops += 1
-                self.stats.irtry_events += 1
+            self.stats.irtry_events += 1
             attempts += 1
             self.stats.recovery_cycles += self.retry_delay
             if attempts > self.max_retries:

@@ -213,7 +213,7 @@ class Host:
             if not posted:
                 pool.release(tag)
             # The packet never entered the simulation (send raises
-            # before enqueueing; the retry layer caches wire words, not
+            # before enqueueing; the retry layer keeps its serial, not
             # the object) — hand the record straight back.
             _ARENA.release(pkt)
             return None

@@ -21,7 +21,7 @@ from typing import Deque, Optional
 from collections import deque
 
 from repro.packets.commands import CMD
-from repro.packets.packet import Packet
+from repro.packets.packet import FRP_BITS, Packet
 
 
 class FlowControlError(RuntimeError):
@@ -90,6 +90,11 @@ class RetryPointerState:
     buffer_slots: int = 256
 
     def __post_init__(self) -> None:
+        if not 1 <= self.buffer_slots <= 1 << FRP_BITS:
+            raise ValueError(
+                f"buffer_slots must be 1..{1 << FRP_BITS} (FRP is a "
+                f"{FRP_BITS}-bit field), got {self.buffer_slots}"
+            )
         self._next_frp = 0
         self._unacked: Deque[int] = deque()
 

@@ -1,10 +1,14 @@
 """Tests for fault injection and link retry (repro.faults)."""
 
+from unittest import mock
+
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.errors import HMCError
 from repro.core.simulator import HMCSim
+from repro.faults import injector as injector_mod
 from repro.faults.injector import BitErrorInjector, ScheduledInjector
 from repro.faults.link_model import FaultKind, LinkFaultModel
 from repro.faults.retry import LinkRetryExhausted, RetrySession, RetryStats
@@ -51,6 +55,65 @@ class TestBitErrorInjector:
             BitErrorInjector(ber=-0.1)
         with pytest.raises(ValueError):
             BitErrorInjector(ber=1.5)
+
+
+class TestFlipStream:
+    """The flip stream is *the* sequential Bernoulli stream: bit ``i`` on
+    the wire flips iff uniform ``i`` of ``default_rng(seed)`` is below
+    the BER, however the bits are grouped into transmissions and however
+    the injector blocks its draws.  Fails if sampling drifts."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        ber=st.sampled_from([0.0, 1e-5, 1e-3, 0.5, 1.0]),
+        sizes=st.lists(st.integers(0, 1152), max_size=40),
+        block=st.sampled_from([64, 1000, 8192]),
+    )
+    # One call straddling several real blocks, and calls landing exactly
+    # on a block boundary.
+    @example(seed=3, ber=1e-3, sizes=[100, 30000, 0, 7], block=8192)
+    @example(seed=5, ber=0.5, sizes=[8192, 0, 1, 8191, 16384], block=8192)
+    @settings(max_examples=150, deadline=None)
+    def test_flips_slice_the_reference_stream(self, seed, ber, sizes, block):
+        with mock.patch.object(injector_mod, "_BLOCK", block):
+            inj = BitErrorInjector(ber, seed)
+            got = [inj.flips(n) for n in sizes]
+        ref = np.flatnonzero(
+            np.random.default_rng(seed).random(sum(sizes)) < ber)
+        start = 0
+        for n, flips in zip(sizes, got):
+            inside = ref[(ref >= start) & (ref < start + n)]
+            assert flips == tuple(int(b) - start for b in inside)
+            start += n
+        assert inj.transmissions == len(sizes)
+        assert inj.corrupted_transmissions == sum(1 for f in got if f)
+        assert inj.bits_flipped == len(ref)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        ber=st.sampled_from([0.0, 1e-5, 1e-3, 0.5, 1.0]),
+        lengths=st.lists(st.integers(0, 18), max_size=40),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_corrupt_differs_exactly_when_flips_is_nonempty(
+            self, seed, ber, lengths):
+        a, b = BitErrorInjector(ber, seed), BitErrorInjector(ber, seed)
+        for n in lengths:
+            words = [0x0123456789ABCDEF] * n
+            flips = a.flips(64 * n)
+            out = b.corrupt(words)
+            assert (out != words) == (flips != ())
+            for bit in flips:
+                out[bit // 64] ^= 1 << (bit % 64)
+            assert out == words
+        assert (a.transmissions, a.corrupted_transmissions, a.bits_flipped) \
+            == (b.transmissions, b.corrupted_transmissions, b.bits_flipped)
+
+    def test_ber_is_read_only(self):
+        inj = BitErrorInjector(1e-3)
+        with pytest.raises(AttributeError):
+            inj.ber = 0.5
+        assert inj.ber == 1e-3
 
 
 class TestScheduledInjector:
@@ -183,6 +246,11 @@ class TestRetrySession:
         assert out.tag == 1
         assert s.stats.transmissions == 4
         assert s.stats.recovery_cycles == 21
+
+    @pytest.mark.parametrize("slots", [0, 257, 512])
+    def test_retry_slots_must_fit_the_frp_field(self, slots):
+        with pytest.raises(ValueError, match="buffer_slots"):
+            RetrySession(LinkFaultModel(), retry_slots=slots)
 
     def test_stats_dataclass(self):
         s = RetryStats(packets=2, failed=1)

@@ -93,6 +93,14 @@ class TestRetryPointers:
         with pytest.raises(FlowControlError):
             r.stamp(Packet(cmd=CMD.RD16))
 
+    @pytest.mark.parametrize("slots", [0, -1, 257, 512])
+    def test_buffer_slots_must_fit_the_frp_field(self, slots):
+        """FRP is an 8-bit field: more than 256 slots used to surface as
+        a bare ``FRP out of range`` from ``Packet.encode`` mid-tick."""
+        with pytest.raises(ValueError, match="buffer_slots"):
+            RetryPointerState(buffer_slots=slots)
+        assert RetryPointerState(buffer_slots=256).buffer_slots == 256
+
     def test_cumulative_ack(self):
         r = RetryPointerState(buffer_slots=16)
         for _ in range(5):

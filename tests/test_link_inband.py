@@ -10,6 +10,9 @@ both schedulers, bit-identically.
 
 from __future__ import annotations
 
+import pickle
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,6 +31,7 @@ from repro.core.errors import (
 )
 from repro.core.simulator import HMCSim
 from repro.faults import (
+    BitErrorInjector,
     FaultKind,
     InbandLinkState,
     LinkFaultModel,
@@ -38,7 +42,13 @@ from repro.faults import (
 from repro.packets.commands import CMD
 from repro.packets.flow import FlowControlError, LinkTokens, RetryPointerState
 from repro.packets.packet import ErrStat, build_memrequest
+from repro.host.host import Host
+from repro.topology.builder import build_chain
 from repro.trace.events import EventType
+from repro.workloads.random_access import (
+    RandomAccessConfig,
+    random_access_requests,
+)
 
 
 DEVICE = DeviceConfig(num_links=4, num_banks=8, capacity=2)
@@ -107,6 +117,14 @@ class TestExportsAndErrno:
             if ret != 0:
                 break
         assert ret == E_DEADLOCK
+
+
+class TestConstruction:
+    def test_retry_slots_must_fit_the_frp_field(self):
+        """FRP is 8 bits; with no in-band encode left to trip over it, a
+        512-slot buffer would wrap pointers silently."""
+        with pytest.raises(ValueError, match="buffer_slots"):
+            InbandLinkState([(0, 0)], LinkFaultModel(), retry_slots=512)
 
 
 class TestDegradationLadder:
@@ -347,6 +365,124 @@ class TestCheckpointRoundTrip:
         b = [twin._link_fault_states[0].model.transmit(words)[0]
              for _ in range(200)]
         assert a == b
+
+
+    def test_mid_block_snapshot_continues_identically(self):
+        """Block state pickles with the injector: a snapshot taken with
+        the cursor inside a block and a flip still pending in it resumes
+        on the same flips."""
+        model = LinkFaultModel(ber=1e-3, seed=11)
+        for _ in range(5):
+            model.outcome(768)
+        inj = model.injector
+        assert 0 < inj._pos < 8192 and len(inj._pending) > 1
+        twin = pickle.loads(pickle.dumps(model))
+        a = [model.outcome(768) for _ in range(200)]
+        assert a == [twin.outcome(768) for _ in range(200)]
+        assert any(kind is FaultKind.CORRUPT for kind, _ in a[:6])
+
+    def test_pre_block_sampling_blob_resumes_the_same_stream(self):
+        """An injector pickled before block sampling (``ber`` attribute,
+        no block fields, generator advanced one uniform per wire bit)
+        continues on the stream it would have drawn."""
+        ber, seed, sent, nbits = 1e-3, 11, 5, 768
+        rng = np.random.default_rng(seed)
+        rng.random(sent * nbits)
+        old = BitErrorInjector.__new__(BitErrorInjector)
+        old.__setstate__({
+            "ber": ber, "_rng": rng, "transmissions": sent,
+            "corrupted_transmissions": 0, "bits_flipped": 0,
+        })
+        fresh = BitErrorInjector(ber, seed)
+        for _ in range(sent):
+            fresh.flips(nbits)
+        assert old.ber == ber
+        assert [old.flips(nbits) for _ in range(200)] \
+            == [fresh.flips(nbits) for _ in range(200)]
+        assert old.transmissions == fresh.transmissions == sent + 200
+
+
+    def test_pre_outcome_gate_direction_state_still_loads(self):
+        """A link direction pickled when the gate cached wire words
+        (a ``pending_words`` slot) restores; the words are dropped."""
+        sim = _chain2(link_ber=2e-4, link_drop_rate=0.01, link_seed=3)
+        sim.send(build_memrequest(1, 0x40, 1, CMD.RD64, link=0))
+        sim.run(3)
+        d = next(iter(sim._link_fault_states[0]._dirs.values()))
+        _, slots = d.__reduce_ex__(2)[2]
+        old = type(d).__new__(type(d))
+        old.__setstate__((None, {**slots, "pending_words": [1, 2]}))
+        assert all(getattr(old, n) == v for n, v in slots.items())
+        assert not hasattr(old, "pending_words")
+
+
+#: ``(clock_value, stats()["link_faults"])`` recorded at the parent of
+#: the outcome-only gate (PR 13), when every attempt still encoded the
+#: packet and drew ``rng.random(64 * W)``.  CI's fault smoke pins the
+#: first scenario's clock, transmissions and crc_failures too.
+_GOLDEN = {
+    # 2-cube chain, 2 host links, BER 2e-4, drop 0.002, seed 3, 200 requests
+    "ci_smoke": (125, {
+        "dev0.link0": {"packets": 203, "transmissions": 212,
+                       "crc_failures": 20, "drops": 0, "irtry_events": 20,
+                       "recovered": 8, "failed": 0, "recovery_cycles": 80,
+                       "health": "FULL", "degradations": 0},
+        "dev0.link1": {"packets": 217, "transmissions": 225,
+                       "crc_failures": 17, "drops": 0, "irtry_events": 17,
+                       "recovered": 8, "failed": 0, "recovery_cycles": 68,
+                       "health": "FULL", "degradations": 0},
+        "dev0.link2": {"packets": 405, "transmissions": 434,
+                       "crc_failures": 33, "drops": 1, "irtry_events": 34,
+                       "recovered": 29, "failed": 0, "recovery_cycles": 136,
+                       "health": "FULL", "degradations": 0},
+    }),
+    # 4-cube chain, 1 host link, BER 1e-5, seed 1, 512 requests
+    "chain4": (163, {
+        "dev0.link0": {"packets": 1029, "transmissions": 1031,
+                       "crc_failures": 7, "drops": 0, "irtry_events": 7,
+                       "recovered": 2, "failed": 0, "recovery_cycles": 28,
+                       "health": "FULL", "degradations": 0},
+        "dev0.link1": {"packets": 1024, "transmissions": 1029,
+                       "crc_failures": 5, "drops": 0, "irtry_events": 5,
+                       "recovered": 5, "failed": 0, "recovery_cycles": 20,
+                       "health": "FULL", "degradations": 0},
+        "dev1.link1": {"packets": 1024, "transmissions": 1029,
+                       "crc_failures": 5, "drops": 0, "irtry_events": 5,
+                       "recovered": 5, "failed": 0, "recovery_cycles": 20,
+                       "health": "FULL", "degradations": 0},
+        "dev2.link1": {"packets": 1024, "transmissions": 1027,
+                       "crc_failures": 3, "drops": 0, "irtry_events": 3,
+                       "recovered": 3, "failed": 0, "recovery_cycles": 12,
+                       "health": "FULL", "degradations": 0},
+    }),
+}
+
+#: name -> (host_links, requests, HMCSim keywords)
+_GOLDEN_RUNS = {
+    "ci_smoke": (2, 200, dict(num_devs=2, link_ber=2e-4,
+                              link_drop_rate=0.002, link_seed=3)),
+    "chain4": (1, 512, dict(num_devs=4, link_ber=1e-5, link_seed=1)),
+}
+
+
+class TestInbandGolden:
+    """The fault stream must not move: exact cycles and link counters."""
+
+    @pytest.mark.parametrize("scheduler", ["naive", "active"])
+    @pytest.mark.parametrize("name", sorted(_GOLDEN))
+    def test_cycles_and_link_counters_are_pinned(self, name, scheduler):
+        host_links, requests, sim_kw = _GOLDEN_RUNS[name]
+        sim = build_chain(
+            HMCSim(num_links=4, num_banks=8, capacity=2, scheduler=scheduler,
+                   watchdog_cycles=100_000, **sim_kw),
+            host_links=host_links,
+        )
+        cfg = RandomAccessConfig(num_requests=requests, seed=7)
+        Host(sim).run(
+            random_access_requests(sim.config.device.capacity_bytes, cfg),
+            cub=sim_kw["num_devs"] - 1,
+        )
+        assert (sim.clock_value, sim.stats()["link_faults"]) == _GOLDEN[name]
 
 
 class TestFlowProperties:

@@ -64,10 +64,6 @@ def _link_state_fingerprint(sim: HMCSim) -> list:
                 "pending_serial": d.pending_serial,
                 "pending_frp": d.pending_frp,
                 "pending_attempts": d.pending_attempts,
-                "pending_words": (
-                    tuple(d.pending_words)
-                    if d.pending_words is not None else None
-                ),
                 "pointers": _slot_fields(d.pointers),
             }
         out.append({
