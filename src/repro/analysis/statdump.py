@@ -35,6 +35,7 @@ def bank_stats(b) -> Dict[str, int]:
         "row_hits": b.row_hits,
         "row_misses": b.row_misses,
         "touched_bytes": b.touched_bytes,
+        "resident_bytes": b.resident_bytes,
     }
 
 

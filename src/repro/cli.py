@@ -195,11 +195,16 @@ def cmd_topology(args) -> int:
     sim = HMCSim(num_devs=args.devices, num_links=args.links,
                  num_banks=args.banks, capacity=args.capacity)
     builders[args.shape](sim)
+    try:
+        distances = host_distance(sim)
+    except ImportError as exc:  # networkx is a dev extra
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     rep = diagnose(sim)
     print(f"{args.shape}: {rep.num_devices} devices, "
           f"{rep.chain_links} chain links, {rep.host_links} host links, "
           f"ok={rep.ok}")
-    for dev, dist in sorted(host_distance(sim).items()):
+    for dev, dist in sorted(distances.items()):
         print(f"  cube {dev}: {dist} hop(s) from the host")
     for warning in rep.warnings:
         print(f"  warning: {warning}")

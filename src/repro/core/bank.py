@@ -7,8 +7,9 @@ designated data storage for all I/O operations".
 
 The vault controller addresses banks in 16-byte blocks ("1Mb blocks
 each addressing 16-bytes", §III.A) and performs column fetches in
-32-byte units.  Storage is sparse — untouched blocks read as zero — so
-multi-gigabyte devices cost memory proportional to the touched
+32-byte units.  Storage is sparse — untouched blocks read as zero, and
+a bank holds one growable array of the 128-byte pages it has written —
+so multi-gigabyte devices cost memory proportional to the touched
 footprint, not the configured capacity.
 """
 
@@ -29,17 +30,15 @@ COLUMN_FETCH_BYTES = 32
 
 _MASK64 = (1 << 64) - 1
 
-#: Page granularity of the array-backed store: 256 atoms = 4 KiB of
-#: payload per page.  Small enough that materialising a page on first
-#: touch stays cheap under uniform random access (the paper's harness
-#: touches most pages exactly once per run), large enough that strided
-#: and sequential workloads stay within a handful of pages.  Banks
-#: smaller than one page get a single page sized to their capacity.
-PAGE_ATOMS = 256
+#: Page granularity of the store: 8 atoms = 128 bytes of payload per
+#: page, sized to the traffic — uniform random 64-byte requests (the
+#: paper's harness) touch most pages exactly once, so every such write
+#: costs a whole page, and 8 atoms is the floor that still holds the
+#: largest (128-byte) request in one page.  The sweep that fixed it is
+#: in docs/performance.md ("Resident memory").  Banks smaller than one
+#: page get a single page sized to their capacity.
+PAGE_ATOMS = 8
 _PAGE_WORDS = PAGE_ATOMS * ATOM_WORDS
-
-#: Pages per zeroed backing slab (see :meth:`Bank._materialize`).
-_SLAB_PAGES = 32
 
 
 class DRAM:
@@ -71,11 +70,16 @@ class Bank:
     two requests addressing the same bank within the window conflict
     (paper §IV.C.3/4) — the second cannot issue until the bank frees.
 
-    Storage is a sparse dict of numpy ``uint64`` pages (4 KiB of
-    payload each), materialised on first write, with a per-page
-    touched-atom bitmap so ``touched_atoms`` / patrol scrub observe
-    exactly the atoms demand traffic wrote — bit-identical to the
-    historical dict-of-atoms store, including atoms written as zero.
+    Storage is one growable store per bank: ``_pages`` maps a page
+    index to its row of ``_store`` (``rows x page_words`` ``uint64``)
+    and of ``_tstore`` (``rows x page_atoms`` ``bool``, the touched-atom
+    map).  Both arrays are ``None`` until the first write, gain a row
+    per page written and double when full, so a bank holds at most
+    twice the pages it touched and no per-page Python object.  The
+    touched map lets ``touched_atoms`` / patrol scrub observe exactly
+    the atoms demand traffic wrote — bit-identical to the historical
+    dict-of-atoms store, including atoms written as zero.  A bank keeps
+    the page size it was built (or pickled) with in ``_page_words``.
     ``_dirty`` holds the pages written since the last
     :meth:`sync_image`; its one consumer is the delta checkpoint
     (:class:`repro.core.checkpoint.PageStore`), which copies exactly
@@ -83,8 +87,7 @@ class Bank:
     """
 
     __slots__ = ("bank_id", "capacity_bytes", "drams", "_pages",
-                 "_touched", "_dirty", "_page_words",
-                 "_chunk", "_tchunk", "_chunk_used",
+                 "_store", "_tstore", "_dirty", "_page_words",
                  "busy_until", "reads", "writes", "atomics", "conflicts",
                  "column_fetches", "open_row", "row_hits", "row_misses",
                  "ras", "dram_access_count", "_owner")
@@ -94,8 +97,7 @@ class Bank:
     #: and the stateless DRAM leaves, which travel as a count.
     _STATE_SLOTS = tuple(
         name for name in __slots__
-        if name not in ("drams", "_pages", "_touched", "_dirty",
-                        "_chunk", "_tchunk", "_chunk_used")
+        if name not in ("drams", "_pages", "_store", "_tstore", "_dirty")
     )
 
     def __init__(self, bank_id: int, capacity_bytes: int, num_drams: int = 8) -> None:
@@ -109,19 +111,13 @@ class Bank:
         self.drams: List[DRAM] = [DRAM(i, self) for i in range(num_drams)]
         #: Accesses seen by each DRAM slice (all slices move together).
         self.dram_access_count = 0
-        # Sparse paged storage: page index -> uint64 word array, with a
-        # parallel touched-atom bitmap and a modified-since-sync set.
+        # Sparse paged storage: page index -> row of the word store and
+        # of the touched-atom map, plus a modified-since-sync page set.
         self._page_words = min(_PAGE_WORDS, capacity_bytes // 8)
-        self._pages: Dict[int, np.ndarray] = {}
-        self._touched: Dict[int, np.ndarray] = {}
+        self._pages: Dict[int, int] = {}
+        self._store = None
+        self._tstore = None
         self._dirty: set = set()
-        # Page-backing slab: pages are carved out of a shared zeroed
-        # allocation so a fresh page costs a slice view, not an
-        # allocator round trip (uniform random workloads touch nearly
-        # every page exactly once).
-        self._chunk = None
-        self._tchunk = None
-        self._chunk_used = 0
         #: First cycle at which the bank is free again.
         self.busy_until = 0
         #: Currently open DRAM row (-1 = all rows closed).  Only used
@@ -209,24 +205,24 @@ class Bank:
         # data width of the bank).
         self.dram_access_count += 1
 
-    def _materialize(self, pg: int) -> np.ndarray:
-        """Allocate (zeroed) page *pg* and its touched bitmap.
+    def _materialize(self, pg: int) -> int:
+        """Give page *pg* the next (zeroed) row of the store.
 
-        Pages and touched bitmaps are views into slab allocations of
-        ``_SLAB_PAGES`` pages each; zeroing happens once per slab.
+        Rows past ``len(_pages)`` are always zero: the store starts as
+        one row on the first write and doubles when full.
         """
-        used = self._chunk_used
-        pw = self._page_words
-        ta = pw // ATOM_WORDS
-        if self._chunk is None or used >= _SLAB_PAGES:
-            self._chunk = np.zeros(pw * _SLAB_PAGES, dtype=np.uint64)
-            self._tchunk = np.zeros(ta * _SLAB_PAGES, dtype=bool)
-            used = 0
-        page = self._chunk[used * pw : (used + 1) * pw]
-        self._pages[pg] = page
-        self._touched[pg] = self._tchunk[used * ta : (used + 1) * ta]
-        self._chunk_used = used + 1
-        return page
+        row = len(self._pages)
+        store = self._store
+        if store is None:
+            pw = self._page_words
+            self._store = np.zeros((1, pw), dtype=np.uint64)
+            self._tstore = np.zeros((1, pw // ATOM_WORDS), dtype=bool)
+        elif row == len(store):
+            tstore = self._tstore
+            self._store = np.concatenate((store, np.zeros_like(store)))
+            self._tstore = np.concatenate((tstore, np.zeros_like(tstore)))
+        self._pages[pg] = row
+        return row
 
     def read(self, byte_addr: int, nbytes: int) -> List[int]:
         """Read *nbytes* from bank-relative *byte_addr* as 64-bit words."""
@@ -249,19 +245,19 @@ class Bank:
         page_words = self._page_words
         pg, off = divmod(atom0 * ATOM_WORDS, page_words)
         if off + nw <= page_words:
-            page = self._pages.get(pg)
-            if page is None:
+            row = self._pages.get(pg)
+            if row is None:
                 return [0] * nw
-            return page[off : off + nw].tolist()
+            return self._store[row, off : off + nw].tolist()
         # Page-crossing access (unaligned multi-atom read): stitch.
         out: List[int] = []
         while nw > 0:
             take = min(nw, page_words - off)
-            page = self._pages.get(pg)
-            if page is None:
+            row = self._pages.get(pg)
+            if row is None:
                 out.extend([0] * take)
             else:
-                out.extend(page[off : off + take].tolist())
+                out.extend(self._store[row, off : off + take].tolist())
             nw -= take
             pg += 1
             off = 0
@@ -289,17 +285,19 @@ class Bank:
         page_words = self._page_words
         pg, off = divmod(atom0 * ATOM_WORDS, page_words)
         if off + nwords <= page_words:
-            page = self._pages.get(pg)
-            if page is None:
-                page = self._materialize(pg)
+            row = self._pages.get(pg)
+            if row is None:
+                row = self._materialize(pg)
             try:
-                page[off : off + nwords] = words
+                self._store[row, off : off + nwords] = words
             except (OverflowError, ValueError, TypeError):
                 # Out-of-range payload values (negative / >= 2**64):
                 # preserve the historical wraparound semantics.
-                page[off : off + nwords] = [w & _MASK64 for w in words]
+                self._store[row, off : off + nwords] = [
+                    w & _MASK64 for w in words
+                ]
             a0 = off // ATOM_WORDS
-            self._touched[pg][a0 : a0 + nwords // ATOM_WORDS] = True
+            self._tstore[row, a0 : a0 + nwords // ATOM_WORDS] = True
             self._dirty.add(pg)
         else:
             # Page-crossing write: atom-by-atom through the slow helper.
@@ -328,18 +326,13 @@ class Bank:
         self.writes += 1
         self._count_fetches(ATOM_BYTES)
         self._touch_drams(ATOM_BYTES)
-        pg, off = divmod(atom * ATOM_WORDS, self._page_words)
-        page = self._pages.get(pg)
-        if page is None:
-            page = self._materialize(pg)
+        page, off = self._page_for_write(atom)
         word = int(page[off + half])
         for b in range(8):
             if byte_mask & (1 << b):
                 shift = 8 * b
                 word = (word & ~(0xFF << shift)) | (data & (0xFF << shift))
         page[off + half] = word & _MASK64
-        self._touched[pg][off // ATOM_WORDS] = True
-        self._dirty.add(pg)
         if self.ras is not None:
             self.ras.on_write(atom, [int(page[off]), int(page[off + 1])])
 
@@ -357,17 +350,12 @@ class Bank:
         self._count_fetches(ATOM_BYTES)
         self._touch_drams(ATOM_BYTES)
         atom = byte_addr // ATOM_BYTES
-        pg, off = divmod(atom * ATOM_WORDS, self._page_words)
-        page = self._pages.get(pg)
-        if page is None:
-            page = self._materialize(pg)
+        page, off = self._page_for_write(atom)
         old0, old1 = int(page[off]), int(page[off + 1])
         new0 = (old0 + operands[0]) & _MASK64
         new1 = (old1 + operands[1]) & _MASK64
         page[off] = new0
         page[off + 1] = new1
-        self._touched[pg][off // ATOM_WORDS] = True
-        self._dirty.add(pg)
         if self.ras is not None:
             self.ras.on_write(atom, [new0, new1])
         return [old0, old1]
@@ -383,10 +371,22 @@ class Bank:
     def atom_words(self, atom: int) -> Tuple[int, int]:
         """Stored 64-bit word pair of *atom* (zeros when untouched)."""
         pg, off = divmod(atom * ATOM_WORDS, self._page_words)
-        page = self._pages.get(pg)
-        if page is None:
+        row = self._pages.get(pg)
+        if row is None:
             return (0, 0)
+        page = self._store[row]
         return (int(page[off]), int(page[off + 1]))
+
+    def _page_for_write(self, atom: int) -> Tuple[np.ndarray, int]:
+        """Writable view of *atom*'s page (materialised, marked touched
+        and dirty) and the atom's word offset in it (single-atom paths)."""
+        pg, off = divmod(atom * ATOM_WORDS, self._page_words)
+        row = self._pages.get(pg)
+        if row is None:
+            row = self._materialize(pg)
+        self._tstore[row, off // ATOM_WORDS] = True
+        self._dirty.add(pg)
+        return self._store[row], off
 
     def set_atom_words(self, atom: int, w0: int, w1: int) -> None:
         """Replace *atom*'s stored words without access accounting.
@@ -394,14 +394,9 @@ class Bank:
         Used by the ECC layer's correct-and-writeback path; demand
         traffic must go through :meth:`read` / :meth:`write`.
         """
-        pg, off = divmod(atom * ATOM_WORDS, self._page_words)
-        page = self._pages.get(pg)
-        if page is None:
-            page = self._materialize(pg)
+        page, off = self._page_for_write(atom)
         page[off] = w0 & _MASK64
         page[off + 1] = w1 & _MASK64
-        self._touched[pg][off // ATOM_WORDS] = True
-        self._dirty.add(pg)
 
     def touched_atoms(self) -> List[int]:
         """Sorted indices of written atoms (patrol scrub order).
@@ -411,12 +406,12 @@ class Bank:
         preserving the dict-of-atoms semantics the RAS scrubber and
         fingerprinting tools rely on.
         """
+        if not self._pages:
+            return []
+        pgs = sorted(self._pages)
+        rows, cols = np.nonzero(self._tstore[[self._pages[pg] for pg in pgs]])
         page_atoms = self._page_words // ATOM_WORDS
-        out: List[int] = []
-        for pg in sorted(self._touched):
-            base = pg * page_atoms
-            out.extend(int(a) + base for a in np.nonzero(self._touched[pg])[0])
-        return out
+        return (np.array(pgs)[rows] * page_atoms + cols).tolist()
 
     # -- page-level access (checkpoint / IPC / diagnostics) -------------------
 
@@ -427,9 +422,10 @@ class Bank:
         pickling it for IPC is one binary buffer per page instead of a
         Python dict entry per atom.
         """
+        store, tstore = self._store, self._tstore
         return [
-            (pg, self._pages[pg].copy(), self._touched[pg].copy())
-            for pg in sorted(self._pages)
+            (pg, store[row].copy(), tstore[row].copy())
+            for pg, row in sorted(self._pages.items())
         ]
 
     def sync_image(self, image: dict, full: bool = False) -> None:
@@ -442,10 +438,12 @@ class Bank:
         a page-count mismatch after the copy means exactly "wiped since
         the last sync" and falls back to a full copy.
         """
-        pages, touched = self._pages, self._touched
+        pages = self._pages
         if not full:
+            store, tstore = self._store, self._tstore
             for pg in self._dirty:
-                image[pg] = (pages[pg].copy(), touched[pg].copy())
+                row = pages[pg]
+                image[pg] = (store[row].copy(), tstore[row].copy())
             full = len(image) != len(pages)
         if full:
             image.clear()
@@ -454,11 +452,18 @@ class Bank:
         self._dirty.clear()
 
     def import_storage(self, image: list) -> None:
-        """Inverse of :meth:`export_storage` (replaces all contents)."""
-        self._pages = {pg: np.array(words, dtype=np.uint64)
-                       for pg, words, _ in image}
-        self._touched = {pg: np.array(touched, dtype=bool)
-                         for pg, _, touched in image}
+        """Inverse of :meth:`export_storage` (replaces all contents);
+        raises ValueError on pages that are not this bank's page size."""
+        store = tstore = None
+        if image:
+            store = np.array([w for _, w, _ in image], dtype=np.uint64)
+            tstore = np.array([t for _, _, t in image], dtype=bool)
+            pw = self._page_words
+            if (store.shape != (len(image), pw)
+                    or tstore.shape != (len(image), pw // ATOM_WORDS)):
+                raise ValueError(f"storage image is not {pw}-word pages")
+        self._pages = {pg: row for row, (pg, _, _) in enumerate(image)}
+        self._store, self._tstore = store, tstore
         self._dirty = set(self._pages)
 
     # -- versioned pickling ---------------------------------------------------
@@ -472,10 +477,10 @@ class Bank:
     def __getstate__(self) -> dict:
         state = self.skeleton_state()
         # v2 storage codec: raw page bytes + bit-packed touched maps.
+        store, tstore = self._store, self._tstore
         state["_storage_v2"] = [
-            (pg, self._pages[pg].tobytes(),
-             np.packbits(self._touched[pg]).tobytes())
-            for pg in sorted(self._pages)
+            (pg, store[row].tobytes(), np.packbits(tstore[row]).tobytes())
+            for pg, row in sorted(self._pages.items())
         ]
         return state
 
@@ -497,22 +502,17 @@ class Bank:
         if "_page_words" not in state:
             # Pre-flat-core blob: the slot didn't exist yet.
             self._page_words = min(_PAGE_WORDS, self.capacity_bytes // 8)
-        self._pages = {}
-        self._touched = {}
+        pw = self._page_words
+        if not (isinstance(pw, int) and pw >= ATOM_WORDS):
+            raise ValueError(f"bank page size of {pw!r} words")
+        page_atoms = pw // ATOM_WORDS
+        self.import_storage([
+            (pg, np.frombuffer(words, dtype=np.uint64),
+             np.unpackbits(np.frombuffer(touched, dtype=np.uint8))[:page_atoms])
+            for pg, words, touched in storage or ()
+        ])
         self._dirty = set()
-        self._chunk = None
-        self._tchunk = None
-        self._chunk_used = 0
-        if storage is not None:
-            page_atoms = self._page_words // ATOM_WORDS
-            for pg, words, touched in storage:
-                self._pages[pg] = np.frombuffer(
-                    words, dtype=np.uint64
-                ).copy()
-                self._touched[pg] = np.unpackbits(
-                    np.frombuffer(touched, dtype=np.uint8)
-                )[:page_atoms].astype(bool)
-        elif blocks:
+        if storage is None and blocks:
             # Pre-flat-core blob: dict-of-atoms storage; replay it into
             # pages so old checkpoints restore into the new layout.
             for atom, (w0, w1) in blocks.items():
@@ -523,9 +523,16 @@ class Bank:
     @property
     def touched_bytes(self) -> int:
         """Bytes of storage actually written."""
-        return ATOM_BYTES * sum(
-            int(np.count_nonzero(t)) for t in self._touched.values()
-        )
+        if self._tstore is None:
+            return 0
+        return ATOM_BYTES * int(np.count_nonzero(self._tstore))
+
+    @property
+    def resident_bytes(self) -> int:
+        """Bytes the page store holds (word rows + touched-atom rows)."""
+        if self._store is None:
+            return 0
+        return self._store.nbytes + self._tstore.nbytes
 
     @property
     def total_accesses(self) -> int:
@@ -534,7 +541,7 @@ class Bank:
     def reset(self) -> None:
         """Clear contents, busy state and statistics (device reset)."""
         self._pages.clear()
-        self._touched.clear()
+        self._store = self._tstore = None
         self._dirty.clear()
         self.busy_until = 0
         owner = self._owner

@@ -5,7 +5,8 @@ devices in a traditional network topology such as a mesh, torus or
 crossbar."  This subpackage provides constructors for the four
 topologies of Figure 1 — simple, ring, mesh and 2-D torus — plus chain
 (daisy-chain) variants, validation of the §V.B constraints, and
-networkx-backed analysis of the resulting link graphs.
+analysis of the resulting link graphs (``route``; its graph functions
+need networkx, a ``dev`` extra, and import it on first use).
 
 HMC-Sim is deliberately *topologically agnostic* (§IV.2): incorrect
 topologies are simulated, with error responses, rather than rejected.

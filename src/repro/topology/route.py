@@ -5,19 +5,34 @@ The simulator's own next-hop tables live in
 complementary *analysis* view — a networkx graph of the chain fabric,
 shortest paths, and the hop-count matrix used by the topology benchmark
 to explain the latency differences between Figure 1 configurations.
+
+networkx is a ``dev`` extra, so it is imported by the functions that
+build or search the graph, not by this module: ``repro.topology`` (and
+with it the service, the chain workloads and the CLI) imports — and
+pays for — numpy only.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-import networkx as nx
 import numpy as np
 
 from repro.core.simulator import HMCSim
 
 #: Node name used for the host in the link graph.
 HOST_NODE = "host"
+
+
+def _networkx():
+    try:
+        import networkx
+    except ImportError as exc:
+        raise ImportError(
+            "repro.topology.route analysis needs networkx "
+            "(the `dev` extra: pip install repro[dev])"
+        ) from exc
+    return networkx
 
 
 def _link_failed(sim: HMCSim, dev: int, link: int) -> bool:
@@ -35,7 +50,7 @@ def link_graph(sim: HMCSim, include_failed: bool = True) -> "nx.MultiGraph":
     reached FAILED are omitted — the surviving fabric, matching what
     the simulator's own rebuilt next-hop tables route over.
     """
-    g = nx.MultiGraph()
+    g = _networkx().MultiGraph()
     g.add_node(HOST_NODE)
     for dev in sim.devices:
         g.add_node(dev.dev_id)
@@ -65,6 +80,7 @@ def path_between(
     ``include_failed=False`` restricts the search to surviving links,
     answering "does a route still exist after this degradation?".
     """
+    nx = _networkx()
     g = link_graph(sim, include_failed=include_failed)
     g.remove_node(HOST_NODE)  # device-fabric paths only
     try:
@@ -82,7 +98,7 @@ def surviving_partition(sim: HMCSim) -> List[List[int]]:
     """
     g = link_graph(sim, include_failed=False)
     g.remove_node(HOST_NODE)
-    return sorted(sorted(c) for c in nx.connected_components(g))
+    return sorted(sorted(c) for c in _networkx().connected_components(g))
 
 
 def link_health_report(sim: HMCSim) -> Dict[str, Dict]:
@@ -110,7 +126,7 @@ def hop_count_matrix(sim: HMCSim) -> np.ndarray:
     g = link_graph(sim)
     if HOST_NODE in g:
         g.remove_node(HOST_NODE)
-    lengths = dict(nx.all_pairs_shortest_path_length(g))
+    lengths = dict(_networkx().all_pairs_shortest_path_length(g))
     for i in range(n):
         for j, d in lengths.get(i, {}).items():
             m[i, j] = d
@@ -119,6 +135,7 @@ def hop_count_matrix(sim: HMCSim) -> np.ndarray:
 
 def host_distance(sim: HMCSim) -> Dict[int, int]:
     """Hops from the host to each device (host link = hop 1)."""
+    nx = _networkx()
     g = link_graph(sim)
     try:
         lengths = nx.single_source_shortest_path_length(g, HOST_NODE)

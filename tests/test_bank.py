@@ -2,7 +2,15 @@
 
 import pytest
 
-from repro.core.bank import ATOM_BYTES, Bank, COLUMN_FETCH_BYTES, DRAM
+import random
+
+from repro.core.bank import (
+    ATOM_BYTES,
+    Bank,
+    COLUMN_FETCH_BYTES,
+    DRAM,
+    PAGE_ATOMS,
+)
 
 
 @pytest.fixture
@@ -66,6 +74,75 @@ class TestDataPath:
         assert bank.touched_bytes == ATOM_BYTES
         bank.read(0x2000, 64)  # reads do not materialise blocks
         assert bank.touched_bytes == ATOM_BYTES
+
+
+class TestFootprint:
+    """Resident storage as an exact count (no RSS involved)."""
+
+    #: What one page holds: its words plus its touched-atom map.
+    PAGE_BYTES = PAGE_ATOMS * (ATOM_BYTES + 1)
+
+    def test_first_write_allocates_exactly_one_page(self, bank):
+        assert bank.resident_bytes == 0
+        bank.read(0x2000, 64)  # reads allocate nothing
+        assert bank.resident_bytes == 0
+        bank.write(0x1000, [5, 6])
+        assert bank.resident_bytes == self.PAGE_BYTES
+        bank.write(0x1010, [7, 8])  # same page
+        assert bank.resident_bytes == self.PAGE_BYTES
+
+    def test_at_most_twice_the_pages_written(self, bank):
+        rng = random.Random(1)
+        atoms = bank.capacity_bytes // ATOM_BYTES
+        for _ in range(700):
+            atom = rng.randrange(atoms)
+            kind = rng.randrange(4)
+            if kind == 0:
+                bank.write(atom * ATOM_BYTES, [atom, 1])
+            elif kind == 1:
+                bank.atomic_add16(atom * ATOM_BYTES, [1, 2])
+            elif kind == 2:
+                bank.masked_write(atom * ATOM_BYTES, atom, 0x0F)
+            else:
+                bank.write((atom & ~7) * ATOM_BYTES, [atom] * 16)  # WR128
+            pages = len(bank.export_storage())
+            assert self.PAGE_BYTES * pages <= bank.resident_bytes
+            assert bank.resident_bytes <= 2 * self.PAGE_BYTES * pages
+        assert pages > 500  # several doublings happened
+
+    def test_reset_returns_to_zero(self, bank):
+        for atom in range(0, 40 * PAGE_ATOMS, PAGE_ATOMS):
+            bank.write(atom * ATOM_BYTES, [1, 2])
+        assert bank.resident_bytes > 0
+        bank.reset()
+        assert bank.resident_bytes == 0 and bank.touched_bytes == 0
+        assert bank.export_storage() == []
+        bank.write(0, [3, 4])
+        assert bank.resident_bytes == self.PAGE_BYTES
+
+    def test_table1_stream_amplification(self):
+        # The paper's harness: uniform random 64-byte requests touch
+        # most pages exactly once, the worst case for a paged store.
+        # 6x is the bound CI's footprint smoke gates too (8-atom pages,
+        # measured 3.1x; the 4 KiB pages + 32-page slabs they replaced:
+        # > 100x).
+        from repro.core.config import PAPER_CONFIGS
+        from repro.workloads.random_access import (
+            RandomAccessConfig,
+            run_random_access,
+        )
+
+        result = run_random_access(
+            PAPER_CONFIGS["8-Link; 16-Bank; 8GB"],
+            RandomAccessConfig(num_requests=1 << 12, seed=1),
+            keep_sim=True,
+        )
+        banks = [
+            b for d in result.sim.devices for v in d.vaults for b in v.banks
+        ]
+        touched = sum(b.touched_bytes for b in banks)
+        resident = sum(b.resident_bytes for b in banks)
+        assert touched > 0 and resident <= 6 * touched
 
 
 class TestAtomics:

@@ -46,12 +46,14 @@ class TestCommands:
 
     @pytest.mark.parametrize("shape", ["simple", "chain", "ring", "mesh", "torus"])
     def test_topology_shapes(self, shape, capsys):
+        pytest.importorskip("networkx")  # host distances (dev extra)
         assert main(["topology", shape, "--devices", "4"]) == 0
         out = capsys.readouterr().out
         assert shape in out
         assert "cube 0" in out
 
     def test_topology_reports_warnings_nonzero(self, capsys):
+        pytest.importorskip("networkx")
         # A 2-device "mesh" with the host on dev 0 is fine; instead make
         # an unreachable device via a chain of 1 with 3 spare devices.
         rc = main(["topology", "simple", "--devices", "3"])

@@ -13,13 +13,15 @@ Three invariants the struct-of-arrays refactor must preserve:
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.bank import ATOM_BYTES, ATOM_WORDS, Bank
+from repro.core.bank import ATOM_BYTES, ATOM_WORDS, PAGE_ATOMS, Bank
 from repro.packets.arena import PacketArena
 from repro.packets.commands import CMD
 from repro.packets.packet import (
@@ -170,6 +172,29 @@ def _dict_model_ops():
     )
 
 
+def _mixed_geometry_ops():
+    """WR16/WR64/WR128, RD*, BWR, ADD16 at any atom alignment, aimed at
+    the first boundaries of today's pages, of a 4 KiB page, and anywhere."""
+    atoms = st.one_of(
+        st.integers(min_value=0, max_value=47),
+        st.integers(min_value=232, max_value=280),
+        st.integers(min_value=0, max_value=4095),
+    )
+    sizes = st.sampled_from([1, 4, 8])
+    return st.lists(
+        st.one_of(
+            st.tuples(st.just("write"), atoms, sizes,
+                      st.lists(_word, min_size=8, max_size=8)),
+            st.tuples(st.just("read"), atoms, sizes),
+            st.tuples(st.just("bwr"), atoms, st.integers(min_value=0, max_value=1),
+                      _word, st.integers(min_value=0, max_value=0xFF)),
+            st.tuples(st.just("add16"), atoms, st.lists(_word, min_size=2, max_size=2)),
+        ),
+        min_size=1,
+        max_size=40,
+    )
+
+
 class TestBankMatchesDictModel:
     """Array-backed paged Bank vs a plain dict-of-atoms reference."""
 
@@ -192,18 +217,76 @@ class TestBankMatchesDictModel:
     def test_page_crossing_sequences(self, ops):
         """Capacity far above one page: ops rescaled to land near page
         boundaries so stitched reads/writes are exercised."""
-        from repro.core.bank import PAGE_ATOMS
-
-        num_atoms = PAGE_ATOMS * 3
+        # The ops' 64-atom window, placed to straddle a page boundary at
+        # any page size: around the page 0/1 boundary when a page is
+        # larger than half the window, from atom 0 (several whole pages)
+        # when it is smaller.
+        base = max(0, PAGE_ATOMS - 32)
+        num_atoms = base + 64 + PAGE_ATOMS
         bank = Bank(0, num_atoms * ATOM_BYTES)
+        assert bank._page_words == PAGE_ATOMS * ATOM_WORDS
         model = {}
         for op in ops:
-            # Map the small atom index to a window straddling page 1/2.
-            op = (op[0], op[1] + PAGE_ATOMS - 32) + op[2:]
+            op = (op[0], op[1] + base) + op[2:]
             self._apply(bank, model, op, num_atoms=num_atoms)
         assert bank.touched_atoms() == sorted(model)
         for atom in sorted(model):
             assert bank.atom_words(atom) == model[atom]
+
+    #: 4096 atoms = 16 of the 4 KiB pages older blobs carry, hundreds
+    #: of today's.
+    _MIXED_ATOMS = 4096
+
+    @staticmethod
+    def _bank_with_4k_pages(num_atoms):
+        """A bank as an older tree pickled it: 512-word pages."""
+        old = Bank(0, num_atoms * ATOM_BYTES)
+        old._page_words = 512
+        bank = pickle.loads(pickle.dumps(old))
+        assert bank._page_words == 512 and bank.resident_bytes == 0
+        return bank
+
+    @given(_mixed_geometry_ops(), _mixed_geometry_ops())
+    @settings(max_examples=40, deadline=None)
+    def test_fresh_and_4k_page_banks_match_the_model(self, before, after):
+        """One op sequence on a fresh bank, on a bank unpickled with
+        4 KiB pages and on the dict model: equal reads and contents,
+        through store doublings, export/import, pickling and reset()."""
+        n = self._MIXED_ATOMS
+        banks = [Bank(0, n * ATOM_BYTES), self._bank_with_4k_pages(n)]
+        # Nine pages at either size: the store doubles 1->2->4->8->16.
+        spread = [("set", k * 256, k, k + 1) for k in range(9)]
+        for ops in (before, after):
+            models = [{}, {}]
+            for bank, model in zip(banks, models):
+                for op in spread + ops:
+                    self._apply(bank, model, op, num_atoms=n)
+                assert len(bank._store) >= 16
+            assert models[0] == models[1]
+            for i, bank in enumerate(banks):
+                for probe in (
+                    bank,
+                    pickle.loads(pickle.dumps(bank)),
+                    self._reimported(bank),
+                ):
+                    assert probe._page_words == bank._page_words
+                    assert probe.touched_atoms() == sorted(models[i])
+                    assert probe.touched_bytes == ATOM_BYTES * len(models[i])
+                    for atom in models[i]:
+                        assert probe.atom_words(atom) == models[i][atom]
+                    assert probe.atom_words(n - 1) == models[i].get(
+                        n - 1, (0, 0)
+                    )
+                bank.reset()
+                assert bank.resident_bytes == 0 and bank.touched_atoms() == []
+        assert [b._page_words for b in banks] == [PAGE_ATOMS * ATOM_WORDS, 512]
+
+    @staticmethod
+    def _reimported(bank):
+        clone = pickle.loads(pickle.dumps(bank))
+        clone.reset()
+        clone.import_storage(bank.export_storage())
+        return clone
 
     @staticmethod
     def _apply(bank, model, op, num_atoms):

@@ -234,6 +234,7 @@ class TestRerouteAroundDeadLink:
         assert hop is not None and hop[0] == 3
 
     def test_route_analysis_excludes_failed(self):
+        pytest.importorskip("networkx")
         from repro.topology.route import (
             link_health_report,
             path_between,

@@ -1,5 +1,8 @@
 """Tests for topology builders, validation and route analysis."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -126,7 +129,39 @@ class TestValidation:
         strict_check(build_ring(mk(4)))
 
 
+class TestNetworkxIsOptional:
+    """networkx is a ``dev`` extra: nothing imports it until a route
+    analysis runs, and without it the analysis says what is missing."""
+
+    def test_importing_the_program_does_not_load_networkx(self):
+        code = (
+            "import sys, repro, repro.topology, repro.service, repro.cli\n"
+            "sys.exit('networkx' in sys.modules)"
+        )
+        assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+    def test_analysis_without_networkx_names_the_extra(self, monkeypatch, capsys):
+        from repro.cli import main
+
+        monkeypatch.setitem(sys.modules, "networkx", None)  # import fails
+        s = build_chain(mk(2))
+        for call in (
+            lambda: link_graph(s),
+            lambda: path_between(s, 0, 1),
+            lambda: hop_count_matrix(s),
+            lambda: host_distance(s),
+        ):
+            with pytest.raises(ImportError, match="`dev` extra"):
+                call()
+        assert main(["topology", "chain", "--devices", "2"]) == 2
+        assert "`dev` extra" in capsys.readouterr().err
+
+
 class TestRouteAnalysis:
+    @pytest.fixture(autouse=True)
+    def _needs_networkx(self):
+        pytest.importorskip("networkx")
+
     def test_link_graph_nodes(self):
         s = build_chain(mk(3))
         g = link_graph(s)
