@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Benchmark runner: scheduler equivalence and loaded-path throughput.
 
-Two scenario suites, selected with ``--suite``:
+Four scenario suites, selected with ``--suite``:
 
 ``engine`` (default)
     The Table I random-access configurations plus the clock-engine
@@ -26,25 +26,15 @@ Two scenario suites, selected with ``--suite``:
     latency, and multi-tenant ``serve`` throughput at 1 / 16 / 128
     tenants under both schedulers — writes ``BENCH_service.json``.
 
-``parallel``
-    The multi-process suite: each Table I cell on the sharded cycle
-    engine at 1 / 2 / 4 workers (asserting bit-identical cycle
-    counts), plus the whole Table I batch fanned across a
-    ``ParallelSimRunner`` pool vs run inline — writes
-    ``BENCH_parallel.json`` with the host's CPU budget recorded
-    (speedups are meaningless without it: sharding cannot beat the
-    usable core count).
-
-Every scenario runs under both schedulers (or both worker counts) and
-asserts cycle-count equivalence (the bit-identical contract that
+Every scenario runs under both schedulers and asserts cycle-count
+equivalence (the bit-identical contract that
 tests/test_scheduler_equivalence.py enforces in depth).
 
 Regression gate: ``--compare <baseline.json>`` re-reads a previous
 report and exits non-zero when any matching (scenario, scheduler)
 throughput regressed more than the wall-clock noise threshold.  The
-threshold is per-suite (run-level fan-out and service runs are noisier
-than single-process engine loops) with ``--compare-threshold``
-overriding; a *cycle-count* mismatch against the baseline is a hard
+threshold is per-suite (service runs are noisier than single-process
+engine loops) with ``--compare-threshold`` overriding; a *cycle-count* mismatch against the baseline is a hard
 failure at any threshold — wall time is noisy, simulated time never
 is.  ``--baseline <baseline.json>`` embeds a previous report's numbers
 and per-scenario speedups into the output instead of gating.
@@ -93,18 +83,15 @@ from repro.workloads.random_access import (  # noqa: E402
 SCHEDULERS = ("naive", "active")
 
 # Wall-clock noise tolerance for the --compare gate, per suite.  The
-# engine/loaded suites are tight single-process loops; the service and
-# parallel suites add fork/pickle/IPC costs that wobble much more on
-# shared hosts.  --compare-threshold overrides all of these.
+# engine/loaded suites are tight single-process loops; the service
+# suite adds checkpoint/pickle costs that wobble much more on shared
+# hosts.  --compare-threshold overrides all of these.
 SUITE_COMPARE_THRESHOLDS = {
     "engine": 0.10,
     "loaded": 0.10,
     "hotcore": 0.10,
     "service": 0.25,
-    "parallel": 0.35,
 }
-
-WORKER_COUNTS = (1, 2, 4)
 
 
 def _git_rev() -> str:
@@ -565,107 +552,6 @@ def run_hotcore_suite(smoke: bool, repeat: int, report: dict) -> int:
     return failures
 
 
-def run_parallel_suite(smoke: bool, repeat: int, report: dict) -> int:
-    """Parallel suite: in-run sharding and run-level fan-out.
-
-    Each Table I cell runs on the sharded cycle engine at 1 / 2 / 4
-    workers (simulated cycle counts must be bit-identical — that is the
-    engine's contract), then the whole Table I batch is fanned across a
-    ``ParallelSimRunner`` pool and compared against running it inline.
-
-    Returns the number of worker-equivalence failures.  Wall-clock
-    speedups are bounded by ``report["cpu"]["usable_cpus"]``: on a host
-    with a single usable core the sharded runs are *expected* to be
-    slower than serial (IPC overhead with no parallel hardware), and
-    only the equivalence columns are meaningful.
-    """
-    import os
-
-    from repro.parallel import ParallelSimRunner, RunSpec, run_spec, table1_specs
-
-    try:
-        usable = len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux hosts
-        usable = os.cpu_count() or 1
-    report["cpu"] = {
-        "cpu_count": os.cpu_count(),
-        "usable_cpus": usable,
-        "note": "sharded speedup is bounded by usable_cpus; with one "
-                "usable core only cycle equivalence is meaningful",
-    }
-    reqs = 256 if smoke else 4096
-    failures = 0
-
-    # -- in-run sharding: each Table I cell at 1 / 2 / 4 workers.
-    for label, device in PAPER_CONFIGS.items():
-        row = {"name": f"sharded_table1[{label}]", "runs": {}}
-        cycles_seen = {}
-        for workers in WORKER_COUNTS:
-            spec = RunSpec(
-                label=label, device=device, num_requests=reqs,
-                workers=workers,
-            )
-            wall, cycles = _timed(lambda s=spec: run_spec(s)["cycles"], repeat)
-            cycles_seen[workers] = cycles
-            row["runs"][f"workers{workers}"] = {
-                "wall_s": round(wall, 4),
-                "cycles": cycles,
-                "cycles_per_sec": round(cycles / wall, 1) if wall else None,
-            }
-        row["cycles_match"] = len(set(cycles_seen.values())) == 1
-        if not row["cycles_match"]:
-            failures += 1
-            print(f"FAIL {row['name']}: worker cycle mismatch {cycles_seen}",
-                  file=sys.stderr)
-        w1 = row["runs"]["workers1"]["wall_s"]
-        w2 = row["runs"]["workers2"]["wall_s"]
-        row["speedup_2w_vs_serial"] = round(w1 / w2, 2) if w2 else None
-        report["scenarios"].append(row)
-        print(
-            f"{row['name']:42s} 1w {w1:8.3f}s  2w {w2:8.3f}s  "
-            f"speedup {row['speedup_2w_vs_serial']}x  "
-            f"cycles={cycles_seen[1]}"
-        )
-
-    # -- run-level fan-out: the whole Table I batch, inline vs pooled.
-    specs = table1_specs(num_requests=reqs)
-
-    def run_inline() -> int:
-        return sum(run_spec(s)["cycles"] for s in specs)
-
-    def run_pooled() -> int:
-        with ParallelSimRunner(processes=4) as runner:
-            return sum(r["cycles"] for r in runner.run_many(specs))
-
-    row = {"name": "table1_batch_fanout", "runs": {}}
-    cycles_seen = {}
-    for mode, fn in (("inline", run_inline), ("pool4", run_pooled)):
-        wall, cycles = _timed(fn, repeat)
-        cycles_seen[mode] = cycles
-        row["runs"][mode] = {
-            "wall_s": round(wall, 4),
-            "cycles": cycles,
-            "cycles_per_sec": round(cycles / wall, 1) if wall else None,
-        }
-    row["cycles_match"] = len(set(cycles_seen.values())) == 1
-    if not row["cycles_match"]:
-        failures += 1
-        print(f"FAIL {row['name']}: pool cycle mismatch {cycles_seen}",
-              file=sys.stderr)
-    inline_w = row["runs"]["inline"]["wall_s"]
-    pool_w = row["runs"]["pool4"]["wall_s"]
-    row["speedup_pool_vs_inline"] = (
-        round(inline_w / pool_w, 2) if pool_w else None
-    )
-    report["scenarios"].append(row)
-    print(
-        f"{row['name']:42s} inline {inline_w:8.3f}s  pool4 {pool_w:8.3f}s  "
-        f"speedup {row['speedup_pool_vs_inline']}x  "
-        f"cycles={cycles_seen['inline']}"
-    )
-    return failures
-
-
 def _compare_reports(report: dict, baseline: dict, threshold: float):
     """Compare against a baseline report.
 
@@ -738,12 +624,12 @@ def main(argv=None) -> int:
     )
     ap.add_argument(
         "--suite",
-        choices=("engine", "loaded", "hotcore", "service", "parallel"),
+        choices=("engine", "loaded", "hotcore", "service"),
         default="engine",
         help="scenario suite: clock-engine set, loaded-path "
         "(traced/untraced Table I) set, the flat-hot-core set (untraced "
-        "Table I with packet/allocation accounting), the multi-tenant "
-        "service set, or the multi-process sharding set",
+        "Table I with packet/allocation accounting), or the multi-tenant "
+        "service set",
     )
     ap.add_argument(
         "--out", type=Path, default=None,
@@ -764,7 +650,7 @@ def main(argv=None) -> int:
         "--compare-threshold", type=float, default=None,
         help="fractional cycles/sec drop that counts as a regression "
         "for --compare (default: per-suite, 10%% for engine/loaded, "
-        "higher for the IPC-noisy service/parallel suites; cycle-count "
+        "higher for the noisier service suite; cycle-count "
         "mismatches fail at any threshold)",
     )
     ap.add_argument(
@@ -784,7 +670,6 @@ def main(argv=None) -> int:
             "loaded": "BENCH_loaded_path.json",
             "hotcore": "BENCH_hot_core.json",
             "service": "BENCH_service.json",
-            "parallel": "BENCH_parallel.json",
         }[args.suite]
 
     report = {
@@ -793,7 +678,6 @@ def main(argv=None) -> int:
             "loaded": "loaded_path",
             "hotcore": "hot_core",
             "service": "service",
-            "parallel": "parallel_sharding",
         }[args.suite],
         "git_rev": _git_rev(),
         "python": platform.python_version(),
@@ -805,8 +689,6 @@ def main(argv=None) -> int:
     }
     if args.suite == "service":
         failures = run_service_suite(args.smoke, repeat, report)
-    elif args.suite == "parallel":
-        failures = run_parallel_suite(args.smoke, repeat, report)
     elif args.suite == "hotcore":
         failures = run_hotcore_suite(args.smoke, repeat, report)
     else:

@@ -23,14 +23,16 @@ import os
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import DeviceConfig, PAPER_CONFIGS
-from repro.parallel.pool import WorkerPool
+from repro.parallel.pool import WorkerPool, default_pool_size
 from repro.workloads.random_access import RandomAccessConfig, run_random_access
 
 
 def default_workers() -> int:
-    """Worker count: physical parallelism, capped to leave headroom.
+    """Worker count: usable CPUs, capped to leave headroom.
 
-    The ``REPRO_SWEEP_WORKERS`` environment variable overrides the
+    "Usable" is :func:`~repro.parallel.pool.default_pool_size` — the
+    affinity set, so ``taskset``/cgroup limits shrink the pool.  The
+    ``REPRO_SWEEP_WORKERS`` environment variable overrides the
     heuristic (CI throttling, benchmarking with a pinned pool, forcing
     serial execution with ``1``).  A set-but-invalid value — garbage
     text, zero, or a negative count — raises :class:`ValueError`
@@ -51,7 +53,7 @@ def default_workers() -> int:
                 f"REPRO_SWEEP_WORKERS must be a positive integer, got {n}"
             )
         return n
-    return max(1, min(8, (os.cpu_count() or 2) - 1))
+    return max(1, min(8, default_pool_size() - 1))
 
 
 def _check_picklable_callable(fn: Callable) -> None:

@@ -75,19 +75,6 @@ def _add_profile_arg(p: argparse.ArgumentParser) -> None:
                         "summary lists (default 10)")
 
 
-def _add_workers_args(p: argparse.ArgumentParser) -> None:
-    """Sharded-engine knobs (repro.parallel) shared by workload runners."""
-    p.add_argument("--workers", type=int, default=1,
-                   help="shard the simulation across this many worker "
-                        "processes (1 = serial engine, bit-identical "
-                        "either way)")
-    p.add_argument("--shard-strategy", choices=("auto", "device", "vault"),
-                   default="auto",
-                   help="how vaults are partitioned across workers "
-                        "(auto picks per-device shards on multi-cube "
-                        "topologies)")
-
-
 def _maybe_profile(args, sim):
     if getattr(args, "profile", False):
         from repro.analysis.profiling import attach
@@ -118,10 +105,6 @@ def _link_fault_kwargs(args) -> dict:
         kw["link_seed"] = args.link_seed
     if getattr(args, "watchdog_cycles", 0):
         kw["watchdog_cycles"] = args.watchdog_cycles
-    if getattr(args, "workers", 1) != 1:
-        kw["workers"] = args.workers
-    if getattr(args, "shard_strategy", "auto") != "auto":
-        kw["shard_strategy"] = args.shard_strategy
     return kw
 
 
@@ -486,7 +469,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_device_args(p)
     _add_link_fault_args(p)
     _add_profile_arg(p)
-    _add_workers_args(p)
     p.add_argument("--ghz", type=float, default=bw.DEFAULT_CYCLE_GHZ)
     p.set_defaults(func=cmd_bandwidth)
 
@@ -494,7 +476,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_device_args(p)
     _add_link_fault_args(p)
     _add_profile_arg(p)
-    _add_workers_args(p)
     p.add_argument("--ber", type=float, default=1e-4)
     p.add_argument("--drop", type=float, default=0.0)
     p.add_argument("--max-retries", type=int, default=16)
@@ -507,7 +488,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_device_args(p)
     _add_link_fault_args(p)
     _add_profile_arg(p)
-    _add_workers_args(p)
     p.add_argument("trace", help="path to a 'R/W <hex-addr> [size]' trace file")
     p.set_defaults(func=cmd_replay)
 
@@ -523,7 +503,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("serve", help="multi-tenant disaggregated memory "
                                      "service over a chained-cube pool")
     _add_link_fault_args(p)
-    _add_workers_args(p)
     p.add_argument("--tenants", type=int, default=16,
                    help="number of simulated tenants in the mix")
     p.add_argument("--seed", type=int, default=1,

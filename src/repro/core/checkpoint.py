@@ -220,12 +220,6 @@ def _pickle_detached(
 ) -> bytes:
     """Pickle ``payload_of(sim)`` with every tracer reference detached
     (and, with *divert_pages*, bank pages left out of the stream)."""
-    # Sharded engines (SimConfig.workers > 1) keep authoritative bank
-    # state in worker processes; pull it into this process first so the
-    # pickled storage is current.  Serial engines have no such hook.
-    sync = getattr(sim.engine, "sync_for_snapshot", None)
-    if sync is not None:
-        sync()
     saved_tracer = sim.tracer
     standin = Tracer(mask=saved_tracer.mask)  # sinkless stand-in
     holders = _tracer_holders(sim)

@@ -243,11 +243,6 @@ class ClockEngine:
         order, non-empty vaults in ascending vault id (the naive walk
         visits empty vaults too, but ``Vault.stage34`` is a strict no-op
         there).  Returns ``(conflicts, issued)``.
-
-        This is the sharding seam: the parallel engine
-        (:class:`repro.parallel.engine.ParallelClockEngine`) overrides
-        it to delegate the per-vault work to worker processes while
-        every other stage keeps running in this process.
         """
         sim = self.sim
         conflicts = 0
@@ -279,15 +274,6 @@ class ClockEngine:
                     conflicts += c
                     issued += i
         return conflicts, issued
-
-    def shutdown(self) -> None:
-        """Release engine-held OS resources.
-
-        The single-process engine holds none; the sharded engine
-        overrides this to stop its worker processes.  Called by
-        :meth:`HMCSim.free` / :meth:`HMCSim.reset` and safe to call
-        repeatedly.
-        """
 
     def tick(self) -> None:
         """Run one full clock cycle (all six sub-cycle stages)."""

@@ -251,22 +251,6 @@ class SimConfig:
     #: still outstanding.  0 disables the watchdog.
     watchdog_cycles: int = 0
 
-    #: Sharded multi-process cycle engine (repro.parallel): number of
-    #: worker processes the per-vault stage-3/4 work is partitioned
-    #: across.  1 (the default) keeps the single-process engine — a
-    #: zero-overhead path that is byte-identical to builds without the
-    #: parallel subsystem.  Values > 1 select
-    #: :class:`repro.parallel.engine.ParallelClockEngine`, which is
-    #: bit-identical to the single-process engine (same cycles, trace
-    #: bytes, counters and registers) on every supported configuration;
-    #: unsupported ones (ECC-enabled devices, SUBCYCLE tracing) fall
-    #: back to the single-process engine automatically.
-    workers: int = 1
-    #: How the parallel engine partitions the simulation: "auto"
-    #: (per-device groups on multi-device chains, quad-aligned vault
-    #: groups on single devices), "device", or "vault".
-    shard_strategy: str = "auto"
-
     def __post_init__(self) -> None:
         if self.num_devs <= 0:
             raise InitError(f"num_devs must be positive, got {self.num_devs}")
@@ -327,13 +311,6 @@ class SimConfig:
             raise InitError("link_retry_delay must be >= 0")
         if self.watchdog_cycles < 0:
             raise InitError("watchdog_cycles must be >= 0")
-        if self.workers < 1:
-            raise InitError(f"workers must be >= 1, got {self.workers}")
-        if self.shard_strategy not in ("auto", "device", "vault"):
-            raise InitError(
-                f"shard_strategy must be 'auto', 'device' or 'vault', "
-                f"got {self.shard_strategy!r}"
-            )
 
     @property
     def host_cub(self) -> int:

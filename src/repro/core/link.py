@@ -20,15 +20,6 @@ from typing import Optional
 
 from repro.packets.flow import FlowController
 
-#: Minimum cycles a packet needs to traverse one structural hop — the
-#: registered crossbar input costs one full cycle before a routed packet
-#: can progress another stage (paper §IV.C, ``enforce_hop_limit``).
-#: This is the conservative-lookahead bound of the sharded engine
-#: (repro.parallel): a message emitted by one shard at cycle ``t``
-#: cannot influence another shard before ``t + MIN_LINK_TRAVERSAL_CYCLES``,
-#: so shards may safely advance to the barrier at that horizon.
-MIN_LINK_TRAVERSAL_CYCLES = 1
-
 
 class EndpointType(enum.Enum):
     """Physical endpoint configuration of a link side (paper §V.B)."""
@@ -89,18 +80,6 @@ class Link:
     def configured(self) -> bool:
         """True once topology configuration has assigned both endpoints."""
         return self.src_type is not EndpointType.NONE and self.dst_type is not EndpointType.NONE
-
-    @property
-    def min_latency_cycles(self) -> int:
-        """Lower bound on cycles for any packet to cross this link.
-
-        Every traversal lands in a registered crossbar input queue and
-        spends at least one cycle there before routing on.  Degradation
-        (HALF serialization) and retry windows only ever add cycles, so
-        this bound stays conservative for the parallel engine's
-        cycle-barrier lookahead.
-        """
-        return MIN_LINK_TRAVERSAL_CYCLES
 
     @property
     def is_host_link(self) -> bool:

@@ -53,13 +53,6 @@ _EV_RSP_DELIVERED = int(EventType.RSP_DELIVERED)
 LinkPeer = Union[str, Tuple[int, int]]  # "host" or (dev_id, link_id)
 
 
-def _in_daemonic_process() -> bool:
-    """True inside a daemonic child (which may not fork grandchildren)."""
-    import multiprocessing
-
-    return bool(multiprocessing.current_process().daemon)
-
-
 class HMCSim:
     """One clock domain of simulated HMC devices plus the host API."""
 
@@ -99,23 +92,7 @@ class HMCSim:
         ]
         self.clock_value: int = 0
         self.tracer = Tracer(mask=trace_mask)
-        if (
-            config.workers > 1
-            and not config.device.ecc_enabled
-            and not _in_daemonic_process()
-        ):
-            # Sharded multi-process engine (repro.parallel).  ECC
-            # configurations stay serial: the RAS sub-step reads and
-            # scrubs bank storage on the master every tick, which would
-            # race the workers' authoritative bank copies.  Daemonic
-            # processes (e.g. a WorkerPool lane running a whole sim)
-            # cannot fork children, so they stay serial too — the two
-            # engines are bit-identical, only wall time differs.
-            from repro.parallel.engine import ParallelClockEngine
-
-            self.engine = ParallelClockEngine(self)
-        else:
-            self.engine = ClockEngine(self)
+        self.engine = ClockEngine(self)
         if config.device.ecc_enabled:
             # Deferred import: the RAS subsystem never loads (and costs
             # nothing) in the default unprotected configuration.
@@ -861,9 +838,6 @@ class HMCSim:
     def reset(self) -> None:
         """Reset devices and clock; topology is preserved (§V.A)."""
         self._check_alive()
-        # Shard workers (if any) hold pre-reset state: retire them; the
-        # sharded engine re-forks from the reset state when next needed.
-        self.engine.shutdown()
         for d in self.devices:
             d.reset()
         self.clock_value = 0
@@ -883,7 +857,6 @@ class HMCSim:
 
     def free(self) -> None:
         """Release the simulation (C-API parity); further use raises."""
-        self.engine.shutdown()
         self.tracer.close()
         self.devices.clear()
         self._freed = True

@@ -295,6 +295,6 @@ class PacketArena:
 
 
 #: Process-global arena used by the hot paths (host send loop, vault
-#: response builder).  Forked workers inherit a private copy, exactly
-#: like the packet serial counter.
+#: response builder).  A forked ``WorkerPool`` lane inherits a private
+#: copy, exactly like the packet serial counter.
 ARENA = PacketArena()

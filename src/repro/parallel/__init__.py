@@ -1,43 +1,20 @@
-"""Multi-process parallel execution (sharded engine + run pools).
+"""Run-level multi-process fan-out.
 
-Two granularities, one subsystem:
-
-* :class:`~repro.parallel.engine.ParallelClockEngine` — shards one
-  simulation's stage-3/4 vault work across worker processes behind a
-  deterministic cycle barrier (``SimConfig.workers > 1``).  Bit-
-  identical to the serial engine: same cycles, traces, statistics and
-  registers.
-* :class:`~repro.parallel.pool.WorkerPool` /
-  :class:`~repro.parallel.runner.ParallelSimRunner` — fan independent
-  runs (Table I cells, sweeps, benchmark suites) out across processes
-  with faithful error propagation.
-
-Both speak the typed-channel protocol of
-:mod:`repro.parallel.channels`; shard planning lives in
-:mod:`repro.parallel.partition` on top of the topology-level helpers
-in :mod:`repro.topology.partition`.
+:class:`~repro.parallel.pool.WorkerPool` runs independent simulations
+(Table I cells, sweep points) in forked worker processes with faithful
+error propagation over the typed channels of
+:mod:`repro.parallel.channels`.  One simulation always runs in one
+process: ``docs/performance.md`` records why there is no in-run
+sharding.
 """
 
 from repro.parallel.channels import Channel, ChannelClosed, RemoteError
-from repro.parallel.partition import ShardPlan, plan_shards
 from repro.parallel.pool import WorkerPool, default_pool_size
-from repro.parallel.runner import (
-    ParallelSimRunner,
-    RunSpec,
-    run_spec,
-    table1_specs,
-)
 
 __all__ = [
     "Channel",
     "ChannelClosed",
-    "ParallelSimRunner",
     "RemoteError",
-    "RunSpec",
-    "ShardPlan",
     "WorkerPool",
     "default_pool_size",
-    "plan_shards",
-    "run_spec",
-    "table1_specs",
 ]

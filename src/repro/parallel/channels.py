@@ -1,4 +1,4 @@
-"""Typed message channels between the master and shard/pool workers.
+"""Typed message channels between the master and pool workers.
 
 Every cross-process conversation in :mod:`repro.parallel` runs over a
 :class:`Channel`: a thin typed wrapper around a ``multiprocessing``
@@ -7,16 +7,10 @@ exceptions into :class:`RemoteError` on the master side **with the
 original remote traceback attached** — a raised worker exception must
 never degrade into a silent fallback or an opaque "process died".
 
-Payloads are pickled by the pipe itself; FLIT batches (lists of
-:class:`~repro.packets.packet.Packet`) travel as ordinary payload
-fields.  The tags form the entire wire protocol:
+Payloads are pickled by the pipe itself.  The tags form the entire
+wire protocol:
 
 ========  =======================================================
-``STEP``  master → shard: advance one barrier cycle (cycle, trace
-          mask, visit list, request pushes, response pops)
-``RSLT``  shard → master: per-vault effects of that cycle
-``PULL``  master → shard: ship back authoritative bank/vault state
-``STAT``  shard → master: the pulled state
 ``TASK``  master → pool worker: run one callable
 ``DONE``  pool worker → master: task result
 ``ERR``   worker → master: exception (class name, str, traceback)
@@ -29,10 +23,6 @@ from __future__ import annotations
 import traceback
 from typing import Any, Tuple
 
-STEP = "STEP"
-RSLT = "RSLT"
-PULL = "PULL"
-STAT = "STAT"
 TASK = "TASK"
 DONE = "DONE"
 ERR = "ERR"

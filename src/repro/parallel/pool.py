@@ -1,17 +1,11 @@
 """A fork-based worker-process pool with faithful error propagation.
 
 ``concurrent.futures.ProcessPoolExecutor`` served the early sweeps but
-had two problems this pool fixes:
-
-* a worker exception surfaced as a bare re-raise far from the worker
-  stack (and one caller swallowed it into a silent serial fallback) —
-  here every task failure arrives as :class:`~repro.parallel.channels.
-  RemoteError` carrying the full worker-side traceback and the task
-  index;
-* it offered no way to reuse the same typed-channel plumbing as the
-  sharded cycle engine — this pool speaks the :mod:`~repro.parallel.
-  channels` protocol, so tests can drive a pool worker and a shard
-  worker through one code path.
+surfaced a worker exception as a bare re-raise far from the worker
+stack (and one caller swallowed it into a silent serial fallback).
+Here every task failure arrives as :class:`~repro.parallel.channels.
+RemoteError` carrying the full worker-side traceback and the task
+index.
 
 Tasks are ``(fn, args, kwargs)`` with a module-level picklable *fn*.
 Scheduling is dynamic: each of the N workers runs one task at a time
@@ -142,9 +136,10 @@ class WorkerPool:
         """Run ``fn(item)`` (or ``fn(*item)`` with *star*) per item.
 
         Results return in item order.  The first failing task raises
-        :class:`RemoteError` (original worker traceback included); the
-        remaining in-flight tasks are drained first so the pool stays
-        reusable.
+        :class:`RemoteError` (original worker traceback included): no
+        further task is dispatched, and the tasks already in flight are
+        drained first so the pool stays reusable.  A lane that dies
+        mid-task raises :class:`ChannelClosed` and closes the pool.
         """
         if self._closed:
             raise ChannelClosed("pool is closed")
@@ -155,28 +150,33 @@ class WorkerPool:
         results: List[Any] = [None] * len(tasks)
         failure: Optional[RemoteError] = None
         pending = list(reversed(tasks))
-        in_flight = 0
         idle = list(range(len(self._chans)))
         busy_conns = {}
-        while pending or in_flight:
-            while pending and idle:
-                wi = idle.pop()
-                self._chans[wi].send(TASK, pending.pop())
-                busy_conns[self._chans[wi].conn] = wi
-                in_flight += 1
-            ready = _conn_wait(list(busy_conns))
-            for conn in ready:
-                wi = busy_conns.pop(conn)
-                idle.append(wi)
-                in_flight -= 1
-                idx, ok, payload = self._chans[wi].expect(DONE)
-                if ok:
-                    results[idx] = payload
-                elif failure is None:
-                    exc_type, exc_str, tb = payload
-                    failure = RemoteError(
-                        exc_type, f"task #{idx}: {exc_str}", tb
-                    )
+        try:
+            while pending or busy_conns:
+                while pending and idle:
+                    wi = idle.pop()
+                    self._chans[wi].send(TASK, pending.pop())
+                    busy_conns[self._chans[wi].conn] = wi
+                for conn in _conn_wait(list(busy_conns)):
+                    wi = busy_conns.pop(conn)
+                    idle.append(wi)
+                    idx, ok, payload = self._chans[wi].expect(DONE)
+                    if ok:
+                        results[idx] = payload
+                    elif failure is None:
+                        exc_type, exc_str, tb = payload
+                        failure = RemoteError(
+                            exc_type, f"task #{idx}: {exc_str}", tb
+                        )
+                        pending.clear()
+        except ChannelClosed:
+            # Replies still unread on the surviving lanes would pair
+            # with the next call's tasks: the pool is unusable.
+            for proc in self._procs:
+                proc.terminate()
+            self.close()
+            raise
         if failure is not None:
             raise failure
         return results

@@ -21,12 +21,6 @@ from repro.service.admission import (
     TokenBucket,
 )
 from repro.service.config import PriorityClass, ServiceConfig, TenantSpec
-from repro.service.executor import (
-    InlineShardExecutor,
-    ProcessShardExecutor,
-    ShardExecutor,
-    make_shard_executor,
-)
 from repro.service.frontend import MemoryService, specs_from_profiles
 from repro.service.recovery import BreakerState, CircuitBreaker
 from repro.service.sessions import SessionPool, SpinUpStats, build_provisioned_shard
@@ -38,12 +32,9 @@ __all__ = [
     "BreakerState",
     "CircuitBreaker",
     "FabricPort",
-    "InlineShardExecutor",
     "MemoryService",
     "PriorityClass",
-    "ProcessShardExecutor",
     "ServiceConfig",
-    "ShardExecutor",
     "TERMINAL_STATUSES",
     "Session",
     "SessionPool",
@@ -54,6 +45,5 @@ __all__ = [
     "Ticket",
     "TokenBucket",
     "build_provisioned_shard",
-    "make_shard_executor",
     "specs_from_profiles",
 ]

@@ -110,16 +110,6 @@ class ServiceConfig:
     max_shards: int = 4
     #: Engine scheduler for every shard ("active" or "naive").
     scheduler: str = "active"
-    #: Worker processes per shard simulation (``SimConfig.workers``).
-    #: 1 keeps every shard on the serial in-process engine — the
-    #: default, with no behavioural change; > 1 shards each sim's vault
-    #: work across processes (bit-identical results either way).  The
-    #: shard pump goes through a :class:`~repro.service.executor.
-    #: ShardExecutor` in both cases, so tests can swap the execution
-    #: backend without touching pump logic.
-    workers: int = 1
-    #: Shard partitioning strategy for ``workers > 1``.
-    shard_strategy: str = "auto"
     #: In-band link fault knobs, forwarded to each shard's SimConfig.
     link_ber: float = 0.0
     link_drop_rate: float = 0.0
@@ -189,13 +179,6 @@ class ServiceConfig:
             raise InitError("shard counts must be positive")
         if self.initial_shards > self.max_shards:
             raise InitError("initial_shards cannot exceed max_shards")
-        if self.workers < 1:
-            raise InitError(f"workers must be >= 1, got {self.workers}")
-        if self.shard_strategy not in ("auto", "device", "vault"):
-            raise InitError(
-                f"shard_strategy must be 'auto', 'device' or 'vault', "
-                f"got {self.shard_strategy!r}"
-            )
         if self.spin_up not in ("warm", "cold"):
             raise InitError(f"spin_up must be 'warm' or 'cold', got {self.spin_up!r}")
         if self.provision_requests < 0:
@@ -250,8 +233,6 @@ class ServiceConfig:
             device=self.device,
             num_devs=self.devs_per_shard,
             scheduler=self.scheduler,
-            workers=self.workers,
-            shard_strategy=self.shard_strategy,
             link_ber=self.link_ber,
             link_drop_rate=self.link_drop_rate,
             link_seed=self.link_seed,

@@ -61,7 +61,6 @@ from repro.packets.commands import REQUEST_DATA_BYTES, is_read, is_write
 from repro.service.accounting import TenantAccount
 from repro.service.admission import FabricPort, TokenBucket
 from repro.service.config import ServiceConfig, TenantSpec
-from repro.service.executor import ShardExecutor, make_shard_executor
 
 #: Account fields captured per epoch and rewound by a crash restore.
 #: The recovery-history fields (failovers, lost_inflight,
@@ -128,15 +127,10 @@ class Shard:
         shard_id: int,
         sim: HMCSim,
         config: ServiceConfig,
-        executor: Optional[ShardExecutor] = None,
     ) -> None:
         self.shard_id = shard_id
         self.sim = sim
         self.config = config
-        #: Execution backend for the pump's cycle advance.  Inline (a
-        #: plain ``sim.clock()``) unless the config armed worker
-        #: processes; tests may inject an instrumented executor.
-        self.executor = executor or make_shard_executor(config)
         self.port = FabricPort(
             config.network_base_delay, config.network_port_interval
         )
@@ -240,7 +234,7 @@ class Shard:
             if not sess.failed:
                 self._send_phase(sess, cycle)
         try:
-            self.executor.clock(self.sim)
+            self.sim.clock()
         except WatchdogError as exc:
             return self._crash(f"watchdog: {exc}", status="watchdog")
         for sess in resident:
@@ -512,8 +506,7 @@ class Shard:
         ep = self._epoch
         lost_cycles = self.cycles_pumped - ep["cycles_pumped"]
         sim, (hosts,) = restore_bundle(ep["blob"], store=self._page_store)
-        self.executor.retire(self.sim)  # the crashed sim is discarded
-        self.sim = sim
+        self.sim = sim  # the crashed sim is discarded
         replayed_total = 0
         for slot in sorted(self.sessions):
             sess = self.sessions[slot]
@@ -577,7 +570,6 @@ class Shard:
         """Terminal: the whole shard is retired, sessions are displaced."""
         self.dead = True
         self.dead_reason = reason
-        self.executor.retire(self.sim)
         completed: List[Session] = []
         for slot in sorted(self.sessions):
             sess = self.sessions[slot]

@@ -23,27 +23,17 @@ from repro.topology.builder import (
 )
 from repro.topology.validate import TopologyReport, diagnose, strict_check
 from repro.topology.route import hop_count_matrix, link_graph, path_between
-from repro.topology.partition import (
-    boundary_links,
-    device_groups,
-    min_boundary_latency,
-    quad_groups,
-)
 
 __all__ = [
     "TopologyReport",
-    "boundary_links",
     "build_chain",
     "build_mesh",
     "build_ring",
     "build_simple",
     "build_torus_2d",
-    "device_groups",
     "diagnose",
     "hop_count_matrix",
     "link_graph",
-    "min_boundary_latency",
     "path_between",
-    "quad_groups",
     "strict_check",
 ]

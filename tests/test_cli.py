@@ -25,6 +25,18 @@ class TestParser:
             main(["explode"])
         assert exc.value.code != 0
 
+    def test_removed_sharding_knobs_are_rejected_not_ignored(self, capsys):
+        from repro.core.config import SimConfig
+        from repro.service.config import ServiceConfig
+
+        with pytest.raises(SystemExit) as exc:
+            main(["bandwidth", "--workers", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+        for cls in (SimConfig, ServiceConfig):
+            with pytest.raises(TypeError, match="workers"):
+                cls(workers=2)
+
     def test_device_args(self):
         args = build_parser().parse_args(
             ["fig5", "--links", "8", "--banks", "16", "--capacity", "8"])

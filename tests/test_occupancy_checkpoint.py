@@ -209,6 +209,25 @@ class TestBlobHeader:
         with pytest.raises(CheckpointError, match="HMCSim"):
             restore(MAGIC + pickle.dumps({"not": "a sim"}))
 
+    def test_payload_naming_a_deleted_module_is_checkpoint_error(
+        self, monkeypatch
+    ):
+        """A blob written by a sim on the (deleted) sharded engine
+        references ``repro.parallel.engine``: typed error, no crash."""
+        import pickle
+        import sys
+        import types
+
+        mod = types.ModuleType("repro.parallel.engine")
+        mod.ParallelClockEngine = type(
+            "ParallelClockEngine", (), {"__module__": mod.__name__}
+        )
+        monkeypatch.setitem(sys.modules, mod.__name__, mod)
+        payload = pickle.dumps(mod.ParallelClockEngine())
+        monkeypatch.delitem(sys.modules, mod.__name__)
+        with pytest.raises(CheckpointError, match="repro.parallel.engine"):
+            restore(MAGIC + payload)
+
     def test_checkpoint_error_is_typed(self):
         from repro.core.errors import E_INVAL, HMCError
         assert issubclass(CheckpointError, HMCError)

@@ -1,40 +1,16 @@
-"""The parallel subsystem: worker pool, shard planning, runner, engine.
-
-Bit-level workload equivalence of the sharded engine lives in
-tests/test_scheduler_equivalence.py (TestShardedEngineEquivalence);
-this module covers the machinery around it — the fork pool's error
-propagation, the partitioner's coverage invariants, the run-level
-facade, and the engine's lifecycle seams (backdoor guards, reset,
-fallbacks).
+"""The run-level worker pool (repro.parallel): ordering, reuse, error
+propagation, and what happens to the pool when a task fails or a lane
+dies.  Pooled-vs-inline Table I equality lives in tests/test_sweep.py.
 """
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
-from repro.core.config import DeviceConfig, PAPER_CONFIGS, SimConfig
-from repro.core.simulator import HMCSim
-from repro.host.host import Host
-from repro.packets.commands import CMD
-from repro.packets.packet import build_memrequest
-from repro.parallel import (
-    ParallelSimRunner,
-    RemoteError,
-    RunSpec,
-    WorkerPool,
-    default_pool_size,
-    plan_shards,
-    run_spec,
-    table1_specs,
-)
+from repro.parallel import RemoteError, WorkerPool, default_pool_size
 from repro.parallel.channels import ChannelClosed
-from repro.topology.builder import build_chain, build_simple
-from repro.workloads.random_access import (
-    RandomAccessConfig,
-    random_access_requests,
-)
-
-DEVICE = DeviceConfig(num_links=4, num_banks=8, capacity=2)
 
 
 # -- module-level task functions (pool workers must pickle them) -----------
@@ -91,206 +67,36 @@ class TestWorkerPool:
         assert default_pool_size() >= 1
 
 
-class TestShardPlanning:
-    def _chain_sim(self, num_devs=2):
-        return build_chain(
-            HMCSim(SimConfig(device=DEVICE, num_devs=num_devs)), host_links=1
-        )
-
-    def test_auto_picks_device_strategy_on_chains(self):
-        sim = self._chain_sim()
-        plan = plan_shards(sim, workers=2)
-        assert plan.strategy == "device"
-        assert plan.num_shards == 2
-        # Each shard owns whole devices.
-        for shard in plan.shards:
-            assert len({dev for dev, _ in shard}) == 1
-
-    def test_auto_picks_vault_strategy_single_device(self):
-        sim = build_simple(HMCSim(SimConfig(device=DEVICE)))
-        plan = plan_shards(sim, workers=2)
-        assert plan.strategy == "vault"
-        # Vault groups stay quad-aligned: each shard's vault count is a
-        # multiple of the 4-vault quad (8 vaults / 2 workers = 4 each).
-        assert all(len(s) % 4 == 0 for s in plan.shards)
-
-    def test_every_vault_owned_exactly_once(self):
-        sim = self._chain_sim(num_devs=3)
-        for workers in (2, 3, 5):
-            plan = plan_shards(sim, workers=workers)
-            owners = plan.owner_of()
-            want = 3 * DEVICE.num_vaults
-            assert len(owners) == want
-            assert plan.num_shards <= workers
-
-    def test_lookahead_is_at_least_one_cycle(self):
-        for sim in (self._chain_sim(), build_simple(HMCSim(SimConfig(device=DEVICE)))):
-            for strategy in ("device", "vault"):
-                plan = plan_shards(sim, workers=2, strategy=strategy)
-                assert plan.lookahead >= 1
-
-    def test_explicit_vault_strategy_on_chain(self):
-        sim = self._chain_sim()
-        plan = plan_shards(sim, workers=2, strategy="vault")
-        assert plan.strategy == "vault"
-        # Vault cut spans every device in each shard.
-        for shard in plan.shards:
-            assert {dev for dev, _ in shard} == {0, 1}
+def _touch_or_fail(arg):
+    """Leave a side-effect file per task that ran; task 0 raises."""
+    directory, x = arg
+    open(os.path.join(directory, f"ran-{x}"), "w").close()
+    if x == 0:
+        raise ValueError("boom at 0")
+    return x
 
 
-class TestRunner:
-    def test_run_spec_summary_shape(self):
-        spec = RunSpec(label="t", device=DEVICE, num_requests=128)
-        out = run_spec(spec)
-        assert out["label"] == "t"
-        assert out["requests"] == 128
-        assert out["cycles"] > 0
-        assert out["workers"] == 1
-
-    def test_table1_specs_cover_paper_configs(self):
-        specs = table1_specs(num_requests=64)
-        assert [s.label for s in specs] == list(PAPER_CONFIGS)
-
-    def test_pool_matches_inline_cycle_counts(self):
-        specs = [
-            RunSpec(label=label, device=dev, num_requests=128)
-            for label, dev in list(PAPER_CONFIGS.items())[:2]
-        ]
-        inline = ParallelSimRunner(processes=1).run_many(specs)
-        with ParallelSimRunner(processes=2) as runner:
-            pooled = runner.run_many(specs)
-        assert [r["cycles"] for r in inline] == [r["cycles"] for r in pooled]
-        assert [r["label"] for r in pooled] == [s.label for s in specs]
-
-    def test_run_many_empty(self):
-        assert ParallelSimRunner(processes=2).run_many([]) == []
-
-    def test_sharded_spec_inside_pool_degrades_to_serial(self):
-        """A workers>1 spec dispatched into a daemonic pool lane cannot
-        fork grandchildren; the sim must fall back to the serial engine
-        (bit-identical) instead of crashing the lane."""
-        sharded = RunSpec(label="n", device=DEVICE, num_requests=64, workers=2)
-        serial = RunSpec(label="n", device=DEVICE, num_requests=64)
-        with ParallelSimRunner(processes=2) as runner:
-            pooled = runner.run_many([sharded, sharded])
-        want = run_spec(serial)["cycles"]
-        assert [r["cycles"] for r in pooled] == [want, want]
+def _die_on_zero(x):
+    if x == 0:
+        os._exit(1)  # the lane vanishes mid-task, no reply
+    return x * 10
 
 
-def _loaded_sim(workers: int, num_requests: int = 200) -> HMCSim:
-    """A single-cube sim with *num_requests* of seeded traffic retired."""
-    scfg = SimConfig(device=DEVICE, workers=workers)
-    sim = build_simple(HMCSim(scfg))
-    host = Host(sim)
-    cfg = RandomAccessConfig(num_requests=num_requests, seed=5)
-    host.run(random_access_requests(DEVICE.capacity_bytes, cfg), cub=0)
-    return sim
+class TestWorkerPoolFailures:
+    def test_failure_stops_dispatch(self, tmp_path):
+        """One lane, 20 tasks, the first raises: nothing was in flight,
+        so none of the other 19 may run before the error surfaces."""
+        with WorkerPool(processes=1) as pool:
+            with pytest.raises(RemoteError, match="task #0: boom at 0"):
+                pool.map(_touch_or_fail, [(str(tmp_path), x) for x in range(20)])
+            assert sorted(os.listdir(tmp_path)) == ["ran-0"]
+            assert pool.map(_square, [5]) == [25]  # still serves
 
-
-class TestParallelEngineLifecycle:
-    def test_workers_1_stays_on_serial_engine(self):
-        """The default path never pays for (or imports) the shard layer."""
-        from repro.core.clock import ClockEngine
-
-        sim = HMCSim(SimConfig(device=DEVICE, workers=1))
-        assert type(sim.engine) is ClockEngine
-
-    def test_workers_2_builds_parallel_engine(self):
-        from repro.parallel.engine import ParallelClockEngine
-
-        sim = HMCSim(SimConfig(device=DEVICE, workers=2))
-        assert type(sim.engine) is ParallelClockEngine
-        sim.free()
-
-    def test_ecc_config_falls_back_to_serial_engine(self):
-        """RAS scrubbing reads bank storage master-side every tick —
-        sharding would race it, so ECC sims stay serial."""
-        from repro.core.clock import ClockEngine
-
-        ecc = DeviceConfig(num_links=4, num_banks=8, capacity=2,
-                           ecc_enabled=True)
-        sim = HMCSim(SimConfig(device=ecc, workers=4))
-        assert type(sim.engine) is ClockEngine
-
-    def test_peek_sees_worker_authoritative_state(self):
-        serial = _loaded_sim(workers=1)
-        sharded = _loaded_sim(workers=2)
-        # Bank storage lives in the workers; peek must pull it back.
-        for addr in (0x0, 0x1000, 0x8000):
-            assert sharded.devices[0].peek(addr) == serial.devices[0].peek(addr)
-        assert sharded.stats() == serial.stats()
-        serial.free()
-        sharded.free()
-
-    def test_poke_then_continue_matches_serial(self):
-        def drive(workers):
-            sim = _loaded_sim(workers, num_requests=100)
-            sim.devices[0].poke(0x40, [0xDEAD, 0xBEEF])
-            host = Host(sim)
-            cfg = RandomAccessConfig(num_requests=100, seed=9)
-            host.run(random_access_requests(DEVICE.capacity_bytes, cfg), cub=0)
-            out = (sim.clock_value, sim.devices[0].peek(0x40), sim.stats())
-            sim.free()
-            return out
-
-        assert drive(2) == drive(1)
-
-    def test_reset_retires_workers_and_reuses(self):
-        sim = _loaded_sim(workers=2, num_requests=100)
-        first = sim.clock_value
-        sim.reset()
-        assert sim.clock_value == 0
-        host = Host(sim)
-        cfg = RandomAccessConfig(num_requests=100, seed=5)
-        host.run(random_access_requests(DEVICE.capacity_bytes, cfg), cub=0)
-        assert sim.clock_value == first
-        sim.free()
-
-    def test_inband_mode_registers_match_serial(self):
-        """MODE packets mutate the master's register file via effect-log
-        replay; the in-band write must be visible to the in-band read
-        and to JTAG, exactly as on the serial engine."""
-        from repro.registers.regdefs import index_by_name, physical_index
-
-        def drive(workers):
-            sim = build_simple(HMCSim(SimConfig(device=DEVICE, workers=workers)))
-            reg = physical_index(index_by_name("EDR1"))
-            sim.send(build_memrequest(0, reg, 1, CMD.MD_WR,
-                                      payload=[0x77, 0], link=0))
-            sim.clock(10)
-            wr = sim.recv()
-            sim.send(build_memrequest(0, reg, 2, CMD.MD_RD, link=0))
-            sim.clock(10)
-            rd = sim.recv()
-            out = (wr.cmd, rd.cmd, tuple(rd.payload),
-                   sim.jtag_reg_read(0, reg), sim.clock_value)
-            sim.free()
-            return out
-
-        sharded = drive(2)
-        assert sharded == drive(1)
-        assert sharded[0] is CMD.MD_WR_RS
-        assert sharded[2][0] == 0x77
-
-    def test_checkpoint_roundtrip_reforks_lazily(self):
-        from repro.core.checkpoint import restore, snapshot
-        from repro.parallel.engine import ParallelClockEngine
-
-        def tail(sim):
-            host = Host(sim)
-            cfg = RandomAccessConfig(num_requests=100, seed=11)
-            host.run(random_access_requests(DEVICE.capacity_bytes, cfg), cub=0)
-            return (sim.clock_value, sim.stats())
-
-        original = _loaded_sim(workers=2, num_requests=100)
-        blob = snapshot(original)
-        restored = restore(blob)
-        assert type(restored.engine) is ParallelClockEngine
-        a = tail(original)
-        b = tail(restored)
-        assert a == b
-        reference = _loaded_sim(workers=1, num_requests=100)
-        assert tail(reference) == a
-        original.free()
-        restored.free()
-        reference.free()
+    def test_dead_lane_closes_pool(self):
+        """A lane that exits mid-task leaves another lane's DONE unread;
+        reusing the pool would pair that stale reply with a new task."""
+        with WorkerPool(processes=2) as pool:
+            with pytest.raises(ChannelClosed):
+                pool.map(_die_on_zero, [1, 0])
+            with pytest.raises(ChannelClosed, match="pool is closed"):
+                pool.map(_die_on_zero, [7])

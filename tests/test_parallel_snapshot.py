@@ -1,15 +1,12 @@
 """Cross-process snapshot round-trips.
 
-Every shard boundary in the parallel subsystem is a pickle boundary:
-service epoch blobs are restored by pumps, `ParallelSimRunner` lanes
-and chaos-recovery tests move whole simulations between processes, and
-the sharded engine itself re-forks from pickled state after a
-checkpoint restore.  These tests assert the contract that makes all of
-that sound: a ``snapshot_bundle`` blob restored **in a worker process**
-yields exactly the state it yields in this process — including the
-shard-boundary objects with subtle innards (in-band link retry
-pointers and replay caches, host tag pools, register files, bank
-storage).
+Every process boundary is a pickle boundary: service epoch blobs are
+restored by pumps, and `WorkerPool` lanes and chaos-recovery tests move
+whole simulations between processes.  These tests assert the contract
+that makes all of that sound: a ``snapshot_bundle`` blob restored **in
+a worker process** yields exactly the state it yields in this process —
+including the objects with subtle innards (in-band link retry pointers
+and replay caches, host tag pools, register files, bank storage).
 
 Comparison is *structured state*, not raw blob bytes: re-pickling in
 another interpreter may order dict internals differently under a
@@ -98,9 +95,7 @@ def _continue_and_fingerprint(sim: HMCSim, host: Host) -> dict:
     cfg = RandomAccessConfig(num_requests=80, seed=13)
     host.run(random_access_requests(DEVICE.capacity_bytes, cfg), cub=0)
     sim.run(50)
-    fp = _structured_state(sim, host)
-    sim.engine.shutdown()
-    return fp
+    return _structured_state(sim, host)
 
 
 # -- module-level pool tasks (must pickle) ---------------------------------
@@ -116,12 +111,10 @@ def _worker_continue(blob: bytes) -> dict:
     return _continue_and_fingerprint(sim, host)
 
 
-def _midflight_bundle(workers: int = 1) -> bytes:
-    """A faulty 2-cube chain snapshotted with requests still in flight."""
+def _midflight_sim():
+    """A faulty 2-cube chain with requests still in flight."""
     packet_mod._packet_serial = itertools.count()
-    scfg = SimConfig(
-        device=DEVICE, num_devs=2, workers=workers, **FAULT_KW
-    )
+    scfg = SimConfig(device=DEVICE, num_devs=2, **FAULT_KW)
     sim = build_chain(HMCSim(scfg), host_links=2)
     host = Host(sim)
     cfg = RandomAccessConfig(num_requests=120, seed=3)
@@ -133,6 +126,11 @@ def _midflight_bundle(workers: int = 1) -> bytes:
     for i in range(8):
         host.send_request(CMD.RD64, 0x1000 + 64 * i, cub=1)
     sim.run(3)
+    return sim, host
+
+
+def _midflight_bundle() -> bytes:
+    sim, host = _midflight_sim()
     return snapshot_bundle(sim, host)
 
 
@@ -181,19 +179,21 @@ class TestCrossProcessRoundTrip:
             remote = pool.map(_worker_continue, [blob])[0]
         assert remote == original
 
-    def test_sharded_sim_blob_round_trips_through_worker(self):
-        """A blob from a workers=2 sim restores in a daemonic worker
-        (where it must fall back to the serial engine) and continues to
-        the same state the parent's re-forked parallel engine reaches."""
-        blob = _midflight_bundle(workers=2)
-        sim, (host,) = restore_bundle(blob)
-        from repro.parallel.engine import ParallelClockEngine
+    def test_stale_workers_attribute_restores_onto_clock_engine(self):
+        """Configs pickled before the sharded engine was deleted carry
+        ``workers`` / ``shard_strategy`` in their state: such a blob
+        restores onto the one engine and continues exactly like a run
+        that was never pickled."""
+        from repro.core.clock import ClockEngine
 
-        assert type(sim.engine) is ParallelClockEngine
-        local = _continue_and_fingerprint(sim, host)
-        with WorkerPool(processes=1) as pool:
-            remote = pool.map(_worker_continue, [blob])[0]
-        assert remote == local
+        sim, host = _midflight_sim()
+        object.__setattr__(sim.config, "workers", 2)  # frozen dataclass
+        object.__setattr__(sim.config, "shard_strategy", "device")
+        restored, (rhost,) = restore_bundle(snapshot_bundle(sim, host))
+        assert restored.config.__dict__["workers"] == 2  # stale state came along
+        assert type(restored.engine) is ClockEngine
+        never_pickled = _continue_and_fingerprint(*_midflight_sim())
+        assert _continue_and_fingerprint(restored, rhost) == never_pickled
 
     def test_service_warm_template_round_trips(self):
         """The session pool's provisioned-template blob — the object

@@ -110,11 +110,7 @@ def _drive(
         # closed form; the naive scheduler ticks every cycle.  The
         # fingerprints must match regardless.
         sim.run(idle_tail)
-    fp = _fingerprint(sim, sink, buf)
-    # Retire shard workers eagerly (no-op for the serial engine) so
-    # multi-process runs don't leave children to the garbage collector.
-    sim.engine.shutdown()
-    return fp
+    return _fingerprint(sim, sink, buf)
 
 
 def _assert_identical(a: dict, b: dict) -> None:
@@ -270,87 +266,3 @@ class TestBatchedStepping:
         sim = self._sim()
         with pytest.raises(HMCError):
             sim.clock_until(lambda s: False, max_cycles=10)
-
-
-class TestShardedEngineEquivalence:
-    """Golden equivalence: ``workers=2`` (sharded engine) vs ``workers=1``.
-
-    The multi-process cycle engine (repro.parallel.engine) promises the
-    same bit-for-bit contract the scheduler pair does: identical total
-    cycles, identical binary trace byte streams, identical per-stage
-    work counters, registers and statistics.  Every configuration
-    family of the serial suite is re-run here with the simulation
-    sharded across two worker processes, under both schedulers.
-    """
-
-    @pytest.mark.parametrize("scheduler", ("naive", "active"))
-    @pytest.mark.parametrize("label", sorted(TABLE1))
-    def test_table1_configs(self, label, scheduler):
-        device = TABLE1[label]
-        serial = _drive(scheduler, device)
-        sharded = _drive(scheduler, device, workers=2)
-        _assert_identical(serial, sharded)
-        assert sharded["trace_records"] > 0
-
-    @pytest.mark.parametrize("scheduler", ("naive", "active"))
-    def test_chained_topology(self, scheduler):
-        device = DeviceConfig(num_links=4, num_banks=8, capacity=2)
-        serial = _drive(scheduler, device, num_devs=2, chain=True,
-                        num_requests=400)
-        sharded = _drive(scheduler, device, num_devs=2, chain=True,
-                         num_requests=400, workers=2)
-        _assert_identical(serial, sharded)
-        assert sharded["routed_remote"] > 0
-
-    @pytest.mark.parametrize("scheduler", ("naive", "active"))
-    def test_fault_injected_chain(self, scheduler):
-        """Link BER/drops + retries land on the same cycles sharded."""
-        device = DeviceConfig(num_links=4, num_banks=8, capacity=2)
-        kw = dict(link_ber=2e-4, link_drop_rate=0.002, link_seed=3)
-        serial = _drive(scheduler, device, num_devs=2, chain=True,
-                        num_requests=300, **kw)
-        sharded = _drive(scheduler, device, num_devs=2, chain=True,
-                         num_requests=300, workers=2, **kw)
-        _assert_identical(serial, sharded)
-        faults = sharded["stats"]["link_faults"]
-        assert sum(v["irtry_events"] for v in faults.values()) > 0
-
-    @pytest.mark.parametrize("scheduler", ("naive", "active"))
-    def test_ecc_config(self, scheduler):
-        """ECC shards fall back to the serial engine at construction
-        (the RAS sub-step scrubs bank storage master-side) — results
-        must still be identical with workers requested."""
-        device = DeviceConfig(num_links=4, num_banks=8, capacity=2,
-                              ecc_enabled=True)
-        serial = _drive(scheduler, device, num_requests=400, ras_seed=11)
-        sharded = _drive(scheduler, device, num_requests=400, ras_seed=11,
-                         workers=2)
-        _assert_identical(serial, sharded)
-
-    def test_kitchen_sink_engine_options(self):
-        """Refresh + rotating arbitration + queue timeouts, sharded."""
-        device = DeviceConfig(num_links=4, num_banks=8, capacity=2)
-        kw = dict(refresh_interval=40, refresh_cycles=8,
-                  xbar_arbitration="rotating", queue_timeout=200)
-        serial = _drive("active", device, num_requests=400, **kw)
-        sharded = _drive("active", device, num_requests=400, workers=2, **kw)
-        _assert_identical(serial, sharded)
-
-    def test_vault_strategy_single_device(self):
-        """Explicit per-vault-group sharding on a single cube."""
-        device = TABLE1["4L8B2G"]
-        serial = _drive("active", device)
-        sharded = _drive("active", device, workers=2,
-                         shard_strategy="vault")
-        _assert_identical(serial, sharded)
-
-    def test_subcycle_tracing_falls_back(self):
-        """SUBCYCLE markers are per-tick master-side events: the
-        sharded engine detects the live mask and reverts to serial
-        execution mid-run, still bit-identical."""
-        device = DeviceConfig(num_links=4, num_banks=8, capacity=2)
-        serial = _drive("active", device, num_requests=128,
-                        mask=EventType.ALL, idle_tail=64)
-        sharded = _drive("active", device, num_requests=128,
-                         mask=EventType.ALL, idle_tail=64, workers=2)
-        _assert_identical(serial, sharded)

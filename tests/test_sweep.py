@@ -37,6 +37,19 @@ class TestRunSweep:
     def test_default_workers_sane(self):
         assert 1 <= default_workers() <= 8
 
+    def test_default_workers_honours_cpu_affinity(self, monkeypatch):
+        """Under taskset/cgroup limits the sweep sizes from the CPUs it
+        may run on, not from the machine's core count."""
+        import os
+
+        monkeypatch.delenv("REPRO_SWEEP_WORKERS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        for usable, want in ((1, 1), (2, 1), (4, 3), (64, 8)):
+            monkeypatch.setattr(
+                os, "sched_getaffinity", lambda pid, n=usable: set(range(n))
+            )
+            assert default_workers() == want
+
 
 class TestParallelTable1:
     def test_matches_serial_results(self):
