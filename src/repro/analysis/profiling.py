@@ -220,6 +220,10 @@ def render(prof: EngineProfiler, stage_counts: Optional[List[int]] = None) -> st
     lines.append(
         f"  {'total (staged work)':<36} {total / 1e6:>10.2f} {'100.0%':>7}"
     )
+    if stage_counts is not None and stage_counts[3] and not prof.stage_ns[3]:
+        lines.append(
+            "  (stages 3+4 ran as one vault walk: its time is booked under stage 4)"
+        )
     if prof.alloc is not None:
         prof.alloc.stop()
         lines.append("")

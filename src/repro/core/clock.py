@@ -14,6 +14,10 @@ only progressed by a single internal stage per sub-cycle operation":
    root devices first, then children (avoids false congestion);
 6. update the internal 64-bit clock value.
 
+Stages 3 and 4 are one walk per vault, ``Vault.stage34``; SUBCYCLE
+stage markers make a tick run it twice, one stage each (event-order
+contract: docs/clocking.md).
+
 Two schedulers drive the stages (``SimConfig.scheduler``):
 
 ``"naive"``
@@ -66,8 +70,6 @@ class ClockEngine:
 
     def __init__(self, sim: "HMCSim") -> None:
         self.sim = sim
-        #: Packets moved / processed per stage (1..6), lifetime totals.
-        self.stage_counts = [0] * 7
         #: Optional :class:`repro.analysis.profiling.EngineProfiler`;
         #: when set, :meth:`tick` accumulates per-stage wall time.
         self.profiler = None
@@ -76,6 +78,12 @@ class ClockEngine:
         self._roots: List[HMCDevice] = []
         self._children: List[HMCDevice] = []
         self._topo_epoch = -1
+        self.reset()
+
+    def reset(self) -> None:
+        """Zero what a run accumulates (``HMCSim.reset``)."""
+        #: Packets moved / processed per stage (1..6), lifetime totals.
+        self.stage_counts = [0] * 7
         # No-progress watchdog (armed iff config.watchdog_cycles > 0):
         # the cycle at which the progress signature last changed, and
         # that signature (None until the first check).
@@ -226,53 +234,42 @@ class ClockEngine:
 
     # ------------------------------------------------------------------
 
-    def _stage34_fused(
-        self,
-        cycle: int,
-        window: int,
-        width: int,
-        busy: int,
-        row_timing,
-        tracer,
-    ):
-        """Fused stage-3/4 pass over every vault with queued requests.
+    def _walk_vaults(self, cycle: int, window: int, width: int, tracer) -> tuple:
+        """Run ``Vault.stage34`` over this cycle's vault selection.
 
-        Only called when SUBCYCLE markers are off (:meth:`tick` falls
-        back to the split recognize/process stages otherwise).  The
-        visit order is identical under both schedulers: devices in id
-        order, non-empty vaults in ascending vault id (the naive walk
-        visits empty vaults too, but ``Vault.stage34`` is a strict no-op
-        there).  Returns ``(conflicts, issued)``.
+        Active scheduler: vaults with queued requests, ascending id;
+        naive: every vault (the walk is a strict no-op on an empty
+        queue) — the same visit order.  A recognition-only pass mutates
+        no queue, so the issue pass after it sees the same selection.
         """
-        sim = self.sim
+        cfg = self.sim.config
+        busy = cfg.bank_busy_cycles
+        row_timing = (
+            (cfg.row_hit_cycles, cfg.row_miss_cycles)
+            if cfg.row_policy == "open"
+            else None
+        )
+        active = self._active
         conflicts = 0
         issued = 0
-        if self._active:
-            for dev in sim.devices:
+        for dev in self.sim.devices:
+            if active:
                 act = dev.act_vault_rqst
                 if not act:
                     continue
-                vaults = dev.vaults
-                amap = dev.amap
-                dev_id = dev.dev_id
-                for vid in sorted(act):
-                    c, i = vaults[vid].stage34(
-                        cycle, amap, window, width, busy, tracer,
-                        dev_id, row_timing=row_timing,
-                    )
-                    conflicts += c
-                    issued += i
-        else:
-            for dev in sim.devices:
-                amap = dev.amap
-                dev_id = dev.dev_id
-                for vault in dev.vaults:
-                    c, i = vault.stage34(
-                        cycle, amap, window, width, busy, tracer,
-                        dev_id, row_timing=row_timing,
-                    )
-                    conflicts += c
-                    issued += i
+                vids = sorted(act)
+            else:
+                vids = range(len(dev.vaults))
+            vaults = dev.vaults
+            amap = dev.amap
+            dev_id = dev.dev_id
+            for vid in vids:
+                c, i = vaults[vid].stage34(
+                    cycle, amap, window, width, busy, tracer,
+                    dev_id, row_timing=row_timing,
+                )
+                conflicts += c
+                issued += i
         return conflicts, issued
 
     def tick(self) -> None:
@@ -333,93 +330,29 @@ class ClockEngine:
             _t = _now
 
         # Stages 3+4: bank-conflict recognition (read-only trace pass)
-        # then vault request processing.
+        # then vault request processing, one walk per vault: both touch
+        # only vault-local state.  Only SUBCYCLE markers need every
+        # stage 3 before any stage 4 — two walks, a half each.
         window = cfg.conflict_window
-        row_timing = (
-            (cfg.row_hit_cycles, cfg.row_miss_cycles)
-            if cfg.row_policy == "open"
-            else None
-        )
         width = cfg.vault_issue_width
-        busy = cfg.bank_busy_cycles
-        conflicts = 0
-        issued = 0
-        if not mark:
-            # Fast path: with no SUBCYCLE stage markers to bracket the
-            # stages, a vault's stage 4 cannot affect any other vault's
-            # stage 3 (both touch only vault-local state), so the two
-            # per-vault passes fuse into one Vault.stage34() call
-            # sharing queue setup and busy state.  Events keep their
-            # per-vault order; only cross-vault interleaving within the
-            # cycle changes, identically under both schedulers.
-            conflicts, issued = self._stage34_fused(
-                cycle, window, width, busy, row_timing, tracer
-            )
-            self.stage_counts[3] += conflicts
-            self.stage_counts[4] += issued
-            if prof is not None:
-                # Fused: the combined time lands on stage 4.
-                _now = perf_counter_ns()
-                prof.stage_ns[4] += _now - _t
-                _t = _now
-        else:
-            # Stage 3.  The sorted active-vault snapshot (ascending
-            # vault order, like the full walk) is shared with stage 4:
-            # stage 3 never mutates queues, so the set stage 4 would
-            # re-read is identical.
-            if mark:
-                tracer.event(EventType.SUBCYCLE, cycle, stage=3)
-            if active:
-                stage34 = []
-                for dev in sim.devices:
-                    act = dev.act_vault_rqst
-                    if not act:
-                        continue
-                    vaults = dev.vaults
-                    amap = dev.amap
-                    dev_id = dev.dev_id
-                    work = [vaults[vid] for vid in sorted(act)]
-                    stage34.append((dev, work))
-                    for vault in work:
-                        conflicts += vault.recognize_conflicts(
-                            cycle, amap, window, tracer, dev_id
-                        )
-            else:
-                for dev in sim.devices:
-                    for vault in dev.vaults:
-                        conflicts += vault.recognize_conflicts(
-                            cycle, dev.amap, window, tracer, dev.dev_id
-                        )
-            self.stage_counts[3] += conflicts
+        if mark:
+            tracer.event(EventType.SUBCYCLE, cycle, stage=3)
+            conflicts, _ = self._walk_vaults(cycle, window, 0, tracer)
             if prof is not None:
                 _now = perf_counter_ns()
                 prof.stage_ns[3] += _now - _t
                 _t = _now
-
-            # Stage 4: vault request processing.
-            if mark:
-                tracer.event(EventType.SUBCYCLE, cycle, stage=4)
-            if active:
-                for dev, work in stage34:
-                    amap = dev.amap
-                    dev_id = dev.dev_id
-                    for vault in work:
-                        issued += vault.process_requests(
-                            cycle, amap, width, busy, tracer, dev_id,
-                            row_timing=row_timing,
-                        )
-            else:
-                for dev in sim.devices:
-                    for vault in dev.vaults:
-                        issued += vault.process_requests(
-                            cycle, dev.amap, width, busy, tracer, dev.dev_id,
-                            row_timing=row_timing,
-                        )
-            self.stage_counts[4] += issued
-            if prof is not None:
-                _now = perf_counter_ns()
-                prof.stage_ns[4] += _now - _t
-                _t = _now
+            tracer.event(EventType.SUBCYCLE, cycle, stage=4)
+            _, issued = self._walk_vaults(cycle, 0, width, tracer)
+        else:
+            conflicts, issued = self._walk_vaults(cycle, window, width, tracer)
+        self.stage_counts[3] += conflicts
+        self.stage_counts[4] += issued
+        if prof is not None:
+            # Unmarked, the combined time lands on stage 4.
+            _now = perf_counter_ns()
+            prof.stage_ns[4] += _now - _t
+            _t = _now
 
         # RAS sub-step (only on ECC-enabled devices): transient fault
         # arrivals and the patrol scrubber.  Timing-neutral — it never

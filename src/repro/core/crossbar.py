@@ -109,14 +109,11 @@ class CrossbarUnit:
         skip_ok = vault_of is None and mode_vault < num_vaults
         stall_trace = tracer.live_mask & _EV_XBAR_RQST_STALL
         lat_trace = tracer.live_mask & _EV_LATENCY_PENALTY
-        pos = -1
-        # Single in-order pass with batched prefix removal — the old
-        # positional peek/pop walk paid O(k) deque access per visited
-        # slot, O(n^2) per stage on deep queues.  The local-routing hot
-        # path is inlined (decode -> blocked check -> vault push).
+        # Single in-order pass with one batched removal: a positional
+        # peek/pop walk pays O(k) deque access per visited slot, O(n^2)
+        # per stage on deep queues.
         for pos, (pkt, stamp) in enumerate(zip(rqst._q, rqst._stamps)):
             if moved >= moves:
-                pos -= 1  # this entry was not scanned
                 break
             if pkt.cub != dev_id:
                 # One-hop-per-cycle for chained forwards.
@@ -132,8 +129,10 @@ class CrossbarUnit:
                 continue
             cls = pkt.cls
             if cls is CommandClass.MODE_READ or cls is CommandClass.MODE_WRITE:
-                # MODE targets depend on the ingress link, not the
-                # address — never cached on the packet.
+                # MODE packets carry a register index, not an address:
+                # the vault closest to the ingress link's quad services
+                # them (in-band register access consumes memory
+                # bandwidth, §V.D) — never cached on the packet.
                 vault_id = mode_vault
             else:
                 vault_id = pkt.dec_vault
@@ -189,58 +188,8 @@ class CrossbarUnit:
             removed.append(pos)
             moved += 1
         if removed:
-            rqst.remove_positions(removed, pos + 1)
+            rqst.remove_positions(removed)
         return moved
-
-    def _target_vault(self, pkt: Packet, device: "HMCDevice") -> int:
-        """Vault a local packet must reach.
-
-        MODE packets carry a register index, not a memory address; they
-        are serviced by the vault closest to the ingress link's quad so
-        they still traverse the vault queue structures (§V.D in-band
-        register access consumes memory bandwidth).
-        """
-        if pkt.cls in (CommandClass.MODE_READ, CommandClass.MODE_WRITE):
-            return closest_quad_of_link(self.link_id) * 4
-        return device.amap.vault_of(pkt.addr)
-
-    def _route_local(
-        self,
-        pkt: Packet,
-        vault_id: int,
-        local_quad: bool,
-        device: "HMCDevice",
-        cycle: int,
-        tracer: Tracer,
-        blocked_vaults: set,
-    ) -> bool:
-        if vault_id >= len(device.vaults):
-            # Address decoded past the vault structure — deliberate
-            # misconfiguration; answer with an error response.
-            self._reject(pkt, device, cycle, tracer, ErrStat.INVALID_ADDRESS)
-            return True
-        vault = device.vaults[vault_id]
-        if vault.rqst.is_full:
-            self.stall_events += 1
-            blocked_vaults.add(vault_id)
-            if tracer.live_mask & _EV_XBAR_RQST_STALL:
-                tracer.emit_fast(
-                    _EV_XBAR_RQST_STALL, cycle, device.dev_id, self.link_id,
-                    -1, vault_id, -1, -1, pkt.serial, None,
-                )
-            return False
-        if not local_quad:
-            # "Higher latencies are detected due to the physical locality
-            # of the queue versus the destination vault" (§IV.C.2).
-            self.latency_events += 1
-            if tracer.live_mask & _EV_LATENCY_PENALTY:
-                tracer.emit_fast(
-                    _EV_LATENCY_PENALTY, cycle, device.dev_id, self.link_id,
-                    quad_of_vault(vault_id), vault_id, -1, -1, pkt.serial, None,
-                )
-        vault.rqst.push(pkt, cycle)
-        self.routed_local += 1
-        return True
 
     def _route_remote(
         self,

@@ -16,8 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import islice
-from typing import Deque, Iterator, List, Optional, Tuple
+from typing import Deque, Iterator, List, Optional
 
 from repro.packets.packet import Packet
 
@@ -182,46 +181,15 @@ class PacketQueue:
         """Iterate packets in FIFO order without removing them."""
         return iter(self._q)
 
-    def iter_first(self, n: int) -> Iterator[Packet]:
-        """Iterate the first *n* packets without positional indexing.
-
-        Deque indexing is O(k) at position k; scanning stages use this
-        O(1)-per-step iterator instead.
-        """
-        return islice(self._q, n)
-
-    def snapshot(self) -> Tuple[List[Packet], List[int]]:
-        """(packets, stamps) lists in FIFO order (scheduler scan input)."""
-        return list(self._q), list(self._stamps)
-
-    def replace_contents(self, packets: List[Packet], stamps: List[int]) -> None:
-        """Install filtered contents after a scheduler pass.
-
-        Entries dropped relative to the previous contents count as
-        dequeued.  Caller must preserve relative FIFO order and must not
-        exceed the previous occupancy (this is a removal-only API).
-        """
-        if len(packets) != len(stamps):
-            raise ValueError("packets and stamps must pair up")
-        if len(packets) > len(self._q):
-            raise ValueError("replace_contents cannot add entries")
-        self.total_dequeued += len(self._q) - len(packets)
-        self._q = deque(packets)
-        self._stamps = deque(stamps)
-        self.special_count = sum(1 for p in packets if p.is_special)
-        if not self._q and self._act_set is not None:
-            self._act_set.discard(self._act_key)
-
-    def remove_positions(self, positions: List[int], scanned: Optional[int] = None) -> None:
+    def remove_positions(self, positions: List[int]) -> None:
         """Remove the entries at ascending FIFO *positions* in one pass.
 
         Deletion runs back-to-front so earlier positions stay valid;
         per-element cost is deque ``__delitem__`` (C-level, O(distance
         from the nearer end)), which beats a Python-level prefix rebuild
-        for the near-head removals the scheduler scan stages produce.
+        for the near-head removals of the routing and vault-issue scans.
         FIFO order of the survivors is preserved; removed entries count
-        as dequeued (same accounting as ``pop``).  *scanned* is accepted
-        for callers that track their scan depth but is not needed.
+        as dequeued (same accounting as ``pop``).
         """
         if not positions:
             return
@@ -238,10 +206,6 @@ class PacketQueue:
         self.total_dequeued += len(positions)
         if not q and self._act_set is not None:
             self._act_set.discard(self._act_key)
-
-    def iter_with_stamps(self) -> Iterator[Tuple[Packet, int]]:
-        """Iterate (packet, enqueue_cycle) pairs in FIFO order."""
-        return zip(self._q, self._stamps)
 
     def expire_older_than(self, cycle: int, max_age: int) -> List[Packet]:
         """Remove and return every packet enqueued more than *max_age*

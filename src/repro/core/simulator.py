@@ -840,7 +840,10 @@ class HMCSim:
         self._check_alive()
         for d in self.devices:
             d.reset()
+        self.engine.reset()
         self.clock_value = 0
+        self._recv_rotor = 0
+        self.link_errors_unrecovered = 0
         self.packets_sent = 0
         self.packets_received = 0
         self.send_stalls = 0

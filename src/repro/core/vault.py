@@ -6,10 +6,11 @@ whose respective depths are configured at initialization time in order
 to mimic the presence of a vault controller.  Each vault also contains a
 reference to a block of memory bank structures."
 
-The vault implements sub-cycle stages 3 and 4 of the clock engine:
-bank-conflict recognition (read-only trace pass) and FIFO request
-processing, where "all packets are currently processed in equivalent and
-constant time as long as their bank addressing does not conflict".
+The vault implements sub-cycle stages 3 and 4 of the clock engine in
+one queue walk, :meth:`Vault.stage34`: bank-conflict recognition
+(read-only trace pass) and FIFO request processing, where "all packets
+are currently processed in equivalent and constant time as long as
+their bank addressing does not conflict".
 """
 
 from __future__ import annotations
@@ -125,67 +126,7 @@ class Vault:
             self._next_free = nf
         return mask
 
-    # -- stage 3: bank-conflict recognition ---------------------------------
-
-    def recognize_conflicts(
-        self,
-        cycle: int,
-        amap: AddressMap,
-        window: int,
-        tracer: Tracer,
-        dev_id: int,
-    ) -> int:
-        """Trace potential bank conflicts in the queue's spatial window.
-
-        Read-only (paper §IV.C.3: "does not modify any internal data
-        representations").  A conflict exists when a queued packet inside
-        the window targets a bank that an earlier windowed packet also
-        targets, or a bank still busy from a previous access.  Returns
-        the number of conflicts recognised.
-        """
-        occupancy = len(self.rqst)
-        if occupancy == 0:
-            return 0
-        limit = min(window, occupancy)
-        conflicts = 0
-        trace_on = tracer.live_mask & _EV_BANK_CONFLICT
-        banks = self.banks
-        # Incrementally maintained busy bitmask (static: this pass is
-        # read-only), plus a seen-bank bitmask built during the scan.
-        busy_mask = self._busy_state(cycle)
-        seen = 0
-        # Classic contiguous maps decode with one shift+mask; custom
-        # (scattered-bit) maps go through their bank_of method.  The
-        # decode is cached on the packet, so re-scans of queue prefixes
-        # that stay parked across cycles cost one attribute read.
-        if amap.__class__ is AddressMap:
-            bs, bmask, bank_of = amap._bs, amap._bank_mask, None
-        else:
-            bs, bmask, bank_of = 0, 0, amap.bank_of
-        for pkt in self.rqst.iter_first(limit):
-            if pkt.is_special:  # FLOW / MODE: no bank access
-                continue
-            bank = pkt.dec_bank
-            if bank < 0:
-                addr = pkt.addr
-                bank = (addr >> bs) & bmask if bank_of is None else bank_of(addr)
-                pkt.dec_bank = bank
-            bit = 1 << bank
-            if (seen | busy_mask) & bit:
-                conflicts += 1
-                banks[bank].conflicts += 1
-                if trace_on:
-                    tracer.emit_fast(
-                        _EV_BANK_CONFLICT, cycle, dev_id, -1, self.quad_id,
-                        self.vault_id, bank, -1, pkt.serial,
-                        (("addr", pkt.addr),
-                         _BUSY_T if busy_mask & bit else _BUSY_F),
-                    )
-            seen |= bit
-        self.conflict_count += conflicts
-        return conflicts
-
-    # -- fused stages 3+4 (untraced fast path) -------------------------------
+    # -- stages 3 + 4: the one queue walk ----------------------------------------
 
     def stage34(
         self,
@@ -198,17 +139,25 @@ class Vault:
         dev_id: int,
         row_timing: Optional[tuple] = None,
     ) -> tuple:
-        """Fused conflict recognition + request processing.
+        """Recognise bank conflicts, then issue requests: one queue walk.
 
-        Exactly :meth:`recognize_conflicts` followed by
-        :meth:`process_requests` — same counters, same events, same
-        issue decisions — with the queue/bank setup and busy-state
-        computation done once.  Callers must guarantee SUBCYCLE markers
-        are off (the clock engine falls back to the split stages then,
-        so stage-window markers bracket the right events).  Fusing
-        interleaves per-vault event runs across vaults within a cycle —
-        fine for both schedulers since each uses the same order.
-        Returns ``(conflicts, issued)``.
+        Stage 3 (§IV.C.3) is read-only ("does not modify any internal
+        data representations"): it traces a conflict when a packet among
+        the first *window* targets a bank that an earlier windowed packet
+        also targets, or a bank still busy from a previous access.
+        Stage 4 (§IV.C.4) retires up to *issue_width* requests in FIFO
+        order; a packet issues when its bank is free *and* no earlier
+        queued packet targets the same bank (preserving the mandated
+        link→bank stream order while allowing non-conflicting packets to
+        proceed in parallel across banks).  Packets needing a response
+        stall in place when the vault response queue is full.
+
+        Either half runs alone — ``window=0`` recognises nothing,
+        ``issue_width=0`` returns right after recognition — which is how
+        the clock engine brackets SUBCYCLE stage markers.  *row_timing*,
+        when given, is ``(hit_cycles, miss_cycles)`` and selects the
+        open-row bank timing; otherwise the paper's constant-time closed
+        model applies.  Returns ``(conflicts, issued)``.
         """
         rqst = self.rqst
         q = rqst._q
@@ -224,13 +173,11 @@ class Vault:
             bs, bmask, bank_of = 0, 0, amap.bank_of
 
         # Stage 3: conflict recognition (read-only pass; the busy mask
-        # is static until stage 4 below occupies banks).
-        occupancy = len(q)
-        limit = window if window < occupancy else occupancy
+        # is static — stage 4's blocked mask covers banks it occupies).
         conflicts = 0
         seen = 0
         trace_on = tracer.live_mask & _EV_BANK_CONFLICT
-        for pkt in islice(q, limit):
+        for pkt in islice(q, window):
             if pkt.is_special:  # FLOW / MODE: no bank access
                 continue
             bank = pkt.dec_bank
@@ -252,140 +199,30 @@ class Vault:
             seen |= bit
         self.conflict_count += conflicts
 
-        # Stage 4: FIFO issue scan (same decisions as process_requests).
+        # Stage 4: FIFO issue scan.
         if issue_width <= 0:
             return conflicts, 0
         specials = rqst.special_count
         free = len(banks) - busy_mask.bit_count()
         if free == 0 and not specials:
-            self.issue_stall_cycles += 1
-            return conflicts, 0
-        issued = 0
-        removed: list = []
-        consumed: list = []
-        blocked = busy_mask
-        stall_trace = tracer.live_mask & _EV_VAULT_RSP_STALL
-        closed = 0
-        pos = -1
-        for pos, pkt in enumerate(q):
-            if issued >= issue_width:
-                pos -= 1  # this entry was not scanned
-                break
-            if pkt.is_special:
-                specials -= 1
-                if pkt.cls is CommandClass.FLOW:
-                    removed.append(pos)
-                elif len(rsp_q) >= rsp_depth:
-                    self.rsp_stall_count += 1
-                else:
-                    self._do_mode(pkt, cycle, tracer, dev_id)
-                    issued += 1
-                    removed.append(pos)
-                if not specials and closed >= free:
-                    break
-                continue
-            bank_id = pkt.dec_bank
-            if bank_id < 0:
-                addr = pkt.addr
-                bank_id = (addr >> bs) & bmask if bank_of is None else bank_of(addr)
-                pkt.dec_bank = bank_id
-            bit = 1 << bank_id
-            if blocked & bit:
-                continue
-            if pkt.expects_response and len(rsp_q) >= rsp_depth:
-                self.rsp_stall_count += 1
-                if stall_trace:
-                    tracer.emit_fast(
-                        _EV_VAULT_RSP_STALL, cycle, dev_id, -1,
-                        self.quad_id, self.vault_id, -1, -1, pkt.serial, None,
-                    )
-                blocked |= bit
-            else:
-                self._execute(pkt, bank_id, cycle, amap, bank_busy_cycles,
-                              tracer, dev_id, row_timing)
-                blocked |= bit
-                issued += 1
-                removed.append(pos)
-                consumed.append(pkt)
-            closed += 1
-            if closed >= free and not specials:
-                break
-        if removed:
-            rqst.remove_positions(removed, pos + 1)
-            if consumed:
-                # Executed memory requests are out of the system: their
-                # response (if any) is already built and queued, nothing
-                # downstream references the request object again.  Hand
-                # arena records straight back (no-op for foreign packets).
-                release = _ARENA.release
-                for p in consumed:
-                    release(p)
-        if issued == 0 and rqst._q:
-            self.issue_stall_cycles += 1
-        return conflicts, issued
-
-    # -- stage 4: request processing -----------------------------------------
-
-    def process_requests(
-        self,
-        cycle: int,
-        amap: AddressMap,
-        issue_width: int,
-        bank_busy_cycles: int,
-        tracer: Tracer,
-        dev_id: int,
-        row_timing: Optional[tuple] = None,
-    ) -> int:
-        """Retire up to *issue_width* requests this cycle.
-
-        The queue is traversed in FIFO order (§IV.C.4); a packet issues
-        when its bank is free *and* no earlier queued packet targets the
-        same bank (preserving the mandated link→bank stream order while
-        allowing non-conflicting packets to proceed in parallel across
-        banks).  Packets needing a response stall in place when the vault
-        response queue is full.  Returns the number retired.
-
-        *row_timing*, when given, is ``(hit_cycles, miss_cycles)`` and
-        switches the banks to the open-row timing policy; otherwise the
-        paper's constant-time closed model applies.
-        """
-        rqst = self.rqst
-        if not rqst._q or issue_width <= 0:
-            return 0
-        banks = self.banks
-        specials = rqst.special_count
-        # Incrementally maintained busy bitmask: static for the whole
-        # scan (banks occupied mid-scan are covered by the blocked mask).
-        busy_mask = self._busy_state(cycle)
-        free = len(banks) - busy_mask.bit_count()
-        if free == 0 and not specials:
             # Every bank is mid-access and no FLOW/MODE packet is queued:
             # the FIFO scan below could not issue or remove anything.
             self.issue_stall_cycles += 1
-            return 0
+            return conflicts, 0
         # Scan the FIFO prefix in place, collecting the positions of
-        # retired packets for one batched prefix removal.  The scan stops
-        # at the issue-width limit, or as soon as every bank that was
-        # free this cycle has been blocked (by an issue or a stall) with
-        # no FLOW/MODE packet remaining ahead — past that point the walk
-        # is provably side-effect-free, so skipping it is exact.
+        # retired packets for one batched removal.  The scan stops at
+        # the issue-width limit, or as soon as every bank that was free
+        # this cycle has been blocked (by an issue or a stall) with no
+        # FLOW/MODE packet remaining ahead — past that point the walk is
+        # provably side-effect-free, so skipping it is exact.
         issued = 0
         removed: list = []
         consumed: list = []
         blocked = busy_mask  # banks that may not issue this scan
-        rsp = self.rsp
-        rsp_q = rsp._q
-        rsp_depth = rsp.depth
-        if amap.__class__ is AddressMap:
-            bs, bmask, bank_of = amap._bs, amap._bank_mask, None
-        else:
-            bs, bmask, bank_of = 0, 0, amap.bank_of
         stall_trace = tracer.live_mask & _EV_VAULT_RSP_STALL
         closed = 0
-        pos = -1
-        for pos, pkt in enumerate(rqst._q):
+        for pos, pkt in enumerate(q):
             if issued >= issue_width:
-                pos -= 1  # this entry was not scanned
                 break
             if pkt.is_special:
                 specials -= 1
@@ -408,8 +245,7 @@ class Vault:
                 pkt.dec_bank = bank_id
             bit = 1 << bank_id
             if blocked & bit:
-                # Conflict: this packet (and all later same-bank packets)
-                # must wait.
+                # Conflict: this and all later same-bank packets wait.
                 continue
             if pkt.expects_response and len(rsp_q) >= rsp_depth:
                 self.rsp_stall_count += 1
@@ -431,7 +267,7 @@ class Vault:
             if closed >= free and not specials:
                 break
         if removed:
-            rqst.remove_positions(removed, pos + 1)
+            rqst.remove_positions(removed)
             if consumed:
                 # Executed memory requests are out of the system: their
                 # response (if any) is already built and queued, nothing
@@ -442,7 +278,7 @@ class Vault:
                     release(p)
         if issued == 0 and rqst._q:
             self.issue_stall_cycles += 1
-        return issued
+        return conflicts, issued
 
     # -- operation execution ----------------------------------------------------
 

@@ -25,6 +25,7 @@ from repro.trace.tracer import (
     CountingSink,
     MemorySink,
     NDJSONSink,
+    NullSink,
     StatsSink,
     Tracer,
 )
@@ -185,6 +186,25 @@ class TestProfiler:
         report = prof.report(sim.engine.stage_counts)
         assert report["ticks"] == prof.ticks
         assert report["stages"]["4"]["count"] == sim.engine.stage_counts[4]
+
+    @pytest.mark.parametrize("mask", [EventType.NONE, EventType.SUBCYCLE])
+    def test_render_says_where_stage3_time_went(self, mask):
+        """Stage 3 has its own time only when SUBCYCLE markers split the
+        vault walk; otherwise the table says it is booked under stage 4."""
+        from repro.analysis.profiling import attach, render
+
+        device = DeviceConfig(num_links=4, num_banks=8, capacity=2)
+        sim = HMCSim(SimConfig(device=device))
+        sim.attach_host(0, 0)
+        sim.set_trace_mask(mask)
+        sim.add_trace_sink(NullSink())
+        prof = attach(sim)
+        cfg = RandomAccessConfig(num_requests=64)
+        Host(sim).run(random_access_requests(device.capacity_bytes, cfg), cub=0)
+        assert sim.engine.stage_counts[3] > 0
+        assert (prof.stage_ns[3] > 0) == bool(mask)
+        text = render(prof, sim.engine.stage_counts)
+        assert ("booked under stage 4" in text) == (not mask)
 
     def test_cli_bandwidth_profile_flag(self, capsys, tmp_path):
         from repro.cli import main

@@ -1,7 +1,11 @@
 """Unit tests for the top-level HMCSim object (repro.core.simulator)."""
 
+import io
+import itertools
+
 import pytest
 
+import repro.packets.packet as packet_mod
 from repro.core.config import DeviceConfig, SimConfig
 from repro.core.errors import (
     HMCError,
@@ -11,9 +15,16 @@ from repro.core.errors import (
     TopologyError,
 )
 from repro.core.simulator import HMCSim
+from repro.host.host import Host
 from repro.packets.commands import CMD
 from repro.packets.packet import build_memrequest
 from repro.registers.regdefs import index_by_name, physical_index
+from repro.trace.binfmt import BinarySink
+from repro.trace.events import EventType
+from repro.workloads.random_access import (
+    RandomAccessConfig,
+    random_access_requests,
+)
 
 
 def mk_sim(**kw):
@@ -256,6 +267,37 @@ class TestLifecycle:
         assert s.packets_sent == 0
         assert s.pending_packets == 0
         assert s.host_links() == [(0, 0)]  # topology survives
+
+    def test_rerun_after_reset_equals_fresh_simulator(self):
+        """reset() leaves nothing of the first run behind: not the recv
+        rotor (300 requests over 3 links park it at 2), not the engine's
+        stage counters, not the watchdog's progress record."""
+        def fresh():
+            s = mk_sim(watchdog_cycles=5000, trace_mask=EventType.STANDARD)
+            for link in range(3):
+                s.attach_host(0, link)
+            return s
+
+        def run(s, num_requests):
+            packet_mod._packet_serial = itertools.count()
+            buf = io.BytesIO()
+            sink = s.add_trace_sink(
+                BinarySink(buf, num_vaults=s.config.device.num_vaults))
+            Host(s).run(random_access_requests(
+                s.config.device.capacity_bytes,
+                RandomAccessConfig(num_requests=num_requests, seed=7)), cub=0)
+            s.tracer.remove_sink(sink)
+            return (s.clock_value, buf.getvalue(), s.stats(),
+                    list(s.engine.stage_counts), s.engine._wd_last_cycle)
+
+        reused = fresh()
+        run(reused, 300)
+        assert reused._recv_rotor != 0
+        reused.link_errors_unrecovered = 1  # as a lossy first run leaves it
+        reused.reset()
+        assert reused.engine.stage_counts == [0] * 7
+        assert reused.link_errors_unrecovered == 0
+        assert run(reused, 500) == run(fresh(), 500)
 
     def test_free_blocks_further_use(self):
         s = mk_sim()
