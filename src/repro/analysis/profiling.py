@@ -1,10 +1,10 @@
 """Engine profiling: per-stage wall time and call counters.
 
 The clock engine's six sub-cycle stages dominate loaded-run wall time;
-this module attaches a lightweight profiler to a simulation so runs can
-report where host time actually goes (the loaded-path optimisation
-work's measurement harness).  Overhead is two ``perf_counter_ns`` calls
-per stage per tick, and zero when no profiler is attached.
+this module attaches a lightweight profiler to a simulation so one run
+can report where its host time goes (two commits are compared with
+``benchmarks/spine/``, not with this).  Overhead is two ``perf_counter_ns``
+calls per stage per tick, and zero when no profiler is attached.
 
 Typical use::
 
@@ -37,13 +37,11 @@ STAGE_LABELS = {
 
 
 class AllocationProfiler:
-    """Allocation statistics over a run window (tracemalloc + arena).
+    """Allocation statistics over a run window (tracemalloc).
 
-    Wraps :mod:`tracemalloc` snapshots around the profiled region and
-    pairs them with the packet arena's build counters, so a ``--profile``
-    run reports both *where* residual allocations come from (top-N
-    source lines by net size) and *how much* construction traffic the
-    flat hot core absorbed (pooled vs fresh packet builds).
+    Wraps :mod:`tracemalloc` snapshots around the profiled region, so a
+    ``--profile`` run reports *where* residual allocations come from
+    (top-N source lines by net size).
 
     Tracing costs roughly 2x wall time — it is attached only on
     explicit request and never in benchmark timing paths.
@@ -58,19 +56,10 @@ class AllocationProfiler:
         self.top: List[Dict[str, Any]] = []
         self.traced_kb = 0.0
         self.peak_kb = 0.0
-        self.arena_before: Dict[str, int] = {}
-        self.arena_after: Dict[str, int] = {}
-
-    @staticmethod
-    def _arena_stats() -> Dict[str, int]:
-        from repro.packets.arena import ARENA
-
-        return ARENA.stats()
 
     def start(self) -> "AllocationProfiler":
         import tracemalloc
 
-        self.arena_before = self._arena_stats()
         if not tracemalloc.is_tracing():
             tracemalloc.start()
             self._owns_tracing = True
@@ -100,15 +89,7 @@ class AllocationProfiler:
                     "count": stat.count_diff,
                 }
             )
-        self.arena_after = self._arena_stats()
         self.stopped = True
-
-    def arena_delta(self) -> Dict[str, int]:
-        """Packet-arena counter movement across the window."""
-        out = {}
-        for key in ("pooled_builds", "fresh_builds", "released"):
-            out[key] = self.arena_after.get(key, 0) - self.arena_before.get(key, 0)
-        return out
 
     def report(self) -> Dict[str, Any]:
         """JSON-serialisable summary (statdump's ``allocations`` section)."""
@@ -116,8 +97,6 @@ class AllocationProfiler:
             "traced_kb": self.traced_kb,
             "peak_kb": self.peak_kb,
             "top": self.top,
-            "arena": self.arena_after,
-            "arena_delta": self.arena_delta(),
         }
 
 
@@ -232,18 +211,11 @@ def render(prof: EngineProfiler, stage_counts: Optional[List[int]] = None) -> st
 
 
 def render_allocations(alloc: AllocationProfiler) -> str:
-    """Fixed-width allocation summary (tracemalloc top-N + arena)."""
+    """Fixed-width allocation summary (tracemalloc top-N)."""
     alloc.stop()
-    delta = alloc.arena_delta()
-    total_builds = delta["pooled_builds"] + delta["fresh_builds"]
-    pooled_pct = 100.0 * delta["pooled_builds"] / total_builds if total_builds else 0.0
     lines = [
         "allocation profile "
         f"(traced {alloc.traced_kb:,.0f} KiB net, peak {alloc.peak_kb:,.0f} KiB):",
-        f"  packet arena: {delta['pooled_builds']:,} pooled / "
-        f"{delta['fresh_builds']:,} fresh builds "
-        f"({pooled_pct:.1f}% pooled), {delta['released']:,} released, "
-        f"{alloc.arena_after.get('live_records', 0):,} live records",
         f"  top allocation sites (net growth over the window):",
     ]
     if not alloc.top:

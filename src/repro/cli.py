@@ -67,8 +67,7 @@ def _add_profile_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument("--profile", action="store_true",
                    help="attach the engine profiler and print per-stage "
                         "wall time plus allocation statistics "
-                        "(tracemalloc top sites, packet-arena counters) "
-                        "after the run")
+                        "(tracemalloc top sites) after the run")
     p.add_argument("--profile-alloc-top", type=int, default=10,
                    metavar="N",
                    help="number of allocation sites the --profile "
@@ -228,6 +227,7 @@ def cmd_bandwidth(args) -> int:
 
 
 def cmd_faults(args) -> int:
+    from repro.core.errors import HMCError
     from repro.faults.link_model import LinkFaultModel
 
     device = _device_from_args(args)
@@ -267,15 +267,24 @@ def cmd_faults(args) -> int:
         max_retries=args.max_retries)
     host = Host(sim)
     prof = _maybe_profile(args, sim)
-    res = host.run(random_access_requests(device.capacity_bytes, cfg))
+    s = session.stats
+
+    def link_line() -> str:
+        return (f"link: {s.transmissions:,} transmissions, "
+                f"{s.crc_failures:,} CRC failures, {s.drops:,} drops, "
+                f"{s.recovered:,} packets recovered via retry, "
+                f"{s.failed} abandoned")
+
+    try:
+        res = host.run(random_access_requests(device.capacity_bytes, cfg))
+    except HMCError as exc:  # the session's LinkRetryExhausted, via sim.send
+        print(f"aborted (link retry exhausted): {exc}", file=sys.stderr)
+        print(link_line(), file=sys.stderr)
+        return 3
     print(f"requests: {res.requests_sent:,}  responses: {res.responses_received:,} "
           f" errors: {res.errors_received}")
     _print_profile(prof, sim)
-    s = session.stats
-    print(f"link: {s.transmissions:,} transmissions, "
-          f"{s.crc_failures:,} CRC failures, {s.drops:,} drops, "
-          f"{s.recovered:,} packets recovered via retry, "
-          f"{s.failed} abandoned")
+    print(link_line())
     print(f"modelled recovery cost: {s.recovery_cycles:,} cycles")
     _maybe_dump(args, sim)
     return 0

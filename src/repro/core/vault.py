@@ -21,7 +21,6 @@ from typing import TYPE_CHECKING, List, Optional
 from repro.addressing.address_map import AddressMap
 from repro.core.bank import Bank
 from repro.core.queueing import PacketQueue
-from repro.packets.arena import ARENA as _ARENA
 from repro.packets.commands import CMD, REQUEST_DATA_BYTES, CommandClass
 from repro.packets.packet import ErrStat, Packet, build_response
 from repro.trace.events import EventType
@@ -217,7 +216,6 @@ class Vault:
         # provably side-effect-free, so skipping it is exact.
         issued = 0
         removed: list = []
-        consumed: list = []
         blocked = busy_mask  # banks that may not issue this scan
         stall_trace = tracer.live_mask & _EV_VAULT_RSP_STALL
         closed = 0
@@ -262,20 +260,11 @@ class Vault:
                 blocked |= bit  # one access per bank per cycle
                 issued += 1
                 removed.append(pos)
-                consumed.append(pkt)
             closed += 1
             if closed >= free and not specials:
                 break
         if removed:
             rqst.remove_positions(removed)
-            if consumed:
-                # Executed memory requests are out of the system: their
-                # response (if any) is already built and queued, nothing
-                # downstream references the request object again.  Hand
-                # arena records straight back (no-op for foreign packets).
-                release = _ARENA.release
-                for p in consumed:
-                    release(p)
         if issued == 0 and rqst._q:
             self.issue_stall_cycles += 1
         return conflicts, issued
@@ -373,7 +362,7 @@ class Vault:
                     (("addr", pkt.addr), ("bwr", True)),
                 )
             if pkt.expects_response:
-                self._push_response(_ARENA.build_reply(pkt), pkt, cycle)
+                self._push_response(build_response(pkt), pkt, cycle)
         elif cls is CommandClass.READ:
             data = bank.read(rel, nbytes)
             self.rd_count += 1
@@ -383,7 +372,7 @@ class Vault:
                     self.vault_id, bank_id, -1, pkt.serial,
                     (("addr", pkt.addr),),
                 )
-            rsp = _ARENA.build_reply(pkt, data)
+            rsp = build_response(pkt, data)
             self._push_response(rsp, pkt, cycle)
         elif cls in (CommandClass.WRITE, CommandClass.POSTED_WRITE):
             bank.write(rel, pkt.payload)
@@ -395,7 +384,7 @@ class Vault:
                     (("addr", pkt.addr),),
                 )
             if pkt.expects_response:
-                rsp = _ARENA.build_reply(pkt)
+                rsp = build_response(pkt)
                 self._push_response(rsp, pkt, cycle)
         elif cls in (CommandClass.ATOMIC, CommandClass.POSTED_ATOMIC):
             ops = list(pkt.payload[:2]) if pkt.payload else [0, 0]
@@ -411,7 +400,7 @@ class Vault:
                     (("addr", pkt.addr),),
                 )
             if pkt.expects_response:
-                rsp = _ARENA.build_reply(pkt, old)
+                rsp = build_response(pkt, old)
                 self._push_response(rsp, pkt, cycle)
         else:  # pragma: no cover - guarded by caller
             self._error_response(pkt, ErrStat.INVALID_CMD, cycle, tracer, dev_id)

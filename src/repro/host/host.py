@@ -19,7 +19,6 @@ import numpy as np
 from repro.core.errors import LinkDeadError, StallError, TopologyError
 from repro.core.quad import quad_of_vault
 from repro.core.simulator import HMCSim
-from repro.packets.arena import ARENA as _ARENA
 from repro.packets.commands import CMD, is_posted
 from repro.packets.packet import ErrStat, Packet, build_memrequest
 
@@ -204,18 +203,12 @@ class Host:
             if t is None:
                 return None
             tag = t
-        # Pooled build: the packet object never escapes the host (only
-        # the tag does), so the vault can recycle it after execution.
-        pkt = _ARENA.build_request(cub, addr, tag, cmd, payload=payload, link=link)
+        accepted = False
         try:
+            pkt = build_memrequest(cub, addr, tag, cmd, payload=payload, link=link)
             self.sim.send(pkt, dev=dev, link=link)
+            accepted = True
         except StallError:
-            if not posted:
-                pool.release(tag)
-            # The packet never entered the simulation (send raises
-            # before enqueueing; the retry layer keeps its serial, not
-            # the object) — hand the record straight back.
-            _ARENA.release(pkt)
             return None
         except LinkDeadError:
             # The link degraded to FAILED: fail over to the surviving
@@ -223,13 +216,16 @@ class Host:
             # are stranded (the engine watchdog converts that into a
             # typed abort when armed); with no survivor the typed error
             # propagates to the caller.
-            if not posted:
-                pool.release(tag)
-            _ARENA.release(pkt)
             self._host_links = [hl for hl in self._host_links if hl != (dev, link)]
             if not self._host_links:
                 raise
             return None
+        finally:
+            # The builder and send both raise before enqueueing, so on
+            # any failure the tag goes back: a leaked tag holds
+            # `outstanding` above zero and a draining run() never ends.
+            if not accepted and not posted:
+                pool.release(tag)
         self.sent += 1
         # Exposed for wrappers that need the full correlation key.
         self.last_send = (dev, link, tag)
@@ -351,11 +347,7 @@ class Host:
                 if sent_this_cycle == 0 and not exhausted:
                     stall_cycles += 1
                 self.sim.clock()
-                # Delivered responses are fully accounted (tag recycled,
-                # latency recorded) and the run loop exposes none of
-                # them — recycle arena records on the spot.
-                for rsp in self.drain_responses():
-                    _ARENA.release(rsp)
+                self.drain_responses()
                 if exhausted and pending_item is None:
                     if not drain or self.outstanding == 0:
                         break

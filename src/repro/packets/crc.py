@@ -67,57 +67,3 @@ def crc_words(words: Iterable[int]) -> int:
 def verify(words: Iterable[int], expected: int) -> bool:
     """True iff the CRC of *words* equals *expected*."""
     return crc_words(words) == (expected & _MASK32)
-
-
-# -- vectorized batch interface ------------------------------------------------
-#
-# A table-driven CRC is a strict per-byte recurrence, so a single
-# message cannot be vectorized — but a *batch* of equal-length messages
-# can: step the recurrence once per byte position with the whole batch
-# advanced per step (numpy table gather).  The link-integrity sweeps and
-# property tests checksum thousands of packets at a time, which turns
-# ~L*N Python-level table steps into L.
-
-try:  # pragma: no cover - exercised via the public helpers below
-    import numpy as _np
-
-    _TABLE_NP = _np.array(_TABLE, dtype=_np.uint32)
-except ImportError:  # pragma: no cover - numpy is a hard dep elsewhere
-    _np = None
-    _TABLE_NP = None
-
-
-def crc32_koopman_batch(data) -> "list | _np.ndarray":
-    """CRC-32K of each row of a (N, L) uint8 array.
-
-    Rows are independent messages of equal byte length; returns a
-    uint32 array of N checksums identical to :func:`crc32_koopman` row
-    by row.  Falls back to the scalar loop when numpy is unavailable.
-    """
-    if _np is None:  # scalar fallback
-        return [crc32_koopman(bytes(row)) for row in data]
-    data = _np.ascontiguousarray(data, dtype=_np.uint8)
-    if data.ndim != 2:
-        raise ValueError(f"expected a (N, L) byte matrix, got shape {data.shape}")
-    crc = _np.zeros(data.shape[0], dtype=_np.uint32)
-    for i in range(data.shape[1]):
-        crc = (crc << _np.uint32(8)) ^ _TABLE_NP[
-            ((crc >> _np.uint32(24)) ^ data[:, i]) & _np.uint32(0xFF)
-        ]
-    return crc
-
-
-def crc_words_batch(words) -> "list | _np.ndarray":
-    """CRC of each row of a (N, W) matrix of 64-bit little-endian words.
-
-    The batched counterpart of :func:`crc_words`: each row is one
-    packet's word sequence (tail word excluded or CRC-zeroed by the
-    caller, as in the scalar API).
-    """
-    if _np is None:  # scalar fallback
-        return [crc_words(row) for row in words]
-    w = _np.ascontiguousarray(words, dtype="<u8")
-    if w.ndim != 2:
-        raise ValueError(f"expected a (N, W) word matrix, got shape {w.shape}")
-    n = w.shape[0]
-    return crc32_koopman_batch(w.view(_np.uint8).reshape(n, w.shape[1] * 8))

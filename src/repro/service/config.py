@@ -123,7 +123,7 @@ class ServiceConfig:
     provision_seed: int = 97
     #: Shard spin-up mode: "warm" (checkpoint restore) or "cold"
     #: (rebuild + re-provision).  Both produce bit-identical shards;
-    #: only the wall-clock cost differs (BENCH_service.json).
+    #: only the wall-clock cost differs (docs/service.md).
     spin_up: str = "warm"
     #: Deterministic tenant↔pool network model: a request leaving the
     #: tenant crosses a shared per-shard fabric port with this service

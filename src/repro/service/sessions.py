@@ -19,8 +19,8 @@ Spinning a shard up therefore comes in two flavours:
   and degradation state when fault injection is enabled — at a fraction
   of the wall-clock cost.
 
-``BENCH_service.json`` quantifies the gap; :class:`SpinUpStats` records
-it per run.  Wall-clock numbers feed *only* these spin-up metrics —
+The measurement spine's ``service.template_ms`` / ``service.spinup_warm_ms``
+quantify the gap; :class:`SpinUpStats` records it per run.  Wall-clock numbers feed *only* these spin-up metrics —
 nothing simulated depends on them, which keeps service runs reproducible.
 """
 

@@ -136,14 +136,6 @@ class GlibcRand:
         """64-bit value from two draws (payload data generation)."""
         return (self.next() << 33) | (self.next() << 2) | (self.next() & 0x3)
 
-    def next_u64_list(self, n: int) -> List[int]:
-        """*n* consecutive :meth:`next_u64` draws (same stream)."""
-        nw = self._next_word
-        return [
-            ((nw() >> 1) << 33) | ((nw() >> 1) << 2) | ((nw() >> 1) & 0x3)
-            for _ in range(n)
-        ]
-
     def raw31_block(self, n: int) -> np.ndarray:
         """*n* consecutive 31-bit outputs as a uint64 array (block step).
 
@@ -224,22 +216,6 @@ class LCG:
         s = (s * 1103515245 + 12345) & _MASK32
         self._state = s
         return (a << 33) | (b << 2) | (s & 0x3)
-
-    def next_u64_list(self, n: int) -> List[int]:
-        """*n* consecutive :meth:`next_u64` draws with the LCG state
-        stepped in a local (payload-generation hot path)."""
-        s = self._state
-        out: List[int] = []
-        append = out.append
-        for _ in range(n):
-            s = (s * 1103515245 + 12345) & _MASK32
-            a = s & 0x7FFFFFFF
-            s = (s * 1103515245 + 12345) & _MASK32
-            b = s & 0x7FFFFFFF
-            s = (s * 1103515245 + 12345) & _MASK32
-            append((a << 33) | (b << 2) | (s & 0x3))
-        self._state = s
-        return out
 
     def raw31_block(self, n: int) -> np.ndarray:
         """*n* consecutive 31-bit outputs as a uint64 array (block step).

@@ -85,6 +85,14 @@ class TestCommands:
         assert "transmissions" in out
         assert "abandoned" in out
 
+    def test_faults_retry_budget_exhausted_exits_3(self, capsys):
+        assert main(["faults", "--requests", "128", "--drop", "1.0",
+                     "--max-retries", "1"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("aborted (link retry exhausted): ")
+        assert "link: 2 transmissions, 0 CRC failures, 2 drops" in err
+        assert "1 abandoned" in err
+
     def test_ras(self, capsys):
         assert main([
             "ras", "--requests", "256",

@@ -1,12 +1,12 @@
 """Property tests for the flat hot core (hypothesis satellite).
 
-Three invariants the struct-of-arrays refactor must preserve:
+Two invariants:
 
-* an arena-built record is observably identical to the fresh packet the
-  public builders would have produced — including after the record has
-  lived a previous life with link-retry sideband stamped onto it;
-* the freelist never hands out a record that is still live, across any
-  interleaving of acquires and releases (and double releases are inert);
+* the trusted builders (``build_memrequest`` / ``build_response``, which
+  bypass ``Packet.__post_init__``) produce a packet observably identical
+  to the one the validated ``Packet(...)`` dataclass constructor makes
+  from the same fields — and a reply never inherits the link-retry
+  sideband stamped onto its request;
 * the paged array-backed :class:`~repro.core.bank.Bank` matches a plain
   dict-of-atoms model under arbitrary operation sequences.
 """
@@ -22,13 +22,15 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from repro.core.bank import ATOM_BYTES, ATOM_WORDS, PAGE_ATOMS, Bank
-from repro.packets.arena import PacketArena
 from repro.packets.commands import CMD
 from repro.packets.packet import (
     MAX_TAG,
+    Packet,
     build_memrequest,
     build_response,
     request_flits,
+    response_cmd_for,
+    response_flits,
 )
 
 _MASK64 = (1 << 64) - 1
@@ -62,43 +64,60 @@ _VISIBLE_FIELDS = (
 )
 
 
-def _assert_same_packet(pooled, fresh):
+def _assert_same_packet(built, validated):
     for name in _VISIBLE_FIELDS:
-        assert getattr(pooled, name) == getattr(fresh, name), name
-    assert pooled.encode() == fresh.encode()
+        assert getattr(built, name) == getattr(validated, name), name
+    assert built.encode() == validated.encode()
+
+
+def _padded(words, need):
+    """*words* zero-filled / truncated to *need*, as the builders do."""
+    return tuple((list(words) + [0] * need)[:need])
+
+
+def _validated_response(request, data):
+    need = (response_flits(request.cmd) - 1) * 2
+    return Packet(
+        cmd=response_cmd_for(request.cmd), cub=request.cub, tag=request.tag,
+        slid=request.slid, payload=_padded(data, need),
+    )
 
 
 class TestArenaRoundTrip:
+    """What the deleted packet pool's round-trip properties protected
+    that outlives it: "pooled" is now the trusted builder, "fresh" the
+    validated ``Packet(...)`` constructor.  The test ids are unchanged
+    so the tier-1 floor keeps tracking them."""
+
     @given(_request_args())
     @settings(max_examples=60, deadline=None)
     def test_pooled_request_matches_fresh(self, args):
         cmd, cub, addr, tag, payload, link = args
-        arena = PacketArena(capacity=4)
-        pooled = arena.build_request(cub, addr, tag, cmd, payload=payload, link=link)
-        fresh = build_memrequest(cub, addr, tag, cmd, payload=payload, link=link)
-        _assert_same_packet(pooled, fresh)
-        assert arena.pooled_builds == 1 and arena.fresh_builds == 0
+        built = build_memrequest(cub, addr, tag, cmd, payload=payload, link=link)
+        need = (request_flits(cmd) - 1) * 2
+        validated = Packet(
+            cmd=cmd, cub=cub, tag=tag, addr=addr, slid=link,
+            payload=_padded(payload, need),
+        )
+        _assert_same_packet(built, validated)
 
     @given(_request_args())
     @settings(max_examples=60, deadline=None)
     def test_recycled_record_forgets_previous_life(self, args):
-        """A released record re-adopts cleanly even after the link-retry
-        layer stamped wire sideband onto it (the flow.py hazard)."""
+        """A reply forgets its request's in-flight life: the link-retry
+        layer stamps FRP/RRP/SEQ/RTC onto requests (packets/flow.py) and
+        none of it may leak into the reply."""
         cmd, cub, addr, tag, payload, link = args
-        arena = PacketArena(capacity=1)
-        first = arena.build_request(0, 0, 1, CMD.WR64, payload=[7] * 8)
-        # Simulate an eventful in-flight life.
-        first.seq, first.frp, first.rrp, first.rtc, first.pb = 3, 9, 5, 2, 1
-        first.hops = 4
-        first.route_stack.append((0, 0))
-        first.injected_at = 123
-        assert arena.release(first)
-        pooled = arena.build_request(cub, addr, tag, cmd, payload=payload, link=link)
-        assert pooled is first  # capacity-1 pool must recycle
-        fresh = build_memrequest(cub, addr, tag, cmd, payload=payload, link=link)
-        _assert_same_packet(pooled, fresh)
-        assert pooled.route_stack == [] and pooled.hops == 0
-        assert pooled.injected_at == -1 and pooled.delivered_from is None
+        request = build_memrequest(cub, addr, tag, cmd, payload=payload, link=link)
+        request.seq, request.frp, request.rrp, request.rtc, request.pb = 3, 9, 5, 2, 1
+        request.hops = 4
+        request.route_stack.append((0, 0))
+        request.injected_at = 123
+        reply = build_response(request)
+        assert (reply.seq, reply.frp, reply.rrp, reply.rtc, reply.pb) == (0,) * 5
+        _assert_same_packet(reply, _validated_response(request, ()))
+        assert reply.route_stack == [] and reply.hops == 0
+        assert reply.injected_at == -1 and reply.delivered_from is None
 
     @given(
         st.sampled_from([CMD.RD16, CMD.RD64, CMD.RD128, CMD.ADD16]),
@@ -107,50 +126,11 @@ class TestArenaRoundTrip:
     )
     @settings(max_examples=60, deadline=None)
     def test_pooled_reply_matches_fresh(self, cmd, tag, data):
-        arena = PacketArena(capacity=2)
         request = build_memrequest(1, 0x40, tag, cmd)
-        need = (request_flits(cmd) - 1) * 2  # data the vault would supply
-        data = (data + [0] * need)[:need] if need else []
-        pooled = arena.build_reply(request, data or None)
-        fresh = build_response(request, data or None)
-        _assert_same_packet(pooled, fresh)
-        assert pooled.src_cub == fresh.src_cub
-
-
-class TestFreelistNeverDoubleAllocates:
-    @given(st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=60))
-    @settings(max_examples=60, deadline=None)
-    def test_random_interleaving(self, ops):
-        """op 0-1: acquire; op 2: release oldest live; op 3: double-release."""
-        arena = PacketArena(capacity=4)
-        live = []
-        released = []
-        for op in ops:
-            if op <= 1:
-                p = arena.build_request(0, 0, len(live) % 8, CMD.RD16)
-                # A pooled record handed out must not already be live.
-                assert all(p is not q for q in live)
-                live.append(p)
-                # A re-adopted record is live again, so it leaves the
-                # double-release candidate set.
-                released = [q for q in released if q is not p]
-            elif op == 2 and live:
-                p = live.pop(0)
-                assert arena.release(p) == arena.owns(p)
-                released.append(p)
-            elif op == 3 and released:
-                assert not arena.release(released[-1])  # double release inert
-        assert len({id(p) for p in live}) == len(live)
-        # Conservation: every owned record is free, live here, or was
-        # fresh-built outside the pool.
-        pooled_live = sum(1 for p in live if arena.owns(p))
-        assert arena.free_records + pooled_live == arena.capacity
-
-    def test_foreign_packets_ignored(self):
-        arena = PacketArena(capacity=2)
-        foreign = build_memrequest(0, 0, 0, CMD.RD16)
-        assert not arena.release(foreign)
-        assert arena.free_records == 2
+        built = build_response(request, data or None)
+        validated = _validated_response(request, data)
+        _assert_same_packet(built, validated)
+        assert built.src_cub == request.cub
 
 
 def _dict_model_ops():

@@ -103,6 +103,36 @@ class TestHostBasics:
         assert host.send_request(CMD.RD16, addr=64) is None  # queue full
         assert host.outstanding == 1  # the stalled tag was recycled
 
+    @staticmethod
+    def _assert_next_run_ends_with_its_response(host):
+        """A leaked tag keeps ``outstanding`` above zero, so a draining
+        run spins to *max_cycles* after its last response."""
+        assert host.outstanding == 0
+        res = host.run([(CMD.RD64, 0, None)], max_cycles=2000)
+        assert res.responses_received == 1
+        assert res.cycles == res.latencies[0] < 2000
+
+    def test_retry_exhausted_send_releases_tag(self):
+        from repro.core.errors import HMCError
+        from repro.faults.link_model import LinkFaultModel
+
+        sim = HMCSim(num_devs=1, num_links=4, num_banks=8, capacity=2)
+        build_simple(sim, host_links=1)
+        sim.attach_fault_model(0, 0, LinkFaultModel(drop_rate=1.0), max_retries=2)
+        host = Host(sim)
+        for _ in range(3):
+            with pytest.raises(HMCError):
+                host.send_request(CMD.RD64, addr=0)
+        assert sim.in_flight == 0
+        sim.detach_fault_model(0, 0)
+        self._assert_next_run_ends_with_its_response(host)
+
+    def test_rejected_address_releases_tag(self):
+        sim, host = mk_host()
+        with pytest.raises(ValueError):
+            host.send_request(CMD.RD64, addr=1 << 40)
+        self._assert_next_run_ends_with_its_response(host)
+
 
 class TestHostResponses:
     def test_drain_correlates_and_records_latency(self):

@@ -1,25 +1,67 @@
-"""Private helpers must have a caller: a ``_name`` function or method
-under ``src/repro/`` that nothing in ``src/repro/`` references is what
-a replaced code path leaves behind."""
+"""What a replaced code path leaves behind, caught by walking the AST of
+``src/repro/``: a private ``_name`` function or method that nothing in
+``src/repro/`` references, an import of the ``packets/arena.py`` stub, a
+second ``Packet.__new__`` call site."""
 
 import ast
+import functools
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
 
+@functools.cache
+def _walk_src():
+    """Every ``(file relative to SRC, AST node)`` pair, parsed once."""
+    return [
+        (str(path.relative_to(SRC)), node)
+        for path in SRC.rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+    ]
+
+
 def test_every_private_function_is_referenced():
     defined, referenced = {}, set()
-    for path in SRC.rglob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if node.name.startswith("_") and not node.name.startswith("__"):
-                    defined[node.name] = f"{path.relative_to(SRC)}:{node.lineno}"
-            elif isinstance(node, ast.Name):
-                referenced.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                referenced.add(node.value)  # getattr(obj, "_name") and the like
+    for rel, node in _walk_src():
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if node.name.startswith("_") and not node.name.startswith("__"):
+                defined[node.name] = f"{rel}:{node.lineno}"
+        elif isinstance(node, ast.Name):
+            referenced.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            referenced.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            referenced.add(node.value)  # getattr(obj, "_name") and the like
     leftovers = {n: where for n, where in defined.items() if n not in referenced}
     assert not leftovers, f"private functions nothing references: {leftovers}"
+
+
+def test_nothing_in_src_imports_the_arena_stub():
+    """``packets/arena.py`` exists only for ``benchmarks/spine/child.py``
+    and goes when that import does; the program must not lean on it."""
+    importers = set()
+    for rel, node in _walk_src():
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            names = [base] + [f"{base}.{a.name}" for a in node.names]
+        else:
+            continue
+        if any(name.rsplit(".", 1)[-1] == "arena" for name in names):
+            importers.add(f"{rel}:{node.lineno}")
+    assert not importers, f"imports of repro.packets.arena: {sorted(importers)}"
+
+
+def test_packet_new_is_called_only_in_packet_py():
+    """One trusted constructor: ``Packet.__new__`` skips the validation
+    in ``__post_init__``, so a second call site is a second copy of
+    ``_fast_new`` whose slot list drifts from the dataclass."""
+    sites = {
+        f"{rel}:{node.lineno}"
+        for rel, node in _walk_src()
+        if isinstance(node, ast.Attribute) and node.attr == "__new__"
+        and isinstance(node.value, ast.Name) and node.value.id == "Packet"
+        and rel != "packets/packet.py"
+    }
+    assert not sites, f"Packet.__new__ outside packets/packet.py: {sorted(sites)}"

@@ -302,45 +302,6 @@ class TestLifecycle:
         assert v.total_requests == 2
 
 
-class TestMarkedModeReleasesRequests:
-    """With SUBCYCLE markers on the walk runs twice per tick; the issue
-    pass must still hand executed requests back to the arena."""
-
-    def test_subcycle_traced_run_recycles_every_record(self, monkeypatch):
-        from repro.core import vault as vault_mod
-        from repro.core.config import DeviceConfig, SimConfig
-        from repro.core.simulator import HMCSim
-        from repro.host import host as host_mod
-        from repro.packets.arena import PacketArena
-        from repro.trace.tracer import NullSink
-        from repro.workloads.random_access import (
-            RandomAccessConfig,
-            random_access_requests,
-        )
-
-        # A private pool above the live set (4 links x 512 tags) and
-        # below the run: one leaked record per executed request would
-        # drain it and force fresh builds.
-        arena = PacketArena(capacity=4096)
-        monkeypatch.setattr(vault_mod, "_ARENA", arena)
-        monkeypatch.setattr(host_mod, "_ARENA", arena)
-        device = DeviceConfig(num_links=4, num_banks=8, capacity=2)
-        sim = HMCSim(SimConfig(device=device))
-        for link in range(device.num_links):
-            sim.attach_host(0, link)
-        sim.set_trace_mask(EventType.SUBCYCLE)
-        sim.add_trace_sink(NullSink())
-        run = host_mod.Host(sim).run(
-            random_access_requests(
-                device.capacity_bytes, RandomAccessConfig(num_requests=8192)
-            ),
-            cub=0,
-        )
-        assert run.responses_received == 8192
-        assert arena.fresh_builds == 0
-        assert arena.free_records == arena.capacity
-
-
 # -- one call (window, width) == the two calls (window, 0) then (0, width) ----
 
 _AMAP = AddressMap(num_vaults=16, num_banks=8, block_size=64,
