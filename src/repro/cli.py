@@ -227,8 +227,8 @@ def cmd_bandwidth(args) -> int:
 
 
 def cmd_faults(args) -> int:
-    from repro.core.errors import HMCError
     from repro.faults.link_model import LinkFaultModel
+    from repro.faults.retry import LinkRetryExhausted
 
     device = _device_from_args(args)
     cfg = RandomAccessConfig(num_requests=args.requests, seed=args.seed)
@@ -277,7 +277,7 @@ def cmd_faults(args) -> int:
 
     try:
         res = host.run(random_access_requests(device.capacity_bytes, cfg))
-    except HMCError as exc:  # the session's LinkRetryExhausted, via sim.send
+    except LinkRetryExhausted as exc:
         print(f"aborted (link retry exhausted): {exc}", file=sys.stderr)
         print(link_line(), file=sys.stderr)
         return 3

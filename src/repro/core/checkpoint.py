@@ -34,11 +34,11 @@ abort.
 
 Repeated checkpoints of one running simulation (the service's epochs)
 pass a :class:`PageStore` to :func:`snapshot_bundle` /
-:func:`restore_bundle`.  It is the same codec with bank storage
-diverted: the pickle stream carries every object except the bank pages
-(the *skeleton*), and the store keeps one copy of each page, refreshed
-per snapshot from each bank's dirty set — so a checkpoint costs what
-was written since the last one, not the touched footprint.
+:func:`restore_bundle`.  It is the same codec with the banks diverted:
+the pickle stream carries every object except the banks (the
+*skeleton*), and the store keeps each bank's integer slots, re-read per
+snapshot, and one copy of each page, refreshed from the bank's dirty
+set — so a checkpoint costs what was written since the last one.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ import copyreg
 import io
 import pickle
 import weakref
+from operator import attrgetter
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -118,57 +119,82 @@ def _tracer_holders(sim: HMCSim) -> List[Any]:
     return holders
 
 
+def _vaults(sim: HMCSim) -> list:
+    return [v for d in sim.devices for v in d.vaults]
+
+
 def _banks(sim: HMCSim) -> List[Bank]:
     """Every bank of *sim* in (device, vault, bank) order — the order
     that numbers banks in a :class:`PageStore`."""
-    return [b for d in sim.devices for v in d.vaults for b in v.banks]
+    return [b for v in _vaults(sim) for b in v.banks]
 
 
-def _reduce_bank_skeleton(bank: Bank) -> tuple:
-    """Per-``Pickler`` reducer that leaves the pages out of the stream."""
-    return copyreg.__newobj__, (Bank,), bank.skeleton_state()
+#: The integer slots of a bank, read in one C-level call per bank every
+#: snapshot (nothing to track, so nothing to forget to mark dirty); the
+#: DRAM leaf count rides behind them as ``Bank.__setstate__`` names it.
+_BANK_INTS = tuple(
+    name for name in Bank._STATE_SLOTS if name not in ("ras", "_owner")
+)
+_bank_ints = attrgetter(*_BANK_INTS)
+_BANK_STATE = _BANK_INTS + ("num_drams",)
+
+
+def _reduce_bank_hollow(bank: Bank) -> tuple:
+    """Per-``Pickler`` reducer for a bank the skeleton still reaches (an
+    ECC device's ``BankRas`` points at its bank): identity only, no
+    state — :meth:`PageStore.fill` adopts the object and fills it."""
+    return copyreg.__newobj__, (Bank,)
 
 
 class PageStore:
-    """Bank pages of one simulation's latest delta checkpoint.
+    """The banks of one simulation's latest delta checkpoint.
 
     One store belongs to one simulation lineage (the service keeps one
     per shard) and holds exactly one checkpoint: each
-    ``snapshot_bundle(..., store=)`` overwrites the pages written since
-    the previous one, so only the newest skeleton blob can be restored
-    against it (:attr:`generation` ties the two together).  The first
-    snapshot of a simulation object the store has not seen — after
-    spin-up, after a restore — exports every page.
+    ``snapshot_bundle(..., store=)`` re-reads every bank's integer
+    slots and overwrites the pages written since the previous one, so
+    only the newest skeleton blob can be restored against it
+    (:attr:`generation` ties the two together).  The first snapshot of
+    a simulation object the store has not seen — after spin-up, after a
+    restore — exports every page.
     """
 
     def __init__(self) -> None:
         #: ``pages[i][pg] = (words, touched)`` for bank *i* of
         #: :func:`_banks` — private copies, never views of live pages.
         self.pages: List[Dict[int, Tuple[np.ndarray, np.ndarray]]] = []
+        #: ``states[i]`` = bank *i*'s :data:`_BANK_STATE` values.
+        self.states: List[tuple] = []
         #: Snapshots taken into this store; the skeleton records it.
         self.generation = 0
         self._sim: Optional[weakref.ref] = None
 
     def capture(self, sim: HMCSim) -> tuple:
         """Copy what *sim*'s banks wrote since the last capture; returns
-        the manifest the skeleton carries: (generation, page counts)."""
+        the manifest the skeleton carries: (generation, page counts,
+        banks per vault, the banks' ECC states — none without ECC)."""
         banks = _banks(sim)
         full = self._sim is None or self._sim() is not sim
         if full:
             self._sim = weakref.ref(sim)
             self.pages = [{} for _ in banks]
         for bank, image in zip(banks, self.pages):
-            bank.sync_image(image, full)
+            if full or bank._dirty or len(image) != len(bank._pages):
+                bank.sync_image(image, full)
+        self.states = [_bank_ints(b) + (len(b.drams),) for b in banks]
         self.generation += 1
-        return self.generation, [len(image) for image in self.pages]
+        counts = [len(image) for image in self.pages]
+        shape = [len(v.banks) for v in _vaults(sim)]
+        rases = [b.ras for b in banks if b.ras is not None]
+        return self.generation, counts, shape, rases
 
     def fill(self, sim: HMCSim, manifest: Any) -> None:
-        """Load the pages *manifest* references into the freshly
+        """Rebuild the banks *manifest* references inside the freshly
         unpickled skeleton *sim*; raises CheckpointError when store and
         skeleton do not belong together."""
         try:
-            generation, counts = manifest
-            counts = list(counts)
+            generation, counts, shape, rases = manifest
+            counts, shape, rases = list(counts), list(shape), list(rases)
         except (TypeError, ValueError):
             raise CheckpointError(
                 f"restore_bundle: malformed page manifest {manifest!r}"
@@ -178,13 +204,48 @@ class PageStore:
                 f"restore_bundle: skeleton is checkpoint {generation!r} "
                 f"but the page store holds checkpoint {self.generation}"
             )
-        banks = _banks(sim)
-        if len(counts) != len(banks) or len(self.pages) != len(banks):
+        vaults = _vaults(sim)
+        n = len(counts)
+        if not (
+            len(self.pages) == len(self.states) == n
+            and len(rases) in (0, n)
+            and len(shape) == len(vaults)
+            and all(type(k) is int and k >= 0 for k in shape)
+            and sum(shape) == n
+        ):
             raise CheckpointError(
-                f"restore_bundle: skeleton has {len(banks)} banks, its "
-                f"manifest {len(counts)}, the page store {len(self.pages)}"
+                f"restore_bundle: skeleton has {len(vaults)} vaults of "
+                f"{shape!r} banks, its manifest {n} banks, the page store "
+                f"{len(self.pages)} / {len(self.states)}"
             )
-        for i, (bank, image) in enumerate(zip(banks, self.pages)):
+        held = [j for j, vault in enumerate(vaults) if vault.banks != []]
+        if held:
+            raise CheckpointError(
+                f"restore_bundle: vaults {held} arrive already holding banks"
+            )
+        owners = [v for v, k in zip(vaults, shape) for _ in range(k)]
+        for i, (vault, state, image) in enumerate(
+            zip(owners, self.states, self.pages)
+        ):
+            ras = rases[i] if rases else None
+            bank = getattr(ras, "bank", None) if rases else Bank.__new__(Bank)
+            if not (
+                type(bank) is Bank
+                and type(state) is tuple
+                and len(state) == len(_BANK_STATE)
+                and all(type(x) is int for x in state)
+            ):
+                raise CheckpointError(
+                    f"restore_bundle: bank #{i} is not {len(_BANK_STATE)} "
+                    f"integers (and, with ECC, the bank of its BankRas)"
+                )
+            try:  # slots, DRAM leaves and the page-size check: Bank's own
+                state = dict(zip(_BANK_STATE, state), ras=ras, _owner=vault)
+                bank.__setstate__(state)
+            except ValueError as exc:
+                raise CheckpointError(
+                    f"restore_bundle: bank #{i}: {exc}"
+                ) from None
             if len(image) != counts[i]:
                 raise CheckpointError(
                     f"restore_bundle: bank #{i} references {counts[i]!r} "
@@ -213,13 +274,15 @@ class PageStore:
             bank.import_storage(
                 [(pg, *image[pg]) for pg in sorted(image)]
             )
+            vault.banks.append(bank)
 
 
 def _pickle_detached(
-    sim: HMCSim, payload_of, divert_pages: bool = False
+    sim: HMCSim, payload_of, detach_banks: bool = False
 ) -> bytes:
     """Pickle ``payload_of(sim)`` with every tracer reference detached
-    (and, with *divert_pages*, bank pages left out of the stream)."""
+    (and, with *detach_banks*, every vault's bank list left out of the
+    stream — ``payload_of`` runs first, with the banks in place)."""
     saved_tracer = sim.tracer
     standin = Tracer(mask=saved_tracer.mask)  # sinkless stand-in
     holders = _tracer_holders(sim)
@@ -229,19 +292,26 @@ def _pickle_detached(
     buf = io.BytesIO()
     buf.write(MAGIC)
     pickler = pickle.Pickler(buf, protocol=pickle.HIGHEST_PROTOCOL)
-    if divert_pages:
-        # Scoped to this one pickler: no process-wide switch, so a
-        # concurrent full snapshot elsewhere still carries its pages.
-        pickler.dispatch_table = {
-            **copyreg.dispatch_table, Bank: _reduce_bank_skeleton,
-        }
+    detached = []
     try:
-        pickler.dump(payload_of(sim))
+        payload = payload_of(sim)
+        if detach_banks:
+            # Scoped to this pickler and this dump: no process-wide
+            # switch, so a full snapshot elsewhere still carries its banks.
+            pickler.dispatch_table = {
+                **copyreg.dispatch_table, Bank: _reduce_bank_hollow,
+            }
+            for v in _vaults(sim):
+                detached.append((v, v.banks))
+                v.banks = []
+        pickler.dump(payload)
         return buf.getvalue()
     finally:
         sim.tracer = saved_tracer
         for h in holders:
             h.tracer = saved_tracer
+        for v, banks in detached:
+            v.banks = banks
 
 
 def _rewire_tracer(sim: HMCSim) -> None:
@@ -288,15 +358,15 @@ def snapshot_bundle(
         blob = snapshot_bundle(sim, host)
         sim2, (host2,) = restore_bundle(blob)
 
-    With a *store* the blob is the skeleton only and the bank pages go
-    to the store (see :class:`PageStore`); restore it with the same
+    With a *store* the blob is the skeleton only and the banks go to
+    the store (see :class:`PageStore`); restore it with the same
     store.
     """
     if store is None:
         return _pickle_detached(sim, lambda s: (s, tuple(extras)))
     return _pickle_detached(
         sim, lambda s: (s, tuple(extras), store.capture(s)),
-        divert_pages=True,
+        detach_banks=True,
     )
 
 

@@ -375,9 +375,9 @@ class HMCSim:
 
             try:
                 pkt = session.transmit(pkt)
-            except LinkRetryExhausted as exc:
+            except LinkRetryExhausted:
                 self.link_errors_unrecovered += 1
-                raise HMCError(str(exc)) from exc
+                raise  # typed, and an HMCError already
         tokens = self._tokens.get((dev, link)) if self._tokens else None
         flits = pkt.num_flits
         if tokens is not None and not tokens.can_send(flits):

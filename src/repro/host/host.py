@@ -16,7 +16,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.errors import LinkDeadError, StallError, TopologyError
+from repro.core.errors import LinkDeadError, NoDataError, StallError, TopologyError
 from repro.core.quad import quad_of_vault
 from repro.core.simulator import HMCSim
 from repro.packets.commands import CMD, is_posted
@@ -241,15 +241,16 @@ class Host:
         hosts never steal each other's responses.
         """
         if self._partitioned:
-            from repro.core.errors import NoDataError
-
+            sim = self.sim
+            sim._check_alive()
             responses = []
             for d, l in self._host_links:
-                while True:
+                queue = sim.devices[d].xbars[l].rsp._q
+                while queue:
                     try:
-                        responses.append(self.sim.recv(dev=d, link=l))
+                        responses.append(sim.recv(dev=d, link=l))
                     except NoDataError:
-                        break
+                        break  # head held back by an in-band replay window
         else:
             responses = self.sim.recv_all()
         for rsp in responses:
@@ -272,6 +273,15 @@ class Host:
             if ctx is not None:
                 self.latencies.append(self.sim.clock_value - ctx.sent_cycle)
         return responses
+
+    def responses_queued(self) -> bool:
+        """True iff one of this host's links holds a queued response
+        (read-only).  While false, :meth:`drain_responses` returns ``[]``
+        and — partitioned — moves nothing, so the shard pump skips it."""
+        sim = self.sim
+        sim._check_alive()
+        links = self._host_links if self._partitioned else sim._host_links
+        return any(sim.devices[d].xbars[l].rsp._q for d, l in links)
 
     @property
     def outstanding(self) -> int:

@@ -30,10 +30,10 @@ never resurrect resolved work), and the due epoch is taken once, at the
 top of the next pump: before chaos fires and before the send phase, the
 only places a crash can originate, and after every lease of the tick —
 so it is the same epoch an eager one would have left behind, at most
-one per pump.  Bank pages live in the shard's
-:class:`~repro.core.checkpoint.PageStore`, refreshed per epoch from the
-banks' dirty sets; the epoch blob carries everything else.  Sessions
-journal the request items they consume; a
+one per pump.  The banks live in the shard's
+:class:`~repro.core.checkpoint.PageStore` — counters re-read, pages
+refreshed from the dirty sets, per epoch; the epoch blob carries
+everything else.  Sessions journal the request items they consume; a
 crash (chaos ``shard_crash``, chaos ``watchdog_trip``, or an organic
 :class:`~repro.core.errors.WatchdogError`) restores the epoch and
 re-feeds the post-epoch journal through the same deterministic pump, so
@@ -238,7 +238,7 @@ class Shard:
         except WatchdogError as exc:
             return self._crash(f"watchdog: {exc}", status="watchdog")
         for sess in resident:
-            if sess.failed:
+            if sess.failed or not sess.host.responses_queued():
                 continue
             before = sess.host.mark()
             sess.host.drain_responses()

@@ -5,11 +5,17 @@
   BWR / ADD16 traffic, bank wipes, epochs and crash-restores it leaves storage, cycle count
   and continued-run trace bytes identical to full ``snapshot_bundle`` →
   ``restore_bundle`` at the same points;
+* on an ECC device (fault injection, stuck cells, patrol scrub) the
+  same holds against the uninterrupted run too, and a restored bank is
+  one object to its vault, its ``BankRas`` and its DRAM leaves;
 * a shard takes at most one epoch per pump however many leases,
   retirements and interval ticks made it due, and a crash at the very
   next pump restores the post-lease membership;
 * a skeleton blob or page store that does not belong together raises
-  :class:`~repro.core.errors.CheckpointError`, never a raw error.
+  :class:`~repro.core.errors.CheckpointError`, never a raw error — the
+  store's bank states and the manifest's bank-per-vault shape included;
+* no bank enters a non-ECC epoch blob, and the ``serve128_armed`` epoch
+  stays under 24,000 bytes.
 """
 
 from __future__ import annotations
@@ -229,6 +235,93 @@ class TestBankPickle:
             Bank.__new__(Bank).__setstate__({**state, "_page_words": 0})
 
 
+# -- ECC devices: the skeleton keeps each BankRas, the store its bank ---------
+
+_ECC_DEVICE = DeviceConfig(num_links=4, num_banks=8, capacity=2,
+                           ecc_enabled=True)
+_BANK_INT_SLOTS = [n for n in Bank._STATE_SLOTS if n not in ("ras", "_owner")]
+
+_ECC_TRAFFIC = [
+    (CMD.WR64, (i * 37 % 512) * 64, [i + 1] * 8) if i % 4 else
+    (CMD.RD64, (i * 11 % 512) * 64, None)
+    for i in range(240)
+]
+_ECC_LOST = [(CMD.WR16, (i * 5 % 300) * 64, [i, i]) for i in range(120)]
+_ECC_CONTINUATION = [
+    (CMD.RD64, (i * 37 % 512) * 64, None) if i % 3 else
+    (CMD.WR16, (i * 13 % 512) * 64, [i, ~i & 0xFFFF])
+    for i in range(300)
+]
+
+
+def _ecc_play(mode: str):
+    """Full epoch → traffic → delta epoch (packets in flight) → traffic
+    the crash loses → crash-restore → continuation; ``mode`` picks the
+    page-store codec, the self-contained one, or no interruption."""
+    sim = HMCSim(SimConfig(
+        device=_ECC_DEVICE, ras_seed=11, ras_fit_rate=1e6,
+        ras_stuck_cells=6, ras_scrub_interval=16,
+    ))
+    for link in range(_ECC_DEVICE.num_links):
+        sim.attach_host(0, link)
+    host = Host(sim, seed=3)
+    _banks(sim)[5]._page_words = 512  # an (empty) 4 KiB-page bank
+    store = PageStore() if mode == "delta" else None
+    if mode != "uninterrupted":
+        snapshot_bundle(sim, host, store=store)
+    host.run(_ECC_TRAFFIC, cub=0, drain=False)
+    assert sim.in_flight > 0
+    if mode != "uninterrupted":
+        epoch = snapshot_bundle(sim, host, store=store)
+        host.run(_ECC_LOST, cub=0, drain=False)
+        sim, (host,) = restore_bundle(epoch, store=store)
+    run = host.run(_ECC_CONTINUATION, cub=0)
+    banks = _banks(sim)
+    return sim, {
+        "cycles": sim.clock_value,
+        "responses": (run.responses_received, host.received, host.errors),
+        "stats": sim.stats(),
+        "stage_counts": list(sim.engine.stage_counts),
+        "bank_ints": [[getattr(b, n) for n in _BANK_INT_SLOTS] for b in banks],
+        "touched": [b.touched_atoms() for b in banks],
+        "checks": [dict(b.ras.checks) for b in banks],
+        "storage": _storage_sha(sim),
+    }
+
+
+class TestEccDeltaEpochs:
+    def test_delta_equals_full_codec_equals_uninterrupted(self):
+        sim, delta = _ecc_play("delta")
+        _, full = _ecc_play("full")
+        _, straight = _ecc_play("uninterrupted")
+        for key in straight:
+            assert delta[key] == full[key] == straight[key], key
+        # The run did exercise the RAS layer, and the epoch it crashed
+        # onto was a delta on top of a full one.
+        ras = sim.devices[0].ras
+        assert ras.scrubber.atoms_scrubbed > 0 and sum(
+            len(c) for c in delta["checks"]) > 0
+        # One object per bank: the vault's, its BankRas's, its DRAMs'.
+        for vault in sim.devices[0].vaults:
+            for bank in vault.banks:
+                assert bank.ras.bank is bank
+                assert bank._owner is vault
+                assert vault.banks[bank.bank_id] is bank
+                assert all(d.bank is bank for d in bank.drams)
+        assert [b._page_words for b in _banks(sim)].count(512) == 1
+        assert _banks(sim)[5]._page_words == 512
+
+    def test_ecc_skeleton_carries_hollow_banks_only(self):
+        sim, _ = _ecc_play("uninterrupted")
+        host = Host(sim)
+        marker = 0xA5C30F1ED2B49687
+        host.run([(CMD.WR16, 0, [marker, 9])], cub=0)
+        blob = snapshot_bundle(sim, host, store=PageStore())
+        assert b"repro.core.bank" in blob and b"BankRas" in blob
+        assert marker.to_bytes(8, "little") not in blob
+        assert b"busy_until" not in blob and b"_storage_v2" not in blob
+
+
 # -- the shard: one deferred epoch per pump ----------------------------------
 
 
@@ -430,3 +523,105 @@ class TestHostileInputs:
         image[1 << 40] = image.pop(next(iter(image)))
         with pytest.raises(CheckpointError, match="outside"):
             restore_bundle(blob, store=store)
+
+    # -- the banks themselves live in the store ------------------------------
+
+    @pytest.mark.parametrize("damage, match", [
+        (lambda st: st[:-1], "bank #3"),
+        (lambda st: st + (0,), "bank #3"),
+        (lambda st: st[:4] + (float(st[4]),) + st[5:], "bank #3"),
+        (lambda st: st[:4] + (None,) + st[5:], "bank #3"),
+        (lambda st: list(st), "bank #3"),
+        (lambda st: None, "bank #3"),
+        (lambda st: tuple(0 if v == 16 else v for v in st), "bank #3"),
+    ])
+    def test_bank_state_of_the_wrong_shape_or_type(
+        self, delta_epoch, damage, match
+    ):
+        blob, store = delta_epoch
+        assert 16 in store.states[3]  # the page size, in words
+        store.states[3] = damage(store.states[3])
+        with pytest.raises(CheckpointError, match=match):
+            restore_bundle(blob, store=store)
+
+    def test_missing_or_surplus_bank_state(self, delta_epoch):
+        blob, store = delta_epoch
+        last = store.states.pop()
+        with pytest.raises(CheckpointError, match="banks"):
+            restore_bundle(blob, store=store)
+        store.states += [last, last]
+        with pytest.raises(CheckpointError, match="banks"):
+            restore_bundle(blob, store=store)
+
+    @staticmethod
+    def _reforge(blob, edit) -> bytes:
+        sim, extras, manifest = pickle.loads(blob[len(MAGIC):])
+        return MAGIC + pickle.dumps(edit(sim, extras, list(manifest)))
+
+    @pytest.mark.parametrize("shape_of", [
+        lambda shape: shape[:-1],
+        lambda shape: shape + [0],
+        lambda shape: [shape[0] + 1] + shape[1:],
+        lambda shape: [sum(shape)] + [0] * (len(shape) - 2) + [-1, 1],
+        lambda shape: [float(k) for k in shape],
+        lambda shape: None,
+    ])
+    def test_bank_per_vault_shape_that_does_not_add_up(
+        self, delta_epoch, shape_of
+    ):
+        blob, store = delta_epoch
+
+        def edit(sim, extras, manifest):
+            manifest[2] = shape_of(manifest[2])
+            return sim, extras, tuple(manifest)
+
+        with pytest.raises(CheckpointError, match="banks|manifest"):
+            restore_bundle(self._reforge(blob, edit), store=store)
+
+    def test_skeleton_whose_vaults_already_hold_banks(self, delta_epoch):
+        blob, store = delta_epoch
+
+        def edit(sim, extras, manifest):
+            sim.devices[0].vaults[2].banks.append(Bank(0, 1 << 20))
+            return sim, extras, tuple(manifest)
+
+        with pytest.raises(CheckpointError, match=r"vaults \[2\]"):
+            restore_bundle(self._reforge(blob, edit), store=store)
+
+    def test_ecc_states_without_a_bank(self, delta_epoch):
+        blob, store = delta_epoch
+
+        def edit(sim, extras, manifest):
+            manifest[3] = [object.__new__(Host)] * len(manifest[1])
+            return sim, extras, tuple(manifest)
+
+        with pytest.raises(CheckpointError, match="bank #0"):
+            restore_bundle(self._reforge(blob, edit), store=store)
+
+    def test_no_bank_enters_a_non_ecc_epoch_blob(self, delta_epoch):
+        blob, _ = delta_epoch
+        assert b"repro.core.bank" not in blob
+        sim, host = _build()
+        assert b"repro.core.bank" in snapshot_bundle(sim, host)
+
+    def test_serve128_epoch_blob_stays_small(self):
+        # The seed-1 serve128_armed shape (benchmarks/spine): 128
+        # tenants x 16 requests, checkpoint interval 256, CLI defaults.
+        # While the 256 banks travelled in them its 192 epoch blobs
+        # read 50,331 bytes (mean), the last per shard 49,060-50,724.
+        from repro.core.config import PAPER_CONFIGS
+        from repro.service import MemoryService, specs_from_profiles
+        from repro.workloads.mixes import tenant_mix_profiles
+
+        config = ServiceConfig(
+            device=PAPER_CONFIGS["4-Link; 8-Bank; 2GB"], link_seed=1,
+            checkpoint_interval=256,
+        )
+        service = MemoryService(config)
+        profiles = tenant_mix_profiles(128, seed=1, base_requests=16)
+        service.serve_sync(specs_from_profiles(profiles, config))
+        assert len(service.shards) == 4
+        for shard in service.shards:
+            blob = shard._epoch["blob"]
+            assert len(blob) <= 24_000
+            assert b"repro.core.bank" not in blob

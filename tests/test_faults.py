@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.core.errors import HMCError
+from repro.core.errors import E_LINKFAIL, HMCError
 from repro.core.simulator import HMCSim
 from repro.faults import injector as injector_mod
 from repro.faults.injector import BitErrorInjector, ScheduledInjector
@@ -308,6 +308,17 @@ class TestSimulatorIntegration:
         sim.attach_fault_model(0, 0, LinkFaultModel(drop_rate=1.0), max_retries=2)
         with pytest.raises(HMCError):
             sim.send(build_memrequest(0, 0, 0, CMD.RD16, link=0))
+        assert sim.link_errors_unrecovered == 1
+
+    def test_dead_link_error_keeps_its_type_and_errno(self):
+        # sim.send lets the session's own error through: a caller can
+        # tell an exhausted retry budget (E_LINKFAIL) from any other
+        # HMCError without parsing the message.
+        sim = self._sim()
+        sim.attach_fault_model(0, 0, LinkFaultModel(drop_rate=1.0), max_retries=1)
+        with pytest.raises(LinkRetryExhausted) as caught:
+            sim.send(build_memrequest(0, 0, 0, CMD.RD16, link=0))
+        assert caught.value.errno == E_LINKFAIL
         assert sim.link_errors_unrecovered == 1
 
     def test_detach_restores_clean_link(self):

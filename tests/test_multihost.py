@@ -116,3 +116,52 @@ class TestTwoHosts:
                 break
         assert done_a and done_b
         assert a.received == 64 and b.received == 64
+
+
+class TestResponsesQueued:
+    """``Host.responses_queued()`` is the drain's skip test: true
+    exactly when ``drain_responses()`` would deliver something (on a
+    fault-free link; under in-band replay a queued head may be held
+    back a few cycles — tests/test_serve_golden.py pins that side)."""
+
+    @pytest.mark.parametrize("links", [[(0, 1)], [(0, 0), (0, 3)], None])
+    def test_true_exactly_when_a_drain_would_deliver(self, links):
+        sim = mk_sim()
+        host = Host(sim, links=links)
+        # A neighbour's undrained responses must not read as this
+        # host's (an unpartitioned host owns every link: no neighbour).
+        other = Host(sim, links=[(0, 2)]) if links else None
+        rng = LCG(7)
+        seen = set()
+        for cycle in range(120):
+            if cycle < 40:
+                host.send_request(CMD.RD64, rng.next_below(1 << 20) * 64)
+                if other is not None:
+                    other.send_request(CMD.RD64, rng.next_below(1 << 20) * 64)
+            sim.clock()
+            queued = host.responses_queued()
+            before = host.mark()
+            assert bool(host.drain_responses()) == queued
+            assert (host.delta(before)[1] > 0) == queued
+            assert not host.responses_queued()
+            seen.add(queued)
+        assert seen == {True, False} and host.outstanding == 0
+
+    def test_a_quiet_partitioned_drain_moves_nothing(self):
+        sim = mk_sim()
+        host = Host(sim, links=[(0, 1)])
+        rotor, received = sim._recv_rotor, sim.packets_received
+        assert not host.responses_queued() and host.drain_responses() == []
+        assert (sim._recv_rotor, sim.packets_received) == (rotor, received)
+
+    @pytest.mark.parametrize("links", [[(0, 1)], None])
+    def test_freed_sim_raises_like_the_drain(self, links):
+        from repro.core.errors import HMCError
+
+        sim = mk_sim()
+        host = Host(sim, links=links)
+        sim.free()
+        with pytest.raises(HMCError, match="freed"):
+            host.responses_queued()
+        with pytest.raises(HMCError, match="freed"):
+            host.drain_responses()

@@ -1,7 +1,8 @@
 """What a replaced code path leaves behind, caught by walking the AST of
 ``src/repro/``: a private ``_name`` function or method that nothing in
 ``src/repro/`` references, an import of the ``packets/arena.py`` stub, a
-second ``Packet.__new__`` call site."""
+second ``Packet.__new__`` call site, a second way to pickle a bank
+without its pages."""
 
 import ast
 import functools
@@ -65,3 +66,23 @@ def test_packet_new_is_called_only_in_packet_py():
         and rel != "packets/packet.py"
     }
     assert not sites, f"Packet.__new__ outside packets/packet.py: {sorted(sites)}"
+
+
+def test_bank_skeleton_state_serves_getstate_only():
+    """Delta checkpoints keep the banks out of the stream altogether
+    (``PageStore``): the per-bank skeleton reducer is gone, and the
+    state dict it pickled has ``Bank.__getstate__`` as its one user."""
+    names, callers = set(), set()
+    for rel, node in _walk_src():
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names.add(node.name)
+            if any(isinstance(n, ast.Attribute) and n.attr == "skeleton_state"
+                   for n in ast.walk(node)):
+                callers.add((rel, node.name))
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    # (spelt in halves so that `git grep` for the old name stays empty)
+    assert "_reduce_bank_" + "skeleton" not in names
+    assert callers == {("core/bank.py", "__getstate__")}
