@@ -17,8 +17,7 @@ Quickstart::
     sim = HMCSim(num_devs=1, num_links=4, num_banks=8, capacity=2)
     sim.attach_host(dev=0, link=0)
     sim.send(build_memrequest(cub=0, addr=0x1000, tag=1, cmd=CMD.RD64, link=0))
-    while sim.in_flight:
-        sim.clock()
+    sim.clock_until_response(max_cycles=1000)
     rsp = sim.recv()
     assert rsp.tag == 1
 """

@@ -28,9 +28,10 @@ Two schedulers drive the stages (``SimConfig.scheduler``):
     Active-set scheduling: every :class:`~repro.core.queueing.PacketQueue`
     keeps its id registered in its device's active set exactly while it
     is non-empty, so stages 1–5 visit only the queues that can possibly
-    make progress.  When the whole simulation is quiescent (no
-    schedulable packet anywhere), :meth:`ClockEngine.advance`
-    fast-forwards the clock across the dead window in closed form —
+    make progress.  While no queued packet can move — none is queued,
+    or all wait behind a crossbar's registered input
+    (:meth:`ClockEngine.wake_cycle`) — :meth:`ClockEngine.advance`
+    fast-forwards the clock across the dead window in closed form,
     bounded by the next refresh, RAS upset or patrol-scrub cycle, which
     still run as real ticks.
 
@@ -46,6 +47,7 @@ from typing import TYPE_CHECKING, List
 
 from repro.core.device import HMCDevice
 from repro.core.errors import WatchdogError
+from repro.core.quad import closest_quad_of_link
 from repro.faults.inband import TX_DEAD, TX_OK, LinkHealth
 from repro.trace.events import EventType
 from repro.packets.packet import Packet
@@ -60,6 +62,8 @@ _EV_SUBCYCLE = int(EventType.SUBCYCLE)
 _EV_PKT_EXPIRED = int(EventType.PKT_EXPIRED)
 _EV_XBAR_RSP_STALL = int(EventType.XBAR_RSP_STALL)
 _EV_RSP_REGISTERED = int(EventType.RSP_REGISTERED)
+
+NEVER = 1 << 64  #: ``wake_cycle()`` with nothing queued: past the 64-bit clock
 
 
 class ClockEngine:
@@ -106,14 +110,60 @@ class ClockEngine:
 
     # ------------------------------------------------------------------
 
+    def wake_cycle(self) -> int:
+        """Earliest cycle at which any queued packet can move.
+
+        Now, once a vault or chain-link response queue holds anything;
+        else the soonest a crossbar request leaves its registered input
+        (``CrossbarUnit.route_requests``' transit rule); :data:`NEVER`
+        with nothing queued.  A lower bound by contract: early costs one
+        tick, late is a wrong simulation.
+        """
+        sim = self.sim
+        now = sim.clock_value
+        held = []
+        for dev in sim.devices:
+            if dev.act_vault_rqst or dev.act_vault_rsp or dev.act_xbar_rsp:
+                return now
+            if dev.act_xbar_rqst:
+                held.append(dev)
+        if not held:
+            return NEVER
+        cfg = sim.config
+        if not sim.enforce_hop_limit or cfg.queue_timeout > 0:
+            return now  # no transit timer / zombie expiry reads every cycle
+        penalty = cfg.nonlocal_penalty_cycles
+        wake = NEVER
+        for dev in held:
+            dev_id = dev.dev_id
+            vault_of = dev.amap.vault_of
+            for link_id in dev.act_xbar_rqst:
+                rqst = dev.xbars[link_id].rqst
+                quad = closest_quad_of_link(link_id)
+                for pkt, stamp in zip(rqst._q, rqst._stamps):
+                    ready = stamp + 1
+                    # Remote, MODE, FLOW: stamp + 1 (a lower bound for some).
+                    if penalty and pkt.cub == dev_id and not pkt.is_special:
+                        vault = pkt.dec_vault
+                        if vault < 0:
+                            vault = vault_of(pkt.addr)
+                        if vault >> 2 != quad:  # quad_of_vault, inlined
+                            ready += penalty
+                    if ready <= now:
+                        return now
+                    if ready < wake:
+                        wake = ready
+        return wake
+
     def advance(self, cycles: int) -> None:
-        """Run *cycles* clock cycles, fast-forwarding quiescent windows.
+        """Run *cycles* clock cycles, fast-forwarding dead windows.
 
         With the naive scheduler this is exactly *cycles* calls to
         :meth:`tick`.  With the active scheduler, windows in which no
-        queue holds a schedulable packet are skipped in closed form (see
-        :meth:`_idle_skip_bound` for what bounds a window); every cycle
-        with any possible observable work runs as a real tick.
+        queued packet can move (:meth:`wake_cycle` lies ahead) are
+        skipped in closed form (:meth:`_idle_skip_bound` bounds them
+        further); every cycle with any possible observable work runs as
+        a real tick.
         """
         self._sync_topology()
         sim = self.sim
@@ -125,34 +175,32 @@ class ClockEngine:
         tracer = sim.tracer
         tracer.begin_batch()
         try:
-            if not self._active:
-                for _ in range(cycles):
-                    self.tick()
-                return
             remaining = cycles
-            devices = sim.devices
+            active = self._active
             wd = sim.config.watchdog_cycles
+            wake = -1  # stale: a fast-forward moves nothing, so it keeps it
             while remaining > 0:
-                if all(d.is_idle() for d in devices):
-                    skip = self._idle_skip_bound(remaining)
+                now = sim.clock_value
+                if active and wake < now:
+                    wake = self.wake_cycle()
+                if wake > now:
+                    skip = self._idle_skip_bound(min(remaining, wake - now))
                     if wd and skip > 0:
                         # The watchdog deadline is an observable event:
                         # clamp the fast-forward so the tick at exactly
                         # last_progress + watchdog_cycles runs for real
                         # and fires at the same cycle the naive walk
                         # would.
-                        self._wd_refresh(sim.clock_value)
+                        self._wd_refresh(now)
                         if self._wd_stuck():
-                            skip = min(
-                                skip,
-                                self._wd_last_cycle + wd - sim.clock_value,
-                            )
+                            skip = min(skip, self._wd_last_cycle + wd - now)
                     if skip > 0:
                         self._fast_forward(skip)
                         remaining -= skip
                         continue
                 self.tick()
                 remaining -= 1
+                wake = -1
         finally:
             tracer.end_batch()
 
@@ -213,12 +261,12 @@ class ClockEngine:
         return skip
 
     def _fast_forward(self, cycles: int) -> None:
-        """Apply *cycles* quiescent ticks in closed form.
+        """Apply *cycles* dead ticks in closed form.
 
         Per skipped cycle the only state a real tick would change is the
         clock itself, stage-6 accounting, the STAT register and the RAS
         controller's cycle cursor — everything else was proven inert by
-        :meth:`_idle_skip_bound`.
+        :meth:`wake_cycle` and :meth:`_idle_skip_bound`.
         """
         sim = self.sim
         end = sim.clock_value + cycles

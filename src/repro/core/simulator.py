@@ -549,9 +549,7 @@ class HMCSim:
                 else:
                     return out
         while True:
-            if host_links and not any(
-                devices[d].xbars[l].rsp._q for d, l in host_links
-            ):
+            if host_links and not self._response_pending():
                 # Nothing pending: the terminal empty poll still advances
                 # the fairness rotor, exactly like a failing recv() would,
                 # without paying for exception construction every cycle.
@@ -569,19 +567,60 @@ class HMCSim:
         until appropriate stall signals are recognized.  However,
         internal device operations will not progress" (§V.C).
         """
-        self._check_alive()
-        self.validate_topology()
+        if self._freed:
+            self._check_alive()
+        self._check_cycles(cycles)
+        if not self._host_links:
+            self.validate_topology()
         self.engine.advance(cycles)
+
+    def _check_cycles(self, cycles: int) -> None:
+        """Reject a cycle count that is not a non-negative ``int``."""
+        if not isinstance(cycles, int) or cycles < 0:
+            raise HMCError(f"cycle count must be a non-negative int, got {cycles!r}")
 
     def run(self, cycles: int) -> None:
         """Batched stepping: advance *cycles* cycles in one call.
 
         Alias of :meth:`clock` with a required cycle count — the
         preferred spelling for long idle or drain windows, where the
-        active scheduler fast-forwards quiescent stretches in closed
-        form instead of ticking them one by one.
+        active scheduler fast-forwards dead stretches in closed form
+        instead of ticking them one by one.
         """
         self.clock(cycles)
+
+    def clock_until_response(self, max_cycles: int) -> int:
+        """Clock until a host link holds a response; return cycles advanced.
+
+        Advances at least one cycle and returns at the end of the first
+        cycle that leaves a host-link response queue non-empty — where a
+        ``clock(); recv_all()`` loop would first see one — or after
+        *max_cycles*.  Cycles in which nothing can move share one
+        :meth:`clock` call; a response the link holds back (in-band
+        replay) makes this a one-cycle step: re-poll, never spin.
+        """
+        self._check_alive()
+        self._check_cycles(max_cycles)
+        advanced = 0
+        while advanced < max_cycles:
+            step = 1
+            if not self._response_pending():
+                # No cycle before the wake registers a response: run it too.
+                step += self.engine.wake_cycle() - self.clock_value
+                step = min(step, max_cycles - advanced)
+            self.clock(step)
+            advanced += step
+            if self._response_pending():
+                break
+        return advanced
+
+    def _response_pending(self) -> bool:
+        """True iff any host-link response queue holds a packet."""
+        devices = self.devices
+        for d, l in self._host_links:
+            if devices[d].xbars[l].rsp._q:
+                return True
+        return False
 
     def clock_until(self, pred, max_cycles: int = 1_000_000) -> int:
         """Clock until ``pred(self)`` is true; return cycles advanced.
@@ -592,6 +631,7 @@ class HMCSim:
         without the predicate holding.
         """
         self._check_alive()
+        self._check_cycles(max_cycles)
         self.validate_topology()
         advanced = 0
         while not pred(self):

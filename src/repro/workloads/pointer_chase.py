@@ -81,9 +81,10 @@ def pointer_chase_run(
 
     *think_cycles* models host compute between dependent loads (the
     classic latency-bound pattern: chase, compute on the node, chase
-    again).  The device is quiescent for that window, so the active
-    scheduler's :meth:`HMCSim.run` fast-forwards it in closed form
-    while the naive scheduler ticks every cycle.
+    again).  The device is quiescent for that window, and nothing moves
+    while the read in flight waits at the crossbar's registered input:
+    the active scheduler fast-forwards both (:meth:`HMCSim.run`,
+    :meth:`HMCSim.clock_until_response`); the naive one ticks each cycle.
     """
     if node_bytes not in WRITE_CMD_FOR_BYTES:
         raise ValueError(f"unsupported node size {node_bytes}")
@@ -117,8 +118,9 @@ def pointer_chase_run(
                 if waited > max_cycles_per_hop:
                     raise RuntimeError("pointer chase could not inject a read")
         rsp = None
+        deadline = sent_at + max_cycles_per_hop + 1
         while rsp is None:
-            sim.clock()
+            sim.clock_until_response(deadline - sim.clock_value)
             for r in host.drain_responses():
                 if r.tag == tag:
                     rsp = r

@@ -2,7 +2,8 @@
 ``src/repro/``: a private ``_name`` function or method that nothing in
 ``src/repro/`` references, an import of the ``packets/arena.py`` stub, a
 second ``Packet.__new__`` call site, a second way to pickle a bank
-without its pages."""
+without its pages, a second caller of ``ClockEngine.tick`` or an idle
+test beside ``wake_cycle`` in ``advance``."""
 
 import ast
 import functools
@@ -86,3 +87,33 @@ def test_bank_skeleton_state_serves_getstate_only():
     # (spelt in halves so that `git grep` for the old name stays empty)
     assert "_reduce_bank_" + "skeleton" not in names
     assert callers == {("core/bank.py", "__getstate__")}
+
+
+def test_the_engine_ticks_from_one_place_and_skips_by_one_rule():
+    """``ClockEngine.advance`` is the only caller of ``tick`` (what
+    waits — ``clock_until_response`` — goes through ``HMCSim.clock``),
+    and it decides what to skip from ``wake_cycle`` alone: idle is the
+    case wake = never, not a second ``is_idle`` branch."""
+    def receiver(call):  # `self` in `self.tick()`, `engine` in `sim.engine.tick()`
+        value = call.func.value
+        return value.id if isinstance(value, ast.Name) else getattr(value, "attr", "")
+
+    sites = [
+        (rel, fn.name)
+        for rel, fn in _walk_src()
+        if isinstance(fn, ast.FunctionDef)
+        for call in ast.walk(fn)
+        if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+        and call.func.attr == "tick"
+        # dev.regs.tick() / dev.ras.tick(cycle) are other objects' ticks.
+        and (receiver(call) == "engine"
+             or (receiver(call) == "self" and rel == "core/clock.py"))
+    ]
+    assert sites == [("core/clock.py", "advance")]
+    (advance,) = [
+        fn for rel, fn in _walk_src()
+        if rel == "core/clock.py" and isinstance(fn, ast.FunctionDef)
+        and fn.name == "advance"
+    ]
+    called = {n.attr for n in ast.walk(advance) if isinstance(n, ast.Attribute)}
+    assert "wake_cycle" in called and "is_idle" not in called

@@ -1,5 +1,7 @@
 """Tests for the pointer-chase workload (repro.workloads.pointer_chase)."""
 
+import json
+
 import pytest
 
 from repro.core.simulator import HMCSim
@@ -10,6 +12,10 @@ from repro.workloads.pointer_chase import (
     build_chase_table,
     pointer_chase_run,
 )
+from tests.fixtures.gen_chase_golden import CASES, GOLDEN_PATH, fingerprint
+
+with open(GOLDEN_PATH) as _fh:
+    GOLDEN = json.load(_fh)
 
 
 class TestChaseTable:
@@ -66,3 +72,34 @@ class TestChaseRun:
         host = Host(sim)
         with pytest.raises(ValueError):
             pointer_chase_run(sim, host, num_nodes=8, hops=2, node_bytes=24)
+
+
+class TestChaseGolden:
+    """The chase as the parent of ISSUE 23 ran it — a ``clock()`` and a
+    drain per cycle, every held cycle ticked — pinned from outside
+    (``fixtures/gen_chase_golden.py``)."""
+
+    def test_golden_covers_every_case(self):
+        assert sorted(GOLDEN) == sorted(CASES)
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN))
+    def test_chase_matches_golden(self, case):
+        assert fingerprint(case) == GOLDEN[case]
+
+    def test_ber_case_waits_on_held_back_responses(self, monkeypatch):
+        """The case does what it is there for: some waits start with the
+        response already on the host link, held back by a replay window
+        — each must advance one cycle and hand back to the poll."""
+        wait = HMCSim.clock_until_response
+        repolls = []
+
+        def counted(sim, max_cycles):
+            held = sim._response_pending()
+            advanced = wait(sim, max_cycles)
+            if held:
+                repolls.append(advanced)
+            return advanced
+
+        monkeypatch.setattr(HMCSim, "clock_until_response", counted)
+        assert fingerprint("ber2e-4/think0") == GOLDEN["ber2e-4/think0"]
+        assert repolls and set(repolls) == {1}

@@ -15,11 +15,15 @@ import io
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro.packets.packet as packet_mod
 from repro.core.config import DeviceConfig, SimConfig
+from repro.core.errors import WatchdogError
 from repro.core.simulator import HMCSim
 from repro.host.host import Host
+from repro.packets.commands import CMD
+from repro.packets.packet import build_memrequest
 from repro.topology.builder import build_chain
 from repro.trace.binfmt import BinarySink
 from repro.trace.events import EventType
@@ -121,6 +125,7 @@ def _assert_identical(a: dict, b: dict) -> None:
     assert a["registers"] == b["registers"]
     assert a["stats"] == b["stats"]
     assert a["routed_remote"] == b["routed_remote"]
+    assert a.get("tripped") == b.get("tripped")  # sparse schedules only
 
 
 @pytest.mark.parametrize("label", sorted(TABLE1))
@@ -266,3 +271,97 @@ class TestBatchedStepping:
         sim = self._sim()
         with pytest.raises(HMCError):
             sim.clock_until(lambda s: False, max_cycles=10)
+
+
+# ----------------------------------------------------------------------
+# Sparse schedules: cycles in which queued packets exist but none can
+# move (the crossbar's registered input, ``ClockEngine.wake_cycle``).
+# The saturated runs above never see one; these see little else.
+# ----------------------------------------------------------------------
+
+_SMALL = DeviceConfig(num_links=4, num_banks=8, capacity=2)
+
+#: One send: (cycles clocked first, host link, packet kind, salt).
+_SENDS = st.tuples(
+    st.integers(0, 6),
+    st.integers(0, 3),
+    st.sampled_from(["local", "offquad", "mode_rd", "mode_wr", "flow", "remote"]),
+    st.integers(0, 15),
+)
+
+sparse_schedules = st.fixed_dictionaries({
+    "penalty": st.sampled_from([0, 1, 3]),
+    # Weighted toward the settings under which packets are held at all.
+    "hop_limit": st.sampled_from([True, True, False]),
+    "queue_timeout": st.sampled_from([0, 0, 2, 8]),
+    "refresh_interval": st.sampled_from([0, 7]),
+    "watchdog_cycles": st.sampled_from([0, 50]),
+    "chain": st.booleans(),
+    "sends": st.lists(_SENDS, min_size=1, max_size=10),
+})
+
+
+def _sparse_packet(sim: HMCSim, link: int, kind: str, salt: int):
+    quad = link  # link i sits on quad i
+    if kind == "offquad":
+        quad = (link + 1 + salt % 3) % 4
+    addr = sim.devices[0].amap.encode(vault=quad * 4 + salt % 4, bank=salt % 8)
+    cmd = {"mode_rd": CMD.MD_RD, "mode_wr": CMD.MD_WR, "flow": CMD.TRET}.get(
+        kind, CMD.RD16 if salt % 2 else CMD.WR16
+    )
+    # "remote": the far cube of the chain; on one cube, a misroute.
+    cub = 1 if kind == "remote" else 0
+    if kind in ("mode_rd", "mode_wr"):
+        addr = 0x2B0000
+    return build_memrequest(cub, addr, salt, cmd, link=link)
+
+
+def drive_sparse(scheduler: str, sched: dict, clock=HMCSim.clock) -> dict:
+    """Run one sparse schedule; *clock* is ``clock(sim, cycles)``.
+
+    The host acts at fixed cycles (a send after each gap, then two long
+    drains), so both schedulers see the same inputs; a watchdog trip
+    ends the run and is part of the fingerprint.
+    """
+    packet_mod._packet_serial = itertools.count()
+    chain = sched["chain"]
+    sim = HMCSim(SimConfig(
+        device=_SMALL, num_devs=2 if chain else 1, scheduler=scheduler,
+        nonlocal_penalty_cycles=sched["penalty"],
+        queue_timeout=sched["queue_timeout"],
+        refresh_interval=sched["refresh_interval"],
+        watchdog_cycles=sched["watchdog_cycles"],
+    ))
+    sim.enforce_hop_limit = sched["hop_limit"]
+    if chain:
+        build_chain(sim, host_links=2)
+    else:
+        for link in range(_SMALL.num_links):
+            sim.attach_host(0, link)
+    host_links = len(sim.host_links())
+    buf = io.BytesIO()
+    sink = BinarySink(buf, num_vaults=_SMALL.num_vaults)
+    sim.tracer.mask = EventType.STANDARD
+    sim.tracer.add_sink(sink)
+    tripped = None
+    try:
+        for gap, link, kind, salt in sched["sends"]:
+            clock(sim, gap)
+            sim.recv_all()
+            sim.try_send(_sparse_packet(sim, link % host_links, kind, salt))
+        for _ in range(2):
+            clock(sim, 40)
+            sim.recv_all()
+    except WatchdogError:
+        tripped = sim.clock_value
+    out = _fingerprint(sim, sink, buf)
+    out["tripped"] = tripped
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(sched=sparse_schedules)
+def test_sparse_schedules_bit_identical(sched):
+    naive = drive_sparse("naive", sched)
+    active = drive_sparse("active", sched)
+    _assert_identical(naive, active)
