@@ -3,8 +3,11 @@
 The clock engine's six sub-cycle stages dominate loaded-run wall time;
 this module attaches a lightweight profiler to a simulation so one run
 can report where its host time goes (two commits are compared with
-``benchmarks/spine/``, not with this).  Overhead is two ``perf_counter_ns``
-calls per stage per tick, and zero when no profiler is attached.
+``benchmarks/spine/``, not with this).  Attached, every step of the
+engine's cycle runs inside a timing wrapper — one ``perf_counter_ns``
+call per step per tick; detached, the cycle holds the bare steps and
+costs nothing.  The profiler is host-side state like a trace sink: it
+stays out of checkpoints, and a restored simulation has none.
 
 Typical use::
 
@@ -22,8 +25,9 @@ For function-level detail, the cProfile one-liner is::
 
 from __future__ import annotations
 
+from functools import wraps
 from time import perf_counter_ns
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 #: Human labels for the engine's stage buckets (index 1..6).
 STAGE_LABELS = {
@@ -105,8 +109,8 @@ class EngineProfiler:
 
     All counters are nanoseconds (``perf_counter_ns``).  ``refresh_ns``
     and ``ras_ns`` cover the optional sub-steps between stages 2/3 and
-    4/5; ``ff_cycles`` counts cycles skipped by the active scheduler's
-    quiescent fast-forward (those never run stages at all).
+    4/5; ``ff_cycles`` counts cycles skipped by the engine's
+    fast-forward (those never run stages at all).
 
     ``alloc`` optionally carries an :class:`AllocationProfiler` for the
     same window (``attach(sim, allocations=True)``).
@@ -120,6 +124,7 @@ class EngineProfiler:
         self.ff_cycles = 0
         self.alloc: Optional[AllocationProfiler] = None
         self._t0 = perf_counter_ns()
+        self._mark = self._t0  # end of the last timed step
 
     @property
     def wall_ns(self) -> int:
@@ -128,6 +133,43 @@ class EngineProfiler:
 
     def total_stage_ns(self) -> int:
         return sum(self.stage_ns) + self.refresh_ns + self.ras_ns
+
+    def timed(self, steps: list) -> list:
+        """Wrap the engine's ``(bucket, step)`` list in timers.
+
+        *bucket* is a stage number, ``"refresh"``, ``"ras"``, or None
+        for a step that is not stage work (the watchdog), which stays
+        bare.  The first timed step opens the tick — counts it and reads
+        the clock — and every timed step books the time since the step
+        before it ended, so the buckets add up to the tick's wall time.
+        """
+        out, opened = [], False
+        for bucket, step in steps:
+            if bucket is not None:
+                step = self._timed(bucket, step, opens_tick=not opened)
+                opened = True
+            out.append((bucket, step))
+        return out
+
+    def _timed(self, bucket, step: Callable, opens_tick: bool) -> Callable:
+        # Where the bucket books, resolved once: a stage_ns slot, or the
+        # refresh_ns / ras_ns attribute.
+        counters, key = (
+            (self.stage_ns, bucket) if isinstance(bucket, int)
+            else (vars(self), f"{bucket}_ns")
+        )
+
+        @wraps(step)
+        def timed(cycle: int) -> None:
+            if opens_tick:
+                self.ticks += 1
+                self._mark = perf_counter_ns()
+            step(cycle)
+            now = perf_counter_ns()
+            counters[key] += now - self._mark
+            self._mark = now
+
+        return timed
 
     def report(self, stage_counts: Optional[List[int]] = None) -> Dict[str, Any]:
         """JSON-serialisable summary (statdump's ``profile`` section)."""

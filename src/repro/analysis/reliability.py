@@ -48,15 +48,6 @@ class ReliabilityCell:
     outcomes: Dict[str, int] = field(default_factory=dict)
 
     @property
-    def ce_per_mcycle(self) -> float:
-        """Corrected errors per million simulated cycles."""
-        return 1e6 * self.ce / self.cycles if self.cycles else 0.0
-
-    @property
-    def ue_per_mcycle(self) -> float:
-        return 1e6 * self.ue / self.cycles if self.cycles else 0.0
-
-    @property
     def scrub_bytes(self) -> int:
         """Data volume the patrol read through the codec."""
         return self.atoms_scrubbed * _ATOM_BYTES

@@ -9,7 +9,8 @@ integers summing exactly to the pool-wide counters).
 :func:`deterministic_view` strips the report's wall-clock-derived
 fields (spin-up milliseconds) — what remains is a pure function of
 (config, tenant specs), which is exactly what the determinism tests
-compare across repeated runs and engine schedulers.
+compare across repeated runs and against the tests' full-walk
+reference.
 
 PR 8 adds the reliability views: :func:`slo_report` (per-class success
 rate, deadline misses and error-budget burn against the class SLO
@@ -133,8 +134,8 @@ _WALL_CLOCK_KEYS = ("spin_up", "lease_spin_up_ms")
 
 def deterministic_view(report: dict, ignore_config: bool = False) -> dict:
     """The report minus wall-clock fields (and, optionally, the config
-    block — for comparing runs across engine schedulers, where only the
-    ``scheduler`` label legitimately differs)."""
+    block — for comparing runs whose configs differ by design, such as
+    warm and cold spin-up)."""
     view = copy.deepcopy(report)
     view.pop("spin_up", None)
     if ignore_config:
@@ -228,7 +229,6 @@ def render_service_summary(report: dict) -> str:
         f"({adm['granted']} granted, {adm['rejected']} rejected)",
         f"pool: {len(report['shards'])} shard(s) x "
         f"{report['config']['slots_per_shard']} slot(s), "
-        f"scheduler={report['config']['scheduler']}, "
         f"spin_up={report['config']['spin_up']}",
         f"traffic: {totals['requests_sent']:,} requests, "
         f"{totals['responses']:,} responses, {totals['errors']:,} errors, "

@@ -374,7 +374,6 @@ def cmd_serve(args) -> int:
             slots_per_shard=args.slots,
             initial_shards=min(args.shards, args.max_shards),
             max_shards=args.max_shards,
-            scheduler=args.scheduler,
             spin_up=args.spin_up,
             provision_requests=args.provision_requests,
             max_waiting=args.max_waiting,
@@ -529,7 +528,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--links", type=int, default=4, choices=(4, 8))
     p.add_argument("--banks", type=int, default=8, choices=(8, 16))
     p.add_argument("--capacity", type=int, default=2, help="GB per cube")
-    p.add_argument("--scheduler", choices=("active", "naive"), default="active")
     p.add_argument("--spin-up", choices=("warm", "cold"), default="warm",
                    help="shard spin-up mode (warm = checkpoint restore)")
     p.add_argument("--provision-requests", type=int, default=256,

@@ -12,7 +12,12 @@ files), so snapshotting detaches the tracer (its mask is preserved,
 its sinks are not) — reattach sinks after restore.  Components that
 keep their own reference to the tracer (the RAS controller does) are
 detached through the same stand-in, so the whole restored graph shares
-one tracer and no sink object ever enters the pickle stream.  Host-side
+one tracer and no sink object ever enters the pickle stream.  An
+attached stage profiler (:func:`repro.analysis.profiling.attach`) is
+host-side state of the same kind: the clock engine pickles its run
+state only, so no wall-clock reading enters a blob — two identical
+profiled runs snapshot to equal bytes — and a restored simulation has
+no profiler; ``attach`` again after restore.  Host-side
 objects (:class:`~repro.host.host.Host` etc.) hold a reference to the
 sim and must be checkpointed *with* it via :func:`snapshot_bundle` to
 keep the object graph consistent.

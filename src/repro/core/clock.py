@@ -18,32 +18,33 @@ Stages 3 and 4 are one walk per vault, ``Vault.stage34``; SUBCYCLE
 stage markers make a tick run it twice, one stage each (event-order
 contract: docs/clocking.md).
 
-Two schedulers drive the stages (``SimConfig.scheduler``):
+The stages visit active sets: every
+:class:`~repro.core.queueing.PacketQueue` keeps its id registered in its
+device's active set exactly while it is non-empty, so stages 1–5 visit
+only the queues that can possibly make progress.  While no queued packet
+can move — none is queued, or all wait behind a crossbar's registered
+input (:meth:`ClockEngine.wake_cycle`) — :meth:`ClockEngine.advance`
+fast-forwards the clock across the dead window in closed form, bounded
+by the next refresh, RAS upset or patrol-scrub cycle, which still run as
+real ticks.
 
-``"naive"``
-    The reference full walk: every stage visits every vault and
-    crossbar of every device, every cycle.
+A cycle is a list of steps built once (:meth:`ClockEngine._sync_steps`,
+docs/clocking.md "The cycle as a list"): the stages always, the
+watchdog, refresh, the RAS sub-step and the LRS mirror only when
+configured, SUBCYCLE markers and the stage profiler as wrappers around
+the steps when switched on.
 
-``"active"`` (default)
-    Active-set scheduling: every :class:`~repro.core.queueing.PacketQueue`
-    keeps its id registered in its device's active set exactly while it
-    is non-empty, so stages 1–5 visit only the queues that can possibly
-    make progress.  While no queued packet can move — none is queued,
-    or all wait behind a crossbar's registered input
-    (:meth:`ClockEngine.wake_cycle`) — :meth:`ClockEngine.advance`
-    fast-forwards the clock across the dead window in closed form,
-    bounded by the next refresh, RAS upset or patrol-scrub cycle, which
-    still run as real ticks.
-
-Both schedulers produce bit-identical cycle counts, trace event
-streams, ``stage_counts`` and register state
-(tests/test_scheduler_equivalence.py enforces this).
+This is the only engine under ``src/``.  The walk that visits every
+queue every cycle and skips nothing is the tests' reference
+(``tests/reference/full_walk.py``): cycle counts, trace event streams,
+``stage_counts`` and register state must match it bit for bit
+(tests/test_scheduler_equivalence.py).
 """
 
 from __future__ import annotations
 
-from time import perf_counter_ns
-from typing import TYPE_CHECKING, List
+from functools import wraps
+from typing import TYPE_CHECKING, Callable, List
 
 from repro.core.device import HMCDevice
 from repro.core.errors import WatchdogError
@@ -69,20 +70,25 @@ NEVER = 1 << 64  #: ``wake_cycle()`` with nothing queued: past the 64-bit clock
 class ClockEngine:
     """Drives the sub-cycle stages over every device of one HMCSim."""
 
-    __slots__ = ("sim", "stage_counts", "_active", "_roots", "_children",
-                 "_topo_epoch", "_wd_last_cycle", "_wd_marker", "profiler")
+    __slots__ = ("sim", "stage_counts", "_wd_last_cycle", "_wd_marker",
+                 "profiler", "_roots", "_children", "_steps", "_steps_key")
+
+    #: What a checkpoint carries.  The rest is host-side: the profiler
+    #: like a trace sink, the step list because it holds closures.
+    _RUN_STATE = ("sim", "stage_counts", "_wd_last_cycle", "_wd_marker")
 
     def __init__(self, sim: "HMCSim") -> None:
         self.sim = sim
-        #: Optional :class:`repro.analysis.profiling.EngineProfiler`;
-        #: when set, :meth:`tick` accumulates per-stage wall time.
-        self.profiler = None
-        self._active = sim.config.scheduler == "active"
-        # Root/child device lists, cached until the topology changes.
-        self._roots: List[HMCDevice] = []
-        self._children: List[HMCDevice] = []
-        self._topo_epoch = -1
         self.reset()
+        self._unbuilt()
+
+    def _unbuilt(self) -> None:
+        """No profiler, and a step list to build at the next tick."""
+        #: Optional :class:`repro.analysis.profiling.EngineProfiler`;
+        #: when set, the steps run inside its timing wrappers.
+        self.profiler = None
+        self._steps: List[Callable[[int], None]] = []
+        self._steps_key = None
 
     def reset(self) -> None:
         """Zero what a run accumulates (``HMCSim.reset``)."""
@@ -94,19 +100,83 @@ class ClockEngine:
         self._wd_last_cycle = 0
         self._wd_marker = None
 
+    def __getstate__(self) -> tuple:
+        # The shape pickle gives a slotted object by default, which is
+        # what every older blob holds.
+        return None, {name: getattr(self, name) for name in self._RUN_STATE}
+
+    def __setstate__(self, state: tuple) -> None:
+        # Older blobs also carry _active, _roots, _children, _topo_epoch
+        # and profiler: all derived or host-side, all ignored.
+        slots = state[1]
+        for name in self._RUN_STATE:
+            setattr(self, name, slots[name])
+        self._unbuilt()
+
+    # ------------------------------------------------------------------
+    # The cycle as a list.
     # ------------------------------------------------------------------
 
-    def _sync_topology(self) -> None:
-        """Refresh topology-derived caches after attach_host/connect."""
-        epoch = self.sim._topology_epoch
-        if epoch == self._topo_epoch:
+    def _sync_steps(self) -> None:
+        """Rebuild the cycle's step list if one of its inputs changed.
+
+        The inputs: the topology, the SUBCYCLE bit of the live trace
+        mask, the attached profiler, and whether any in-band link-fault
+        state is attached — each can change between two ticks.  What
+        the frozen ``SimConfig`` and the devices' ECC decide is read
+        here once.  Every step is called as ``step(cycle)``.
+        """
+        sim = self.sim
+        key = (sim._topology_epoch, sim.tracer.live_mask & _EV_SUBCYCLE,
+               self.profiler, bool(sim._link_fault_states))
+        if key == self._steps_key:
             return
-        devices = self.sim.devices
+        self._steps_key = key
+        _, marked, prof, link_faults = key
+        devices = sim.devices
         self._roots = [d for d in devices if d.is_root]
         self._children = [d for d in devices if not d.is_root]
         for d in devices:
             d.sync_activity_bindings()
-        self._topo_epoch = epoch
+        cfg = sim.config
+        # (profiler bucket, step), in the order a cycle runs them.  The
+        # watchdog has no bucket: it is not stage work.
+        steps = [(None, self._wd_check)] if cfg.watchdog_cycles else []
+        steps += [(1, self._stage1), (2, self._stage2)]
+        if cfg.refresh_interval:
+            steps.append(("refresh", self._refresh))
+        if marked:
+            # Only stage markers need every stage 3 before any stage 4.
+            steps += [(3, self._stage3), (4, self._stage4)]
+        else:
+            steps.append((4, self._stage34))
+        if any(d.ras is not None for d in devices):
+            steps.append(("ras", self._ras_step))
+        steps.append((5, self._stage5))
+        if link_faults:
+            steps.append((6, self._mirror_link_faults))
+        steps.append((6, self._stage6))
+        if marked:
+            seen = set()
+            for i, (bucket, step) in enumerate(steps):
+                # Marker N precedes the first step of stage N.
+                if isinstance(bucket, int) and bucket not in seen:
+                    seen.add(bucket)
+                    steps[i] = (bucket, self._marked(bucket, step))
+        if prof is not None:
+            steps = prof.timed(steps)
+        self._steps = [step for _, step in steps]
+
+    def _marked(self, stage: int, step: Callable) -> Callable:
+        """*step* behind its SUBCYCLE stage marker."""
+        sim = self.sim
+
+        @wraps(step)
+        def marked(cycle: int) -> None:
+            sim.tracer.event(EventType.SUBCYCLE, cycle, stage=stage)
+            step(cycle)
+
+        return marked
 
     # ------------------------------------------------------------------
 
@@ -158,14 +228,12 @@ class ClockEngine:
     def advance(self, cycles: int) -> None:
         """Run *cycles* clock cycles, fast-forwarding dead windows.
 
-        With the naive scheduler this is exactly *cycles* calls to
-        :meth:`tick`.  With the active scheduler, windows in which no
-        queued packet can move (:meth:`wake_cycle` lies ahead) are
-        skipped in closed form (:meth:`_idle_skip_bound` bounds them
-        further); every cycle with any possible observable work runs as
-        a real tick.
+        Windows in which no queued packet can move (:meth:`wake_cycle`
+        lies ahead) are skipped in closed form (:meth:`_idle_skip_bound`
+        bounds them further); every cycle with any possible observable
+        work runs as a real tick.
         """
-        self._sync_topology()
+        self._sync_steps()  # wake_cycle reads the sets this binds
         sim = self.sim
         # Deferred tracing for the whole stepping window: emissions
         # batch up to the ring capacity inside, and end_batch() delivers
@@ -176,12 +244,11 @@ class ClockEngine:
         tracer.begin_batch()
         try:
             remaining = cycles
-            active = self._active
             wd = sim.config.watchdog_cycles
             wake = -1  # stale: a fast-forward moves nothing, so it keeps it
             while remaining > 0:
                 now = sim.clock_value
-                if active and wake < now:
+                if wake < now:
                     wake = self.wake_cycle()
                 if wake > now:
                     skip = self._idle_skip_bound(min(remaining, wake - now))
@@ -189,8 +256,8 @@ class ClockEngine:
                         # The watchdog deadline is an observable event:
                         # clamp the fast-forward so the tick at exactly
                         # last_progress + watchdog_cycles runs for real
-                        # and fires at the same cycle the naive walk
-                        # would.
+                        # and fires at the same cycle a tick-by-tick
+                        # walk would.
                         self._wd_refresh(now)
                         if self._wd_stuck():
                             skip = min(skip, self._wd_last_cycle + wd - now)
@@ -282,36 +349,82 @@ class ClockEngine:
 
     # ------------------------------------------------------------------
 
-    def _walk_vaults(self, cycle: int, window: int, width: int, tracer) -> tuple:
-        """Run ``Vault.stage34`` over this cycle's vault selection.
+    def tick(self) -> None:
+        """Run one full clock cycle: every step of the list, in order."""
+        self._sync_steps()
+        cycle = self.sim.clock_value
+        for step in self._steps:
+            step(cycle)
 
-        Active scheduler: vaults with queued requests, ascending id;
-        naive: every vault (the walk is a strict no-op on an empty
-        queue) — the same visit order.  A recognition-only pass mutates
-        no queue, so the issue pass after it sees the same selection.
-        """
+    # ------------------------------------------------------------------
+    # The steps.
+    # ------------------------------------------------------------------
+
+    def _stage1(self, cycle: int) -> None:
+        """Stage 1: child-device crossbars."""
+        self.stage_counts[1] += self._route_requests(self._children, cycle)
+
+    def _stage2(self, cycle: int) -> None:
+        """Stage 2: root-device crossbars."""
+        self.stage_counts[2] += self._route_requests(self._roots, cycle)
+
+    def _route_requests(self, devices: List[HMCDevice], cycle: int) -> int:
+        sim = self.sim
+        cfg = sim.config
+        moves = cfg.xbar_moves_per_cycle
+        rotating = cfg.xbar_arbitration == "rotating"
+        tracer = sim.tracer
+        moved = 0
+        for dev in devices:
+            act = dev.act_xbar_rqst
+            if not act:
+                continue
+            xbars = dev.xbars
+            n = len(xbars)
+            # Link service order: fixed priority, or per-cycle rotation
+            # for fair arbitration of contended vault queue slots.
+            start = cycle % n if rotating else 0
+            for i in range(n):
+                idx = (start + i) % n
+                if idx in act:  # else empty: route_requests is a no-op
+                    moved += xbars[idx].route_requests(
+                        dev, sim, cycle, moves, tracer
+                    )
+        return moved
+
+    def _refresh(self, cycle: int) -> None:
+        """Optional DRAM refresh, staggered across vaults so the whole
+        device never freezes at once (the paper's model has none;
+        ``SimConfig.refresh_interval = 0`` keeps this out of the list)."""
         cfg = self.sim.config
+        for dev in self.sim.devices:
+            for vault in dev.vaults:
+                if (cycle + vault.vault_id) % cfg.refresh_interval == 0:
+                    vault.refresh(cycle, cfg.refresh_cycles)
+
+    def _walk_vaults(self, cycle: int, window: int, width: int) -> tuple:
+        """Run ``Vault.stage34`` over the vaults with queued requests,
+        ascending id.  A recognition-only pass mutates no queue, so the
+        issue pass after it sees the same selection."""
+        sim = self.sim
+        cfg = sim.config
+        tracer = sim.tracer
         busy = cfg.bank_busy_cycles
         row_timing = (
             (cfg.row_hit_cycles, cfg.row_miss_cycles)
             if cfg.row_policy == "open"
             else None
         )
-        active = self._active
         conflicts = 0
         issued = 0
-        for dev in self.sim.devices:
-            if active:
-                act = dev.act_vault_rqst
-                if not act:
-                    continue
-                vids = sorted(act)
-            else:
-                vids = range(len(dev.vaults))
+        for dev in sim.devices:
+            act = dev.act_vault_rqst
+            if not act:
+                continue
             vaults = dev.vaults
             amap = dev.amap
             dev_id = dev.dev_id
-            for vid in vids:
+            for vid in sorted(act):
                 c, i = vaults[vid].stage34(
                     cycle, amap, window, width, busy, tracer,
                     dev_id, row_timing=row_timing,
@@ -320,125 +433,57 @@ class ClockEngine:
                 issued += i
         return conflicts, issued
 
-    def tick(self) -> None:
-        """Run one full clock cycle (all six sub-cycle stages)."""
-        self._sync_topology()
-        active = self._active
-        sim = self.sim
-        cycle = sim.clock_value
-        tracer = sim.tracer
-        cfg = sim.config
-        if cfg.watchdog_cycles:
-            self._wd_check(cycle)
-        roots = self._roots
-        children = self._children
-        mark = tracer.live_mask & _EV_SUBCYCLE
-        prof = self.profiler
-        if prof is not None:
-            prof.ticks += 1
-            _t = perf_counter_ns()
-
-        # Stage 1: child-device crossbars.
-        if mark:
-            tracer.event(EventType.SUBCYCLE, cycle, stage=1)
-        moved = 0
-        for dev in children:
-            if not active or dev.act_xbar_rqst:
-                moved += self._route_device_requests(dev, cycle, active)
-        self.stage_counts[1] += moved
-        if prof is not None:
-            _now = perf_counter_ns()
-            prof.stage_ns[1] += _now - _t
-            _t = _now
-
-        # Stage 2: root-device crossbars.
-        if mark:
-            tracer.event(EventType.SUBCYCLE, cycle, stage=2)
-        moved = 0
-        for dev in roots:
-            if not active or dev.act_xbar_rqst:
-                moved += self._route_device_requests(dev, cycle, active)
-        self.stage_counts[2] += moved
-        if prof is not None:
-            _now = perf_counter_ns()
-            prof.stage_ns[2] += _now - _t
-            _t = _now
-
-        # Optional DRAM refresh, staggered across vaults so the whole
-        # device never freezes at once (the paper's model has none;
-        # SimConfig.refresh_interval = 0 disables this).
-        if cfg.refresh_interval:
-            for dev in sim.devices:
-                for vault in dev.vaults:
-                    if (cycle + vault.vault_id) % cfg.refresh_interval == 0:
-                        vault.refresh(cycle, cfg.refresh_cycles)
-        if prof is not None:
-            _now = perf_counter_ns()
-            prof.refresh_ns += _now - _t
-            _t = _now
-
-        # Stages 3+4: bank-conflict recognition (read-only trace pass)
-        # then vault request processing, one walk per vault: both touch
-        # only vault-local state.  Only SUBCYCLE markers need every
-        # stage 3 before any stage 4 — two walks, a half each.
-        window = cfg.conflict_window
-        width = cfg.vault_issue_width
-        if mark:
-            tracer.event(EventType.SUBCYCLE, cycle, stage=3)
-            conflicts, _ = self._walk_vaults(cycle, window, 0, tracer)
-            if prof is not None:
-                _now = perf_counter_ns()
-                prof.stage_ns[3] += _now - _t
-                _t = _now
-            tracer.event(EventType.SUBCYCLE, cycle, stage=4)
-            _, issued = self._walk_vaults(cycle, 0, width, tracer)
-        else:
-            conflicts, issued = self._walk_vaults(cycle, window, width, tracer)
+    def _stage34(self, cycle: int) -> None:
+        """Stages 3+4: bank-conflict recognition (read-only trace pass)
+        then vault request processing, one walk per vault: both touch
+        only vault-local state."""
+        cfg = self.sim.config
+        conflicts, issued = self._walk_vaults(
+            cycle, cfg.conflict_window, cfg.vault_issue_width
+        )
         self.stage_counts[3] += conflicts
         self.stage_counts[4] += issued
-        if prof is not None:
-            # Unmarked, the combined time lands on stage 4.
-            _now = perf_counter_ns()
-            prof.stage_ns[4] += _now - _t
-            _t = _now
 
-        # RAS sub-step (only on ECC-enabled devices): transient fault
-        # arrivals and the patrol scrubber.  Timing-neutral — it never
-        # occupies banks or moves packets, so cycle counts match the
-        # unprotected model exactly.
-        for dev in sim.devices:
+    def _stage3(self, cycle: int) -> None:
+        """Stage 3 alone, under its marker: the recognition half."""
+        window = self.sim.config.conflict_window
+        self.stage_counts[3] += self._walk_vaults(cycle, window, 0)[0]
+
+    def _stage4(self, cycle: int) -> None:
+        """Stage 4 alone, under its marker: the issue half."""
+        width = self.sim.config.vault_issue_width
+        self.stage_counts[4] += self._walk_vaults(cycle, 0, width)[1]
+
+    def _ras_step(self, cycle: int) -> None:
+        """RAS sub-step (only with an ECC-enabled device): transient
+        fault arrivals and the patrol scrubber.  Timing-neutral — it
+        never occupies banks or moves packets, so cycle counts match the
+        unprotected model exactly."""
+        for dev in self.sim.devices:
             if dev.ras is not None:
                 dev.ras.tick(cycle)
-        if prof is not None:
-            _now = perf_counter_ns()
-            prof.ras_ns += _now - _t
-            _t = _now
 
-        # Stage 5: response registration, roots first then children.
-        if mark:
-            tracer.event(EventType.SUBCYCLE, cycle, stage=5)
+    def _stage5(self, cycle: int) -> None:
+        """Stage 5: response registration, roots first then children."""
         moved = 0
-        for dev in roots:
-            moved += self._register_device_responses(dev, cycle, active)
-        for dev in children:
-            moved += self._register_device_responses(dev, cycle, active)
+        for devices in (self._roots, self._children):
+            for dev in devices:
+                moved += self._cross_chain_responses(dev, cycle)
+                moved += self._drain_vault_responses(dev, cycle)
         self.stage_counts[5] += moved
-        if prof is not None:
-            _now = perf_counter_ns()
-            prof.stage_ns[5] += _now - _t
-            _t = _now
 
-        # Stage 6: update the internal clock value.
-        if mark:
-            tracer.event(EventType.SUBCYCLE, cycle, stage=6)
-        if sim._link_fault_states:
-            # Mirror per-link health/retry counters into the LRS
-            # registers of every endpoint device before the register
-            # tick, so host writes strobed this cycle rebase the
-            # write-to-clear deltas (same pattern as the RAS mirror).
-            devices = sim.devices
-            for state in sim._link_fault_states:
-                state.sync_registers(devices)
+    def _mirror_link_faults(self, cycle: int) -> None:
+        """Mirror per-link health/retry counters into the LRS registers
+        of every endpoint device before the register tick, so host
+        writes strobed this cycle rebase the write-to-clear deltas (same
+        pattern as the RAS mirror)."""
+        devices = self.sim.devices
+        for state in self.sim._link_fault_states:
+            state.sync_registers(devices)
+
+    def _stage6(self, cycle: int) -> None:
+        """Stage 6: update the internal clock value."""
+        sim = self.sim
         for dev in sim.devices:
             if dev.ras is not None:
                 # Mirror RAS counters before the register tick so host
@@ -448,8 +493,6 @@ class ClockEngine:
             dev.regs.internal_write("STAT", cycle + 1)
         sim.clock_value = cycle + 1
         self.stage_counts[6] += 1
-        if prof is not None:
-            prof.stage_ns[6] += perf_counter_ns() - _t
 
     # ------------------------------------------------------------------
     # No-progress watchdog.
@@ -568,45 +611,10 @@ class ClockEngine:
         )
 
     # ------------------------------------------------------------------
-    # Stage 1/2 helper.
-    # ------------------------------------------------------------------
-
-    def _route_device_requests(
-        self, dev: HMCDevice, cycle: int, active: bool = False
-    ) -> int:
-        moved = 0
-        cfg = self.sim.config
-        n = len(dev.xbars)
-        # Link service order: fixed priority, or per-cycle rotation for
-        # fair arbitration of contended vault queue slots.
-        start = cycle % n if cfg.xbar_arbitration == "rotating" else 0
-        act = dev.act_xbar_rqst if active else None
-        for i in range(n):
-            idx = (start + i) % n
-            if act is not None and idx not in act:
-                # Empty request queue: the full walk would scan it and
-                # move nothing (route_requests is a no-op when empty).
-                continue
-            xbar = dev.xbars[idx]
-            moved += xbar.route_requests(
-                dev, self.sim, cycle, cfg.xbar_moves_per_cycle, self.sim.tracer
-            )
-        return moved
-
-    # ------------------------------------------------------------------
     # Stage 5 helpers.
     # ------------------------------------------------------------------
 
-    def _register_device_responses(
-        self, dev: HMCDevice, cycle: int, active: bool = False
-    ) -> int:
-        moved = self._cross_chain_responses(dev, cycle, active)
-        moved += self._drain_vault_responses(dev, cycle, active)
-        return moved
-
-    def _drain_vault_responses(
-        self, dev: HMCDevice, cycle: int, active: bool = False
-    ) -> int:
+    def _drain_vault_responses(self, dev: HMCDevice, cycle: int) -> int:
         """Move vault response queues into crossbar response queues.
 
         The route stack's top record names the link this response must
@@ -618,16 +626,12 @@ class ClockEngine:
         live = tracer.live_mask
         per_vault = sim.config.xbar_moves_per_cycle
         moved = 0
-        if active:
-            act = dev.act_vault_rsp
-            if not act:
-                return 0
-            # Ascending vault order like the full walk; draining empties
-            # queues mid-loop, so iterate a sorted snapshot.
-            vaults = [dev.vaults[vid] for vid in sorted(act)]
-        else:
-            vaults = dev.vaults
-        for vault in vaults:
+        act = dev.act_vault_rsp
+        if not act:
+            return 0
+        # Ascending vault order; draining empties queues mid-loop, so
+        # iterate a sorted snapshot.
+        for vault in [dev.vaults[vid] for vid in sorted(act)]:
             for _ in range(per_vault):
                 pkt = vault.rsp.peek()
                 if pkt is None:
@@ -684,9 +688,7 @@ class ClockEngine:
             return pkt.ingress_link
         return None
 
-    def _cross_chain_responses(
-        self, dev: HMCDevice, cycle: int, active: bool = False
-    ) -> int:
+    def _cross_chain_responses(self, dev: HMCDevice, cycle: int) -> int:
         """Move responses across chain links toward the host.
 
         Responses sitting in a chain-link crossbar response queue hop to
@@ -699,17 +701,13 @@ class ClockEngine:
         live = tracer.live_mask
         moves = sim.config.xbar_moves_per_cycle
         moved = 0
-        if active:
-            act = dev.act_xbar_rsp
-            if not act:
-                return 0
-            # Only chain-link response queues are ever bound into
-            # act_xbar_rsp (sync_activity_bindings), so membership
-            # already implies the is_chain_link filter below.
-            xbars = [dev.xbars[lid] for lid in sorted(act)]
-        else:
-            xbars = dev.xbars
-        for xbar in xbars:
+        act = dev.act_xbar_rsp
+        if not act:
+            return 0
+        # Only chain-link response queues are ever bound into
+        # act_xbar_rsp (sync_activity_bindings), so membership already
+        # implies the is_chain_link filter below.
+        for xbar in [dev.xbars[lid] for lid in sorted(act)]:
             link = dev.links[xbar.link_id]
             if not link.is_chain_link:
                 continue

@@ -134,10 +134,6 @@ class DeviceConfig:
         return self.num_vaults // VAULTS_PER_QUAD
 
     @property
-    def vaults_per_quad(self) -> int:
-        return VAULTS_PER_QUAD
-
-    @property
     def bank_bytes(self) -> int:
         """Bytes of storage per bank layer."""
         return self.capacity_bytes // (self.num_vaults * self.num_banks)
@@ -163,12 +159,6 @@ class SimConfig:
     device: DeviceConfig = field(default_factory=DeviceConfig)
     #: Number of homogeneous devices in this simulation object.
     num_devs: int = 1
-    #: Per-cycle scheduling strategy.  "active" (default) visits only
-    #: vaults/crossbars with queued packets and fast-forwards across
-    #: quiescent windows; "naive" is the original full-walk reference.
-    #: Both produce bit-identical cycle counts, traces and register
-    #: state (tests/test_scheduler_equivalence.py enforces this).
-    scheduler: str = "active"
     #: Bank-conflict recognition window: how many queued packets behind
     #: the head are inspected for same-bank conflicts (paper §IV.C.3
     #: "a spatial window of the queue").
@@ -259,10 +249,6 @@ class SimConfig:
             # host (paper §V.B), so at most 7 cubes fit one object.
             raise InitError(
                 f"at most 7 devices per HMCSim object (3-bit CUB field), got {self.num_devs}"
-            )
-        if self.scheduler not in ("active", "naive"):
-            raise InitError(
-                f"scheduler must be 'active' or 'naive', got {self.scheduler!r}"
             )
         if self.conflict_window < 1:
             raise InitError("conflict_window must be >= 1")

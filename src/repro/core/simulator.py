@@ -584,8 +584,8 @@ class HMCSim:
 
         Alias of :meth:`clock` with a required cycle count — the
         preferred spelling for long idle or drain windows, where the
-        active scheduler fast-forwards dead stretches in closed form
-        instead of ticking them one by one.
+        engine fast-forwards dead stretches in closed form instead of
+        ticking them one by one (the tests' reference does the latter).
         """
         self.clock(cycles)
 
@@ -745,23 +745,12 @@ class HMCSim:
         self._link_fault_states.append(state)
         return state
 
-    def detach_link_fault(self, dev: int, link: int) -> None:
-        """Remove the in-band fault state covering (dev, link)."""
-        state = self._link_faults.get((dev, link))
-        if state is None:
-            return
-        for ep in state.endpoints:
-            self._link_faults.pop(ep, None)
-            self.devices[ep[0]].links[ep[1]].fault_state = None
-        self._link_fault_states.remove(state)
-        self._routes = None
-
     def _auto_attach_link_fault(self, endpoints) -> None:
         """Config-driven attach (``link_ber`` / ``link_drop_rate``).
 
         The per-link seed derives deterministically from the canonical
         endpoint, so a given topology + config reproduces the same fault
-        stream under either scheduler.
+        stream on the engine and on the tests' reference.
         """
         from repro.faults.link_model import LinkFaultModel
 

@@ -8,7 +8,7 @@ single driver coroutine**, so a chaos campaign consumes zero wall clock
 and no unseeded randomness.  A given :class:`ChaosSchedule` against a
 given (config, tenant specs) pair reproduces the same crashes, the same
 recoveries and the same per-tenant accounting bit-for-bit, on every
-run, under either engine scheduler.
+run, on the engine and on the tests' full-walk reference.
 
 Event kinds
 -----------

@@ -21,9 +21,9 @@ A failed transmission poisons the sender's direction for
 ``retry_delay`` cycles (the IRTRY exchange + replay window); the packet
 stays at the head of its crossbar queue, which *is* the per-link retry
 buffer a replay resends from.  The stall is visible to the clock engine
-as a non-empty queue, so the active-set scheduler naturally treats a
-poisoned/replaying link as activity and never fast-forwards across a
-replay window.
+as a non-empty queue, so the engine's active sets naturally treat a
+poisoned/replaying link as activity and it never fast-forwards across
+a replay window.
 
 Degradation ladder (per link, both directions share health):
 

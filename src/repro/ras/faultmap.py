@@ -149,9 +149,6 @@ class DeviceFaultMap:
             w1 ^= _ROW_FAULT_XOR
         return w0, w1, c0, c1
 
-    def has_stuck(self, vault: int, bank: int, atom: int) -> bool:
-        return (vault, bank, atom) in self.stuck
-
     # -- resolution ----------------------------------------------------------
 
     def resolve(self, vault: int, bank: int, atom: int, outcome: str) -> None:

@@ -221,12 +221,6 @@ class AdmissionController:
         self._parked.clear()
         return out
 
-    def drain_waiting(self) -> List[Ticket]:
-        """Remove and return every waiting ticket (overload shedding)."""
-        out = [t for _, _, t in self._waiting]
-        self._waiting.clear()
-        return out
-
     def stats(self) -> dict:
         out = {
             "registered": self.registered,

@@ -108,8 +108,6 @@ class ServiceConfig:
     #: Pool growth ceiling; demand beyond ``max_shards * slots`` queues
     #: in the admission controller.
     max_shards: int = 4
-    #: Engine scheduler for every shard ("active" or "naive").
-    scheduler: str = "active"
     #: In-band link fault knobs, forwarded to each shard's SimConfig.
     link_ber: float = 0.0
     link_drop_rate: float = 0.0
@@ -232,7 +230,6 @@ class ServiceConfig:
         return SimConfig(
             device=self.device,
             num_devs=self.devs_per_shard,
-            scheduler=self.scheduler,
             link_ber=self.link_ber,
             link_drop_rate=self.link_drop_rate,
             link_seed=self.link_seed,

@@ -16,8 +16,9 @@ of labour:
 Because the driver's work per tick is a pure function of (config,
 specs) — no wall clock, no RNG, no dependence on event-loop scheduling
 order — a service run over thousands of tenants produces bit-identical
-per-tenant accounting on every execution and under either engine
-scheduler.  Wall-clock timing appears only in the spin-up metrics
+per-tenant accounting on every execution, on the engine and on the
+tests' full-walk reference.  Wall-clock timing appears only in the
+spin-up metrics
 (:mod:`repro.service.sessions`), clearly segregated in the report.
 
 Failure containment: a dead host link fails only its session (the slot
@@ -395,7 +396,10 @@ class MemoryService:
                 "devs_per_shard": cfg.devs_per_shard,
                 "slots_per_shard": cfg.slots_per_shard,
                 "max_shards": cfg.max_shards,
-                "scheduler": cfg.scheduler,
+                # A constant since the engine became the only one; two
+                # hashes still contain it: tests/fixtures/serve_golden.json
+                # and the spine's serve128_armed sim_fingerprint.
+                "scheduler": "active",
                 "spin_up": cfg.spin_up,
                 "link_ber": cfg.link_ber,
                 "link_drop_rate": cfg.link_drop_rate,

@@ -18,8 +18,8 @@ Determinism contract — everything the pump does is ordered:
   the shard's own counters.
 
 No wall clock and no RNG enter this module; a fixed (config, specs)
-pair pumps to the same per-tenant accounting every time, under either
-engine scheduler.
+pair pumps to the same per-tenant accounting every time, on the engine
+and on the tests' full-walk reference.
 
 Self-healing (PR 8) — with ``checkpoint_interval`` armed the shard
 keeps an *epoch*: a :func:`~repro.core.checkpoint.snapshot_bundle` of

@@ -226,7 +226,7 @@ class BinarySink(Sink):
     Batched delivery encodes each entry and issues a single stream
     write per batch.  Nothing is held back between batches: the stream
     is byte-complete at every tracer flush boundary, so mid-run parsers
-    (and the scheduler-equivalence fingerprint) see exact state without
+    (and the engine-vs-reference fingerprint) see exact state without
     calling :meth:`close`.
     """
 

@@ -48,9 +48,6 @@ class CycleSeries:
     def peak(self) -> int:
         return int(self.values.max()) if self.values.size else 0
 
-    def nonzero_cycles(self) -> int:
-        return int(np.count_nonzero(self.values))
-
 
 class TraceStats:
     """Accumulates Figure-5 counters from trace events.

@@ -83,8 +83,9 @@ def pointer_chase_run(
     classic latency-bound pattern: chase, compute on the node, chase
     again).  The device is quiescent for that window, and nothing moves
     while the read in flight waits at the crossbar's registered input:
-    the active scheduler fast-forwards both (:meth:`HMCSim.run`,
-    :meth:`HMCSim.clock_until_response`); the naive one ticks each cycle.
+    the engine fast-forwards both (:meth:`HMCSim.run`,
+    :meth:`HMCSim.clock_until_response`) where the tests' full-walk
+    reference ticks each cycle.
     """
     if node_bytes not in WRITE_CMD_FOR_BYTES:
         raise ValueError(f"unsupported node size {node_bytes}")

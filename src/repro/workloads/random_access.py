@@ -82,10 +82,6 @@ class RandomAccessResult:
     wall_seconds: float = 0.0
 
     @property
-    def cycles_per_request(self) -> float:
-        return self.cycles / self.cfg.num_requests
-
-    @property
     def requests_per_cycle(self) -> float:
         return self.cfg.num_requests / self.cycles if self.cycles else 0.0
 

@@ -9,9 +9,11 @@ commit::
     PYTHONPATH=/tmp/parent/src:. python -m tests.fixtures.gen_subcycle_golden
 
 producing ``subcycle_golden.json``: for every case in :data:`CASES`,
-both marked trace masks and both schedulers, the simulated cycles, the
-engine's ``stage_counts``, and the record count and sha256 of the
-``BinarySink`` byte stream.
+both marked trace masks and both schedulers that tree still shipped,
+the simulated cycles, the engine's ``stage_counts``, and the record
+count and sha256 of the ``BinarySink`` byte stream.  On the current
+tree the ``naive`` half is replayed on the tests' full-walk reference
+(``tests/reference/full_walk.py``), the ``active`` half on the engine.
 
 ``tests/test_subcycle_golden.py`` replays the same runs on the current
 tree, where one ``Vault.stage34`` walk serves both stage markers, and
@@ -30,7 +32,6 @@ import os
 
 import repro.packets.packet as packet_mod
 from repro.core.config import DeviceConfig, SimConfig
-from repro.core.simulator import HMCSim
 from repro.host.host import Host
 from repro.topology.builder import build_chain
 from repro.trace.binfmt import BinarySink
@@ -40,6 +41,7 @@ from repro.workloads.random_access import (
     RandomAccessConfig,
     random_access_requests,
 )
+from tests.reference.full_walk import BUILD
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN_PATH = os.path.join(HERE, "subcycle_golden.json")
@@ -82,8 +84,8 @@ def drive(case: str, scheduler: str, mask: EventType):
     dev_kw, num_devs, requests, sim_kw = CASES[case]
     device = DeviceConfig(**dev_kw)
     packet_mod._packet_serial = itertools.count()
-    sim = HMCSim(SimConfig(device=device, num_devs=num_devs,
-                           scheduler=scheduler, **sim_kw))
+    sim = BUILD[scheduler](
+        SimConfig(device=device, num_devs=num_devs, **sim_kw))
     if num_devs > 1:
         build_chain(sim, host_links=1)
     else:

@@ -37,6 +37,19 @@ class TestParser:
             with pytest.raises(TypeError, match="workers"):
                 cls(workers=2)
 
+    def test_removed_scheduler_knob_is_rejected_not_ignored(self, capsys):
+        from repro.core.config import SimConfig
+        from repro.core.simulator import HMCSim
+        from repro.service.config import ServiceConfig
+
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--scheduler", "naive"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --scheduler naive" in capsys.readouterr().err
+        for build in (SimConfig, ServiceConfig, HMCSim):
+            with pytest.raises(TypeError, match="scheduler"):
+                build(scheduler="active")
+
     def test_device_args(self):
         args = build_parser().parse_args(
             ["fig5", "--links", "8", "--banks", "16", "--capacity", "8"])

@@ -4,8 +4,9 @@ Covers the engine-integrated fault path (repro.faults.inband): every
 link traversal runs through a :class:`InbandLinkState` gate, retries
 consume real simulated cycles, links degrade FULL -> HALF -> FAILED,
 chained topologies reroute around dead links, and the no-progress
-watchdog converts flow-control livelock into a typed abort — under
-both schedulers, bit-identically.
+watchdog converts flow-control livelock into a typed abort — on the
+engine ("active") and the tests' full-walk reference ("naive"),
+bit-identically.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from repro.workloads.random_access import (
     RandomAccessConfig,
     random_access_requests,
 )
+from tests.reference.full_walk import BUILD
 
 
 DEVICE = DeviceConfig(num_links=4, num_banks=8, capacity=2)
@@ -56,7 +58,7 @@ DEVICE = DeviceConfig(num_links=4, num_banks=8, capacity=2)
 
 def _chain2(scheduler="naive", **kw):
     """Host -> dev0 -> dev1 two-cube chain."""
-    sim = HMCSim(SimConfig(device=DEVICE, num_devs=2, scheduler=scheduler, **kw))
+    sim = BUILD[scheduler](SimConfig(device=DEVICE, num_devs=2, **kw))
     sim.attach_host(0, 0)
     sim.connect(0, 2, 1, 1)
     return sim
@@ -270,8 +272,8 @@ class TestWatchdog:
     """A dropped response (and its piggybacked TRET tokens) on a dead
     chain link leaks flow-control credits: the host can never send
     again and no response can ever arrive.  The watchdog must convert
-    that livelock into a typed abort — at the same cycle under both
-    schedulers — instead of hanging."""
+    that livelock into a typed abort — at the same cycle on the engine
+    and the reference — instead of hanging."""
 
     def _deadlock(self, scheduler):
         sim = _chain2(scheduler=scheduler, link_token_flits=32,
@@ -474,8 +476,8 @@ class TestInbandGolden:
     def test_cycles_and_link_counters_are_pinned(self, name, scheduler):
         host_links, requests, sim_kw = _GOLDEN_RUNS[name]
         sim = build_chain(
-            HMCSim(num_links=4, num_banks=8, capacity=2, scheduler=scheduler,
-                   watchdog_cycles=100_000, **sim_kw),
+            BUILD[scheduler](num_links=4, num_banks=8, capacity=2,
+                             watchdog_cycles=100_000, **sim_kw),
             host_links=host_links,
         )
         cfg = RandomAccessConfig(num_requests=requests, seed=7)

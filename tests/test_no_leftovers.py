@@ -2,14 +2,19 @@
 ``src/repro/``: a private ``_name`` function or method that nothing in
 ``src/repro/`` references, an import of the ``packets/arena.py`` stub, a
 second ``Packet.__new__`` call site, a second way to pickle a bank
-without its pages, a second caller of ``ClockEngine.tick`` or an idle
-test beside ``wake_cycle`` in ``advance``."""
+without its pages, a second caller of ``ClockEngine.tick``, an idle
+test beside ``wake_cycle`` in ``advance``, a way back to a selectable
+scheduler or to a ``tick()`` that branches on its observers — and, over
+the whole repository, a public function nobody mentions."""
 
 import ast
+import collections
 import functools
+import re
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+REPO = Path(__file__).resolve().parent.parent
+SRC = REPO / "src" / "repro"
 
 
 @functools.cache
@@ -117,3 +122,69 @@ def test_the_engine_ticks_from_one_place_and_skips_by_one_rule():
     ]
     called = {n.attr for n in ast.walk(advance) if isinstance(n, ast.Attribute)}
     assert "wake_cycle" in called and "is_idle" not in called
+
+
+def test_every_public_function_is_mentioned_somewhere():
+    """A public function or method of ``src/repro/`` whose name occurs
+    nowhere in the repository but at its own ``def`` — not in ``src/``,
+    tests, examples, benchmarks, docs, CI, the verify skill or a
+    top-level ``.md`` — is API nobody can have found.  (``ISSUE.md`` is
+    the next PR's task description, not part of the tree.)"""
+    files = [
+        path
+        for top in ("src", "tests", "examples", "benchmarks", "docs",
+                    ".github", ".claude")
+        for path in (REPO / top).rglob("*")
+        if path.suffix in (".py", ".md", ".yml", ".toml", ".json")
+    ]
+    files += [path for path in REPO.glob("*.md") if path.name != "ISSUE.md"]
+    mentions = collections.Counter()
+    for path in files:
+        mentions.update(re.findall(r"[A-Za-z_]\w*", path.read_text()))
+    defined = collections.Counter(
+        node.name
+        for _, node in _walk_src()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_")
+    )
+    dead = sorted(n for n, defs in defined.items() if mentions[n] <= defs)
+    assert not dead, f"public functions mentioned only at their def: {dead}"
+
+
+def _clock_nodes():
+    return [node for rel, node in _walk_src() if rel == "core/clock.py"]
+
+
+def test_the_engine_has_one_path_and_no_scheduler_to_select():
+    """No ``active`` flag threads through ``core/clock.py`` and nothing
+    under ``src/`` spells the retired scheduler value: the full walk is
+    ``tests/reference/full_walk.py``, not an option."""
+    flags = {
+        f"{type(node).__name__}:{node.lineno}"
+        for node in _clock_nodes()
+        if (isinstance(node, ast.arg) and node.arg in ("active", "_active"))
+        or (isinstance(node, ast.Attribute) and node.attr in ("active", "_active"))
+    }
+    assert not flags, f"`active` is back in core/clock.py: {sorted(flags)}"
+    spelt = {
+        f"{rel}:{node.lineno}"
+        for rel, node in _walk_src()
+        if isinstance(node, ast.Constant) and node.value == "naive"
+    }
+    assert not spelt, f'"naive" as a value under src/: {sorted(spelt)}'
+
+
+def test_tick_runs_the_list_and_knows_no_observer():
+    """``ClockEngine.tick`` is sync, read the cycle, run the steps: the
+    profiler and the SUBCYCLE markers are wrappers in the list, never a
+    test inside the cycle."""
+    (tick,) = [
+        node for node in _clock_nodes()
+        if isinstance(node, ast.FunctionDef) and node.name == "tick"
+    ]
+    statements = [n for n in ast.walk(tick) if isinstance(n, ast.stmt)]
+    assert len(statements) - 1 <= 6  # nested ones too; not the def itself
+    named = {n.id for n in ast.walk(tick) if isinstance(n, ast.Name)} | {
+        n.attr for n in ast.walk(tick) if isinstance(n, ast.Attribute)
+    }
+    assert not {n for n in named if "profiler" in n or "SUBCYCLE" in n}

@@ -195,6 +195,37 @@ class TestCrossProcessRoundTrip:
         never_pickled = _continue_and_fingerprint(*_midflight_sim())
         assert _continue_and_fingerprint(restored, rhost) == never_pickled
 
+    def test_parent_shaped_engine_state_restores_onto_the_one_engine(
+        self, monkeypatch
+    ):
+        """A blob written while ``scheduler`` was selectable carries the
+        option in its config state and ``_active``, the topology caches
+        and ``profiler`` in its engine's slot state: it restores onto
+        the one engine — even when it was written under ``"naive"`` —
+        and continues exactly like a run that was never pickled."""
+        from repro.core.clock import ClockEngine
+
+        sim, host = _midflight_sim()
+        object.__setattr__(sim.config, "scheduler", "naive")  # frozen dataclass
+        engine = sim.engine
+        monkeypatch.setattr(ClockEngine, "__getstate__", lambda self: (None, {
+            "sim": self.sim, "stage_counts": self.stage_counts,
+            "_active": False, "_roots": self._roots,
+            "_children": self._children, "_topo_epoch": 3,
+            "_wd_last_cycle": self._wd_last_cycle,
+            "_wd_marker": self._wd_marker, "profiler": None,
+        }))
+        blob = snapshot_bundle(sim, host)
+        monkeypatch.undo()
+        assert b"_active" in blob and b"_topo_epoch" in blob
+        restored, (rhost,) = restore_bundle(blob)
+        assert restored.config.__dict__["scheduler"] == "naive"
+        assert type(restored.engine) is ClockEngine
+        assert restored.engine.stage_counts == engine.stage_counts
+        assert not hasattr(restored.engine, "_active")
+        never_pickled = _continue_and_fingerprint(*_midflight_sim())
+        assert _continue_and_fingerprint(restored, rhost) == never_pickled
+
     def test_service_warm_template_round_trips(self):
         """The session pool's provisioned-template blob — the object
         service recovery ships around — restores identically across

@@ -1,12 +1,14 @@
-"""Golden equivalence: ``scheduler="active"`` vs ``scheduler="naive"``.
+"""Golden equivalence: the engine ("active") vs the full walk ("naive").
 
-The active-set clock engine (repro.core.clock) promises bit-for-bit
-semantics: for any workload, both schedulers must produce identical
-total cycle counts, identical binary trace byte streams, identical
-per-stage work counters and identical final register-file contents.
-This module drives the four Table I configurations, a chained
-two-device topology, an ECC-enabled device and a kitchen-sink engine
-configuration through both schedulers and asserts exactly that.
+The clock engine (repro.core.clock) selects what to visit from active
+sets and skips cycles in which nothing can move; the reference
+(tests/reference/full_walk.py) visits every queue on every cycle.  For
+any workload the two must produce identical total cycle counts,
+identical binary trace byte streams, identical per-stage work counters
+and identical final register-file contents.  This module drives the
+four Table I configurations, a chained two-device topology, an
+ECC-enabled device and a kitchen-sink engine configuration through both
+and asserts exactly that.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from repro.workloads.random_access import (
     RandomAccessConfig,
     random_access_requests,
 )
+from tests.reference.full_walk import BUILD
 
 # The four paper configurations (Table I), scaled request counts.
 TABLE1 = {
@@ -67,16 +70,14 @@ def _drive(
     idle_tail: int = 500,
     **engine_kw,
 ) -> dict:
-    """Run one deterministic workload under *scheduler*, fingerprint it.
+    """Run one deterministic workload on ``BUILD[scheduler]``, fingerprint it.
 
     The global packet serial counter is reset first so trace streams
     from consecutive runs are byte-comparable.
     """
     packet_mod._packet_serial = itertools.count()
-    scfg = SimConfig(
-        device=device, num_devs=num_devs, scheduler=scheduler, **engine_kw
-    )
-    sim = HMCSim(scfg)
+    scfg = SimConfig(device=device, num_devs=num_devs, **engine_kw)
+    sim = BUILD[scheduler](scfg)
     if chain:
         build_chain(sim, host_links=2)
     else:
@@ -110,9 +111,9 @@ def _drive(
     else:
         host.run(stream, cub=0)
     if idle_tail:
-        # Quiescent stretch: the active scheduler fast-forwards this in
-        # closed form; the naive scheduler ticks every cycle.  The
-        # fingerprints must match regardless.
+        # Quiescent stretch: the engine fast-forwards this in closed
+        # form; the reference ticks every cycle.  The fingerprints must
+        # match regardless.
         sim.run(idle_tail)
     return _fingerprint(sim, sink, buf)
 
@@ -171,8 +172,8 @@ def test_kitchen_sink_engine_options_bit_identical():
 
 def test_fault_injected_chain_bit_identical():
     """BER > 0 on every link of a chained config: retries, replay
-    windows and per-link RNG draws must land on the same cycles under
-    both schedulers — bit-for-bit, including the LRS registers."""
+    windows and per-link RNG draws must land on the same cycles on the
+    engine and the reference — bit-for-bit, including the LRS registers."""
     device = DeviceConfig(num_links=4, num_banks=8, capacity=2)
     kw = dict(link_ber=2e-4, link_drop_rate=0.002, link_seed=3)
     naive = _drive("naive", device, num_devs=2, chain=True,
@@ -200,7 +201,7 @@ def test_fault_injection_costs_cycles():
 
 def test_watchdog_armed_fault_free_bit_identical():
     """An armed-but-silent watchdog must not perturb equivalence (the
-    active scheduler clamps its idle fast-forward to the deadline)."""
+    engine clamps its idle fast-forward to the deadline)."""
     device = DeviceConfig(num_links=4, num_banks=8, capacity=2)
     kw = dict(watchdog_cycles=100, link_ber=1e-5, link_seed=9)
     naive = _drive("naive", device, num_devs=2, chain=True,
@@ -212,7 +213,7 @@ def test_watchdog_armed_fault_free_bit_identical():
 
 def test_subcycle_tracing_bit_identical():
     """SUBCYCLE markers are per-cycle events: they disable fast-forward
-    and must appear for every cycle under both schedulers."""
+    and must appear for every cycle on both sides."""
     device = DeviceConfig(num_links=4, num_banks=8, capacity=2)
     naive = _drive(
         "naive", device, num_requests=128, mask=EventType.ALL, idle_tail=64
@@ -227,11 +228,9 @@ class TestBatchedStepping:
     """run(n) / clock_until / is_quiescent surface semantics."""
 
     def _sim(self, scheduler="active"):
-        scfg = SimConfig(
-            device=DeviceConfig(num_links=4, num_banks=8, capacity=2),
-            scheduler=scheduler,
+        sim = BUILD[scheduler](
+            SimConfig(device=DeviceConfig(num_links=4, num_banks=8, capacity=2))
         )
-        sim = HMCSim(scfg)
         sim.attach_host(0, 0)
         return sim
 
@@ -320,13 +319,13 @@ def drive_sparse(scheduler: str, sched: dict, clock=HMCSim.clock) -> dict:
     """Run one sparse schedule; *clock* is ``clock(sim, cycles)``.
 
     The host acts at fixed cycles (a send after each gap, then two long
-    drains), so both schedulers see the same inputs; a watchdog trip
+    drains), so both sides see the same inputs; a watchdog trip
     ends the run and is part of the fingerprint.
     """
     packet_mod._packet_serial = itertools.count()
     chain = sched["chain"]
-    sim = HMCSim(SimConfig(
-        device=_SMALL, num_devs=2 if chain else 1, scheduler=scheduler,
+    sim = BUILD[scheduler](SimConfig(
+        device=_SMALL, num_devs=2 if chain else 1,
         nonlocal_penalty_cycles=sched["penalty"],
         queue_timeout=sched["queue_timeout"],
         refresh_interval=sched["refresh_interval"],

@@ -9,8 +9,8 @@ Covers the service subsystem's contracts end to end:
   exactly to pool counters), 128-tenant scale, priority ordering,
   overload shedding, and failure containment under forced link death;
 * the determinism satellite — same mix + seeds ⇒ identical per-tenant
-  accounting across repeated ``serve`` runs and across both engine
-  schedulers;
+  accounting across repeated ``serve`` runs, and with every shard on
+  the tests' full-walk reference instead of the engine;
 * warm vs cold spin-up equivalence (bit-identical simulated outcome);
 * the checkpoint tracer-holder regression (RAS + file sink) and
   mid-degradation restore.
@@ -38,6 +38,7 @@ from repro.service import (
     specs_from_profiles,
 )
 from repro.workloads.mixes import tenant_mix_profiles, tenant_requests
+from tests.reference.full_walk import ReferencePool
 
 _DEVICE = DeviceConfig(num_links=4, num_banks=8, capacity=2)
 
@@ -54,14 +55,16 @@ def _config(**overrides) -> ServiceConfig:
     return ServiceConfig(**base)
 
 
-def _serve(num_tenants=8, seed=5, base_requests=16, **overrides) -> dict:
+def _serve(num_tenants=8, seed=5, base_requests=16, pool=None,
+           **overrides) -> dict:
     config = _config(**overrides)
     profiles = tenant_mix_profiles(
         num_tenants, seed=seed, base_requests=base_requests
     )
-    return MemoryService(config).serve_sync(
-        specs_from_profiles(profiles, config)
-    )
+    service = MemoryService(config)
+    if pool is not None:
+        service.pool = pool(config)
+    return service.serve_sync(specs_from_profiles(profiles, config))
 
 
 class TestAdmissionUnits:
@@ -286,10 +289,9 @@ class TestServeDeterminism:
                                              "link_drop_rate": 1e-4,
                                              "link_seed": 5}])
     def test_schedulers_identical(self, faults):
-        a = _serve(num_tenants=10, seed=3, scheduler="active", **faults)
-        b = _serve(num_tenants=10, seed=3, scheduler="naive", **faults)
-        assert (deterministic_view(a, ignore_config=True)
-                == deterministic_view(b, ignore_config=True))
+        a = _serve(num_tenants=10, seed=3, **faults)
+        b = _serve(num_tenants=10, seed=3, pool=ReferencePool, **faults)
+        assert deterministic_view(a) == deterministic_view(b)
 
     def test_warm_and_cold_spin_up_equivalent(self):
         warm = _serve(num_tenants=6, seed=9, spin_up="warm")

@@ -26,6 +26,7 @@ from repro.core.simulator import HMCSim
 from repro.packets.commands import CMD
 from repro.packets.packet import build_memrequest
 from repro.topology.builder import build_chain
+from tests.reference.full_walk import BUILD
 from tests.test_scheduler_equivalence import (
     _SMALL,
     _assert_identical,
@@ -37,8 +38,8 @@ SCHEDULERS = ("active", "naive")
 
 
 def _sim(scheduler="active", num_devs=1, **engine_kw) -> HMCSim:
-    sim = HMCSim(SimConfig(device=_SMALL, num_devs=num_devs,
-                           scheduler=scheduler, **engine_kw))
+    sim = BUILD[scheduler](
+        SimConfig(device=_SMALL, num_devs=num_devs, **engine_kw))
     if num_devs > 1:
         return build_chain(sim, host_links=1)
     for link in range(_SMALL.num_links):
