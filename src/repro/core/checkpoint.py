@@ -30,8 +30,12 @@ mid-degradation resumes bit-identically — a HALF link stays HALF with
 its doubled FLIT serialization, it does not silently reset to FULL
 (tests/test_link_inband.py::TestCheckpointRoundTrip).
 
+``PacketQueue`` and ``Vault`` (besides ``Bank`` and the engine) pickle
+explicit state, a flat tuple of their slots; their ``__setstate__``
+still takes the ``(None, {slot: value})`` shape older blobs hold.
+
 Every blob starts with a versioned magic header (:data:`MAGIC`), so a
-corrupt, truncated, or incompatible blob raises a typed
+corrupt, truncated, incompatible or hollow blob raises a typed
 :class:`~repro.core.errors.CheckpointError` instead of leaking a raw
 pickle traceback — callers (the service recovery layer in particular)
 can catch one exception type and decide whether to retry, rebuild, or
@@ -58,8 +62,10 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.bank import ATOM_WORDS, Bank
+from repro.core.device import HMCDevice
 from repro.core.errors import CheckpointError
 from repro.core.simulator import HMCSim
+from repro.core.vault import Vault
 from repro.trace.tracer import Tracer
 
 #: Versioned magic header prepended to every snapshot blob.  Bump the
@@ -105,6 +111,16 @@ def _unpickle(payload: memoryview, kind: str) -> Any:
         raise CheckpointError(
             f"{kind}: payload is corrupt or truncated ({exc})"
         ) from exc
+
+
+def _check_spine(sim: HMCSim, kind: str) -> None:
+    """CheckpointError unless the device / vault lists restore walks exist."""
+    if type(devices := getattr(sim, "devices", None)) is not list:
+        raise CheckpointError(f"{kind}: the simulation has no device list")
+    for i, dev in enumerate(devices):
+        vaults = getattr(dev, "vaults", None) if isinstance(dev, HMCDevice) else None
+        if type(vaults) is not list or not all(type(v) is Vault for v in vaults):
+            raise CheckpointError(f"{kind}: device {i} has no list of vaults")
 
 
 def _tracer_holders(sim: HMCSim) -> List[Any]:
@@ -223,10 +239,11 @@ class PageStore:
                 f"{shape!r} banks, its manifest {n} banks, the page store "
                 f"{len(self.pages)} / {len(self.states)}"
             )
-        held = [j for j, vault in enumerate(vaults) if vault.banks != []]
+        held = [j for j, v in enumerate(vaults)
+                if type(v) is not Vault or getattr(v, "banks", None) != []]
         if held:
             raise CheckpointError(
-                f"restore_bundle: vaults {held} arrive already holding banks"
+                f"restore_bundle: vaults {held} are not vaults without banks"
             )
         owners = [v for v, k in zip(vaults, shape) for _ in range(k)]
         for i, (vault, state, image) in enumerate(
@@ -348,6 +365,7 @@ def restore(blob: bytes) -> HMCSim:
         raise CheckpointError(
             f"restore: snapshot does not contain an HMCSim: {type(sim)!r}"
         )
+    _check_spine(sim, "restore")
     _rewire_tracer(sim)
     return sim
 
@@ -402,6 +420,7 @@ def restore_bundle(
             "restore_bundle: the blob is self-contained; it takes no "
             "page store"
         )
+    _check_spine(sim, "restore_bundle")
     if store is not None:
         store.fill(sim, manifest[0])
     _rewire_tracer(sim)

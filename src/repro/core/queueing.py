@@ -90,6 +90,24 @@ class PacketQueue:
             else:
                 act_set.discard(key)
 
+    # -- pickling -------------------------------------------------------------
+
+    def __getstate__(self) -> tuple:
+        # Flat, deques as tuples: pickle reduces a deque through Python's
+        # copyreg._slotnames on every call (builtins cannot cache it).
+        return (self.depth, self.name, tuple(self._q), tuple(self._stamps),
+                self.high_water, self.total_enqueued, self.total_dequeued,
+                self.total_stalls, self._act_set, self._act_key,
+                self.special_count)
+
+    def __setstate__(self, state: tuple) -> None:
+        if len(state) == 2:  # (None, {slot: value}): every older blob
+            state = tuple(state[1][name] for name in self.__slots__)
+        (self.depth, self.name, q, stamps, self.high_water,
+         self.total_enqueued, self.total_dequeued, self.total_stalls,
+         self._act_set, self._act_key, self.special_count) = state
+        self._q, self._stamps = deque(q), deque(stamps)
+
     # -- capacity ------------------------------------------------------------
 
     def __len__(self) -> int:

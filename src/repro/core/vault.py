@@ -16,6 +16,7 @@ their bank addressing does not conflict".
 from __future__ import annotations
 
 from itertools import islice
+from operator import attrgetter
 from typing import TYPE_CHECKING, List, Optional
 
 from repro.addressing.address_map import AddressMap
@@ -57,6 +58,8 @@ class Vault:
         "conflict_count", "issue_stall_cycles", "rsp_stall_count",
         "refresh_count", "_busy_mask", "_next_free",
     )
+    #: Every slot in one C call (no descriptor: ``self._flat(self)``).
+    _flat = attrgetter(*__slots__)
 
     def __init__(
         self,
@@ -93,6 +96,15 @@ class Vault:
         self.issue_stall_cycles = 0
         self.rsp_stall_count = 0
         self.refresh_count = 0
+
+    def __getstate__(self) -> tuple:
+        return self._flat(self)  # flat, in __slots__ order
+
+    def __setstate__(self, state: tuple) -> None:
+        if len(state) == 2:  # (None, {slot: value}): every older blob
+            state = tuple(state[1][name] for name in self.__slots__)
+        for name, value in zip(self.__slots__, state, strict=True):
+            setattr(self, name, value)
 
     def refresh(self, cycle: int, refresh_cycles: int) -> None:
         """DRAM refresh: take every bank of this vault busy at once."""

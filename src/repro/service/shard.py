@@ -135,6 +135,7 @@ class Shard:
             config.network_base_delay, config.network_port_interval
         )
         self.sessions: Dict[int, Session] = {}
+        self._resident: Optional[List[Session]] = None
         self.free_slots: List[int] = list(range(config.slots_per_shard))
         self.dead_slots: List[int] = []
         self.dead = False
@@ -200,6 +201,7 @@ class Shard:
         account.slot = slot
         account.status = "active"
         self.sessions[slot] = session
+        self._resident = None
         # Membership changed: a later restore must bring the new
         # resident back with everyone else.
         self._epoch_due = self._recovery_armed
@@ -228,17 +230,20 @@ class Shard:
                 return displaced
             if self.dead or not self.sessions:
                 return []
-        resident = [self.sessions[s] for s in sorted(self.sessions)]
+        resident = self._residents()
         cycle = self.sim.clock_value
         for sess in resident:
-            if not sess.failed:
+            # Exhausted with no pending head: the send phase is a no-op.
+            if not sess.failed and (sess._pending or not sess._exhausted):
                 self._send_phase(sess, cycle)
         try:
             self.sim.clock()
         except WatchdogError as exc:
             return self._crash(f"watchdog: {exc}", status="watchdog")
+        # Host.responses_queued() of a host partitioned onto (0, slot):
+        xbars = self.sim.devices[0].xbars
         for sess in resident:
-            if sess.failed or not sess.host.responses_queued():
+            if sess.failed or not xbars[sess.slot].rsp._q:
                 continue
             before = sess.host.mark()
             sess.host.drain_responses()
@@ -252,10 +257,11 @@ class Shard:
                 acct.deadline_misses += sum(
                     1 for lat in latencies if lat > deadline
                 )
-        self._attribute_faults(resident)
-        degraded = any(
-            st.health is not LinkHealth.FULL
-            for st in self.sim._link_fault_states
+        states = self.sim._link_fault_states
+        if states:
+            self._attribute_faults(resident)
+        degraded = states and any(
+            st.health is not LinkHealth.FULL for st in states
         )
         for sess in resident:
             if sess.failed:
@@ -265,7 +271,8 @@ class Shard:
             if degraded:
                 sess.account.degraded_cycles += 1
         self.cycles_pumped += 1
-        completed = self._retire_finished()
+        completed = self._retire_finished() if any(
+            sess.failed or sess.finished for sess in resident) else []
         if self._recovery_armed and (
             completed
             or self.cycles_pumped % self.config.checkpoint_interval == 0
@@ -343,8 +350,6 @@ class Shard:
 
     def _attribute_faults(self, resident: List[Session]) -> None:
         states = self.sim._link_fault_states
-        if not states:
-            return
         active = [s for s in resident if not s.failed]
         while len(self._fault_base) < len(states):
             self._fault_base.append((0, 0))  # state attached mid-run
@@ -570,13 +575,12 @@ class Shard:
         """Terminal: the whole shard is retired, sessions are displaced."""
         self.dead = True
         self.dead_reason = reason
-        completed: List[Session] = []
-        for slot in sorted(self.sessions):
-            sess = self.sessions[slot]
+        completed = self._residents()
+        for sess in completed:
             self._fail_session(sess, status)
-            self.dead_slots.append(slot)
-            completed.append(sess)
+            self.dead_slots.append(sess.slot)
         self.sessions.clear()
+        self._resident = None
         self.free_slots.clear()
         self.recovery_events.append({
             "kind": "shard_retired",
@@ -586,10 +590,16 @@ class Shard:
         })
         return completed
 
+    def _residents(self) -> List[Session]:
+        """``sessions`` in slot order, re-sorted after a lease or retirement."""
+        if self._resident is None:
+            self._resident = [self.sessions[s] for s in sorted(self.sessions)]
+        return self._resident
+
     def _retire_finished(self) -> List[Session]:
         completed: List[Session] = []
-        for slot in sorted(self.sessions):
-            sess = self.sessions[slot]
+        for sess in self._residents():
+            slot = sess.slot
             if sess.failed:
                 # The slot's link is dead; never lease it again.
                 del self.sessions[slot]
@@ -602,6 +612,7 @@ class Shard:
                 self.free_slots.append(slot)
                 self.free_slots.sort()
                 completed.append(sess)
+        self._resident = None
         return completed
 
     # -- reporting ------------------------------------------------------------

@@ -63,6 +63,9 @@ class TestPreFlatCoreBlob:
         # anything — fail loudly instead.
         assert b"_storage_v2" not in blob
         assert b"_blocks" in blob
+        # Queues and vaults in pickle's (None, {slot: value}) shape,
+        # which their __setstate__ still takes.
+        assert b"_stamps" in blob and b"_busy_mask" in blob
 
     def test_restores_into_paged_storage(self, fixture_blob):
         blob, expect = fixture_blob
@@ -100,6 +103,7 @@ class TestPage4kBlob:
         blob, expect = page4k
         assert len(blob) == expect["blob_bytes"]
         assert b"_storage_v2" in blob
+        assert b"_stamps" in blob and b"_busy_mask" in blob  # dict-shaped
         # Today's banks use another page size, or this proves nothing.
         assert expect["page_words"] == [512] and PAGE_ATOMS * 2 != 512
 

@@ -13,9 +13,10 @@
   next pump restores the post-lease membership;
 * a skeleton blob or page store that does not belong together raises
   :class:`~repro.core.errors.CheckpointError`, never a raw error — the
-  store's bank states and the manifest's bank-per-vault shape included;
+  store's bank states and the manifest's bank-per-vault shape included,
+  and so does a blob with a flipped bit or a hollow device graph;
 * no bank enters a non-ECC epoch blob, and the ``serve128_armed`` epoch
-  stays under 24,000 bytes.
+  stays under 15,000 bytes.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from repro.core.bank import Bank
 from repro.core.checkpoint import (
     MAGIC,
     PageStore,
+    restore,
     restore_bundle,
     snapshot_bundle,
 )
@@ -52,6 +54,7 @@ from repro.service.sessions import SessionPool
 from repro.service.shard import Shard
 from repro.trace.binfmt import BinarySink
 from repro.trace.events import EventType
+from tests import checkpoint_fuzz
 
 _DEVICE = DeviceConfig(num_links=4, num_banks=8, capacity=2)
 _WORD = st.integers(min_value=0, max_value=(1 << 64) - 1)
@@ -455,6 +458,33 @@ class TestHostileInputs:
                 typed += 1
         assert typed > 0
 
+    def test_strided_bit_flips_restore_or_raise_checkpoint_error(self):
+        # Every 17th byte of a skeleton and of a full blob (~3 s);
+        # `python -m tests.checkpoint_fuzz` flips every byte.
+        for name, blob, restore_fn in checkpoint_fuzz.blobs():
+            typed, restored, leaks = checkpoint_fuzz.flip(
+                blob, restore_fn, stride=17
+            )
+            assert not leaks, (name, dict(leaks))
+            assert typed > 0 and restored > 0, name
+
+    def test_hollow_simulation(self, delta_epoch):
+        # A sim whose device / vault graph is missing or damaged fails
+        # before anything walks it (tracer holders, the page store).
+        hollow = HMCSim.__new__(HMCSim)
+        with pytest.raises(CheckpointError, match="no device list"):
+            restore(MAGIC + pickle.dumps(hollow))
+        with pytest.raises(CheckpointError, match="no device list"):
+            restore_bundle(MAGIC + pickle.dumps((hollow, ())))
+        blob, store = delta_epoch
+
+        def edit(sim, extras, manifest):
+            sim.devices[0].vaults[5] = Host.__new__(Host)
+            return sim, extras, tuple(manifest)
+
+        with pytest.raises(CheckpointError, match="device 0 has no list"):
+            restore_bundle(self._reforge(blob, edit), store=store)
+
     def test_skeleton_without_its_store(self, delta_epoch):
         blob, _ = delta_epoch
         with pytest.raises(CheckpointError, match="page store"):
@@ -608,7 +638,10 @@ class TestHostileInputs:
         # The seed-1 serve128_armed shape (benchmarks/spine): 128
         # tenants x 16 requests, checkpoint interval 256, CLI defaults.
         # While the 256 banks travelled in them its 192 epoch blobs
-        # read 50,331 bytes (mean), the last per shard 49,060-50,724.
+        # read 50,331 bytes (mean), the last per shard 49,060-50,724;
+        # without them 18,979 (mean), the last per shard 17,650-19,297;
+        # since queues and vaults pickle flat tuples 13,542 (mean), the
+        # last per shard 12,210-13,860.
         from repro.core.config import PAPER_CONFIGS
         from repro.service import MemoryService, specs_from_profiles
         from repro.workloads.mixes import tenant_mix_profiles
@@ -623,5 +656,5 @@ class TestHostileInputs:
         assert len(service.shards) == 4
         for shard in service.shards:
             blob = shard._epoch["blob"]
-            assert len(blob) <= 24_000
+            assert len(blob) <= 15_000
             assert b"repro.core.bank" not in blob

@@ -4,8 +4,9 @@
 second ``Packet.__new__`` call site, a second way to pickle a bank
 without its pages, a second caller of ``ClockEngine.tick``, an idle
 test beside ``wake_cycle`` in ``advance``, a way back to a selectable
-scheduler or to a ``tick()`` that branches on its observers — and, over
-the whole repository, a public function nobody mentions."""
+scheduler or to a ``tick()`` that branches on its observers, a sort or a
+host query in the shard pump — and, over the whole repository, a public
+function nobody mentions."""
 
 import ast
 import collections
@@ -188,3 +189,22 @@ def test_tick_runs_the_list_and_knows_no_observer():
         n.attr for n in ast.walk(tick) if isinstance(n, ast.Attribute)
     }
     assert not {n for n in named if "profiler" in n or "SUBCYCLE" in n}
+
+
+def test_the_pump_neither_sorts_nor_asks_the_host():
+    """``Shard.pump`` walks a resident list sorted once per membership
+    change and tests each session's host-link queue itself: no
+    ``sorted`` and no ``Host.responses_queued`` per pumped cycle."""
+    (pump,) = [
+        node for rel, node in _walk_src()
+        if rel == "service/shard.py" and isinstance(node, ast.FunctionDef)
+        and node.name == "pump"
+    ]
+    called = {
+        call.func.id if isinstance(call.func, ast.Name) else call.func.attr
+        for call in ast.walk(pump)
+        if isinstance(call, ast.Call)
+        and isinstance(call.func, (ast.Name, ast.Attribute))
+    }
+    assert "_residents" in called
+    assert not called & {"sorted", "responses_queued"}

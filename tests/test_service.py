@@ -19,13 +19,17 @@ Covers the service subsystem's contracts end to end:
 from __future__ import annotations
 
 import asyncio
+import inspect
 import json
+import textwrap
 
 import pytest
 
 from repro.analysis.tenants import check_consistency, deterministic_view
 from repro.core.config import DeviceConfig
 from repro.core.errors import InitError
+from repro.packets.commands import CMD
+from repro.service import shard as shard_mod
 from repro.service import (
     AdmissionController,
     FabricPort,
@@ -37,6 +41,8 @@ from repro.service import (
     TokenBucket,
     specs_from_profiles,
 )
+from repro.service.accounting import TenantAccount
+from repro.service.shard import Shard
 from repro.workloads.mixes import tenant_mix_profiles, tenant_requests
 from tests.reference.full_walk import ReferencePool
 
@@ -321,6 +327,75 @@ class TestServeDeterminism:
 
         report = asyncio.run(main())
         assert check_consistency(report) == []
+
+
+def _shard(**overrides) -> Shard:
+    config = _config(max_shards=1, **overrides)
+    sim, _ = SessionPool(config).spin_up()
+    return Shard(0, sim, config)
+
+
+def _lease(shard: Shard, name: str, n: int) -> TenantAccount:
+    acct = TenantAccount(name)
+    stream = [(CMD.WR16, i * 64, [i, i]) for i in range(n)]
+    shard.lease(TenantSpec(name, iter(stream)), acct)
+    return acct
+
+
+def _joins_the_next_pump() -> None:
+    shard = _shard()
+    a = _lease(shard, "a", 64)
+    for _ in range(3):
+        shard.pump()
+    b = _lease(shard, "b", 64)
+    shard.pump()
+    assert (a.slot_cycles, b.slot_cycles) == (4, 1)
+    while shard.busy:
+        shard.pump()
+        assert shard.cycles_pumped < 2_000
+    assert a.responses == b.responses == 64
+
+
+def _failed_session_retires_at_once() -> None:
+    shard = _shard(provision_requests=0, link_drop_rate=1.0, link_seed=3)
+    acct = _lease(shard, "a", 64)
+    (sess,) = shard.sessions.values()
+    while not sess.failed:
+        completed = shard.pump()
+        assert shard.cycles_pumped < 2_000
+    assert completed == [sess] and acct.status == "link_failed"
+    assert not shard.sessions and shard.dead_slots == [sess.slot]
+
+
+class TestPump:
+    """The pump sorts its residents once per membership change and runs
+    retirement only when a resident failed or finished — checked here
+    without the golden reports, and against two hand mutants."""
+
+    def test_a_lease_between_pumps_joins_the_next_pump(self):
+        _joins_the_next_pump()
+
+    def test_a_failed_session_retires_on_the_pump_it_failed(self):
+        _failed_session_retires_at_once()
+
+    _MUTANTS = {
+        "lease leaves the resident list stale":
+            ("lease", "self._resident = None", "pass"),
+        "the retirement gate ignores failed sessions":
+            ("pump", "sess.failed or sess.finished", "sess.finished"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(_MUTANTS))
+    def test_hand_mutant_is_killed(self, name, monkeypatch):
+        method, old, new = self._MUTANTS[name]
+        source = textwrap.dedent(inspect.getsource(getattr(Shard, method)))
+        assert source.count(old) == 1, f"mutation site {old!r} moved"
+        scope = dict(vars(shard_mod))
+        exec(compile(source.replace(old, new), "<mutant>", "exec"), scope)
+        monkeypatch.setattr(Shard, method, scope[method])
+        with pytest.raises(AssertionError):
+            _joins_the_next_pump()
+            _failed_session_retires_at_once()
 
 
 class TestSessionPool:
