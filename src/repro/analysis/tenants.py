@@ -127,15 +127,10 @@ def audit_report(report: dict) -> dict:
         violations.append(f"admission: {adm['parked']} tickets left parked")
     return {"ok": not violations, "violations": violations}
 
-#: Report keys that carry wall-clock measurements (reporting only —
-#: nothing simulated depends on them, so determinism checks drop them).
-_WALL_CLOCK_KEYS = ("spin_up", "lease_spin_up_ms")
-
 
 def deterministic_view(report: dict, ignore_config: bool = False) -> dict:
     """The report minus wall-clock fields (and, optionally, the config
-    block — for comparing runs whose configs differ by design, such as
-    warm and cold spin-up)."""
+    block — for comparing runs whose configs differ by design)."""
     view = copy.deepcopy(report)
     view.pop("spin_up", None)
     if ignore_config:
@@ -228,8 +223,7 @@ def render_service_summary(report: dict) -> str:
         f"tenants: {totals['tenants']} registered "
         f"({adm['granted']} granted, {adm['rejected']} rejected)",
         f"pool: {len(report['shards'])} shard(s) x "
-        f"{report['config']['slots_per_shard']} slot(s), "
-        f"spin_up={report['config']['spin_up']}",
+        f"{report['config']['slots_per_shard']} slot(s)",
         f"traffic: {totals['requests_sent']:,} requests, "
         f"{totals['responses']:,} responses, {totals['errors']:,} errors, "
         f"{totals['slot_cycles']:,} tenant-cycles",
@@ -238,14 +232,8 @@ def render_service_summary(report: dict) -> str:
         f"{totals['degraded_cycles']:,} degraded tenant-cycles",
     ]
     warm = spin.get("warm", {})
-    cold = spin.get("cold", {})
-    if warm.get("count") or cold.get("count"):
-        parts = []
-        if warm.get("count"):
-            parts.append(f"warm x{warm['count']} mean {warm['mean_ms']:.1f}ms")
-        if cold.get("count"):
-            parts.append(f"cold x{cold['count']} mean {cold['mean_ms']:.1f}ms")
-        lines.append(f"spin-up: {', '.join(parts)} "
+    if warm.get("count"):
+        lines.append(f"spin-up: x{warm['count']} mean {warm['mean_ms']:.1f}ms "
                      f"(template {spin.get('template_ms', 0):.1f}ms)")
     recovery = report.get("recovery", {})
     if recovery.get("crashes") or recovery.get("failovers"):

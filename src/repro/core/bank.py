@@ -15,6 +15,7 @@ footprint, not the configured capacity.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -86,19 +87,19 @@ class Bank:
     those pages per epoch instead of pickling the whole bank.
     """
 
-    __slots__ = ("bank_id", "capacity_bytes", "drams", "_pages",
-                 "_store", "_tstore", "_dirty", "_page_words",
+    __slots__ = ("bank_id", "capacity_bytes", "num_drams", "_page_words",
                  "busy_until", "reads", "writes", "atomics", "conflicts",
                  "column_fetches", "open_row", "row_hits", "row_misses",
-                 "ras", "dram_access_count", "_owner")
+                 "dram_access_count", "ras", "_owner",
+                 "_pages", "_store", "_tstore", "_dirty")
 
-    #: Slots pickled by name: all but page storage, which travels as
-    #: ``_storage_v2`` (or outside the stream, see :meth:`sync_image`),
-    #: and the stateless DRAM leaves, which travel as a count.
-    _STATE_SLOTS = tuple(
-        name for name in __slots__
-        if name not in ("drams", "_pages", "_store", "_tstore", "_dirty")
-    )
+    #: The integer slots — what a :class:`~repro.core.checkpoint.PageStore`
+    #: keeps per bank — then the two references; page storage follows
+    #: them in :meth:`__getstate__`.  The one definition of the layout.
+    _INT_SLOTS = __slots__[:14]
+    _STATE_SLOTS = __slots__[:16]
+    #: The integer slots in one C call (no descriptor: ``Bank._ints(b)``).
+    _ints = attrgetter(*_INT_SLOTS)
 
     def __init__(self, bank_id: int, capacity_bytes: int, num_drams: int = 8) -> None:
         if capacity_bytes <= 0 or capacity_bytes % ATOM_BYTES:
@@ -108,7 +109,7 @@ class Bank:
             )
         self.bank_id = bank_id
         self.capacity_bytes = capacity_bytes
-        self.drams: List[DRAM] = [DRAM(i, self) for i in range(num_drams)]
+        self.num_drams = num_drams
         #: Accesses seen by each DRAM slice (all slices move together).
         self.dram_access_count = 0
         # Sparse paged storage: page index -> row of the word store and
@@ -199,11 +200,6 @@ class Bank:
         # Each 32-byte column fetch services two atoms; odd atom counts
         # still require a full fetch.
         self.column_fetches += (nbytes + COLUMN_FETCH_BYTES - 1) // COLUMN_FETCH_BYTES
-
-    def _touch_drams(self, nbytes: int) -> None:
-        # All DRAM slices participate in every access (they form the
-        # data width of the bank).
-        self.dram_access_count += 1
 
     def _materialize(self, pg: int) -> int:
         """Give page *pg* the next (zeroed) row of the store.
@@ -325,7 +321,7 @@ class Bank:
         half = (byte_addr % ATOM_BYTES) // 8  # which 64-bit word of the atom
         self.writes += 1
         self._count_fetches(ATOM_BYTES)
-        self._touch_drams(ATOM_BYTES)
+        self.dram_access_count += 1  # every DRAM slice takes part
         page, off = self._page_for_write(atom)
         word = int(page[off + half])
         for b in range(8):
@@ -348,7 +344,7 @@ class Bank:
             raise ValueError("ADD16 requires exactly one 16-byte operand")
         self.atomics += 1
         self._count_fetches(ATOM_BYTES)
-        self._touch_drams(ATOM_BYTES)
+        self.dram_access_count += 1  # every DRAM slice takes part
         atom = byte_addr // ATOM_BYTES
         page, off = self._page_for_write(atom)
         old0, old1 = int(page[off]), int(page[off + 1])
@@ -466,59 +462,45 @@ class Bank:
         self._store, self._tstore = store, tstore
         self._dirty = set(self._pages)
 
-    # -- versioned pickling ---------------------------------------------------
+    # -- pickling -------------------------------------------------------------
 
-    def skeleton_state(self) -> dict:
-        """Everything :meth:`__getstate__` pickles except page storage."""
-        state = {name: getattr(self, name) for name in self._STATE_SLOTS}
-        state["num_drams"] = len(self.drams)
-        return state
+    def __getstate__(self) -> tuple:
+        # Flat: the _STATE_SLOTS, the sorted page indices, their rows as
+        # one buffer and their touched maps as one bit-packed buffer.
+        pages = sorted(self._pages)
+        rows = [self._pages[pg] for pg in pages]
+        words = touched = b""
+        if rows:
+            words = self._store[rows].tobytes()
+            touched = np.packbits(self._tstore[rows]).tobytes()
+        return (*self._ints(self), self.ras, self._owner, tuple(pages),
+                words, touched)
 
-    def __getstate__(self) -> dict:
-        state = self.skeleton_state()
-        # v2 storage codec: raw page bytes + bit-packed touched maps.
-        store, tstore = self._store, self._tstore
-        state["_storage_v2"] = [
-            (pg, store[row].tobytes(), np.packbits(tstore[row]).tobytes())
-            for pg, row in sorted(self._pages.items())
-        ]
-        return state
-
-    def __setstate__(self, state) -> None:
-        if isinstance(state, tuple):
-            # Default slots-object pickle protocol: (dict_state, slots).
-            state = {**(state[0] or {}), **(state[1] or {})}
-        else:
-            state = dict(state)
-        storage = state.pop("_storage_v2", None)
-        blocks = state.pop("_blocks", None)
-        num_drams = state.pop("num_drams", None)
-        for name, value in state.items():
+    def __setstate__(self, state: tuple) -> None:
+        # Allocates what the buffers hold and nothing else: whether the
+        # slots fit the device is the restore's check (checkpoint.py).
+        *slots, pages, words, touched = state
+        for name, value in zip(self._STATE_SLOTS, slots, strict=True):
             setattr(self, name, value)
-        if num_drams is not None:
-            # Blobs written before the count replaced the leaves carry
-            # the DRAM objects themselves under "drams" (set above).
-            self.drams = [DRAM(i, self) for i in range(num_drams)]
-        if "_page_words" not in state:
-            # Pre-flat-core blob: the slot didn't exist yet.
-            self._page_words = min(_PAGE_WORDS, self.capacity_bytes // 8)
-        pw = self._page_words
-        if not (isinstance(pw, int) and pw >= ATOM_WORDS):
-            raise ValueError(f"bank page size of {pw!r} words")
+        n, pw = len(pages), self._page_words
         page_atoms = pw // ATOM_WORDS
-        self.import_storage([
-            (pg, np.frombuffer(words, dtype=np.uint64),
-             np.unpackbits(np.frombuffer(touched, dtype=np.uint8))[:page_atoms])
-            for pg, words, touched in storage or ()
-        ])
+        if len(words) != 8 * n * pw or len(touched) != -(-n * page_atoms // 8):
+            raise ValueError(f"storage is not {n} {pw}-word pages")
+        self._pages = dict(zip(pages, range(n)))
+        self._store = self._tstore = None
+        if n:
+            self._store = np.frombuffer(words, np.uint64).reshape(n, pw).copy()
+            bits = np.unpackbits(np.frombuffer(touched, np.uint8))
+            self._tstore = bits[: n * page_atoms].reshape(n, page_atoms).astype(bool)
         self._dirty = set()
-        if storage is None and blocks:
-            # Pre-flat-core blob: dict-of-atoms storage; replay it into
-            # pages so old checkpoints restore into the new layout.
-            for atom, (w0, w1) in blocks.items():
-                self.set_atom_words(atom, w0, w1)
 
     # -- diagnostics ----------------------------------------------------------
+
+    @property
+    def drams(self) -> List[DRAM]:
+        """The DRAM slices, built on demand: they are stateless leaves,
+        so a bank holds (and pickles) only their count."""
+        return [DRAM(i, self) for i in range(self.num_drams)]
 
     @property
     def touched_bytes(self) -> int:

@@ -15,31 +15,23 @@ detached through the same stand-in, so the whole restored graph shares
 one tracer and no sink object ever enters the pickle stream.  An
 attached stage profiler (:func:`repro.analysis.profiling.attach`) is
 host-side state of the same kind: the clock engine pickles its run
-state only, so no wall-clock reading enters a blob — two identical
-profiled runs snapshot to equal bytes — and a restored simulation has
-no profiler; ``attach`` again after restore.  Host-side
-objects (:class:`~repro.host.host.Host` etc.) hold a reference to the
-sim and must be checkpointed *with* it via :func:`snapshot_bundle` to
-keep the object graph consistent.
+state only, so two identical profiled runs snapshot to equal bytes and
+a restored simulation has no profiler.  Host-side objects
+(:class:`~repro.host.host.Host` etc.) hold a reference to the sim and
+must be checkpointed *with* it via :func:`snapshot_bundle`.  The
+in-band link fault state (retry pointers, the injector's block of
+pending flips, the degradation ladder, LRS mirrors) is part of the
+graph, so a HALF link restores HALF (tests/test_link_inband.py).
 
-The in-band link fault machinery (:mod:`repro.faults.inband`) is part
-of the pickled graph: per-direction retry pointers, the fault
-injector's block of pending flips, the degradation-ladder position and
-the LRS register mirrors all round-trip, so a simulation restored
-mid-degradation resumes bit-identically — a HALF link stays HALF with
-its doubled FLIT serialization, it does not silently reset to FULL
-(tests/test_link_inband.py::TestCheckpointRoundTrip).
-
-``PacketQueue`` and ``Vault`` (besides ``Bank`` and the engine) pickle
-explicit state, a flat tuple of their slots; their ``__setstate__``
-still takes the ``(None, {slot: value})`` shape older blobs hold.
-
-Every blob starts with a versioned magic header (:data:`MAGIC`), so a
-corrupt, truncated, incompatible or hollow blob raises a typed
-:class:`~repro.core.errors.CheckpointError` instead of leaking a raw
-pickle traceback — callers (the service recovery layer in particular)
-can catch one exception type and decide whether to retry, rebuild, or
-abort.
+A blob is ``HMCSNAP\x02``, the CRC-32 of the payload and the payload;
+each pickled class has exactly one state shape (docs/api.md
+"Checkpoint format").  A blob that fails its CRC, is truncated, of
+another version, hollow, or whose graph does not fit its own config
+(:func:`_check_config`) raises a typed
+:class:`~repro.core.errors.CheckpointError` — callers (the service
+recovery layer in particular) catch one exception type.  ``\x01`` blobs
+load through :mod:`repro.core.migrate`, the only code that knows older
+shapes.
 
 Repeated checkpoints of one running simulation (the service's epochs)
 pass a :class:`PageStore` to :func:`snapshot_bundle` /
@@ -56,31 +48,34 @@ import copyreg
 import io
 import pickle
 import weakref
-from operator import attrgetter
+import zlib
+from dataclasses import replace
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.bank import ATOM_WORDS, Bank
+from repro.core.config import DeviceConfig, SimConfig
 from repro.core.device import HMCDevice
-from repro.core.errors import CheckpointError
+from repro.core.errors import CheckpointError, InitError
 from repro.core.simulator import HMCSim
 from repro.core.vault import Vault
 from repro.trace.tracer import Tracer
 
-#: Versioned magic header prepended to every snapshot blob.  Bump the
-#: trailing version byte when the pickled payload shape changes
-#: incompatibly; :func:`restore` rejects blobs from other versions.
-MAGIC = b"HMCSNAP\x01"
+#: Versioned magic header prepended to every snapshot blob; the CRC-32
+#: of the payload follows it.  Bump the trailing version byte when a
+#: pickled state shape changes, and teach :mod:`repro.core.migrate` the
+#: old one.
+MAGIC = b"HMCSNAP\x02"
+_HEADER = len(MAGIC) + 4
 
 
-def _strip_magic(blob: bytes, kind: str) -> memoryview:
-    """Validate the magic header and return a view of the payload
-    behind it (no copy of the blob); raises CheckpointError."""
+def _unpickle(blob: bytes, kind: str) -> Any:
+    """Check the header — and the CRC of a current-version payload —
+    then unpickle the payload behind it (a version-1 payload through
+    :mod:`repro.core.migrate`); raises CheckpointError."""
     if not isinstance(blob, (bytes, bytearray, memoryview)):
-        raise CheckpointError(
-            f"{kind}: expected bytes, got {type(blob).__name__}"
-        )
+        raise CheckpointError(f"{kind}: expected bytes, got {type(blob).__name__}")
     try:
         view = memoryview(blob).cast("B")
     except TypeError as exc:
@@ -92,20 +87,24 @@ def _strip_magic(blob: bytes, kind: str) -> memoryview:
         )
     head = bytes(view[: len(MAGIC)])
     if head[:-1] != MAGIC[:-1]:
+        raise CheckpointError(f"{kind}: bad magic {head!r} — not a snapshot blob")
+    version, payload = head[-1], view[_HEADER:]
+    if version == 1:
+        payload = view[len(MAGIC):]
+    elif version != MAGIC[-1]:
         raise CheckpointError(
-            f"{kind}: bad magic {head!r} — not a snapshot blob"
+            f"{kind}: snapshot format version {version} "
+            f"is not supported (want 1 or {MAGIC[-1]})"
         )
-    if head[-1] != MAGIC[-1]:
-        raise CheckpointError(
-            f"{kind}: snapshot format version {head[-1]} "
-            f"is not supported (want {MAGIC[-1]})"
-        )
-    return view[len(MAGIC):]
-
-
-def _unpickle(payload: memoryview, kind: str) -> Any:
-    """Deserialise a validated payload; raises CheckpointError."""
+    elif (len(view) < _HEADER or zlib.crc32(payload)
+          != int.from_bytes(view[len(MAGIC):_HEADER], "little")):
+        raise CheckpointError(f"{kind}: payload is corrupt or truncated "
+                              f"(its CRC-32 does not match the header)")
     try:
+        if version == 1:
+            from repro.core import migrate
+
+            return migrate.loads(payload)
         return pickle.loads(payload)
     except Exception as exc:
         raise CheckpointError(
@@ -113,31 +112,68 @@ def _unpickle(payload: memoryview, kind: str) -> Any:
         ) from exc
 
 
-def _check_spine(sim: HMCSim, kind: str) -> None:
-    """CheckpointError unless the device / vault lists restore walks exist."""
+def _check_config(sim: HMCSim, kind: str, banks: bool = True) -> None:
+    """CheckpointError unless the restored graph has the shape its own
+    (valid) config describes: ``num_devs`` devices of ``num_vaults``
+    vaults and, with *banks*, ``num_banks`` banks per vault, each of the
+    configured capacity and DRAM count, with a page size between one
+    atom and the bank and sorted, unique page indices inside it."""
     if type(devices := getattr(sim, "devices", None)) is not list:
         raise CheckpointError(f"{kind}: the simulation has no device list")
-    for i, dev in enumerate(devices):
-        vaults = getattr(dev, "vaults", None) if isinstance(dev, HMCDevice) else None
-        if type(vaults) is not list or not all(type(v) is Vault for v in vaults):
-            raise CheckpointError(f"{kind}: device {i} has no list of vaults")
+    try:
+        config = sim.config
+        if type(config) is not SimConfig or type(config.device) is not DeviceConfig:
+            raise TypeError("not a SimConfig holding a DeviceConfig")
+        dev = replace(replace(config).device)  # re-runs both validations
+    except (AttributeError, TypeError, ValueError, InitError) as exc:
+        raise CheckpointError(f"{kind}: invalid config ({exc})") from None
+    if len(devices) != config.num_devs:
+        raise CheckpointError(f"{kind}: {len(devices)} devices, not {config.num_devs}")
+    n = 0
+    for d, device in enumerate(devices):
+        vaults = getattr(device, "vaults", None) if isinstance(device, HMCDevice) else None
+        if (type(vaults) is not list or len(vaults) != dev.num_vaults
+                or not all(type(v) is Vault for v in vaults)):
+            raise CheckpointError(f"{kind}: device {d} has no list of {dev.num_vaults} vaults")
+        for vault in vaults if banks else ():
+            if type(vault.banks) is not list or len(vault.banks) != dev.num_banks:
+                raise CheckpointError(f"{kind}: device {d} has a vault without "
+                                      f"{dev.num_banks} banks")
+            for j, bank in enumerate(vault.banks):
+                _check_bank(bank, j, vault, dev, f"{kind}: bank #{n}")
+                n += 1
+
+
+def _check_bank(bank: Bank, j: int, vault: Vault, dev: DeviceConfig,
+                where: str) -> None:
+    """:func:`_check_config` for bank *j* of *vault*."""
+    try:
+        ints, pages, store = Bank._ints(bank), list(bank._pages), bank._store
+    except AttributeError as exc:
+        raise CheckpointError(f"{where} is hollow ({exc})") from None
+    if (type(bank) is not Bank or bank._owner is not vault or bank.bank_id != j
+            or not all(type(x) is int for x in ints)):
+        raise CheckpointError(f"{where} is not {len(ints)} integers for bank {j} of its vault")
+    cap, pw = bank.capacity_bytes, bank._page_words
+    if cap != dev.bank_bytes or bank.num_drams != dev.num_drams:
+        raise CheckpointError(f"{where} holds {cap} bytes in {bank.num_drams} DRAMs, "
+                              f"the device {dev.bank_bytes} in {dev.num_drams}")
+    if not ATOM_WORDS <= pw <= cap // 8 or pw % ATOM_WORDS:
+        raise CheckpointError(f"{where}: bank page size of {pw} words")
+    limit = -(-cap // (8 * pw))
+    if not (all(type(pg) is int for pg in pages) and pages == sorted(pages)
+            and len(pages) == (0 if store is None else len(store))
+            and (not pages or 0 <= pages[0] and pages[-1] < limit)):
+        raise CheckpointError(f"{where}: page indices unsorted, repeated or "
+                              f"outside the bank's {limit} pages")
 
 
 def _tracer_holders(sim: HMCSim) -> List[Any]:
-    """Components holding their own ``.tracer`` reference.
-
-    ``sim.tracer`` is swapped for a sinkless stand-in during pickling;
-    any component that cached the tracer at construction must be
-    swapped through the *same* stand-in or the original tracer (and
-    its possibly unpicklable sinks) rides into the pickle stream — and
-    the restored component would log to a ghost tracer nobody reads.
-    """
-    holders = []
-    for d in sim.devices:
-        ras = getattr(d, "ras", None)
-        if ras is not None and getattr(ras, "tracer", None) is not None:
-            holders.append(ras)
-    return holders
+    """Components holding their own ``.tracer`` reference: detached
+    through the same stand-in as ``sim.tracer``, or the original tracer
+    (and its possibly unpicklable sinks) rides into the pickle stream."""
+    return [d.ras for d in sim.devices
+            if getattr(getattr(d, "ras", None), "tracer", None) is not None]
 
 
 def _vaults(sim: HMCSim) -> list:
@@ -148,16 +184,6 @@ def _banks(sim: HMCSim) -> List[Bank]:
     """Every bank of *sim* in (device, vault, bank) order — the order
     that numbers banks in a :class:`PageStore`."""
     return [b for v in _vaults(sim) for b in v.banks]
-
-
-#: The integer slots of a bank, read in one C-level call per bank every
-#: snapshot (nothing to track, so nothing to forget to mark dirty); the
-#: DRAM leaf count rides behind them as ``Bank.__setstate__`` names it.
-_BANK_INTS = tuple(
-    name for name in Bank._STATE_SLOTS if name not in ("ras", "_owner")
-)
-_bank_ints = attrgetter(*_BANK_INTS)
-_BANK_STATE = _BANK_INTS + ("num_drams",)
 
 
 def _reduce_bank_hollow(bank: Bank) -> tuple:
@@ -184,7 +210,8 @@ class PageStore:
         #: ``pages[i][pg] = (words, touched)`` for bank *i* of
         #: :func:`_banks` — private copies, never views of live pages.
         self.pages: List[Dict[int, Tuple[np.ndarray, np.ndarray]]] = []
-        #: ``states[i]`` = bank *i*'s :data:`_BANK_STATE` values.
+        #: ``states[i]`` = bank *i*'s ``Bank._INT_SLOTS`` values: the
+        #: integer head of its pickled state.
         self.states: List[tuple] = []
         #: Snapshots taken into this store; the skeleton records it.
         self.generation = 0
@@ -202,7 +229,7 @@ class PageStore:
         for bank, image in zip(banks, self.pages):
             if full or bank._dirty or len(image) != len(bank._pages):
                 bank.sync_image(image, full)
-        self.states = [_bank_ints(b) + (len(b.drams),) for b in banks]
+        self.states = list(map(Bank._ints, banks))
         self.generation += 1
         counts = [len(image) for image in self.pages]
         shape = [len(v.banks) for v in _vaults(sim)]
@@ -212,7 +239,8 @@ class PageStore:
     def fill(self, sim: HMCSim, manifest: Any) -> None:
         """Rebuild the banks *manifest* references inside the freshly
         unpickled skeleton *sim*; raises CheckpointError when store and
-        skeleton do not belong together."""
+        skeleton do not belong together, or the result does not fit
+        the config."""
         try:
             generation, counts, shape, rases = manifest
             counts, shape, rases = list(counts), list(shape), list(rases)
@@ -225,6 +253,7 @@ class PageStore:
                 f"restore_bundle: skeleton is checkpoint {generation!r} "
                 f"but the page store holds checkpoint {self.generation}"
             )
+        _check_config(sim, "restore_bundle", banks=False)
         vaults = _vaults(sim)
         n = len(counts)
         if not (
@@ -239,13 +268,13 @@ class PageStore:
                 f"{shape!r} banks, its manifest {n} banks, the page store "
                 f"{len(self.pages)} / {len(self.states)}"
             )
-        held = [j for j, v in enumerate(vaults)
-                if type(v) is not Vault or getattr(v, "banks", None) != []]
+        held = [j for j, v in enumerate(vaults) if v.banks != []]
         if held:
             raise CheckpointError(
                 f"restore_bundle: vaults {held} are not vaults without banks"
             )
         owners = [v for v, k in zip(vaults, shape) for _ in range(k)]
+        ints = len(Bank._INT_SLOTS)
         for i, (vault, state, image) in enumerate(
             zip(owners, self.states, self.pages)
         ):
@@ -254,33 +283,21 @@ class PageStore:
             if not (
                 type(bank) is Bank
                 and type(state) is tuple
-                and len(state) == len(_BANK_STATE)
+                and len(state) == ints
                 and all(type(x) is int for x in state)
             ):
                 raise CheckpointError(
-                    f"restore_bundle: bank #{i} is not {len(_BANK_STATE)} "
-                    f"integers (and, with ECC, the bank of its BankRas)"
+                    f"restore_bundle: bank #{i} is not {ints} integers "
+                    f"(and, with ECC, the bank of its BankRas)"
                 )
-            try:  # slots, DRAM leaves and the page-size check: Bank's own
-                state = dict(zip(_BANK_STATE, state), ras=ras, _owner=vault)
-                bank.__setstate__(state)
-            except ValueError as exc:
-                raise CheckpointError(
-                    f"restore_bundle: bank #{i}: {exc}"
-                ) from None
+            bank.__setstate__((*state, ras, vault, (), b"", b""))
             if len(image) != counts[i]:
                 raise CheckpointError(
                     f"restore_bundle: bank #{i} references {counts[i]!r} "
                     f"pages, the page store holds {len(image)}"
                 )
             words = bank._page_words
-            limit = -(-bank.capacity_bytes // (8 * words))
             for pg, (page, touched) in image.items():
-                if not 0 <= pg < limit:
-                    raise CheckpointError(
-                        f"restore_bundle: bank #{i} page {pg} is outside "
-                        f"the bank's {limit} pages"
-                    )
                 if not (
                     isinstance(page, np.ndarray)
                     and isinstance(touched, np.ndarray)
@@ -297,14 +314,16 @@ class PageStore:
                 [(pg, *image[pg]) for pg in sorted(image)]
             )
             vault.banks.append(bank)
+        _check_config(sim, "restore_bundle")
 
 
 def _pickle_detached(
     sim: HMCSim, payload_of, detach_banks: bool = False
 ) -> bytes:
-    """Pickle ``payload_of(sim)`` with every tracer reference detached
-    (and, with *detach_banks*, every vault's bank list left out of the
-    stream — ``payload_of`` runs first, with the banks in place)."""
+    """Pickle ``payload_of(sim)`` behind the header, with every tracer
+    reference detached (and, with *detach_banks*, every vault's bank
+    list left out of the stream — ``payload_of`` runs first, with the
+    banks in place)."""
     saved_tracer = sim.tracer
     standin = Tracer(mask=saved_tracer.mask)  # sinkless stand-in
     holders = _tracer_holders(sim)
@@ -312,7 +331,7 @@ def _pickle_detached(
     for h in holders:
         h.tracer = standin
     buf = io.BytesIO()
-    buf.write(MAGIC)
+    buf.write(MAGIC + bytes(4))  # the CRC, once the payload is written
     pickler = pickle.Pickler(buf, protocol=pickle.HIGHEST_PROTOCOL)
     detached = []
     try:
@@ -327,6 +346,9 @@ def _pickle_detached(
                 detached.append((v, v.banks))
                 v.banks = []
         pickler.dump(payload)
+        with buf.getbuffer() as view:
+            crc = zlib.crc32(view[_HEADER:])
+            view[len(MAGIC):_HEADER] = crc.to_bytes(4, "little")
         return buf.getvalue()
     finally:
         sim.tracer = saved_tracer
@@ -334,17 +356,6 @@ def _pickle_detached(
             h.tracer = saved_tracer
         for v, banks in detached:
             v.banks = banks
-
-
-def _rewire_tracer(sim: HMCSim) -> None:
-    """Point every component-held tracer reference at ``sim.tracer``.
-
-    New snapshots already share one stand-in tracer across the graph;
-    this also heals blobs written before holders were detached, where
-    a component could come back with a private tracer copy.
-    """
-    for h in _tracer_holders(sim):
-        h.tracer = sim.tracer
 
 
 def snapshot(sim: HMCSim) -> bytes:
@@ -358,15 +369,15 @@ def restore(blob: bytes) -> HMCSim:
     The restored object has a sinkless tracer with the original mask;
     attach sinks with :meth:`HMCSim.add_trace_sink` as needed.  Raises
     :class:`~repro.core.errors.CheckpointError` on a corrupt, truncated
-    or version-incompatible blob.
+    or version-incompatible blob, or one whose graph does not fit its
+    config.
     """
-    sim = _unpickle(_strip_magic(blob, "restore"), "restore")
+    sim = _unpickle(blob, "restore")
     if not isinstance(sim, HMCSim):
         raise CheckpointError(
             f"restore: snapshot does not contain an HMCSim: {type(sim)!r}"
         )
-    _check_spine(sim, "restore")
-    _rewire_tracer(sim)
+    _check_config(sim, "restore")
     return sim
 
 
@@ -399,7 +410,7 @@ def restore_bundle(
     """Inverse of :func:`snapshot_bundle`; raises
     :class:`~repro.core.errors.CheckpointError` on a bad blob, or on a
     *store* that is not the one the blob was written against."""
-    payload = _unpickle(_strip_magic(blob, "restore_bundle"), "restore_bundle")
+    payload = _unpickle(blob, "restore_bundle")
     try:
         sim, extras, *manifest = payload
     except (TypeError, ValueError):
@@ -420,10 +431,10 @@ def restore_bundle(
             "restore_bundle: the blob is self-contained; it takes no "
             "page store"
         )
-    _check_spine(sim, "restore_bundle")
-    if store is not None:
+    if store is None:
+        _check_config(sim, "restore_bundle")
+    else:
         store.fill(sim, manifest[0])
-    _rewire_tracer(sim)
     return sim, extras
 
 
@@ -434,6 +445,6 @@ def save(sim: HMCSim, path: str) -> None:
 
 
 def load(path: str) -> HMCSim:
-    """Read a snapshot from *path*."""
+    """Read a snapshot from *path* (either format version)."""
     with open(path, "rb") as fh:
         return restore(fh.read())

@@ -44,6 +44,7 @@ queue every cycle and skips nothing is the tests' reference
 from __future__ import annotations
 
 from functools import wraps
+from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, List
 
 from repro.core.device import HMCDevice
@@ -76,6 +77,7 @@ class ClockEngine:
     #: What a checkpoint carries.  The rest is host-side: the profiler
     #: like a trace sink, the step list because it holds closures.
     _RUN_STATE = ("sim", "stage_counts", "_wd_last_cycle", "_wd_marker")
+    _run_state = attrgetter(*_RUN_STATE)
 
     def __init__(self, sim: "HMCSim") -> None:
         self.sim = sim
@@ -101,16 +103,11 @@ class ClockEngine:
         self._wd_marker = None
 
     def __getstate__(self) -> tuple:
-        # The shape pickle gives a slotted object by default, which is
-        # what every older blob holds.
-        return None, {name: getattr(self, name) for name in self._RUN_STATE}
+        return self._run_state(self)  # flat, in _RUN_STATE order
 
     def __setstate__(self, state: tuple) -> None:
-        # Older blobs also carry _active, _roots, _children, _topo_epoch
-        # and profiler: all derived or host-side, all ignored.
-        slots = state[1]
-        for name in self._RUN_STATE:
-            setattr(self, name, slots[name])
+        for name, value in zip(self._RUN_STATE, state, strict=True):
+            setattr(self, name, value)
         self._unbuilt()
 
     # ------------------------------------------------------------------

@@ -101,8 +101,6 @@ class PacketQueue:
                 self.special_count)
 
     def __setstate__(self, state: tuple) -> None:
-        if len(state) == 2:  # (None, {slot: value}): every older blob
-            state = tuple(state[1][name] for name in self.__slots__)
         (self.depth, self.name, q, stamps, self.high_water,
          self.total_enqueued, self.total_dequeued, self.total_stalls,
          self._act_set, self._act_key, self.special_count) = state

@@ -101,8 +101,6 @@ class Vault:
         return self._flat(self)  # flat, in __slots__ order
 
     def __setstate__(self, state: tuple) -> None:
-        if len(state) == 2:  # (None, {slot: value}): every older blob
-            state = tuple(state[1][name] for name in self.__slots__)
         for name, value in zip(self.__slots__, state, strict=True):
             setattr(self, name, value)
 

@@ -93,13 +93,6 @@ class _DirState:
         #: Transmission attempts for the pending packet (recovery stat).
         self.pending_attempts = 0
 
-    def __setstate__(self, state) -> None:
-        # Blobs from before the outcome-only gate also carry the cached
-        # wire words of the pending packet; nothing reads them now.
-        for name, value in state[1].items():
-            if name != "pending_words":
-                setattr(self, name, value)
-
 
 class InbandLinkState:
     """Fault model + retry/degradation state for one physical link.

@@ -70,15 +70,6 @@ class BitErrorInjector(_Injector):
         #: Bits of the block consumed (fresh = exhausted: first bit draws).
         self._pos = _BLOCK
 
-    def __setstate__(self, state: dict) -> None:
-        # A pre-block-sampling blob has ``ber`` and no block fields; its
-        # generator sits at the next undrawn bit: an exhausted block.
-        state = dict(state)
-        if "ber" in state:
-            state["_ber"] = state.pop("ber")
-        self.__dict__.update(_pending=[_BLOCK], _pos=_BLOCK)
-        self.__dict__.update(state)
-
     @property
     def ber(self) -> float:
         """Bit error rate (fixed at construction)."""

@@ -113,16 +113,11 @@ class ServiceConfig:
     link_drop_rate: float = 0.0
     link_seed: int = 1
     watchdog_cycles: int = 0
-    #: Provisioning traffic baked into the warm template: the cold boot
-    #: runs this many random-access requests (link training + row
-    #: warm-up) before a shard is serviceable; warm spin-up restores
-    #: the post-provisioning snapshot instead of re-running them.
+    #: Provisioning traffic baked into the shard template: it runs this
+    #: many random-access requests (link training + row warm-up) once,
+    #: and every spin-up restores the post-provisioning snapshot.
     provision_requests: int = 256
     provision_seed: int = 97
-    #: Shard spin-up mode: "warm" (checkpoint restore) or "cold"
-    #: (rebuild + re-provision).  Both produce bit-identical shards;
-    #: only the wall-clock cost differs (docs/service.md).
-    spin_up: str = "warm"
     #: Deterministic tenant↔pool network model: a request leaving the
     #: tenant crosses a shared per-shard fabric port with this service
     #: interval (cycles per request; the G/D/1 queueing delay under
@@ -177,8 +172,6 @@ class ServiceConfig:
             raise InitError("shard counts must be positive")
         if self.initial_shards > self.max_shards:
             raise InitError("initial_shards cannot exceed max_shards")
-        if self.spin_up not in ("warm", "cold"):
-            raise InitError(f"spin_up must be 'warm' or 'cold', got {self.spin_up!r}")
         if self.provision_requests < 0:
             raise InitError("provision_requests must be >= 0")
         if self.network_base_delay < 0 or self.network_port_interval < 0:

@@ -396,11 +396,12 @@ class MemoryService:
                 "devs_per_shard": cfg.devs_per_shard,
                 "slots_per_shard": cfg.slots_per_shard,
                 "max_shards": cfg.max_shards,
-                # A constant since the engine became the only one; two
-                # hashes still contain it: tests/fixtures/serve_golden.json
-                # and the spine's serve128_armed sim_fingerprint.
+                # Constants since the engine and the template restore
+                # became the only ones; two hashes still contain them:
+                # tests/fixtures/serve_golden.json and the spine's
+                # serve128_armed sim_fingerprint.
                 "scheduler": "active",
-                "spin_up": cfg.spin_up,
+                "spin_up": "warm",
                 "link_ber": cfg.link_ber,
                 "link_drop_rate": cfg.link_drop_rate,
                 "provision_requests": cfg.provision_requests,

@@ -7,21 +7,19 @@ before handing capacity to tenants.  The pool models that as
 *provisioning traffic*: ``provision_requests`` seeded random-access
 requests driven through every cube of the chain.
 
-Spinning a shard up therefore comes in two flavours:
-
-* **cold** — build the topology and re-run the provisioning traffic.
-  Deterministic but expensive: the whole provisioning run is re-simulated
-  on every spin-up.
-* **warm** — restore the post-provisioning snapshot taken once from the
-  template (:func:`repro.core.checkpoint.snapshot`).  The engine is
-  deterministic, so a restored shard is *bit-identical* to a freshly
-  provisioned one — including mid-flight in-band link retry pointers
-  and degradation state when fault injection is enabled — at a fraction
-  of the wall-clock cost.
+Provisioning runs once per pool: :meth:`SessionPool.template_blob`
+builds a shard, drives the traffic and snapshots it
+(:func:`repro.core.checkpoint.snapshot`), and every spin-up restores
+that template.  The engine is deterministic, so a restored shard is
+*bit-identical* to a freshly provisioned one — including mid-flight
+in-band link retry pointers and degradation state when fault injection
+is enabled — at a fraction of the wall-clock cost of re-running the
+provisioning (``tests/test_service.py`` checks both).
 
 The measurement spine's ``service.template_ms`` / ``service.spinup_warm_ms``
-quantify the gap; :class:`SpinUpStats` records it per run.  Wall-clock numbers feed *only* these spin-up metrics —
-nothing simulated depends on them, which keeps service runs reproducible.
+quantify the two costs; :class:`SpinUpStats` records them per run.
+Wall-clock numbers feed *only* these spin-up metrics — nothing simulated
+depends on them, which keeps service runs reproducible.
 """
 
 from __future__ import annotations
@@ -42,33 +40,24 @@ class SpinUpStats:
 
     template_ms: float = 0.0
     warm_ms: List[float] = field(default_factory=list)
-    cold_ms: List[float] = field(default_factory=list)
-
-    def record(self, mode: str, ms: float) -> None:
-        (self.warm_ms if mode == "warm" else self.cold_ms).append(ms)
 
     def as_dict(self) -> dict:
-        def _summary(samples: List[float]) -> dict:
-            if not samples:
-                return {"count": 0}
-            return {
+        samples = self.warm_ms
+        warm = {"count": 0}
+        if samples:
+            warm = {
                 "count": len(samples),
                 "total_ms": round(sum(samples), 3),
                 "mean_ms": round(sum(samples) / len(samples), 3),
                 "max_ms": round(max(samples), 3),
             }
-
-        return {
-            "template_ms": round(self.template_ms, 3),
-            "warm": _summary(self.warm_ms),
-            "cold": _summary(self.cold_ms),
-        }
+        return {"template_ms": round(self.template_ms, 3), "warm": warm}
 
 
 def build_provisioned_shard(config: ServiceConfig) -> HMCSim:
     """Build one shard and run its provisioning traffic to completion.
 
-    This is the cold path, and also how the warm template is produced.
+    This is how the template every spin-up restores is produced.
     Provisioning drives seeded random-access requests at every cube in
     turn, so chain links are exercised (and, with fault injection on,
     consume their deterministic fault stream) before any tenant arrives.
@@ -105,7 +94,7 @@ def build_provisioned_shard(config: ServiceConfig) -> HMCSim:
 
 
 class SessionPool:
-    """Spin-up factory for shards, warm (snapshot) or cold (rebuild)."""
+    """Spin-up factory for shards: restores of one provisioned template."""
 
     def __init__(self, config: ServiceConfig) -> None:
         self.config = config
@@ -122,23 +111,18 @@ class SessionPool:
             sim.free()
         return self._template_blob
 
-    def spin_up(self, mode: Optional[str] = None) -> "tuple[HMCSim, float]":
+    def spin_up(self, mode: None = None) -> "tuple[HMCSim, float]":
         """Produce one serviceable shard; returns ``(sim, wall_ms)``.
 
-        Warm and cold produce bit-identical simulated state; only the
-        wall cost differs.  ``mode`` overrides the configured default
-        (the benchmark suite measures both against one pool).
+        *mode* exists only because ``benchmarks/spine/timed.py``'s
+        ``ProfiledPool`` passes it through; anything but ``None`` raises
+        ``ValueError`` — there is one way to spin a shard up.
         """
-        mode = mode or self.config.spin_up
-        if mode == "warm":
-            blob = self.template_blob()  # template cost excluded: paid once
-            t0 = time.perf_counter()
-            sim = restore(blob)
-        elif mode == "cold":
-            t0 = time.perf_counter()
-            sim = build_provisioned_shard(self.config)
-        else:
-            raise ValueError(f"spin_up mode must be 'warm' or 'cold', got {mode!r}")
+        if mode is not None:
+            raise ValueError(f"a shard spins up one way; got mode {mode!r}")
+        blob = self.template_blob()  # template cost excluded: paid once
+        t0 = time.perf_counter()
+        sim = restore(blob)
         ms = (time.perf_counter() - t0) * 1e3
-        self.stats.record(mode, ms)
+        self.stats.warm_ms.append(ms)
         return sim, ms

@@ -64,7 +64,7 @@ class TestPreFlatCoreBlob:
         assert b"_storage_v2" not in blob
         assert b"_blocks" in blob
         # Queues and vaults in pickle's (None, {slot: value}) shape,
-        # which their __setstate__ still takes.
+        # which repro.core.migrate still reads.
         assert b"_stamps" in blob and b"_busy_mask" in blob
 
     def test_restores_into_paged_storage(self, fixture_blob):

@@ -50,6 +50,16 @@ class TestParser:
             with pytest.raises(TypeError, match="scheduler"):
                 build(scheduler="active")
 
+    def test_removed_spin_up_knob_is_rejected_not_ignored(self, capsys):
+        from repro.service.config import ServiceConfig
+
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--spin-up", "cold"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --spin-up cold" in capsys.readouterr().err
+        with pytest.raises(TypeError, match="spin_up"):
+            ServiceConfig(spin_up="cold")
+
     def test_device_args(self):
         args = build_parser().parse_args(
             ["fig5", "--links", "8", "--banks", "16", "--capacity", "8"])

@@ -39,6 +39,7 @@ from repro.core.checkpoint import (
     PageStore,
     restore,
     restore_bundle,
+    snapshot,
     snapshot_bundle,
 )
 from repro.core.config import DeviceConfig, SimConfig
@@ -55,6 +56,7 @@ from repro.service.shard import Shard
 from repro.trace.binfmt import BinarySink
 from repro.trace.events import EventType
 from tests import checkpoint_fuzz
+from tests.checkpoint_blobs import frame, payload
 
 _DEVICE = DeviceConfig(num_links=4, num_banks=8, capacity=2)
 _WORD = st.integers(min_value=0, max_value=(1 << 64) - 1)
@@ -222,27 +224,35 @@ class TestBankPickle:
         assert back.drams[0].accesses == back.dram_access_count
 
     def test_pages_of_another_size_are_rejected(self):
-        # One flat store per bank: a page that is not the bank's page
-        # size cannot be a row of it (restore() turns this into a
-        # CheckpointError like any other unpickling failure).
+        # The state is flat: the slots, the sorted page indices, their
+        # rows as one buffer and their touched maps bit-packed.  A
+        # buffer that is not whole pages of the bank's size cannot be
+        # its rows (restore() turns this into a CheckpointError like any
+        # other unpickling failure).
         bank = Bank(3, 1 << 20)
+        bank.write(4096, [3, 4])
         bank.write(0, [1, 2])
-        state = bank.__getstate__()
-        pg, words, touched = state["_storage_v2"][0]
-        state["_storage_v2"][0] = (pg, words * 2, touched)
+        *slots, pages, words, touched = bank.__getstate__()
+        assert tuple(slots) == Bank._ints(bank) + (None, None)
+        assert pages == (0, 32) and len(words) == 2 * 16 * 8
+        assert touched == bytes([0x80, 0x80])  # atom 0 of each page
+        twin = pickle.loads(pickle.dumps(bank))
+        assert twin.read(4096, 16) == [3, 4] and twin.touched_atoms() == [0, 256]
         with pytest.raises(ValueError, match="-word pages"):
-            Bank.__new__(Bank).__setstate__(state)
+            Bank.__new__(Bank).__setstate__((*slots, pages, words * 2, touched))
         # ... and a page size that is no size at all (a flipped bit in
-        # a skeleton: 8-atom pages are 0x10 words) is refused up front.
-        with pytest.raises(ValueError, match="page size"):
-            Bank.__new__(Bank).__setstate__({**state, "_page_words": 0})
+        # a skeleton: 8-atom pages are 0x10 words) is refused by the
+        # restore's check against the config.
+        sim, _ = _build()
+        _banks(sim)[7]._page_words = 0
+        with pytest.raises(CheckpointError, match="bank #7: bank page size of 0"):
+            restore(snapshot(sim))
 
 
 # -- ECC devices: the skeleton keeps each BankRas, the store its bank ---------
 
 _ECC_DEVICE = DeviceConfig(num_links=4, num_banks=8, capacity=2,
                            ecc_enabled=True)
-_BANK_INT_SLOTS = [n for n in Bank._STATE_SLOTS if n not in ("ras", "_owner")]
 
 _ECC_TRAFFIC = [
     (CMD.WR64, (i * 37 % 512) * 64, [i + 1] * 8) if i % 4 else
@@ -285,7 +295,7 @@ def _ecc_play(mode: str):
         "responses": (run.responses_received, host.received, host.errors),
         "stats": sim.stats(),
         "stage_counts": list(sim.engine.stage_counts),
-        "bank_ints": [[getattr(b, n) for n in _BANK_INT_SLOTS] for b in banks],
+        "bank_ints": [Bank._ints(b) for b in banks],
         "touched": [b.touched_atoms() for b in banks],
         "checks": [dict(b.ras.checks) for b in banks],
         "storage": _storage_sha(sim),
@@ -459,23 +469,32 @@ class TestHostileInputs:
         assert typed > 0
 
     def test_strided_bit_flips_restore_or_raise_checkpoint_error(self):
-        # Every 17th byte of a skeleton and of a full blob (~3 s);
-        # `python -m tests.checkpoint_fuzz` flips every byte.
+        # Every 17th byte of a skeleton and of a full blob, one bit per
+        # byte rotating through all eight, each flip both as it is (the
+        # CRC refuses it) and re-stamped (the decoder sees it), and
+        # every 1999th byte of the v1 fixture, which has no CRC (~5 s).
+        # `python -m tests.checkpoint_fuzz` flips every bit of every byte.
         for name, blob, restore_fn in checkpoint_fuzz.blobs():
-            typed, restored, leaks = checkpoint_fuzz.flip(
-                blob, restore_fn, stride=17
+            typed, restored, failures = checkpoint_fuzz.flip(
+                blob, restore_fn, stride=17, rotate=True
             )
-            assert not leaks, (name, dict(leaks))
+            assert not failures, (name, dict(failures))
             assert typed > 0 and restored > 0, name
+        typed, _, failures = checkpoint_fuzz.flip(
+            checkpoint_fuzz.fixture_blob(), restore_bundle, stride=1999,
+            rotate=True, stamp=None,
+        )
+        assert not failures, dict(failures)
+        assert typed > 0
 
     def test_hollow_simulation(self, delta_epoch):
         # A sim whose device / vault graph is missing or damaged fails
         # before anything walks it (tracer holders, the page store).
         hollow = HMCSim.__new__(HMCSim)
         with pytest.raises(CheckpointError, match="no device list"):
-            restore(MAGIC + pickle.dumps(hollow))
+            restore(frame(pickle.dumps(hollow)))
         with pytest.raises(CheckpointError, match="no device list"):
-            restore_bundle(MAGIC + pickle.dumps((hollow, ())))
+            restore_bundle(frame(pickle.dumps((hollow, ()))))
         blob, store = delta_epoch
 
         def edit(sim, extras, manifest):
@@ -585,8 +604,8 @@ class TestHostileInputs:
 
     @staticmethod
     def _reforge(blob, edit) -> bytes:
-        sim, extras, manifest = pickle.loads(blob[len(MAGIC):])
-        return MAGIC + pickle.dumps(edit(sim, extras, list(manifest)))
+        sim, extras, manifest = pickle.loads(payload(blob))
+        return frame(pickle.dumps(edit(sim, extras, list(manifest))))
 
     @pytest.mark.parametrize("shape_of", [
         lambda shape: shape[:-1],

@@ -2,8 +2,8 @@
 
 Both classes pickle a flat tuple of their slots in ``__slots__`` order
 (the queue's two deques travel as tuples) instead of pickle's generic
-``(None, {slot: value})``, which every older blob holds and which still
-loads:
+``(None, {slot: value})``, which version-1 blobs hold and which loads
+through ``repro.core.migrate``:
 
 * a queue survives a round trip under arbitrary pushes, pops and
   positional removals of READ / WRITE / FLOW / MODE packets — contents,
@@ -11,8 +11,8 @@ loads:
 * a vault keeps its counters and its incremental busy-bank state;
 * in a restored simulation each queue is still bound to its device's
   active set (identity, not a copy);
-* a hand-built dict-shaped state restores through each ``__setstate__``,
-  and a tuple of the wrong length is a ``CheckpointError``.
+* a dict-shaped state restores through ``migrate``, and a tuple of the
+  wrong length is a ``CheckpointError``.
 
 The committed ``.bin`` fixtures hold the dict shape throughout
 (``tests/test_checkpoint_compat.py`` replays them).
@@ -21,6 +21,7 @@ The committed ``.bin`` fixtures hold the dict shape throughout
 from __future__ import annotations
 
 import pickle
+from collections import deque
 
 import pytest
 
@@ -28,6 +29,8 @@ hypothesis = pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st
 
+from repro.core import migrate
+from repro.core.bank import Bank
 from repro.core.checkpoint import restore, snapshot
 from repro.core.config import DeviceConfig, SimConfig
 from repro.core.errors import CheckpointError
@@ -37,6 +40,7 @@ from repro.core.vault import Vault
 from repro.host.host import Host
 from repro.packets.commands import CMD
 from repro.packets.packet import Packet
+from tests.checkpoint_blobs import legacy_pickle
 
 _DEPTH = 6
 # Explicit serials: a queue and its twin are fed equal packets.
@@ -106,11 +110,12 @@ class TestPacketQueue:
         q = PacketQueue(4, name="old")
         q.push(_PACKETS["mode"](5), 11)
         q.push(_PACKETS["write"](2), 12)
-        slots = {name: getattr(q, name) for name in PacketQueue.__slots__}
-        twin = PacketQueue.__new__(PacketQueue)
-        twin.__setstate__((None, slots))
+        old = legacy_pickle(q)
+        assert b"_stamps" in old  # pickle's (None, {slot: value})
+        twin = migrate.loads(old)
+        assert type(twin) is PacketQueue and type(twin._q) is deque
         assert _observe(twin) == _observe(q)
-        assert twin.pop() is q.peek()  # the very objects, and a deque again
+        assert twin.pop() == q.peek()
 
 
 _COUNTERS = ("rd_count", "wr_count", "atomic_count", "mode_count",
@@ -149,10 +154,11 @@ class TestVault:
         vault = _vault()
         vault.rd_count = 17
         vault.banks[2].occupy(0, 9)
-        slots = {name: getattr(vault, name) for name in Vault.__slots__}
-        twin = Vault.__new__(Vault)
-        twin.__setstate__((None, slots))
-        assert twin.rd_count == 17 and twin.banks is vault.banks
+        old = legacy_pickle(vault)
+        assert b"_busy_mask" in old  # pickle's (None, {slot: value})
+        twin = migrate.loads(old)
+        assert type(twin) is Vault and twin.rd_count == 17
+        assert all(type(b) is Bank and b._owner is twin for b in twin.banks)
         assert twin._busy_state(5) == vault._busy_state(5) == 1 << 2
 
 

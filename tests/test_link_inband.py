@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import checkpoint
+from repro.core import checkpoint, migrate
 from repro.core.config import DeviceConfig, SimConfig
 from repro.core.errors import (
     E_DEADLOCK,
@@ -50,6 +50,7 @@ from repro.workloads.random_access import (
     RandomAccessConfig,
     random_access_requests,
 )
+from tests.checkpoint_blobs import legacy_pickle
 from tests.reference.full_walk import BUILD
 
 
@@ -391,11 +392,12 @@ class TestCheckpointRoundTrip:
         ber, seed, sent, nbits = 1e-3, 11, 5, 768
         rng = np.random.default_rng(seed)
         rng.random(sent * nbits)
-        old = BitErrorInjector.__new__(BitErrorInjector)
-        old.__setstate__({
-            "ber": ber, "_rng": rng, "transmissions": sent,
-            "corrupted_transmissions": 0, "bits_flipped": 0,
-        })
+        state = {"ber": ber, "_rng": rng, "transmissions": sent,
+                 "corrupted_transmissions": 0, "bits_flipped": 0}
+        old = migrate.loads(legacy_pickle(
+            BitErrorInjector(ber), shapes={BitErrorInjector: lambda _: state}
+        ))
+        assert type(old) is BitErrorInjector
         fresh = BitErrorInjector(ber, seed)
         for _ in range(sent):
             fresh.flips(nbits)
@@ -413,8 +415,10 @@ class TestCheckpointRoundTrip:
         sim.run(3)
         d = next(iter(sim._link_fault_states[0]._dirs.values()))
         _, slots = d.__reduce_ex__(2)[2]
-        old = type(d).__new__(type(d))
-        old.__setstate__((None, {**slots, "pending_words": [1, 2]}))
+        old_shape = legacy_pickle(d)
+        assert b"pending_words" in old_shape
+        old = migrate.loads(old_shape)
+        assert type(old) is type(d)
         assert all(getattr(old, n) == v for n, v in slots.items())
         assert not hasattr(old, "pending_words")
 

@@ -2,7 +2,8 @@
 ``src/repro/``: a private ``_name`` function or method that nothing in
 ``src/repro/`` references, an import of the ``packets/arena.py`` stub, a
 second ``Packet.__new__`` call site, a second way to pickle a bank
-without its pages, a second caller of ``ClockEngine.tick``, an idle
+without its pages, an older checkpoint state shape read outside
+``core/migrate.py``, a second caller of ``ClockEngine.tick``, an idle
 test beside ``wake_cycle`` in ``advance``, a way back to a selectable
 scheduler or to a ``tick()`` that branches on its observers, a sort or a
 host query in the shard pump — and, over the whole repository, a public
@@ -77,22 +78,52 @@ def test_packet_new_is_called_only_in_packet_py():
 
 def test_bank_skeleton_state_serves_getstate_only():
     """Delta checkpoints keep the banks out of the stream altogether
-    (``PageStore``): the per-bank skeleton reducer is gone, and the
-    state dict it pickled has ``Bank.__getstate__`` as its one user."""
-    names, callers = set(), set()
+    (``PageStore``) and a bank pickles one flat tuple whose integer head
+    is what the store keeps: the per-bank skeleton reducer and the
+    state dict both pickled are gone."""
+    names = set()
     for rel, node in _walk_src():
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             names.add(node.name)
-            if any(isinstance(n, ast.Attribute) and n.attr == "skeleton_state"
-                   for n in ast.walk(node)):
-                callers.add((rel, node.name))
         elif isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
-    # (spelt in halves so that `git grep` for the old name stays empty)
+    # (spelt in halves so that `git grep` for the old names stays empty)
     assert "_reduce_bank_" + "skeleton" not in names
-    assert callers == {("core/bank.py", "__getstate__")}
+    assert "skeleton" + "_state" not in names
+
+
+#: What only code reading an older state shape spells (the two tests
+#: are the (None, {slot: value}) default and Bank's oldest tuple).
+_OLD_SHAPE_MARKERS = (r"\b_blocks\b", "_storage_v2", "pending_words", '"ber"',
+                      r"len\(state\) == 2", r"isinstance\(state, tuple\)")
+
+
+def test_old_state_shapes_are_read_in_migrate_only():
+    """One state shape per class: everything that knows a version-1
+    shape lives in ``core/migrate.py`` (which a later format can delete
+    in one step), and the two classes whose old shapes were renames or
+    leftovers restore with pickle's default."""
+    hits = sorted(
+        f"{path.relative_to(SRC)}: {marker}"
+        for path in SRC.rglob("*.py")
+        if path.relative_to(SRC).as_posix() != "core/migrate.py"
+        for marker in _OLD_SHAPE_MARKERS
+        if re.search(marker, path.read_text())
+    )
+    assert not hits, f"old state shapes outside core/migrate.py: {hits}"
+    custom = sorted(
+        f"{rel}:{cls.name}"
+        for rel, cls in _walk_src()
+        if isinstance(cls, ast.ClassDef)
+        and cls.name in ("_DirState", "BitErrorInjector")
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef) and fn.name == "__setstate__"
+    )
+    assert not custom, f"a __setstate__ is back: {custom}"
+    assert {cls.name for _, cls in _walk_src() if isinstance(cls, ast.ClassDef)} \
+        >= {"_DirState", "BitErrorInjector"}  # the guard still looks at something
 
 
 def test_the_engine_ticks_from_one_place_and_skips_by_one_rule():

@@ -22,6 +22,7 @@ from repro.topology.builder import build_simple
 from repro.trace.events import EventType
 from repro.trace.tracer import MemorySink
 from repro.workloads.random_access import RandomAccessConfig, random_access_requests
+from tests.checkpoint_blobs import frame
 
 
 def mk_sim():
@@ -207,7 +208,7 @@ class TestBlobHeader:
     def test_wrong_payload_type_is_checkpoint_error(self):
         import pickle
         with pytest.raises(CheckpointError, match="HMCSim"):
-            restore(MAGIC + pickle.dumps({"not": "a sim"}))
+            restore(frame(pickle.dumps({"not": "a sim"})))
 
     def test_payload_naming_a_deleted_module_is_checkpoint_error(
         self, monkeypatch
@@ -226,7 +227,7 @@ class TestBlobHeader:
         payload = pickle.dumps(mod.ParallelClockEngine())
         monkeypatch.delitem(sys.modules, mod.__name__)
         with pytest.raises(CheckpointError, match="repro.parallel.engine"):
-            restore(MAGIC + payload)
+            restore(frame(payload))
 
     def test_checkpoint_error_is_typed(self):
         from repro.core.errors import E_INVAL, HMCError

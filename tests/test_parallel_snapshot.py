@@ -30,6 +30,10 @@ from repro.workloads.random_access import (
     RandomAccessConfig,
     random_access_requests,
 )
+from tests.checkpoint_blobs import legacy_blob
+
+#: SimConfig options that are gone; version-1 blobs still carry them.
+_RETIRED = {"workers", "shard_strategy", "scheduler"}
 
 DEVICE = DeviceConfig(num_links=4, num_banks=8, capacity=2)
 FAULT_KW = dict(link_ber=3e-4, link_drop_rate=0.002, link_seed=5)
@@ -181,45 +185,46 @@ class TestCrossProcessRoundTrip:
 
     def test_stale_workers_attribute_restores_onto_clock_engine(self):
         """Configs pickled before the sharded engine was deleted carry
-        ``workers`` / ``shard_strategy`` in their state: such a blob
-        restores onto the one engine and continues exactly like a run
-        that was never pickled."""
+        ``workers`` / ``shard_strategy`` in their state: such a (version
+        1) blob restores onto the one engine, the retired keys are gone,
+        and it continues exactly like a run that was never pickled."""
         from repro.core.clock import ClockEngine
 
         sim, host = _midflight_sim()
         object.__setattr__(sim.config, "workers", 2)  # frozen dataclass
         object.__setattr__(sim.config, "shard_strategy", "device")
-        restored, (rhost,) = restore_bundle(snapshot_bundle(sim, host))
-        assert restored.config.__dict__["workers"] == 2  # stale state came along
+        blob = legacy_blob(sim, host)
+        assert b"shard_strategy" in blob
+        restored, (rhost,) = restore_bundle(blob)
+        assert not _RETIRED & set(vars(restored.config))
+        assert restored.config == sim.config
         assert type(restored.engine) is ClockEngine
         never_pickled = _continue_and_fingerprint(*_midflight_sim())
         assert _continue_and_fingerprint(restored, rhost) == never_pickled
 
-    def test_parent_shaped_engine_state_restores_onto_the_one_engine(
-        self, monkeypatch
-    ):
-        """A blob written while ``scheduler`` was selectable carries the
-        option in its config state and ``_active``, the topology caches
-        and ``profiler`` in its engine's slot state: it restores onto
-        the one engine — even when it was written under ``"naive"`` —
-        and continues exactly like a run that was never pickled."""
+    def test_parent_shaped_engine_state_restores_onto_the_one_engine(self):
+        """A (version 1) blob written while ``scheduler`` was selectable
+        carries the option in its config state and ``_active``, the
+        topology caches and ``profiler`` in its engine's slot state: it
+        restores onto the one engine — even when it was written under
+        ``"naive"`` — without the option, and continues exactly like a
+        run that was never pickled."""
         from repro.core.clock import ClockEngine
 
         sim, host = _midflight_sim()
         object.__setattr__(sim.config, "scheduler", "naive")  # frozen dataclass
         engine = sim.engine
-        monkeypatch.setattr(ClockEngine, "__getstate__", lambda self: (None, {
-            "sim": self.sim, "stage_counts": self.stage_counts,
-            "_active": False, "_roots": self._roots,
-            "_children": self._children, "_topo_epoch": 3,
-            "_wd_last_cycle": self._wd_last_cycle,
-            "_wd_marker": self._wd_marker, "profiler": None,
-        }))
-        blob = snapshot_bundle(sim, host)
-        monkeypatch.undo()
+        blob = legacy_blob(sim, host, shapes={ClockEngine: lambda e: (None, {
+            "sim": e.sim, "stage_counts": e.stage_counts,
+            "_active": False, "_roots": e._roots,
+            "_children": e._children, "_topo_epoch": 3,
+            "_wd_last_cycle": e._wd_last_cycle,
+            "_wd_marker": e._wd_marker, "profiler": None,
+        })})
         assert b"_active" in blob and b"_topo_epoch" in blob
+        assert b"naive" in blob
         restored, (rhost,) = restore_bundle(blob)
-        assert restored.config.__dict__["scheduler"] == "naive"
+        assert not _RETIRED & set(vars(restored.config))
         assert type(restored.engine) is ClockEngine
         assert restored.engine.stage_counts == engine.stage_counts
         assert not hasattr(restored.engine, "_active")

@@ -11,7 +11,8 @@ Covers the service subsystem's contracts end to end:
 * the determinism satellite — same mix + seeds ⇒ identical per-tenant
   accounting across repeated ``serve`` runs, and with every shard on
   the tests' full-walk reference instead of the engine;
-* warm vs cold spin-up equivalence (bit-identical simulated outcome);
+* template-restore spin-up equivalent to rebuilding and re-provisioning
+  every shard (bit-identical simulated outcome);
 * the checkpoint tracer-holder regression (RAS + file sink) and
   mid-degradation restore.
 """
@@ -42,6 +43,7 @@ from repro.service import (
     specs_from_profiles,
 )
 from repro.service.accounting import TenantAccount
+from repro.service.sessions import build_provisioned_shard
 from repro.service.shard import Shard
 from repro.workloads.mixes import tenant_mix_profiles, tenant_requests
 from tests.reference.full_walk import ReferencePool
@@ -59,6 +61,14 @@ def _config(**overrides) -> ServiceConfig:
     )
     base.update(overrides)
     return ServiceConfig(**base)
+
+
+class ColdPool(SessionPool):
+    """Every shard built and re-provisioned instead of restored from
+    the template: the reference the one spin-up path is checked against."""
+
+    def spin_up(self, mode=None):
+        return build_provisioned_shard(self.config), 0.0
 
 
 def _serve(num_tenants=8, seed=5, base_requests=16, pool=None,
@@ -141,8 +151,9 @@ class TestServiceConfig:
             _config(slots_per_shard=4)
 
     def test_invalid_spin_up_mode(self):
-        with pytest.raises(InitError, match="spin_up"):
-            _config(spin_up="lukewarm")
+        # No mode to pick: a shard spins up by restoring the template.
+        with pytest.raises(TypeError, match="spin_up"):
+            _config(spin_up="cold")
 
     def test_total_slots(self):
         assert _config(max_shards=3, slots_per_shard=2).total_slots == 6
@@ -300,10 +311,9 @@ class TestServeDeterminism:
         assert deterministic_view(a) == deterministic_view(b)
 
     def test_warm_and_cold_spin_up_equivalent(self):
-        warm = _serve(num_tenants=6, seed=9, spin_up="warm")
-        cold = _serve(num_tenants=6, seed=9, spin_up="cold")
-        assert (deterministic_view(warm, ignore_config=True)
-                == deterministic_view(cold, ignore_config=True))
+        warm = _serve(num_tenants=6, seed=9)
+        cold = _serve(num_tenants=6, seed=9, pool=ColdPool)
+        assert deterministic_view(warm) == deterministic_view(cold)
 
     def test_event_loop_interleaving_does_not_matter(self):
         """cycles_per_yield changes asyncio scheduling granularity only —
@@ -400,11 +410,9 @@ class TestPump:
 
 class TestSessionPool:
     def test_warm_restore_matches_cold_build(self):
-        from repro.service.sessions import build_provisioned_shard
-
         config = _config()
         pool = SessionPool(config)
-        warm, _ = pool.spin_up("warm")
+        warm, _ = pool.spin_up()
         cold = build_provisioned_shard(config)
         assert warm.clock_value == cold.clock_value
         assert warm.stats() == cold.stats()
@@ -413,11 +421,12 @@ class TestSessionPool:
 
     def test_spin_up_stats_report(self):
         pool = SessionPool(_config(provision_requests=8))
-        pool.spin_up("warm")
-        pool.spin_up("cold")
+        pool.spin_up()
+        pool.spin_up()
+        with pytest.raises(ValueError, match="one way"):
+            pool.spin_up("cold")
         d = pool.stats.as_dict()
-        assert d["warm"]["count"] == 1
-        assert d["cold"]["count"] == 1
+        assert d["warm"]["count"] == 2 and set(d) == {"template_ms", "warm"}
         assert d["template_ms"] > 0
 
 
