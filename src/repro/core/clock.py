@@ -618,56 +618,84 @@ class ClockEngine:
         leave the device on (the request's ingress link, preserving the
         link→bank stream association).
         """
+        act = dev.act_vault_rsp
+        if not act:
+            return 0
         sim = self.sim
         tracer = sim.tracer
         live = tracer.live_mask
         per_vault = sim.config.xbar_moves_per_cycle
+        dev_id = dev.dev_id
+        num_links = len(dev.links)
+        vaults = dev.vaults
+        xbars = dev.xbars
         moved = 0
-        act = dev.act_vault_rsp
-        if not act:
-            return 0
         # Ascending vault order; draining empties queues mid-loop, so
         # iterate a sorted snapshot.
-        for vault in [dev.vaults[vid] for vid in sorted(act)]:
+        for vid in sorted(act):
+            vault = vaults[vid]
+            rsp = vault.rsp
+            q = rsp._q
             for _ in range(per_vault):
-                pkt = vault.rsp.peek()
-                if pkt is None:
+                if not q:
                     break
-                link_id = self._egress_link_for(pkt, dev)
+                pkt = q[0]
+                stack = pkt.route_stack
+                if stack:
+                    # _egress_link_for, inlined for the common case.
+                    rec_dev, link_id = stack[-1]
+                    if rec_dev != dev_id or not 0 <= link_id < num_links:
+                        link_id = None
+                else:
+                    link_id = self._egress_link_for(pkt, dev)
                 if link_id is None:
                     # No usable route record: unreachable response.  Drop
                     # it (zombie prevention, §V.B) and record the event.
-                    vault.rsp.pop()
+                    rsp.pop()
                     sim.dropped_responses += 1
                     if live & _EV_PKT_EXPIRED:
                         tracer.event(
                             EventType.PKT_EXPIRED,
                             cycle,
-                            dev=dev.dev_id,
+                            dev=dev_id,
                             vault=vault.vault_id,
                             serial=pkt.serial,
                         )
                     continue
-                xbar = dev.xbars[link_id]
-                if xbar.rsp.is_full:
+                xrsp = xbars[link_id].rsp
+                xq = xrsp._q
+                n = len(xq)
+                if n >= xrsp.depth:
                     if live & _EV_XBAR_RSP_STALL:
                         tracer.event(
                             EventType.XBAR_RSP_STALL,
                             cycle,
-                            dev=dev.dev_id,
+                            dev=dev_id,
                             link=link_id,
                             vault=vault.vault_id,
                             serial=pkt.serial,
                         )
                     break
-                vault.rsp.pop()
-                if pkt.route_stack and pkt.route_stack[-1][0] == dev.dev_id:
-                    pkt.route_stack.pop()
-                xbar.rsp.push(pkt, cycle)
+                # PacketQueue.pop and .push, inlined (a response is never
+                # a FLOW/MODE packet; the room was checked above).
+                q.popleft()
+                rsp._stamps.popleft()
+                rsp.total_dequeued += 1
+                if not q and rsp._act_set is not None:
+                    rsp._act_set.discard(rsp._act_key)
+                if stack:  # its top record is this device's: checked above
+                    stack.pop()
+                if not n and xrsp._act_set is not None:
+                    xrsp._act_set.add(xrsp._act_key)
+                xq.append(pkt)
+                xrsp._stamps.append(cycle)
+                xrsp.total_enqueued += 1
+                if n >= xrsp.high_water:
+                    xrsp.high_water = n + 1
                 moved += 1
                 if live & _EV_RSP_REGISTERED:
                     tracer.emit_fast(
-                        _EV_RSP_REGISTERED, cycle, dev.dev_id, link_id, -1,
+                        _EV_RSP_REGISTERED, cycle, dev_id, link_id, -1,
                         vault.vault_id, -1, -1, pkt.serial, None,
                     )
         return moved

@@ -163,7 +163,9 @@ class CrossbarUnit:
                 moved += 1
                 continue
             vq = vaults[vault_id].rqst
-            if len(vq._q) >= vq.depth:
+            vqq = vq._q
+            n = len(vqq)
+            if n >= vq.depth:
                 self.stall_events += 1
                 blocked |= bit
                 if stall_trace:
@@ -183,7 +185,16 @@ class CrossbarUnit:
                         quad_of_vault(vault_id), vault_id, -1, -1,
                         pkt.serial, None,
                     )
-            vq.push(pkt, cycle)
+            # PacketQueue.push, inlined: the room was checked above.
+            if not n and vq._act_set is not None:
+                vq._act_set.add(vq._act_key)
+            vqq.append(pkt)
+            vq._stamps.append(cycle)
+            vq.total_enqueued += 1
+            if pkt.is_special:
+                vq.special_count += 1
+            if n >= vq.high_water:
+                vq.high_water = n + 1
             self.routed_local += 1
             removed.append(pos)
             moved += 1

@@ -23,7 +23,14 @@ from repro.addressing.address_map import AddressMap
 from repro.core.bank import Bank
 from repro.core.queueing import PacketQueue
 from repro.packets.commands import CMD, REQUEST_DATA_BYTES, CommandClass
-from repro.packets.packet import ErrStat, Packet, build_response
+from repro.packets.packet import (
+    _RSP_CACHE,
+    _ZERO_WORDS,
+    ErrStat,
+    Packet,
+    _fast_new,
+    build_response,
+)
 from repro.trace.events import EventType
 from repro.trace.tracer import Tracer
 
@@ -47,6 +54,10 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: Next-free sentinel: no bank busy window is pending.
 _FAR = 1 << 62
+
+#: Bank index of each one-bit mask: a lookup where ``bit_length() - 1``
+#: would be a call.
+_BIT_INDEX = {1 << i: i for i in range(64)}
 
 
 class Vault:
@@ -125,7 +136,7 @@ class Vault:
             m, live = mask, 0
             while m:
                 low = m & -m
-                bu = banks[low.bit_length() - 1].busy_until
+                bu = banks[_BIT_INDEX[low]].busy_until
                 if cycle < bu:
                     live |= low
                     if bu < nf:
@@ -173,9 +184,9 @@ class Vault:
         if not q:
             return 0, 0
         banks = self.banks
-        busy_mask = self._busy_state(cycle)
-        rsp_q = self.rsp._q
-        rsp_depth = self.rsp.depth
+        busy_mask = self._busy_mask
+        if busy_mask and cycle >= self._next_free:
+            busy_mask = self._busy_state(cycle)
         if amap.__class__ is AddressMap:
             bs, bmask, bank_of = amap._bs, amap._bank_mask, None
         else:
@@ -184,7 +195,7 @@ class Vault:
         # Stage 3: conflict recognition (read-only pass; the busy mask
         # is static — stage 4's blocked mask covers banks it occupies).
         conflicts = 0
-        seen = 0
+        seen = busy_mask  # banks busy, or targeted earlier in the window
         trace_on = tracer.live_mask & _EV_BANK_CONFLICT
         for pkt in islice(q, window):
             if pkt.is_special:  # FLOW / MODE: no bank access
@@ -195,7 +206,7 @@ class Vault:
                 bank = (addr >> bs) & bmask if bank_of is None else bank_of(addr)
                 pkt.dec_bank = bank
             bit = 1 << bank
-            if (seen | busy_mask) & bit:
+            if seen & bit:
                 conflicts += 1
                 banks[bank].conflicts += 1
                 if trace_on:
@@ -205,7 +216,8 @@ class Vault:
                         (("addr", pkt.addr),
                          _BUSY_T if busy_mask & bit else _BUSY_F),
                     )
-            seen |= bit
+            else:
+                seen |= bit
         self.conflict_count += conflicts
 
         # Stage 4: FIFO issue scan.
@@ -227,22 +239,24 @@ class Vault:
         issued = 0
         removed: list = []
         blocked = busy_mask  # banks that may not issue this scan
+        # Response-queue slots left; every reply pushed below takes one.
+        room = self.rsp.depth - len(self.rsp._q)
         stall_trace = tracer.live_mask & _EV_VAULT_RSP_STALL
         closed = 0
         for pos, pkt in enumerate(q):
-            if issued >= issue_width:
-                break
             if pkt.is_special:
                 specials -= 1
                 # Flow packets carry no memory operation: consume silently.
                 if pkt.cls is CommandClass.FLOW:
                     removed.append(pos)
-                elif len(rsp_q) >= rsp_depth:
+                elif room <= 0:
                     self.rsp_stall_count += 1
                 else:
-                    self._do_mode(pkt, cycle, tracer, dev_id)
+                    room -= self._do_mode(pkt, cycle, tracer, dev_id)
                     issued += 1
                     removed.append(pos)
+                    if issued >= issue_width:
+                        break
                 if not specials and closed >= free:
                     break
                 continue
@@ -255,7 +269,7 @@ class Vault:
             if blocked & bit:
                 # Conflict: this and all later same-bank packets wait.
                 continue
-            if pkt.expects_response and len(rsp_q) >= rsp_depth:
+            if pkt.expects_response and room <= 0:
                 self.rsp_stall_count += 1
                 if stall_trace:
                     tracer.emit_fast(
@@ -265,11 +279,14 @@ class Vault:
                 # Preserve order: later same-bank packets may not pass.
                 blocked |= bit
             else:
-                self._execute(pkt, bank_id, cycle, amap, bank_busy_cycles,
-                              tracer, dev_id, row_timing)
+                room -= self._execute(pkt, bank_id, cycle, amap,
+                                      bank_busy_cycles, tracer, dev_id,
+                                      row_timing)
                 blocked |= bit  # one access per bank per cycle
                 issued += 1
                 removed.append(pos)
+                if issued >= issue_width:
+                    break
             closed += 1
             if closed >= free and not specials:
                 break
@@ -281,32 +298,40 @@ class Vault:
 
     # -- operation execution ----------------------------------------------------
 
-    def _bank_rel_addr(self, amap: AddressMap, addr: int) -> int:
-        if amap.__class__ is AddressMap and 0 <= addr < amap.capacity_bytes:
-            # Classic contiguous map: shift+mask directly, skipping the
-            # DecodedAddress construction of the general path.
-            return ((addr >> amap._ds) & amap._dram_mask) * amap.block_size + (
-                addr & amap._offset_mask
-            )
-        d = amap.decode(addr)
-        return d.dram * amap.block_size + d.offset
+    def _push_response(self, rsp: Packet, request: Packet, cycle: int) -> int:
+        """Queue *rsp* as *request*'s reply; the caller checked for room.
 
-    def _push_response(self, rsp: Packet, request: Packet, cycle: int) -> None:
+        The route stack is copied: a caller of ``HMCSim.send`` may still
+        hold *request*, and stage 5 pops the reply's stack.  Returns the
+        slots taken (1), for the stage-4 room count.
+        """
+        rsp.src_cub = request.cub
         rsp.route_stack = list(request.route_stack)
         rsp.injected_at = request.injected_at
         rsp.ingress_link = request.ingress_link
         rsp.hops = request.hops
-        ok = self.rsp.push(rsp, cycle)
-        # Callers check rsp fullness before executing; this cannot fail.
-        assert ok, "vault response queue overflow after capacity check"
+        # PacketQueue.push, inlined: the caller proved the room, and a
+        # reply is never a FLOW/MODE packet.
+        queue = self.rsp
+        q = queue._q
+        n = len(q)
+        if not n and queue._act_set is not None:
+            queue._act_set.add(queue._act_key)
+        q.append(rsp)
+        queue._stamps.append(cycle)
+        queue.total_enqueued += 1
+        if n >= queue.high_water:
+            queue.high_water = n + 1
+        return 1
 
     def _error_response(
         self, pkt: Packet, errstat: ErrStat, cycle: int, tracer: Tracer, dev_id: int
-    ) -> None:
+    ) -> int:
         """Generate an error response "following a failed read or write
-        operation" (§IV "error response packets")."""
+        operation" (§IV "error response packets"); returns the slots
+        taken (0 for a posted request)."""
         if not pkt.expects_response:
-            return
+            return 0
         rsp = build_response(pkt, errstat=errstat, dinv=1)
         self._push_response(rsp, pkt, cycle)
         tracer.event(
@@ -317,6 +342,7 @@ class Vault:
             serial=pkt.serial,
             extra={"errstat": int(errstat), "addr": pkt.addr},
         )
+        return 1
 
     def _execute(
         self,
@@ -328,36 +354,74 @@ class Vault:
         tracer: Tracer,
         dev_id: int,
         row_timing: Optional[tuple] = None,
-    ) -> None:
+    ) -> int:
+        """Run *pkt* against its bank; returns the response-queue slots
+        its reply took (0 or 1).
+
+        READ and WRITE replies are built from the response layout table
+        directly: bank words are already 64-bit, and a write reply
+        carries no data, so ``build_response``'s re-mask has nothing to
+        do.  Errors, BWR and atomics go through ``build_response``.
+        """
         bank = self.banks[bank_id]
+        cmd = pkt.cmd
         cls = pkt.cls
         if cls is CommandClass.READ:
-            nbytes = REQUEST_DATA_BYTES[pkt.cmd]
+            nbytes = REQUEST_DATA_BYTES[cmd]
         else:
-            nbytes = pkt.data_bytes
+            nbytes = len(pkt.payload) * 8
             if nbytes < 16:
                 nbytes = 16
-        rel = self._bank_rel_addr(amap, pkt.addr)
-        is_bwr = pkt.cmd in _BWR_CMDS
+        addr = pkt.addr
+        if amap.__class__ is AddressMap and 0 <= addr < amap.capacity_bytes:
+            # Classic contiguous map: shift+mask directly, skipping the
+            # DecodedAddress construction of the general path.
+            rel = ((addr >> amap._ds) & amap._dram_mask) * amap.block_size + (
+                addr & amap._offset_mask
+            )
+        else:
+            d = amap.decode(addr)
+            rel = d.dram * amap.block_size + d.offset
+        is_bwr = cmd in _BWR_CMDS
         align = 8 if is_bwr else 16
         # Requests larger than the residual bank range are failed reads/
         # writes -> error response, not a crash (§IV.2 deliberate
         # misconfiguration support).
         if rel + (8 if is_bwr else nbytes) > bank.capacity_bytes or rel % align != 0:
-            self._error_response(pkt, ErrStat.INVALID_ADDRESS, cycle, tracer, dev_id)
-            return
+            return self._error_response(
+                pkt, ErrStat.INVALID_ADDRESS, cycle, tracer, dev_id
+            )
         if row_timing is None:
             busy = bank_busy_cycles
         else:
             hit_cycles, miss_cycles = row_timing
             busy = bank.access_busy_cycles(
-                row=amap.dram_of(pkt.addr),
+                row=amap.dram_of(addr),
                 closed_cycles=bank_busy_cycles,
                 open_policy=True,
                 hit_cycles=hit_cycles,
                 miss_cycles=miss_cycles,
             )
-        bank.occupy(cycle, busy)
+        # Bank.occupy, inlined: this vault is the bank's owner.
+        free_at = bank.busy_until = cycle + busy
+        self._busy_mask |= 1 << bank_id
+        if free_at < self._next_free:
+            self._next_free = free_at
+        if cls is CommandClass.READ:
+            data = bank.read(rel, nbytes)
+            self.rd_count += 1
+            if tracer.live_mask & _EV_RQST_READ:
+                tracer.emit_fast(
+                    _EV_RQST_READ, cycle, dev_id, -1, self.quad_id,
+                    self.vault_id, bank_id, -1, pkt.serial,
+                    (("addr", addr),),
+                )
+            rsp_cmd, _, info = _RSP_CACHE[cmd]
+            return self._push_response(
+                _fast_new(rsp_cmd, pkt.cub, pkt.tag, 0, tuple(data), pkt.slid,
+                          0, info),
+                pkt, cycle,
+            )
         if is_bwr:
             # BWR: one FLIT of [data word, byte-mask word]; only masked
             # bytes of the addressed 8-byte word are written.
@@ -369,36 +433,31 @@ class Vault:
                 tracer.emit_fast(
                     _EV_RQST_WRITE, cycle, dev_id, -1, self.quad_id,
                     self.vault_id, bank_id, -1, pkt.serial,
-                    (("addr", pkt.addr), ("bwr", True)),
+                    (("addr", addr), ("bwr", True)),
                 )
             if pkt.expects_response:
-                self._push_response(build_response(pkt), pkt, cycle)
-        elif cls is CommandClass.READ:
-            data = bank.read(rel, nbytes)
-            self.rd_count += 1
-            if tracer.live_mask & _EV_RQST_READ:
-                tracer.emit_fast(
-                    _EV_RQST_READ, cycle, dev_id, -1, self.quad_id,
-                    self.vault_id, bank_id, -1, pkt.serial,
-                    (("addr", pkt.addr),),
-                )
-            rsp = build_response(pkt, data)
-            self._push_response(rsp, pkt, cycle)
-        elif cls in (CommandClass.WRITE, CommandClass.POSTED_WRITE):
+                return self._push_response(build_response(pkt), pkt, cycle)
+            return 0
+        if cls is CommandClass.WRITE or cls is CommandClass.POSTED_WRITE:
             bank.write(rel, pkt.payload)
             self.wr_count += 1
             if tracer.live_mask & _EV_RQST_WRITE:
                 tracer.emit_fast(
                     _EV_RQST_WRITE, cycle, dev_id, -1, self.quad_id,
                     self.vault_id, bank_id, -1, pkt.serial,
-                    (("addr", pkt.addr),),
+                    (("addr", addr),),
                 )
             if pkt.expects_response:
-                rsp = build_response(pkt)
-                self._push_response(rsp, pkt, cycle)
-        elif cls in (CommandClass.ATOMIC, CommandClass.POSTED_ATOMIC):
+                rsp_cmd, need, info = _RSP_CACHE[cmd]
+                return self._push_response(
+                    _fast_new(rsp_cmd, pkt.cub, pkt.tag, 0, _ZERO_WORDS[need],
+                              pkt.slid, 0, info),
+                    pkt, cycle,
+                )
+            return 0
+        if cls is CommandClass.ATOMIC or cls is CommandClass.POSTED_ATOMIC:
             ops = list(pkt.payload[:2]) if pkt.payload else [0, 0]
-            if pkt.cmd in (CMD.TWOADD8, CMD.P_2ADD8):
+            if cmd in (CMD.TWOADD8, CMD.P_2ADD8):
                 old = bank.atomic_2add8(rel, ops)
             else:
                 old = bank.atomic_add16(rel, ops)
@@ -407,16 +466,18 @@ class Vault:
                 tracer.emit_fast(
                     _EV_RQST_ATOMIC, cycle, dev_id, -1, self.quad_id,
                     self.vault_id, bank_id, -1, pkt.serial,
-                    (("addr", pkt.addr),),
+                    (("addr", addr),),
                 )
             if pkt.expects_response:
-                rsp = build_response(pkt, old)
-                self._push_response(rsp, pkt, cycle)
-        else:  # pragma: no cover - guarded by caller
-            self._error_response(pkt, ErrStat.INVALID_CMD, cycle, tracer, dev_id)
+                return self._push_response(build_response(pkt, old), pkt, cycle)
+            return 0
+        return self._error_response(  # pragma: no cover - guarded by caller
+            pkt, ErrStat.INVALID_CMD, cycle, tracer, dev_id
+        )
 
-    def _do_mode(self, pkt: Packet, cycle: int, tracer: Tracer, dev_id: int) -> None:
-        """Handle in-band MODE_READ / MODE_WRITE register packets (§V.D).
+    def _do_mode(self, pkt: Packet, cycle: int, tracer: Tracer, dev_id: int) -> int:
+        """Handle in-band MODE_READ / MODE_WRITE register packets (§V.D);
+        returns the response-queue slots the reply took.
 
         The sparse physical register index travels in the address field;
         MODE_WRITE data rides in the first payload word.
@@ -434,8 +495,9 @@ class Vault:
             extra={"reg": pkt.addr, "write": pkt.cls is CommandClass.MODE_WRITE},
         )
         if regs is None:
-            self._error_response(pkt, ErrStat.DEVICE_CRITICAL, cycle, tracer, dev_id)
-            return
+            return self._error_response(
+                pkt, ErrStat.DEVICE_CRITICAL, cycle, tracer, dev_id
+            )
         try:
             if pkt.cls is CommandClass.MODE_READ:
                 value = regs.read_phys(pkt.addr)
@@ -444,9 +506,10 @@ class Vault:
                 regs.write_phys(pkt.addr, pkt.payload[0] if pkt.payload else 0)
                 rsp = build_response(pkt)
         except RegisterAccessError:
-            self._error_response(pkt, ErrStat.INVALID_ADDRESS, cycle, tracer, dev_id)
-            return
-        self._push_response(rsp, pkt, cycle)
+            return self._error_response(
+                pkt, ErrStat.INVALID_ADDRESS, cycle, tracer, dev_id
+            )
+        return self._push_response(rsp, pkt, cycle)
 
     # -- diagnostics ---------------------------------------------------------------
 

@@ -22,6 +22,9 @@ from repro.core.simulator import HMCSim
 from repro.packets.commands import CMD, is_posted
 from repro.packets.packet import ErrStat, Packet, build_memrequest
 
+#: Posted commands: they take no tag and get no response.
+_POSTED = frozenset(c for c in CMD if is_posted(c))
+
 
 class LinkPolicy(enum.Enum):
     """Host-side link-selection policies."""
@@ -186,50 +189,120 @@ class Host:
         caller should clock the simulation and retry, mirroring the C
         harness's stall handling.  Posted requests consume no tag.
         """
-        if self.policy is LinkPolicy.ROUND_ROBIN:
-            links = self._host_links
-            dev, link = links[self._rotor % len(links)]
-            self._rotor += 1
-        else:
-            dev, link = self._pick_link(cub, addr)
-        pool = self.tag_pools[(dev, link)]
-        posted = is_posted(cmd)
-        tag = 0
-        if not posted:
-            ctx = PendingRequest(
-                cmd=cmd, addr=addr, dev=dev, link=link, sent_cycle=self.sim.clock_value
-            )
-            t = pool.allocate(context=ctx)
-            if t is None:
-                return None
-            tag = t
-        accepted = False
-        try:
-            pkt = build_memrequest(cub, addr, tag, cmd, payload=payload, link=link)
-            self.sim.send(pkt, dev=dev, link=link)
-            accepted = True
-        except StallError:
-            return None
-        except LinkDeadError:
-            # The link degraded to FAILED: fail over to the surviving
-            # host links.  Requests already outstanding on the dead link
-            # are stranded (the engine watchdog converts that into a
-            # typed abort when armed); with no survivor the typed error
-            # propagates to the caller.
-            self._host_links = [hl for hl in self._host_links if hl != (dev, link)]
-            if not self._host_links:
-                raise
-            return None
-        finally:
-            # The builder and send both raise before enqueueing, so on
-            # any failure the tag goes back: a leaked tag holds
-            # `outstanding` above zero and a draining run() never ends.
-            if not accepted and not posted:
-                pool.release(tag)
-        self.sent += 1
-        # Exposed for wrappers that need the full correlation key.
-        self.last_send = (dev, link, tag)
-        return tag
+        if self._inject((cmd, addr, payload), None, cub)[0]:
+            return self.last_send[2]
+        return None
+
+    def _inject(
+        self, item: Optional[tuple], more: Optional[Iterator], cub: int
+    ) -> Tuple[int, Optional[tuple]]:
+        """Send *item*, then items from *more*, until one cannot go.
+
+        The one inject body, behind :meth:`send_request` (one item) and
+        :meth:`run` (a cycle's burst).  Items are ``(cmd, addr,
+        payload)``.  Returns ``(sent, held)``: *held* is the item that
+        found no free tag or a stalled link — retry it after a clock —
+        or None once *more* (or the single item) is used up.
+
+        Per request, in order: pick a link, take a tag (none free: stop
+        before building, so no packet serial is drawn), build the packet,
+        inject.  A stalled injection returns its tag to the back of the
+        free list.  With no link-error machinery configured and the
+        sim's own ``HMCSim.send``, the injection is ``HMCSim.send``'s
+        hot lane, inlined; otherwise it is the call.
+        """
+        sim = self.sim
+        pools = self.tag_pools
+        round_robin = self.policy is LinkPolicy.ROUND_ROBIN
+        inline = type(sim).send is HMCSim.send and not (
+            sim._freed or sim._retry_sessions or sim._tokens or sim._link_faults
+        )
+        peers = sim._link_peers
+        devices = sim.devices
+        host_cub = sim.config.host_cub
+        clock = sim.clock_value
+        sent = 0
+        while item is not None:
+            cmd, addr, payload = item
+            if round_robin:
+                links = self._host_links
+                lane = links[self._rotor % len(links)]
+                self._rotor += 1
+            else:
+                lane = self._pick_link(cub, addr)
+            dev, link = lane
+            pool = pools[lane]
+            posted = cmd in _POSTED
+            tag = 0
+            if not posted:
+                free = pool._free
+                if not free:
+                    return sent, item
+                tag = free.popleft()
+                pool._bound[tag] = PendingRequest(cmd, addr, dev, link, clock)
+                pool.allocated_total += 1
+            accepted = False
+            try:
+                pkt = build_memrequest(cub, addr, tag, cmd, payload, link)
+                if inline:
+                    if peers.get(lane) != "host":
+                        raise TopologyError(
+                            f"dev {dev} link {link} is not attached to the host"
+                        )
+                    device = devices[dev]
+                    rq = device.xbars[link].rqst
+                    if len(rq._q) >= rq.depth:
+                        sim.send_stalls += 1
+                    else:
+                        pkt.injected_at = clock
+                        pkt.ingress_link = link
+                        pkt.src_cub = host_cub
+                        pkt.route_stack = [lane]
+                        device.links[link].count_rx(pkt.num_flits)
+                        rq.push(pkt, clock)
+                        sim.packets_sent += 1
+                        accepted = True
+                else:
+                    sim.send(pkt, dev=dev, link=link)
+                    accepted = True
+            except StallError:
+                pass
+            except LinkDeadError:
+                # The link degraded to FAILED: fail over to the surviving
+                # host links.  Requests already outstanding on the dead
+                # link are stranded (the engine watchdog converts that
+                # into a typed abort when armed); with no survivor the
+                # typed error propagates to the caller.
+                self._host_links = [hl for hl in self._host_links if hl != (dev, link)]
+                if not self._host_links:
+                    raise
+            finally:
+                # The builder and send both raise before enqueueing, so on
+                # any failure the tag goes back: a leaked tag holds
+                # `outstanding` above zero and a draining run() never ends.
+                if not accepted and not posted:
+                    pool.release(tag)
+            if not accepted:
+                return sent, item
+            sent += 1
+            self.sent += 1
+            # Exposed for wrappers that need the full correlation key.
+            self.last_send = (dev, link, tag)
+            item = next(more, None) if more is not None else None
+        return sent, None
+
+    def _inject_each(
+        self, item: Optional[tuple], more: Iterator, cub: int
+    ) -> Tuple[int, Optional[tuple]]:
+        """:meth:`_inject`'s contract, one :meth:`send_request` call per item."""
+        sent = 0
+        while item is not None:
+            cmd, addr, payload = item
+            if self.send_request(cmd, addr, cub=cub, payload=payload) is None:
+                return sent, item
+            sent += 1
+            item = next(more, None)
+        return sent, None
 
     # -- response handling ----------------------------------------------------------
 
@@ -253,25 +326,28 @@ class Host:
                         break  # head held back by an in-band replay window
         else:
             responses = self.sim.recv_all()
+        self.received += len(responses)
+        pools = self.tag_pools
+        now = self.sim.clock_value
         for rsp in responses:
-            self.received += 1
-            pool = self.tag_pools.get(rsp.delivered_from)
-            try:
-                if pool is None:
-                    raise KeyError(rsp.delivered_from)
-                ctx: PendingRequest = pool.release(rsp.tag)
-            except KeyError:
+            pool = pools.get(rsp.delivered_from)
+            tag = rsp.tag
+            if pool is None or tag not in pool._bound:
                 # Response with an unknown tag or from an unknown link
                 # (e.g. after host restart): count as an error and move on.
                 self.errors += 1
                 continue
+            # TagPool.release, inlined.
+            ctx: PendingRequest = pool._bound.pop(tag)
+            pool._free.append(tag)
+            pool.released_total += 1
             if rsp.errstat is not ErrStat.OK or rsp.cmd == CMD.ERROR:
                 self.errors += 1
                 self.error_stats[int(rsp.errstat)] = (
                     self.error_stats.get(int(rsp.errstat), 0) + 1
                 )
             if ctx is not None:
-                self.latencies.append(self.sim.clock_value - ctx.sent_cycle)
+                self.latencies.append(now - ctx.sent_cycle)
         return responses
 
     def responses_queued(self) -> bool:
@@ -323,51 +399,48 @@ class Host:
         the target cube for the whole stream.
         """
         it: Iterator = iter(requests)
-        pending_item: Optional[Tuple] = None
-        exhausted = False
-        start_cycle = self.sim.clock_value
+        sim = self.sim
+        start_cycle = sim.clock_value
         start_sent = self.sent
         start_recv = self.received
         start_err = self.errors
         lat_mark = len(self.latencies)
         stall_cycles = 0
+        # A subclass's send_request sees every request; otherwise a
+        # cycle's sends are one burst through the inject body.
+        if type(self).send_request is Host.send_request:
+            inject = self._inject
+        else:
+            inject = self._inject_each
+        held: Optional[Tuple] = None
+        exhausted = False
 
         # One outer trace-batch window for the whole drive loop, so
         # host-boundary events (RSP_DELIVERED) batch with engine events
         # instead of forcing a per-event flush between clock() calls.
-        tracer = self.sim.tracer
+        tracer = sim.tracer
         tracer.begin_batch()
         try:
-            while self.sim.clock_value - start_cycle < max_cycles:
+            while sim.clock_value - start_cycle < max_cycles:
                 # Send phase: inject until stall / exhaustion.
-                sent_this_cycle = 0
-                while True:
-                    if pending_item is None:
-                        try:
-                            pending_item = next(it)
-                        except StopIteration:
-                            exhausted = True
-                            break
-                    cmd, addr, payload = pending_item
-                    tag = self.send_request(cmd, addr, cub=cub, payload=payload)
-                    if tag is None:
-                        break  # stall: retry this item next cycle
-                    pending_item = None
-                    sent_this_cycle += 1
-                if sent_this_cycle == 0 and not exhausted:
-                    stall_cycles += 1
-                self.sim.clock()
+                if not exhausted:
+                    sent, held = inject(
+                        next(it, None) if held is None else held, it, cub
+                    )
+                    exhausted = held is None
+                    if not sent and not exhausted:
+                        stall_cycles += 1
+                sim.clock()
                 self.drain_responses()
-                if exhausted and pending_item is None:
-                    if not drain or self.outstanding == 0:
-                        break
+                if exhausted and (not drain or self.outstanding == 0):
+                    break
         finally:
             tracer.end_batch()
         return HostRunResult(
             requests_sent=self.sent - start_sent,
             responses_received=self.received - start_recv,
             errors_received=self.errors - start_err,
-            cycles=self.sim.clock_value - start_cycle,
+            cycles=sim.clock_value - start_cycle,
             send_stall_cycles=stall_cycles,
             latencies=self.latencies[lat_mark:],
         )

@@ -528,10 +528,19 @@ _ZERO_WORDS = {n: (0,) * n for n in range(0, (MAX_FLITS - 1) * 2 + 1, 2)}
 #: Request-layout cache: cmd -> (CMD, payload word count, class info).
 _REQ_CACHE: dict = {}
 
-#: Response-layout cache: request CMD -> (response CMD, payload word
-#: count, class info).  Only commands that expect a response are cached,
-#: so a cache hit implies the expects_response check already passed.
-_RSP_CACHE: dict = {}
+#: Response layout: request CMD -> (response CMD, payload word count,
+#: class info), for exactly the commands that expect a response — so a
+#: hit implies the expects_response check passed, and a caller holding
+#: such a request (the vault's reply path) may index it directly.
+_RSP_CACHE: dict = {
+    cmd: (
+        response_cmd_for(cmd),
+        (response_flits(cmd) - 1) * 2,
+        _class_info(response_cmd_for(cmd)),
+    )
+    for cmd in CMD
+    if expects_response(cmd)
+}
 
 
 def _fast_new(
@@ -650,12 +659,7 @@ def build_response(
         return rsp
     info = _RSP_CACHE.get(request.cmd)
     if info is None:
-        if not request.expects_response:
-            raise ValueError(f"{request.cmd.name} does not expect a response")
-        rsp_cmd = response_cmd_for(request.cmd)
-        need_words = (response_flits(request.cmd) - 1) * 2
-        info = (rsp_cmd, need_words, _class_info(rsp_cmd))
-        _RSP_CACHE[request.cmd] = info
+        raise ValueError(f"{request.cmd.name} does not expect a response")
     rsp_cmd, need_words, cls_info = info
     if data:
         words = [int(w) & _MASK64 for w in data]

@@ -2,12 +2,14 @@
 
 import pytest
 
+import repro.packets.packet as packet_mod
 from repro.core.errors import TopologyError
 from repro.core.simulator import HMCSim
 from repro.host.host import Host, LinkPolicy
 from repro.host.tagpool import TagPool
 from repro.packets.commands import CMD
-from repro.topology.builder import build_simple
+from repro.packets.packet import build_memrequest
+from repro.topology.builder import build_chain, build_simple
 
 
 class TestTagPool:
@@ -132,6 +134,68 @@ class TestHostBasics:
         with pytest.raises(ValueError):
             host.send_request(CMD.RD64, addr=1 << 40)
         self._assert_next_run_ends_with_its_response(host)
+
+
+class TestOrderContract:
+    """What the one inject body and the reply path keep exactly."""
+
+    def test_hot_lane_stall_recycles_tag_to_the_back(self, monkeypatch):
+        sim = HMCSim(num_devs=1, num_links=4, num_banks=8, capacity=2,
+                     xbar_depth=1)
+        build_simple(sim, host_links=1)
+        host = Host(sim)
+
+        def general_path(*args, **kwargs):  # pragma: no cover - must not run
+            raise AssertionError("hot lane left for HMCSim.send")
+
+        # No link-error machinery: the host injects without HMCSim.send.
+        monkeypatch.setattr(HMCSim, "send", general_path)
+        assert host.send_request(CMD.RD16, addr=0) == 0
+        before = next(packet_mod._packet_serial)
+        assert host.send_request(CMD.RD16, addr=64) is None  # queue full
+        # The stalled packet was built: exactly one serial drawn.
+        assert next(packet_mod._packet_serial) == before + 2
+        assert sim.send_stalls == 1
+        pool = host.tag_pools[(0, 0)]
+        assert pool._free[0] == 2 and pool._free[-1] == 1
+        assert pool.outstanding_tags() == [0]
+
+    def test_held_request_keeps_its_route_stack(self):
+        sim = build_chain(HMCSim(num_devs=2, num_links=4, num_banks=8,
+                                 capacity=2))
+        pkt = build_memrequest(1, 0x40, 7, CMD.RD64)
+        sim.send(pkt, dev=0, link=0)
+        for _ in range(200):
+            sim.clock()
+            rsps = sim.recv_all()
+            if rsps:
+                break
+        assert [r.tag for r in rsps] == [7]
+        # The reply popped its route records from a copy of the stack.
+        assert pkt.route_stack[0] == (0, 0) and len(pkt.route_stack) == 2
+        assert rsps[0].route_stack == []
+
+    def test_far_cube_replies_leave_on_the_ingress_link(self):
+        sim = build_chain(HMCSim(num_devs=4, num_links=4, num_banks=8,
+                                 capacity=2), host_links=2)
+        host = Host(sim)
+        host.run([(CMD.WR64, i * 64, [100 + i] * 8) for i in range(12)], cub=3)
+        for i in range(12):
+            assert host.send_request(CMD.RD64, addr=i * 64, cub=3) is not None
+        rsps = []
+        for _ in range(2000):
+            sim.clock()
+            rsps += sim.recv_all()
+            if len(rsps) == 12:
+                break
+        assert {r.delivered_from for r in rsps} == {(0, 0), (0, 1)}
+        for rsp in rsps:
+            # The reply came back on the link its request went out on:
+            # that link's pool holds the request, and the data is its.
+            ctx = host.tag_pools[rsp.delivered_from].context(rsp.tag)
+            assert (ctx.dev, ctx.link) == rsp.delivered_from
+            assert rsp.src_cub == 3
+            assert rsp.payload[0] == 100 + ctx.addr // 64
 
 
 class TestHostResponses:
