@@ -1,13 +1,20 @@
-"""Python calls per Table I request: a deterministic work counter.
+"""Python calls per request: a deterministic work counter.
 
-Runs the paper's Table I stream (the four ``PAPER_CONFIGS``, random
-64-byte requests, every link on the host) under ``cProfile`` and prints
-the Python-level calls the drive loop made per request.  Only
-``Host.run`` is profiled: building the simulator is set-up, not
-per-request work.  Unlike a wall time, the count does not move with the
-machine, so a bound on it gates what a noisy wall cannot.
+Runs a request stream under ``cProfile`` and prints the Python-level
+calls the drive loop made per request.  Only ``Host.run`` is profiled:
+building the simulator is set-up, not per-request work.  Unlike a wall
+time, the count does not move with the machine, so a bound on it gates
+what a noisy wall cannot.  Two streams:
 
-    PYTHONPATH=src python benchmarks/calls_per_request.py [--requests-log2 11] [--max N]
+* ``table1`` (default): the paper's Table I stream — the four
+  ``PAPER_CONFIGS``, random 64-byte requests, every link on the host;
+* ``chain4``: the spine's ``chain4_ber`` shape — a 4-cube chain with one
+  host link, link BER 1e-5, ``link_max_retries=16``, every request to
+  the far cube, so each one crosses three faulty chain links and the
+  faulty host link both ways.
+
+    PYTHONPATH=src python benchmarks/calls_per_request.py \
+        [--workload table1|chain4] [--requests-log2 11] [--max N]
 
 Exits 1 when the count exceeds ``--max``.
 """
@@ -21,10 +28,17 @@ import pstats
 from repro.core.config import PAPER_CONFIGS, SimConfig
 from repro.core.simulator import HMCSim
 from repro.host.host import Host
+from repro.topology.builder import build_chain
 from repro.workloads.random_access import RandomAccessConfig, random_access_requests
 
 
-def calls_per_request(requests: int, seed: int = 1) -> float:
+def _profiled_calls(host: Host, stream, cub: int) -> int:
+    prof = cProfile.Profile()
+    prof.runcall(host.run, stream, cub=cub, max_cycles=50_000_000)
+    return pstats.Stats(prof).total_calls
+
+
+def table1(requests: int, seed: int = 1) -> float:
     """Profiled calls per request over the four Table I configurations."""
     cfg = RandomAccessConfig(num_requests=requests, seed=seed)
     calls = 0
@@ -32,24 +46,40 @@ def calls_per_request(requests: int, seed: int = 1) -> float:
         sim = HMCSim(SimConfig(device=device))
         for link in range(device.num_links):
             sim.attach_host(0, link)
-        host = Host(sim, seed=seed)
         stream = random_access_requests(device.capacity_bytes, cfg)
-        prof = cProfile.Profile()
-        prof.runcall(host.run, stream, cub=0, max_cycles=50_000_000)
-        calls += pstats.Stats(prof).total_calls
+        calls += _profiled_calls(Host(sim, seed=seed), stream, cub=0)
     return calls / (requests * len(PAPER_CONFIGS))
+
+
+def chain4(requests: int, seed: int = 1) -> float:
+    """Profiled calls per request on the faulty 4-cube chain."""
+    device = PAPER_CONFIGS["4-Link; 8-Bank; 2GB"]
+    scfg = SimConfig(device=device, num_devs=4, link_ber=1e-5,
+                     link_max_retries=16, link_seed=seed)
+    sim = build_chain(HMCSim(scfg), host_links=1)
+    cfg = RandomAccessConfig(num_requests=requests, seed=seed)
+    stream = random_access_requests(device.capacity_bytes, cfg)
+    calls = _profiled_calls(Host(sim, seed=seed), stream, cub=scfg.num_devs - 1)
+    return calls / requests
+
+
+WORKLOADS = {"table1": (table1, "4 configs x 2^{} requests"),
+             "chain4": (chain4, "4-cube chain at BER 1e-5, 2^{} requests")}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workload", choices=sorted(WORKLOADS),
+                        default="table1", help="request stream to profile")
     parser.add_argument("--requests-log2", type=int, default=11,
-                        help="requests per configuration, as a power of two")
+                        help="requests (per configuration), as a power of two")
     parser.add_argument("--max", type=float, default=None,
                         help="fail when calls per request exceed this")
     args = parser.parse_args(argv)
-    per_request = calls_per_request(1 << args.requests_log2)
+    count, shape = WORKLOADS[args.workload]
+    per_request = count(1 << args.requests_log2)
     print(f"calls per request: {per_request:.2f} "
-          f"(4 configs x 2^{args.requests_log2} requests)")
+          f"({shape.format(args.requests_log2)})")
     if args.max is not None and per_request > args.max:
         print(f"FAIL: above the bound {args.max}")
         return 1

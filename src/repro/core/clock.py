@@ -721,60 +721,71 @@ class ClockEngine:
         Host-link response queues are left alone — the host drains them
         via ``recv``.
         """
+        act = dev.act_xbar_rsp
+        if not act:
+            return 0
         sim = self.sim
         tracer = sim.tracer
         live = tracer.live_mask
         moves = sim.config.xbar_moves_per_cycle
+        hop_limit = sim.enforce_hop_limit
+        peers = sim._link_peers
+        link_faults = sim._link_faults
+        dev_id = dev.dev_id
         moved = 0
-        act = dev.act_xbar_rsp
-        if not act:
-            return 0
         # Only chain-link response queues are ever bound into
-        # act_xbar_rsp (sync_activity_bindings), so membership already
-        # implies the is_chain_link filter below.
-        for xbar in [dev.xbars[lid] for lid in sorted(act)]:
-            link = dev.links[xbar.link_id]
-            if not link.is_chain_link:
-                continue
-            peer = sim.link_peer(dev.dev_id, xbar.link_id)
+        # act_xbar_rsp (sync_activity_bindings); a chain link is exactly
+        # one whose peer is a (dev, link) pair.  Popping the last packet
+        # discards its id from act, so walk a sorted snapshot.
+        for lid in sorted(act):
+            peer = peers.get((dev_id, lid))
             if peer is None or peer == "host":
                 continue
             peer_dev_id, peer_link = peer
             peer_dev = sim.devices[peer_dev_id]
-            link_faults = sim._link_faults
-            fault_state = (
-                link_faults.get((dev.dev_id, xbar.link_id))
-                if link_faults
-                else None
-            )
+            peer_nlinks = len(peer_dev.links)
+            rsp = dev.xbars[lid].rsp
+            q = rsp._q
+            stamps = rsp._stamps
+            link = dev.links[lid]
+            fault_state = link_faults.get((dev_id, lid)) if link_faults else None
             for _ in range(moves):
-                pkt = xbar.rsp.peek()
-                if pkt is None:
+                if not q:
                     break
+                pkt = q[0]
                 # One hop per cycle: leave same-cycle arrivals alone.
-                if sim.enforce_hop_limit and xbar.rsp.stamp_at(0) >= cycle:
+                if hop_limit and stamps[0] >= cycle:
                     break
-                next_link = self._egress_link_for(pkt, peer_dev)
+                stack = pkt.route_stack
+                if stack:
+                    # _egress_link_for(pkt, peer_dev), inlined.
+                    rec_dev, next_link = stack[-1]
+                    if rec_dev != peer_dev_id or not 0 <= next_link < peer_nlinks:
+                        next_link = None
+                else:
+                    next_link = self._egress_link_for(pkt, peer_dev)
                 if next_link is None:
-                    xbar.rsp.pop()
+                    rsp.pop()
                     sim.dropped_responses += 1
                     if live & _EV_PKT_EXPIRED:
                         tracer.event(
                             EventType.PKT_EXPIRED,
                             cycle,
-                            dev=dev.dev_id,
-                            link=xbar.link_id,
+                            dev=dev_id,
+                            link=lid,
                             serial=pkt.serial,
                         )
                     continue
                 dest = peer_dev.xbars[next_link].rsp
-                if dest.is_full:
+                dq = dest._q
+                n = len(dq)
+                if n >= dest.depth:
                     if live & _EV_XBAR_RSP_STALL:
                         tracer.event(
                             EventType.XBAR_RSP_STALL,
                             cycle,
-                            dev=dev.dev_id,
-                            link=xbar.link_id,
+                            dev=dev_id,
+                            link=lid,
                             serial=pkt.serial,
                         )
                     break
@@ -784,29 +795,46 @@ class ClockEngine:
                     # window; a dead link strands it (dropped, tokens
                     # leak — the watchdog's deadlock scenario).
                     status = fault_state.try_transmit(
-                        (dev.dev_id, xbar.link_id), pkt, cycle, tracer
+                        (dev_id, lid), pkt, cycle, tracer
                     )
                     if status is not TX_OK:
                         if status is TX_DEAD:
                             sim._note_link_failure(fault_state)
-                            xbar.rsp.pop()
+                            rsp.pop()
                             sim.dropped_responses += 1
                             if live & _EV_PKT_EXPIRED:
                                 tracer.event(
                                     EventType.PKT_EXPIRED,
                                     cycle,
-                                    dev=dev.dev_id,
-                                    link=xbar.link_id,
+                                    dev=dev_id,
+                                    link=lid,
                                     serial=pkt.serial,
                                 )
                             continue
                         break
-                xbar.rsp.pop()
-                if pkt.route_stack and pkt.route_stack[-1][0] == peer_dev.dev_id:
-                    pkt.route_stack.pop()
+                # PacketQueue.pop / push and Link.count_tx / count_rx,
+                # inlined (a response is never a FLOW/MODE packet; the
+                # room was checked above).
+                q.popleft()
+                stamps.popleft()
+                rsp.total_dequeued += 1
+                if not q and rsp._act_set is not None:
+                    rsp._act_set.discard(rsp._act_key)
+                if stack:  # its top record is the peer's: checked above
+                    stack.pop()
                 pkt.hops += 1
-                link.count_tx(pkt.num_flits)
-                peer_dev.links[next_link].count_rx(pkt.num_flits)
-                dest.push(pkt, cycle)
+                flits = pkt.num_flits
+                link.tx_packets += 1
+                link.tx_flits += flits
+                peer_rx = peer_dev.links[next_link]
+                peer_rx.rx_packets += 1
+                peer_rx.rx_flits += flits
+                if not n and dest._act_set is not None:
+                    dest._act_set.add(dest._act_key)
+                dq.append(pkt)
+                dest._stamps.append(cycle)
+                dest.total_enqueued += 1
+                if n >= dest.high_water:
+                    dest.high_water = n + 1
                 moved += 1
         return moved

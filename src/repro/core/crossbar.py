@@ -77,6 +77,14 @@ class CrossbarUnit:
         waiting for local vault access" (§III.C), but local packets never
         pass each other (preserving link→bank stream order).  Returns
         the number of packets moved.
+
+        A held link is offered once per walk: once a remote packet's
+        egress stalls in its in-band gate (a replay window or HALF-width
+        serialization keeps the direction busy past this cycle), later
+        remote packets bound for that egress are skipped.  Offering them
+        would change nothing: a busy direction's gate returns before it
+        touches any stream, counter or pointer, and the peer queue it
+        feeds cannot fill meanwhile — only that link pushes into it.
         """
         rqst = self.rqst
         if not rqst._q or moves <= 0:
@@ -109,6 +117,8 @@ class CrossbarUnit:
         skip_ok = vault_of is None and mode_vault < num_vaults
         stall_trace = tracer.live_mask & _EV_XBAR_RQST_STALL
         lat_trace = tracer.live_mask & _EV_LATENCY_PENALTY
+        # Cubes whose egress link is held for the rest of this walk.
+        held = None
         # Single in-order pass with one batched removal: a positional
         # peek/pop walk pays O(k) deque access per visited slot, O(n^2)
         # per stage on deep queues.
@@ -119,11 +129,15 @@ class CrossbarUnit:
                 # One-hop-per-cycle for chained forwards.
                 if hop_limit and cycle - stamp < 1:
                     continue
-                if self._route_remote(pkt, device, sim, cycle, tracer):
+                if held is None:
+                    held = set()
+                elif pkt.cub in held:
+                    continue
+                if self._route_remote(pkt, device, sim, cycle, tracer, held):
                     removed.append(pos)
                     moved += 1
-                # Remote stall (peer queue full / no route handled
-                # inside): leave in place, keep scanning.
+                # Remote stall (peer queue full / held link / no route
+                # handled inside): leave in place, keep scanning.
                 continue
             if blocked == all_mask and skip_ok:
                 continue
@@ -209,11 +223,29 @@ class CrossbarUnit:
         sim: "HMCSim",
         cycle: int,
         tracer: Tracer,
+        held: set,
     ) -> bool:
+        """Forward *pkt* one hop toward its cube; True iff it left.
+
+        A stall in the egress link's gate adds every cube routed through
+        that egress to *held* (the walk's held-link rule).  A dead link
+        is not held: the rebuilt routes send its cubes elsewhere.  They
+        keep every held cube on its egress — removing a link lengthens
+        no path that avoids it.
+        """
         if sim is None:
             self._reject(pkt, device, cycle, tracer, ErrStat.UNROUTABLE)
             return True
-        hop = sim.next_hop(device.dev_id, pkt.cub)
+        # HMCSim.next_hop, inlined: the lazily built table; unknown cube
+        # ids (the host's among them) and unreachable cubes have no hop.
+        routes = sim._routes
+        if routes is None:
+            sim._build_routes()
+            routes = sim._routes
+        dev_id = device.dev_id
+        cub = pkt.cub
+        table = routes[dev_id]
+        hop = table.get(cub) if 0 <= cub < sim.config.num_devs else None
         if hop is None:
             # Misroute: no path to the destination cube.  Per §IV.2 the
             # user receives an error response rather than a crash.
@@ -221,56 +253,76 @@ class CrossbarUnit:
             tracer.event(
                 EventType.MISROUTE,
                 cycle,
-                dev=device.dev_id,
+                dev=dev_id,
                 link=self.link_id,
                 serial=pkt.serial,
-                extra={"target_cub": pkt.cub},
+                extra={"target_cub": cub},
             )
             self._reject(pkt, device, cycle, tracer, ErrStat.UNROUTABLE)
             return True
         egress_link, peer_dev_id, peer_link = hop
         peer = sim.devices[peer_dev_id]
-        peer_xbar = peer.xbars[peer_link]
-        if peer_xbar.rqst.is_full:
+        prq = peer.xbars[peer_link].rqst
+        pq = prq._q
+        n = len(pq)
+        if n >= prq.depth:
             self.stall_events += 1
             if tracer.live_mask & _EV_XBAR_RQST_STALL:
                 tracer.event(
                     EventType.XBAR_RQST_STALL,
                     cycle,
-                    dev=device.dev_id,
+                    dev=dev_id,
                     link=self.link_id,
                     serial=pkt.serial,
-                    extra={"remote": True, "target_cub": pkt.cub},
+                    extra={"remote": True, "target_cub": cub},
                 )
             return False
         link_faults = sim._link_faults
         if link_faults:
-            state = link_faults.get((device.dev_id, egress_link))
+            sender = (dev_id, egress_link)
+            state = link_faults.get(sender)
             if state is not None:
                 # In-band gate: the chain hop crosses the link retry
                 # protocol.  A failed transmission leaves the packet
                 # queued for the replay window; a dead link leaves it
-                # for rerouting (next_hop now avoids FAILED links) or a
-                # misroute error response when no path survives.
-                status = state.try_transmit(
-                    (device.dev_id, egress_link), pkt, cycle, tracer
-                )
+                # for rerouting (the rebuilt routes avoid FAILED links)
+                # or a misroute error response when no path survives.
+                status = state.try_transmit(sender, pkt, cycle, tracer)
                 if status is not TX_OK:
                     if status is TX_DEAD:
                         sim._note_link_failure(state)
+                    else:
+                        for target, route in table.items():
+                            if route[0] == egress_link:
+                                held.add(target)
                     return False
+        flits = pkt.num_flits
         pkt.route_stack.append((peer_dev_id, peer_link))
         pkt.hops += 1
         pkt.ingress_link = peer_link
-        device.links[egress_link].count_tx(pkt.num_flits)
-        peer.links[peer_link].count_rx(pkt.num_flits)
-        peer_xbar.rqst.push(pkt, cycle)
+        # Link.count_tx / count_rx and PacketQueue.push, inlined (the
+        # room was checked above).
+        link = device.links[egress_link]
+        link.tx_packets += 1
+        link.tx_flits += flits
+        link = peer.links[peer_link]
+        link.rx_packets += 1
+        link.rx_flits += flits
+        if not n and prq._act_set is not None:
+            prq._act_set.add(prq._act_key)
+        pq.append(pkt)
+        prq._stamps.append(cycle)
+        prq.total_enqueued += 1
+        if pkt.is_special:
+            prq.special_count += 1
+        if n >= prq.high_water:
+            prq.high_water = n + 1
         self.routed_remote += 1
         if tracer.live_mask & _EV_CHAIN_HOP:
             tracer.event(
                 EventType.CHAIN_HOP,
                 cycle,
-                dev=device.dev_id,
+                dev=dev_id,
                 link=egress_link,
                 serial=pkt.serial,
                 extra={"to_dev": peer_dev_id, "to_link": peer_link},

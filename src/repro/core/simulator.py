@@ -330,8 +330,10 @@ class HMCSim:
         The ingress link defaults to the packet's SLID field; the device
         defaults to the (first) root device exposing that link to the
         host.  Raises :class:`StallError` when the crossbar arbitration
-        queue is full or link tokens are exhausted — the host should
-        clock the simulation and retry (paper §VI.A).
+        queue is full, link tokens are exhausted or the link's in-band
+        gate is in a replay window — the host should clock the
+        simulation and retry (paper §VI.A) — and :class:`LinkDeadError`
+        once that link has failed.
         """
         if self._freed:
             self._check_alive()
@@ -346,43 +348,30 @@ class HMCSim:
         if not self._host_links:
             self.validate_topology()
         device = self.devices[dev]
-        xbar = device.xbars[link]
-        rq = xbar.rqst
+        rq = device.xbars[link].rqst
         if len(rq._q) >= rq.depth:
             self.send_stalls += 1
             raise StallError(f"crossbar request queue full on dev {dev} link {link}")
-        if not (self._retry_sessions or self._tokens or self._link_faults):
-            # Hot lane: no link-error machinery configured — inject
-            # directly (identical bookkeeping to the general path below).
-            cycle = self.clock_value
-            pkt.injected_at = cycle
-            pkt.ingress_link = link
-            pkt.src_cub = self.host_cub
-            pkt.route_stack = [(dev, link)]
-            device.links[link].count_rx(pkt.num_flits)
-            rq.push(pkt, cycle)
-            self.packets_sent += 1
-            return
-        session = (
-            self._retry_sessions.get((dev, link)) if self._retry_sessions else None
-        )
-        if session is not None:
-            # Error simulation: the packet crosses a faulty SERDES link
-            # under the link retry protocol; what arrives is whatever
-            # decoded cleanly at the receiver (bit-identical to the
-            # original once CRC passes).
-            from repro.faults.retry import LinkRetryExhausted
+        tokens = None
+        if self._retry_sessions or self._tokens:
+            session = self._retry_sessions.get((dev, link))
+            if session is not None:
+                # Error simulation: the packet crosses a faulty SERDES
+                # link under the link retry protocol; what arrives is
+                # whatever decoded cleanly at the receiver
+                # (bit-identical to the original once CRC passes).
+                from repro.faults.retry import LinkRetryExhausted
 
-            try:
-                pkt = session.transmit(pkt)
-            except LinkRetryExhausted:
-                self.link_errors_unrecovered += 1
-                raise  # typed, and an HMCError already
-        tokens = self._tokens.get((dev, link)) if self._tokens else None
-        flits = pkt.num_flits
-        if tokens is not None and not tokens.can_send(flits):
-            self.send_stalls += 1
-            raise StallError(f"link tokens exhausted on dev {dev} link {link}")
+                try:
+                    pkt = session.transmit(pkt)
+                except LinkRetryExhausted:
+                    self.link_errors_unrecovered += 1
+                    raise  # typed, and an HMCError already
+            tokens = self._tokens.get((dev, link))
+            if tokens is not None and not tokens.can_send(pkt.num_flits):
+                self.send_stalls += 1
+                raise StallError(f"link tokens exhausted on dev {dev} link {link}")
+        cycle = self.clock_value
         if self._link_faults:
             # In-band fault path: the transmission runs the link retry
             # protocol in real simulated time.  A failure opens a replay
@@ -390,20 +379,15 @@ class HMCSim:
             # recovery cycles land in the total cycle count.
             state = self._link_faults.get((dev, link))
             if state is not None:
-                status = state.try_transmit(
-                    HOST_SENDER, pkt, self.clock_value, self.tracer
-                )
+                status = state.try_transmit(HOST_SENDER, pkt, cycle, self.tracer)
                 if status is not TX_OK:
                     if status is TX_DEAD:
-                        self._note_link_failure(state)
-                        raise LinkDeadError(
-                            f"host link {link} on dev {dev} has failed",
-                            report=self.link_report(),
-                        )
+                        raise self._host_link_dead(state, dev, link)
                     self.send_stalls += 1
                     raise StallError(
                         f"link {link} on dev {dev} in retry/replay window"
                     )
+        flits = pkt.num_flits
         if tokens is not None:
             tokens.consume(flits)
             if pkt.expects_response:
@@ -412,13 +396,20 @@ class HMCSim:
                 # Posted traffic: credit returns when the device logically
                 # consumes the packet; approximated as immediate return.
                 tokens.restore(flits)
-        pkt.injected_at = self.clock_value
+        pkt.injected_at = cycle
         pkt.ingress_link = link
         pkt.src_cub = self.host_cub
         pkt.route_stack = [(dev, link)]
         device.links[link].count_rx(flits)
-        xbar.rqst.push(pkt, self.clock_value)
+        rq.push(pkt, cycle)
         self.packets_sent += 1
+
+    def _host_link_dead(self, state: InbandLinkState, dev: int, link: int) -> LinkDeadError:
+        """Note a host link's gate reporting FAILED; the error to raise."""
+        self._note_link_failure(state)
+        return LinkDeadError(
+            f"host link {link} on dev {dev} has failed", report=self.link_report()
+        )
 
     def try_send(self, pkt: Packet, dev: Optional[int] = None, link: Optional[int] = None) -> bool:
         """Like :meth:`send` but returns False instead of raising on stall."""
@@ -524,40 +515,50 @@ class HMCSim:
         return pkt
 
     def recv_all(self) -> List[Packet]:
-        """Drain every pending host-visible response."""
+        """Drain every pending host-visible response.
+
+        The scan ``recv()`` performs, repeated until a poll finds
+        nothing: start at the fairness rotor and advance it once per
+        poll — including the terminal empty one, exactly like a failing
+        ``recv()`` would — and deliver the first head whose link's
+        in-band gate (when one is attached) lets it cross.
+        """
         self._check_alive()
-        out: List[Packet] = []
-        devices = self.devices
         host_links = self._host_links
         n = len(host_links)
-        if n and not self._link_faults:
-            # Fast drain: the same scan recv() performs (start at the
-            # fairness rotor, advance it once per poll — including the
-            # terminal empty poll, exactly like a failing recv() would)
-            # without per-packet exception or re-validation overhead.
-            while True:
-                rotor = self._recv_rotor
-                if rotor >= n:  # stale rotor after topology growth
-                    rotor %= n
-                self._recv_rotor = rotor + 1 if rotor + 1 < n else 0
-                for i in range(n):
-                    d, l = host_links[rotor + i - n if rotor + i >= n else rotor + i]
-                    xbar = devices[d].xbars[l]
-                    if xbar.rsp._q:
-                        out.append(self._deliver(d, l, xbar))
-                        break
-                else:
-                    return out
+        if not n:
+            raise TopologyError("no host link configured")
+        out: List[Packet] = []
+        devices = self.devices
+        link_faults = self._link_faults
+        cycle = self.clock_value
         while True:
-            if host_links and not self._response_pending():
-                # Nothing pending: the terminal empty poll still advances
-                # the fairness rotor, exactly like a failing recv() would,
-                # without paying for exception construction every cycle.
-                self._recv_rotor = (self._recv_rotor + 1) % len(host_links)
-                return out
-            try:
-                out.append(self.recv())
-            except NoDataError:
+            rotor = self._recv_rotor
+            if rotor >= n:  # stale rotor after topology growth
+                rotor %= n
+            self._recv_rotor = rotor + 1 if rotor + 1 < n else 0
+            for i in range(n):
+                d, l = host_links[rotor + i - n if rotor + i >= n else rotor + i]
+                xbar = devices[d].xbars[l]
+                q = xbar.rsp._q
+                if not q:
+                    continue
+                if link_faults:
+                    # Device→host delivery crosses the link in-band: a
+                    # failed transmission keeps the response queued for
+                    # the replay window; a dead link strands it.
+                    state = link_faults.get((d, l))
+                    if state is not None:
+                        if state.health is LinkHealth.FAILED:
+                            continue
+                        status = state.try_transmit((d, l), q[0], cycle, self.tracer)
+                        if status is not TX_OK:
+                            if status is TX_DEAD:
+                                self._note_link_failure(state)
+                            continue
+                out.append(self._deliver(d, l, xbar))
+                break
+            else:
                 return out
 
     def clock(self, cycles: int = 1) -> None:

@@ -171,32 +171,68 @@ class InbandLinkState:
         attempts happen only for queued head-of-line packets in
         deterministic stage order — both schedulers therefore consume
         the streams identically.
+
+        A busy direction (``cycle < busy_until``) returns ``TX_STALL``
+        before it touches the streams, a counter or the retry pointers,
+        and every failed attempt leaves ``busy_until > cycle``: the
+        crossbar's walk relies on both to offer a held link once per
+        walk.  The common case — a clean attempt with room in the retry
+        buffer and the acknowledged FRP at its head — runs without a
+        call.
         """
         if self.health is LinkHealth.FAILED:
             return TX_DEAD
-        d = self._dirs.get(sender)
-        if d is None:
+        try:
+            d = self._dirs[sender]
+        except KeyError:
             d = self._dirs[sender] = _DirState(self.retry_slots)
         if cycle < d.busy_until:
             return TX_STALL
+        stats = self.stats
         if d.pending_serial != pkt.serial:
             # New head-of-line packet: stamp an FRP.  The queued packet
             # itself is the retry-buffer entry a replay resends.
             d.pending_serial = pkt.serial
-            d.pending_frp = d.pointers.stamp(pkt)
+            ptr = d.pointers
+            slots = ptr.buffer_slots
+            if len(ptr._unacked) < slots:
+                # RetryPointerState.stamp, inlined: the buffer has room.
+                frp = ptr._next_frp
+                pkt.frp = frp
+                ptr._unacked.append(frp)
+                ptr._next_frp = (frp + 1) % slots
+            else:
+                frp = ptr.stamp(pkt)  # raises FlowControlError
+            d.pending_frp = frp
             d.pending_attempts = 0
-            self.stats.packets += 1
+            stats.packets += 1
         d.pending_attempts += 1
-        self.stats.transmissions += 1
-        kind, _flips = self.model.outcome(128 * pkt.num_flits)
+        stats.transmissions += 1
+        nbits = 128 * pkt.num_flits
+        model = self.model
+        inj = model.injector
+        end = inj._pos + nbits
+        if not model.drop_rate and end <= inj._pending[0]:
+            # What model.outcome(nbits) does when no drop is drawn and
+            # no bit flips (the injector's clean-run cursor).
+            model.transmissions += 1
+            inj.transmissions += 1
+            inj._pos = end
+            kind = FaultKind.CLEAN
+        else:
+            kind = model.outcome(nbits)[0]
         if kind is FaultKind.CLEAN:
             # No wire bit flipped, so the receiver's CRC verifies (that
             # any flip fails it is enforced and property-tested at the
             # RetrySession layer, which does decode); the receiver's RRP
             # acknowledges the FRP cumulatively.
-            d.pointers.acknowledge(d.pending_frp)
+            unacked = d.pointers._unacked
+            if unacked and unacked[0] == d.pending_frp:
+                unacked.popleft()  # RetryPointerState.acknowledge, inlined
+            else:
+                d.pointers.acknowledge(d.pending_frp)
             if d.pending_attempts > 1:
-                self.stats.recovered += 1
+                stats.recovered += 1
             d.failures = 0
             d.pending_serial = -1
             if self.health is LinkHealth.HALF:
@@ -209,11 +245,11 @@ class InbandLinkState:
         # IRTRY exchange + replay occupies the direction for
         # ``retry_delay`` real cycles.
         if kind is FaultKind.CORRUPT:
-            self.stats.crc_failures += 1
+            stats.crc_failures += 1
         else:
-            self.stats.drops += 1
-        self.stats.irtry_events += 1
-        self.stats.recovery_cycles += self.retry_delay
+            stats.drops += 1
+        stats.irtry_events += 1
+        stats.recovery_cycles += self.retry_delay
         d.failures += 1
         d.busy_until = cycle + max(1, self.retry_delay)
         ev_dev, ev_link = self._sender_endpoint(sender)
@@ -322,19 +358,47 @@ class InbandLinkState:
             out[name] = (value >> shift) & ((1 << bits) - 1)
         return out
 
+    #: ``(irtry_events, crc_failures, drops, recovered, health,
+    #: degradations)`` as the mirror last published them, or None: the
+    #: next mirror must write.  Derived state, so never pickled — a
+    #: restored link publishes on its first tick.
+    _published: Optional[tuple] = None
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("_published", None)
+        return state
+
     def sync_registers(self, devices) -> None:
         """Mirror health/counters into each endpoint's LRS register.
 
         Runs in stage 6, after host strobes were visible for the cycle:
         a host write to an LRS register rebases that endpoint's counter
         deltas to zero (write-to-clear, like the RAS counters).
+
+        Only a change publishes.  The registers change nowhere else but
+        through a strobe (a host, JTAG or MODE write, which the register
+        tick then clears) or a reset, so while neither happened and the
+        six published inputs are unchanged every endpoint already holds
+        its value.  A pending strobe on an endpoint device forces this
+        write and the next one, after the tick has cleared it.
         """
+        s = self.stats
+        key = (s.irtry_events, s.crc_failures, s.drops, s.recovered,
+               self.health, self.degradations)
+        strobed = False
+        for ep in self.endpoints:
+            if devices[ep[0]].regs._pending_clear:
+                strobed = True
+        if key == self._published and not strobed:
+            return
         for ep in self.endpoints:
             regs = devices[ep[0]].regs
             name = self._reg_names[ep]
             if regs.was_strobed(name):
                 self._reg_base[ep] = self._counters()
             regs.internal_write(name, self._packed_for(ep))
+        self._published = None if strobed else key
 
     def registers_synced(self, devices) -> bool:
         """True iff every endpoint's LRS register mirrors current state.
@@ -375,3 +439,4 @@ class InbandLinkState:
         self.failure_handled = False
         self._dirs.clear()
         self._reg_base.clear()
+        self._published = None

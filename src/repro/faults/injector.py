@@ -36,10 +36,21 @@ def apply_flips(words: Sequence[int], flips: Sequence[int]) -> List[int]:
 
 
 class _Injector:
-    """Transmission counters and the one ``corrupt`` both injectors share."""
+    """Transmission counters and the one ``corrupt`` both injectors share.
+
+    The clean-run cursor: ``_pos`` bits of the current block are
+    consumed and ``_pending[0]`` is the offset of its next flip, so an
+    *n*-bit transmission with ``_pos + n <= _pending[0]`` is clean and
+    changes nothing but ``_pos += n`` and ``transmissions``.  The in-band
+    gate takes such a transmission without calling :meth:`flips`.  These
+    class defaults never qualify: an injector without a block always
+    answers through :meth:`flips`.
+    """
 
     transmissions = 0
     corrupted_transmissions = 0
+    _pos = 1
+    _pending: Sequence[int] = (0,)
 
     def corrupt(self, words: Sequence[int]) -> List[int]:
         """Return a possibly-corrupted copy of *words*."""

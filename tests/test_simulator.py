@@ -214,6 +214,10 @@ class TestSendRecv:
         out = s.recv_all()
         assert sorted(r.tag for r in out) == [0, 1, 2, 3]
 
+    def test_recv_all_needs_a_host_link(self):
+        with pytest.raises(TopologyError, match="no host link"):
+            mk_sim().recv_all()
+
     def test_can_send(self):
         s = mk_sim(xbar_depth=1)
         s.attach_host(0, 0)
