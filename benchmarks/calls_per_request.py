@@ -4,17 +4,23 @@ Runs a request stream under ``cProfile`` and prints the Python-level
 calls the drive loop made per request.  Only ``Host.run`` is profiled:
 building the simulator is set-up, not per-request work.  Unlike a wall
 time, the count does not move with the machine, so a bound on it gates
-what a noisy wall cannot.  Two streams:
+what a noisy wall cannot.  Three streams:
 
 * ``table1`` (default): the paper's Table I stream — the four
   ``PAPER_CONFIGS``, random 64-byte requests, every link on the host;
 * ``chain4``: the spine's ``chain4_ber`` shape — a 4-cube chain with one
   host link, link BER 1e-5, ``link_max_retries=16``, every request to
   the far cube, so each one crosses three faulty chain links and the
-  faulty host link both ways.
+  faulty host link both ways;
+* ``serve``: the spine's ``serve128_armed`` shape — ``repro serve``
+  with ``checkpoint_interval=256`` over a seed-1 tenant mix; only
+  ``serve_sync`` is profiled (the shard template is set-up), and the
+  count is per served request.  ``--tenants`` / ``--requests-per-tenant``
+  size it.
 
     PYTHONPATH=src python benchmarks/calls_per_request.py \
-        [--workload table1|chain4] [--requests-log2 11] [--max N]
+        [--workload table1|chain4|serve] [--requests-log2 11] \
+        [--tenants 32] [--requests-per-tenant 8] [--max N]
 
 Exits 1 when the count exceeds ``--max``.
 """
@@ -28,7 +34,9 @@ import pstats
 from repro.core.config import PAPER_CONFIGS, SimConfig
 from repro.core.simulator import HMCSim
 from repro.host.host import Host
+from repro.service import MemoryService, ServiceConfig, specs_from_profiles
 from repro.topology.builder import build_chain
+from repro.workloads.mixes import tenant_mix_profiles
 from repro.workloads.random_access import RandomAccessConfig, random_access_requests
 
 
@@ -63,8 +71,30 @@ def chain4(requests: int, seed: int = 1) -> float:
     return calls / requests
 
 
-WORKLOADS = {"table1": (table1, "4 configs x 2^{} requests"),
-             "chain4": (chain4, "4-cube chain at BER 1e-5, 2^{} requests")}
+def serve(tenants: int, per_tenant: int, seed: int = 1) -> float:
+    """Profiled calls per served request of an armed ``repro serve``."""
+    cfg = ServiceConfig(device=PAPER_CONFIGS["4-Link; 8-Bank; 2GB"],
+                        link_seed=seed, checkpoint_interval=256)
+    profiles = tenant_mix_profiles(tenants, seed=seed, base_requests=per_tenant)
+    service = MemoryService(cfg)
+    specs = specs_from_profiles(profiles, cfg)
+    service.pool.template_blob()
+    # np.percentile imports numpy.ma on its first call (the report's
+    # latency percentiles): a library's one-off import, not served work.
+    import numpy.ma  # noqa: F401
+    prof = cProfile.Profile()
+    report = prof.runcall(service.serve_sync, specs)
+    return pstats.Stats(prof).total_calls / report["accounting"]["totals"]["responses"]
+
+
+WORKLOADS = {
+    "table1": (lambda a: table1(1 << a.requests_log2),
+               "4 configs x 2^{requests_log2} requests"),
+    "chain4": (lambda a: chain4(1 << a.requests_log2),
+               "4-cube chain at BER 1e-5, 2^{requests_log2} requests"),
+    "serve": (lambda a: serve(a.tenants, a.requests_per_tenant),
+              "armed serve, {tenants} tenants x {requests_per_tenant} requests"),
+}
 
 
 def main(argv=None) -> int:
@@ -73,13 +103,16 @@ def main(argv=None) -> int:
                         default="table1", help="request stream to profile")
     parser.add_argument("--requests-log2", type=int, default=11,
                         help="requests (per configuration), as a power of two")
+    parser.add_argument("--tenants", type=int, default=32,
+                        help="serve: tenants in the mix")
+    parser.add_argument("--requests-per-tenant", type=int, default=8,
+                        help="serve: base requests per tenant")
     parser.add_argument("--max", type=float, default=None,
                         help="fail when calls per request exceed this")
     args = parser.parse_args(argv)
     count, shape = WORKLOADS[args.workload]
-    per_request = count(1 << args.requests_log2)
-    print(f"calls per request: {per_request:.2f} "
-          f"({shape.format(args.requests_log2)})")
+    per_request = count(args)
+    print(f"calls per request: {per_request:.2f} ({shape.format(**vars(args))})")
     if args.max is not None and per_request > args.max:
         print(f"FAIL: above the bound {args.max}")
         return 1

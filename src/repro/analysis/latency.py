@@ -42,7 +42,8 @@ class LatencyDistribution:
             std=float(arr.std()),
             minimum=int(arr.min()),
             maximum=int(arr.max()),
-            percentiles={p: float(np.percentile(arr, p)) for p in percentiles},
+            percentiles=dict(zip(
+                percentiles, np.percentile(arr, percentiles).tolist())),
         )
 
     def as_dict(self) -> Dict[str, float]:

@@ -216,31 +216,39 @@ class PageStore:
         #: Snapshots taken into this store; the skeleton records it.
         self.generation = 0
         self._sim: Optional[weakref.ref] = None
+        #: What only a new simulation object changes, read at its first
+        #: capture: its banks, the banks per vault, their ECC states.
+        self._banks: List[Bank] = []
+        self._shape: List[int] = []
+        self._rases: list = []
 
     def capture(self, sim: HMCSim) -> tuple:
         """Copy what *sim*'s banks wrote since the last capture; returns
         the manifest the skeleton carries: (generation, page counts,
         banks per vault, the banks' ECC states — none without ECC)."""
-        banks = _banks(sim)
         full = self._sim is None or self._sim() is not sim
         if full:
             self._sim = weakref.ref(sim)
+            self._banks = banks = _banks(sim)
+            self._shape = [len(v.banks) for v in _vaults(sim)]
+            self._rases = [b.ras for b in banks if b.ras is not None]
             self.pages = [{} for _ in banks]
+        banks = self._banks
         for bank, image in zip(banks, self.pages):
             if full or bank._dirty or len(image) != len(bank._pages):
                 bank.sync_image(image, full)
         self.states = list(map(Bank._ints, banks))
         self.generation += 1
-        counts = [len(image) for image in self.pages]
-        shape = [len(v.banks) for v in _vaults(sim)]
-        rases = [b.ras for b in banks if b.ras is not None]
-        return self.generation, counts, shape, rases
+        return self.generation, list(map(len, self.pages)), self._shape, self._rases
 
     def fill(self, sim: HMCSim, manifest: Any) -> None:
         """Rebuild the banks *manifest* references inside the freshly
         unpickled skeleton *sim*; raises CheckpointError when store and
         skeleton do not belong together, or the result does not fit
         the config."""
+        # Let go of the captured simulation's banks: whichever sim the
+        # next capture sees, it reads everything afresh.
+        self._sim, self._banks = None, []
         try:
             generation, counts, shape, rases = manifest
             counts, shape, rases = list(counts), list(shape), list(rases)

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from functools import wraps
 from operator import attrgetter
-from typing import TYPE_CHECKING, Callable, List
+from typing import TYPE_CHECKING, Callable, List, Optional
 
 from repro.core.device import HMCDevice
 from repro.core.errors import WatchdogError
@@ -222,13 +222,16 @@ class ClockEngine:
                         wake = ready
         return wake
 
-    def advance(self, cycles: int) -> None:
-        """Run *cycles* clock cycles, fast-forwarding dead windows.
+    def advance(self, cycles: int, until: Optional[Callable[[], bool]] = None) -> int:
+        """Run *cycles* clock cycles, fast-forwarding dead windows;
+        returns the cycles run.
 
         Windows in which no queued packet can move (:meth:`wake_cycle`
         lies ahead) are skipped in closed form (:meth:`_idle_skip_bound`
         bounds them further); every cycle with any possible observable
-        work runs as a real tick.
+        work runs as a real tick.  *until*, when given, is asked after
+        every tick — a skipped cycle changes nothing it could read — and
+        a true answer ends the run after that cycle.
         """
         self._sync_steps()  # wake_cycle reads the sets this binds
         sim = self.sim
@@ -265,8 +268,11 @@ class ClockEngine:
                 self.tick()
                 remaining -= 1
                 wake = -1
+                if until is not None and until():
+                    break
         finally:
             tracer.end_batch()
+        return cycles - remaining
 
     def _idle_skip_bound(self, limit: int) -> int:
         """Cycles that may be skipped from now without observable effect.

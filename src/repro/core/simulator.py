@@ -590,30 +590,31 @@ class HMCSim:
         """
         self.clock(cycles)
 
-    def clock_until_response(self, max_cycles: int) -> int:
+    def clock_until_response(self, max_cycles: int, stop=None) -> int:
         """Clock until a host link holds a response; return cycles advanced.
 
         Advances at least one cycle and returns at the end of the first
         cycle that leaves a host-link response queue non-empty — where a
         ``clock(); recv_all()`` loop would first see one — or after
-        *max_cycles*.  Cycles in which nothing can move share one
-        :meth:`clock` call; a response the link holds back (in-band
-        replay) makes this a one-cycle step: re-poll, never spin.
+        *max_cycles*.  It is one engine run that asks after every tick (a
+        fast-forwarded cycle queues nothing); a response already queued —
+        one the link holds back for an in-band replay — makes it a
+        one-cycle step: re-poll, never spin.
+
+        *stop*, a no-argument callable, is asked after every tick before
+        the queues are looked at: it may receive what they hold (the
+        service's shard drains its slots there), and a true answer ends
+        the wait at that cycle.
         """
         self._check_alive()
         self._check_cycles(max_cycles)
-        advanced = 0
-        while advanced < max_cycles:
-            step = 1
-            if not self._response_pending():
-                # No cycle before the wake registers a response: run it too.
-                step += self.engine.wake_cycle() - self.clock_value
-                step = min(step, max_cycles - advanced)
-            self.clock(step)
-            advanced += step
-            if self._response_pending():
-                break
-        return advanced
+        if not self._host_links:
+            self.validate_topology()
+        pending = self._response_pending
+        if pending():
+            max_cycles = min(max_cycles, 1)
+        until = pending if stop is None else lambda: stop() or pending()
+        return self.engine.advance(max_cycles, until)
 
     def _response_pending(self) -> bool:
         """True iff any host-link response queue holds a packet."""

@@ -63,6 +63,28 @@ class TokenBucket:
         self._refill(cycle)
         self.tokens -= 1.0
 
+    def ready_at(self, horizon: int) -> int:
+        """First cycle after ``last_cycle`` at which :meth:`ready`, asked
+        once per cycle, says yes; *horizon* if none does before it.
+
+        Reads only.  Each step is one cycle's :meth:`_refill`, never one
+        refill over the whole gap: float sums are not associative, and
+        ten 0.1 steps from 0 make 0.9999999999999999 where one 10-cycle
+        step makes 1.0.
+        """
+        tokens, cycle = self.tokens, self.last_cycle
+        while cycle < horizon:
+            cycle += 1
+            tokens = min(self.burst, tokens + self.rate)  # rate × 1 cycle
+            if tokens >= 1.0:
+                return cycle
+        return horizon
+
+    def wait(self, cycles: int) -> None:
+        """Refill as *cycles* more once-per-cycle :meth:`ready` calls would."""
+        for _ in range(cycles):
+            self._refill(self.last_cycle + 1)
+
 
 class FabricPort:
     """Deterministic G/D/1 queue: the shared network port of one shard."""

@@ -10,8 +10,9 @@ of labour:
   resolved when their stream drains.  They never touch a simulator.
 * one driver coroutine owns all simulated state.  Each scheduler tick
   it grants leases in ``(priority, arrival)`` order, pumps every busy
-  shard ``cycles_per_yield`` cycles in shard order, resolves completed
-  sessions, and yields the event loop once.
+  shard ``cycles_per_yield`` cycles in one ``Shard.pump_until`` call, in
+  shard order, resolves the sessions each call completed (in the order
+  they completed), and yields the event loop once.
 
 Because the driver's work per tick is a pure function of (config,
 specs) — no wall clock, no RNG, no dependence on event-loop scheduling
@@ -284,10 +285,7 @@ class MemoryService:
             if busy:
                 idle_spins = 0
                 for shard in busy:
-                    for _ in range(cycles_per_yield):
-                        self._resolve(shard.pump())
-                        if not shard.busy:
-                            break
+                    self._resolve(shard.pump_until(cycles_per_yield))
                 self.tick += 1
                 self.sim_time += cycles_per_yield
                 await asyncio.sleep(0)

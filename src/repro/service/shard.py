@@ -10,8 +10,10 @@ responses but do contend on the shard's chain links and crossbars.
 Determinism contract — everything the pump does is ordered:
 
 * sessions take their send phase in ascending slot order;
-* the simulated cycle advances exactly once per pump;
-* responses drain in ascending slot order;
+* every pumped cycle is one simulated cycle — the pump folds the cycles
+  in which no session can act into one clock call, and no order below
+  moves (:meth:`Shard.pump_until`);
+* responses drain in ascending slot order, after every tick;
 * fault events are attributed in fault-state registration order, with
   shared chain-link events charged round-robin over the resident
   sessions (a persistent rotor), so per-tenant integers always sum to
@@ -27,10 +29,10 @@ its sim + per-slot hosts plus copies of every resumable counter.  An
 epoch becomes *due* every N pumped cycles and at each lease and
 retirement (so a completed session is always durable — a restore can
 never resurrect resolved work), and the due epoch is taken once, at the
-top of the next pump: before chaos fires and before the send phase, the
+top of the next pass: before chaos fires and before the send phase, the
 only places a crash can originate, and after every lease of the tick —
 so it is the same epoch an eager one would have left behind, at most
-one per pump.  The banks live in the shard's
+one per pass.  The banks live in the shard's
 :class:`~repro.core.checkpoint.PageStore` — counters re-read, pages
 refreshed from the dirty sets, per epoch; the epoch blob carries
 everything else.  Sessions journal the request items they consume; a
@@ -73,6 +75,20 @@ _ACCT_EPOCH_FIELDS = (
     "shared_retries", "degradations_seen", "degraded_cycles",
     "deadline_misses",
 )
+
+#: Bytes a sent request bills to ``bytes_read`` / ``bytes_written``.
+_READ_BYTES = {c: n for c, n in REQUEST_DATA_BYTES.items() if is_read(c)}
+_WRITE_BYTES = {c: n for c, n in REQUEST_DATA_BYTES.items() if is_write(c)}
+
+
+def _fault_events(states) -> int:
+    """Link fault events the shard attributes: IRTRYs plus ladder steps
+    (the only way a tick changes a link's health)."""
+    return sum(st.stats.irtry_events + st.degradations for st in states)
+
+
+def _degraded(states) -> bool:
+    return any(st.health is not LinkHealth.FULL for st in states)
 
 
 class Session:
@@ -168,7 +184,7 @@ class Shard:
         #: Journal request items (needed by both crash replay and failover).
         self._journaling = self._recovery_armed or config.failover_retries > 0
         self._epoch: Optional[dict] = None
-        #: Set by lease / retirement / the interval tick; the next pump
+        #: Set by lease / retirement / the interval tick; the next pass
         #: takes the epoch before anything can crash.
         self._epoch_due = False
         self._page_store = PageStore()
@@ -214,35 +230,130 @@ class Shard:
 
     # -- the pump -------------------------------------------------------------
 
-    def pump(self) -> List[Session]:
-        """Advance one simulated cycle; returns sessions that completed.
+    def pump_until(self, limit: int) -> List[Session]:
+        """Pump up to *limit* cycles; returns the sessions that completed,
+        in the order they completed.
 
-        Order per cycle: send phase (slot order) → clock → drain (slot
-        order) → fault attribution → cycle charging → retirement.
+        One pass is a run of pumped cycles of which only the first can
+        send: epoch (if due) → chaos → send phase (slot order) → one
+        clock call to :meth:`next_event`, receiving (slot order) after
+        every tick → fault attribution → cycle charging → retirement.
+        The clock call stops early at a cycle whose receive finished a
+        session or moved a link fault counter.  Every other folded cycle
+        is one in which the per-cycle pump would only have ticked,
+        received and charged, so ``pump_until(1)`` called *limit* times
+        gives the same shard.  A crash counts as one cycle, as it did
+        when it was a pump of its own.
         """
-        if self.dead or not self.sessions:
-            return []
-        if self._epoch_due:
-            self._take_epoch()
-        if self._chaos_idx < len(self._chaos):
-            displaced = self._fire_chaos()
-            if displaced is not None:
-                return displaced
-            if self.dead or not self.sessions:
-                return []
-        resident = self._residents()
-        cycle = self.sim.clock_value
-        for sess in resident:
-            # Exhausted with no pending head: the send phase is a no-op.
-            if not sess.failed and (sess._pending or not sess._exhausted):
+        completed: List[Session] = []
+        while limit > 0 and self.sessions and not self.dead:
+            if self._epoch_due:
+                self._take_epoch()
+            if self._chaos_idx < len(self._chaos):
+                displaced = self._fire_chaos()
+                if displaced is not None:
+                    completed += displaced
+                    limit -= 1
+                    continue
+            sim = self.sim
+            cycle = sim.clock_value
+            resident = self._residents()
+            for sess in resident:
+                # The send phase is a no-op when the stream is exhausted
+                # with no pending head, or the head (with no deadline to
+                # expire) is still crossing the fabric.
+                if sess.failed:
+                    continue
+                if sess._pending is None:
+                    if sess._exhausted:
+                        continue
+                elif cycle < sess._eligible_at and not sess.spec.deadline_cycles:
+                    continue
                 self._send_phase(sess, cycle)
-        try:
-            self.sim.clock()
-        except WatchdogError as exc:
-            return self._crash(f"watchdog: {exc}", status="watchdog")
-        # Host.responses_queued() of a host partitioned onto (0, slot):
+            states = sim._link_fault_states
+            seen = _fault_events(states) if states else 0
+            was_degraded = bool(states) and _degraded(states)
+            if sim._response_pending():
+                # A response a link holds back for an in-band replay (or
+                # strands on a dead slot): one cycle, then the receive
+                # retries it — a skipped cycle would not.
+                k, receive = 1, None
+            else:
+                k = self.next_event(cycle + limit) - cycle
+                receive = lambda: self._receive(resident, seen)
+            tripped = None
+            try:
+                ran = sim.clock_until_response(k, receive)
+            except WatchdogError as exc:
+                # The tick of cycle clock_value tripped; the ones before
+                # it ran, each the clock of a pump of its own.
+                ran, tripped = sim.clock_value - cycle, exc
+            if ran:
+                if receive is None:
+                    self._receive(resident, seen)
+                self._charge(resident, ran, tripped is not None, was_degraded)
+                limit -= ran
+                retired = self._retire_finished() if any(
+                    sess.failed or sess.finished for sess in resident) else []
+                completed += retired
+                if self._recovery_armed and (
+                    retired
+                    or self.cycles_pumped % self.config.checkpoint_interval == 0
+                ):
+                    # Retirement makes an epoch due: completed work is
+                    # durable and can never be resurrected (and re-billed)
+                    # by a restore.
+                    self._epoch_due = True
+            if tripped is not None:
+                completed += self._crash(f"watchdog: {tripped}", status="watchdog")
+                limit -= 1
+        return completed
+
+    def next_event(self, horizon: int) -> int:
+        """The first cycle after this one at which the pump can act, or
+        *horizon* if that comes first.
+
+        Asked after the send phase.  The minimum over each resident's
+        next send opportunity (its pending head's fabric eligibility or
+        deadline expiry, or the cycle its throttled bucket admits — now
+        + 1 for a session that failed or finished and retires this
+        cycle), the next chaos event and the next epoch boundary.
+        """
+        now = self.sim.clock_value
+        nxt = horizon
+        if self._chaos_idx < len(self._chaos):
+            nxt = min(nxt, now + self._chaos[self._chaos_idx].at - self.cycles_pumped)
+        if self._recovery_armed:
+            interval = self.config.checkpoint_interval
+            nxt = min(nxt, now + interval - self.cycles_pumped % interval)
+        for sess in self._residents():
+            if sess.failed:
+                return now + 1
+            if sess._pending is not None:
+                at = sess._eligible_at
+                deadline = sess.spec.deadline_cycles
+                if deadline:
+                    at = min(at, sess._pending_since + deadline + 1)
+                if at <= now + 1:
+                    return now + 1
+                nxt = min(nxt, at)
+            elif not sess._exhausted:
+                # Throttled at this cycle's send phase: last_cycle == now.
+                nxt = sess._bucket.ready_at(nxt)
+            elif not sess.host.outstanding:
+                return now + 1
+        return nxt
+
+    def _receive(self, resident: List[Session], faults_seen: int) -> bool:
+        """The receive that ends a pumped cycle: drain every live
+        resident whose host link holds a response, in slot order.
+        True when the pass must end at this cycle — a resident finished
+        and retires now, or a link fault counter moved and is attributed
+        now."""
         xbars = self.sim.devices[0].xbars
+        finished = False
         for sess in resident:
+            # Host.responses_queued() of a host partitioned onto (0, slot):
             if sess.failed or not xbars[sess.slot].rsp._q:
                 continue
             before = sess.host.mark()
@@ -257,30 +368,38 @@ class Shard:
                 acct.deadline_misses += sum(
                     1 for lat in latencies if lat > deadline
                 )
+            finished = finished or sess.finished
         states = self.sim._link_fault_states
-        if states:
-            self._attribute_faults(resident)
-        degraded = states and any(
-            st.health is not LinkHealth.FULL for st in states
-        )
+        return finished or (bool(states) and _fault_events(states) != faults_seen)
+
+    def _charge(self, resident: List[Session], ran: int, tripped: bool,
+                was_degraded: bool) -> None:
+        """Book *ran* pumped cycles: charge every live resident, replay
+        the send phase of each cycle after the first — the tripped
+        cycle's too, which ran before its clock did — for the throttled
+        sessions, and attribute link faults."""
+        throttled = ran if tripped else ran - 1
+        live = 0
         for sess in resident:
             if sess.failed:
                 continue
-            sess.account.slot_cycles += 1
-            self.active_session_cycles += 1
+            live += 1
+            acct = sess.account
+            acct.slot_cycles += ran
+            if throttled and sess._pending is None and not sess._exhausted:
+                sess._bucket.wait(throttled)
+                acct.throttle_cycles += throttled
+        self.active_session_cycles += ran * live
+        self.cycles_pumped += ran
+        states = self.sim._link_fault_states
+        if states:
+            self._attribute_faults(resident)
+            # Only the last cycle can have moved the link health.
+            degraded = (ran - 1) * was_degraded + _degraded(states)
             if degraded:
-                sess.account.degraded_cycles += 1
-        self.cycles_pumped += 1
-        completed = self._retire_finished() if any(
-            sess.failed or sess.finished for sess in resident) else []
-        if self._recovery_armed and (
-            completed
-            or self.cycles_pumped % self.config.checkpoint_interval == 0
-        ):
-            # Retirement makes an epoch due: completed work is durable
-            # and can never be resurrected (and re-billed) by a restore.
-            self._epoch_due = True
-        return completed
+                for sess in resident:
+                    if not sess.failed:
+                        sess.account.degraded_cycles += degraded
 
     def _send_phase(self, sess: Session, cycle: int) -> None:
         """Inject as many of *sess*'s requests as the gates allow."""
@@ -337,11 +456,8 @@ class Shard:
                 break
             sess._pending = None
             acct.requests_sent += 1
-            data = REQUEST_DATA_BYTES.get(cmd, 0)
-            if is_read(cmd):
-                acct.bytes_read += data
-            elif is_write(cmd):
-                acct.bytes_written += data
+            acct.bytes_read += _READ_BYTES.get(cmd, 0)
+            acct.bytes_written += _WRITE_BYTES.get(cmd, 0)
             sent_any = True
         if throttled and not sent_any:
             acct.throttle_cycles += 1

@@ -129,7 +129,11 @@ def request_batches(
     # word (writes).  The cursor never reads past p + worst - 1, so a
     # refill happens while every precomputed index is still in range.
     worst = 2 + 3 * payload_words
-    batch_draws = max(batch_draws, 4 * worst)
+    # A short stream (a service tenant's dozen requests) fits one block
+    # far smaller than the default: size it to the stream, as a power of
+    # two so the per-length coefficient caches stay few.
+    fits = 1 << (cfg.num_requests * worst - 1).bit_length()
+    batch_draws = max(min(batch_draws, fits), 4 * worst)
     remaining = cfg.num_requests
     tail = np.empty(0, dtype=np.uint64)
     while remaining > 0:

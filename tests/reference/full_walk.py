@@ -51,17 +51,17 @@ class FullWalkEngine(ClockEngine):
         finally:
             self._swap(everything)
 
-    def advance(self, cycles: int) -> None:
+    def advance(self, cycles: int, until=None) -> int:
         tracer = self.sim.tracer
         tracer.begin_batch()
         try:
-            for _ in range(cycles):
+            for ran in range(1, cycles + 1):
                 self.tick()
+                if until is not None and until():
+                    return ran
         finally:
             tracer.end_batch()
-
-    def wake_cycle(self) -> int:
-        return self.sim.clock_value  # for clock_until_response: always now
+        return cycles
 
 
 def adopt(sim: HMCSim) -> HMCSim:

@@ -362,7 +362,7 @@ def _shard(**overrides) -> Shard:
 
 
 def _pump_until_retired(shard) -> int:
-    while not shard.pump():
+    while not shard.pump_until(1):
         assert shard.cycles_pumped < 10_000
     return shard.cycles_pumped
 
@@ -379,7 +379,7 @@ class TestDeferredEpoch:
         a = _lease(shard, "a", 8)
         epochs = lambda: shard._page_store.generation  # noqa: E731
         assert epochs() == 0  # the lease only marked it due
-        shard.pump()
+        shard.pump_until(1)
         assert epochs() == 1
         assert _pump_until_retired(shard) == retire_at
         assert epochs() == 1 and shard._epoch_due
@@ -388,7 +388,7 @@ class TestDeferredEpoch:
         c = _lease(shard, "c", 8, base=200)
         assert epochs() == 1
         shard.install_chaos([ChaosEvent(at=retire_at, kind="shard_crash")])
-        shard.pump()  # takes the one epoch, then the crash fires
+        shard.pump_until(1)  # takes the one epoch, then the crash fires
         assert epochs() == 2
         assert shard.crashes == shard.recoveries == 1
         event = shard.recovery_events[-1]
@@ -401,7 +401,7 @@ class TestDeferredEpoch:
         assert all(s.host.sim is shard.sim for s in shard.sessions.values())
         done = []
         while shard.busy:
-            done += shard.pump()
+            done += shard.pump_until(1)
             assert shard.cycles_pumped < 10_000
         assert {s.spec.tenant_id for s in done} == {"b", "c"}
         for acct in (a, b, c):
@@ -419,7 +419,7 @@ class TestDeferredEpoch:
         shard = _shard(checkpoint_interval=8)
         acct = _lease(shard, "a", 64)
         while shard.cycles_pumped < 20:  # epochs at pumps 1, 9 and 17
-            shard.pump()
+            shard.pump_until(1)
         assert shard._epoch["cycles_pumped"] == 16
         at_epoch = shard._epoch["accounts"][0]["latencies"]
         assert 0 < at_epoch < len(acct.latencies)

@@ -39,6 +39,25 @@ class TestDistribution:
         assert out["count"] == 3
         assert "p99" in out
 
+    @pytest.mark.parametrize("samples", [
+        [], [7],
+        *(np.random.default_rng(seed).integers(0, 5000, size).tolist()
+          for seed, size in ((1, 2), (2, 17), (3, 131), (4, 1000))),
+    ])
+    @pytest.mark.parametrize("percentiles", [(50, 90, 95, 99), (25, 75), ()])
+    def test_one_percentile_call_matches_one_call_each(self, samples, percentiles):
+        """All percentiles come from one ``np.percentile`` call; each
+        value is exactly what a call of its own returns (NaN when there
+        are no samples), and the keys keep their order."""
+        got = LatencyDistribution.from_samples(samples, percentiles).percentiles
+        assert list(got) == list(percentiles)
+        for p in percentiles:
+            if samples:
+                arr = np.asarray(samples, dtype=np.int64)
+                assert got[p] == float(np.percentile(arr, p))
+            else:
+                assert math.isnan(got[p])
+
 
 class TestHistogramCdf:
     def test_histogram_counts(self):

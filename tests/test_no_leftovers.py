@@ -6,8 +6,8 @@ without its pages, an older checkpoint state shape read outside
 ``core/migrate.py``, a second caller of ``ClockEngine.tick``, an idle
 test beside ``wake_cycle`` in ``advance``, a way back to a selectable
 scheduler or to a ``tick()`` that branches on its observers, a sort or a
-host query in the shard pump — and, over the whole repository, a public
-function nobody mentions."""
+host query in the shard pump, a per-cycle pump beside ``pump_until`` —
+and, over the whole repository, a public function nobody mentions."""
 
 import ast
 import collections
@@ -128,9 +128,9 @@ def test_old_state_shapes_are_read_in_migrate_only():
 
 def test_the_engine_ticks_from_one_place_and_skips_by_one_rule():
     """``ClockEngine.advance`` is the only caller of ``tick`` (what
-    waits — ``clock_until_response`` — goes through ``HMCSim.clock``),
-    and it decides what to skip from ``wake_cycle`` alone: idle is the
-    case wake = never, not a second ``is_idle`` branch."""
+    waits — ``clock_until_response`` — is one ``advance`` with a stop
+    test), and it decides what to skip from ``wake_cycle`` alone: idle
+    is the case wake = never, not a second ``is_idle`` branch."""
     def receiver(call):  # `self` in `self.tick()`, `engine` in `sim.engine.tick()`
         value = call.func.value
         return value.id if isinstance(value, ast.Name) else getattr(value, "attr", "")
@@ -222,20 +222,51 @@ def test_tick_runs_the_list_and_knows_no_observer():
     assert not {n for n in named if "profiler" in n or "SUBCYCLE" in n}
 
 
-def test_the_pump_neither_sorts_nor_asks_the_host():
-    """``Shard.pump`` walks a resident list sorted once per membership
-    change and tests each session's host-link queue itself: no
-    ``sorted`` and no ``Host.responses_queued`` per pumped cycle."""
-    (pump,) = [
+def _shard_methods() -> dict:
+    (shard,) = [
         node for rel, node in _walk_src()
-        if rel == "service/shard.py" and isinstance(node, ast.FunctionDef)
-        and node.name == "pump"
+        if rel == "service/shard.py" and isinstance(node, ast.ClassDef)
+        and node.name == "Shard"
     ]
-    called = {
+    return {fn.name: fn for fn in shard.body if isinstance(fn, ast.FunctionDef)}
+
+
+def _called(fn) -> set:
+    return {
         call.func.id if isinstance(call.func, ast.Name) else call.func.attr
-        for call in ast.walk(pump)
+        for call in ast.walk(fn)
         if isinstance(call, ast.Call)
         and isinstance(call.func, (ast.Name, ast.Attribute))
     }
+
+
+def test_the_pump_neither_sorts_nor_asks_the_host():
+    """``Shard.pump_until`` walks a resident list sorted once per
+    membership change and tests each session's host-link queue itself:
+    no ``sorted`` and no ``Host.responses_queued`` per pass, nor in the
+    receive and the charging it hands the pass to."""
+    methods = _shard_methods()
+    called = set().union(*(_called(methods[name])
+                           for name in ("pump_until", "_receive", "_charge")))
     assert "_residents" in called
     assert not called & {"sorted", "responses_queued"}
+
+
+def test_the_pump_crosses_its_waits_in_one_call():
+    """One pump body: ``Shard`` has ``pump_until`` and no per-cycle
+    ``pump`` beside it, and ``MemoryService._drive`` hands each busy
+    shard the tick's cycles in one call, with no per-cycle loop of its
+    own (no ``range(cycles_per_yield)``)."""
+    assert "pump_until" in _shard_methods() and "pump" not in _shard_methods()
+    (drive,) = [
+        node for rel, node in _walk_src()
+        if rel == "service/frontend.py" and isinstance(node, ast.AsyncFunctionDef)
+        and node.name == "_drive"
+    ]
+    loops = [
+        node for node in ast.walk(drive)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "range"
+    ]
+    assert not loops, "_drive loops per cycle again"
+    assert "pump_until" in _called(drive)

@@ -356,12 +356,12 @@ def _joins_the_next_pump() -> None:
     shard = _shard()
     a = _lease(shard, "a", 64)
     for _ in range(3):
-        shard.pump()
+        shard.pump_until(1)
     b = _lease(shard, "b", 64)
-    shard.pump()
+    shard.pump_until(1)
     assert (a.slot_cycles, b.slot_cycles) == (4, 1)
     while shard.busy:
-        shard.pump()
+        shard.pump_until(1)
         assert shard.cycles_pumped < 2_000
     assert a.responses == b.responses == 64
 
@@ -371,7 +371,7 @@ def _failed_session_retires_at_once() -> None:
     acct = _lease(shard, "a", 64)
     (sess,) = shard.sessions.values()
     while not sess.failed:
-        completed = shard.pump()
+        completed = shard.pump_until(1)
         assert shard.cycles_pumped < 2_000
     assert completed == [sess] and acct.status == "link_failed"
     assert not shard.sessions and shard.dead_slots == [sess.slot]
@@ -392,7 +392,7 @@ class TestPump:
         "lease leaves the resident list stale":
             ("lease", "self._resident = None", "pass"),
         "the retirement gate ignores failed sessions":
-            ("pump", "sess.failed or sess.finished", "sess.finished"),
+            ("pump_until", "sess.failed or sess.finished", "sess.finished"),
     }
 
     @pytest.mark.parametrize("name", sorted(_MUTANTS))
