@@ -16,7 +16,9 @@ what a noisy wall cannot.  Three streams:
   with ``checkpoint_interval=256`` over a seed-1 tenant mix; only
   ``serve_sync`` is profiled (the shard template is set-up), and the
   count is per served request.  ``--tenants`` / ``--requests-per-tenant``
-  size it.
+  size it.  The process pins itself to one CPU first, so the shards
+  pump in it (``repro.service.handle``) and cProfile counts their work,
+  not an idle driver waiting on shard processes.
 
     PYTHONPATH=src python benchmarks/calls_per_request.py \
         [--workload table1|chain4|serve] [--requests-log2 11] \
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import cProfile
+import os
 import pstats
 
 from repro.core.config import PAPER_CONFIGS, SimConfig
@@ -73,15 +76,13 @@ def chain4(requests: int, seed: int = 1) -> float:
 
 def serve(tenants: int, per_tenant: int, seed: int = 1) -> float:
     """Profiled calls per served request of an armed ``repro serve``."""
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     cfg = ServiceConfig(device=PAPER_CONFIGS["4-Link; 8-Bank; 2GB"],
                         link_seed=seed, checkpoint_interval=256)
     profiles = tenant_mix_profiles(tenants, seed=seed, base_requests=per_tenant)
     service = MemoryService(cfg)
     specs = specs_from_profiles(profiles, cfg)
     service.pool.template_blob()
-    # np.percentile imports numpy.ma on its first call (the report's
-    # latency percentiles): a library's one-off import, not served work.
-    import numpy.ma  # noqa: F401
     prof = cProfile.Profile()
     report = prof.runcall(service.serve_sync, specs)
     return pstats.Stats(prof).total_calls / report["accounting"]["totals"]["responses"]

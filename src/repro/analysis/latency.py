@@ -9,10 +9,29 @@ examples.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
+
+
+def _percentile(ordered: List[int], p: float) -> float:
+    """``np.percentile(ordered, p)`` (method ``linear``) of a sorted,
+    non-empty list of int64 values, bit for bit, in plain arithmetic:
+    ``np.percentile``'s first call imports ``numpy.ma`` (~13 ms)."""
+    last = len(ordered) - 1
+    virtual = last * (p / 100)
+    if virtual >= last:
+        return float(ordered[-1])
+    below = math.floor(virtual)
+    gamma = virtual - below
+    a, b = ordered[below], ordered[below + 1]
+    # numpy's _lerp: the difference is an int64, the blend a float.
+    diff = float(b - a)
+    if gamma >= 0.5:
+        return float(b) - diff * (1 - gamma)
+    return float(a) + diff * gamma
 
 
 @dataclass
@@ -36,14 +55,14 @@ class LatencyDistribution:
         if arr.size == 0:
             return cls(0, float("nan"), float("nan"), 0, 0,
                        {p: float("nan") for p in percentiles})
+        ordered = np.sort(arr).tolist()
         return cls(
             count=int(arr.size),
             mean=float(arr.mean()),
             std=float(arr.std()),
-            minimum=int(arr.min()),
-            maximum=int(arr.max()),
-            percentiles=dict(zip(
-                percentiles, np.percentile(arr, percentiles).tolist())),
+            minimum=ordered[0],
+            maximum=ordered[-1],
+            percentiles={p: _percentile(ordered, p) for p in percentiles},
         )
 
     def as_dict(self) -> Dict[str, float]:

@@ -393,6 +393,7 @@ def cmd_serve(args) -> int:
     )
     service = MemoryService(config)
     report = service.serve_sync(specs_from_profiles(profiles, config))
+    service.close()
     print(render_service_summary(report))
     print()
     print(render_class_rollup(report))

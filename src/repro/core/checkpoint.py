@@ -222,6 +222,11 @@ class PageStore:
         self._shape: List[int] = []
         self._rases: list = []
 
+    def __getstate__(self) -> dict:
+        # The checkpoint and its generation travel; the simulation it
+        # last saw does not, so the next capture reads everything afresh.
+        return dict(vars(self), _sim=None, _banks=[], _shape=[], _rases=[])
+
     def capture(self, sim: HMCSim) -> tuple:
         """Copy what *sim*'s banks wrote since the last capture; returns
         the manifest the skeleton carries: (generation, page counts,

@@ -146,7 +146,10 @@ class Host:
             key: TagPool(size=max_outstanding) for key in self._host_links
         }
         self._rotor = 0
-        self._rng = np.random.default_rng(seed)
+        # The RANDOM policy's generator, made on its first pick: a host
+        # that never picks at random pickles without one.
+        self._seed = seed
+        self._rng: Optional[np.random.Generator] = None
         if not self._host_links:
             raise TopologyError("host model requires at least one host link")
         # Statistics.
@@ -161,6 +164,8 @@ class Host:
     def _pick_link(self, cub: int, addr: int) -> Tuple[int, int]:
         links = self._host_links
         if self.policy is LinkPolicy.RANDOM:
+            if self._rng is None:
+                self._rng = np.random.default_rng(self._seed)
             return links[int(self._rng.integers(len(links)))]
         if self.policy is LinkPolicy.LOCALITY:
             dev = self.sim.devices[cub] if 0 <= cub < len(self.sim.devices) else None

@@ -28,6 +28,15 @@ class TagPool:
         self.allocated_total = 0
         self.released_total = 0
 
+    def __getstate__(self) -> dict:
+        # The free list as a tuple, as PacketQueue pickles its deques:
+        # pickle reduces a deque through copyreg._slotnames every call.
+        return dict(vars(self), _free=tuple(self._free))
+
+    def __setstate__(self, state: dict) -> None:
+        # A pool pickled before the tuple held its free list as a deque.
+        vars(self).update(state, _free=deque(state["_free"]))
+
     @property
     def available(self) -> int:
         return len(self._free)

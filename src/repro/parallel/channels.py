@@ -11,15 +11,19 @@ Payloads are pickled by the pipe itself.  The tags form the entire
 wire protocol:
 
 ========  =======================================================
-``TASK``  master → pool worker: run one callable
-``DONE``  pool worker → master: task result
-``ERR``   worker → master: exception (class name, str, traceback)
+``TASK``  master → worker: run one callable (a pool) or one
+          operation on the state the worker owns (a shard)
+``DONE``  worker → master: task result
+``ERR``   worker → master: exception (class name, str, traceback,
+          and the exception itself when it survives a pickle round
+          trip — :meth:`Channel.recv` then raises it with its own type)
 ``STOP``  master → worker: exit the serve loop
 ========  =======================================================
 """
 
 from __future__ import annotations
 
+import pickle
 import traceback
 from typing import Any, Tuple
 
@@ -57,6 +61,18 @@ def encode_exception(exc: BaseException) -> Tuple[str, str, str]:
     return type(exc).__name__, str(exc), tb
 
 
+def _raised(payload: tuple) -> BaseException:
+    """The exception an ``ERR`` payload stands for: the worker's own
+    exception, chained to a :class:`RemoteError` holding its traceback,
+    or that RemoteError alone when the exception could not travel."""
+    remote = RemoteError(*payload[:3])
+    if len(payload) > 3:
+        exc = payload[3]
+        exc.__cause__ = remote
+        return exc
+    return remote
+
+
 class Channel:
     """One end of a typed duplex pipe."""
 
@@ -71,6 +87,18 @@ class Channel:
         except (BrokenPipeError, OSError) as exc:
             raise ChannelClosed(f"peer gone while sending {tag}") from exc
 
+    def send_exception(self, exc: BaseException) -> None:
+        """Send *exc* as ``ERR``, the exception itself included when it
+        pickles and unpickles."""
+        payload = encode_exception(exc)
+        try:
+            pickle.loads(pickle.dumps(exc))
+        except Exception:  # noqa: BLE001 - the traceback text still goes
+            pass
+        else:
+            payload += (exc,)
+        self.send(ERR, payload)
+
     def recv(self) -> Tuple[str, Any]:
         """Receive the next message; raises on ``ERR`` and closed pipes."""
         try:
@@ -78,7 +106,7 @@ class Channel:
         except (EOFError, OSError) as exc:
             raise ChannelClosed("peer exited mid-protocol") from exc
         if tag == ERR:
-            raise RemoteError(*payload)
+            raise _raised(payload)
         return tag, payload
 
     def expect(self, want: str) -> Any:

@@ -9,10 +9,15 @@ of labour:
   — a lease future resolved by admission, then a completion future
   resolved when their stream drains.  They never touch a simulator.
 * one driver coroutine owns all simulated state.  Each scheduler tick
-  it grants leases in ``(priority, arrival)`` order, pumps every busy
-  shard ``cycles_per_yield`` cycles in one ``Shard.pump_until`` call, in
-  shard order, resolves the sessions each call completed (in the order
-  they completed), and yields the event loop once.
+  it grants leases in ``(priority, arrival)`` order, starts one
+  ``pump_until(cycles_per_yield)`` on every busy shard — all at once,
+  each shard in its own process when more than one CPU is usable
+  (:mod:`repro.service.handle`) — then resolves the sessions each pump
+  completed, in shard order and in the order they completed, and
+  yields the event loop once.  A pump reads nothing the resolution
+  writes, so where the shards run does not move a single count; a full
+  shard's pump starts as soon as no lease of the tick can reach it,
+  before a new shard spins up.
 
 Because the driver's work per tick is a pure function of (config,
 specs) — no wall clock, no RNG, no dependence on event-loop scheduling
@@ -59,16 +64,17 @@ fired chaos events, a per-class SLO block and an invariant audit.
 from __future__ import annotations
 
 import asyncio
+import weakref
 from dataclasses import replace
-from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.service.accounting import AccountingLedger
 from repro.service.admission import AdmissionController, Ticket
 from repro.service.config import ServiceConfig, TenantSpec
+from repro.service.handle import Completed, ShardHandle, close_all, summaries
 from repro.service.recovery import CircuitBreaker
 from repro.service.sessions import SessionPool
-from repro.service.shard import Session, Shard
+from repro.service.shard import Shard
 
 #: Displacement statuses eligible for failover (vs. ``done``).
 FAILOVER_STATUSES = frozenset(("link_failed", "watchdog", "crashed"))
@@ -91,7 +97,11 @@ class MemoryService:
         self.pool = SessionPool(self.config)
         self.admission = AdmissionController(self.config)
         self.ledger = AccountingLedger()
-        self.shards: List[Shard] = []
+        #: One handle per shard ever spun up, in shard-id order; after
+        #: the run a handle's shard attributes read its final state.
+        self.shards: List[ShardHandle] = []
+        # No shard process outlives the service.
+        self._finalizer = weakref.finalize(self, close_all, self.shards)
         self.tick = 0
         self._completion: Dict[str, asyncio.Future] = {}
         # -- resilience state --------------------------------------------------
@@ -103,6 +113,9 @@ class MemoryService:
         #: Set when a breaker refused an otherwise-free slot this tick —
         #: the idle loop keeps time advancing until the cooldown expires.
         self._leases_blocked = False
+        #: Shards whose pump of this tick started while the tick's
+        #: leases were still being granted (``_find_free_slot``).
+        self._pumping: set = set()
         # Termination bound for the idle loop: enough ticks to outlast
         # the longest backoff and a breaker cooldown with slack.
         cfg = self.config
@@ -114,20 +127,26 @@ class MemoryService:
 
     # -- pool management ------------------------------------------------------
 
-    def _spin_up_shard(self) -> Tuple[Shard, float]:
+    def _spin_up_shard(self) -> Tuple[ShardHandle, float]:
         sim, ms = self.pool.spin_up()
         shard = Shard(len(self.shards), sim, self.config)
         shard.spin_up_ms = ms
-        self.shards.append(shard)
         if self.config.chaos is not None:
             shard.install_chaos(self.config.chaos.for_shard(shard.shard_id))
+        handle = ShardHandle(shard)
+        self.shards.append(handle)
         if self.config.breaker_threshold > 0:
             self._breakers[shard.shard_id] = CircuitBreaker(
                 self.config.breaker_threshold, self.config.breaker_cooldown
             )
-        return shard, ms
+        return handle, ms
 
-    def _find_free_slot(self) -> Tuple[Optional[Shard], float, bool]:
+    def close(self) -> None:
+        """Stop every shard process still running (idempotent).  A shard
+        whose state was never read after the run is gone with it."""
+        self._finalizer()
+
+    def _find_free_slot(self) -> Tuple[Optional[ShardHandle], float, bool]:
         """Lowest shard with a free slot, growing the pool if allowed.
 
         Returns ``(shard, spin_up_ms, blocked)`` — the wall cost is
@@ -154,6 +173,12 @@ class MemoryService:
         else:
             population = len(self.shards)
         if population < self.config.max_shards:
+            # No later lease of this tick can reach a full shard: start
+            # its pump now, to run while the new shard spins up.
+            for sh in self.shards:
+                if sh.busy and not sh.has_free_slot and sh not in self._pumping:
+                    sh.pump_until(self.config.cycles_per_yield)
+                    self._pumping.add(sh)
             shard, ms = self._spin_up_shard()
             return shard, ms, blocked
         return None, 0.0, blocked
@@ -190,7 +215,7 @@ class MemoryService:
                 # resolved; the tenant task is parked on completion.
                 ticket.future.set_result(True)
 
-    def _resolve(self, completed: List[Session]) -> None:
+    def _resolve(self, completed: List[Completed]) -> None:
         """Terminal bookkeeping for sessions a pump handed back.
 
         Displaced sessions with failover budget left are re-queued
@@ -198,9 +223,9 @@ class MemoryService:
         assigned exactly once (``finish``), its stranded in-flight
         requests billed, and its completion future resolved.
         """
-        for sess in completed:
-            tid = sess.spec.tenant_id
-            acct = sess.account
+        for done in completed:
+            acct = done.account
+            tid = acct.tenant_id
             status = acct.status
             breaker = self._breakers.get(acct.shard_id)
             if status == "done":
@@ -215,36 +240,33 @@ class MemoryService:
                     and self._failover_attempts.get(tid, 0)
                     < self.config.failover_retries
                 ):
-                    self._failover(sess)
+                    self._failover(done)
                     continue
                 # Terminal failure: whatever was in flight is lost.
-                acct.lost_inflight += sess.host.outstanding
+                acct.lost_inflight += done.outstanding
                 acct.finish(status)
             fut = self._completion.get(tid)
             if fut is not None and not fut.done():
                 fut.set_result(acct.status)
 
-    def _failover(self, sess: Session) -> None:
+    def _failover(self, done: Completed) -> None:
         """Re-queue a displaced session onto the pool after backoff.
 
         The journal's unacknowledged tail — in-flight requests plus the
-        not-yet-injected pending head — is salvaged ahead of the
-        original iterator, giving at-least-once semantics in original
-        FIFO order.  The lost in-flight requests are billed now (the
-        salvaged copies will be re-counted when re-sent, and answered).
+        not-yet-injected pending head — is salvaged ahead of the rest
+        of the stream (``Session.salvage``), giving at-least-once
+        semantics in original FIFO order.  The lost in-flight requests
+        are billed now (the salvaged copies will be re-counted when
+        re-sent, and answered).
         """
-        tid = sess.spec.tenant_id
-        acct = sess.account
+        acct = done.account
+        tid = acct.tenant_id
         attempt = self._failover_attempts.get(tid, 0) + 1
         self._failover_attempts[tid] = attempt
         acct.failovers += 1
-        acct.lost_inflight += sess.host.outstanding
-        tail = sess.host.outstanding + (1 if sess._pending is not None else 0)
-        consumed = sess._consumed
-        salvage = consumed[len(consumed) - tail:] if tail else []
-        stream = chain(iter(salvage), sess._it)
+        acct.lost_inflight += done.outstanding
         ticket = self.admission.tickets[tid]
-        ticket.spec = replace(sess.spec, requests=stream)
+        ticket.spec = replace(ticket.spec, requests=done.salvage)
         backoff = self.config.failover_backoff << (attempt - 1)
         self.admission.requeue(ticket, self.sim_time + backoff)
 
@@ -285,7 +307,11 @@ class MemoryService:
             if busy:
                 idle_spins = 0
                 for shard in busy:
-                    self._resolve(shard.pump_until(cycles_per_yield))
+                    if shard not in self._pumping:
+                        shard.pump_until(cycles_per_yield)
+                self._pumping.clear()
+                for shard in busy:
+                    self._resolve(shard.completed())
                 self.tick += 1
                 self.sim_time += cycles_per_yield
                 await asyncio.sleep(0)
@@ -327,9 +353,16 @@ class MemoryService:
                 acct.finish("rejected")
                 ticket.future.set_result(False)
             tasks.append(asyncio.ensure_future(self._tenant_task(ticket)))
-        driver = asyncio.ensure_future(self._drive())
+        # The driver first: it resolves every tenant before it returns,
+        # and an exception it raises (a shard's, say) must surface here
+        # rather than leave the tenants waiting forever.  Shard processes
+        # left mid-protocol by it are of no further use: stop them.
+        try:
+            await self._drive()
+        except BaseException:
+            self.close()
+            raise
         await asyncio.gather(*tasks)
-        await driver
         return self.report()
 
     def serve_sync(self, specs: Sequence[TenantSpec]) -> dict:
@@ -342,14 +375,15 @@ class MemoryService:
         """Statdump-style JSON tree for the whole service run."""
         accounting = self.ledger.report()
         totals = accounting["totals"]
-        shard_stats = [sh.stats() for sh in self.shards]
+        fetched = summaries(self.shards)
+        shard_stats = [s for s, _ in fetched]
         pool_sent = sum(s["packets_sent"] for s in shard_stats)
         pool_received = sum(s["packets_received"] for s in shard_stats)
         pool_active = sum(s["active_session_cycles"] for s in shard_stats)
         unattr_ir = sum(s["unattributed_retries"] for s in shard_stats)
         unattr_deg = sum(s["unattributed_degradations"] for s in shard_stats)
-        pool_ir = sum(sh.fault_event_total()[0] for sh in self.shards)
-        pool_deg = sum(sh.fault_event_total()[1] for sh in self.shards)
+        pool_ir = sum(faults[0] for _, faults in fetched)
+        pool_deg = sum(faults[1] for _, faults in fetched)
         consistency = {
             "tenant_requests": totals["requests_sent"],
             "pool_packets_sent": pool_sent,
@@ -372,13 +406,13 @@ class MemoryService:
                 totals["degradations_seen"] + unattr_deg == pool_deg,
         }
         cfg = self.config
-        recovery_events = []
-        for sh in self.shards:
-            for ev in sh.recovery_events:
-                recovery_events.append(dict(ev, shard=sh.shard_id))
+        recovery_events = [
+            dict(ev, shard=s["shard"])
+            for s in shard_stats for ev in s.get("recovery_events", ())
+        ]
         recovery = {
-            "crashes": sum(sh.crashes for sh in self.shards),
-            "recoveries": sum(sh.recoveries for sh in self.shards),
+            "crashes": sum(s["crashes"] for s in shard_stats),
+            "recoveries": sum(s["recoveries"] for s in shard_stats),
             "failovers": totals["failovers"],
             "lost_inflight": totals["lost_inflight"],
             "replayed_requests": totals["replayed_requests"],
@@ -419,9 +453,9 @@ class MemoryService:
             out["chaos"] = {
                 "schedule": cfg.chaos.as_dict(),
                 "fired": [
-                    dict(ev, shard=sh.shard_id)
-                    for sh in self.shards
-                    for ev in sh.chaos_fired
+                    dict(ev, shard=s["shard"])
+                    for s in shard_stats
+                    for ev in s.get("chaos_fired", ())
                 ],
             }
         # Computed last: both walk the assembled report tree.

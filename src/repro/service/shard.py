@@ -134,6 +134,14 @@ class Session:
             and self.host.outstanding == 0
         )
 
+    def salvage(self) -> Iterator[Tuple]:
+        """What a failover re-sends: the journal's unacknowledged tail —
+        in-flight requests plus the not-yet-injected pending head — ahead
+        of the rest of the stream, in original FIFO order."""
+        tail = self.host.outstanding + (self._pending is not None)
+        consumed = self._consumed
+        return chain(consumed[len(consumed) - tail:] if tail else (), self._it)
+
 
 class Shard:
     """A provisioned sim plus its slot leases and accounting taps."""

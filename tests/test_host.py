@@ -1,8 +1,13 @@
 """Tests for the host driver and tag pools (repro.host)."""
 
+import json
+import pickle
+
+import numpy as np
 import pytest
 
 import repro.packets.packet as packet_mod
+from repro.core.checkpoint import restore_bundle
 from repro.core.errors import LinkDeadError, StallError, TopologyError
 from repro.core.simulator import HMCSim
 from repro.faults import LinkFaultModel, ScheduledInjector
@@ -11,6 +16,14 @@ from repro.host.tagpool import TagPool
 from repro.packets.commands import CMD
 from repro.packets.packet import build_memrequest
 from repro.topology.builder import build_chain, build_simple
+from tests.fixtures.gen_pre_lazy_rng_host import (
+    BLOB_PATH,
+    EXPECT_PATH,
+    PHASE_A,
+    build,
+    drive,
+    run_continuation,
+)
 
 
 class TestTagPool:
@@ -323,3 +336,56 @@ class TestPolicies:
             return sim.stats()["latency_penalties"]
 
         assert run(LinkPolicy.LOCALITY) < run(LinkPolicy.ROUND_ROBIN)
+
+
+class TestHostPickle:
+    """A host pickles only what it uses: no RANDOM generator before the
+    first random pick, the tag pools' free lists as tuples — and a host
+    blob written before that still restores and behaves the same
+    (``tests/fixtures/gen_pre_lazy_rng_host.py``)."""
+
+    @pytest.fixture(scope="class")
+    def old_blob(self):
+        with open(BLOB_PATH, "rb") as fh:
+            blob = fh.read()
+        with open(EXPECT_PATH) as fh:
+            expect = json.load(fh)
+        assert len(blob) == expect.pop("blob_bytes")
+        return blob, expect
+
+    def test_unused_generator_is_not_made(self):
+        _, host = mk_host()
+        host.run([(CMD.RD64, i * 64, None) for i in range(8)])
+        assert host._rng is None
+        state = pickle.dumps(host.tag_pools)
+        assert b"deque" not in state and b"numpy.random" not in pickle.dumps(host)
+
+    def test_random_stream_is_the_seeds(self):
+        _, host = mk_host(LinkPolicy.RANDOM, seed=9)
+        links = host._host_links
+        picks = [host._pick_link(0, 0) for _ in range(32)]
+        rng = np.random.default_rng(9)
+        assert picks == [links[int(rng.integers(len(links)))] for _ in range(32)]
+
+    def test_tag_pool_round_trips(self):
+        pool = TagPool(size=8)
+        tags = [pool.allocate(context=i) for i in range(5)]
+        pool.release(tags[1])
+        copy = pickle.loads(pickle.dumps(pool))
+        assert vars(copy) == vars(pool)
+        assert [copy.allocate() for _ in range(4)] == [5, 6, 7, 1]
+
+    def test_old_blob_is_the_old_shape(self, old_blob):
+        blob, _ = old_blob
+        assert b"numpy.random" in blob and b"deque" in blob
+
+    def test_old_blob_restores_and_continues_the_same(self, old_blob):
+        blob, expect = old_blob
+        sim, (host,) = restore_bundle(blob)
+        assert run_continuation(sim, host) == expect
+
+    def test_a_new_host_draws_what_the_old_one_did(self, old_blob):
+        _, expect = old_blob
+        sim, host = build()
+        drive(sim, host, PHASE_A, drain=False)
+        assert run_continuation(sim, host) == expect

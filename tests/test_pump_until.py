@@ -205,8 +205,10 @@ def _serve_tripping(config, plan, after, folded=True):
         starts.append(sim.clock_value)
         return clock(sim, *args)
 
+    # The recorders append in this process, so the shard runs here too.
     with patch.object(ClockEngine, "tick", tripping_tick), \
-            patch.object(HMCSim, "clock_until_response", recording_clock):
+            patch.object(HMCSim, "clock_until_response", recording_clock), \
+            patch("repro.service.handle.default_pool_size", return_value=1):
         report = _serve(config, plan, folded)
     (at,) = tripped
     return report, max(s for s in starts if s <= at), at
