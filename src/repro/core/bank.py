@@ -20,6 +20,8 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
+from repro.core._native import walk as _walk
+
 #: Addressable atom: one 16-byte block = two 64-bit words.
 ATOM_BYTES = 16
 ATOM_WORDS = 2
@@ -200,109 +202,6 @@ class Bank:
         # Each 32-byte column fetch services two atoms; odd atom counts
         # still require a full fetch.
         self.column_fetches += (nbytes + COLUMN_FETCH_BYTES - 1) // COLUMN_FETCH_BYTES
-
-    def _materialize(self, pg: int) -> int:
-        """Give page *pg* the next (zeroed) row of the store.
-
-        Rows past ``len(_pages)`` are always zero: the store starts as
-        one row on the first write and doubles when full.
-        """
-        row = len(self._pages)
-        store = self._store
-        if store is None:
-            pw = self._page_words
-            self._store = np.zeros((1, pw), dtype=np.uint64)
-            self._tstore = np.zeros((1, pw // ATOM_WORDS), dtype=bool)
-        elif row == len(store):
-            tstore = self._tstore
-            self._store = np.concatenate((store, np.zeros_like(store)))
-            self._tstore = np.concatenate((tstore, np.zeros_like(tstore)))
-        self._pages[pg] = row
-        return row
-
-    def read(self, byte_addr: int, nbytes: int) -> List[int]:
-        """Read *nbytes* from bank-relative *byte_addr* as 64-bit words."""
-        # _check, inlined (hot path).
-        if (
-            byte_addr < 0
-            or nbytes <= 0
-            or byte_addr + nbytes > self.capacity_bytes
-            or byte_addr % ATOM_BYTES
-            or nbytes % ATOM_BYTES
-        ):
-            self._check(byte_addr, nbytes)
-        self.reads += 1
-        self.column_fetches += (nbytes + COLUMN_FETCH_BYTES - 1) // COLUMN_FETCH_BYTES
-        self.dram_access_count += 1
-        atom0 = byte_addr // ATOM_BYTES
-        if self.ras is not None:
-            return self.ras.read_atoms(atom0, nbytes // ATOM_BYTES)
-        nw = nbytes // 8
-        page_words = self._page_words
-        pg, off = divmod(atom0 * ATOM_WORDS, page_words)
-        if off + nw <= page_words:
-            row = self._pages.get(pg)
-            if row is None:
-                return [0] * nw
-            return self._store[row, off : off + nw].tolist()
-        # Page-crossing access (unaligned multi-atom read): stitch.
-        out: List[int] = []
-        while nw > 0:
-            take = min(nw, page_words - off)
-            row = self._pages.get(pg)
-            if row is None:
-                out.extend([0] * take)
-            else:
-                out.extend(self._store[row, off : off + take].tolist())
-            nw -= take
-            pg += 1
-            off = 0
-        return out
-
-    def write(self, byte_addr: int, words: List[int]) -> None:
-        """Write 64-bit *words* (two per atom) at bank-relative *byte_addr*."""
-        nwords = len(words)
-        nbytes = nwords * 8
-        # _check, inlined (hot path).
-        if (
-            byte_addr < 0
-            or nbytes <= 0
-            or byte_addr + nbytes > self.capacity_bytes
-            or byte_addr % ATOM_BYTES
-            or nbytes % ATOM_BYTES
-        ):
-            self._check(byte_addr, nbytes)
-        if nwords % ATOM_WORDS:
-            raise ValueError("write payload must be whole 16-byte atoms")
-        self.writes += 1
-        self.column_fetches += (nbytes + COLUMN_FETCH_BYTES - 1) // COLUMN_FETCH_BYTES
-        self.dram_access_count += 1
-        atom0 = byte_addr // ATOM_BYTES
-        page_words = self._page_words
-        pg, off = divmod(atom0 * ATOM_WORDS, page_words)
-        if off + nwords <= page_words:
-            row = self._pages.get(pg)
-            if row is None:
-                row = self._materialize(pg)
-            try:
-                self._store[row, off : off + nwords] = words
-            except (OverflowError, ValueError, TypeError):
-                # Out-of-range payload values (negative / >= 2**64):
-                # preserve the historical wraparound semantics.
-                self._store[row, off : off + nwords] = [
-                    w & _MASK64 for w in words
-                ]
-            a0 = off // ATOM_WORDS
-            self._tstore[row, a0 : a0 + nwords // ATOM_WORDS] = True
-            self._dirty.add(pg)
-        else:
-            # Page-crossing write: atom-by-atom through the slow helper.
-            for i in range(nwords // ATOM_WORDS):
-                self.set_atom_words(
-                    atom0 + i, words[2 * i] & _MASK64, words[2 * i + 1] & _MASK64
-                )
-        if self.ras is not None:
-            self.ras.on_write(atom0, [w & _MASK64 for w in words])
 
     def masked_write(self, byte_addr: int, data: int, byte_mask: int) -> None:
         """BWR: byte-enabled write of one 8-byte word.
@@ -539,3 +438,9 @@ class Bank:
         self.dram_access_count = 0
         if self.ras is not None:
             self.ras.reset()
+
+
+#: Demand reads and writes (counters, ECC hooks, the page rows) and page
+#: materialisation are C, shared with the vault walk (``_vaultwalk.c``).
+Bank.read, Bank.write, Bank._materialize = _walk.bank_methods(
+    Bank, ATOM_BYTES, COLUMN_FETCH_BYTES, np.zeros, np.uint64, bool)

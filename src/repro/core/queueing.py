@@ -18,6 +18,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Iterator, List, Optional
 
+from repro.core._native import walk as _walk
 from repro.packets.packet import Packet
 
 __all__ = ["PacketQueue", "QueueSlot"]
@@ -197,32 +198,6 @@ class PacketQueue:
         """Iterate packets in FIFO order without removing them."""
         return iter(self._q)
 
-    def remove_positions(self, positions: List[int]) -> None:
-        """Remove the entries at ascending FIFO *positions* in one pass.
-
-        Deletion runs back-to-front so earlier positions stay valid;
-        per-element cost is deque ``__delitem__`` (C-level, O(distance
-        from the nearer end)), which beats a Python-level prefix rebuild
-        for the near-head removals of the routing and vault-issue scans.
-        FIFO order of the survivors is preserved; removed entries count
-        as dequeued (same accounting as ``pop``).
-        """
-        if not positions:
-            return
-        q = self._q
-        stamps = self._stamps
-        specials = 0
-        for i in reversed(positions):
-            if q[i].is_special:
-                specials += 1
-            del q[i]
-            del stamps[i]
-        if specials:
-            self.special_count -= specials
-        self.total_dequeued += len(positions)
-        if not q and self._act_set is not None:
-            self._act_set.discard(self._act_key)
-
     def expire_older_than(self, cycle: int, max_age: int) -> List[Packet]:
         """Remove and return every packet enqueued more than *max_age*
         cycles before *cycle* (zombie-packet protection, §V.B)."""
@@ -279,3 +254,8 @@ class PacketQueue:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"PacketQueue({self.name!r}, {len(self._q)}/{self.depth})"
+
+
+#: The batched removal of the routing and vault-issue scans is C, shared
+#: with the vault walk (``_vaultwalk.c``).
+(PacketQueue.remove_positions,) = _walk.queue_methods(PacketQueue, Packet)

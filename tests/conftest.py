@@ -19,6 +19,12 @@ import signal
 import threading
 
 import pytest
+from hypothesis import settings
+
+#: ``--hypothesis-profile=deep``: property tests that size themselves from
+#: the loaded profile (tests/test_vault_walk_reference.py) run 1,000
+#: examples; CI's deep step selects it.
+settings.register_profile("deep", max_examples=1000, deadline=None)
 
 #: Default per-test bound in seconds.  Generous: the slowest legitimate
 #: tests (full-campaign service runs) finish well under this.

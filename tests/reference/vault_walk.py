@@ -1,37 +1,159 @@
-"""The vault walk as it stood before the reply path was inlined.
+"""The oracle of the C vault walk: the walk in Python, as it stood
+before the reply path was inlined.
 
 :class:`ReferenceVault` is a :class:`~repro.core.vault.Vault` whose
-stage 3/4 walk, request execution and reply push are the earlier code,
-unchanged: every reply through ``build_response`` and
-``PacketQueue.push``, the response-queue room read per scanned packet,
-the bank-relative address through a helper.  The engine's
-``Vault.stage34`` must leave the same queues, replies, counters and
+stage 3/4 walk, request execution, reply push, busy-state re-validation
+and bank row read/write are the earlier Python code, unchanged: every
+reply through ``build_response`` and ``PacketQueue.push``, the
+response-queue room read per scanned packet, the bank-relative address
+through a helper, the demand read/write through :func:`bank_read` /
+:func:`bank_write` (``Bank.read`` / ``Bank.write`` as they were in
+Python, with :func:`materialize`) and the batched removal through
+:func:`remove_positions`.  The engine's ``Vault.stage34`` — C,
+``_vaultwalk.c`` — must leave the same queues, replies, counters and
 bank state as this one (tests/test_vault_walk_reference.py).
-``_do_mode`` is inherited: the MODE path did not change.
+``_do_mode`` and the BWR / atomic bank methods are shared: they are
+Python in the engine too.
 """
 
 from __future__ import annotations
 
 from itertools import islice
-from typing import Optional
+from typing import List, Optional
+
+import numpy as np
 
 from repro.addressing.address_map import AddressMap
-from repro.core.vault import (
-    _BUSY_F,
-    _BUSY_T,
-    _BWR_CMDS,
-    _EV_BANK_CONFLICT,
-    _EV_RQST_ATOMIC,
-    _EV_RQST_READ,
-    _EV_RQST_WRITE,
-    _EV_VAULT_RSP_STALL,
-    _FAR,
-    Vault,
-)
+from repro.core.bank import ATOM_BYTES, ATOM_WORDS, COLUMN_FETCH_BYTES, _MASK64
+from repro.core.vault import _FAR, Vault
 from repro.packets.commands import CMD, REQUEST_DATA_BYTES, CommandClass
 from repro.packets.packet import ErrStat, Packet, build_response
 from repro.trace.events import EventType
 from repro.trace.tracer import Tracer
+
+_EV_BANK_CONFLICT = int(EventType.BANK_CONFLICT)
+_EV_VAULT_RSP_STALL = int(EventType.VAULT_RSP_STALL)
+_EV_RQST_READ = int(EventType.RQST_READ)
+_EV_RQST_WRITE = int(EventType.RQST_WRITE)
+_EV_RQST_ATOMIC = int(EventType.RQST_ATOMIC)
+_BWR_CMDS = (CMD.BWR, CMD.P_BWR)
+_BUSY_T = ("busy", True)
+_BUSY_F = ("busy", False)
+
+
+def materialize(bank, pg: int) -> int:
+    """``Bank._materialize`` as it was in Python."""
+    row = len(bank._pages)
+    store = bank._store
+    if store is None:
+        pw = bank._page_words
+        bank._store = np.zeros((1, pw), dtype=np.uint64)
+        bank._tstore = np.zeros((1, pw // ATOM_WORDS), dtype=bool)
+    elif row == len(store):
+        tstore = bank._tstore
+        bank._store = np.concatenate((store, np.zeros_like(store)))
+        bank._tstore = np.concatenate((tstore, np.zeros_like(tstore)))
+    bank._pages[pg] = row
+    return row
+
+
+def bank_read(bank, byte_addr: int, nbytes: int) -> List[int]:
+    """``Bank.read`` as it was in Python."""
+    if (
+        byte_addr < 0
+        or nbytes <= 0
+        or byte_addr + nbytes > bank.capacity_bytes
+        or byte_addr % ATOM_BYTES
+        or nbytes % ATOM_BYTES
+    ):
+        bank._check(byte_addr, nbytes)
+    bank.reads += 1
+    bank.column_fetches += (nbytes + COLUMN_FETCH_BYTES - 1) // COLUMN_FETCH_BYTES
+    bank.dram_access_count += 1
+    atom0 = byte_addr // ATOM_BYTES
+    if bank.ras is not None:
+        return bank.ras.read_atoms(atom0, nbytes // ATOM_BYTES)
+    nw = nbytes // 8
+    page_words = bank._page_words
+    pg, off = divmod(atom0 * ATOM_WORDS, page_words)
+    if off + nw <= page_words:
+        row = bank._pages.get(pg)
+        if row is None:
+            return [0] * nw
+        return bank._store[row, off : off + nw].tolist()
+    # Page-crossing access (unaligned multi-atom read): stitch.
+    out: List[int] = []
+    while nw > 0:
+        take = min(nw, page_words - off)
+        row = bank._pages.get(pg)
+        if row is None:
+            out.extend([0] * take)
+        else:
+            out.extend(bank._store[row, off : off + take].tolist())
+        nw -= take
+        pg += 1
+        off = 0
+    return out
+
+
+def bank_write(bank, byte_addr: int, words) -> None:
+    """``Bank.write`` as it was in Python."""
+    nwords = len(words)
+    nbytes = nwords * 8
+    if (
+        byte_addr < 0
+        or nbytes <= 0
+        or byte_addr + nbytes > bank.capacity_bytes
+        or byte_addr % ATOM_BYTES
+        or nbytes % ATOM_BYTES
+    ):
+        bank._check(byte_addr, nbytes)
+    bank.writes += 1
+    bank.column_fetches += (nbytes + COLUMN_FETCH_BYTES - 1) // COLUMN_FETCH_BYTES
+    bank.dram_access_count += 1
+    atom0 = byte_addr // ATOM_BYTES
+    page_words = bank._page_words
+    pg, off = divmod(atom0 * ATOM_WORDS, page_words)
+    if off + nwords <= page_words:
+        row = bank._pages.get(pg)
+        if row is None:
+            row = materialize(bank, pg)
+        try:
+            bank._store[row, off : off + nwords] = words
+        except (OverflowError, ValueError, TypeError):
+            # Out-of-range payload values (negative / >= 2**64):
+            # preserve the historical wraparound semantics.
+            bank._store[row, off : off + nwords] = [w & _MASK64 for w in words]
+        a0 = off // ATOM_WORDS
+        bank._tstore[row, a0 : a0 + nwords // ATOM_WORDS] = True
+        bank._dirty.add(pg)
+    else:
+        # Page-crossing write: atom-by-atom through the slow helper.
+        for i in range(nwords // ATOM_WORDS):
+            bank.set_atom_words(
+                atom0 + i, words[2 * i] & _MASK64, words[2 * i + 1] & _MASK64
+            )
+    if bank.ras is not None:
+        bank.ras.on_write(atom0, [w & _MASK64 for w in words])
+
+
+def remove_positions(queue, positions) -> None:
+    """``PacketQueue.remove_positions`` as it was in Python."""
+    if not positions:
+        return
+    q = queue._q
+    stamps = queue._stamps
+    specials = 0
+    for i in reversed(positions):
+        if q[i].is_special:
+            specials += 1
+        del q[i]
+        del stamps[i]
+    if specials:
+        queue.special_count -= specials
+    queue.total_dequeued += len(positions)
+    if not q and queue._act_set is not None:
+        queue._act_set.discard(queue._act_key)
 
 
 class ReferenceVault(Vault):
@@ -199,7 +321,7 @@ class ReferenceVault(Vault):
             if closed >= free and not specials:
                 break
         if removed:
-            rqst.remove_positions(removed)
+            remove_positions(rqst, removed)
         if issued == 0 and rqst._q:
             self.issue_stall_cycles += 1
         return conflicts, issued
@@ -297,7 +419,7 @@ class ReferenceVault(Vault):
             if pkt.expects_response:
                 self._push_response(build_response(pkt), pkt, cycle)
         elif cls is CommandClass.READ:
-            data = bank.read(rel, nbytes)
+            data = bank_read(bank, rel, nbytes)
             self.rd_count += 1
             if tracer.live_mask & _EV_RQST_READ:
                 tracer.emit_fast(
@@ -308,7 +430,7 @@ class ReferenceVault(Vault):
             rsp = build_response(pkt, data)
             self._push_response(rsp, pkt, cycle)
         elif cls in (CommandClass.WRITE, CommandClass.POSTED_WRITE):
-            bank.write(rel, pkt.payload)
+            bank_write(bank, rel, pkt.payload)
             self.wr_count += 1
             if tracer.live_mask & _EV_RQST_WRITE:
                 tracer.emit_fast(

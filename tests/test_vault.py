@@ -294,6 +294,22 @@ class TestLifecycle:
         assert v.total_requests == 0
         assert not v.banks[0].is_busy(0)
 
+    def test_foreign_objects_are_refused_not_read(self, amap, tracer):
+        """The C walk reads packet, queue and bank slots by offset: any
+        other object where one belongs is a TypeError."""
+        v = mk_vault()
+        v.rqst._q.append(SimpleNamespace(is_special=False, dec_bank=0))
+        v.rqst._stamps.append(0)
+        with pytest.raises(TypeError, match="Packet"):
+            v.stage34(0, amap, 8, 4, 1, tracer, 0)
+        v = mk_vault()
+        v.rqst.push(rd(amap, 1))
+        v.banks[1] = SimpleNamespace(busy_until=0)
+        with pytest.raises(TypeError, match="Bank"):
+            v.stage34(0, amap, 8, 4, 1, tracer, 0)
+        with pytest.raises(TypeError):
+            v._push_response(object(), rd(amap, 1), 0)
+
     def test_total_requests(self, amap, tracer):
         v = mk_vault()
         v.rqst.push(rd(amap, 0))
