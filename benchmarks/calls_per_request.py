@@ -12,6 +12,10 @@ what a noisy wall cannot.  Three streams:
   host link, link BER 1e-5, ``link_max_retries=16``, every request to
   the far cube, so each one crosses three faulty chain links and the
   faulty host link both ways;
+* ``fig5``: the spine's ``fig5_fulltrace`` shape — one 4-Link/8-Bank
+  cube, every link on the host, the ``STANDARD`` trace mask into a
+  ``BinarySink`` over ``BytesIO`` and a ``StatsSink``, so the count
+  includes every Python call the trace pipeline makes per request;
 * ``serve``: the spine's ``serve128_armed`` shape — ``repro serve``
   with ``checkpoint_interval=256`` over a seed-1 tenant mix; only
   ``serve_sync`` is profiled (the shard template is set-up), and the
@@ -21,7 +25,7 @@ what a noisy wall cannot.  Three streams:
   not an idle driver waiting on shard processes.
 
     PYTHONPATH=src python benchmarks/calls_per_request.py \
-        [--workload table1|chain4|serve] [--requests-log2 11] \
+        [--workload table1|chain4|fig5|serve] [--requests-log2 11] \
         [--tenants 32] [--requests-per-tenant 8] [--max N]
 
 Exits 1 when the count exceeds ``--max``.
@@ -31,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import cProfile
+import io
 import os
 import pstats
 
@@ -39,6 +44,7 @@ from repro.core.simulator import HMCSim
 from repro.host.host import Host
 from repro.service import MemoryService, ServiceConfig, specs_from_profiles
 from repro.topology.builder import build_chain
+from repro.trace import BinarySink, EventType, StatsSink, TraceStats
 from repro.workloads.mixes import tenant_mix_profiles
 from repro.workloads.random_access import RandomAccessConfig, random_access_requests
 
@@ -74,6 +80,20 @@ def chain4(requests: int, seed: int = 1) -> float:
     return calls / requests
 
 
+def fig5(requests: int, seed: int = 1) -> float:
+    """Profiled calls per request of the fully traced Figure 5 run."""
+    device = PAPER_CONFIGS["4-Link; 8-Bank; 2GB"]
+    sim = HMCSim(SimConfig(device=device))
+    for link in range(device.num_links):
+        sim.attach_host(0, link)
+    sim.set_trace_mask(EventType.STANDARD)
+    sim.add_trace_sink(BinarySink(io.BytesIO(), num_vaults=device.num_vaults))
+    sim.add_trace_sink(StatsSink(TraceStats(num_vaults=device.num_vaults)))
+    cfg = RandomAccessConfig(num_requests=requests, seed=seed)
+    stream = random_access_requests(device.capacity_bytes, cfg)
+    return _profiled_calls(Host(sim, seed=seed), stream, cub=0) / requests
+
+
 def serve(tenants: int, per_tenant: int, seed: int = 1) -> float:
     """Profiled calls per served request of an armed ``repro serve``."""
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
@@ -93,6 +113,8 @@ WORKLOADS = {
                "4 configs x 2^{requests_log2} requests"),
     "chain4": (lambda a: chain4(1 << a.requests_log2),
                "4-cube chain at BER 1e-5, 2^{requests_log2} requests"),
+    "fig5": (lambda a: fig5(1 << a.requests_log2),
+             "traced 4-Link/8-Bank, 2^{requests_log2} requests"),
     "serve": (lambda a: serve(a.tenants, a.requests_per_tenant),
               "armed serve, {tenants} tenants x {requests_per_tenant} requests"),
 }

@@ -1,41 +1,43 @@
-"""The C vault walk (``_vaultwalk.c``), built on first import.
+"""The package's C modules, each built on first import.
 
-The first import compiles ``_vaultwalk.c`` with one ``gcc`` call into
-this package's ``__pycache__``; later imports load the cached module
-and start no process.  The cached file's name carries the source's
-sha256 and the interpreter's extension suffix, so an edited source, or
-another Python, builds a module of its own and a stale one is never
-loaded.  The build writes a temporary file and renames it into place,
-so concurrent first imports leave one whole module.  gcc and the
-Python headers are required; without gcc the import raises an
-``ImportError`` that names it.
+``load("repro.core._vaultwalk")`` compiles ``core/_vaultwalk.c`` with
+one ``gcc`` call into ``core/__pycache__`` and imports it; later imports
+load the cached module and start no process.  Any ``_name.c`` beside a
+package's modules loads the same way (``repro.trace._tracecodec``).
+The cached file's name carries the source's sha256 and the
+interpreter's extension suffix, so an edited source, or another Python,
+builds a module of its own and a stale one is never loaded.  The build
+writes a temporary file and renames it into place, so concurrent first
+imports leave one whole module.  gcc and the Python headers are
+required; without gcc the import raises an ``ImportError`` that names
+it and the module.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import sys
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from importlib.util import module_from_spec, spec_from_loader
 
-_NAME = "_vaultwalk"
 COMPILER = "gcc"
-_HERE = os.path.dirname(os.path.abspath(__file__))
 
 
-def _compile(source: str, target: str) -> None:
+def _compile(name: str, source: str, target: str) -> None:
     """Build *source* into *target* through a temporary file."""
     import shutil
     import subprocess
     import sysconfig
     import tempfile
 
+    stem = name.rpartition(".")[2]
     cc = shutil.which(COMPILER)
     if cc is None:
         raise ImportError(
-            f"repro.core.{_NAME} is C and is built on first import: the "
-            f"compiler {COMPILER!r} was not found on PATH", name=_NAME)
-    fd, tmp = tempfile.mkstemp(prefix=f"{_NAME}.", suffix=".tmp",
+            f"{name} is C and is built on first import: the "
+            f"compiler {COMPILER!r} was not found on PATH", name=name)
+    fd, tmp = tempfile.mkstemp(prefix=f"{stem}.", suffix=".tmp",
                                dir=os.path.dirname(target))
     os.close(fd)
     try:
@@ -45,8 +47,8 @@ def _compile(source: str, target: str) -> None:
             capture_output=True, text=True)
         if done.returncode:
             raise ImportError(
-                f"{COMPILER} could not build repro.core.{_NAME}:\n"
-                f"{done.stderr}", name=_NAME)
+                f"{COMPILER} could not build {name}:\n{done.stderr}",
+                name=name)
         os.chmod(tmp, 0o755)  # mkstemp's 0600 would hide it from others
         os.replace(tmp, target)
     finally:
@@ -54,20 +56,28 @@ def _compile(source: str, target: str) -> None:
             os.unlink(tmp)
 
 
-def load():
-    """The compiled module, built first if the cache holds none."""
-    source = os.path.join(_HERE, _NAME + ".c")
+def load(name: str):
+    """The compiled module *name*, built first if the cache holds none.
+
+    *name* is dotted (``"repro.core._vaultwalk"``); its source is the
+    ``.c`` file of that stem in the package's directory.  A module loads
+    once per interpreter: later calls return it from ``sys.modules``.
+    """
+    module = sys.modules.get(name)
+    if module is not None:
+        return module
+    package, _, stem = name.rpartition(".")
+    here = sys.modules[package].__path__[0]
+    source = os.path.join(here, stem + ".c")
     with open(source, "rb") as f:
         digest = hashlib.sha256(f.read()).hexdigest()
-    cache = os.path.join(_HERE, "__pycache__")
-    target = os.path.join(cache, f"{_NAME}.{digest[:16]}{EXTENSION_SUFFIXES[0]}")
+    cache = os.path.join(here, "__pycache__")
+    target = os.path.join(cache, f"{stem}.{digest[:16]}{EXTENSION_SUFFIXES[0]}")
     if not os.path.exists(target):
         os.makedirs(cache, exist_ok=True)
-        _compile(source, target)
-    loader = ExtensionFileLoader(f"repro.core.{_NAME}", target)
-    module = module_from_spec(spec_from_loader(loader.name, loader))
+        _compile(name, source, target)
+    loader = ExtensionFileLoader(name, target)
+    module = module_from_spec(spec_from_loader(name, loader))
     loader.exec_module(module)
+    sys.modules[name] = module
     return module
-
-
-walk = load()

@@ -2,12 +2,14 @@
  * and push, and the banks' row read/write (paper §IV.C.3-4, §IV.A).
  *
  * Built on first import by repro/core/_native.py; bound to the Python
- * classes by ``bank_methods`` (bank.py) and ``vault_methods``
- * (vault.py), which install the functions below as methods of ``Bank``
- * and ``Vault``.  The C holds no state of its own: it reads and writes
- * the same ``__slots__`` the Python code does, at the offsets their
- * member descriptors give, and the bank arrays through the buffer
- * protocol, so pickles and checkpoints do not change.  What stays in
+ * classes by ``bank_methods`` (bank.py), ``vault_methods`` (vault.py)
+ * and ``tracer_methods`` (trace/tracer.py), which install the functions
+ * below as methods of ``Bank``, ``Vault`` and ``Tracer``.  The C holds
+ * no state of its own: it reads and writes the same ``__slots__`` the
+ * Python code does, at the offsets their member descriptors give, and
+ * the bank arrays through the buffer protocol, so pickles and
+ * checkpoints do not change.  The walk appends its trace events to the
+ * tracer's buffer as ``Tracer.emit_fast`` (also C) does.  What stays in
  * Python is called back: MODE packets, error replies, BWR and the
  * atomics, open-row timing, address maps other than ``AddressMap``,
  * and ECC reads/writes.
@@ -38,23 +40,26 @@
     X(B, reads) X(B, writes) X(B, conflicts) X(B, column_fetches)       \
     X(B, dram_access_count) X(B, ras) X(B, _pages) X(B, _store)         \
     X(B, _tstore) X(B, _dirty)
+#define TRACER(X) X(T, _buf) X(T, emitted) X(T, _limit) X(T, live_mask)
 
 enum { PACKET(E) P_N };
 enum { QUEUE(E) Q_N };
 enum { VAULT(E) V_N };
 enum { BANK(E) B_N };
+enum { TRACER(E) T_N };
 static const char *const P_names[] = { PACKET(S) };
 static const char *const Q_names[] = { QUEUE(S) };
 static const char *const V_names[] = { VAULT(S) };
 static const char *const B_names[] = { BANK(S) };
-static Py_ssize_t P_off[P_N], Q_off[Q_N], V_off[V_N], B_off[B_N];
+static const char *const T_names[] = { TRACER(S) };
+static Py_ssize_t P_off[P_N], Q_off[Q_N], V_off[V_N], B_off[B_N], T_off[T_N];
 
 /* Every slot of Packet, for copying a reply prototype. */
 static Py_ssize_t *packet_all_off;
 static Py_ssize_t packet_nslots;
 
 static PyTypeObject *packet_type, *queue_type, *vault_type, *bank_type;
-static PyTypeObject *amap_type;
+static PyTypeObject *amap_type, *tracer_type;
 
 /* Offset of the ``__slots__`` entry *name* of *tp*. */
 static Py_ssize_t
@@ -87,10 +92,10 @@ resolve(PyTypeObject *tp, const char *const *names, Py_ssize_t *off, int n)
 static int
 check_type(PyObject *o, PyTypeObject *tp)
 {
-    if (PyObject_TypeCheck(o, tp))
+    if (tp != NULL && PyObject_TypeCheck(o, tp))
         return 0;
-    PyErr_Format(PyExc_TypeError, "expected %s, got %s", tp->tp_name,
-                 Py_TYPE(o)->tp_name);
+    PyErr_Format(PyExc_TypeError, "expected %s, got %s",
+                 tp ? tp->tp_name : "a bound class", Py_TYPE(o)->tp_name);
     return -1;
 }
 
@@ -165,7 +170,7 @@ static PyObject *ev_conflict, *ev_stall, *ev_read, *ev_write;
 static long long m_conflict, m_stall, m_read, m_write;
 static PyObject *minus_one, *busy_true, *busy_false;
 
-static PyObject *s_append, *s_add, *s_emit_fast, *s_live_mask, *s_addr;
+static PyObject *s_append, *s_add, *s_flush, *s_addr;
 static PyObject *s_do_mode, *s_error_response, *s_read_modify_write;
 static PyObject *s_decode, *s_dram, *s_offset;
 static PyObject *s_block_size, *s_bank_of, *s_dram_of, *s_bs, *s_bank_mask;
@@ -183,8 +188,8 @@ static int
 intern_all(void)
 {
 #define I(var, text) if ((var = PyUnicode_InternFromString(text)) == NULL) return -1;
-    I(s_append, "append") I(s_add, "add") I(s_emit_fast, "emit_fast")
-    I(s_live_mask, "live_mask") I(s_addr, "addr") I(s_do_mode, "_do_mode")
+    I(s_append, "append") I(s_add, "add") I(s_flush, "flush")
+    I(s_addr, "addr") I(s_do_mode, "_do_mode")
     I(s_error_response, "_error_response")
     I(s_read_modify_write, "_read_modify_write")
     I(s_decode, "decode")
@@ -765,24 +770,58 @@ packet_bank(Walk *w, PyObject *pkt, long long *out)
     return 0;
 }
 
+/* Append *entry* (a new reference, or NULL after a failed build) to
+ * the tracer's buffer, count it and flush a full buffer: the walk's
+ * events and ``Tracer.emit_fast``, with no Python frame. */
+static int
+trace_append(PyObject *t, PyObject *entry)
+{
+    PyObject *buf = entry == NULL ? NULL : get(t, T_off[T__buf]);
+    long long limit;
+    int rc = buf == NULL ? -1 : PyList_CheckExact(buf) ? PyList_Append(buf, entry)
+        : (PyErr_SetString(PyExc_TypeError, "Tracer._buf is a list"), -1);
+    Py_XDECREF(entry);
+    if (rc < 0 || add_ll(t, T_off[T_emitted], 1) < 0
+        || get_ll(t, T_off[T__limit], &limit) < 0)
+        return -1;
+    if (PyList_GET_SIZE(buf) < limit)
+        return 0;
+    PyObject *r = PyObject_CallMethodNoArgs(t, s_flush);
+    Py_XDECREF(r);
+    return r == NULL ? -1 : 0;
+}
+
 static int
 emit(Walk *w, PyObject *etype, long long bank, PyObject *serial, PyObject *extra)
 {
     PyObject *quad = get(w->self, V_off[V_quad_id]);
     PyObject *vid = get(w->self, V_off[V_vault_id]);
-    PyObject *bank_obj = PyLong_FromLongLong(bank);
-    if (quad == NULL || vid == NULL || bank_obj == NULL) {
-        Py_XDECREF(bank_obj);
+    PyObject *bank_obj = quad && vid ? PyLong_FromLongLong(bank) : NULL;
+    if (bank_obj == NULL)
         return -1;
-    }
-    PyObject *args[] = {w->tracer, etype, w->cycle_obj, w->dev_obj, minus_one,
-                        quad, vid, bank_obj, minus_one, serial, extra};
-    PyObject *r = PyObject_VectorcallMethod(s_emit_fast, args, 11, NULL);
+    PyObject *entry = PyTuple_Pack(10, etype, w->cycle_obj, w->dev_obj, minus_one,
+                                   quad, vid, bank_obj, minus_one, serial, extra);
     Py_DECREF(bank_obj);
-    if (r == NULL)
-        return -1;
-    Py_DECREF(r);
-    return 0;
+    return trace_append(w->tracer, entry);
+}
+
+/* ``Tracer.emit_fast(etype, cycle, dev=-1, link=-1, quad=-1, vault=-1,
+ * bank=-1, stage=-1, serial=-1, extra=None)``, positional only. */
+static PyObject *
+Tracer_emit_fast(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs < 2 || nargs > 10) {
+        PyErr_Format(PyExc_TypeError, "emit_fast() takes 2 to 10 arguments "
+                     "(%zd given)", nargs);
+        return NULL;
+    }
+    PyObject *entry = PyTuple_New(10);
+    for (int i = 0; entry != NULL && i < 10; i++)
+        PyTuple_SET_ITEM(entry, i, Py_NewRef(i < nargs ? args[i]
+                                             : i < 9 ? minus_one : Py_None));
+    if (trace_append(self, entry) < 0)
+        return NULL;
+    Py_RETURN_NONE;
 }
 
 /* ``(("addr", addr),)`` or ``(("addr", addr), ("busy", ...))``. */
@@ -1186,7 +1225,8 @@ walk(Walk w, PyObject *rqst, long long window, long long width)
         return qlen < 0 ? NULL : pair(0, 0);
     unsigned long long busy_mask;
     if (busy_state(self, w.banks, w.cycle, &busy_mask) < 0
-        || attr_ll(w.tracer, s_live_mask, &w.live) < 0)
+        || check_type(w.tracer, tracer_type) < 0
+        || get_ll(w.tracer, T_off[T_live_mask], &w.live) < 0)
         return NULL;
 
     PyObject *it = NULL, *pkt = NULL;
@@ -1510,6 +1550,24 @@ queue_methods(PyObject *mod, PyObject *args)
     return methods_of(queue_type, queue_defs, 1);
 }
 
+static PyMethodDef tracer_defs[] = {
+    {"emit_fast", (PyCFunction)(void (*)(void))Tracer_emit_fast, METH_FASTCALL,
+     "emit_fast(etype, cycle, dev=-1, link=-1, quad=-1, vault=-1, bank=-1, "
+     "stage=-1, serial=-1, extra=None)\n--\n\n"
+     "Buffer one event as a compact tuple (hot call sites), positional\n"
+     "arguments only.  Callers have tested ``live_mask & etype``: no mask\n"
+     "test, no TraceEvent.  Flushes once the buffer holds ``_limit``."},
+};
+
+static PyObject *
+tracer_methods(PyObject *mod, PyObject *tt)
+{
+    if ((tracer_type = as_type(tt, "Tracer")) == NULL
+        || resolve(tracer_type, T_names, T_off, T_N) < 0)
+        return NULL;
+    return methods_of(tracer_type, tracer_defs, 1);
+}
+
 static int
 member(PyObject *ns, const char *name, PyObject **out)
 {
@@ -1642,6 +1700,8 @@ static PyMethodDef module_defs[] = {
     {"bank_methods", bank_methods, METH_VARARGS,
      "bank_methods(Bank, atom_bytes, fetch_bytes, zeros, word_dtype, flag_dtype)\n"
      "-> (read, write, _materialize)"},
+    {"tracer_methods", tracer_methods, METH_O,
+     "tracer_methods(Tracer) -> (emit_fast,)"},
     {"queue_methods", queue_methods, METH_VARARGS,
      "queue_methods(PacketQueue, Packet) -> (remove_positions,)"},
     {"vault_methods", (PyCFunction)(void (*)(void))vault_methods,

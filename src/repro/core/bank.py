@@ -20,7 +20,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.core._native import walk as _walk
+from repro.core._native import load
 
 #: Addressable atom: one 16-byte block = two 64-bit words.
 ATOM_BYTES = 16
@@ -442,5 +442,6 @@ class Bank:
 
 #: Demand reads and writes (counters, ECC hooks, the page rows) and page
 #: materialisation are C, shared with the vault walk (``_vaultwalk.c``).
+_walk = load("repro.core._vaultwalk")
 Bank.read, Bank.write, Bank._materialize = _walk.bank_methods(
     Bank, ATOM_BYTES, COLUMN_FETCH_BYTES, np.zeros, np.uint64, bool)

@@ -18,7 +18,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Iterator, List, Optional
 
-from repro.core._native import walk as _walk
+from repro.core._native import load
 from repro.packets.packet import Packet
 
 __all__ = ["PacketQueue", "QueueSlot"]
@@ -258,4 +258,5 @@ class PacketQueue:
 
 #: The batched removal of the routing and vault-issue scans is C, shared
 #: with the vault walk (``_vaultwalk.c``).
+_walk = load("repro.core._vaultwalk")
 (PacketQueue.remove_positions,) = _walk.queue_methods(PacketQueue, Packet)

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, List, Optional
 
 import repro.packets.packet as _packet_mod
 from repro.addressing.address_map import AddressMap
-from repro.core._native import walk as _walk
+from repro.core._native import load
 from repro.core.bank import Bank
 from repro.core.queueing import PacketQueue
 from repro.packets.commands import CMD, REQUEST_DATA_BYTES, CommandClass
@@ -247,6 +247,7 @@ def _reply_prototypes() -> dict:
         _packet_mod._packet_serial = serials
 
 
+_walk = load("repro.core._vaultwalk")
 Vault.stage34, Vault._busy_state, Vault._push_response = _walk.vault_methods(
     vault=Vault, amap=AddressMap, packets=_packet_mod, replies=_reply_prototypes(),
     read_bytes={int(cmd): n for cmd, n in REQUEST_DATA_BYTES.items()},

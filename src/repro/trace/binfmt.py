@@ -1,7 +1,7 @@
 """Binary trace format: compact fixed-record event serialisation.
 
 The paper's full-verbosity trace files ran 16–40 GB as text (§VI.B).
-This module defines a dense binary record — 34 bytes fixed plus an
+This module defines a dense binary record — 30 bytes fixed plus an
 optional extras blob — cutting storage by roughly an order of magnitude
 against NDJSON while remaining stream-parseable:
 
@@ -27,15 +27,19 @@ All integers little-endian.  A stream begins with a 16-byte file header
 carrying a format version and the device vault count, so readers can
 rebuild :class:`~repro.trace.stats.TraceStats` without out-of-band
 metadata.
+
+Records are written by one C encoder (``_tracecodec.c``, built on first
+import by :mod:`repro.core._native`) for a whole tracer batch at once:
+:meth:`BinarySink.emit_tuples` and :func:`encode_event` share it.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from struct import error
 from typing import IO, Iterator, Optional
 
+from repro.core._native import load
 from repro.trace.events import EventType, TraceEvent
 from repro.trace.tracer import Sink
 
@@ -95,28 +99,23 @@ def read_file_header(stream: IO[bytes]) -> dict:
     return {"version": version, "num_vaults": num_vaults}
 
 
+def _extras_json(pairs) -> bytes:
+    """The extras blob the C encoder leaves to :func:`json.dumps`."""
+    return json.dumps(dict(pairs), separators=(",", ":")).encode()
+
+
+_codec = load("repro.trace._tracecodec")
+_codec.bind(BinaryTraceError, _pack_type, _extras_json)
+
+
 def encode_event(event: TraceEvent) -> bytes:
-    """Serialise one event to its binary record."""
-    extras = (
-        json.dumps(event.extra, separators=(",", ":")).encode()
-        if event.extra
-        else b""
-    )
-    if len(extras) > 0xFFFF:
-        raise BinaryTraceError("extras blob exceeds 64 KiB")
-    head = _RECORD.pack(
-        RECORD_MAGIC,
-        _pack_type(int(event.type)),
-        event.cycle,
-        event.dev if -128 <= event.dev < 128 else -1,
-        event.link if -128 <= event.link < 128 else -1,
-        event.quad if -128 <= event.quad < 128 else -1,
-        event.vault,
-        event.bank,
-        event.stage if -128 <= event.stage < 128 else -1,
-        event.serial,
-    )
-    return head + struct.pack("<H", len(extras)) + extras
+    """Serialise one event to its binary record.
+
+    A field that does not fit the record (a vault past i16, a negative
+    cycle, a serial past i64) raises :class:`BinaryTraceError`; dev,
+    link, quad and stage outside i8 are written as -1 (unset).
+    """
+    return _codec.encode((event,))
 
 
 def decode_event(stream: IO[bytes]) -> Optional[TraceEvent]:
@@ -154,77 +153,13 @@ def decode_event(stream: IO[bytes]) -> Optional[TraceEvent]:
     )
 
 
-_LEN = struct.Struct("<H")
-
-#: Header + extras-length packed in one call ('<' = no padding, so the
-#: bytes are identical to _RECORD.pack(...) + _LEN.pack(len)).
-_RECORD_L = struct.Struct("<HHQbbbhhbqH")
-
-#: key -> '"key":' prefix for keys already validated as plain ASCII
-#: identifiers (json.dumps would emit them verbatim); None marks keys
-#: that need the json.dumps fallback.
-_KEY_PREFIX: dict = {}
-
-
-#: pairs-tuple -> encoded blob.  Conflict extras repeat heavily (a
-#: parked packet is re-recognised every cycle it waits), so most lookups
-#: hit.  Cleared when it outgrows _MEMO_LIMIT to bound paper-scale runs.
-_EXTRAS_MEMO: dict = {}
-_MEMO_LIMIT = 1 << 16
-
-
-def _extras_bytes(pairs: tuple) -> bytes:
-    """JSON-encode extras pairs, byte-identical to ``json.dumps(dict)``.
-
-    Hot-path extras are tiny dicts of identifier keys and bool/int/str
-    values; those are assembled by hand (key prefixes validated once and
-    cached, whole blobs memoised).  Anything else falls back to
-    :func:`json.dumps` so the output never diverges from the per-event
-    encoder.  The bool test precedes the int test — bool subclasses int
-    and must render as ``true``/``false``.
-    """
-    memo = _EXTRAS_MEMO
-    try:
-        blob = memo.get(pairs)
-    except TypeError:  # unhashable value somewhere in the pairs
-        return json.dumps(dict(pairs), separators=(",", ":")).encode()
-    if blob is not None:
-        return blob
-    parts = []
-    append = parts.append
-    cache = _KEY_PREFIX
-    for k, v in pairs:
-        pre = cache.get(k)
-        if pre is None:
-            if (
-                k in cache  # cached negative: non-identifier key
-                or type(k) is not str
-                or not k.isidentifier()
-                or not k.isascii()
-            ):
-                cache[k] = None
-                return json.dumps(dict(pairs), separators=(",", ":")).encode()
-            pre = cache[k] = f'"{k}":'
-        if v is True:
-            append(pre + "true")
-        elif v is False:
-            append(pre + "false")
-        elif type(v) is int:
-            append(pre + str(v))
-        else:
-            return json.dumps(dict(pairs), separators=(",", ":")).encode()
-    blob = ("{" + ",".join(parts) + "}").encode()
-    if len(memo) >= _MEMO_LIMIT:
-        memo.clear()
-    memo[pairs] = blob
-    return blob
-
-
 class BinarySink(Sink):
     """Tracer sink writing the binary stream (with file header).
 
-    Batched delivery encodes each entry and issues a single stream
-    write per batch.  Nothing is held back between batches: the stream
+    Batched delivery encodes the whole batch in C and issues a single
+    stream write per batch; a batch holding a field that does not fit
+    its record raises :class:`BinaryTraceError` and writes nothing.
+    Nothing is held back between batches: the stream
     is byte-complete at every tracer flush boundary, so mid-run parsers
     (and the engine-vs-reference fingerprint) see exact state without
     calling :meth:`close`.
@@ -247,46 +182,10 @@ class BinarySink(Sink):
         return self._bytes_written
 
     def emit(self, event: TraceEvent) -> None:
-        blob = encode_event(event)
-        self._stream.write(blob)
-        self._records += 1
-        self._bytes_written += len(blob)
+        self.emit_tuples((event,))
 
     def emit_tuples(self, entries: list) -> None:
-        pack = _RECORD_L.pack
-        blobs = []
-        append = blobs.append
-        for e in entries:
-            if type(e) is not tuple:
-                append(encode_event(e))
-                continue
-            (etype, cycle, dev, link, quad, vault, bank, stage,
-             serial, pairs) = e
-            if etype > 0x8000:
-                etype = _pack_type(etype)
-            extras = _extras_bytes(pairs) if pairs else b""
-            # Locality fields are in byte range on every hot emit; the
-            # except path re-packs with the out-of-range clamps.
-            try:
-                append(pack(RECORD_MAGIC, etype, cycle, dev, link, quad,
-                            vault, bank, stage, serial, len(extras)))
-            except error:
-                append(pack(
-                    RECORD_MAGIC,
-                    etype,
-                    cycle,
-                    dev if -128 <= dev < 128 else -1,
-                    link if -128 <= link < 128 else -1,
-                    quad if -128 <= quad < 128 else -1,
-                    vault,
-                    bank,
-                    stage if -128 <= stage < 128 else -1,
-                    serial,
-                    len(extras),
-                ))
-            if extras:
-                append(extras)
-        blob = b"".join(blobs)
+        blob = _codec.encode(entries)
         self._stream.write(blob)
         self._records += len(entries)
         self._bytes_written += len(blob)

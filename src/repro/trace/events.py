@@ -132,6 +132,12 @@ class TraceEvent:
     #: Free-form extras (address, tag, errstat...).
     extra: Dict[str, Any] = field(default_factory=dict)
 
+    def as_tuple(self) -> tuple:
+        """The tracer's compact tuple of this event (repro.trace.tracer)."""
+        return (int(self.type), self.cycle, self.dev, self.link, self.quad,
+                self.vault, self.bank, self.stage, self.serial,
+                tuple(self.extra.items()))
+
     def to_dict(self) -> Dict[str, Any]:
         """Flat dict for serialisation; omits unset (-1 / empty) fields."""
         d: Dict[str, Any] = {"type": self.type.name, "cycle": self.cycle}

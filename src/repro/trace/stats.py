@@ -10,13 +10,15 @@ geometrically so paper-scale runs stay memory-bounded.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Optional
 
 import numpy as np
 
+from repro.core._native import load
 from repro.trace.events import EventType, TraceEvent
+
+_fold = load("repro.trace._tracecodec").fold
 
 #: Event types tallied per (cycle,) — device-wide series.
 _GLOBAL_SERIES = (
@@ -122,71 +124,18 @@ class TraceStats:
 
     def add(self, event: TraceEvent) -> None:
         """Fold one event into the counters (O(1))."""
-        self._events_seen += 1
-        t = event.type.value
-        totals = self._totals
-        totals[t] = totals.get(t, 0) + 1
-        c = event.cycle
-        if c < 0:
-            return
-        if c >= self._cap:
-            self._grow(c)
-        if c > self._max_cycle:
-            self._max_cycle = c
-        g = self._global.get(t)
-        if g is not None:
-            g[c] += 1
-            return
-        v = self._vault.get(t)
-        if v is not None and 0 <= event.vault < self.num_vaults:
-            v[c, event.vault] += 1
+        _fold(self, (event,))
 
     def add_batch(self, entries: list) -> None:
         """Fold a tracer batch: compact tuples and/or TraceEvents.
 
         Tuple entries follow the layout documented in
-        :mod:`repro.trace.tracer`; the loop works on plain ints only —
-        no enum dispatch, no dict-of-extras — which is what makes the
-        batched full-trace path cheap.
+        :mod:`repro.trace.tracer`.  The fold is C (``_tracecodec.c``):
+        it counts each event into ``_totals`` and, at a cycle ``>= 0``,
+        into its series, growing them through :meth:`_grow` first when
+        the cycle is past their end.
         """
-        self._events_seen += len(entries)
-        # A batch spans only a few cycles, so counting distinct
-        # (type, cycle, vault) triples first collapses hundreds of
-        # events into a handful of keys; Counter consumes the generator
-        # in C.  A non-tuple entry (TraceEvent) raises TypeError on
-        # subscripting and drops to the mixed-entry loop — nothing else
-        # was mutated yet, so reprocessing from scratch is safe.
-        try:
-            cnt = Counter((e[0], e[1], e[5]) for e in entries)
-        except TypeError:
-            cnt = Counter()
-            for e in entries:
-                if type(e) is tuple:
-                    cnt[(e[0], e[1], e[5])] += 1
-                else:
-                    cnt[(e.type.value, e.cycle, e.vault)] += 1
-        totals = self._totals
-        glob = self._global
-        vlt = self._vault
-        num_vaults = self.num_vaults
-        mx = self._max_cycle
-        for (t, c, _vault), n in cnt.items():
-            totals[t] = totals.get(t, 0) + n
-            if c > mx:
-                mx = c
-        if mx >= self._cap:
-            self._grow(mx)
-        self._max_cycle = mx
-        for (t, c, vault), n in cnt.items():
-            if c < 0:
-                continue
-            g = glob.get(t)
-            if g is not None:
-                g[c] += n
-                continue
-            v = vlt.get(t)
-            if v is not None and 0 <= vault < num_vaults:
-                v[c, vault] += n
+        _fold(self, entries)
 
     # -- extraction ------------------------------------------------------------
 

@@ -8,13 +8,15 @@ Figure 5 series can be computed without materialising raw traces.
 Batched emission
 ----------------
 Hot call sites emit compact int tuples via :meth:`Tracer.emit_fast`
-instead of constructing :class:`TraceEvent` objects.  The tracer buffers
-entries in a small ring and hands whole batches to sinks implementing
-``emit_tuples`` (Null/Memory/Counting/Stats/Binary); object-only sinks
-(NDJSON, CSV, user subclasses) force per-event delivery so their output
-timing is unchanged.  The clock engine flushes at the end of every
-``advance`` call, and sink accessors (``events``, ``counts``,
-``records`` …) flush on read, so observable state never lags.
+(C, positional arguments only; the vault walk appends the same tuples
+itself) instead of constructing :class:`TraceEvent` objects.  The
+tracer buffers entries in a small ring and hands whole batches to sinks
+implementing ``emit_tuples`` (Null/Memory/Counting/Stats/Binary);
+object-only sinks (NDJSON, CSV, user subclasses) force per-event
+delivery so their output timing is unchanged.  The clock engine
+flushes at the end of every ``advance`` call, and sink accessors
+(``events``, ``counts``, ``records`` …) flush on read, so observable
+state never lags.
 
 The tuple layout mirrors the :class:`TraceEvent` fields::
 
@@ -376,31 +378,6 @@ class Tracer:
         if len(buf) >= self._limit:
             self.flush()
 
-    def emit_fast(
-        self,
-        etype: int,
-        cycle: int,
-        dev: int = -1,
-        link: int = -1,
-        quad: int = -1,
-        vault: int = -1,
-        bank: int = -1,
-        stage: int = -1,
-        serial: int = -1,
-        extra: Optional[tuple] = None,
-    ) -> None:
-        """Buffer one event as a compact tuple (hot call sites).
-
-        Callers must have pre-checked ``live_mask & etype`` — this
-        method performs no mask test and no TraceEvent construction.
-        """
-        self.emitted += 1
-        buf = self._buf
-        buf.append((etype, cycle, dev, link, quad, vault, bank, stage,
-                    serial, extra))
-        if len(buf) >= self._limit:
-            self.flush()
-
     def event(self, etype: EventType, cycle: int, **kw) -> None:
         """Convenience: construct and emit in one call (cold paths)."""
         if not (self.live_mask & etype.value):
@@ -438,3 +415,12 @@ class Tracer:
         self.flush()
         for sink in self._sinks:
             sink.close()
+
+
+#: ``emit_fast`` is C (``core/_vaultwalk.c``), the append the vault walk
+#: makes for its own events: a hot call site pays no Python frame per
+#: event.  Imported here, not at the top: ``repro.core`` imports this
+#: module, and ``Tracer`` must exist when it does.
+from repro.core._native import load  # noqa: E402
+
+(Tracer.emit_fast,) = load("repro.core._vaultwalk").tracer_methods(Tracer)

@@ -76,6 +76,22 @@ class TestTracer:
         t.event(EventType.MISROUTE, 4, dev=1, extra={"target_cub": 9})
         assert sink.events[0].extra["target_cub"] == 9
 
+    def test_emit_fast_defaults_and_arity(self):
+        """``emit_fast`` (C) fills the fields it is not given as
+        ``TraceEvent`` does, and takes 2 to 10 positional arguments."""
+        t = Tracer(mask=EventType.ALL)
+        sink = t.add_sink(MemorySink())
+        t.emit_fast(int(EventType.MISROUTE), 4)
+        t.emit_fast(int(EventType.MISROUTE), 5, 1, 2)
+        assert sink.events == [TraceEvent(EventType.MISROUTE, 4),
+                               TraceEvent(EventType.MISROUTE, 5, dev=1, link=2)]
+        for args in ((1,), tuple(range(11))):
+            with pytest.raises(TypeError):
+                t.emit_fast(*args)
+        with pytest.raises(TypeError):
+            t.emit_fast(1, 2, dev=3)
+        assert t.emitted == 2
+
     def test_remove_sink(self):
         t = Tracer(mask=EventType.ALL)
         s = t.add_sink(MemorySink())

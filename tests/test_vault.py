@@ -295,8 +295,8 @@ class TestLifecycle:
         assert not v.banks[0].is_busy(0)
 
     def test_foreign_objects_are_refused_not_read(self, amap, tracer):
-        """The C walk reads packet, queue and bank slots by offset: any
-        other object where one belongs is a TypeError."""
+        """The C walk reads packet, queue, bank and tracer slots by
+        offset: any other object where one belongs is a TypeError."""
         v = mk_vault()
         v.rqst._q.append(SimpleNamespace(is_special=False, dec_bank=0))
         v.rqst._stamps.append(0)
@@ -309,6 +309,10 @@ class TestLifecycle:
             v.stage34(0, amap, 8, 4, 1, tracer, 0)
         with pytest.raises(TypeError):
             v._push_response(object(), rd(amap, 1), 0)
+        v = mk_vault()
+        v.rqst.push(rd(amap, 1))
+        with pytest.raises(TypeError, match="Tracer"):
+            v.stage34(0, amap, 8, 4, 1, SimpleNamespace(live_mask=-1), 0)
 
     def test_total_requests(self, amap, tracer):
         v = mk_vault()

@@ -9,7 +9,9 @@ every bank row through the Python ``Bank.read`` / ``Bank.write``.
 Driven over generated queues for several cycles, the two must leave
 identical request and response queues (every reply slot, serials
 included), vault and bank slots, dirty pages, ECC check bits, trace
-events and bank contents.
+events, ``Tracer.emitted`` and bank contents.  The C walk appends its
+events to the tracer's buffer itself: outside a batch window each one
+must reach the sinks as a batch of its own, as ``emit_fast`` delivers.
 
 The strategy covers both address-map classes (the C computes the
 classic map's fields itself and calls a custom map back), ECC-enabled
@@ -38,7 +40,7 @@ from repro.ras.controller import RasController
 from repro.registers.regdefs import index_by_name, physical_index
 from repro.registers.regfile import RegisterFile
 from repro.trace.events import EventType
-from repro.trace.tracer import MemorySink, Tracer
+from repro.trace.tracer import MemorySink, Sink, Tracer
 from tests.reference.vault_walk import ReferenceVault
 
 _SHAPE = dict(num_vaults=16, num_banks=8, block_size=64, capacity_bytes=2 << 30)
@@ -122,6 +124,16 @@ def _cases(draw):
     }
 
 
+class _Batches(Sink):
+    """Records the size of every batch the tracer delivers."""
+
+    def __init__(self) -> None:
+        self.sizes = []
+
+    def emit_tuples(self, entries: list) -> None:
+        self.sizes.append(len(entries))
+
+
 def _attach_ras(v, tracer):
     """ECC on every bank, with seeded stuck cells and a failed row that
     land inside these small banks."""
@@ -144,6 +156,7 @@ def _build(cls, case):
             device=SimpleNamespace(regs=RegisterFile()))
     tracer = Tracer(mask=_MASKS[case["mask"]])
     tracer.add_sink(MemorySink())
+    tracer.add_sink(_Batches())
     if case["ras"]:
         _attach_ras(v, tracer)
     for bank, cycles in case["busy"].items():
@@ -211,7 +224,12 @@ def _run(cls, case):
         "events": [(e.type, e.cycle, e.dev, e.quad, e.vault, e.bank, e.serial,
                     e.extra) for e in tracer.sinks[0].events],
         "emitted": (tracer.emitted, tracer.dropped),
+        "batches": tracer.sinks[1].sizes,
     }
+    # Outside a batch window (``_limit == 1``) each event the walk
+    # appends to the tracer's buffer is flushed on its own.
+    assert tracer._limit == 1 and not tracer._buf
+    assert left["batches"] == [1] * tracer.emitted
     # Stage 5 pops each reply's route record; a reply holds a copy of
     # its request's stack, so the requests keep theirs.
     for rsp in v.rsp:
