@@ -988,8 +988,8 @@ bank_rel(Walk *w, PyObject *addr_obj, long long addr, long long *rel)
     return 0;
 }
 
-/* Cycles the access keeps the bank busy: the closed-page constant, or
- * the open-row policy's hit/miss time (Bank.access_busy_cycles). */
+/* Cycles the access keeps the bank busy: the closed-page constant, or the
+ * open-row hit/miss time (row_timing, a tuple once per stage34 call). */
 static int
 busy_cycles(Walk *w, PyObject *bank, PyObject *addr, long long *out)
 {
@@ -997,24 +997,15 @@ busy_cycles(Walk *w, PyObject *bank, PyObject *addr, long long *out)
         *out = w->busy_cycles;
         return 0;
     }
-    PyObject *timing = PySequence_Tuple(w->row_timing);
-    if (timing == NULL)
-        return -1;
-    if (PyTuple_GET_SIZE(timing) != 2) {
-        Py_DECREF(timing);
-        PyErr_SetString(PyExc_ValueError, "row_timing is (hit_cycles, miss_cycles)");
-        return -1;
-    }
     PyObject *row = PyObject_CallMethodOneArg(w->amap, s_dram_of, addr);
-    int rc = -1;
-    if (row != NULL) {
-        PyObject *args[] = {bank, row, w->busy_obj, Py_True,
-                            PyTuple_GET_ITEM(timing, 0), PyTuple_GET_ITEM(timing, 1)};
-        rc = call_ll(PyObject_VectorcallMethod(s_access_busy_cycles, args, 6, NULL),
+    if (row == NULL)
+        return -1;
+    PyObject *args[] = {bank, row, w->busy_obj, Py_True,
+                        PyTuple_GET_ITEM(w->row_timing, 0),
+                        PyTuple_GET_ITEM(w->row_timing, 1)};
+    int rc = call_ll(PyObject_VectorcallMethod(s_access_busy_cycles, args, 6, NULL),
                      out);
-        Py_DECREF(row);
-    }
-    Py_DECREF(timing);
+    Py_DECREF(row);
     return rc;
 }
 
@@ -1188,7 +1179,7 @@ Vault_stage34(PyObject *self, PyObject *const *args, Py_ssize_t nargs,
             return NULL;
         }
     Walk w = {.self = self, .cycle_obj = a[0], .amap = a[1], .tracer = a[5],
-              .dev_obj = a[6], .row_timing = a[7], .busy_obj = a[4],
+              .dev_obj = a[6], .busy_obj = a[4],
               .classic = Py_IS_TYPE(a[1], amap_type)};
     long long window, width;
     if (parse_ll(a[0], &w.cycle) < 0 || parse_ll(a[2], &window) < 0
@@ -1203,12 +1194,21 @@ Vault_stage34(PyObject *self, PyObject *const *args, Py_ssize_t nargs,
         return NULL;
     }
     w.nbanks = PyList_GET_SIZE(w.banks);
+    w.row_timing = a[7] == Py_None ? Py_NewRef(a[7]) : PySequence_Tuple(a[7]);
+    if (w.row_timing == NULL)
+        return NULL;
+    if (w.row_timing != Py_None && PyTuple_GET_SIZE(w.row_timing) != 2) {
+        Py_DECREF(w.row_timing);
+        PyErr_SetString(PyExc_ValueError, "row_timing is (hit_cycles, miss_cycles)");
+        return NULL;
+    }
     /* Held across the Python the walk calls back. */
     Py_INCREF(rqst);
     Py_INCREF(w.banks);
     PyObject *result = walk(w, rqst, window, width);
     Py_DECREF(w.banks);
     Py_DECREF(rqst);
+    Py_DECREF(w.row_timing);
     return result;
 }
 

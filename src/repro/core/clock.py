@@ -21,18 +21,17 @@ contract: docs/clocking.md).
 The stages visit active sets: every
 :class:`~repro.core.queueing.PacketQueue` keeps its id registered in its
 device's active set exactly while it is non-empty, so stages 1–5 visit
-only the queues that can possibly make progress.  While no queued packet
-can move — none is queued, or all wait behind a crossbar's registered
-input (:meth:`ClockEngine.wake_cycle`) — :meth:`ClockEngine.advance`
-fast-forwards the clock across the dead window in closed form, bounded
-by the next refresh, RAS upset or patrol-scrub cycle, which still run as
-real ticks.
+only the queues that can possibly make progress.
 
 A cycle is a list of steps built once (:meth:`ClockEngine._sync_steps`,
 docs/clocking.md "The cycle as a list"): the stages always, the
 watchdog, refresh, the RAS sub-step and the LRS mirror only when
 configured, SUBCYCLE markers and the stage profiler as wrappers around
-the steps when switched on.
+the steps when switched on.  Beside it sit the due list — each step's
+next cycle of observable work, the stages' being :meth:`wake_cycle` —
+and the dead-cycle list, what skipped cycles do to each step's state:
+:meth:`ClockEngine.advance` fast-forwards to the earliest due cycle in
+closed form and runs that one as a real tick.
 
 This is the only engine under ``src/``.  The walk that visits every
 queue every cycle and skips nothing is the tests' reference
@@ -65,17 +64,24 @@ _EV_PKT_EXPIRED = int(EventType.PKT_EXPIRED)
 _EV_XBAR_RSP_STALL = int(EventType.XBAR_RSP_STALL)
 _EV_RSP_REGISTERED = int(EventType.RSP_REGISTERED)
 
-NEVER = 1 << 64  #: ``wake_cycle()`` with nothing queued: past the 64-bit clock
+NEVER = 1 << 64  #: a due entry with nothing to do: past the 64-bit clock
+
+
+def _every_cycle(now: int) -> int:
+    """The due entry of SUBCYCLE markers: per-cycle events."""
+    return now
 
 
 class ClockEngine:
     """Drives the sub-cycle stages over every device of one HMCSim."""
 
     __slots__ = ("sim", "stage_counts", "_wd_last_cycle", "_wd_marker",
-                 "profiler", "_roots", "_children", "_steps", "_steps_key")
+                 "profiler", "_roots", "_children", "_steps", "_steps_key",
+                 "_dues", "_deads", "_link_orders", "_moves", "_window",
+                 "_width", "_bank_timing")
 
     #: What a checkpoint carries.  The rest is host-side: the profiler
-    #: like a trace sink, the step list because it holds closures.
+    #: like a trace sink, the lists because they hold closures.
     _RUN_STATE = ("sim", "stage_counts", "_wd_last_cycle", "_wd_marker")
     _run_state = attrgetter(*_RUN_STATE)
 
@@ -115,13 +121,19 @@ class ClockEngine:
     # ------------------------------------------------------------------
 
     def _sync_steps(self) -> None:
-        """Rebuild the cycle's step list if one of its inputs changed.
+        """Rebuild the cycle's lists if one of their inputs changed.
 
         The inputs: the topology, the SUBCYCLE bit of the live trace
         mask, the attached profiler, and whether any in-band link-fault
         state is attached — each can change between two ticks.  What
         the frozen ``SimConfig`` and the devices' ECC decide is read
-        here once.  Every step is called as ``step(cycle)``.
+        here once and bound to the steps that use it.
+
+        Three lists.  The steps, each called as ``step(cycle)``.  The
+        due list: per scheduled step, ``due(now)`` is the next cycle at
+        which it does observable work (:data:`NEVER` for none).  The
+        dead-cycle list: ``dead(end)`` applies what the cycles from the
+        clock's value up to *end* do to a step's state when none is due.
         """
         sim = self.sim
         key = (sim._topology_epoch, sim.tracer.live_mask & _EV_SUBCYCLE,
@@ -136,24 +148,40 @@ class ClockEngine:
         for d in devices:
             d.sync_activity_bindings()
         cfg = sim.config
-        # (profiler bucket, step), in the order a cycle runs them.  The
-        # watchdog has no bucket: it is not stage work.
-        steps = [(None, self._wd_check)] if cfg.watchdog_cycles else []
-        steps += [(1, self._stage1), (2, self._stage2)]
+        n = cfg.device.num_links
+        self._link_orders = (
+            [[*range(start, n), *range(start)] for start in range(n)]
+            if cfg.xbar_arbitration == "rotating" else [list(range(n))]
+        )  # fixed priority, or a per-cycle rotation for fair arbitration
+        self._moves = cfg.xbar_moves_per_cycle
+        self._window, self._width = cfg.conflict_window, cfg.vault_issue_width
+        self._bank_timing = (cfg.bank_busy_cycles, (
+            (cfg.row_hit_cycles, cfg.row_miss_cycles)
+            if cfg.row_policy == "open" else None))
+        # (profiler bucket, step), in the order a cycle runs them.
+        steps = [(1, self._stage1), (2, self._stage2)]
+        dues = [self.wake_cycle, self._strobes_due]
+        deads = [self._stage6_skip]
         if cfg.refresh_interval:
             steps.append(("refresh", self._refresh))
+            dues.append(self._refresh_due)
         if marked:
             # Only stage markers need every stage 3 before any stage 4.
             steps += [(3, self._stage3), (4, self._stage4)]
         else:
             steps.append((4, self._stage34))
-        if any(d.ras is not None for d in devices):
+        rases = [d.ras for d in devices if d.ras is not None]
+        if rases:
             steps.append(("ras", self._ras_step))
+            dues += [ras.next_due for ras in rases]
+            deads += [ras.skip_to for ras in rases]
         steps.append((5, self._stage5))
         if link_faults:
             steps.append((6, self._mirror_link_faults))
+            dues.append(self._mirror_due)
         steps.append((6, self._stage6))
         if marked:
+            dues.insert(0, _every_cycle)
             seen = set()
             for i, (bucket, step) in enumerate(steps):
                 # Marker N precedes the first step of stage N.
@@ -162,7 +190,15 @@ class ClockEngine:
                     steps[i] = (bucket, self._marked(bucket, step))
         if prof is not None:
             steps = prof.timed(steps)
+            deads.append(self._profile_skip)
+        if cfg.watchdog_cycles:
+            # First in the cycle, and untimed: it is not stage work.  Its
+            # due is asked last, only when every other entry lets the
+            # clock skip: asking refreshes its progress marker.
+            steps.insert(0, (None, self._wd_check))
+            dues.append(self._wd_due)
         self._steps = [step for _, step in steps]
+        self._dues, self._deads = dues, deads
 
     def _marked(self, stage: int, step: Callable) -> Callable:
         """*step* behind its SUBCYCLE stage marker."""
@@ -177,8 +213,9 @@ class ClockEngine:
 
     # ------------------------------------------------------------------
 
-    def wake_cycle(self) -> int:
-        """Earliest cycle at which any queued packet can move.
+    def wake_cycle(self, now: Optional[int] = None) -> int:
+        """Earliest cycle at which any queued packet can move: the
+        stages' entry in the due list (*now* defaults to the clock).
 
         Now, once a vault or chain-link response queue holds anything;
         else the soonest a crossbar request leaves its registered input
@@ -187,7 +224,8 @@ class ClockEngine:
         tick, late is a wrong simulation.
         """
         sim = self.sim
-        now = sim.clock_value
+        if now is None:
+            now = sim.clock_value
         held = []
         for dev in sim.devices:
             if dev.act_vault_rqst or dev.act_vault_rsp or dev.act_xbar_rsp:
@@ -226,14 +264,13 @@ class ClockEngine:
         """Run *cycles* clock cycles, fast-forwarding dead windows;
         returns the cycles run.
 
-        Windows in which no queued packet can move (:meth:`wake_cycle`
-        lies ahead) are skipped in closed form (:meth:`_idle_skip_bound`
-        bounds them further); every cycle with any possible observable
-        work runs as a real tick.  *until*, when given, is asked after
-        every tick — a skipped cycle changes nothing it could read — and
-        a true answer ends the run after that cycle.
+        Before a cycle it asks the due list for the earliest cycle at
+        which any step does observable work: the cycles before it are
+        skipped in closed form (:meth:`_fast_forward`), and that one
+        runs as a real tick.  *until*, when given, is asked after every
+        tick — a skipped cycle changes nothing it could read — and a
+        true answer ends the run after that cycle.
         """
-        self._sync_steps()  # wake_cycle reads the sets this binds
         sim = self.sim
         # Deferred tracing for the whole stepping window: emissions
         # batch up to the ring capacity inside, and end_batch() delivers
@@ -244,113 +281,39 @@ class ClockEngine:
         tracer.begin_batch()
         try:
             remaining = cycles
-            wd = sim.config.watchdog_cycles
-            wake = -1  # stale: a fast-forward moves nothing, so it keeps it
             while remaining > 0:
+                self._sync_steps()  # what runs, and so what is due
                 now = sim.clock_value
-                if wake < now:
-                    wake = self.wake_cycle()
-                if wake > now:
-                    skip = self._idle_skip_bound(min(remaining, wake - now))
-                    if wd and skip > 0:
-                        # The watchdog deadline is an observable event:
-                        # clamp the fast-forward so the tick at exactly
-                        # last_progress + watchdog_cycles runs for real
-                        # and fires at the same cycle a tick-by-tick
-                        # walk would.
-                        self._wd_refresh(now)
-                        if self._wd_stuck():
-                            skip = min(skip, self._wd_last_cycle + wd - now)
-                    if skip > 0:
-                        self._fast_forward(skip)
-                        remaining -= skip
-                        continue
+                due = now + remaining
+                for next_due in self._dues:
+                    at = next_due(now)
+                    if at < due:
+                        due = at
+                        if due <= now:
+                            break
+                if due > now:
+                    # Skipped cycles change nothing an entry reads, so
+                    # *due* stays the earliest answer: it runs as a tick.
+                    self._fast_forward(due - now)
+                    remaining -= due - now
+                    if not remaining:
+                        break
                 self.tick()
                 remaining -= 1
-                wake = -1
                 if until is not None and until():
                     break
         finally:
             tracer.end_batch()
         return cycles - remaining
 
-    def _idle_skip_bound(self, limit: int) -> int:
-        """Cycles that may be skipped from now without observable effect.
-
-        Returns 0 when this cycle must run for real.  A cycle is
-        skippable only when nothing cycle-dependent can happen in it:
-
-        * no SUBCYCLE tracing (stage markers are per-cycle events);
-        * no pending RWS register strobe (``regs.tick`` must clear it);
-        * no DRAM refresh due (staggered residue condition);
-        * no RAS transient-upset arrival or patrol-scrub step due.
-        """
-        sim = self.sim
-        if sim.tracer.live_mask & _EV_SUBCYCLE:
-            return 0
-        cfg = sim.config
-        cycle = sim.clock_value
-        skip = limit
-        if sim._link_fault_states:
-            devices = sim.devices
-            for state in sim._link_fault_states:
-                if not state.registers_synced(devices):
-                    # A host-boundary transmission attempt bumped a link
-                    # counter since the last stage-6 mirror; run a real
-                    # tick so the LRS registers publish it.
-                    return 0
-        interval = cfg.refresh_interval
-        if interval:
-            # A refresh fires at cycle t iff (t + vault_id) % interval
-            # == 0 for some vault, i.e. iff (-t) % interval < m below.
-            m = min(cfg.device.num_vaults, interval)
-            r = (-cycle) % interval
-            if r < m:
-                return 0
-            skip = min(skip, r - m + 1)
-        for dev in sim.devices:
-            if dev.regs.has_pending_strobes:
-                return 0
-            ras = dev.ras
-            if ras is not None:
-                if not ras.registers_synced():
-                    # Out-of-band fault injection bumped a counter since
-                    # the last stage-6 mirror; run a real tick to sync.
-                    return 0
-                nxt = ras._next_upset
-                if nxt is not None:
-                    if nxt <= cycle:
-                        return 0
-                    skip = min(skip, nxt - cycle)
-                interval = ras.scrubber.interval
-                if interval:
-                    r = cycle % interval
-                    if r == 0:
-                        return 0
-                    skip = min(skip, interval - r)
-        return skip
-
     def _fast_forward(self, cycles: int) -> None:
-        """Apply *cycles* dead ticks in closed form.
-
-        Per skipped cycle the only state a real tick would change is the
-        clock itself, stage-6 accounting, the STAT register and the RAS
-        controller's cycle cursor — everything else was proven inert by
-        :meth:`wake_cycle` and :meth:`_idle_skip_bound`.
-        """
+        """Apply *cycles* dead ticks in closed form: every entry of the
+        dead-cycle list, then the clock."""
         sim = self.sim
         end = sim.clock_value + cycles
-        for dev in sim.devices:
-            dev.regs.internal_write("STAT", end)
-            if dev.ras is not None:
-                dev.ras.cycle = end - 1
+        for dead in self._deads:
+            dead(end)
         sim.clock_value = end
-        self.stage_counts[6] += cycles
-        prof = self.profiler
-        if prof is not None:
-            prof.ff_cycles += cycles
-
-    # ------------------------------------------------------------------
 
     def tick(self) -> None:
         """Run one full clock cycle: every step of the list, in order."""
@@ -358,6 +321,58 @@ class ClockEngine:
         cycle = self.sim.clock_value
         for step in self._steps:
             step(cycle)
+
+    # ------------------------------------------------------------------
+    # Due and dead-cycle entries of the optional steps.
+    # ------------------------------------------------------------------
+
+    def _strobes_due(self, now: int) -> int:
+        """Stage 6: due while an RWS strobe waits for the register tick."""
+        for dev in self.sim.devices:
+            if dev.regs.has_pending_strobes:
+                return now
+        return NEVER
+
+    def _stage6_skip(self, end: int) -> None:
+        """Stage 6 over dead cycles: their count and the STAT register."""
+        sim = self.sim
+        self.stage_counts[6] += end - sim.clock_value
+        for dev in sim.devices:
+            dev.regs.internal_write("STAT", end)
+
+    def _first_refreshed(self, cycle: int) -> int:
+        """Refresh's residue rule: vault *v* refreshes at *cycle* iff
+        ``(cycle + v) % refresh_interval == 0``; the lowest such *v*."""
+        return -cycle % self.sim.config.refresh_interval
+
+    def _refresh_due(self, now: int) -> int:
+        """Refresh: due at the next cycle whose residue names a vault."""
+        first = self._first_refreshed(now)
+        vaults = self.sim.config.device.num_vaults
+        # The residue falls by one a cycle, wrapping below zero.
+        return now if first < vaults else now + first - vaults + 1
+
+    def _mirror_due(self, now: int) -> int:
+        """The LRS mirror: due while a host-boundary transmission attempt
+        has moved a link counter the registers do not show yet."""
+        devices = self.sim.devices
+        for state in self.sim._link_fault_states:
+            if not state.registers_synced(devices):
+                return now
+        return NEVER
+
+    def _wd_due(self, now: int) -> int:
+        """The watchdog's deadline while work is stuck: the tick at last
+        progress + ``watchdog_cycles`` runs for real and fires at the
+        cycle a tick-by-tick walk would."""
+        self._wd_refresh(now)
+        if self._wd_stuck():
+            return self._wd_last_cycle + self.sim.config.watchdog_cycles
+        return NEVER
+
+    def _profile_skip(self, end: int) -> None:
+        """The profiler over dead cycles: its fast-forward count."""
+        self.profiler.ff_cycles += end - self.sim.clock_value
 
     # ------------------------------------------------------------------
     # The steps.
@@ -373,26 +388,20 @@ class ClockEngine:
 
     def _route_requests(self, devices: List[HMCDevice], cycle: int) -> int:
         sim = self.sim
-        cfg = sim.config
-        moves = cfg.xbar_moves_per_cycle
-        rotating = cfg.xbar_arbitration == "rotating"
+        orders = self._link_orders
+        order = orders[cycle % len(orders)]
+        moves = self._moves
         tracer = sim.tracer
         moved = 0
         for dev in devices:
             act = dev.act_xbar_rqst
-            if not act:
-                continue
-            xbars = dev.xbars
-            n = len(xbars)
-            # Link service order: fixed priority, or per-cycle rotation
-            # for fair arbitration of contended vault queue slots.
-            start = cycle % n if rotating else 0
-            for i in range(n):
-                idx = (start + i) % n
-                if idx in act:  # else empty: route_requests is a no-op
-                    moved += xbars[idx].route_requests(
-                        dev, sim, cycle, moves, tracer
-                    )
+            if act:
+                xbars = dev.xbars
+                for idx in order:
+                    if idx in act:  # else empty: route_requests is a no-op
+                        moved += xbars[idx].route_requests(
+                            dev, sim, cycle, moves, tracer
+                        )
         return moved
 
     def _refresh(self, cycle: int) -> None:
@@ -400,62 +409,46 @@ class ClockEngine:
         device never freezes at once (the paper's model has none;
         ``SimConfig.refresh_interval = 0`` keeps this out of the list)."""
         cfg = self.sim.config
+        first = self._first_refreshed(cycle)
         for dev in self.sim.devices:
-            for vault in dev.vaults:
-                if (cycle + vault.vault_id) % cfg.refresh_interval == 0:
-                    vault.refresh(cycle, cfg.refresh_cycles)
+            vaults = dev.vaults
+            for vid in range(first, len(vaults), cfg.refresh_interval):
+                vaults[vid].refresh(cycle, cfg.refresh_cycles)
 
     def _walk_vaults(self, cycle: int, window: int, width: int) -> tuple:
         """Run ``Vault.stage34`` over the vaults with queued requests,
         ascending id.  A recognition-only pass mutates no queue, so the
         issue pass after it sees the same selection."""
-        sim = self.sim
-        cfg = sim.config
-        tracer = sim.tracer
-        busy = cfg.bank_busy_cycles
-        row_timing = (
-            (cfg.row_hit_cycles, cfg.row_miss_cycles)
-            if cfg.row_policy == "open"
-            else None
-        )
+        tracer = self.sim.tracer
+        busy, row_timing = self._bank_timing
         conflicts = 0
         issued = 0
-        for dev in sim.devices:
+        for dev in self.sim.devices:
             act = dev.act_vault_rqst
-            if not act:
-                continue
-            vaults = dev.vaults
-            amap = dev.amap
-            dev_id = dev.dev_id
-            for vid in sorted(act):
-                c, i = vaults[vid].stage34(
-                    cycle, amap, window, width, busy, tracer,
-                    dev_id, row_timing=row_timing,
-                )
-                conflicts += c
-                issued += i
+            if act:
+                vaults, amap, dev_id = dev.vaults, dev.amap, dev.dev_id
+                for vid in sorted(act):
+                    c, i = vaults[vid].stage34(cycle, amap, window, width, busy,
+                                               tracer, dev_id, row_timing)
+                    conflicts += c
+                    issued += i
         return conflicts, issued
 
     def _stage34(self, cycle: int) -> None:
         """Stages 3+4: bank-conflict recognition (read-only trace pass)
         then vault request processing, one walk per vault: both touch
         only vault-local state."""
-        cfg = self.sim.config
-        conflicts, issued = self._walk_vaults(
-            cycle, cfg.conflict_window, cfg.vault_issue_width
-        )
+        conflicts, issued = self._walk_vaults(cycle, self._window, self._width)
         self.stage_counts[3] += conflicts
         self.stage_counts[4] += issued
 
     def _stage3(self, cycle: int) -> None:
         """Stage 3 alone, under its marker: the recognition half."""
-        window = self.sim.config.conflict_window
-        self.stage_counts[3] += self._walk_vaults(cycle, window, 0)[0]
+        self.stage_counts[3] += self._walk_vaults(cycle, self._window, 0)[0]
 
     def _stage4(self, cycle: int) -> None:
         """Stage 4 alone, under its marker: the issue half."""
-        width = self.sim.config.vault_issue_width
-        self.stage_counts[4] += self._walk_vaults(cycle, 0, width)[1]
+        self.stage_counts[4] += self._walk_vaults(cycle, 0, self._width)[1]
 
     def _ras_step(self, cycle: int) -> None:
         """RAS sub-step (only with an ECC-enabled device): transient
@@ -514,16 +507,8 @@ class ClockEngine:
         tx = 0
         for state in sim._link_fault_states:
             tx += state.stats.transmissions
-        return (
-            sc[1],
-            sc[2],
-            sc[4],
-            sc[5],
-            sim.packets_sent,
-            sim.packets_received,
-            sim.dropped_responses,
-            tx,
-        )
+        return (sc[1], sc[2], sc[4], sc[5], sim.packets_sent,
+                sim.packets_received, sim.dropped_responses, tx)
 
     def _wd_refresh(self, cycle: int) -> None:
         """Record *cycle* as the last-progress point if anything moved."""
@@ -559,7 +544,6 @@ class ClockEngine:
                     return True
         tokens = sim._tokens
         if tokens and any(t.available < t.capacity for t in tokens.values()):
-            link_faults = sim._link_faults
             devices = sim.devices
             for d, l in sim._host_links:
                 if devices[d].xbars[l].rsp._q:
@@ -630,7 +614,7 @@ class ClockEngine:
         sim = self.sim
         tracer = sim.tracer
         live = tracer.live_mask
-        per_vault = sim.config.xbar_moves_per_cycle
+        per_vault = self._moves
         dev_id = dev.dev_id
         num_links = len(dev.links)
         vaults = dev.vaults
@@ -660,27 +644,17 @@ class ClockEngine:
                     rsp.pop()
                     sim.dropped_responses += 1
                     if live & _EV_PKT_EXPIRED:
-                        tracer.event(
-                            EventType.PKT_EXPIRED,
-                            cycle,
-                            dev=dev_id,
-                            vault=vault.vault_id,
-                            serial=pkt.serial,
-                        )
+                        tracer.event(EventType.PKT_EXPIRED, cycle, dev=dev_id,
+                                     vault=vault.vault_id, serial=pkt.serial)
                     continue
                 xrsp = xbars[link_id].rsp
                 xq = xrsp._q
                 n = len(xq)
                 if n >= xrsp.depth:
                     if live & _EV_XBAR_RSP_STALL:
-                        tracer.event(
-                            EventType.XBAR_RSP_STALL,
-                            cycle,
-                            dev=dev_id,
-                            link=link_id,
-                            vault=vault.vault_id,
-                            serial=pkt.serial,
-                        )
+                        tracer.event(EventType.XBAR_RSP_STALL, cycle,
+                                     dev=dev_id, link=link_id,
+                                     vault=vault.vault_id, serial=pkt.serial)
                     break
                 # PacketQueue.pop and .push, inlined (a response is never
                 # a FLOW/MODE packet; the room was checked above).
@@ -733,7 +707,7 @@ class ClockEngine:
         sim = self.sim
         tracer = sim.tracer
         live = tracer.live_mask
-        moves = sim.config.xbar_moves_per_cycle
+        moves = self._moves
         hop_limit = sim.enforce_hop_limit
         peers = sim._link_peers
         link_faults = sim._link_faults
@@ -774,26 +748,16 @@ class ClockEngine:
                     rsp.pop()
                     sim.dropped_responses += 1
                     if live & _EV_PKT_EXPIRED:
-                        tracer.event(
-                            EventType.PKT_EXPIRED,
-                            cycle,
-                            dev=dev_id,
-                            link=lid,
-                            serial=pkt.serial,
-                        )
+                        tracer.event(EventType.PKT_EXPIRED, cycle, dev=dev_id,
+                                     link=lid, serial=pkt.serial)
                     continue
                 dest = peer_dev.xbars[next_link].rsp
                 dq = dest._q
                 n = len(dq)
                 if n >= dest.depth:
                     if live & _EV_XBAR_RSP_STALL:
-                        tracer.event(
-                            EventType.XBAR_RSP_STALL,
-                            cycle,
-                            dev=dev_id,
-                            link=lid,
-                            serial=pkt.serial,
-                        )
+                        tracer.event(EventType.XBAR_RSP_STALL, cycle,
+                                     dev=dev_id, link=lid, serial=pkt.serial)
                     break
                 if fault_state is not None:
                     # In-band gate: the response hop runs the link retry
@@ -809,13 +773,9 @@ class ClockEngine:
                             rsp.pop()
                             sim.dropped_responses += 1
                             if live & _EV_PKT_EXPIRED:
-                                tracer.event(
-                                    EventType.PKT_EXPIRED,
-                                    cycle,
-                                    dev=dev_id,
-                                    link=lid,
-                                    serial=pkt.serial,
-                                )
+                                tracer.event(EventType.PKT_EXPIRED, cycle,
+                                             dev=dev_id, link=lid,
+                                             serial=pkt.serial)
                             continue
                         break
                 # PacketQueue.pop / push and Link.count_tx / count_rx,

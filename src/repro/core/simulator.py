@@ -452,114 +452,89 @@ class HMCSim:
         :class:`NoDataError` when nothing is pending.
         """
         self._check_alive()
-        if dev is not None or link is not None:
-            if dev is None or link is None:
-                raise HMCError("recv needs both dev and link, or neither")
-            if self._link_peers.get((dev, link)) != "host":
-                raise TopologyError(
-                    f"dev {dev} link {link} is not attached to the host"
-                )
-            host_links = ((dev, link),)
-            n, rotor = 1, 0
-        else:
-            # _host_links entries are host-attached by construction
-            # (attach_host is the only writer), so no per-pair peer
-            # check is needed on this hot path.
-            host_links = self._host_links
-            n = len(host_links)
-            if n == 0:
+        if dev is None and link is None:
+            links = self._host_links
+            n = len(links)
+            if not n:
                 raise TopologyError("no host link configured")
-            rotor = self._recv_rotor
-            self._recv_rotor = (rotor + 1) % n
-        link_faults = self._link_faults
-        for i in range(n):
-            d, l = host_links[(rotor + i) % n]
-            xbar = self.devices[d].xbars[l]
-            if xbar.rsp._q:
-                if link_faults:
-                    # Device→host delivery crosses the link in-band too:
-                    # a failed transmission keeps the response queued for
-                    # the replay window; a dead link strands it.
-                    state = link_faults.get((d, l))
-                    if state is not None:
-                        if state.health is LinkHealth.FAILED:
-                            continue
-                        status = state.try_transmit(
-                            (d, l), xbar.rsp._q[0], self.clock_value, self.tracer
-                        )
-                        if status is not TX_OK:
-                            if status is TX_DEAD:
-                                self._note_link_failure(state)
-                            continue
-                return self._deliver(d, l, xbar)
-        raise NoDataError("no response packets pending")
-
-    def _deliver(self, d: int, l: int, xbar) -> Packet:
-        """Pop the head response of (d, l) and do delivery bookkeeping."""
-        pkt = xbar.rsp.pop()
-        pkt.completed_at = self.clock_value
-        pkt.delivered_from = (d, l)
-        self.devices[d].links[l].count_tx(pkt.num_flits)
-        self.packets_received += 1
-        if self._tokens:
-            tokens = self._tokens.get((d, l))
-            if tokens is not None:
-                flits = self._outstanding_flits.pop((d, l, pkt.tag), 0)
-                if flits:
-                    tokens.restore(flits)
-        if self.tracer.live_mask & _EV_RSP_DELIVERED:
-            self.tracer.emit_fast(
-                _EV_RSP_DELIVERED, self.clock_value, d, l, -1, -1, -1, -1,
-                pkt.serial, None,
-            )
+            rotor = self._recv_rotor % n  # stale after topology growth
+            self._recv_rotor = rotor + 1 if rotor + 1 < n else 0
+        elif dev is None or link is None:
+            raise HMCError("recv needs both dev and link, or neither")
+        elif self._link_peers.get((dev, link)) != "host":
+            raise TopologyError(f"dev {dev} link {link} is not attached to the host")
+        else:
+            links, n, rotor = ((dev, link),), 1, 0
+        pkt = self._poll(links, n, rotor)
+        if pkt is None:
+            raise NoDataError("no response packets pending")
         return pkt
 
     def recv_all(self) -> List[Packet]:
-        """Drain every pending host-visible response.
-
-        The scan ``recv()`` performs, repeated until a poll finds
-        nothing: start at the fairness rotor and advance it once per
-        poll — including the terminal empty one, exactly like a failing
-        ``recv()`` would — and deliver the first head whose link's
-        in-band gate (when one is attached) lets it cross.
-        """
+        """Drain every pending host-visible response: the poll ``recv()``
+        makes, repeated until one finds nothing — the rotor advancing
+        once per poll, the terminal empty one included."""
         self._check_alive()
-        host_links = self._host_links
-        n = len(host_links)
+        links = self._host_links
+        n = len(links)
         if not n:
             raise TopologyError("no host link configured")
         out: List[Packet] = []
+        poll = self._poll
+        while True:
+            rotor = self._recv_rotor % n  # stale after topology growth
+            self._recv_rotor = rotor + 1 if rotor + 1 < n else 0
+            pkt = poll(links, n, rotor)
+            if pkt is None:
+                return out
+            out.append(pkt)
+
+    def _poll(self, links, n: int, rotor: int) -> Optional[Packet]:
+        """One delivery poll: pop the first head response of the *n*
+        *links*, scanned from *rotor* on, whose link's in-band gate —
+        when one is attached — lets it cross; None when none can.
+
+        Device→host delivery crosses the link in-band: a failed
+        transmission keeps the response queued for the replay window; a
+        dead link strands it.
+        """
         devices = self.devices
         link_faults = self._link_faults
-        cycle = self.clock_value
-        while True:
-            rotor = self._recv_rotor
-            if rotor >= n:  # stale rotor after topology growth
-                rotor %= n
-            self._recv_rotor = rotor + 1 if rotor + 1 < n else 0
-            for i in range(n):
-                d, l = host_links[rotor + i - n if rotor + i >= n else rotor + i]
-                xbar = devices[d].xbars[l]
-                q = xbar.rsp._q
-                if not q:
-                    continue
-                if link_faults:
-                    # Device→host delivery crosses the link in-band: a
-                    # failed transmission keeps the response queued for
-                    # the replay window; a dead link strands it.
-                    state = link_faults.get((d, l))
-                    if state is not None:
-                        if state.health is LinkHealth.FAILED:
-                            continue
-                        status = state.try_transmit((d, l), q[0], cycle, self.tracer)
-                        if status is not TX_OK:
-                            if status is TX_DEAD:
-                                self._note_link_failure(state)
-                            continue
-                out.append(self._deliver(d, l, xbar))
-                break
-            else:
-                return out
+        for i in range(rotor, rotor + n):
+            d, l = links[i - n if i >= n else i]
+            rsp = devices[d].xbars[l].rsp
+            if not rsp._q:
+                continue
+            if link_faults:
+                state = link_faults.get((d, l))
+                if state is not None:
+                    if state.health is LinkHealth.FAILED:
+                        continue
+                    status = state.try_transmit(
+                        (d, l), rsp._q[0], self.clock_value, self.tracer
+                    )
+                    if status is not TX_OK:
+                        if status is TX_DEAD:
+                            self._note_link_failure(state)
+                        continue
+            pkt = rsp.pop()
+            pkt.completed_at = self.clock_value
+            pkt.delivered_from = (d, l)
+            devices[d].links[l].count_tx(pkt.num_flits)
+            self.packets_received += 1
+            if self._tokens:
+                tokens = self._tokens.get((d, l))
+                if tokens is not None:
+                    flits = self._outstanding_flits.pop((d, l, pkt.tag), 0)
+                    if flits:
+                        tokens.restore(flits)
+            if self.tracer.live_mask & _EV_RSP_DELIVERED:
+                self.tracer.emit_fast(
+                    _EV_RSP_DELIVERED, self.clock_value, d, l, -1, -1, -1, -1,
+                    pkt.serial, None,
+                )
+            return pkt
+        return None
 
     def clock(self, cycles: int = 1) -> None:
         """Advance the clock domain by *cycles* full clock cycles.

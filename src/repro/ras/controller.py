@@ -24,6 +24,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.clock import NEVER
 from repro.ras import codec
 from repro.ras.faultmap import (
     ATOMS_PER_ROW,
@@ -248,6 +249,25 @@ class RasController:
                     extra={"atoms": scrub.atoms_scrubbed - before},
                 )
 
+    def next_due(self, cycle: int) -> int:
+        """First cycle from *cycle* on at which the RAS sub-step or its
+        stage-6 register mirror does observable work: an upset arrival, a
+        patrol-scrub step, or counters the registers do not show yet
+        (out-of-band injection); :data:`~repro.core.clock.NEVER` for
+        none.  The clock engine skips the cycles before it."""
+        if not self.registers_synced():
+            return cycle
+        due = NEVER if self._next_upset is None else max(cycle, self._next_upset)
+        interval = self.scrubber.interval
+        if interval:
+            due = min(due, cycle + -cycle % interval)
+        return due
+
+    def skip_to(self, end: int) -> None:
+        """The cycles before *end* passed with nothing due: move the
+        cycle cursor as their ticks would have."""
+        self.cycle = end - 1
+
     def sync_registers(self) -> None:
         """Mirror RAS counters into the register file (stage 6).
 
@@ -269,9 +289,8 @@ class RasController:
     def registers_synced(self) -> bool:
         """True iff :meth:`sync_registers` would rewrite identical values.
 
-        Lets the clock engine fast-forward quiescent cycles: when the
-        mirrors are current (and no strobe is pending, which the engine
-        checks separately), skipping the per-cycle sync is unobservable.
+        When the mirrors are current (and no strobe is pending, stage 6's
+        own due), skipping the per-cycle sync is unobservable.
         """
         regs = self.device.regs
         base = self._reg_base

@@ -391,25 +391,39 @@ class Tracer:
             self.flush()
 
     def flush(self) -> None:
-        """Deliver all buffered entries to every sink."""
+        """Deliver all buffered entries to every sink.
+
+        Every sink is offered the batch whatever an earlier one raised,
+        so what each holds does not depend on the order they were
+        added in; the first error is raised once all have had it.
+        """
         buf = self._buf
         if not buf or self._flushing:
             return
         self._flushing = True
+        errors = []
         try:
             self._buf = []
             for sink in self._tuple_sinks:
-                sink.emit_tuples(buf)
+                try:
+                    sink.emit_tuples(buf)
+                except Exception as exc:
+                    errors.append(exc)
             if self._object_sinks:
                 events = [
                     _to_event(e) if type(e) is tuple else e for e in buf
                 ]
                 for sink in self._object_sinks:
-                    emit = sink.emit
-                    for ev in events:
-                        emit(ev)
+                    try:
+                        emit = sink.emit
+                        for ev in events:
+                            emit(ev)
+                    except Exception as exc:
+                        errors.append(exc)
         finally:
             self._flushing = False
+        if errors:
+            raise errors[0]
 
     def close(self) -> None:
         self.flush()

@@ -31,6 +31,13 @@ settings.register_profile("deep", max_examples=1000, deadline=None)
 DEFAULT_TIMEOUT = 120
 
 
+class PerTestTimeout(BaseException):
+    """The SIGALRM fallback's error.  Not an ``Exception``: hypothesis
+    takes one for a failing example and replays it to shrink — with the
+    one alarm spent, a replay that hangs would hang the suite.  This
+    ends the test instead, and pytest reports it as failed."""
+
+
 def _plugin_active(config) -> bool:
     return config.pluginmanager.hasplugin("timeout")
 
@@ -67,7 +74,7 @@ def pytest_runtest_call(item):
         return
 
     def _alarm(signum, frame):
-        raise TimeoutError(
+        raise PerTestTimeout(
             f"test exceeded the {seconds:.0f}s per-test timeout"
         )
 

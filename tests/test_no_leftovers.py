@@ -3,11 +3,12 @@
 ``src/repro/`` references, an import of the ``packets/arena.py`` stub, a
 second ``Packet.__new__`` call site, a second way to pickle a bank
 without its pages, an older checkpoint state shape read outside
-``core/migrate.py``, a second caller of ``ClockEngine.tick``, an idle
-test beside ``wake_cycle`` in ``advance``, a way back to a selectable
-scheduler or to a ``tick()`` that branches on its observers, a sort or a
-host query in the shard pump, a per-cycle pump beside ``pump_until`` —
-and, over the whole repository, a public function nobody mentions."""
+``core/migrate.py``, a second caller of ``ClockEngine.tick``, a
+subsystem named in ``advance`` beside its due list, a way back to a
+selectable scheduler or to a ``tick()`` that branches on its observers,
+a sort or a host query in the shard pump, a per-cycle pump beside
+``pump_until`` — and, over the whole repository, a public function
+nobody mentions."""
 
 import ast
 import collections
@@ -129,11 +130,20 @@ def test_old_state_shapes_are_read_in_migrate_only():
         >= {"_DirState", "BitErrorInjector"}  # the guard still looks at something
 
 
+#: All that ``ClockEngine.advance`` may read: the due list and what
+#: runs, skips and traces around it — no subsystem.
+_ADVANCE_READS = {"sim", "_sync_steps", "_dues", "_fast_forward", "tick",
+                  "clock_value", "tracer", "begin_batch", "end_batch"}
+
+
 def test_the_engine_ticks_from_one_place_and_skips_by_one_rule():
     """``ClockEngine.advance`` is the only caller of ``tick`` (what
     waits — ``clock_until_response`` — is one ``advance`` with a stop
-    test), and it decides what to skip from ``wake_cycle`` alone: idle
-    is the case wake = never, not a second ``is_idle`` branch."""
+    test), and it decides what to skip from the due list alone: it reads
+    nothing else, so it names no subsystem, and ``wake_cycle`` is the
+    stages' entry in that list — idle is the case every entry answers
+    never, not an ``is_idle`` branch.  The clock reads no RAS private
+    state: ``RasController.next_due`` answers for it."""
     def receiver(call):  # `self` in `self.tick()`, `engine` in `sim.engine.tick()`
         value = call.func.value
         return value.id if isinstance(value, ast.Name) else getattr(value, "attr", "")
@@ -155,8 +165,23 @@ def test_the_engine_ticks_from_one_place_and_skips_by_one_rule():
         if rel == "core/clock.py" and isinstance(fn, ast.FunctionDef)
         and fn.name == "advance"
     ]
-    called = {n.attr for n in ast.walk(advance) if isinstance(n, ast.Attribute)}
-    assert "wake_cycle" in called and "is_idle" not in called
+    read = {n.attr for n in ast.walk(advance) if isinstance(n, ast.Attribute)}
+    named = read | {n.id for n in ast.walk(advance) if isinstance(n, ast.Name)}
+    assert "_dues" in read and read <= _ADVANCE_READS, read - _ADVANCE_READS
+    assert not named & {"ras", "regs", "refresh_interval", "watchdog_cycles",
+                        "_link_fault_states", "wake_cycle", "is_idle"}
+
+    from repro.core.simulator import HMCSim
+
+    sim = HMCSim()
+    sim.attach_host(0, 0)
+    sim.clock(1)
+    assert sim.engine._dues[0] == sim.engine.wake_cycle
+    clock_reads = {n.attr for n in _clock_nodes() if isinstance(n, ast.Attribute)}
+    assert not clock_reads & {"_next_upset", "scrubber"}
+    assert "_idle_skip_bound" not in {
+        n.name for n in _clock_nodes() if isinstance(n, ast.FunctionDef)
+    }
 
 
 def test_every_public_function_is_mentioned_somewhere():

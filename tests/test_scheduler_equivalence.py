@@ -21,11 +21,12 @@ from hypothesis import given, settings, strategies as st
 
 import repro.packets.packet as packet_mod
 from repro.core.config import DeviceConfig, SimConfig
-from repro.core.errors import WatchdogError
+from repro.core.errors import LinkDeadError, WatchdogError
 from repro.core.simulator import HMCSim
 from repro.host.host import Host
 from repro.packets.commands import CMD
 from repro.packets.packet import build_memrequest
+from repro.registers.regdefs import index_by_name, physical_index
 from repro.topology.builder import build_chain
 from repro.trace.binfmt import BinarySink
 from repro.trace.events import EventType
@@ -126,7 +127,10 @@ def _assert_identical(a: dict, b: dict) -> None:
     assert a["registers"] == b["registers"]
     assert a["stats"] == b["stats"]
     assert a["routed_remote"] == b["routed_remote"]
-    assert a.get("tripped") == b.get("tripped")  # sparse schedules only
+    # Sparse schedules only: the watchdog, and the RAS cycle cursor
+    # (what fast-forwarded cycles leave behind for out-of-band use).
+    assert a.get("tripped") == b.get("tripped")
+    assert a.get("ras_cycles") == b.get("ras_cycles")
 
 
 @pytest.mark.parametrize("label", sorted(TABLE1))
@@ -284,9 +288,14 @@ _SMALL = DeviceConfig(num_links=4, num_banks=8, capacity=2)
 _SENDS = st.tuples(
     st.integers(0, 6),
     st.integers(0, 3),
-    st.sampled_from(["local", "offquad", "mode_rd", "mode_wr", "flow", "remote"]),
+    st.sampled_from(["local", "offquad", "mode_rd", "mode_wr", "flow", "remote",
+                     "read_back"]),
     st.integers(0, 15),
 )
+
+#: RWS registers a host may strobe with a JTAG write between sends:
+#: plain ones, RAS counters and link-retry statuses.
+_RWS = ("GC", "BAT", "RASCE", "RASSCR", "LRS0", "LRS2")
 
 sparse_schedules = st.fixed_dictionaries({
     "penalty": st.sampled_from([0, 1, 3]),
@@ -294,9 +303,18 @@ sparse_schedules = st.fixed_dictionaries({
     "hop_limit": st.sampled_from([True, True, False]),
     "queue_timeout": st.sampled_from([0, 0, 2, 8]),
     "refresh_interval": st.sampled_from([0, 7]),
-    "watchdog_cycles": st.sampled_from([0, 50]),
+    "watchdog_cycles": st.sampled_from([0, 20, 50]),
     "chain": st.booleans(),
     "sends": st.lists(_SENDS, min_size=1, max_size=10),
+    # Every due source of the engine's skip rule: ECC (fit rate, patrol
+    # scrub interval), faulty links (up to ones that die), strobes.
+    "ecc": st.one_of(st.none(), st.tuples(st.sampled_from([0.0, 1e6, 3e6]),
+                                          st.sampled_from([0, 8, 32]))),
+    "link_ber": st.sampled_from([0.0, 0.0, 1e-4, 1e-3, 1e-2]),
+    "link_retries": st.sampled_from([8, 1]),
+    # (before which send — or, past the last, between the drains; register)
+    "strobes": st.lists(st.tuples(st.integers(0, 10), st.sampled_from(_RWS)),
+                        max_size=3),
 })
 
 
@@ -305,10 +323,12 @@ def _sparse_packet(sim: HMCSim, link: int, kind: str, salt: int):
     if kind == "offquad":
         quad = (link + 1 + salt % 3) % 4
     addr = sim.devices[0].amap.encode(vault=quad * 4 + salt % 4, bank=salt % 8)
-    cmd = {"mode_rd": CMD.MD_RD, "mode_wr": CMD.MD_WR, "flow": CMD.TRET}.get(
-        kind, CMD.RD16 if salt % 2 else CMD.WR16
-    )
-    # "remote": the far cube of the chain; on one cube, a misroute.
+    cmd = {"mode_rd": CMD.MD_RD, "mode_wr": CMD.MD_WR, "flow": CMD.TRET,
+           "read_back": CMD.RD16}.get(kind, CMD.RD16 if salt % 2 else CMD.WR16)
+    # "read_back": a read where the "local" write of the same salt
+    # stores, so an upset on that atom (upsets land only on written
+    # cells) is found by an access.  "remote": the far cube of the
+    # chain; on one cube, a misroute.
     cub = 1 if kind == "remote" else 0
     if kind in ("mode_rd", "mode_wr"):
         addr = 0x2B0000
@@ -318,18 +338,25 @@ def _sparse_packet(sim: HMCSim, link: int, kind: str, salt: int):
 def drive_sparse(scheduler: str, sched: dict, clock=HMCSim.clock) -> dict:
     """Run one sparse schedule; *clock* is ``clock(sim, cycles)``.
 
-    The host acts at fixed cycles (a send after each gap, then two long
-    drains), so both sides see the same inputs; a watchdog trip
+    The host acts at fixed cycles (a send after each gap, retried a
+    cycle later while it stalls; the strobes before the gaps they name;
+    two long drains, the last strobe and, with ECC, a full patrol pass
+    between them), so both sides see the same inputs; a watchdog trip
     ends the run and is part of the fingerprint.
     """
     packet_mod._packet_serial = itertools.count()
     chain = sched["chain"]
+    fit_rate, scrub = sched.get("ecc") or (0.0, 0)
     sim = BUILD[scheduler](SimConfig(
-        device=_SMALL, num_devs=2 if chain else 1,
+        device=_SMALL.with_(ecc_enabled=sched.get("ecc") is not None),
+        num_devs=2 if chain else 1,
         nonlocal_penalty_cycles=sched["penalty"],
         queue_timeout=sched["queue_timeout"],
         refresh_interval=sched["refresh_interval"],
         watchdog_cycles=sched["watchdog_cycles"],
+        ras_fit_rate=fit_rate, ras_scrub_interval=scrub,
+        link_ber=sched.get("link_ber", 0.0), link_seed=5,
+        link_max_retries=sched.get("link_retries", 8),
     ))
     sim.enforce_hop_limit = sched["hop_limit"]
     if chain:
@@ -342,23 +369,47 @@ def drive_sparse(scheduler: str, sched: dict, clock=HMCSim.clock) -> dict:
     sink = BinarySink(buf, num_vaults=_SMALL.num_vaults)
     sim.tracer.mask = EventType.STANDARD
     sim.tracer.add_sink(sink)
+    strobes = {min(i, len(sched["sends"])): name
+               for i, name in sched.get("strobes", ())}
+
+    def strobe(i):
+        if i in strobes:
+            sim.jtag_reg_write(0, physical_index(index_by_name(strobes[i])), 1)
+
     tripped = None
     try:
-        for gap, link, kind, salt in sched["sends"]:
+        for i, (gap, link, kind, salt) in enumerate(sched["sends"]):
+            strobe(i)
             clock(sim, gap)
             sim.recv_all()
-            sim.try_send(_sparse_packet(sim, link % host_links, kind, salt))
-        for _ in range(2):
-            clock(sim, 40)
-            sim.recv_all()
+            pkt = _sparse_packet(sim, link % host_links, kind, salt)
+            try:
+                for _ in range(8):  # a stall (a link's replay window): retry
+                    if sim.try_send(pkt):
+                        break
+                    clock(sim, 1)
+            except LinkDeadError:
+                pass  # that host link has failed: the send is given up
+        clock(sim, 40)
+        sim.recv_all()
+        # Most often on a drained simulation: a strobe, and an
+        # out-of-band patrol pass that moves the RAS counters.
+        strobe(len(sched["sends"]))
+        if sim.devices[0].ras is not None:
+            sim.devices[0].ras.scrub_all()
+        clock(sim, 40)
+        sim.recv_all()
     except WatchdogError:
         tripped = sim.clock_value
     out = _fingerprint(sim, sink, buf)
     out["tripped"] = tripped
+    out["ras_cycles"] = [d.ras.cycle for d in sim.devices if d.ras is not None]
     return out
 
 
-@settings(max_examples=60, deadline=None)
+# 60 examples, or the loaded profile's count when it asks for more
+# (``--hypothesis-profile=deep``: 1,000; tests/conftest.py).
+@settings(max_examples=max(60, settings.default.max_examples), deadline=None)
 @given(sched=sparse_schedules)
 def test_sparse_schedules_bit_identical(sched):
     naive = drive_sparse("naive", sched)

@@ -87,9 +87,11 @@ _tenant = st.tuples(
              min_size=1, max_size=10),
 )
 
-# Link events hit host links only: a chain link that fails with replies
-# on it strands them and the shard pumps forever, on either transport
-# (ROADMAP item 7(f)).
+# Link events hit host links only, which keeps chain links up but does
+# not keep every shard finite: a shard whose in-flight requests are lost
+# pumps forever on either transport, whether a chain link fails with
+# replies on it or chaos kills both of its host links (``link_kill`` at
+# 47 and 66 on shard 0 is such an example; ROADMAP item 1).
 _event = st.builds(
     lambda kind, at, shard, link, delay, duration: ChaosEvent(
         at=at, kind=kind, shard=shard, dev=0, link=link,

@@ -92,6 +92,29 @@ class TestTracer:
             t.emit_fast(1, 2, dev=3)
         assert t.emitted == 2
 
+    @pytest.mark.parametrize("binary_first", [True, False])
+    def test_a_refused_batch_still_reaches_every_sink(self, binary_first):
+        """A sink that raises on a batch neither keeps it from the sinks
+        after it nor depends on their order: the binary sink refuses an
+        out-of-range vault whole, the others still see the event, and
+        the binary sink's error comes out of the flush."""
+        from repro.trace.binfmt import BinarySink, BinaryTraceError
+
+        t = Tracer(mask=EventType.ALL)
+        binary = BinarySink(io.BytesIO(), num_vaults=32)
+        stats, memory = StatsSink(TraceStats(num_vaults=32)), MemorySink()
+        for sink in ([binary, stats, memory] if binary_first
+                     else [stats, memory, binary]):
+            t.add_sink(sink)
+        t.begin_batch()
+        t.event(EventType.RQST_READ, 5, dev=0, vault=40000, serial=1)
+        with pytest.raises(BinaryTraceError, match="vault=40000"):
+            t.end_batch()
+        assert binary.records == 0
+        assert stats.stats.events_seen == 1 and len(memory) == 1
+        t.event(EventType.RQST_READ, 6, dev=0, vault=3, serial=2)
+        assert (binary.records, stats.stats.events_seen, len(memory)) == (1, 2, 2)
+
     def test_remove_sink(self):
         t = Tracer(mask=EventType.ALL)
         s = t.add_sink(MemorySink())
