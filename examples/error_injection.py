@@ -5,7 +5,8 @@ HMC-Sim's goals include "error simulation" (paper §IV.5).  This example
 attaches a bit-error fault model to a host link, drives the random
 workload through it, and shows (a) no corrupted packet is ever accepted,
 (b) everything recovers through the IRTRY/replay protocol, and (c) what
-the noise costs.
+the noise costs in simulated cycles: every replay holds the link for
+real cycles, so a clean twin run gives the price.
 
 Usage::
 
@@ -33,15 +34,37 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
 
+    sim, host, cycles, corrupt = run(
+        args, LinkFaultModel(ber=args.ber, drop_rate=args.drop, seed=args.seed))
+    clean_cycles = run(args, LinkFaultModel())[2]
+    s = sim.link_report()["links"]["dev0.link0"]
+    print(f"link BER {args.ber:g}, drop rate {args.drop:g}:")
+    print(f"  logical packets          : {s['packets']:,}")
+    print(f"  physical transmissions   : {s['transmissions']:,}")
+    print(f"  CRC failures detected    : {s['crc_failures']:,}")
+    print(f"  whole packets dropped    : {s['drops']:,}")
+    print(f"  IRTRY retry exchanges    : {s['irtry_events']:,}")
+    print(f"  replay windows           : {s['recovery_cycles']:,} cycles")
+    print(f"  run length               : {cycles:,} cycles "
+          f"({clean_cycles:,} on a clean link)")
+    print(f"  spot-checked blocks corrupt: {corrupt}  (must be 0)")
+    print(f"  host-visible errors      : {host.errors}  (must be 0)")
+    if corrupt or host.errors or s["health"] != "FULL":
+        print("FAILED: noise leaked through the CRC/retry protocol")
+        return 1
+    print("\nAll traffic delivered bit-exact despite the noise — every "
+          "corruption was caught by the tail CRC and replayed.")
+    return 0
+
+
+def run(args, model):
+    """Write a signature into every block, read it back; return
+    ``(sim, host, cycles, corrupt blocks among four spot checks)``."""
     sim = build_simple(
         HMCSim(num_devs=1, num_links=4, num_banks=8, capacity=2),
         host_links=1,
     )
-    session = sim.attach_fault_model(
-        0, 0,
-        LinkFaultModel(ber=args.ber, drop_rate=args.drop, seed=args.seed),
-        max_retries=64,
-    )
+    sim.attach_link_fault(0, 0, model, max_retries=64)
     host = Host(sim)
 
     # Phase 1: signature writes through the noisy link.
@@ -49,7 +72,7 @@ def main(argv=None) -> int:
     writes = [(CMD.WR64, i * 64, [i ^ 0xA5A5] * 8) for i in range(n)]
     host.run(writes)
 
-    # Phase 2: read back and verify every word.
+    # Phase 2: read back, then spot-check four blocks' storage.
     corrupt = 0
     reads = [(CMD.RD64, i * 64, None) for i in range(n)]
     host.run(reads)
@@ -60,24 +83,7 @@ def main(argv=None) -> int:
         if dev.vaults[d.vault].banks[d.bank].read(rel, 64) != [i ^ 0xA5A5] * 8:
             corrupt += 1
 
-    s = session.stats
-    print(f"link BER {args.ber:g}, drop rate {args.drop:g}:")
-    print(f"  logical packets          : {s.packets:,}")
-    print(f"  physical transmissions   : {s.transmissions:,}")
-    print(f"  CRC failures detected    : {s.crc_failures:,}")
-    print(f"  whole packets dropped    : {s.drops:,}")
-    print(f"  IRTRY retry exchanges    : {s.irtry_events:,}")
-    print(f"  packets recovered        : {s.recovered:,}")
-    print(f"  packets abandoned        : {s.failed}")
-    print(f"  modelled recovery cost   : {s.recovery_cycles:,} cycles")
-    print(f"  spot-checked blocks corrupt: {corrupt}  (must be 0)")
-    print(f"  host-visible errors      : {host.errors}  (must be 0)")
-    if corrupt or host.errors or s.failed:
-        print("FAILED: noise leaked through the CRC/retry protocol")
-        return 1
-    print("\nAll traffic delivered bit-exact despite the noise — every "
-          "corruption was caught by the tail CRC and replayed.")
-    return 0
+    return sim, host, sim.clock_value, corrupt
 
 
 if __name__ == "__main__":

@@ -16,18 +16,10 @@ from repro.addressing.address_map import (
     DecodedAddress,
     default_map,
 )
-from repro.addressing.interleave import (
-    block_offset_bits,
-    required_address_bits,
-    sweep_addresses,
-)
 
 __all__ = [
     "AddressMap",
     "AddressMapMode",
     "DecodedAddress",
-    "block_offset_bits",
     "default_map",
-    "required_address_bits",
-    "sweep_addresses",
 ]

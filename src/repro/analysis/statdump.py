@@ -136,10 +136,6 @@ def dump_stats(sim: HMCSim, include_banks: bool = True) -> Dict[str, Any]:
         for dev in tree["devices"]:
             for vault in dev["vaults"]:
                 vault.pop("banks")
-    if sim.fault_stats():
-        tree["faults"] = {
-            f"dev{d}.link{l}": stats for (d, l), stats in sim.fault_stats().items()
-        }
     if sim._link_fault_states:
         # In-band retry/degradation: config knobs + the full structured
         # link report (health, counters, retry pointers, watchdog trips).

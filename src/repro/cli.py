@@ -227,65 +227,31 @@ def cmd_bandwidth(args) -> int:
 
 
 def cmd_faults(args) -> int:
-    from repro.faults.link_model import LinkFaultModel
-    from repro.faults.retry import LinkRetryExhausted
-
+    # The fault states ride every link of a chain of --devices cubes
+    # (one cube: one noisy host link); retries, degradation and the
+    # watchdog all consume simulated cycles inside the engine.
     device = _device_from_args(args)
     cfg = RandomAccessConfig(num_requests=args.requests, seed=args.seed)
-    if args.link_ber or args.link_drop_rate:
-        # In-band mode: fault states ride every link of a chained
-        # topology; retries, degradation and the watchdog all consume
-        # simulated cycles inside the engine.
-        sim = topo.build_chain(HMCSim(
-            num_devs=args.devices, num_links=args.links,
-            num_banks=args.banks, capacity=args.capacity,
-            link_max_retries=args.max_retries,
-            **_link_fault_kwargs(args)))
-        host = Host(sim)
-        prof = _maybe_profile(args, sim)
-        # Target the far end of the chain so every request and response
-        # crosses the chain links (and their fault gates).
-        far = args.devices - 1
-        res, rc = _run_guarded(
-            host, random_access_requests(device.capacity_bytes, cfg), sim,
-            cub=far)
-        if res is None:
-            _maybe_dump(args, sim)
-            return rc
-        print(f"requests: {res.requests_sent:,}  "
-              f"responses: {res.responses_received:,} "
-              f" errors: {res.errors_received}  cycles: {res.cycles:,}")
-        _print_profile(prof, sim)
-        _print_link_fault_summary(sim)
-        _maybe_dump(args, sim)
-        return 0
-    sim = topo.build_simple(HMCSim(
-        num_devs=1, num_links=args.links, num_banks=args.banks,
-        capacity=args.capacity), host_links=1)
-    session = sim.attach_fault_model(
-        0, 0, LinkFaultModel(ber=args.ber, drop_rate=args.drop, seed=args.seed),
-        max_retries=args.max_retries)
+    sim = topo.build_chain(HMCSim(
+        num_devs=args.devices, num_links=args.links,
+        num_banks=args.banks, capacity=args.capacity,
+        link_max_retries=args.max_retries,
+        **_link_fault_kwargs(args)))
     host = Host(sim)
     prof = _maybe_profile(args, sim)
-    s = session.stats
-
-    def link_line() -> str:
-        return (f"link: {s.transmissions:,} transmissions, "
-                f"{s.crc_failures:,} CRC failures, {s.drops:,} drops, "
-                f"{s.recovered:,} packets recovered via retry, "
-                f"{s.failed} abandoned")
-
-    try:
-        res = host.run(random_access_requests(device.capacity_bytes, cfg))
-    except LinkRetryExhausted as exc:
-        print(f"aborted (link retry exhausted): {exc}", file=sys.stderr)
-        print(link_line(), file=sys.stderr)
-        return 3
-    print(f"requests: {res.requests_sent:,}  responses: {res.responses_received:,} "
-          f" errors: {res.errors_received}")
+    # Target the far end of the chain so every request and response
+    # crosses the chain links (and their fault gates).
+    far = args.devices - 1
+    res, rc = _run_guarded(
+        host, random_access_requests(device.capacity_bytes, cfg), sim, cub=far)
+    if res is None:
+        _maybe_dump(args, sim)
+        return rc
+    print(f"requests: {res.requests_sent:,}  "
+          f"responses: {res.responses_received:,} "
+          f" errors: {res.errors_received}  cycles: {res.cycles:,}")
     _print_profile(prof, sim)
-    print(link_line())
-    print(f"modelled recovery cost: {s.recovery_cycles:,} cycles")
+    _print_link_fault_summary(sim)
     _maybe_dump(args, sim)
     return 0
 
@@ -484,12 +450,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_device_args(p)
     _add_link_fault_args(p)
     _add_profile_arg(p)
-    p.add_argument("--ber", type=float, default=1e-4)
-    p.add_argument("--drop", type=float, default=0.0)
+    p.set_defaults(link_ber=1e-4)
     p.add_argument("--max-retries", type=int, default=16)
     p.add_argument("--devices", type=int, default=2,
-                   help="chain length for the in-band (--link-ber/"
-                        "--link-drop-rate) mode")
+                   help="chain length (1: one noisy host link)")
     p.set_defaults(func=cmd_faults)
 
     p = sub.add_parser("replay", help="replay a flat R/W address trace file")

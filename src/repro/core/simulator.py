@@ -116,11 +116,6 @@ class HMCSim:
         self._tokens: Dict[Tuple[int, int], LinkTokens] = {}
         self._outstanding_flits: Dict[Tuple[int, int, int], int] = {}
 
-        # Link-error simulation: per-(dev, link) retry sessions
-        # (transaction granularity, zero simulated cycles).
-        self._retry_sessions: Dict[Tuple[int, int], object] = {}
-        self.link_errors_unrecovered = 0
-
         # In-band link fault states (repro.faults.inband): one state per
         # physical link, registered under every endpoint key so both
         # sides of a chain link resolve to the same object.  Empty dict
@@ -353,20 +348,7 @@ class HMCSim:
             self.send_stalls += 1
             raise StallError(f"crossbar request queue full on dev {dev} link {link}")
         tokens = None
-        if self._retry_sessions or self._tokens:
-            session = self._retry_sessions.get((dev, link))
-            if session is not None:
-                # Error simulation: the packet crosses a faulty SERDES
-                # link under the link retry protocol; what arrives is
-                # whatever decoded cleanly at the receiver
-                # (bit-identical to the original once CRC passes).
-                from repro.faults.retry import LinkRetryExhausted
-
-                try:
-                    pkt = session.transmit(pkt)
-                except LinkRetryExhausted:
-                    self.link_errors_unrecovered += 1
-                    raise  # typed, and an HMCError already
+        if self._tokens:
             tokens = self._tokens.get((dev, link))
             if tokens is not None and not tokens.can_send(pkt.num_flits):
                 self.send_stalls += 1
@@ -633,44 +615,6 @@ class HMCSim:
     # Link-error simulation (paper §IV.5 "error simulation").
     # ==================================================================
 
-    def attach_fault_model(
-        self,
-        dev: int,
-        link: int,
-        model,
-        max_retries: int = 8,
-        retry_delay: int = 4,
-    ):
-        """Attach a :class:`~repro.faults.link_model.LinkFaultModel` to a
-        host link; subsequent sends run the link retry protocol.
-
-        Returns the created :class:`~repro.faults.retry.RetrySession`
-        (its ``stats`` expose transmissions / CRC failures / replays).
-        """
-        from repro.faults.retry import RetrySession
-
-        if self._link_peers.get((dev, link)) != "host":
-            raise TopologyError(
-                f"dev {dev} link {link} is not a host link; fault models "
-                f"attach at the host boundary"
-            )
-        session = RetrySession(model, max_retries=max_retries, retry_delay=retry_delay)
-        self._retry_sessions[(dev, link)] = session
-        return session
-
-    def detach_fault_model(self, dev: int, link: int) -> None:
-        """Remove the fault model from (dev, link); sends become clean."""
-        self._retry_sessions.pop((dev, link), None)
-
-    def fault_stats(self) -> Dict[Tuple[int, int], dict]:
-        """Retry statistics per faulted link."""
-        return {
-            key: session.stats.as_dict()
-            for key, session in self._retry_sessions.items()
-        }
-
-    # -- in-band link faults (repro.faults.inband) ------------------------------
-
     def attach_link_fault(
         self,
         dev: int,
@@ -681,12 +625,11 @@ class HMCSim:
     ) -> InbandLinkState:
         """Attach an in-band fault state to any *configured* link.
 
-        Unlike :meth:`attach_fault_model` (transaction granularity, host
-        links only), the state attaches to the physical link — host or
-        chain — and every in-simulation traversal of that link runs
-        through it, consuming real simulated cycles on failure.  For a
-        chain link, one shared state is registered under both endpoint
-        keys.  Returns the created
+        The state attaches to the physical link — host or chain — and
+        every in-simulation traversal of that link runs through it,
+        consuming real simulated cycles on failure.  For a chain link,
+        one shared state is registered under both endpoint keys.
+        Returns the created
         :class:`~repro.faults.inband.InbandLinkState`.
         """
         peer = self._link_peers.get((dev, link))
@@ -849,7 +792,6 @@ class HMCSim:
         self.engine.reset()
         self.clock_value = 0
         self._recv_rotor = 0
-        self.link_errors_unrecovered = 0
         self.packets_sent = 0
         self.packets_received = 0
         self.send_stalls = 0

@@ -8,25 +8,20 @@ error-simulation half:
 * :mod:`repro.faults.injector` — deterministic bit-error injection into
   packet word streams (BER-based or scheduled);
 * :mod:`repro.faults.link_model` — per-link fault models (corrupt /
-  drop / clean) that the simulator consults when packets cross a host
-  link;
-* :mod:`repro.faults.retry` — the link-level retry protocol at
-  *transaction* granularity: a transmitter-side retry buffer keyed by
-  FRP, CRC-based detection at the receiver, IRTRY-triggered replay —
-  modelled on the HMC 1.0 link retry flow and built atop
-  :mod:`repro.packets.flow`'s pointer state;
-* :mod:`repro.faults.inband` — the *in-band* counterpart: per-link
-  retry/degradation state consulted by the six-stage clock engine on
-  every link traversal, so faults cost real simulated cycles, links
-  degrade FULL → HALF → FAILED, and traffic reroutes or dies;
+  drop / clean) that decide each transmission's outcome;
+* :mod:`repro.faults.inband` — the link retry protocol, modelled on
+  the HMC 1.0 flow: per-link retry/degradation state consulted by the
+  six-stage clock engine on every link traversal, so CRC failures and
+  IRTRY replays cost real simulated cycles, links degrade FULL → HALF →
+  FAILED, and traffic reroutes or dies;
+* :mod:`repro.faults.retry` — the gate's counters (:class:`RetryStats`)
+  and :class:`LinkRetryExhausted`;
 * :mod:`repro.faults.chaos` — the deterministic chaos engine: seeded,
   simulated-cycle-stamped fault campaigns (shard crash, link kill /
   degrade, watchdog trip, fabric latency spike) injected into a
   :mod:`repro.service` run from the single driver coroutine.
 
-Transaction-granularity models attach to host links via
-:meth:`repro.core.simulator.HMCSim.attach_fault_model`; in-band models
-attach to any configured link via
+In-band models attach to any configured link via
 :meth:`repro.core.simulator.HMCSim.attach_link_fault` (or the
 ``link_ber`` / ``link_drop_rate`` :class:`~repro.core.config.SimConfig`
 knobs, which auto-attach one per link).
@@ -43,7 +38,7 @@ from repro.faults.inband import (
 )
 from repro.faults.injector import BitErrorInjector, ScheduledInjector
 from repro.faults.link_model import FaultKind, LinkFaultModel
-from repro.faults.retry import LinkRetryExhausted, RetrySession, RetryStats
+from repro.faults.retry import LinkRetryExhausted, RetryStats
 
 __all__ = [
     "BitErrorInjector",
@@ -56,7 +51,6 @@ __all__ = [
     "LinkFaultModel",
     "LinkHealth",
     "LinkRetryExhausted",
-    "RetrySession",
     "RetryStats",
     "ScheduledInjector",
     "TX_DEAD",

@@ -1,21 +1,18 @@
 """In-band link retry, degradation ladder and per-link health state.
 
-:class:`repro.faults.retry.RetrySession` models CRC/IRTRY recovery at
-*transaction* granularity: the whole replay loop runs synchronously
-inside one ``send`` call and costs zero simulated cycles.  This module
-is the in-band counterpart used by the six-stage clock engine: one
-:class:`InbandLinkState` is attached per *physical* link (host↔device
-or device↔device), and every traversal of that link — host send/recv,
-stage-1/2 remote request hops, stage-5 chain response hops — must pass
-its :meth:`~InbandLinkState.try_transmit` gate.
+The one link-error model: one :class:`InbandLinkState` is attached per
+*physical* link (host↔device or device↔device), and every traversal of
+that link — host send/recv, stage-1/2 remote request hops, stage-5 chain
+response hops — must pass its :meth:`~InbandLinkState.try_transmit`
+gate, so every replay costs real simulated cycles.
 
 Each attempt samples only its *outcome*
 (:meth:`~repro.faults.link_model.LinkFaultModel.outcome`): the drop draw,
 then the next ``64·W`` bits (``W`` wire words, two per FLIT) of the
 injector's one sequential flip stream.  Any flipped bit is a CRC failure,
-so no wire words are encoded, cached or decoded here; the real encode →
-corrupt → CRC-checked decode round trip lives in
-:class:`~repro.faults.retry.RetrySession`.
+so no wire words are encoded, cached or decoded here; that a flipped
+packet never passes the CRC-checked decode is property-tested
+(``tests/test_faults.py::test_a_flipped_packet_never_passes_crc``).
 
 A failed transmission poisons the sender's direction for
 ``retry_delay`` cycles (the IRTRY exchange + replay window); the packet
@@ -223,9 +220,9 @@ class InbandLinkState:
             kind = model.outcome(nbits)[0]
         if kind is FaultKind.CLEAN:
             # No wire bit flipped, so the receiver's CRC verifies (that
-            # any flip fails it is enforced and property-tested at the
-            # RetrySession layer, which does decode); the receiver's RRP
-            # acknowledges the FRP cumulatively.
+            # any flip fails it is property-tested against the real
+            # decode); the receiver's RRP acknowledges the FRP
+            # cumulatively.
             unacked = d.pointers._unacked
             if unacked and unacked[0] == d.pending_frp:
                 unacked.popleft()  # RetryPointerState.acknowledge, inlined

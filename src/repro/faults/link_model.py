@@ -10,11 +10,11 @@ experiments can report injected-fault rates alongside recovery rates.
 from __future__ import annotations
 
 import enum
-from typing import List, Optional, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from repro.faults.injector import BitErrorInjector, apply_flips
+from repro.faults.injector import BitErrorInjector
 
 
 class FaultKind(enum.Enum):
@@ -73,17 +73,6 @@ class LinkFaultModel:
             self.corruptions += 1
             return (FaultKind.CORRUPT, flips)
         return (FaultKind.CLEAN, flips)
-
-    def transmit(self, words: Sequence[int]) -> Tuple[FaultKind, Optional[List[int]]]:
-        """Run one transmission; returns (outcome, delivered_words).
-
-        ``DROP`` outcomes deliver ``None``; ``CORRUPT``/``CLEAN`` deliver
-        a copy of *words* with the outcome's flips applied.
-        """
-        kind, flips = self.outcome(64 * len(words))
-        if kind is FaultKind.DROP:
-            return (kind, None)
-        return (kind, apply_flips(words, flips))
 
     @property
     def fault_rate(self) -> float:

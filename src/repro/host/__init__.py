@@ -14,8 +14,6 @@ contention").
 from repro.host.host import Host, HostRunResult, LinkPolicy
 from repro.host.tagpool import TagPool
 from repro.host.multichannel import ChannelClock, MultiChannelHost
-from repro.host.prefetch import SequentialPrefetcher
-from repro.host.coalesce import WriteCombiner
 
 __all__ = [
     "ChannelClock",
@@ -23,7 +21,5 @@ __all__ = [
     "HostRunResult",
     "LinkPolicy",
     "MultiChannelHost",
-    "SequentialPrefetcher",
     "TagPool",
-    "WriteCombiner",
 ]

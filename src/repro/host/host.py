@@ -213,17 +213,15 @@ class Host:
         Per request, in order: pick a link, take a tag (none free: stop
         before building, so no packet serial is drawn), build the packet,
         inject.  A stalled injection returns its tag to the back of the
-        free list.  With neither retry sessions nor link tokens and the
-        sim's own ``HMCSim.send``, the injection is ``HMCSim.send``'s
-        lane, inlined: the room check, then the host link's in-band gate
-        when one is attached; otherwise it is the call.
+        free list.  With no link tokens and the sim's own
+        ``HMCSim.send``, the injection is ``HMCSim.send``'s lane,
+        inlined: the room check, then the host link's in-band gate when
+        one is attached; otherwise it is the call.
         """
         sim = self.sim
         pools = self.tag_pools
         round_robin = self.policy is LinkPolicy.ROUND_ROBIN
-        inline = type(sim).send is HMCSim.send and not (
-            sim._freed or sim._retry_sessions or sim._tokens
-        )
+        inline = type(sim).send is HMCSim.send and not (sim._freed or sim._tokens)
         peers = sim._link_peers
         devices = sim.devices
         link_faults = sim._link_faults

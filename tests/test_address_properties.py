@@ -1,5 +1,6 @@
 """Property-based tests for address mapping bijectivity (hypothesis)."""
 
+import collections
 import itertools
 
 from hypothesis import given, settings, strategies as st
@@ -79,3 +80,38 @@ def test_all_modes_partition_address_space_distinctly():
     }
     for a, b in itertools.combinations(decodes.values(), 2):
         assert a != b
+
+
+@given(cfg=configs, data=st.data())
+@settings(max_examples=100)
+def test_a_unit_stride_sweep_spreads_uniformly_over_the_vaults(cfg, data):
+    """The low-interleave maps' reason to exist (§III.B): one stripe of
+    ``vaults x banks`` consecutive blocks, from any stripe, visits every
+    (vault, bank) pair once — so every vault ``banks`` times."""
+    m = AddressMap(**{**cfg, "mode": data.draw(st.sampled_from(
+        [AddressMapMode.VAULT_BANK, AddressMapMode.BANK_VAULT]))})
+    stripe = m.num_vaults * m.num_banks
+    first = data.draw(st.integers(0, m.capacity_bytes // m.block_size // stripe - 1))
+    pairs = [m.decode((first * stripe + i) * m.block_size).as_tuple()[:2]
+             for i in range(stripe)]
+    assert len(set(pairs)) == stripe
+    vaults = collections.Counter(vault for vault, _ in pairs)
+    assert set(vaults.values()) == {m.num_banks}
+
+
+@given(cfg=configs)
+@settings(max_examples=50)
+def test_the_linear_map_conflicts_more_than_the_default_map(cfg):
+    """LINEAR keeps a sequential sweep inside one (vault, bank): every
+    block after the first lands on the bank the previous one used, where
+    the default map never does."""
+    default = AddressMap(**{**cfg, "mode": AddressMapMode.VAULT_BANK})
+    linear = AddressMap(**{**cfg, "mode": AddressMapMode.LINEAR})
+    sweep = [i * default.block_size for i in range(128)]
+
+    def conflicts(m):
+        banks = [m.decode(addr).as_tuple()[:2] for addr in sweep]
+        return sum(a == b for a, b in zip(banks, banks[1:]))
+
+    assert conflicts(default) == 0
+    assert conflicts(linear) > conflicts(default)

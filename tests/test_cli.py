@@ -1,5 +1,8 @@
 """Tests for the command-line interface (repro.cli)."""
 
+import json
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -103,18 +106,30 @@ class TestCommands:
         assert "latency" in out
 
     def test_faults(self, capsys):
-        assert main(["faults", "--requests", "128", "--ber", "0.0005"]) == 0
+        # A bare run is noisy (--link-ber defaults to 1e-4 here), and the
+        # retries show up in the summary.
+        assert main(["faults", "--requests", "128"]) == 0
         out = capsys.readouterr().out
-        assert "transmissions" in out
-        assert "abandoned" in out
+        assert "in-band link fault summary:" in out
+        assert re.search(r"recovery_cycles=[1-9]", out)
 
     def test_faults_retry_budget_exhausted_exits_3(self, capsys):
-        assert main(["faults", "--requests", "128", "--drop", "1.0",
-                     "--max-retries", "1"]) == 3
+        assert main(["faults", "--requests", "128", "--devices", "1",
+                     "--link-drop-rate", "1.0", "--max-retries", "1"]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("aborted (link retry exhausted): ")
-        assert "link: 2 transmissions, 0 CRC failures, 2 drops" in err
-        assert "1 abandoned" in err
+        assert err.startswith("aborted (link failure): host link 0 on dev 0 ")
+        report = json.loads(err.split("\n", 1)[1])
+        link = report["links"]["dev0.link0"]
+        assert link["health"] == "FAILED"
+        assert (link["transmissions"], link["crc_failures"], link["drops"]) \
+            == (4, 0, 4)
+
+    def test_faults_options_are_the_shared_link_ones(self):
+        parser = build_parser()
+        for gone in ("--ber", "--drop"):
+            with pytest.raises(SystemExit):
+                parser.parse_args(["faults", gone, "0.1"])
+        assert parser.parse_args(["faults"]).link_ber == 1e-4
 
     def test_ras(self, capsys):
         assert main([

@@ -113,11 +113,10 @@ class TestStatDump:
         from repro.faults.link_model import LinkFaultModel
         sim = build_simple(HMCSim(num_devs=1, num_links=4, num_banks=8,
                                   capacity=2), host_links=1)
-        sim.attach_fault_model(0, 0, LinkFaultModel(ber=0.0))
+        sim.attach_link_fault(0, 0, LinkFaultModel(ber=0.0))
         Host(sim).run([(CMD.RD64, 0, None)])
         tree = dump_stats(sim)
-        assert "faults" in tree
-        assert "dev0.link0" in tree["faults"]
+        assert tree["link_report"]["links"]["dev0.link0"]["transmissions"] == 2
 
     def test_stage_counts_exported(self):
         tree = dump_stats(run_sim())

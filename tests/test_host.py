@@ -129,18 +129,19 @@ class TestHostBasics:
         assert res.cycles == res.latencies[0] < 2000
 
     def test_retry_exhausted_send_releases_tag(self):
-        from repro.core.errors import HMCError
-        from repro.faults.link_model import LinkFaultModel
-
+        # Host link 0 drops everything until its gate fails it; the
+        # stalled sends and the one that finds the link dead all give
+        # their tags back, and the host fails over to link 1.
         sim = HMCSim(num_devs=1, num_links=4, num_banks=8, capacity=2)
-        build_simple(sim, host_links=1)
-        sim.attach_fault_model(0, 0, LinkFaultModel(drop_rate=1.0), max_retries=2)
+        build_simple(sim, host_links=2)
+        sim.attach_link_fault(0, 0, LinkFaultModel(drop_rate=1.0), max_retries=2)
         host = Host(sim)
-        for _ in range(3):
-            with pytest.raises(HMCError):
-                host.send_request(CMD.RD64, addr=0)
+        while sim.link_failures == 0:
+            if host.send_request(CMD.RD64, addr=0) is not None:
+                sim.clock_until_response(max_cycles=100)
+                host.drain_responses()
+            sim.clock(1)
         assert sim.in_flight == 0
-        sim.detach_fault_model(0, 0)
         self._assert_next_run_ends_with_its_response(host)
 
     def test_rejected_address_releases_tag(self):

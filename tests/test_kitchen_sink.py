@@ -65,7 +65,7 @@ class TestAllFeaturesTogether:
 
     def test_data_integrity_with_everything_on(self):
         sim = build_simple(everything_on(), host_links=1)
-        sim.attach_fault_model(
+        sim.attach_link_fault(
             0, 0, LinkFaultModel(injector=ScheduledInjector(set(range(0, 64, 7)))),
             max_retries=16)
         host = Host(sim, policy=LinkPolicy.LOCALITY)

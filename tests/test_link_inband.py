@@ -365,10 +365,9 @@ class TestCheckpointRoundTrip:
         sim._link_fault_states.append(state)
         blob = checkpoint.snapshot(sim)
         twin = checkpoint.restore(blob)
-        words = [0xDEADBEEF] * 12
-        a = [sim._link_fault_states[0].model.transmit(words)[0]
+        a = [sim._link_fault_states[0].model.outcome(768)[0]
              for _ in range(200)]
-        b = [twin._link_fault_states[0].model.transmit(words)[0]
+        b = [twin._link_fault_states[0].model.outcome(768)[0]
              for _ in range(200)]
         assert a == b
 

@@ -8,7 +8,8 @@ subsystem named in ``advance`` beside its due list, a way back to a
 selectable scheduler or to a ``tick()`` that branches on its observers,
 a sort or a host query in the shard pump, a per-cycle pump beside
 ``pump_until`` — and, over the whole repository, a public function
-nobody mentions."""
+nobody mentions and a module no command, example, experiment or
+benchmark workload imports."""
 
 import ast
 import collections
@@ -298,3 +299,111 @@ def test_the_pump_crosses_its_waits_in_one_call():
     ]
     assert not loops, "_drive loops per cycle again"
     assert "pump_until" in _called(drive)
+
+
+#: Modules under ``src/repro/`` that no root below imports, each kept
+#: for a reason; anything else no root reaches is a leftover.
+_UNREACHED = {
+    "addressing/custom.py": "§III.B user-defined maps: the only map that "
+        "is not an AddressMap, so it drives the C vault walk's call-back "
+        "decode in tests/test_vault_walk_reference.py",
+    "analysis/sweep.py": "ROADMAP items 4(b) and 7 fan work out through it",
+    "trace/parse.py": "§IV.E: it inverts the trace sinks, and the trace "
+        "tests check the sinks against it",
+    "verification/shadow.py": "ROADMAP item 8(a) builds on its data model",
+}
+
+
+def _reach_roots():
+    """The files whose imports make a module reached: the CLI, the
+    examples, the benchmark spine, and each ``benchmarks/bench_*.py``
+    that EXPERIMENTS.md names as a command."""
+    named = set(re.findall(r"benchmarks/(bench_\w+\.py)",
+                           (REPO / "EXPERIMENTS.md").read_text()))
+    return [SRC / "cli.py", SRC / "__main__.py",
+            *sorted((REPO / "examples").glob("*.py")),
+            *sorted((REPO / "benchmarks" / "spine").glob("*.py")),
+            *(REPO / "benchmarks" / name for name in sorted(named))]
+
+
+def _module_path(name: str):
+    """``repro.a.b`` as its file under SRC, or None outside the package."""
+    parts = name.split(".")
+    if parts[0] != "repro":
+        return None
+    base = SRC.joinpath(*parts[1:])
+    for path in (base.with_suffix(".py"), base / "__init__.py"):
+        if path.is_file():
+            return path
+    return None
+
+
+@functools.cache
+def _reexports(init: Path) -> dict:
+    """``{name: (module, name there)}`` for each ``from X import`` of a
+    package ``__init__``."""
+    return {
+        alias.asname or alias.name: (node.module, alias.name)
+        for node in ast.walk(ast.parse(init.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.module
+        for alias in node.names
+    }
+
+
+def _defining_module(module: str, name: str):
+    """The file a ``from module import name`` reaches: the submodule
+    *name*, else — through a package's re-exports, which call nothing —
+    the module that defines *name*."""
+    sub = _module_path(f"{module}.{name}")
+    if sub is not None:
+        return sub
+    path = _module_path(module)
+    if path is not None and path.name == "__init__.py":
+        origin = _reexports(path).get(name)
+        if origin is not None:
+            return _defining_module(*origin)
+    return path
+
+
+def _imported_by(path: Path):
+    """Files under SRC that *path* imports, package re-exports followed
+    to the module that defines each name."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield _module_path(alias.name)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            for alias in node.names:
+                yield _defining_module(node.module, alias.name)
+
+
+def _reached():
+    seen, todo = set(), _reach_roots()
+    while todo:
+        path = todo.pop()
+        if path is None or path in seen:
+            continue
+        seen.add(path)
+        # A package __init__ only re-exports: what it imports is reached
+        # by name, through _defining_module, not by the package's import.
+        if path.name != "__init__.py":
+            todo.extend(_imported_by(path))
+    return {str(path.relative_to(SRC)) for path in seen if SRC in path.parents}
+
+
+def test_every_module_has_a_caller():
+    """Every module under ``src/repro/`` is imported, directly or through
+    other modules, from ``repro.cli``, an example, the benchmark spine or
+    a benchmark EXPERIMENTS.md runs — a re-export in a package
+    ``__init__`` is no caller — or it is in ``_UNREACHED`` with its
+    reason.  An allowlisted module that gains a caller or is deleted
+    leaves the allowlist too."""
+    modules = {str(path.relative_to(SRC)) for path in SRC.rglob("*.py")
+               if path.name != "__init__.py"}
+    reached = _reached()
+    assert not modules - reached - set(_UNREACHED), (
+        f"modules nothing reaches: {sorted(modules - reached - set(_UNREACHED))}")
+    assert not set(_UNREACHED) & reached, (
+        f"allowlisted but reached: {sorted(set(_UNREACHED) & reached)}")
+    assert set(_UNREACHED) <= modules, (
+        f"allowlisted but gone: {sorted(set(_UNREACHED) - modules)}")
