@@ -1,18 +1,26 @@
-/* The vault's stage 3/4 walk, its READ/WRITE execute, the reply build
- * and push, and the banks' row read/write (paper §IV.C.3-4, §IV.A).
+/* Every per-packet step of the cycle's queue stages (paper §IV.C):
+ * stages 1 and 2, the crossbar's request routing; stages 3 and 4, the
+ * vault walk with its READ/WRITE execute, the reply build and push and
+ * the banks' row read/write (§IV.A); stage 5, response registration
+ * and the chain-link response hops.
  *
- * Built on first import by repro/core/_native.py; bound to the Python
- * classes by ``bank_methods`` (bank.py), ``vault_methods`` (vault.py)
- * and ``tracer_methods`` (trace/tracer.py), which install the functions
- * below as methods of ``Bank``, ``Vault`` and ``Tracer``.  The C holds
- * no state of its own: it reads and writes the same ``__slots__`` the
- * Python code does, at the offsets their member descriptors give, and
- * the bank arrays through the buffer protocol, so pickles and
- * checkpoints do not change.  The walk appends its trace events to the
- * tracer's buffer as ``Tracer.emit_fast`` (also C) does.  What stays in
- * Python is called back: MODE packets, error replies, BWR and the
- * atomics, open-row timing, address maps other than ``AddressMap``,
- * and ECC reads/writes.
+ * Built on first import by repro/core/_native.py; ``bank_methods``,
+ * ``queue_methods``, ``tracer_methods``, ``vault_methods`` and
+ * ``crossbar_methods`` install the functions below as methods of
+ * ``Bank``, ``PacketQueue``, ``Tracer``, ``Vault`` and ``CrossbarUnit``,
+ * and ``stage_functions`` hands the clock one function per stage.  The
+ * C holds no state of its own: it reads and writes the same
+ * ``__slots__`` the Python code does, at the offsets their member
+ * descriptors give, the bank arrays through the buffer protocol, and
+ * the simulator's and links' attributes by name, so pickles and
+ * checkpoints do not change.  Trace events without extras are appended
+ * to the tracer's buffer as ``Tracer.emit_fast`` (also C) appends them.
+ * What stays in Python is called back: MODE packets, error replies,
+ * BWR and the atomics, open-row timing, address maps other than
+ * ``AddressMap``, ECC reads/writes, ``CrossbarUnit._reject`` and
+ * ``_expire_zombies``, the in-band link gate (``try_transmit``), the
+ * route rebuild, ``HMCSim._note_link_failure``, and ``Tracer.event``
+ * for the events with extras (MISROUTE, CHAIN_HOP, a remote stall).
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -29,7 +37,8 @@
 #define PACKET(X) X(P, cmd) X(P, cub) X(P, tag) X(P, addr) X(P, payload) \
     X(P, slid) X(P, serial) X(P, injected_at) X(P, hops)                   \
     X(P, ingress_link) X(P, src_cub) X(P, route_stack) X(P, dec_bank)      \
-    X(P, cls) X(P, expects_response) X(P, is_special) X(P, num_flits)
+    X(P, cls) X(P, expects_response) X(P, is_special) X(P, num_flits)     \
+    X(P, dec_vault)
 #define QUEUE(X) X(Q, depth) X(Q, _q) X(Q, _stamps) X(Q, high_water) \
     X(Q, total_enqueued) X(Q, total_dequeued) X(Q, _act_set) X(Q, _act_key) X(Q, special_count)
 #define VAULT(X) X(V, vault_id) X(V, quad_id) X(V, banks) X(V, rqst)     \
@@ -41,25 +50,35 @@
     X(B, dram_access_count) X(B, ras) X(B, _pages) X(B, _store)         \
     X(B, _tstore) X(B, _dirty)
 #define TRACER(X) X(T, _buf) X(T, emitted) X(T, _limit) X(T, live_mask)
+#define XBAR(X) X(C, link_id) X(C, rqst) X(C, rsp) X(C, routed_local) \
+    X(C, routed_remote) X(C, stall_events) X(C, latency_events) X(C, misroutes)
+#define DEVICE(X) X(D, dev_id) X(D, amap) X(D, links) X(D, xbars)      \
+    X(D, vaults) X(D, act_xbar_rqst) X(D, act_xbar_rsp) X(D, act_vault_rqst) \
+    X(D, act_vault_rsp)
 
 enum { PACKET(E) P_N };
 enum { QUEUE(E) Q_N };
 enum { VAULT(E) V_N };
 enum { BANK(E) B_N };
 enum { TRACER(E) T_N };
+enum { XBAR(E) C_N };
+enum { DEVICE(E) D_N };
 static const char *const P_names[] = { PACKET(S) };
 static const char *const Q_names[] = { QUEUE(S) };
 static const char *const V_names[] = { VAULT(S) };
 static const char *const B_names[] = { BANK(S) };
 static const char *const T_names[] = { TRACER(S) };
+static const char *const C_names[] = { XBAR(S) };
+static const char *const D_names[] = { DEVICE(S) };
 static Py_ssize_t P_off[P_N], Q_off[Q_N], V_off[V_N], B_off[B_N], T_off[T_N];
+static Py_ssize_t C_off[C_N], D_off[D_N];
 
 /* Every slot of Packet, for copying a reply prototype. */
 static Py_ssize_t *packet_all_off;
 static Py_ssize_t packet_nslots;
 
 static PyTypeObject *packet_type, *queue_type, *vault_type, *bank_type;
-static PyTypeObject *amap_type, *tracer_type;
+static PyTypeObject *amap_type, *tracer_type, *xbar_type, *device_type;
 
 /* Offset of the ``__slots__`` entry *name* of *tp*. */
 static Py_ssize_t
@@ -107,6 +126,15 @@ get(PyObject *o, Py_ssize_t off)
     if (v == NULL)
         PyErr_Format(PyExc_AttributeError, "'%s' object has an unset slot",
                      Py_TYPE(o)->tp_name);
+    return v;
+}
+
+/* A new reference to the value of a slot. */
+static PyObject *
+hold(PyObject *o, Py_ssize_t off)
+{
+    PyObject *v = get(o, off);
+    Py_XINCREF(v);
     return v;
 }
 
@@ -169,6 +197,12 @@ static PyObject *err_address, *err_cmd;
 static PyObject *ev_conflict, *ev_stall, *ev_read, *ev_write;
 static long long m_conflict, m_stall, m_read, m_write;
 static PyObject *minus_one, *busy_true, *busy_false;
+/* The crossbar's: MODE classes, errors, gate outcomes and events (the
+ * int for a buffered tuple, the member for ``Tracer.event``). */
+static PyObject *cls_mode_read, *cls_mode_write, *err_unroutable, *tx_ok, *tx_dead;
+static PyObject *ev_rqst_stall, *ev_latency, *ev_rsp_stall, *ev_expired, *ev_registered;
+static long long m_rqst_stall, m_latency, m_rsp_stall, m_expired, m_registered, m_chain_hop;
+static PyObject *member_rqst_stall, *member_chain_hop, *member_misroute;
 
 static PyObject *s_append, *s_add, *s_flush, *s_addr;
 static PyObject *s_do_mode, *s_error_response, *s_read_modify_write;
@@ -177,12 +211,14 @@ static PyObject *s_block_size, *s_bank_of, *s_dram_of, *s_bs, *s_bank_mask;
 static PyObject *s_ds, *s_dram_mask, *s_offset_mask, *s_capacity_bytes;
 static PyObject *s_access_busy_cycles;
 static PyObject *s_packet_serial;
-
-/* Vault.stage34's parameters, for keyword matching. */
-static const char *const stage34_kw[] = {
-    "cycle", "amap", "window", "issue_width", "bank_busy_cycles", "tracer",
-    "dev_id", "row_timing"};
-static PyObject *stage34_names[8];      /* the same, interned */
+static PyObject *s_popleft, *s_discard, *s_event, *s_reject, *s_expire;
+static PyObject *s_try_transmit, *s_note_failure, *s_build_routes, *s_routes;
+static PyObject *s_link_faults, *s_link_peers, *s_devices, *s_config;
+static PyObject *s_queue_timeout, *s_penalty, *s_num_devs, *s_hop_limit;
+static PyObject *s_dropped, *s_tx_packets, *s_tx_flits, *s_rx_packets;
+static PyObject *s_rx_flits, *s_vs, *s_vault_mask, *s_vault_of;
+static PyObject *s_target_cub, *s_remote, *s_to_dev, *s_to_link;
+static PyObject *s_get, *event_kw;      /* Tracer.event's keywords, as passed */
 
 static int
 intern_all(void)
@@ -199,14 +235,23 @@ intern_all(void)
     I(s_offset_mask, "_offset_mask") I(s_capacity_bytes, "capacity_bytes")
     I(s_access_busy_cycles, "access_busy_cycles")
     I(s_packet_serial, "_packet_serial")
+    I(s_popleft, "popleft") I(s_discard, "discard") I(s_event, "event") I(s_get, "get")
+    I(s_reject, "_reject") I(s_expire, "_expire_zombies") I(s_routes, "_routes")
+    I(s_try_transmit, "try_transmit") I(s_note_failure, "_note_link_failure")
+    I(s_build_routes, "_build_routes") I(s_link_faults, "_link_faults")
+    I(s_link_peers, "_link_peers") I(s_devices, "devices") I(s_config, "config")
+    I(s_queue_timeout, "queue_timeout") I(s_penalty, "nonlocal_penalty_cycles")
+    I(s_num_devs, "num_devs") I(s_hop_limit, "enforce_hop_limit")
+    I(s_dropped, "dropped_responses") I(s_tx_packets, "tx_packets") I(s_vs, "_vs")
+    I(s_tx_flits, "tx_flits") I(s_rx_packets, "rx_packets") I(s_rx_flits, "rx_flits")
+    I(s_vault_mask, "_vault_mask") I(s_vault_of, "vault_of") I(s_remote, "remote")
+    I(s_target_cub, "target_cub") I(s_to_dev, "to_dev") I(s_to_link, "to_link")
 #undef I
-    for (int j = 0; j < 8; j++)
-        if ((stage34_names[j] = PyUnicode_InternFromString(stage34_kw[j])) == NULL)
-            return -1;
+    event_kw = Py_BuildValue("(ssss)", "dev", "link", "serial", "extra");
     minus_one = PyLong_FromLong(-1);
     busy_true = Py_BuildValue("(sO)", "busy", Py_True);
     busy_false = Py_BuildValue("(sO)", "busy", Py_False);
-    return (minus_one && busy_true && busy_false) ? 0 : -1;
+    return (minus_one && busy_true && busy_false && event_kw) ? 0 : -1;
 }
 
 static int
@@ -602,6 +647,73 @@ special_packet(PyObject *pkt)
     return rc;
 }
 
+static int
+call_none(PyObject *result)
+{
+    if (result == NULL)
+        return -1;
+    Py_DECREF(result);
+    return 0;
+}
+
+/* Add (*on*) or discard the queue's key in its active set, if bound. */
+static int
+set_active(PyObject *queue, int on)
+{
+    PyObject *act = get(queue, Q_off[Q__act_set]);
+    PyObject *key = get(queue, Q_off[Q__act_key]);
+    if (act == NULL || key == NULL)
+        return -1;
+    if (act == Py_None)
+        return 0;
+    if (PySet_Check(act))
+        return on ? PySet_Add(act, key) : PySet_Discard(act, key) < 0 ? -1 : 0;
+    return call_none(PyObject_CallMethodOneArg(act, on ? s_add : s_discard, key));
+}
+
+/* PacketQueue.push of *pkt* at *cycle* onto *queue*, whose deque *q*
+ * holds *n* packets, for a caller that checked the room.  FLOW/MODE
+ * packets are counted when *specials* is set (requests; a reply never
+ * is one, and the inlined reply pushes never counted). */
+static int
+queue_push(PyObject *queue, PyObject *q, Py_ssize_t n, PyObject *pkt,
+           PyObject *cycle, int specials)
+{
+    PyObject *stamps = get(queue, Q_off[Q__stamps]);
+    long long high;
+    int special = specials ? special_packet(pkt) : 0;
+    if (stamps == NULL || special < 0
+        || get_ll(queue, Q_off[Q_high_water], &high) < 0
+        || (n == 0 && set_active(queue, 1) < 0)
+        || call_none(PyObject_CallMethodOneArg(q, s_append, pkt)) < 0
+        || call_none(PyObject_CallMethodOneArg(stamps, s_append, cycle)) < 0
+        || add_ll(queue, Q_off[Q_total_enqueued], 1) < 0
+        || (special && add_ll(queue, Q_off[Q_special_count], 1) < 0)
+        || (n >= high && set_ll(queue, Q_off[Q_high_water], n + 1) < 0))
+        return -1;
+    return 0;
+}
+
+/* Drop the head of *queue* (deque *q*), counted as dequeued; with
+ * *specials* a FLOW/MODE head is uncounted, as PacketQueue.pop does. */
+static int
+queue_pop(PyObject *queue, PyObject *q, int specials)
+{
+    PyObject *stamps = get(queue, Q_off[Q__stamps]);
+    PyObject *pkt = stamps ? PyObject_CallMethodNoArgs(q, s_popleft) : NULL;
+    if (pkt == NULL)
+        return -1;
+    int special = specials ? special_packet(pkt) : 0;
+    Py_DECREF(pkt);
+    if (special < 0
+        || call_none(PyObject_CallMethodNoArgs(stamps, s_popleft)) < 0
+        || add_ll(queue, Q_off[Q_total_dequeued], 1) < 0
+        || (special && add_ll(queue, Q_off[Q_special_count], -1) < 0))
+        return -1;
+    Py_ssize_t left = PyObject_Size(q);
+    return left < 0 ? -1 : left ? 0 : set_active(queue, 0);
+}
+
 /* Remove the entries at ascending FIFO positions *pos* from *queue*,
  * back to front so earlier positions stay valid; they count as
  * dequeued, as PacketQueue.pop counts them. */
@@ -630,18 +742,8 @@ remove_at(PyObject *queue, const Py_ssize_t *pos, Py_ssize_t n)
         || add_ll(queue, Q_off[Q_total_dequeued], n) < 0)
         goto done;
     Py_ssize_t left = PyObject_Size(q);
-    if (left < 0)
+    if (left < 0 || (left == 0 && set_active(queue, 0) < 0))
         goto done;
-    PyObject *act = get(queue, Q_off[Q__act_set]);
-    PyObject *key = get(queue, Q_off[Q__act_key]);
-    if (act == NULL || key == NULL)
-        goto done;
-    if (left == 0 && act != Py_None) {
-        PyObject *r = PyObject_CallMethod(act, "discard", "O", key);
-        if (r == NULL)
-            goto done;
-        Py_DECREF(r);
-    }
     rc = 0;
 done:
     Py_DECREF(q);
@@ -877,35 +979,9 @@ push_reply(PyObject *vault, PyObject *rsp, PyObject *request, PyObject *cycle)
     }
     if (set_new(rsp, P_off[P_route_stack], PySequence_List(stack)) < 0)
         goto done;
-    PyObject *q = get(queue, Q_off[Q__q]), *stamps = get(queue, Q_off[Q__stamps]);
-    long long high;
-    if (q == NULL || stamps == NULL
-        || get_ll(queue, Q_off[Q_high_water], &high) < 0)
-        goto done;
-    Py_ssize_t n = PyObject_Size(q);
-    if (n < 0)
-        goto done;
-    if (n == 0) {
-        PyObject *act = get(queue, Q_off[Q__act_set]);
-        PyObject *key = get(queue, Q_off[Q__act_key]);
-        if (act == NULL || key == NULL)
-            goto done;
-        if (act != Py_None) {
-            PyObject *r = PyObject_CallMethodOneArg(act, s_add, key);
-            if (r == NULL)
-                goto done;
-            Py_DECREF(r);
-        }
-    }
-    PyObject *r = PyObject_CallMethodOneArg(q, s_append, rsp);
-    if (r == NULL)
-        goto done;
-    Py_DECREF(r);
-    if ((r = PyObject_CallMethodOneArg(stamps, s_append, cycle)) == NULL)
-        goto done;
-    Py_DECREF(r);
-    if (add_ll(queue, Q_off[Q_total_enqueued], 1) < 0
-        || (n >= high && set_ll(queue, Q_off[Q_high_water], n + 1) < 0))
+    PyObject *q = get(queue, Q_off[Q__q]);
+    Py_ssize_t n = q ? PyObject_Size(q) : -1;
+    if (n < 0 || queue_push(queue, q, n, rsp, cycle, 0) < 0)
         goto done;
     rc = 0;
 done:
@@ -1141,93 +1217,85 @@ parse_ll(PyObject *o, long long *out)
     return (*out == -1 && PyErr_Occurred()) ? -1 : 0;
 }
 
-static PyObject *walk(Walk w, PyObject *rqst, long long window,
-                      long long width);
+static int walk(Walk w, PyObject *rqst, long long window, long long width,
+                long long *conflicts_out, long long *issued_out);
 
+/* *row_timing* as the walk reads it: None, or a (hit, miss) tuple. */
 static PyObject *
-Vault_stage34(PyObject *self, PyObject *const *args, Py_ssize_t nargs,
-              PyObject *kwnames)
+row_timing_of(PyObject *o)
 {
-    PyObject *a[8] = {NULL, NULL, NULL, NULL, NULL, NULL, NULL, Py_None};
-    Py_ssize_t nkw = kwnames ? PyTuple_GET_SIZE(kwnames) : 0;
-    if (nargs > 8) {
-        PyErr_SetString(PyExc_TypeError, "stage34 takes at most 8 arguments");
-        return NULL;
-    }
-    for (Py_ssize_t i = 0; i < nargs; i++)
-        a[i] = args[i];
-    for (Py_ssize_t k = 0; k < nkw; k++) {
-        PyObject *name = PyTuple_GET_ITEM(kwnames, k);
-        int j = 0;
-        while (j < 8 && name != stage34_names[j])
-            j++;
-        if (j == 8)     /* not interned: compare the text */
-            for (j = 0; j < 8; j++)
-                if (PyUnicode_CompareWithASCIIString(name, stage34_kw[j]) == 0)
-                    break;
-        if (j == 8 || j < nargs) {
-            PyErr_Format(PyExc_TypeError, "stage34() got an unexpected or "
-                         "repeated keyword argument '%U'", name);
-            return NULL;
-        }
-        a[j] = args[nargs + k];
-    }
-    for (int j = 0; j < 7; j++)
-        if (a[j] == NULL) {
-            PyErr_Format(PyExc_TypeError, "stage34() missing argument '%s'",
-                         stage34_kw[j]);
-            return NULL;
-        }
-    Walk w = {.self = self, .cycle_obj = a[0], .amap = a[1], .tracer = a[5],
-              .dev_obj = a[6], .busy_obj = a[4],
-              .classic = Py_IS_TYPE(a[1], amap_type)};
-    long long window, width;
-    if (parse_ll(a[0], &w.cycle) < 0 || parse_ll(a[2], &window) < 0
-        || parse_ll(a[3], &width) < 0 || parse_ll(a[4], &w.busy_cycles) < 0)
-        return NULL;
-    PyObject *rqst = get(self, V_off[V_rqst]);
-    w.banks = get(self, V_off[V_banks]);
-    if (rqst == NULL || w.banks == NULL || check_type(rqst, queue_type) < 0)
-        return NULL;
-    if (!PyList_Check(w.banks) || PyList_GET_SIZE(w.banks) > NBANK) {
-        PyErr_SetString(PyExc_ValueError, "a vault holds a list of at most 64 banks");
-        return NULL;
-    }
-    w.nbanks = PyList_GET_SIZE(w.banks);
-    w.row_timing = a[7] == Py_None ? Py_NewRef(a[7]) : PySequence_Tuple(a[7]);
-    if (w.row_timing == NULL)
-        return NULL;
-    if (w.row_timing != Py_None && PyTuple_GET_SIZE(w.row_timing) != 2) {
-        Py_DECREF(w.row_timing);
+    PyObject *t = o == Py_None ? Py_NewRef(o) : PySequence_Tuple(o);
+    if (t != NULL && t != Py_None && PyTuple_GET_SIZE(t) != 2) {
+        Py_DECREF(t);
         PyErr_SetString(PyExc_ValueError, "row_timing is (hit_cycles, miss_cycles)");
         return NULL;
     }
+    return t;
+}
+
+/* Stages 3 and 4 of *vault*, with *w*'s call-wide fields set. */
+static int
+walk_vault(Walk w, PyObject *vault, long long window, long long width,
+           long long *conflicts, long long *issued)
+{
+    *conflicts = *issued = 0;
+    if (check_type(vault, vault_type) < 0)
+        return -1;
+    PyObject *rqst = get(vault, V_off[V_rqst]);
+    w.self = vault;
+    w.banks = get(vault, V_off[V_banks]);
+    if (rqst == NULL || w.banks == NULL || check_type(rqst, queue_type) < 0)
+        return -1;
+    if (!PyList_Check(w.banks) || PyList_GET_SIZE(w.banks) > NBANK) {
+        PyErr_SetString(PyExc_ValueError, "a vault holds a list of at most 64 banks");
+        return -1;
+    }
+    w.nbanks = PyList_GET_SIZE(w.banks);
     /* Held across the Python the walk calls back. */
     Py_INCREF(rqst);
     Py_INCREF(w.banks);
-    PyObject *result = walk(w, rqst, window, width);
+    int rc = walk(w, rqst, window, width, conflicts, issued);
     Py_DECREF(w.banks);
     Py_DECREF(rqst);
+    return rc;
+}
+
+static PyObject *
+Vault_stage34(PyObject *self, PyObject *args, PyObject *kw)
+{
+    static char *names[] = {"cycle", "amap", "window", "issue_width",
+                            "bank_busy_cycles", "tracer", "dev_id", "row_timing", NULL};
+    Walk w = {.row_timing = Py_None};
+    long long window, width, conflicts, issued;
+    if (!PyArg_ParseTupleAndKeywords(args, kw, "OOLLOOO|O:stage34", names, &w.cycle_obj,
+                                     &w.amap, &window, &width, &w.busy_obj, &w.tracer,
+                                     &w.dev_obj, &w.row_timing)
+        || parse_ll(w.cycle_obj, &w.cycle) < 0 || parse_ll(w.busy_obj, &w.busy_cycles) < 0
+        || (w.row_timing = row_timing_of(w.row_timing)) == NULL)
+        return NULL;
+    w.classic = Py_IS_TYPE(w.amap, amap_type);
+    int rc = walk_vault(w, self, window, width, &conflicts, &issued);
     Py_DECREF(w.row_timing);
-    return result;
+    return rc < 0 ? NULL : pair(conflicts, issued);
 }
 
 /* Stages 3 and 4 over *rqst*, the vault's request queue. */
-static PyObject *
-walk(Walk w, PyObject *rqst, long long window, long long width)
+static int
+walk(Walk w, PyObject *rqst, long long window, long long width,
+     long long *conflicts_out, long long *issued_out)
 {
     PyObject *self = w.self;
     PyObject *q = get(rqst, Q_off[Q__q]);
     if (q == NULL)
-        return NULL;
+        return -1;
     Py_ssize_t qlen = PyObject_Size(q);
     if (qlen <= 0)
-        return qlen < 0 ? NULL : pair(0, 0);
+        return qlen < 0 ? -1 : 0;
     unsigned long long busy_mask;
     if (busy_state(self, w.banks, w.cycle, &busy_mask) < 0
         || check_type(w.tracer, tracer_type) < 0
         || get_ll(w.tracer, T_off[T_live_mask], &w.live) < 0)
-        return NULL;
+        return -1;
 
     PyObject *it = NULL, *pkt = NULL;
     Py_ssize_t small[128], *removed = small, nremoved = 0, room_left = 128;
@@ -1239,7 +1307,7 @@ walk(Walk w, PyObject *rqst, long long window, long long width)
     unsigned long long seen = busy_mask, hit = 0;
     long long per_bank[NBANK];
     if (window > 0 && (it = PyObject_GetIter(q)) == NULL)
-        return NULL;
+        return -1;
     for (long long i = 0; i < window && (pkt = PyIter_Next(it)) != NULL; i++) {
         if (check_type(pkt, packet_type) < 0)
             goto fail;
@@ -1278,6 +1346,7 @@ walk(Walk w, PyObject *rqst, long long window, long long width)
     }
     if (add_ll(self, V_off[V_conflict_count], conflicts) < 0)
         goto fail;
+    *conflicts_out = conflicts;
 
     /* Stage 4 (§IV.C.4): retire up to *width* requests in FIFO order.  A
      * packet issues when its bank is free and no earlier queued packet
@@ -1286,27 +1355,27 @@ walk(Walk w, PyObject *rqst, long long window, long long width)
      * free this cycle is blocked with no FLOW/MODE packet left ahead:
      * past that point it could change nothing. */
     if (width <= 0)
-        return pair(conflicts, 0);
+        return 0;
     long long specials, depth;
     PyObject *rsp_queue = get(self, V_off[V_rsp]);
     if (rsp_queue == NULL || check_type(rsp_queue, queue_type) < 0)
-        return NULL;
+        return -1;
     PyObject *rsp_q = get(rsp_queue, Q_off[Q__q]);
     if (rsp_q == NULL || get_ll(rqst, Q_off[Q_special_count], &specials) < 0
         || get_ll(rsp_queue, Q_off[Q_depth], &depth) < 0)
-        return NULL;
+        return -1;
     long long free_banks = w.nbanks - __builtin_popcountll(busy_mask);
     if (free_banks == 0 && !specials) {
         if (add_ll(self, V_off[V_issue_stall_cycles], 1) < 0)
-            return NULL;
-        return pair(conflicts, 0);
+            return -1;
+        return 0;
     }
     Py_ssize_t nrsp = PyObject_Size(rsp_q);
     if (nrsp < 0)
-        return NULL;
+        return -1;
     if (qlen > 128) {
         if ((removed = PyMem_New(Py_ssize_t, qlen)) == NULL)
-            return PyErr_NoMemory();
+            return PyErr_NoMemory(), -1;
         room_left = qlen;
     }
     if ((it = PyObject_GetIter(q)) == NULL)
@@ -1395,15 +1464,16 @@ walk(Walk w, PyObject *rqst, long long window, long long width)
         PyObject *left_q = get(rqst, Q_off[Q__q]);
         Py_ssize_t left = left_q ? PyObject_Size(left_q) : -1;
         if (left < 0 || (left && add_ll(self, V_off[V_issue_stall_cycles], 1) < 0))
-            return NULL;
+            return -1;
     }
-    return pair(conflicts, issued);
+    *issued_out = issued;
+    return 0;
 fail:
     Py_XDECREF(pkt);
     Py_XDECREF(it);
     if (removed != small)
         PyMem_Free(removed);
-    return NULL;
+    return -1;
 }
 
 static PyObject *
@@ -1440,6 +1510,828 @@ Vault_push_response(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     return PyLong_FromLong(1);
 }
 
+/* -- the crossbar: stages 1, 2 and 5 -------------------------------------- */
+
+/* One stage call's reads of the simulator and the tracer. */
+typedef struct {
+    PyObject *sim, *tracer, *cycle_obj, *devices;
+    long long cycle, live, moves, penalty, timeout, num_devs;
+    int hop_limit;
+} Stage;
+
+static int
+stage_begin(Stage *s, PyObject *sim, PyObject *cycle, PyObject *moves,
+            PyObject *tracer)
+{
+    PyObject *config = NULL, *hop_limit = NULL;
+    *s = (Stage){.sim = sim, .tracer = tracer, .cycle_obj = cycle};
+    int rc = parse_ll(cycle, &s->cycle) < 0 || parse_ll(moves, &s->moves) < 0
+        || check_type(tracer, tracer_type) < 0
+        || get_ll(tracer, T_off[T_live_mask], &s->live) < 0
+        || (config = PyObject_GetAttr(sim, s_config)) == NULL
+        || attr_ll(config, s_queue_timeout, &s->timeout) < 0
+        || attr_ll(config, s_penalty, &s->penalty) < 0
+        || attr_ll(config, s_num_devs, &s->num_devs) < 0
+        || (hop_limit = PyObject_GetAttr(sim, s_hop_limit)) == NULL
+        || (s->hop_limit = PyObject_IsTrue(hop_limit)) < 0
+        || (s->devices = PyObject_GetAttr(sim, s_devices)) == NULL ? -1 : 0;
+    Py_XDECREF(config);
+    Py_XDECREF(hop_limit);
+    return rc;
+}
+
+/* Attribute *name* of *o* plus *d*: the link counters and the
+ * simulator's drop count live in instance dicts, not slots. */
+static int
+add_attr(PyObject *o, PyObject *name, long long d)
+{
+    long long x;
+    PyObject *v = attr_ll(o, name, &x) < 0 ? NULL : PyLong_FromLongLong(x + d);
+    int rc = v == NULL ? -1 : PyObject_SetAttr(o, name, v);
+    Py_XDECREF(v);
+    return rc;
+}
+
+/* Link *idx* of device *dev* carried a packet of *flits* FLITs. */
+static int
+count_link(PyObject *dev, PyObject *idx, PyObject *packets, PyObject *flits_name,
+           long long flits)
+{
+    PyObject *links = get(dev, D_off[D_links]);
+    PyObject *link = links ? PyObject_GetItem(links, idx) : NULL;
+    int rc = link == NULL || add_attr(link, packets, 1) < 0
+        || add_attr(link, flits_name, flits) < 0 ? -1 : 0;
+    Py_XDECREF(link);
+    return rc;
+}
+
+/* The ids in the active set in slot *off* of *dev*, as a bitmask: its
+ * bit order is ``sorted(act)``, taken before the stage changes it. */
+static int
+act_mask(PyObject *dev, Py_ssize_t off, unsigned long long *out)
+{
+    PyObject *act = get(dev, off), *it = act ? PyObject_GetIter(act) : NULL, *id;
+    *out = 0;
+    if (it == NULL)
+        return -1;
+    while ((id = PyIter_Next(it)) != NULL) {
+        long long v = PyLong_AsLongLong(id);
+        Py_DECREF(id);
+        if (v == -1 && PyErr_Occurred())
+            break;
+        if (v < 0 || v >= 64) {
+            PyErr_Format(PyExc_IndexError, "queue id %lld outside 0..63", v);
+            break;
+        }
+        *out |= 1ULL << v;
+    }
+    Py_DECREF(it);
+    return PyErr_Occurred() ? -1 : 0;
+}
+
+/* Item *i* of the list in slot *off* of *o*, a *tp*; borrowed. */
+static PyObject *
+item_of(PyObject *o, Py_ssize_t off, long long i, PyTypeObject *tp)
+{
+    PyObject *list = get(o, off);
+    if (list != NULL && !PyList_Check(list))
+        PyErr_Format(PyExc_TypeError, "%s holds lists", Py_TYPE(o)->tp_name);
+    PyObject *x = list && PyList_Check(list) ? PyList_GetItem(list, i) : NULL;
+    return x == NULL || check_type(x, tp) < 0 ? NULL : x;
+}
+
+/* The PacketQueue in slot *off* of *o*, with its deque in *q*; borrowed. */
+static PyObject *
+queue_of(PyObject *o, Py_ssize_t off, PyObject **q)
+{
+    PyObject *queue = get(o, off);
+    if (queue == NULL || check_type(queue, queue_type) < 0
+        || (*q = get(queue, Q_off[Q__q])) == NULL)
+        return NULL;
+    return queue;
+}
+
+/* A stage event without extras, buffered as ``emit_fast`` buffers it. */
+static int
+emit_stage(Stage *s, PyObject *etype, PyObject *dev, PyObject *link,
+           PyObject *quad, PyObject *vault, PyObject *serial)
+{
+    return trace_append(s->tracer, PyTuple_Pack(
+        10, etype, s->cycle_obj, dev, link, quad, vault, minus_one, minus_one,
+        serial, Py_None));
+}
+
+/* ``tracer.event(etype, cycle, dev=, link=, serial=, extra={k1: v1})``,
+ * with ``k2: v2`` too when *k2* is given. */
+static int
+event_call(Stage *s, PyObject *etype, PyObject *dev, PyObject *link,
+           PyObject *serial, PyObject *k1, PyObject *v1, PyObject *k2, PyObject *v2)
+{
+    PyObject *extra = PyDict_New();
+    int rc = extra == NULL || PyDict_SetItem(extra, k1, v1) < 0
+        || (k2 && PyDict_SetItem(extra, k2, v2) < 0) ? -1 : 0;
+    if (rc == 0) {
+        PyObject *args[] = {s->tracer, etype, s->cycle_obj, dev, link, serial, extra};
+        rc = call_none(PyObject_VectorcallMethod(s_event, args, 3, event_kw));
+    }
+    Py_XDECREF(extra);
+    return rc;
+}
+
+/* One crossbar's routing pass. */
+typedef struct {
+    Stage *s;
+    PyObject *xbar, *dev, *dev_obj, *link_obj, *held;
+    long long dev_id;
+} Route;
+
+/* ``CrossbarUnit._reject(pkt, device, cycle, tracer, errstat)``. */
+static int
+reject(Route *r, PyObject *pkt, PyObject *errstat)
+{
+    PyObject *args[] = {r->xbar, pkt, r->dev, r->s->cycle_obj, r->s->tracer, errstat};
+    return call_none(PyObject_VectorcallMethod(s_reject, args, 6, NULL));
+}
+
+/* Hold every cube *table* routes through *egress* for the rest of the
+ * walk: its gate stalled, and a busy direction offered again changes
+ * nothing.  A dead link is not held: the rebuilt routes avoid it. */
+static int
+hold_egress(Route *r, PyObject *table, PyObject *egress)
+{
+    PyObject *target, *route;
+    Py_ssize_t i = 0;
+    if (!PyDict_Check(table)) {
+        PyErr_SetString(PyExc_TypeError, "a route table is a dict");
+        return -1;
+    }
+    if (r->held == NULL && (r->held = PySet_New(NULL)) == NULL)
+        return -1;
+    while (PyDict_Next(table, &i, &target, &route)) {
+        PyObject *link = PySequence_GetItem(route, 0);
+        int same = link ? PyObject_RichCompareBool(link, egress, Py_EQ) : -1;
+        Py_XDECREF(link);
+        if (same < 0 || (same && PySet_Add(r->held, target) < 0))
+            return -1;
+    }
+    return 0;
+}
+
+/* Forward *pkt* one hop toward cube *cub*: 1 if it left the queue (an
+ * error reply counts), 0 if it stays, -1 on error. */
+static int
+route_remote(Route *r, PyObject *pkt, PyObject *cub_obj, long long cub,
+             PyObject *serial)
+{
+    Stage *s = r->s;
+    PyObject *routes = PyObject_GetAttr(s->sim, s_routes), *table = NULL;
+    PyObject *hop = NULL, *peer = NULL, *faults = NULL, *sender = NULL;
+    PyObject *state = NULL, *status = NULL, *record = NULL, *pxbar, *prq, *pq;
+    Py_ssize_t n;
+    long long depth, flits, plink;
+    int rc = -1, faulty;
+    if (routes == Py_None)  /* built lazily; a dead link resets them */
+        Py_SETREF(routes, call_none(PyObject_CallMethodNoArgs(s->sim, s_build_routes))
+                  ? NULL : PyObject_GetAttr(s->sim, s_routes));
+    if (routes == NULL || (table = PyObject_GetItem(routes, r->dev_obj)) == NULL
+        || (0 <= cub && cub < s->num_devs
+            && (hop = PyObject_CallMethodOneArg(table, s_get, cub_obj)) == NULL))
+        goto done;
+    if (hop == NULL || hop == Py_None) {
+        /* Misroute: no path to the cube.  Per §IV.2 the user receives an
+         * error response rather than a crash. */
+        if (add_ll(r->xbar, C_off[C_misroutes], 1) == 0
+            && event_call(s, member_misroute, r->dev_obj, r->link_obj, serial,
+                          s_target_cub, cub_obj, NULL, NULL) == 0
+            && reject(r, pkt, err_unroutable) == 0)
+            rc = 1;
+        goto done;
+    }
+    PyObject *egress, *pdev, *plink_obj;   /* the route: a 3-tuple */
+    if (!PyArg_ParseTuple(hop, "OOO", &egress, &pdev, &plink_obj)
+        || (peer = PyObject_GetItem(s->devices, pdev)) == NULL
+        || check_type(peer, device_type) < 0 || parse_ll(plink_obj, &plink) < 0
+        || (pxbar = item_of(peer, D_off[D_xbars], plink, xbar_type)) == NULL
+        || (prq = queue_of(pxbar, C_off[C_rqst], &pq)) == NULL
+        || (n = PyObject_Size(pq)) < 0 || get_ll(prq, Q_off[Q_depth], &depth) < 0)
+        goto done;
+    if (n >= depth) {
+        if (add_ll(r->xbar, C_off[C_stall_events], 1) == 0
+            && (!(s->live & m_rqst_stall)
+                || event_call(s, member_rqst_stall, r->dev_obj, r->link_obj, serial,
+                              s_remote, Py_True, s_target_cub, cub_obj) == 0))
+            rc = 0;
+        goto done;
+    }
+    if ((faults = PyObject_GetAttr(s->sim, s_link_faults)) == NULL
+        || (faulty = PyObject_IsTrue(faults)) < 0)
+        goto done;
+    /* In-band gate: the chain hop crosses the link retry protocol.  A
+     * failed transmission leaves the packet for the replay window, a
+     * dead link for rerouting, or a misroute when no path survives. */
+    if (faulty && ((sender = PyTuple_Pack(2, r->dev_obj, egress)) == NULL
+                   || (state = PyObject_CallMethodOneArg(faults, s_get, sender)) == NULL))
+        goto done;
+    if (state != NULL && state != Py_None) {
+        PyObject *args[] = {state, sender, pkt, s->cycle_obj, s->tracer};
+        if ((status = PyObject_VectorcallMethod(s_try_transmit, args, 5, NULL)) == NULL)
+            goto done;
+        if (status != tx_ok) {
+            if ((status == tx_dead
+                 ? call_none(PyObject_CallMethodOneArg(s->sim, s_note_failure, state))
+                 : hold_egress(r, table, egress)) == 0)
+                rc = 0;
+            goto done;
+        }
+    }
+    PyObject *stack = get(pkt, P_off[P_route_stack]);
+    if (stack == NULL || (record = PyTuple_Pack(2, pdev, plink_obj)) == NULL
+        || call_none(PyObject_CallMethodOneArg(stack, s_append, record)) < 0
+        || get_ll(pkt, P_off[P_num_flits], &flits) < 0
+        || add_ll(pkt, P_off[P_hops], 1) < 0
+        || set_ref(pkt, P_off[P_ingress_link], plink_obj) < 0
+        || count_link(r->dev, egress, s_tx_packets, s_tx_flits, flits) < 0
+        || count_link(peer, plink_obj, s_rx_packets, s_rx_flits, flits) < 0
+        || queue_push(prq, pq, n, pkt, s->cycle_obj, 1) < 0
+        || add_ll(r->xbar, C_off[C_routed_remote], 1) < 0
+        || ((s->live & m_chain_hop)
+            && event_call(s, member_chain_hop, r->dev_obj, egress, serial,
+                          s_to_dev, pdev, s_to_link, plink_obj) < 0))
+        goto done;
+    rc = 1;
+done:
+    Py_XDECREF(routes);
+    Py_XDECREF(table);
+    Py_XDECREF(hop);
+    Py_XDECREF(peer);
+    Py_XDECREF(faults);
+    Py_XDECREF(sender);
+    Py_XDECREF(state);
+    Py_XDECREF(status);
+    Py_XDECREF(record);
+    return rc;
+}
+
+/* Queue local *pkt* in *vault*'s request queue: 1 if it went, 0 if the
+ * queue is full (a stall), -1 on error. */
+static int
+route_local(Route *r, PyObject *vault, PyObject *pkt, long long vault_id,
+            int local_quad, PyObject *serial)
+{
+    Stage *s = r->s;
+    PyObject *vq, *vqq, *vid = PyLong_FromLongLong(vault_id);
+    PyObject *quad = PyLong_FromLongLong(vault_id / 4);
+    Py_ssize_t n;
+    long long depth;
+    int rc = -1;
+    if (vault == NULL || vid == NULL || quad == NULL || check_type(vault, vault_type) < 0
+        || (vq = queue_of(vault, V_off[V_rqst], &vqq)) == NULL
+        || (n = PyObject_Size(vqq)) < 0 || get_ll(vq, Q_off[Q_depth], &depth) < 0)
+        ;
+    else if (n >= depth)
+        rc = add_ll(r->xbar, C_off[C_stall_events], 1) < 0
+            || ((s->live & m_rqst_stall)
+                && emit_stage(s, ev_rqst_stall, r->dev_obj, r->link_obj, minus_one,
+                              vid, serial) < 0) ? -1 : 0;
+    /* "Higher latencies are detected due to the physical locality of the
+     * queue versus the destination vault" (§IV.C.2). */
+    else if ((local_quad
+              || (add_ll(r->xbar, C_off[C_latency_events], 1) == 0
+                  && (!(s->live & m_latency)
+                      || emit_stage(s, ev_latency, r->dev_obj, r->link_obj, quad,
+                                    vid, serial) == 0)))
+             && queue_push(vq, vqq, n, pkt, s->cycle_obj, 1) == 0
+             && add_ll(r->xbar, C_off[C_routed_local], 1) == 0)
+        rc = 1;
+    Py_XDECREF(vid);
+    Py_XDECREF(quad);
+    return rc;
+}
+
+/* The vault a local *pkt* targets: the MODE vault for MODE packets
+ * (never cached), else its address's, decoded once into ``dec_vault``. */
+static int
+packet_vault(PyObject *pkt, PyObject *amap, int classic, long long vs,
+             long long vmask, long long mode_vault, long long *out)
+{
+    PyObject *cls = get(pkt, P_off[P_cls]), *addr;
+    long long a;
+    if (cls == cls_mode_read || cls == cls_mode_write) {
+        *out = mode_vault;
+        return 0;
+    }
+    if (cls == NULL || get_ll(pkt, P_off[P_dec_vault], out) < 0)
+        return -1;
+    if (*out >= 0)
+        return 0;
+    if ((addr = get(pkt, P_off[P_addr])) == NULL
+        || (classic ? parse_ll(addr, &a)
+            : call_ll(PyObject_CallMethodOneArg(amap, s_vault_of, addr), out)) < 0)
+        return -1;
+    if (classic)
+        *out = (a >> vs) & vmask;
+    if (*out < 0) {
+        PyErr_SetString(PyExc_ValueError, "negative shift count");
+        return -1;
+    }
+    return set_ll(pkt, P_off[P_dec_vault], *out);
+}
+
+/* Whether vault *v* is blocked for the rest of the walk (*set*: block
+ * it).  Ids past 63 -- an address map decoding past the structure --
+ * go in a set. */
+static int
+blocked_vault(unsigned long long *mask, PyObject **far, long long v, int set)
+{
+    if (v < 64) {
+        int was = *mask >> v & 1;
+        *mask |= (unsigned long long)set << v;
+        return was;
+    }
+    PyObject *id = PyLong_FromLongLong(v);
+    int rc = id == NULL ? -1 : !set ? (*far ? PySet_Contains(*far, id) : 0)
+        : (*far == NULL && (*far = PySet_New(NULL)) == NULL) ? -1
+        : PySet_Add(*far, id);
+    Py_XDECREF(id);
+    return rc;
+}
+
+/* ``CrossbarUnit.route_requests``: route up to ``s->moves`` packets of
+ * *xbar*'s request queue on *dev*; the count moved, or -1.
+ *
+ * Local packets go to their vault's request queue after one transit
+ * cycle through the registered input, plus the routed-latency penalty
+ * when the ingress link's quad is not the vault's; remote packets go
+ * one hop along the chain.  Weak ordering (§III.C): a remote packet may
+ * pass local ones waiting for a vault, but local packets to one vault
+ * never pass each other.  A held link is offered once per walk. */
+static long long
+route_xbar(Stage *s, PyObject *xbar, PyObject *dev)
+{
+    Route r = {.s = s, .xbar = xbar, .dev = dev};
+    PyObject *rqst, *q, *stamps = NULL, *vaults = NULL, *amap = NULL, *far = NULL;
+    PyObject *it = NULL, *sit = NULL, *pkt = NULL, *stamp = NULL, *cub_obj, *serial;
+    Py_ssize_t qlen, small[128], *removed = small, nremoved = 0, num_vaults;
+    long long moved = -1, routed = 0, link_id, vs = 0, vmask = 0, cub, when, vid;
+    unsigned long long blocked = 0;
+    int go;
+    if (check_type(xbar, xbar_type) < 0 || check_type(dev, device_type) < 0
+        || (rqst = queue_of(xbar, C_off[C_rqst], &q)) == NULL
+        || (qlen = PyObject_Size(q)) < 0)
+        return -1;
+    if (qlen == 0 || s->moves <= 0)
+        return 0;
+    Py_INCREF(rqst);    /* held across the Python called back */
+    if (s->timeout > 0) {
+        PyObject *args[] = {xbar, dev, s->sim, s->cycle_obj, s->tracer};
+        if (call_none(PyObject_VectorcallMethod(s_expire, args, 5, NULL)) < 0
+            || (q = get(rqst, Q_off[Q__q])) == NULL || (qlen = PyObject_Size(q)) < 0)
+            goto done;
+    }
+    if (qlen == 0) {
+        moved = 0;
+        goto done;
+    }
+    if ((r.dev_obj = hold(dev, D_off[D_dev_id])) == NULL
+        || (r.link_obj = hold(xbar, C_off[C_link_id])) == NULL
+        || parse_ll(r.dev_obj, &r.dev_id) < 0 || parse_ll(r.link_obj, &link_id) < 0
+        || (stamps = get(rqst, Q_off[Q__stamps])) == NULL
+        || (vaults = hold(dev, D_off[D_vaults])) == NULL
+        || (amap = get(dev, D_off[D_amap])) == NULL)
+        goto done;
+    int classic = Py_IS_TYPE(amap, amap_type);
+    if ((num_vaults = PyList_Check(vaults) ? PyList_GET_SIZE(vaults) : 65) > 64) {
+        PyErr_SetString(PyExc_ValueError, "a device holds a list of at most 64 vaults");
+        goto done;
+    }
+    if (qlen > 128 && (removed = PyMem_New(Py_ssize_t, qlen)) == NULL) {
+        removed = small;
+        PyErr_NoMemory();
+        goto done;
+    }
+    if ((classic && (attr_ll(amap, s_vs, &vs) < 0 || attr_ll(amap, s_vault_mask, &vmask) < 0))
+        || (it = PyObject_GetIter(q)) == NULL || (sit = PyObject_GetIter(stamps)) == NULL)
+        goto done;
+    /* The ingress link's closest quad has the link's id; MODE packets go
+     * to that quad's first vault (§V.D).  With every vault blocked and a
+     * map that cannot decode past the structure, the local packets left
+     * are unroutable this cycle: the scan only looks for remote ones. */
+    long long my_quad = link_id, mode_vault = my_quad * 4;
+    unsigned long long all = num_vaults == 64 ? ~0ULL : (1ULL << num_vaults) - 1;
+    int skip_ok = classic && mode_vault < num_vaults;
+    for (Py_ssize_t pos = 0; (pkt = PyIter_Next(it)) != NULL; pos++) {
+        if ((stamp = PyIter_Next(sit)) == NULL || routed >= s->moves)
+            break;
+        if (pos >= qlen) {
+            PyErr_SetString(PyExc_RuntimeError, "crossbar queue grew during its walk");
+            goto done;
+        }
+        if (check_type(pkt, packet_type) < 0 || parse_ll(stamp, &when) < 0
+            || (cub_obj = get(pkt, P_off[P_cub])) == NULL || parse_ll(cub_obj, &cub) < 0
+            || (serial = get(pkt, P_off[P_serial])) == NULL)
+            goto done;
+        if (cub != r.dev_id) {
+            /* One hop per cycle; a held egress is offered once. */
+            go = !(s->hop_limit && s->cycle - when < 1);
+            if (go && r.held != NULL)
+                go = (go = PySet_Contains(r.held, cub_obj)) < 0 ? -1 : !go;
+            if (go > 0)
+                go = route_remote(&r, pkt, cub_obj, cub, serial);
+        }
+        else if (skip_ok && blocked == all && far == NULL)
+            go = 0;
+        else if (packet_vault(pkt, amap, classic, vs, vmask, mode_vault, &vid) < 0
+                 || (go = blocked_vault(&blocked, &far, vid, 0)) < 0)
+            go = -1;
+        else if (go)
+            go = 0;
+        else {
+            int local_quad = vid < num_vaults && vid >> 2 == my_quad;
+            if (s->hop_limit && s->cycle - when < (local_quad ? 1 : 1 + s->penalty))
+                go = 0;     /* not ready: later packets to it must wait */
+            else if (vid >= num_vaults)
+                /* Decoded past the vault structure: a deliberate
+                 * misconfiguration, answered with an error response. */
+                go = reject(&r, pkt, err_address) < 0 ? -1 : 1;
+            else
+                go = route_local(&r, PyList_GetItem(vaults, vid), pkt, vid,
+                                 local_quad, serial);
+            if (go == 0 && blocked_vault(&blocked, &far, vid, 1) < 0)
+                go = -1;
+        }
+        if (go < 0)
+            goto done;
+        if (go) {
+            removed[nremoved++] = pos;
+            routed++;
+        }
+        Py_CLEAR(pkt);
+        Py_CLEAR(stamp);
+    }
+    if (PyErr_Occurred() || (nremoved && remove_at(rqst, removed, nremoved) < 0))
+        goto done;
+    moved = routed;
+done:
+    Py_XDECREF(pkt);
+    Py_XDECREF(stamp);
+    Py_XDECREF(it);
+    Py_XDECREF(sit);
+    Py_XDECREF(far);
+    Py_XDECREF(r.held);
+    Py_XDECREF(r.dev_obj);
+    Py_XDECREF(r.link_obj);
+    Py_XDECREF(vaults);
+    Py_DECREF(rqst);
+    if (removed != small)
+        PyMem_Free(removed);
+    return moved;
+}
+
+/* The link a response leaves device *dev_id* on, from its route stack's
+ * top record, else (stackless) its ingress link: -1 when not one of the
+ * device's *nlinks*.  *pop*: the record is popped as it leaves. */
+static int
+egress_link(PyObject *pkt, long long dev_id, Py_ssize_t nlinks, long long *link,
+            int *pop)
+{
+    PyObject *stack = get(pkt, P_off[P_route_stack]), *top = NULL;
+    Py_ssize_t depth = stack ? PyObject_Size(stack) : -1;
+    long long rec_dev = dev_id;
+    int rc = depth < 0 ? -1 : depth == 0 ? get_ll(pkt, P_off[P_ingress_link], link)
+        : (top = PySequence_GetItem(stack, depth - 1)) == NULL     /* (dev, link) */
+          || !PyArg_ParseTuple(top, "LL", &rec_dev, link) ? -1 : 0;
+    Py_XDECREF(top);
+    *pop = depth > 0;
+    if (rc == 0 && (rec_dev != dev_id || *link < 0 || *link >= nlinks))
+        *link = -1;
+    return rc;
+}
+
+/* Take the response at the head of *queue* off it as it leaves: its
+ * top route record goes with it. */
+static int
+leave(PyObject *queue, PyObject *q, PyObject *pkt, int pop)
+{
+    PyObject *stack = get(pkt, P_off[P_route_stack]);
+    Py_ssize_t depth = stack ? PyObject_Size(stack) : -1;
+    return depth < 0 || queue_pop(queue, q, 0) < 0
+        || (pop && PySequence_DelItem(stack, depth - 1) < 0) ? -1 : 0;
+}
+
+/* An unreachable response: dropped (zombie prevention, §V.B) and
+ * traced as expired at *link* or *vault*. */
+static int
+drop_response(Stage *s, PyObject *queue, PyObject *q, PyObject *dev_obj,
+              PyObject *link, PyObject *vault, PyObject *serial)
+{
+    return queue_pop(queue, q, 1) < 0 || add_attr(s->sim, s_dropped, 1) < 0
+        || ((s->live & m_expired)
+            && emit_stage(s, ev_expired, dev_obj, link, minus_one, vault, serial) < 0)
+        ? -1 : 0;
+}
+
+/* Move the head of *rsp* (deque *q*), a response on device *dev* (id
+ * *dev_id*, *nlinks* links), into the crossbar response queue of the
+ * link it leaves on: 1 moved, 0 that queue is full, 2 dropped, -1. */
+static int
+register_response(Stage *s, PyObject *dev, PyObject *dev_obj, long long dev_id,
+                  Py_ssize_t nlinks, PyObject *rsp, PyObject *q, PyObject *vid)
+{
+    PyObject *pkt = PySequence_GetItem(q, 0), *serial, *link = NULL, *xbar, *xrsp, *xq;
+    Py_ssize_t n;
+    long long link_id, depth;
+    int pop, rc = -1;
+    if (pkt == NULL || check_type(pkt, packet_type) < 0
+        || (serial = get(pkt, P_off[P_serial])) == NULL
+        || egress_link(pkt, dev_id, nlinks, &link_id, &pop) < 0)
+        ;
+    else if (link_id < 0)
+        rc = drop_response(s, rsp, q, dev_obj, minus_one, vid, serial) < 0 ? -1 : 2;
+    else if ((link = PyLong_FromLongLong(link_id)) == NULL
+             || (xbar = item_of(dev, D_off[D_xbars], link_id, xbar_type)) == NULL
+             || (xrsp = queue_of(xbar, C_off[C_rsp], &xq)) == NULL
+             || (n = PyObject_Size(xq)) < 0 || get_ll(xrsp, Q_off[Q_depth], &depth) < 0)
+        ;
+    else if (n >= depth)
+        rc = (s->live & m_rsp_stall)
+            && emit_stage(s, ev_rsp_stall, dev_obj, link, minus_one, vid, serial) < 0
+            ? -1 : 0;
+    else
+        rc = leave(rsp, q, pkt, pop) < 0
+            || queue_push(xrsp, xq, n, pkt, s->cycle_obj, 0) < 0
+            || ((s->live & m_registered)
+                && emit_stage(s, ev_registered, dev_obj, link, minus_one, vid, serial) < 0)
+            ? -1 : 1;
+    Py_XDECREF(pkt);
+    Py_XDECREF(link);
+    return rc;
+}
+
+/* One response hop across chain link *lid* of *dev* to device *peer*:
+ * 1 if it crossed, 0 if the link's queue waits, 2 if it was dropped,
+ * -1 on error.  *state* is the link's in-band gate, or NULL. */
+static int
+hop_response(Stage *s, PyObject *dev, PyObject *dev_obj, PyObject *lid,
+             PyObject *rsp, PyObject *q, PyObject *peer, long long peer_id,
+             PyObject *state)
+{
+    PyObject *pkt = PySequence_GetItem(q, 0), *plinks = get(peer, D_off[D_links]);
+    PyObject *serial, *next_obj = NULL, *sender = NULL, *status = NULL, *xbar, *dest, *dq;
+    Py_ssize_t nlinks = plinks ? PyObject_Size(plinks) : -1, n;
+    long long next, depth, flits;
+    int pop, rc = -1;
+    if (pkt == NULL || nlinks < 0 || check_type(pkt, packet_type) < 0
+        || (serial = get(pkt, P_off[P_serial])) == NULL
+        || egress_link(pkt, peer_id, nlinks, &next, &pop) < 0)
+        goto done;
+    if (next < 0) {
+        rc = drop_response(s, rsp, q, dev_obj, lid, minus_one, serial) < 0 ? -1 : 2;
+        goto done;
+    }
+    if ((xbar = item_of(peer, D_off[D_xbars], next, xbar_type)) == NULL
+        || (dest = queue_of(xbar, C_off[C_rsp], &dq)) == NULL
+        || (n = PyObject_Size(dq)) < 0 || get_ll(dest, Q_off[Q_depth], &depth) < 0)
+        goto done;
+    if (n >= depth) {
+        rc = (s->live & m_rsp_stall)
+            && emit_stage(s, ev_rsp_stall, dev_obj, lid, minus_one, minus_one, serial) < 0
+            ? -1 : 0;
+        goto done;
+    }
+    if (state != NULL) {
+        /* In-band gate: the response hop runs the link retry protocol.
+         * A failure keeps it queued for the replay window; a dead link
+         * strands it (dropped, tokens leak: the watchdog's deadlock). */
+        PyObject *args[] = {state, NULL, pkt, s->cycle_obj, s->tracer};
+        if ((sender = args[1] = PyTuple_Pack(2, dev_obj, lid)) == NULL
+            || (status = PyObject_VectorcallMethod(s_try_transmit, args, 5, NULL)) == NULL)
+            goto done;
+        if (status == tx_dead)
+            rc = call_none(PyObject_CallMethodOneArg(s->sim, s_note_failure, state)) < 0
+                || drop_response(s, rsp, q, dev_obj, lid, minus_one, serial) < 0 ? -1 : 2;
+        else if (status != tx_ok)
+            rc = 0;
+        if (status != tx_ok)
+            goto done;
+    }
+    if (leave(rsp, q, pkt, pop) < 0 || add_ll(pkt, P_off[P_hops], 1) < 0
+        || get_ll(pkt, P_off[P_num_flits], &flits) < 0
+        || (next_obj = PyLong_FromLongLong(next)) == NULL
+        || count_link(dev, lid, s_tx_packets, s_tx_flits, flits) < 0
+        || count_link(peer, next_obj, s_rx_packets, s_rx_flits, flits) < 0
+        || queue_push(dest, dq, n, pkt, s->cycle_obj, 0) < 0)
+        goto done;
+    rc = 1;
+done:
+    Py_XDECREF(pkt);
+    Py_XDECREF(next_obj);
+    Py_XDECREF(sender);
+    Py_XDECREF(status);
+    return rc;
+}
+
+/* Stage 5's chain half on *dev*: responses in chain-link crossbar
+ * response queues hop to the peer device along their recorded return
+ * path, up to ``s->moves`` per link, ascending link id.  Host-link
+ * queues are not in the active set: the host drains them. */
+static long long
+cross_chain(Stage *s, PyObject *dev, PyObject *dev_obj)
+{
+    PyObject *peers = NULL, *faults = NULL, *key = NULL, *peer = NULL, *pdev = NULL;
+    PyObject *state = NULL, *rsp, *q, *stamps, *xbar, *first;
+    unsigned long long ids;
+    long long moved = -1, count = 0, stamp, peer_id;
+    int faulty = 0, rc;
+    if (act_mask(dev, D_off[D_act_xbar_rsp], &ids) < 0)
+        return -1;
+    if (ids && ((peers = PyObject_GetAttr(s->sim, s_link_peers)) == NULL
+                || (faults = PyObject_GetAttr(s->sim, s_link_faults)) == NULL
+                || (faulty = PyObject_IsTrue(faults)) < 0))
+        goto done;
+    for (; ids; ids &= ids - 1) {
+        long long lid = __builtin_ctzll(ids);
+        PyObject *lid_obj = PyLong_FromLongLong(lid), *pd, *pl;
+        Py_XSETREF(key, lid_obj ? PyTuple_Pack(2, dev_obj, lid_obj) : NULL);
+        Py_XDECREF(lid_obj);    /* the key holds it */
+        Py_CLEAR(pdev);
+        Py_CLEAR(state);
+        Py_XSETREF(peer, key ? PyObject_CallMethodOneArg(peers, s_get, key) : NULL);
+        if (peer == NULL)
+            goto done;
+        if (peer == Py_None || PyUnicode_Check(peer))   /* "host" */
+            continue;
+        if (!PyArg_ParseTuple(peer, "OO", &pd, &pl) || parse_ll(pd, &peer_id) < 0
+            || (pdev = PyObject_GetItem(s->devices, pd)) == NULL
+            || check_type(pdev, device_type) < 0
+            || (xbar = item_of(dev, D_off[D_xbars], lid, xbar_type)) == NULL
+            || (rsp = queue_of(xbar, C_off[C_rsp], &q)) == NULL
+            || (stamps = get(rsp, Q_off[Q__stamps])) == NULL
+            || (faulty && (state = PyObject_CallMethodOneArg(faults, s_get, key)) == NULL))
+            goto done;
+        if (state == Py_None)
+            Py_CLEAR(state);
+        rc = 1;
+        for (long long k = 0; rc > 0 && k < s->moves; k++) {
+            Py_ssize_t len = PyObject_Size(q);
+            if (len <= 0 || (first = PySequence_GetItem(stamps, 0)) == NULL) {
+                rc = len < 0 || PyErr_Occurred() ? -1 : 0;
+                break;
+            }
+            rc = parse_ll(first, &stamp);
+            Py_DECREF(first);
+            /* One hop per cycle: same-cycle arrivals wait. */
+            if (rc == 0)
+                rc = s->hop_limit && stamp >= s->cycle ? 0
+                    : hop_response(s, dev, dev_obj, PyTuple_GET_ITEM(key, 1), rsp, q,
+                                   pdev, peer_id, state);
+            count += rc == 1;
+        }
+        if (rc < 0)
+            goto done;
+    }
+    moved = count;
+done:
+    Py_XDECREF(peers);
+    Py_XDECREF(faults);
+    Py_XDECREF(key);
+    Py_XDECREF(peer);
+    Py_XDECREF(pdev);
+    Py_XDECREF(state);
+    return moved;
+}
+
+/* ``route_stage(devices, sim, cycle, order, moves, tracer)``: stage 1
+ * or 2, ``route_requests`` on the crossbars of *devices* with queued
+ * requests in the link *order*; the packets moved. */
+static PyObject *
+route_stage(PyObject *mod, PyObject *const *args, Py_ssize_t nargs)
+{
+    Stage s = {0};
+    long long moved = 0, m = 0, idx;
+    unsigned long long ids;
+    if (nargs != 6 || !PyList_Check(args[0]) || !PyList_Check(args[3])) {
+        PyErr_SetString(PyExc_TypeError, "route_stage(devices: list, sim, cycle, "
+                        "order: list, moves, tracer)");
+        return NULL;
+    }
+    if (stage_begin(&s, args[1], args[2], args[4], args[5]) < 0)
+        m = -1;
+    for (Py_ssize_t i = 0; m >= 0 && i < PyList_GET_SIZE(args[0]); i++) {
+        PyObject *dev = PyList_GET_ITEM(args[0], i), *xbar;
+        if (check_type(dev, device_type) < 0
+            || act_mask(dev, D_off[D_act_xbar_rqst], &ids) < 0)
+            m = -1;
+        for (Py_ssize_t j = 0; m >= 0 && ids && j < PyList_GET_SIZE(args[3]); j++) {
+            if (parse_ll(PyList_GET_ITEM(args[3], j), &idx) < 0)
+                m = -1;
+            else if (0 <= idx && idx < 64 && ids >> idx & 1)   /* else empty */
+                moved += (m = (xbar = item_of(dev, D_off[D_xbars], idx, xbar_type))
+                          ? route_xbar(&s, xbar, dev) : -1) > 0 ? m : 0;
+        }
+    }
+    Py_XDECREF(s.devices);
+    return m < 0 ? NULL : PyLong_FromLongLong(moved);
+}
+
+/* ``vault_stage(devices, cycle, window, width, busy, row_timing, tracer)``:
+ * ``Vault.stage34`` on every vault of *devices* with queued requests,
+ * ascending id; (conflicts, issued). */
+static PyObject *
+vault_stage(PyObject *mod, PyObject *const *args, Py_ssize_t nargs)
+{
+    long long window, width, conflicts = 0, issued = 0, c = 0, i = 0;
+    unsigned long long ids;
+    if (nargs != 7 || !PyList_Check(args[0])) {
+        PyErr_SetString(PyExc_TypeError, "vault_stage(devices: list, cycle, window, "
+                        "width, busy, row_timing, tracer)");
+        return NULL;
+    }
+    Walk w = {.cycle_obj = args[1], .busy_obj = args[4], .tracer = args[6]};
+    if (parse_ll(args[1], &w.cycle) < 0 || parse_ll(args[2], &window) < 0
+        || parse_ll(args[3], &width) < 0 || parse_ll(args[4], &w.busy_cycles) < 0
+        || (w.row_timing = row_timing_of(args[5])) == NULL)
+        return NULL;
+    int rc = 0;
+    for (Py_ssize_t d = 0; rc == 0 && d < PyList_GET_SIZE(args[0]); d++) {
+        PyObject *dev = PyList_GET_ITEM(args[0], d), *vault;
+        rc = check_type(dev, device_type) < 0
+            || act_mask(dev, D_off[D_act_vault_rqst], &ids) < 0
+            || (w.amap = get(dev, D_off[D_amap])) == NULL
+            || (w.dev_obj = get(dev, D_off[D_dev_id])) == NULL ? -1 : 0;
+        w.classic = w.amap && Py_IS_TYPE(w.amap, amap_type);
+        for (; rc == 0 && ids; ids &= ids - 1, conflicts += c, issued += i)
+            rc = (vault = item_of(dev, D_off[D_vaults], __builtin_ctzll(ids), vault_type))
+                ? walk_vault(w, vault, window, width, &c, &i) : -1;
+    }
+    Py_DECREF(w.row_timing);
+    return rc < 0 ? NULL : pair(conflicts, issued);
+}
+
+/* ``response_stage(devices, sim, cycle, moves, tracer)``: stage 5 over
+ * *devices* (roots first, then children: no false congestion), each
+ * device's chain-link hops, then up to *moves* responses per vault
+ * response queue in ascending vault order; the responses moved. */
+static PyObject *
+response_stage(PyObject *mod, PyObject *const *args, Py_ssize_t nargs)
+{
+    Stage s = {0};
+    long long moved = 0, m = 0, dev_id;
+    unsigned long long ids;
+    if (nargs != 5 || !PyList_Check(args[0])) {
+        PyErr_SetString(PyExc_TypeError,
+                        "response_stage(devices: list, sim, cycle, moves, tracer)");
+        return NULL;
+    }
+    if (stage_begin(&s, args[1], args[2], args[3], args[4]) < 0)
+        m = -1;
+    for (Py_ssize_t i = 0; m >= 0 && i < PyList_GET_SIZE(args[0]); i++) {
+        PyObject *dev = PyList_GET_ITEM(args[0], i), *dev_obj, *links, *vault, *rsp, *q, *vid;
+        Py_ssize_t nlinks;
+        if (check_type(dev, device_type) < 0
+            || (dev_obj = hold(dev, D_off[D_dev_id])) == NULL)
+            break;
+        if (parse_ll(dev_obj, &dev_id) < 0 || (links = get(dev, D_off[D_links])) == NULL
+            || (nlinks = PyObject_Size(links)) < 0 || (m = cross_chain(&s, dev, dev_obj)) < 0
+            || act_mask(dev, D_off[D_act_vault_rsp], &ids) < 0)
+            m = -1;
+        for (moved += m; m >= 0 && ids; ids &= ids - 1) {
+            vault = item_of(dev, D_off[D_vaults], __builtin_ctzll(ids), vault_type);
+            if (vault == NULL
+                || (vid = get(vault, V_off[V_vault_id])) == NULL
+                || (rsp = queue_of(vault, V_off[V_rsp], &q)) == NULL) {
+                m = -1;
+                break;
+            }
+            for (long long k = 0; k < s.moves; k++) {
+                Py_ssize_t len = PyObject_Size(q);
+                m = len <= 0 ? (len < 0 ? -1 : 0)
+                    : register_response(&s, dev, dev_obj, dev_id, nlinks, rsp, q, vid);
+                moved += m == 1;
+                if (m <= 0)
+                    break;
+            }
+        }
+        Py_DECREF(dev_obj);
+    }
+    Py_XDECREF(s.devices);
+    return m < 0 || PyErr_Occurred() ? NULL : PyLong_FromLongLong(moved);
+}
+
+static PyObject *
+Xbar_route_requests(PyObject *self, PyObject *args, PyObject *kw)
+{
+    static char *names[] = {"device", "sim", "cycle", "moves", "tracer", NULL};
+    PyObject *dev, *sim, *cycle, *moves, *tracer;
+    Stage s = {0};
+    long long moved = -1;
+    if (PyArg_ParseTupleAndKeywords(args, kw, "OOOOO:route_requests", names, &dev, &sim,
+                                    &cycle, &moves, &tracer)
+        && stage_begin(&s, sim, cycle, moves, tracer) == 0)
+        moved = route_xbar(&s, self, dev);
+    Py_XDECREF(s.devices);
+    return moved < 0 ? NULL : PyLong_FromLongLong(moved);
+}
+
 /* -- binding -------------------------------------------------------------- */
 
 static PyMethodDef bank_defs[] = {
@@ -1458,7 +2350,7 @@ static PyMethodDef bank_defs[] = {
 
 static PyMethodDef vault_defs[] = {
     {"stage34", (PyCFunction)(void (*)(void))Vault_stage34,
-     METH_FASTCALL | METH_KEYWORDS,
+     METH_VARARGS | METH_KEYWORDS,
      "stage34(cycle, amap, window, issue_width, bank_busy_cycles, tracer, "
      "dev_id, row_timing=None)\n--\n\n"
      "Recognise bank conflicts, then issue requests: one queue walk.\n\n"
@@ -1696,6 +2588,67 @@ vault_methods(PyObject *mod, PyObject *args, PyObject *kw)
     return methods_of(vault_type, vault_defs, 3);
 }
 
+static PyMethodDef xbar_defs[] = {
+    {"route_requests", (PyCFunction)(void (*)(void))Xbar_route_requests,
+     METH_VARARGS | METH_KEYWORDS,
+     "route_requests(device, sim, cycle, moves, tracer)\n--\n\n"
+     "Route up to *moves* packets of the request queue to local vaults\n"
+     "or one hop along the chain (stages 1/2); returns the count moved."},
+};
+
+static PyObject *
+crossbar_methods(PyObject *mod, PyObject *args, PyObject *kw)
+{
+    static char *names[] = {"xbar", "amap", "classes", "errstat", "events",
+                            "ok", "dead", NULL};
+    PyObject *xt, *at, *classes, *errstat, *events;
+    if (!PyArg_ParseTupleAndKeywords(args, kw, "OOOOOOO", names, &xt, &at,
+                                     &classes, &errstat, &events, &tx_ok, &tx_dead))
+        return NULL;
+    Py_INCREF(tx_ok);
+    Py_INCREF(tx_dead);
+    Py_XDECREF(amap_type);
+    if ((xbar_type = as_type(xt, "CrossbarUnit")) == NULL
+        || (amap_type = as_type(at, "amap")) == NULL
+        || resolve(xbar_type, C_names, C_off, C_N) < 0
+        || member(classes, "MODE_READ", &cls_mode_read) < 0
+        || member(classes, "MODE_WRITE", &cls_mode_write) < 0
+        || member(errstat, "INVALID_ADDRESS", &err_address) < 0
+        || member(errstat, "UNROUTABLE", &err_unroutable) < 0
+        || event(events, "XBAR_RQST_STALL", &ev_rqst_stall, &m_rqst_stall) < 0
+        || event(events, "LATENCY_PENALTY", &ev_latency, &m_latency) < 0
+        || event(events, "XBAR_RSP_STALL", &ev_rsp_stall, &m_rsp_stall) < 0
+        || event(events, "PKT_EXPIRED", &ev_expired, &m_expired) < 0
+        || event(events, "RSP_REGISTERED", &ev_registered, &m_registered) < 0
+        || member(events, "XBAR_RQST_STALL", &member_rqst_stall) < 0
+        || member(events, "CHAIN_HOP", &member_chain_hop) < 0
+        || parse_ll(member_chain_hop, &m_chain_hop) < 0
+        || member(events, "MISROUTE", &member_misroute) < 0)
+        return NULL;
+    return methods_of(xbar_type, xbar_defs, 1);
+}
+
+static PyMethodDef stage_defs[] = {
+    {"route_stage", (PyCFunction)(void (*)(void))route_stage, METH_FASTCALL,
+     "route_stage(devices, sim, cycle, order, moves, tracer) -> moved"},
+    {"vault_stage", (PyCFunction)(void (*)(void))vault_stage, METH_FASTCALL,
+     "vault_stage(devices, cycle, window, width, busy, row_timing, tracer)"
+     " -> (conflicts, issued)"},
+    {"response_stage", (PyCFunction)(void (*)(void))response_stage, METH_FASTCALL,
+     "response_stage(devices, sim, cycle, moves, tracer) -> moved"},
+};
+
+static PyObject *
+stage_functions(PyObject *mod, PyObject *dt)
+{
+    if ((device_type = as_type(dt, "HMCDevice")) == NULL
+        || resolve(device_type, D_names, D_off, D_N) < 0)
+        return NULL;
+    return Py_BuildValue("(NNN)", PyCFunction_New(&stage_defs[0], mod),
+                         PyCFunction_New(&stage_defs[1], mod),
+                         PyCFunction_New(&stage_defs[2], mod));
+}
+
 static PyMethodDef module_defs[] = {
     {"bank_methods", bank_methods, METH_VARARGS,
      "bank_methods(Bank, atom_bytes, fetch_bytes, zeros, word_dtype, flag_dtype)\n"
@@ -1709,12 +2662,18 @@ static PyMethodDef module_defs[] = {
      "vault_methods(vault=, amap=, packets=, replies=, read_bytes=, "
      "bwr=, classes=, errstat=, events=, far=)\n"
      "-> (stage34, _busy_state, _push_response)"},
+    {"crossbar_methods", (PyCFunction)(void (*)(void))crossbar_methods,
+     METH_VARARGS | METH_KEYWORDS,
+     "crossbar_methods(xbar=, amap=, classes=, errstat=, events=, ok=, dead=)\n"
+     "-> (route_requests,)"},
+    {"stage_functions", stage_functions, METH_O,
+     "stage_functions(HMCDevice) -> (route_stage, vault_stage, response_stage)"},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT, "_vaultwalk",
-    "The vault's stage 3/4 walk and the banks' row read/write, in C.",
+    "The cycle's queue stages 1-5 and the banks' row read/write, in C.",
     -1, module_defs,
 };
 

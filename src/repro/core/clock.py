@@ -16,7 +16,9 @@ only progressed by a single internal stage per sub-cycle operation":
 
 Stages 3 and 4 are one walk per vault, ``Vault.stage34``; SUBCYCLE
 stage markers make a tick run it twice, one stage each (event-order
-contract: docs/clocking.md).
+contract: docs/clocking.md).  The per-packet work of stages 1-5 is C
+(``_vaultwalk.c``): each step below is one call into it over the
+devices, and the rest of the cycle stays here.
 
 The stages visit active sets: every
 :class:`~repro.core.queueing.PacketQueue` keeps its id registered in its
@@ -46,23 +48,17 @@ from functools import wraps
 from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, List, Optional
 
+from repro.core._native import load
 from repro.core.device import HMCDevice
 from repro.core.errors import WatchdogError
 from repro.core.quad import closest_quad_of_link
-from repro.faults.inband import TX_DEAD, TX_OK, LinkHealth
+from repro.faults.inband import LinkHealth
 from repro.trace.events import EventType
-from repro.packets.packet import Packet
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.simulator import HMCSim
 
-# Hot-path event masks as plain ints: stage helpers test these against
-# ``tracer.live_mask`` so disabled tracing skips event construction (and
-# IntFlag arithmetic) entirely.
 _EV_SUBCYCLE = int(EventType.SUBCYCLE)
-_EV_PKT_EXPIRED = int(EventType.PKT_EXPIRED)
-_EV_XBAR_RSP_STALL = int(EventType.XBAR_RSP_STALL)
-_EV_RSP_REGISTERED = int(EventType.RSP_REGISTERED)
 
 NEVER = 1 << 64  #: a due entry with nothing to do: past the 64-bit clock
 
@@ -76,7 +72,7 @@ class ClockEngine:
     """Drives the sub-cycle stages over every device of one HMCSim."""
 
     __slots__ = ("sim", "stage_counts", "_wd_last_cycle", "_wd_marker",
-                 "profiler", "_roots", "_children", "_steps", "_steps_key",
+                 "profiler", "_roots", "_children", "_ranked", "_steps", "_steps_key",
                  "_dues", "_deads", "_link_orders", "_moves", "_window",
                  "_width", "_bank_timing")
 
@@ -145,6 +141,7 @@ class ClockEngine:
         devices = sim.devices
         self._roots = [d for d in devices if d.is_root]
         self._children = [d for d in devices if not d.is_root]
+        self._ranked = self._roots + self._children
         for d in devices:
             d.sync_activity_bindings()
         cfg = sim.config
@@ -380,29 +377,17 @@ class ClockEngine:
 
     def _stage1(self, cycle: int) -> None:
         """Stage 1: child-device crossbars."""
-        self.stage_counts[1] += self._route_requests(self._children, cycle)
+        sim = self.sim
+        self.stage_counts[1] += _route_stage(
+            self._children, sim, cycle, self._link_orders[cycle % len(self._link_orders)],
+            self._moves, sim.tracer)
 
     def _stage2(self, cycle: int) -> None:
         """Stage 2: root-device crossbars."""
-        self.stage_counts[2] += self._route_requests(self._roots, cycle)
-
-    def _route_requests(self, devices: List[HMCDevice], cycle: int) -> int:
         sim = self.sim
-        orders = self._link_orders
-        order = orders[cycle % len(orders)]
-        moves = self._moves
-        tracer = sim.tracer
-        moved = 0
-        for dev in devices:
-            act = dev.act_xbar_rqst
-            if act:
-                xbars = dev.xbars
-                for idx in order:
-                    if idx in act:  # else empty: route_requests is a no-op
-                        moved += xbars[idx].route_requests(
-                            dev, sim, cycle, moves, tracer
-                        )
-        return moved
+        self.stage_counts[2] += _route_stage(
+            self._roots, sim, cycle, self._link_orders[cycle % len(self._link_orders)],
+            self._moves, sim.tracer)
 
     def _refresh(self, cycle: int) -> None:
         """Optional DRAM refresh, staggered across vaults so the whole
@@ -415,40 +400,28 @@ class ClockEngine:
             for vid in range(first, len(vaults), cfg.refresh_interval):
                 vaults[vid].refresh(cycle, cfg.refresh_cycles)
 
-    def _walk_vaults(self, cycle: int, window: int, width: int) -> tuple:
-        """Run ``Vault.stage34`` over the vaults with queued requests,
-        ascending id.  A recognition-only pass mutates no queue, so the
-        issue pass after it sees the same selection."""
-        tracer = self.sim.tracer
-        busy, row_timing = self._bank_timing
-        conflicts = 0
-        issued = 0
-        for dev in self.sim.devices:
-            act = dev.act_vault_rqst
-            if act:
-                vaults, amap, dev_id = dev.vaults, dev.amap, dev.dev_id
-                for vid in sorted(act):
-                    c, i = vaults[vid].stage34(cycle, amap, window, width, busy,
-                                               tracer, dev_id, row_timing)
-                    conflicts += c
-                    issued += i
-        return conflicts, issued
-
     def _stage34(self, cycle: int) -> None:
         """Stages 3+4: bank-conflict recognition (read-only trace pass)
         then vault request processing, one walk per vault: both touch
         only vault-local state."""
-        conflicts, issued = self._walk_vaults(cycle, self._window, self._width)
+        sim = self.sim
+        conflicts, issued = _vault_stage(sim.devices, cycle, self._window, self._width,
+                                         *self._bank_timing, sim.tracer)
         self.stage_counts[3] += conflicts
         self.stage_counts[4] += issued
 
     def _stage3(self, cycle: int) -> None:
-        """Stage 3 alone, under its marker: the recognition half."""
-        self.stage_counts[3] += self._walk_vaults(cycle, self._window, 0)[0]
+        """Stage 3 alone, under its marker: the recognition half.  It
+        mutates no queue, so stage 4 after it sees the same selection."""
+        sim = self.sim
+        self.stage_counts[3] += _vault_stage(sim.devices, cycle, self._window, 0,
+                                             *self._bank_timing, sim.tracer)[0]
 
     def _stage4(self, cycle: int) -> None:
         """Stage 4 alone, under its marker: the issue half."""
-        self.stage_counts[4] += self._walk_vaults(cycle, 0, self._width)[1]
+        sim = self.sim
+        self.stage_counts[4] += _vault_stage(sim.devices, cycle, 0, self._width,
+                                             *self._bank_timing, sim.tracer)[1]
 
     def _ras_step(self, cycle: int) -> None:
         """RAS sub-step (only with an ECC-enabled device): transient
@@ -460,13 +433,12 @@ class ClockEngine:
                 dev.ras.tick(cycle)
 
     def _stage5(self, cycle: int) -> None:
-        """Stage 5: response registration, roots first then children."""
-        moved = 0
-        for devices in (self._roots, self._children):
-            for dev in devices:
-                moved += self._cross_chain_responses(dev, cycle)
-                moved += self._drain_vault_responses(dev, cycle)
-        self.stage_counts[5] += moved
+        """Stage 5: response registration, roots first then children
+        (avoids false congestion); per device the chain-link response
+        hops, then the vault response drain."""
+        sim = self.sim
+        self.stage_counts[5] += _response_stage(self._ranked, sim, cycle,
+                                                self._moves, sim.tracer)
 
     def _mirror_link_faults(self, cycle: int) -> None:
         """Mirror per-link health/retry counters into the LRS registers
@@ -597,210 +569,7 @@ class ClockEngine:
             report=report,
         )
 
-    # ------------------------------------------------------------------
-    # Stage 5 helpers.
-    # ------------------------------------------------------------------
 
-    def _drain_vault_responses(self, dev: HMCDevice, cycle: int) -> int:
-        """Move vault response queues into crossbar response queues.
-
-        The route stack's top record names the link this response must
-        leave the device on (the request's ingress link, preserving the
-        link→bank stream association).
-        """
-        act = dev.act_vault_rsp
-        if not act:
-            return 0
-        sim = self.sim
-        tracer = sim.tracer
-        live = tracer.live_mask
-        per_vault = self._moves
-        dev_id = dev.dev_id
-        num_links = len(dev.links)
-        vaults = dev.vaults
-        xbars = dev.xbars
-        moved = 0
-        # Ascending vault order; draining empties queues mid-loop, so
-        # iterate a sorted snapshot.
-        for vid in sorted(act):
-            vault = vaults[vid]
-            rsp = vault.rsp
-            q = rsp._q
-            for _ in range(per_vault):
-                if not q:
-                    break
-                pkt = q[0]
-                stack = pkt.route_stack
-                if stack:
-                    # _egress_link_for, inlined for the common case.
-                    rec_dev, link_id = stack[-1]
-                    if rec_dev != dev_id or not 0 <= link_id < num_links:
-                        link_id = None
-                else:
-                    link_id = self._egress_link_for(pkt, dev)
-                if link_id is None:
-                    # No usable route record: unreachable response.  Drop
-                    # it (zombie prevention, §V.B) and record the event.
-                    rsp.pop()
-                    sim.dropped_responses += 1
-                    if live & _EV_PKT_EXPIRED:
-                        tracer.event(EventType.PKT_EXPIRED, cycle, dev=dev_id,
-                                     vault=vault.vault_id, serial=pkt.serial)
-                    continue
-                xrsp = xbars[link_id].rsp
-                xq = xrsp._q
-                n = len(xq)
-                if n >= xrsp.depth:
-                    if live & _EV_XBAR_RSP_STALL:
-                        tracer.event(EventType.XBAR_RSP_STALL, cycle,
-                                     dev=dev_id, link=link_id,
-                                     vault=vault.vault_id, serial=pkt.serial)
-                    break
-                # PacketQueue.pop and .push, inlined (a response is never
-                # a FLOW/MODE packet; the room was checked above).
-                q.popleft()
-                rsp._stamps.popleft()
-                rsp.total_dequeued += 1
-                if not q and rsp._act_set is not None:
-                    rsp._act_set.discard(rsp._act_key)
-                if stack:  # its top record is this device's: checked above
-                    stack.pop()
-                if not n and xrsp._act_set is not None:
-                    xrsp._act_set.add(xrsp._act_key)
-                xq.append(pkt)
-                xrsp._stamps.append(cycle)
-                xrsp.total_enqueued += 1
-                if n >= xrsp.high_water:
-                    xrsp.high_water = n + 1
-                moved += 1
-                if live & _EV_RSP_REGISTERED:
-                    tracer.emit_fast(
-                        _EV_RSP_REGISTERED, cycle, dev_id, link_id, -1,
-                        vault.vault_id, -1, -1, pkt.serial, None,
-                    )
-        return moved
-
-    def _egress_link_for(self, pkt: Packet, dev: HMCDevice) -> int | None:
-        """Link id a response should exit *dev* on, from its route stack."""
-        if pkt.route_stack:
-            rec_dev, rec_link = pkt.route_stack[-1]
-            if rec_dev == dev.dev_id and 0 <= rec_link < len(dev.links):
-                return rec_link
-            return None
-        # Stackless (e.g. internally generated) responses fall back to
-        # the recorded ingress link when it is valid.
-        if 0 <= pkt.ingress_link < len(dev.links):
-            return pkt.ingress_link
-        return None
-
-    def _cross_chain_responses(self, dev: HMCDevice, cycle: int) -> int:
-        """Move responses across chain links toward the host.
-
-        Responses sitting in a chain-link crossbar response queue hop to
-        the peer device, continuing along their recorded return path.
-        Host-link response queues are left alone — the host drains them
-        via ``recv``.
-        """
-        act = dev.act_xbar_rsp
-        if not act:
-            return 0
-        sim = self.sim
-        tracer = sim.tracer
-        live = tracer.live_mask
-        moves = self._moves
-        hop_limit = sim.enforce_hop_limit
-        peers = sim._link_peers
-        link_faults = sim._link_faults
-        dev_id = dev.dev_id
-        moved = 0
-        # Only chain-link response queues are ever bound into
-        # act_xbar_rsp (sync_activity_bindings); a chain link is exactly
-        # one whose peer is a (dev, link) pair.  Popping the last packet
-        # discards its id from act, so walk a sorted snapshot.
-        for lid in sorted(act):
-            peer = peers.get((dev_id, lid))
-            if peer is None or peer == "host":
-                continue
-            peer_dev_id, peer_link = peer
-            peer_dev = sim.devices[peer_dev_id]
-            peer_nlinks = len(peer_dev.links)
-            rsp = dev.xbars[lid].rsp
-            q = rsp._q
-            stamps = rsp._stamps
-            link = dev.links[lid]
-            fault_state = link_faults.get((dev_id, lid)) if link_faults else None
-            for _ in range(moves):
-                if not q:
-                    break
-                pkt = q[0]
-                # One hop per cycle: leave same-cycle arrivals alone.
-                if hop_limit and stamps[0] >= cycle:
-                    break
-                stack = pkt.route_stack
-                if stack:
-                    # _egress_link_for(pkt, peer_dev), inlined.
-                    rec_dev, next_link = stack[-1]
-                    if rec_dev != peer_dev_id or not 0 <= next_link < peer_nlinks:
-                        next_link = None
-                else:
-                    next_link = self._egress_link_for(pkt, peer_dev)
-                if next_link is None:
-                    rsp.pop()
-                    sim.dropped_responses += 1
-                    if live & _EV_PKT_EXPIRED:
-                        tracer.event(EventType.PKT_EXPIRED, cycle, dev=dev_id,
-                                     link=lid, serial=pkt.serial)
-                    continue
-                dest = peer_dev.xbars[next_link].rsp
-                dq = dest._q
-                n = len(dq)
-                if n >= dest.depth:
-                    if live & _EV_XBAR_RSP_STALL:
-                        tracer.event(EventType.XBAR_RSP_STALL, cycle,
-                                     dev=dev_id, link=lid, serial=pkt.serial)
-                    break
-                if fault_state is not None:
-                    # In-band gate: the response hop runs the link retry
-                    # protocol.  A failure keeps it queued for the replay
-                    # window; a dead link strands it (dropped, tokens
-                    # leak — the watchdog's deadlock scenario).
-                    status = fault_state.try_transmit(
-                        (dev_id, lid), pkt, cycle, tracer
-                    )
-                    if status is not TX_OK:
-                        if status is TX_DEAD:
-                            sim._note_link_failure(fault_state)
-                            rsp.pop()
-                            sim.dropped_responses += 1
-                            if live & _EV_PKT_EXPIRED:
-                                tracer.event(EventType.PKT_EXPIRED, cycle,
-                                             dev=dev_id, link=lid,
-                                             serial=pkt.serial)
-                            continue
-                        break
-                # PacketQueue.pop / push and Link.count_tx / count_rx,
-                # inlined (a response is never a FLOW/MODE packet; the
-                # room was checked above).
-                q.popleft()
-                stamps.popleft()
-                rsp.total_dequeued += 1
-                if not q and rsp._act_set is not None:
-                    rsp._act_set.discard(rsp._act_key)
-                if stack:  # its top record is the peer's: checked above
-                    stack.pop()
-                pkt.hops += 1
-                flits = pkt.num_flits
-                link.tx_packets += 1
-                link.tx_flits += flits
-                peer_rx = peer_dev.links[next_link]
-                peer_rx.rx_packets += 1
-                peer_rx.rx_flits += flits
-                if not n and dest._act_set is not None:
-                    dest._act_set.add(dest._act_key)
-                dq.append(pkt)
-                dest._stamps.append(cycle)
-                dest.total_enqueued += 1
-                if n >= dest.high_water:
-                    dest.high_water = n + 1
-                moved += 1
-        return moved
+#: Stages 1/2, 3/4 and 5 are C (``_vaultwalk.c``), one call per step.
+_route_stage, _vault_stage, _response_stage = load(
+    "repro.core._vaultwalk").stage_functions(HMCDevice)

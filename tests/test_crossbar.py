@@ -1,7 +1,12 @@
 """Unit tests for crossbar routing (repro.core.crossbar)."""
 
+from collections import deque
+from types import SimpleNamespace
+
 import pytest
 
+from repro.core.clock import _response_stage, _route_stage
+from repro.core.crossbar import CrossbarUnit
 from repro.core.simulator import HMCSim
 from repro.packets.commands import CMD
 from repro.packets.packet import ErrStat, build_memrequest
@@ -186,3 +191,41 @@ class TestZombieExpiry:
         rsp = dev.xbars[0].rsp.pop()
         assert rsp.errstat is ErrStat.QUEUE_TIMEOUT
         assert rsp.tag == 7
+
+
+class TestForeignObjects:
+    def test_foreign_objects_are_refused_not_read(self, sim):
+        """The C route and drain read crossbar, queue, packet and device
+        slots by offset: any other object where one belongs is a
+        TypeError."""
+        dev = sim.devices[0]
+        xbar = dev.xbars[0]
+        inject(sim, build_memrequest(0, local_addr(sim, 0), 1, CMD.RD16))
+        with pytest.raises(TypeError):
+            CrossbarUnit.route_requests(SimpleNamespace(rqst=xbar.rqst), dev,
+                                        sim, 1, 4, sim.tracer)
+        with pytest.raises(TypeError, match="HMCDevice"):
+            xbar.route_requests(SimpleNamespace(dev_id=0), sim, 1, 4, sim.tracer)
+        with pytest.raises(TypeError, match="Tracer"):
+            xbar.route_requests(dev, sim, 1, 4, SimpleNamespace(live_mask=-1))
+        with pytest.raises(TypeError, match="HMCDevice"):
+            _route_stage([SimpleNamespace()], sim, 1, [0], 4, sim.tracer)
+        real, xbar.rqst = xbar.rqst, SimpleNamespace(_q=deque([1]))
+        with pytest.raises(TypeError, match="PacketQueue"):
+            xbar.route_requests(dev, sim, 1, 4, sim.tracer)
+        xbar.rqst = real
+        real._q[0] = SimpleNamespace(cub=0)
+        with pytest.raises(TypeError, match="Packet"):
+            xbar.route_requests(dev, sim, 1, 4, sim.tracer)
+        # Stage 5's drain: a foreign device, response queue or response.
+        with pytest.raises(TypeError, match="HMCDevice"):
+            _response_stage([SimpleNamespace()], sim, 1, 4, sim.tracer)
+        vault = dev.vaults[3]
+        vault.rsp.push(build_memrequest(0, 0, 2, CMD.RD16))
+        real, vault.rsp = vault.rsp, SimpleNamespace(_q=deque([1]))
+        with pytest.raises(TypeError, match="PacketQueue"):
+            _response_stage([dev], sim, 1, 4, sim.tracer)
+        vault.rsp = real
+        real._q[0] = SimpleNamespace(route_stack=[])
+        with pytest.raises(TypeError, match="Packet"):
+            _response_stage([dev], sim, 1, 4, sim.tracer)

@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 from repro.core import checkpoint, migrate
 import repro.packets.packet as packet_mod
 from repro.core.config import DeviceConfig, SimConfig
-from repro.core.crossbar import CrossbarUnit
 from repro.core.errors import (
     E_DEADLOCK,
     E_LINKFAIL,
@@ -53,6 +52,7 @@ from repro.workloads.random_access import (
     random_access_requests,
 )
 from tests.checkpoint_blobs import legacy_pickle
+from tests.reference.crossbar import ReferenceCrossbarUnit, adopt
 from tests.reference.full_walk import BUILD
 
 
@@ -702,11 +702,13 @@ class TestGateProperties:
     @settings(max_examples=25, deadline=None)
     def test_a_held_link_offered_again_changes_nothing(
             self, ring, ber, drop, max_retries, seed, requests):
-        """The crossbar walk against one that re-offers a held link to
-        every later packet (no cube is ever held): the same cycles,
-        counters, link and register state, responses and trace — with
-        queues mixing egresses, and links degrading and dying mid-walk."""
-        offer = CrossbarUnit._route_remote
+        """The crossbar walk (C) against the reference walk
+        (tests/reference/crossbar.py) with its held rule switched off, so
+        that it re-offers a held link to every later packet (no cube is
+        ever held): the same cycles, counters, link and register state,
+        responses and trace — with queues mixing egresses, and links
+        degrading and dying mid-walk."""
+        offer = ReferenceCrossbarUnit._route_remote
 
         def run(offer_again: bool):
             sim = HMCSim(SimConfig(
@@ -724,7 +726,8 @@ class TestGateProperties:
             ended = None
             with pytest.MonkeyPatch.context() as mp:
                 if offer_again:
-                    mp.setattr(CrossbarUnit, "_route_remote",
+                    adopt(sim)
+                    mp.setattr(ReferenceCrossbarUnit, "_route_remote",
                                lambda self, *a: offer(self, *a[:-1], set()))
                 try:
                     _drive_mixed(sim, stream, (1, 2, 3), max_cycles=3000)

@@ -15,6 +15,7 @@ import inspect
 import io
 import itertools
 import textwrap
+from collections import deque
 
 import pytest
 
@@ -27,7 +28,6 @@ from repro.core.clock import ClockEngine
 from repro.core.config import DeviceConfig, SimConfig
 from repro.core.queueing import PacketQueue
 from repro.core.simulator import HMCSim
-from repro.core.vault import Vault
 from repro.faults import InbandLinkState, LinkFaultModel
 from repro.packets.commands import CMD
 from repro.packets.packet import build_memrequest
@@ -62,14 +62,23 @@ def _sim(build=HMCSim, num_devs=1, device=_SMALL, **engine_kw) -> HMCSim:
 # -- the reference really walks ----------------------------------------------
 
 
-def test_reference_visits_every_vault_where_the_engine_visits_none(monkeypatch):
+def test_reference_visits_every_vault_where_the_engine_visits_none():
+    # The C vault stage sizes a vault's request queue first thing: a
+    # deque that records that shows each vault the walk visits.
     calls = []
-    walk = Vault.stage34
-    monkeypatch.setattr(
-        Vault, "stage34",
-        lambda self, *a, **kw: (calls.append(self.vault_id), walk(self, *a, **kw))[1],
-    )
+
+    class Recorded(deque):
+        __slots__ = ("vault_id",)
+
+        def __len__(self):
+            calls.append(self.vault_id)
+            return super().__len__()
+
     engine, reference = _sim(), _sim(reference_sim)
+    for sim in (engine, reference):
+        for vault in sim.devices[0].vaults:
+            vault.rqst._q = Recorded()
+            vault.rqst._q.vault_id = vault.vault_id
     engine.engine.tick()
     assert calls == []
     reference.engine.tick()
