@@ -26,6 +26,7 @@ from repro.analysis.latency import LatencyDistribution, render as render_latency
 from repro.analysis.report import render_figure5_summary, render_table1
 from repro.analysis.tables import run_table1
 from repro.core.config import DeviceConfig, PAPER_CONFIGS, paper_config_pairs
+from repro.core.errors import InitError
 from repro.core.simulator import HMCSim
 from repro.host.host import Host, LinkPolicy
 from repro.topology import builder as topo
@@ -40,11 +41,17 @@ def _device_from_args(args) -> DeviceConfig:
     )
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) == 0:
+        raise argparse.ArgumentTypeError(f"want a positive integer, got {text!r}")
+    return int(text)
+
+
 def _add_device_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--links", type=int, default=4, choices=(4, 8))
     p.add_argument("--banks", type=int, default=8, choices=(8, 16))
     p.add_argument("--capacity", type=int, default=2, help="GB (power of two)")
-    p.add_argument("--requests", type=int, default=4096)
+    p.add_argument("--requests", type=_positive_int, default=4096)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--stats-json", type=str, default=None,
                    help="write the full statistics tree to this file")
@@ -286,8 +293,12 @@ def cmd_replay(args) -> int:
         **_link_fault_kwargs(args)))
     host = Host(sim)
     prof = _maybe_profile(args, sim)
-    with open(args.trace) as fh:
-        stream = list(replay_address_trace(fh, device.capacity_bytes))
+    try:
+        with open(args.trace) as fh:
+            stream = list(replay_address_trace(fh, device.capacity_bytes))
+    except (OSError, ValueError) as exc:  # unreadable file, malformed line
+        print(f"repro replay: {exc}", file=sys.stderr)
+        return 2
     res, rc = _run_guarded(host, stream, sim)
     if res is None:
         return rc
@@ -423,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("table1", help="regenerate Table I")
-    p.add_argument("--requests", type=int, default=4096)
+    p.add_argument("--requests", type=_positive_int, default=4096)
     p.add_argument("--seed", type=int, default=1)
     p.set_defaults(func=cmd_table1)
 
@@ -536,7 +547,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except InitError as exc:  # a device the configuration rules forbid
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -150,3 +150,26 @@ class TestCommands:
         assert main(["replay", str(trace)]) == 0
         out = capsys.readouterr().out
         assert "replayed 3" in out
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["table1", "--requests", "0"], "--requests: want a positive integer"),
+    (["fig5", "--capacity", "3"], "power-of-two"),
+    (["faults", "--devices", "9"], "at most 7 devices"),
+    (["topology", "chain", "--devices", "9"], "at most 7 devices"),
+    (["replay", "MISSING"], "No such file"),
+    (["replay", "MALFORMED"], "malformed trace line 2"),
+])
+def test_bad_input_exits_2_with_a_one_line_reason(argv, reason, tmp_path, capsys):
+    """Input the program cannot run is refused as ``repro <cmd>:
+    <reason>`` on stderr with exit 2, not a traceback."""
+    (tmp_path / "MALFORMED").write_text("R 0x40\nX zz\n")
+    argv = [str(tmp_path / a) if a.isupper() else a for a in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's own refusal
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"repro {argv[0]}" in err and reason in err
+    assert "Traceback" not in err

@@ -307,23 +307,21 @@ _UNREACHED = {
     "addressing/custom.py": "§III.B user-defined maps: the only map that "
         "is not an AddressMap, so it drives the C vault walk's call-back "
         "decode in tests/test_vault_walk_reference.py",
-    "analysis/sweep.py": "ROADMAP items 4(b) and 7 fan work out through it",
+    "analysis/sweep.py": "ROADMAP item 5(c) fans its search out through it",
     "trace/parse.py": "§IV.E: it inverts the trace sinks, and the trace "
         "tests check the sinks against it",
-    "verification/shadow.py": "ROADMAP item 8(a) builds on its data model",
+    "verification/shadow.py": "ROADMAP item 5(b) builds on its data model",
 }
 
 
 def _reach_roots():
     """The files whose imports make a module reached: the CLI, the
-    examples, the benchmark spine, and each ``benchmarks/bench_*.py``
-    that EXPERIMENTS.md names as a command."""
-    named = set(re.findall(r"benchmarks/(bench_\w+\.py)",
-                           (REPO / "EXPERIMENTS.md").read_text()))
+    examples, the benchmark spine, and ``benchmarks/experiments.py``,
+    which writes EXPERIMENTS.md."""
     return [SRC / "cli.py", SRC / "__main__.py",
             *sorted((REPO / "examples").glob("*.py")),
             *sorted((REPO / "benchmarks" / "spine").glob("*.py")),
-            *(REPO / "benchmarks" / name for name in sorted(named))]
+            REPO / "benchmarks" / "experiments.py"]
 
 
 def _module_path(name: str):
@@ -394,7 +392,7 @@ def _reached():
 def test_every_module_has_a_caller():
     """Every module under ``src/repro/`` is imported, directly or through
     other modules, from ``repro.cli``, an example, the benchmark spine or
-    a benchmark EXPERIMENTS.md runs — a re-export in a package
+    ``benchmarks/experiments.py`` — a re-export in a package
     ``__init__`` is no caller — or it is in ``_UNREACHED`` with its
     reason.  An allowlisted module that gains a caller or is deleted
     leaves the allowlist too."""
