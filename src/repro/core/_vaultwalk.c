@@ -49,7 +49,8 @@
     X(B, reads) X(B, writes) X(B, conflicts) X(B, column_fetches)       \
     X(B, dram_access_count) X(B, ras) X(B, _pages) X(B, _store)         \
     X(B, _tstore) X(B, _dirty)
-#define TRACER(X) X(T, _buf) X(T, emitted) X(T, _limit) X(T, live_mask)
+#define TRACER(X) X(T, _buf) X(T, emitted) X(T, _limit) X(T, live_mask) \
+    X(T, next_serial)
 #define XBAR(X) X(C, link_id) X(C, rqst) X(C, rsp) X(C, routed_local) \
     X(C, routed_remote) X(C, stall_events) X(C, latency_events) X(C, misroutes)
 #define DEVICE(X) X(D, dev_id) X(D, amap) X(D, links) X(D, xbars)      \
@@ -187,7 +188,6 @@ add_ll(PyObject *o, Py_ssize_t off, long long d)
 
 static long long atom_bytes, fetch_bytes, far_cycle;
 static PyObject *np_zeros, *word_dtype, *flag_dtype;    /* page store arrays */
-static PyObject *packet_globals;        /* _packet_serial, read per reply */
 static PyObject *reply_proto[NCMD];     /* per request CMD, from _fast_new */
 static long long read_bytes[NCMD];      /* REQUEST_DATA_BYTES */
 static char is_bwr_cmd[NCMD];
@@ -210,7 +210,6 @@ static PyObject *s_decode, *s_dram, *s_offset;
 static PyObject *s_block_size, *s_bank_of, *s_dram_of, *s_bs, *s_bank_mask;
 static PyObject *s_ds, *s_dram_mask, *s_offset_mask, *s_capacity_bytes;
 static PyObject *s_access_busy_cycles;
-static PyObject *s_packet_serial;
 static PyObject *s_popleft, *s_discard, *s_event, *s_reject, *s_expire;
 static PyObject *s_try_transmit, *s_note_failure, *s_build_routes, *s_routes;
 static PyObject *s_link_faults, *s_link_peers, *s_devices, *s_config;
@@ -234,7 +233,6 @@ intern_all(void)
     I(s_bank_mask, "_bank_mask") I(s_ds, "_ds") I(s_dram_mask, "_dram_mask")
     I(s_offset_mask, "_offset_mask") I(s_capacity_bytes, "capacity_bytes")
     I(s_access_busy_cycles, "access_busy_cycles")
-    I(s_packet_serial, "_packet_serial")
     I(s_popleft, "popleft") I(s_discard, "discard") I(s_event, "event") I(s_get, "get")
     I(s_reject, "_reject") I(s_expire, "_expire_zombies") I(s_routes, "_routes")
     I(s_try_transmit, "try_transmit") I(s_note_failure, "_note_link_failure")
@@ -955,15 +953,21 @@ emit_addr(Walk *w, PyObject *etype, long long bank, PyObject *pkt,
 }
 
 /* Queue *rsp* (a new reference, consumed) as *request*'s reply in the
- * vault's response queue; the caller proved the room. */
+ * vault's response queue, numbered with the next serial of *tracer*'s
+ * simulation; the caller proved the room. */
 static int
-push_reply(PyObject *vault, PyObject *rsp, PyObject *request, PyObject *cycle)
+push_reply(PyObject *vault, PyObject *rsp, PyObject *request, PyObject *cycle,
+           PyObject *tracer)
 {
     int rc = -1;
-    PyObject *queue = get(vault, V_off[V_rsp]);
+    PyObject *queue = get(vault, V_off[V_rsp]), *serial;
     if (queue == NULL || check_type(queue, queue_type) < 0
         || check_type(rsp, packet_type) < 0
-        || check_type(request, packet_type) < 0)
+        || check_type(request, packet_type) < 0
+        || check_type(tracer, tracer_type) < 0
+        || (serial = get(tracer, T_off[T_next_serial])) == NULL
+        || set_ref(rsp, P_off[P_serial], serial) < 0
+        || add_ll(tracer, T_off[T_next_serial], 1) < 0)
         goto done;
     PyObject *stack = get(request, P_off[P_route_stack]);
     if (stack == NULL)
@@ -994,12 +998,6 @@ static PyObject *
 new_reply(long cmd, PyObject *request, PyObject *payload)
 {
     PyObject *proto = reply_proto[cmd];
-    PyObject *serials = PyDict_GetItemWithError(packet_globals, s_packet_serial);
-    if (serials == NULL) {
-        if (!PyErr_Occurred())
-            PyErr_SetString(PyExc_NameError, "_packet_serial is gone");
-        return NULL;
-    }
     PyObject *rsp = packet_type->tp_alloc(packet_type, 0);
     if (rsp == NULL)
         return NULL;
@@ -1018,15 +1016,6 @@ new_reply(long cmd, PyObject *request, PyObject *payload)
         && (set_ref(rsp, P_off[P_payload], payload) < 0
             || set_ll(rsp, P_off[P_num_flits], 1 + PyTuple_GET_SIZE(payload) / 2) < 0))
         goto fail;
-    Py_INCREF(serials);
-    PyObject *serial = PyIter_Next(serials);
-    Py_DECREF(serials);
-    if (serial == NULL) {
-        if (!PyErr_Occurred())
-            PyErr_SetNone(PyExc_StopIteration);
-        goto fail;
-    }
-    set_new(rsp, P_off[P_serial], serial);
     return rsp;
 fail:
     Py_DECREF(rsp);
@@ -1161,7 +1150,7 @@ execute_on(Walk *w, PyObject *pkt, PyObject *bank, long long bank_id,
             return -1;
         }
         *taken = 1;
-        return push_reply(self, rsp, pkt, w->cycle_obj);
+        return push_reply(self, rsp, pkt, w->cycle_obj, w->tracer);
     }
     if (bwr || cls == cls_atomic || cls == cls_posted_atomic) {
         PyObject *bank_obj = PyLong_FromLongLong(bank_id);
@@ -1190,7 +1179,7 @@ execute_on(Walk *w, PyObject *pkt, PyObject *bank, long long bank_id,
             return -1;
         }
         *taken = 1;
-        return push_reply(self, rsp, pkt, w->cycle_obj);
+        return push_reply(self, rsp, pkt, w->cycle_obj, w->tracer);
     }
     return call_ll(PyObject_CallMethodObjArgs(
         self, s_error_response, pkt, err_cmd, w->cycle_obj, w->tracer,
@@ -1500,12 +1489,12 @@ Vault_busy_state(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 static PyObject *
 Vault_push_response(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    if (nargs != 3) {
-        PyErr_SetString(PyExc_TypeError, "_push_response(rsp, request, cycle)");
+    if (nargs != 4) {
+        PyErr_SetString(PyExc_TypeError, "_push_response(rsp, request, cycle, tracer)");
         return NULL;
     }
     Py_INCREF(args[0]);
-    if (push_reply(self, args[0], args[1], args[2]) < 0)
+    if (push_reply(self, args[0], args[1], args[2], args[3]) < 0)
         return NULL;
     return PyLong_FromLong(1);
 }
@@ -2370,8 +2359,9 @@ static PyMethodDef vault_defs[] = {
      "vault's next-free horizon has passed."},
     {"_push_response", (PyCFunction)(void (*)(void))Vault_push_response,
      METH_FASTCALL,
-     "_push_response(rsp, request, cycle)\n--\n\n"
-     "Queue *rsp* as *request*'s reply; the caller checked for room.\n"
+     "_push_response(rsp, request, cycle, tracer)\n--\n\n"
+     "Queue *rsp* as *request*'s reply, numbered with the tracer's\n"
+     "``next_serial``; the caller checked for room.\n"
      "Returns the slots taken (1)."},
 };
 
@@ -2513,14 +2503,12 @@ cmd_table(PyObject *dict, PyObject **objs, long long *ints)
 static PyObject *
 vault_methods(PyObject *mod, PyObject *args, PyObject *kw)
 {
-    static char *names[] = {"vault", "amap", "packets", "replies",
-                            "read_bytes", "bwr", "classes", "errstat",
-                            "events", "far", NULL};
-    PyObject *vt, *at, *packets, *replies, *rbytes, *bwr, *classes;
-    PyObject *errstat, *events;
-    if (!PyArg_ParseTupleAndKeywords(args, kw, "OOOOOOOOOL", names, &vt, &at,
-                                     &packets, &replies, &rbytes, &bwr,
-                                     &classes, &errstat, &events, &far_cycle))
+    static char *names[] = {"vault", "amap", "replies", "read_bytes", "bwr",
+                            "classes", "errstat", "events", "far", NULL};
+    PyObject *vt, *at, *replies, *rbytes, *bwr, *classes, *errstat, *events;
+    if (!PyArg_ParseTupleAndKeywords(args, kw, "OOOOOOOOL", names, &vt, &at,
+                                     &replies, &rbytes, &bwr, &classes,
+                                     &errstat, &events, &far_cycle))
         return NULL;
     if (bank_type == NULL || packet_type == NULL) {
         PyErr_SetString(PyExc_RuntimeError,
@@ -2530,10 +2518,8 @@ vault_methods(PyObject *mod, PyObject *args, PyObject *kw)
     PyObject *pt = (PyObject *)packet_type, *slots;
     if ((vault_type = as_type(vt, "vault")) == NULL
         || (amap_type = as_type(at, "amap")) == NULL
-        || resolve(vault_type, V_names, V_off, V_N) < 0
-        || (packet_globals = PyModule_GetDict(packets)) == NULL)
+        || resolve(vault_type, V_names, V_off, V_N) < 0)
         return NULL;
-    Py_INCREF(packet_globals);
     if ((slots = PyObject_GetAttrString(pt, "__slots__")) == NULL)
         return NULL;
     PyObject *fast = PySequence_Fast(slots, "Packet.__slots__");
@@ -2659,8 +2645,8 @@ static PyMethodDef module_defs[] = {
      "queue_methods(PacketQueue, Packet) -> (remove_positions,)"},
     {"vault_methods", (PyCFunction)(void (*)(void))vault_methods,
      METH_VARARGS | METH_KEYWORDS,
-     "vault_methods(vault=, amap=, packets=, replies=, read_bytes=, "
-     "bwr=, classes=, errstat=, events=, far=)\n"
+     "vault_methods(vault=, amap=, replies=, read_bytes=, bwr=, classes=, "
+     "errstat=, events=, far=)\n"
      "-> (stage34, _busy_state, _push_response)"},
     {"crossbar_methods", (PyCFunction)(void (*)(void))crossbar_methods,
      METH_VARARGS | METH_KEYWORDS,

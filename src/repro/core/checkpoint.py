@@ -8,15 +8,16 @@ bit-identically to the original.
 
 Snapshots serialise the :class:`~repro.core.simulator.HMCSim` object
 graph with :mod:`pickle`.  Tracer sinks may hold OS resources (open
-files), so snapshotting detaches the tracer (its mask is preserved,
-its sinks are not) — reattach sinks after restore.  Components that
-keep their own reference to the tracer (the RAS controller does) are
-detached through the same stand-in, so the whole restored graph shares
-one tracer and no sink object ever enters the pickle stream.  An
-attached stage profiler (:func:`repro.analysis.profiling.attach`) is
-host-side state of the same kind: the clock engine pickles its run
-state only, so two identical profiled runs snapshot to equal bytes and
-a restored simulation has no profiler.  Host-side objects
+files), so snapshotting detaches the tracer (its mask and packet
+serial counter are preserved, its sinks are not) — reattach sinks
+after restore.  Components that keep their own reference to the tracer
+(the RAS controller does) are detached through the same stand-in, so
+the whole restored graph shares one tracer and no sink object ever
+enters the pickle stream.  An attached stage profiler
+(:func:`repro.analysis.profiling.attach`) is host-side state of the
+same kind: the clock engine pickles its run state only, so two
+identical profiled runs snapshot to equal bytes and a restored
+simulation has no profiler.  Host-side objects
 (:class:`~repro.host.host.Host` etc.) hold a reference to the sim and
 must be checkpointed *with* it via :func:`snapshot_bundle`.  The
 in-band link fault state (retry pointers, the injector's block of
@@ -166,6 +167,28 @@ def _check_bank(bank: Bank, j: int, vault: Vault, dev: DeviceConfig,
             and (not pages or 0 <= pages[0] and pages[-1] < limit)):
         raise CheckpointError(f"{where}: page indices unsorted, repeated or "
                               f"outside the bank's {limit} pages")
+
+
+def _check_serial(sim: HMCSim, kind: str) -> None:
+    """CheckpointError unless the restored tracer's ``next_serial`` is a
+    non-negative int.  A blob written before the counter travelled in
+    it resumes one past the largest serial a restored packet or link
+    gate holds."""
+    tracer = getattr(sim, "tracer", None)
+    if type(tracer) is not Tracer:
+        raise CheckpointError(f"{kind}: the simulation has no tracer")
+    if not hasattr(tracer, "next_serial"):
+        try:
+            held = [p.serial for d in sim.devices for u in (*d.xbars, *d.vaults)
+                    for q in (u.rqst, u.rsp) for p in q._q]
+            held += [d.pending_serial for s in sim._link_fault_states
+                     for d in s._dirs.values()]
+            tracer.next_serial = max(held, default=-1) + 1
+        except (AttributeError, TypeError) as exc:
+            raise CheckpointError(f"{kind}: unreadable packet queues ({exc})") from None
+    if type(n := tracer.next_serial) is not int or n < 0:
+        raise CheckpointError(
+            f"{kind}: packet serial counter {n!r} is not a non-negative int")
 
 
 def _tracer_holders(sim: HMCSim) -> List[Any]:
@@ -339,6 +362,7 @@ def _pickle_detached(
     banks in place)."""
     saved_tracer = sim.tracer
     standin = Tracer(mask=saved_tracer.mask)  # sinkless stand-in
+    standin.next_serial = saved_tracer.next_serial
     holders = _tracer_holders(sim)
     sim.tracer = standin
     for h in holders:
@@ -391,6 +415,7 @@ def restore(blob: bytes) -> HMCSim:
             f"restore: snapshot does not contain an HMCSim: {type(sim)!r}"
         )
     _check_config(sim, "restore")
+    _check_serial(sim, "restore")
     return sim
 
 
@@ -448,6 +473,7 @@ def restore_bundle(
         _check_config(sim, "restore_bundle")
     else:
         store.fill(sim, manifest[0])
+    _check_serial(sim, "restore_bundle")
     return sim, extras
 
 

@@ -74,6 +74,8 @@ class CrossbarUnit:
         if not pkt.expects_response:
             return
         rsp = build_response(pkt, errstat=errstat, dinv=1)
+        rsp.serial = tracer.next_serial
+        tracer.next_serial += 1
         rsp.route_stack = list(pkt.route_stack)
         rsp.injected_at = pkt.injected_at
         # Error responses re-enter the response path at this crossbar; a

@@ -334,6 +334,9 @@ class HMCSim:
             self._check_alive()
         if pkt.is_response:
             raise HMCError("hosts send request packets; responses flow device->host")
+        if pkt.serial < 0:  # first sight: a retried packet keeps its number
+            pkt.serial = self.tracer.next_serial
+            self.tracer.next_serial += 1
         if link is None:
             link = pkt.slid
         if dev is None:
@@ -791,6 +794,7 @@ class HMCSim:
             d.reset()
         self.engine.reset()
         self.clock_value = 0
+        self.tracer.next_serial = 0
         self._recv_rotor = 0
         self.packets_sent = 0
         self.packets_received = 0

@@ -18,11 +18,9 @@ and the atomics stay here and the walk calls them.
 
 from __future__ import annotations
 
-import itertools
 from operator import attrgetter
 from typing import TYPE_CHECKING, List, Optional
 
-import repro.packets.packet as _packet_mod
 from repro.addressing.address_map import AddressMap
 from repro.core._native import load
 from repro.core.bank import Bank
@@ -123,7 +121,7 @@ class Vault:
         if not pkt.expects_response:
             return 0
         rsp = build_response(pkt, errstat=errstat, dinv=1)
-        self._push_response(rsp, pkt, cycle)
+        self._push_response(rsp, pkt, cycle, tracer)
         tracer.event(
             EventType.MISROUTE,
             cycle,
@@ -155,7 +153,7 @@ class Vault:
                     (("addr", pkt.addr), ("bwr", True)),
                 )
             if pkt.expects_response:
-                return self._push_response(build_response(pkt), pkt, cycle)
+                return self._push_response(build_response(pkt), pkt, cycle, tracer)
             return 0
         ops = list(pkt.payload[:2]) if pkt.payload else [0, 0]
         if pkt.cmd in (CMD.TWOADD8, CMD.P_2ADD8):
@@ -170,7 +168,7 @@ class Vault:
                 (("addr", pkt.addr),),
             )
         if pkt.expects_response:
-            return self._push_response(build_response(pkt, old), pkt, cycle)
+            return self._push_response(build_response(pkt, old), pkt, cycle, tracer)
         return 0
 
     def _do_mode(self, pkt: Packet, cycle: int, tracer: Tracer, dev_id: int) -> int:
@@ -207,7 +205,7 @@ class Vault:
             return self._error_response(
                 pkt, ErrStat.INVALID_ADDRESS, cycle, tracer, dev_id
             )
-        return self._push_response(rsp, pkt, cycle)
+        return self._push_response(rsp, pkt, cycle, tracer)
 
     # -- diagnostics ---------------------------------------------------------------
 
@@ -232,24 +230,14 @@ class Vault:
         return f"Vault({self.vault_id}, quad={self.quad_id}, banks={len(self.banks)})"
 
 
-def _reply_prototypes() -> dict:
-    """Per request command, the reply ``_fast_new`` builds with a zero
-    payload: the C walk copies one per READ/WRITE reply.  The serial
-    counter is set aside while they are built, so import takes none."""
-    serials = _packet_mod._packet_serial
-    _packet_mod._packet_serial = itertools.repeat(-1)
-    try:
-        return {
-            int(cmd): _fast_new(rsp_cmd, 0, 0, 0, _ZERO_WORDS[need], 0, 0, info)
-            for cmd, (rsp_cmd, need, info) in _RSP_CACHE.items()
-        }
-    finally:
-        _packet_mod._packet_serial = serials
-
-
 _walk = load("repro.core._vaultwalk")
 Vault.stage34, Vault._busy_state, Vault._push_response = _walk.vault_methods(
-    vault=Vault, amap=AddressMap, packets=_packet_mod, replies=_reply_prototypes(),
+    # Per request command, the reply ``_fast_new`` builds with a zero
+    # payload (serial -1): the C walk copies one per READ/WRITE reply.
+    vault=Vault, amap=AddressMap, replies={
+        int(cmd): _fast_new(rsp_cmd, 0, 0, 0, _ZERO_WORDS[need], 0, 0, info)
+        for cmd, (rsp_cmd, need, info) in _RSP_CACHE.items()
+    },
     read_bytes={int(cmd): n for cmd, n in REQUEST_DATA_BYTES.items()},
     bwr=[int(cmd) for cmd in _BWR_CMDS], classes=CommandClass,
     errstat=ErrStat, events=EventType, far=_FAR,

@@ -211,8 +211,9 @@ class Host:
         or None once *more* (or the single item) is used up.
 
         Per request, in order: pick a link, take a tag (none free: stop
-        before building, so no packet serial is drawn), build the packet,
-        inject.  A stalled injection returns its tag to the back of the
+        before building), build the packet, inject.  The packet takes the
+        simulation's next serial before the room check: a stalled
+        injection has taken one, and returns its tag to the back of the
         free list.  With no link tokens and the sim's own
         ``HMCSim.send``, the injection is ``HMCSim.send``'s lane,
         inlined: the room check, then the host link's in-band gate when
@@ -252,6 +253,8 @@ class Host:
             try:
                 pkt = build_memrequest(cub, addr, tag, cmd, payload, link)
                 if inline:
+                    pkt.serial = tracer.next_serial
+                    tracer.next_serial += 1
                     if peers.get(lane) != "host":
                         raise TopologyError(
                             f"dev {dev} link {link} is not attached to the host"

@@ -62,7 +62,6 @@ Response tail::
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -282,8 +281,6 @@ def decode_tail(word: int, response: bool) -> dict:
 # The Packet object.
 # ---------------------------------------------------------------------------
 
-_packet_serial = itertools.count()
-
 #: Per-command classification cache: CMD -> (cls, is_response,
 #: expects_response, is_special, request_flits).  Commands are a small
 #: closed set; caching skips four table lookups per packet construction.
@@ -337,8 +334,9 @@ class Packet:
     errstat: ErrStat = ErrStat.OK
 
     # --- simulator-side metadata (not on the wire) ---
-    #: Monotonic id for deterministic ordering / debugging.
-    serial: int = field(default_factory=lambda: next(_packet_serial))
+    #: Number taken from the simulation the packet enters (trace
+    #: records, the link gate's replay test); -1 until it enters one.
+    serial: int = -1
     #: Cycle the host injected the packet (set by the simulator).
     injected_at: int = -1
     #: Cycle the packet completed vault processing / was delivered.
@@ -574,7 +572,7 @@ def _fast_new(
     p.pb = 0
     p.dinv = dinv
     p.errstat = _ERRSTAT_OK
-    p.serial = next(_packet_serial)
+    p.serial = -1
     p.injected_at = -1
     p.completed_at = -1
     p.hops = 0

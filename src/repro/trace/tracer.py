@@ -265,7 +265,7 @@ class Tracer:
     __slots__ = (
         "_mask", "_sinks", "emitted", "dropped", "live_mask",
         "_buf", "_batch", "_limit", "_depth",
-        "_tuple_sinks", "_object_sinks", "_flushing",
+        "_tuple_sinks", "_object_sinks", "_flushing", "next_serial",
     )
 
     def __init__(
@@ -287,6 +287,11 @@ class Tracer:
         #: attached — hot loops test ``live_mask & etype`` with int
         #: arithmetic instead of calling :meth:`enabled_for`.
         self.live_mask = 0
+        #: The serial the next packet entering this tracer's simulation
+        #: takes: a request at ``HMCSim.send`` or the host lane, a reply
+        #: where it is queued.  The tracer is the one per-simulation
+        #: object every stage already holds; checkpoints carry it.
+        self.next_serial = 0
         self.mask = mask
         if sinks:
             for sink in sinks:

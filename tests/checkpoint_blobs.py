@@ -98,6 +98,7 @@ def legacy_blob(sim, *extras, shapes=None) -> bytes:
     """``snapshot_bundle(sim, *extras)`` as version 1 wrote it."""
     saved, holders = sim.tracer, _tracer_holders(sim)
     standin = Tracer(mask=saved.mask)
+    del standin.next_serial  # version 1 carried no serial counter
     sim.tracer = standin
     for h in holders:
         h.tracer = standin

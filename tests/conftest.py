@@ -59,6 +59,22 @@ def _timeout_for(item) -> float:
     return float(DEFAULT_TIMEOUT)
 
 
+@pytest.hookimpl(tryfirst=True)
+def pytest_runtest_makereport(item, call):
+    """Report a :class:`PerTestTimeout` with a native traceback: the alarm
+    can land on an instruction without a line number, which pytest's own
+    formatter fails on (INTERNALERROR, no test named)."""
+    excinfo = call.excinfo
+    if excinfo is None or not excinfo.errisinstance(PerTestTimeout):
+        return None
+    call.excinfo = None  # the report of a passed call, made a failure
+    report = pytest.TestReport.from_item_and_call(item, call)
+    call.excinfo = excinfo
+    excinfo.traceback = excinfo.traceback.cut(path=item.path)  # from the test on
+    report.outcome, report.longrepr = "failed", excinfo.getrepr(style="native")
+    return report
+
+
 @pytest.hookimpl(hookwrapper=True)
 def pytest_runtest_call(item):
     if (

@@ -24,7 +24,6 @@ test — the committed outputs are historical artifacts, keep them.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import os
 
@@ -80,17 +79,15 @@ def trace_fingerprint(events) -> str:
     return h.hexdigest()
 
 
-#: Packet serials are drawn from a process-global counter that is not
-#: part of the snapshot; pin it so the continuation's trace bytes are
-#: reproducible in any process (the compatibility test does the same).
+#: The committed blob predates the serial counter in the snapshot (it
+#: resumes past the serials it holds); the continuation numbers its new
+#: packets from here, as the expectations were recorded.
 CONTINUATION_SERIAL_BASE = 1 << 20
 
 
 def run_continuation(sim: HMCSim, host: Host) -> dict:
     """Drive phase B on a restored (sim, host) and record observables."""
-    from repro.packets import packet as packet_mod
-
-    packet_mod._packet_serial = itertools.count(CONTINUATION_SERIAL_BASE)
+    sim.tracer.next_serial = CONTINUATION_SERIAL_BASE
     sim.set_trace_mask(EventType.STANDARD)
     sink = sim.add_trace_sink(MemorySink())
     stream = random_access_requests(sim.config.device.capacity_bytes, PHASE_B)

@@ -26,11 +26,9 @@ from __future__ import annotations
 
 import hashlib
 import io
-import itertools
 import json
 import os
 
-import repro.packets.packet as packet_mod
 from repro.core.config import DeviceConfig, SimConfig
 from repro.host.host import Host
 from repro.topology.builder import build_chain
@@ -78,12 +76,11 @@ def drive(case: str, scheduler: str, mask: EventType):
     """Run *case* to completion; returns ``(sim, binary_sink, buf, events)``.
 
     The trace goes to a ``BinarySink`` over *buf* and to a ``MemorySink``
-    whose event list is returned.  The process-global packet serial
-    counter is reset first so traces are comparable across runs.
+    whose event list is returned.  Each simulation numbers its packets
+    from 0, so traces are comparable across runs and processes.
     """
     dev_kw, num_devs, requests, sim_kw = CASES[case]
     device = DeviceConfig(**dev_kw)
-    packet_mod._packet_serial = itertools.count()
     sim = BUILD[scheduler](
         SimConfig(device=device, num_devs=num_devs, **sim_kw))
     if num_devs > 1:

@@ -336,7 +336,11 @@ class ReferenceVault(Vault):
         d = amap.decode(addr)
         return d.dram * amap.block_size + d.offset
 
-    def _push_response(self, rsp: Packet, request: Packet, cycle: int) -> None:
+    def _push_response(
+        self, rsp: Packet, request: Packet, cycle: int, tracer: Tracer
+    ) -> None:
+        rsp.serial = tracer.next_serial
+        tracer.next_serial += 1
         rsp.route_stack = list(request.route_stack)
         rsp.injected_at = request.injected_at
         rsp.ingress_link = request.ingress_link
@@ -353,7 +357,7 @@ class ReferenceVault(Vault):
         if not pkt.expects_response:
             return
         rsp = build_response(pkt, errstat=errstat, dinv=1)
-        self._push_response(rsp, pkt, cycle)
+        self._push_response(rsp, pkt, cycle, tracer)
         tracer.event(
             EventType.MISROUTE,
             cycle,
@@ -417,7 +421,7 @@ class ReferenceVault(Vault):
                     (("addr", pkt.addr), ("bwr", True)),
                 )
             if pkt.expects_response:
-                self._push_response(build_response(pkt), pkt, cycle)
+                self._push_response(build_response(pkt), pkt, cycle, tracer)
         elif cls is CommandClass.READ:
             data = bank_read(bank, rel, nbytes)
             self.rd_count += 1
@@ -428,7 +432,7 @@ class ReferenceVault(Vault):
                     (("addr", pkt.addr),),
                 )
             rsp = build_response(pkt, data)
-            self._push_response(rsp, pkt, cycle)
+            self._push_response(rsp, pkt, cycle, tracer)
         elif cls in (CommandClass.WRITE, CommandClass.POSTED_WRITE):
             bank_write(bank, rel, pkt.payload)
             self.wr_count += 1
@@ -440,7 +444,7 @@ class ReferenceVault(Vault):
                 )
             if pkt.expects_response:
                 rsp = build_response(pkt)
-                self._push_response(rsp, pkt, cycle)
+                self._push_response(rsp, pkt, cycle, tracer)
         elif cls in (CommandClass.ATOMIC, CommandClass.POSTED_ATOMIC):
             ops = list(pkt.payload[:2]) if pkt.payload else [0, 0]
             if pkt.cmd in (CMD.TWOADD8, CMD.P_2ADD8):
@@ -456,6 +460,6 @@ class ReferenceVault(Vault):
                 )
             if pkt.expects_response:
                 rsp = build_response(pkt, old)
-                self._push_response(rsp, pkt, cycle)
+                self._push_response(rsp, pkt, cycle, tracer)
         else:  # pragma: no cover - guarded by caller
             self._error_response(pkt, ErrStat.INVALID_CMD, cycle, tracer, dev_id)

@@ -16,7 +16,6 @@ through restore, delta epochs and the same continuation.
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 
@@ -29,7 +28,6 @@ from repro.core.checkpoint import (
     restore_bundle,
     snapshot_bundle,
 )
-from repro.packets import packet as packet_mod
 from repro.packets.commands import CMD
 from tests.fixtures import gen_page4k
 from tests.fixtures.gen_pre_flat_core import (
@@ -128,7 +126,6 @@ class TestPage4kBlob:
     def _epoch_crash(blob, store):
         """Restore, full epoch, traffic, delta epoch, traffic left in
         flight, crash back onto the delta epoch, continuation."""
-        packet_mod._packet_serial = itertools.count(1 << 19)
         sim, (host,) = restore_bundle(blob)
         snapshot_bundle(sim, host, store=store)
         host.run(

@@ -10,6 +10,9 @@ bounded by the simulation's own config.
 * a flipped payload bit fails the CRC; a flip the CRC does not see (a
   re-stamped blob) that moves a bank's DRAM count is refused by the
   config bounds, and so is a count no DRAM list could hold, at once;
+* the packet serial counter travels in the blob, a blob without it
+  resumes one past the largest serial it holds, and a counter that is
+  not a non-negative int is refused;
 * both committed version-1 fixtures re-snapshot as version 2 and
   continue identically after that round trip.
 """
@@ -18,7 +21,6 @@ from __future__ import annotations
 
 import hashlib
 import io
-import itertools
 import json
 import time
 
@@ -40,7 +42,6 @@ from repro.core.config import DeviceConfig, SimConfig
 from repro.core.errors import CheckpointError
 from repro.core.simulator import HMCSim
 from repro.host.host import Host
-from repro.packets import packet as packet_mod
 from repro.packets.commands import CMD
 from repro.topology.builder import build_chain, build_simple
 from repro.trace.binfmt import BinarySink
@@ -83,32 +84,30 @@ def _sim(cubes: int, ber: float, ecc: bool, seed: int, requests) -> tuple:
 
 
 def _continue(blob: bytes) -> dict:
-    packet_mod._packet_serial = itertools.count(1 << 20)
-    try:
-        sim, (host,) = restore_bundle(blob)
-        assert not _RETIRED & set(vars(sim.config))
-        assert all(d.ras is None or d.ras.tracer is sim.tracer
-                   for d in sim.devices)
-        storage = hashlib.sha256()
-        buf = io.BytesIO()
-        sim.set_trace_mask(EventType.STANDARD)
-        sim.add_trace_sink(BinarySink(buf, num_vaults=sim.config.device.num_vaults))
-        host.run(_CONTINUATION, cub=0)
-        sim.tracer.flush()
-        for i, bank in enumerate(_banks(sim)):
-            for pg, words, touched in bank.export_storage():
-                storage.update(f"{i}/{pg}:".encode() + words.tobytes()
-                               + touched.tobytes())
-        return {
-            "cycles": sim.clock_value,
-            "stats": sim.stats(),
-            "stage_counts": list(sim.engine.stage_counts),
-            "trace": hashlib.sha256(buf.getvalue()).hexdigest(),
-            "storage": storage.hexdigest(),
-            "v2": snapshot_bundle(sim, host).startswith(MAGIC),
-        }
-    finally:
-        packet_mod._packet_serial = itertools.count()
+    sim, (host,) = restore_bundle(blob)
+    assert not _RETIRED & set(vars(sim.config))
+    assert all(d.ras is None or d.ras.tracer is sim.tracer
+               for d in sim.devices)
+    # A legacy blob carries no serial counter: both resume from one pin.
+    sim.tracer.next_serial = 1 << 20
+    storage = hashlib.sha256()
+    buf = io.BytesIO()
+    sim.set_trace_mask(EventType.STANDARD)
+    sim.add_trace_sink(BinarySink(buf, num_vaults=sim.config.device.num_vaults))
+    host.run(_CONTINUATION, cub=0)
+    sim.tracer.flush()
+    for i, bank in enumerate(_banks(sim)):
+        for pg, words, touched in bank.export_storage():
+            storage.update(f"{i}/{pg}:".encode() + words.tobytes()
+                           + touched.tobytes())
+    return {
+        "cycles": sim.clock_value,
+        "stats": sim.stats(),
+        "stage_counts": list(sim.engine.stage_counts),
+        "trace": hashlib.sha256(buf.getvalue()).hexdigest(),
+        "storage": storage.hexdigest(),
+        "v2": snapshot_bundle(sim, host).startswith(MAGIC),
+    }
 
 
 @settings(max_examples=12, deadline=None)
@@ -157,6 +156,27 @@ def test_flips_the_crc_does_not_see_are_caught_by_the_config_bounds():
     with pytest.raises(CheckpointError, match="bank #3 holds"):
         restore(snapshot(sim))
     assert time.perf_counter() - t0 < 1.0
+
+
+def test_the_serial_counter_travels_and_an_old_blob_resumes_past_its_packets():
+    sim, host = _sim(1, 0.0, False, 1, [(CMD.RD16, a * 64) for a in range(40)])
+    held = [p.serial for d in sim.devices for unit in (*d.xbars, *d.vaults)
+            for q in (unit.rqst, unit.rsp) for p in q]
+    assert held
+    sim.tracer.next_serial = 1000  # more numbered than still held
+    assert restore(snapshot(sim)).tracer.next_serial == 1000
+    old, _ = restore_bundle(legacy_blob(sim, host))
+    assert old.tracer.next_serial == max(held) + 1
+
+
+@pytest.mark.parametrize("counter", [True, -1, 2.0, "7"])
+def test_a_serial_counter_that_is_not_a_non_negative_int_is_refused(counter):
+    sim = _cube()
+    sim.tracer.next_serial = counter
+    for load, blob in ((restore, snapshot(sim)),
+                       (restore_bundle, snapshot_bundle(sim))):
+        with pytest.raises(CheckpointError, match="serial counter"):
+            load(blob)
 
 
 @pytest.mark.parametrize("gen", [gen_pre_flat_core, gen_page4k],

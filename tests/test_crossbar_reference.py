@@ -25,13 +25,11 @@ order.  Tier-1 runs 300 examples; ``--hypothesis-profile=deep`` runs
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import repro.packets.packet as packet_mod
 from repro.addressing.address_map import AddressMap
 from repro.addressing.custom import BitPermutationMap
 from repro.core.config import DeviceConfig, SimConfig
@@ -91,7 +89,6 @@ def _topology(sim: HMCSim, shape: str, host_links: int) -> None:
 
 
 def _build(spec: dict, reference: bool):
-    packet_mod._packet_serial = itertools.count(1)
     device = DeviceConfig(num_links=4, num_banks=8, capacity=2,
                           queue_depth=spec["queue_depth"],
                           xbar_depth=spec["xbar_depth"])
@@ -112,6 +109,13 @@ def _build(spec: dict, reference: bool):
     return (adopt(sim) if reference else sim), sink
 
 
+def _number(sim: HMCSim, pkt) -> None:
+    """Give *pkt* the serial it takes entering *sim* (the gates tell a
+    replay from a new packet by it)."""
+    pkt.serial = sim.tracer.next_serial
+    sim.tracer.next_serial += 1
+
+
 def _inject(sim: HMCSim, action: tuple) -> None:
     """The packets of one generated action into queues of *sim*."""
     kind, dev_pick, link_pick, cub_pick, addr, tag, back = action
@@ -129,6 +133,7 @@ def _inject(sim: HMCSim, action: tuple) -> None:
                 [(CMD.RD16, None, sim.clock_value), (CMD.RD16, None, cycle - 3)]
                 if kind == "late_pair" else [(*_REQUESTS[kind], cycle)]):
             pkt = build_memrequest(cub, addr, tag, cmd, payload=payload)
+            _number(sim, pkt)
             pkt.route_stack = [(dev.dev_id, link)]
             pkt.ingress_link = link
             dev.xbars[link].rqst.push(pkt, max(0, when))
@@ -137,6 +142,7 @@ def _inject(sim: HMCSim, action: tuple) -> None:
     # past the device's, or is missing with an ingress link in or out
     # of range.
     rsp = build_response(build_memrequest(cub, addr, tag, CMD.RD16))
+    _number(sim, rsp)
     rsp.route_stack = [[], [(dev.dev_id, link)], [((dev.dev_id + 1) % ndev, link)],
                        [(dev.dev_id, 9)]][tag % 4]
     rsp.ingress_link = tag % 6 - 1
@@ -243,11 +249,7 @@ _cycles = st.lists(st.tuples(st.lists(_action, max_size=8), st.booleans()),
 @settings(max_examples=max(300, settings.default.max_examples), deadline=None)
 @given(spec=_spec, cycles=_cycles)
 def test_c_stages_match_the_reference(spec, cycles):
-    serials = packet_mod._packet_serial
-    try:
-        ours = _run(spec, cycles, reference=False)
-        theirs = _run(spec, cycles, reference=True)
-    finally:
-        packet_mod._packet_serial = serials
+    ours = _run(spec, cycles, reference=False)
+    theirs = _run(spec, cycles, reference=True)
     for cycle, (a, b) in enumerate(zip(ours, theirs)):
         assert a == b, f"diverged at tick {cycle}"

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import hashlib
 import io
-import itertools
 import pickle
 
 import numpy as np
@@ -47,7 +46,6 @@ from repro.core.errors import CheckpointError
 from repro.core.simulator import HMCSim
 from repro.faults.chaos import ChaosEvent
 from repro.host.host import Host
-from repro.packets import packet as packet_mod
 from repro.packets.commands import CMD
 from repro.service import ServiceConfig, TenantSpec
 from repro.service.accounting import TenantAccount
@@ -124,36 +122,32 @@ def _play(rounds, delta: bool) -> dict:
     """Run *rounds* on a fresh lineage, checkpointing through a page
     store (*delta*) or the self-contained codec, then a traced
     continuation."""
-    # Serials come from a process-global counter outside any snapshot.
-    packet_mod._packet_serial = itertools.count(1 << 20)
-    try:
-        sim, host = _build()
-        store = PageStore() if delta else None
-        epoch = None
-        for requests, drain, wipe, action in rounds:
-            host.run(requests, cub=0, drain=drain)
-            if wipe is not None:
-                d = sim.devices[0].amap.decode(wipe)
-                sim.devices[0].vaults[d.vault].banks[d.bank].reset()
-            if action == "epoch":
-                epoch = snapshot_bundle(sim, host, store=store)
-            elif action == "crash" and epoch is not None:
-                sim, (host,) = restore_bundle(epoch, store=store)
-        obs = {"cycle": sim.clock_value, "storage": _storage_sha(sim)}
-        buf = io.BytesIO()
-        sim.set_trace_mask(EventType.STANDARD)
-        sim.add_trace_sink(BinarySink(buf, num_vaults=_DEVICE.num_vaults))
-        run = host.run(_CONTINUATION, cub=0)
-        sim.tracer.flush()
-        obs.update(
-            final_cycle=sim.clock_value,
-            responses=run.responses_received,
-            trace=hashlib.sha256(buf.getvalue()).hexdigest(),
-            final_storage=_storage_sha(sim),
-        )
-        return obs
-    finally:
-        packet_mod._packet_serial = itertools.count()
+    # Serials travel in the blob: the crash resumes the epoch's counter.
+    sim, host = _build()
+    store = PageStore() if delta else None
+    epoch = None
+    for requests, drain, wipe, action in rounds:
+        host.run(requests, cub=0, drain=drain)
+        if wipe is not None:
+            d = sim.devices[0].amap.decode(wipe)
+            sim.devices[0].vaults[d.vault].banks[d.bank].reset()
+        if action == "epoch":
+            epoch = snapshot_bundle(sim, host, store=store)
+        elif action == "crash" and epoch is not None:
+            sim, (host,) = restore_bundle(epoch, store=store)
+    obs = {"cycle": sim.clock_value, "storage": _storage_sha(sim)}
+    buf = io.BytesIO()
+    sim.set_trace_mask(EventType.STANDARD)
+    sim.add_trace_sink(BinarySink(buf, num_vaults=_DEVICE.num_vaults))
+    run = host.run(_CONTINUATION, cub=0)
+    sim.tracer.flush()
+    obs.update(
+        final_cycle=sim.clock_value,
+        responses=run.responses_received,
+        trace=hashlib.sha256(buf.getvalue()).hexdigest(),
+        final_storage=_storage_sha(sim),
+    )
+    return obs
 
 
 class TestDeltaEqualsFullCodec:

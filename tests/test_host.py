@@ -6,7 +6,6 @@ import pickle
 import numpy as np
 import pytest
 
-import repro.packets.packet as packet_mod
 from repro.core.checkpoint import restore_bundle
 from repro.core.errors import LinkDeadError, StallError, TopologyError
 from repro.core.simulator import HMCSim
@@ -166,10 +165,10 @@ class TestOrderContract:
         # No link-error machinery: the host injects without HMCSim.send.
         monkeypatch.setattr(HMCSim, "send", general_path)
         assert host.send_request(CMD.RD16, addr=0) == 0
-        before = next(packet_mod._packet_serial)
+        assert sim.tracer.next_serial == 1
         assert host.send_request(CMD.RD16, addr=64) is None  # queue full
         # The stalled packet was built: exactly one serial drawn.
-        assert next(packet_mod._packet_serial) == before + 2
+        assert sim.tracer.next_serial == 2
         assert sim.send_stalls == 1
         pool = host.tag_pools[(0, 0)]
         assert pool._free[0] == 2 and pool._free[-1] == 1
@@ -195,9 +194,9 @@ class TestOrderContract:
         monkeypatch.setattr(HMCSim, "send", general_path)
         monkeypatch.setattr(StallError, "__init__", no_stall_error)
         assert host.send_request(CMD.RD16, addr=0) == 0
-        before = next(packet_mod._packet_serial)
+        assert sim.tracer.next_serial == 1
         assert host.send_request(CMD.RD16, addr=64) is None  # CRC failure
-        assert next(packet_mod._packet_serial) == before + 2
+        assert sim.tracer.next_serial == 2
         assert sim.send_stalls == 1
         pool = host.tag_pools[(0, 0)]
         assert pool._free[0] == 2 and pool._free[-1] == 1

@@ -19,7 +19,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import checkpoint, migrate
-import repro.packets.packet as packet_mod
 from repro.core.config import DeviceConfig, SimConfig
 from repro.core.errors import (
     E_DEADLOCK,
@@ -720,7 +719,6 @@ class TestGateProperties:
             else:
                 build_mesh(sim, shape=(2, 2))
             sink = sim.trace_to_memory(EventType.STANDARD)
-            base = next(packet_mod._packet_serial)
             cfg = RandomAccessConfig(num_requests=requests, seed=seed)
             stream = random_access_requests(DEVICE.capacity_bytes, cfg)
             ended = None
@@ -734,7 +732,7 @@ class TestGateProperties:
                 except (LinkDeadError, WatchdogError) as err:
                     ended = type(err)
             events = [(e.type, e.cycle, e.dev, e.link, e.vault,
-                       e.serial - base if e.serial >= 0 else -1, repr(e.extra))
+                       e.serial, repr(e.extra))
                       for e in sink.events]
             dirs = [(s.health, {k: (d.busy_until, d.failures, d.pending_attempts,
                                     tuple(d.pointers._unacked))

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.core.errors import StallError
+from repro.core.simulator import HMCSim
 from repro.packets.commands import CMD, request_flits
 from repro.packets.packet import (
     ADRS_BITS,
@@ -117,10 +119,18 @@ class TestPacketObject:
         assert pkt.num_flits == 5
         assert pkt.data_bytes == 64
 
-    def test_serials_are_monotonic(self):
+    def test_serials_are_taken_on_entering_a_simulation(self):
         a = Packet(cmd=CMD.RD16)
         b = Packet(cmd=CMD.RD16)
-        assert b.serial > a.serial
+        assert a.serial == b.serial == -1
+        sim = HMCSim(num_devs=1, num_links=4, num_banks=8, capacity=2,
+                     xbar_depth=1)
+        sim.attach_host(0, 0)
+        sim.send(a)
+        for _ in range(2):  # b stalls on the full queue, and keeps its number
+            with pytest.raises(StallError):
+                sim.send(b)
+        assert (a.serial, b.serial, sim.tracer.next_serial) == (0, 1, 2)
 
     def test_bounds_validation(self):
         with pytest.raises(ValueError):

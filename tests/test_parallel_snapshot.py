@@ -16,9 +16,13 @@ bit-for-bit.
 
 from __future__ import annotations
 
-import itertools
+import hashlib
+import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-import repro.packets.packet as packet_mod
 from repro.core.checkpoint import restore_bundle, snapshot_bundle
 from repro.core.config import DeviceConfig, SimConfig
 from repro.core.simulator import HMCSim
@@ -26,6 +30,8 @@ from repro.host.host import Host
 from repro.packets.commands import CMD
 from repro.parallel import WorkerPool
 from repro.topology.builder import build_chain
+from repro.trace.binfmt import BinarySink
+from repro.trace.events import EventType
 from repro.workloads.random_access import (
     RandomAccessConfig,
     random_access_requests,
@@ -89,13 +95,7 @@ def _structured_state(sim: HMCSim, host: Host) -> dict:
 
 
 def _continue_and_fingerprint(sim: HMCSim, host: Host) -> dict:
-    """Deterministic continuation: more traffic, full drain, fingerprint.
-
-    The global packet serial counter is process state, not snapshot
-    state; pin it so the parent and the worker stamp identical serials
-    on post-restore packets (they feed the link retry caches).
-    """
-    packet_mod._packet_serial = itertools.count(1 << 20)
+    """Deterministic continuation: more traffic, full drain, fingerprint."""
     cfg = RandomAccessConfig(num_requests=80, seed=13)
     host.run(random_access_requests(DEVICE.capacity_bytes, cfg), cub=0)
     sim.run(50)
@@ -117,7 +117,6 @@ def _worker_continue(blob: bytes) -> dict:
 
 def _midflight_sim():
     """A faulty 2-cube chain with requests still in flight."""
-    packet_mod._packet_serial = itertools.count()
     scfg = SimConfig(device=DEVICE, num_devs=2, **FAULT_KW)
     sim = build_chain(HMCSim(scfg), host_links=2)
     host = Host(sim)
@@ -131,6 +130,24 @@ def _midflight_sim():
         host.send_request(CMD.RD64, 0x1000 + 64 * i, cub=1)
     sim.run(3)
     return sim, host
+
+
+def _traced_continuation(sim: HMCSim, host: Host) -> tuple:
+    """:func:`_continue_and_fingerprint`, traced: (cycles, outstanding
+    requests, trace sha256)."""
+    buf = io.BytesIO()
+    sim.set_trace_mask(EventType.STANDARD)
+    sim.add_trace_sink(BinarySink(buf, num_vaults=DEVICE.num_vaults))
+    _continue_and_fingerprint(sim, host)
+    sim.tracer.flush()
+    return sim.clock_value, host.outstanding, hashlib.sha256(buf.getvalue()).hexdigest()
+
+
+def continue_file(path: str) -> None:
+    """A fresh interpreter's side: continue the bundle at *path*, print."""
+    with open(path, "rb") as fh:
+        sim, (host,) = restore_bundle(fh.read())
+    print(*_traced_continuation(sim, host))
 
 
 def _midflight_bundle() -> bytes:
@@ -153,30 +170,29 @@ class TestCrossProcessRoundTrip:
             for st in local["links"] for d in st["dirs"].values()
         )
 
-    def test_worker_continuation_matches_parent_continuation(self):
-        """Restore + drive to quiescence in a worker process: every
-        counter, register, retry pointer and storage word must land
-        where the in-process continuation lands them."""
-        blob = _midflight_bundle()
-        sim, (host,) = restore_bundle(blob)
-        local = _continue_and_fingerprint(sim, host)
-        with WorkerPool(processes=1) as pool:
-            remote = pool.map(_worker_continue, [blob])[0]
-        assert remote == local
-        assert local["outstanding"] == 0  # drained on both sides
+    def test_fresh_process_continues_like_writer(self, tmp_path):
+        """Restore + drive to quiescence in a new ``python`` process (the
+        serial counter travels in the blob): the writer's cycles and trace
+        bytes, and a drained host."""
+        sim, host = _midflight_sim()
+        path = tmp_path / "midflight.bin"
+        path.write_bytes(snapshot_bundle(sim, host))
+        root = Path(__file__).resolve().parent.parent
+        child = subprocess.run(
+            [sys.executable, "-c", "import sys; from tests.test_parallel_snapshot"
+             " import continue_file; continue_file(sys.argv[1])", str(path)],
+            env=dict(os.environ, PYTHONPATH=f"{root / 'src'}{os.pathsep}{root}"),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert child.returncode == 0, child.stderr
+        writer = _traced_continuation(sim, host)
+        assert child.stdout.split() == list(map(str, writer))
+        assert writer[1] == 0  # drained on both sides
 
     def test_continuation_matches_never_pickled_original(self):
         """The pickled path is not just self-consistent — it matches
         the simulation that never crossed a process boundary."""
-        packet_mod._packet_serial = itertools.count()
-        scfg = SimConfig(device=DEVICE, num_devs=2, **FAULT_KW)
-        sim = build_chain(HMCSim(scfg), host_links=2)
-        host = Host(sim)
-        cfg = RandomAccessConfig(num_requests=120, seed=3)
-        host.run(random_access_requests(DEVICE.capacity_bytes, cfg), cub=1)
-        for i in range(8):
-            host.send_request(CMD.RD64, 0x1000 + 64 * i, cub=1)
-        sim.run(3)
+        sim, host = _midflight_sim()
         blob = snapshot_bundle(sim, host)
         original = _continue_and_fingerprint(sim, host)
         with WorkerPool(processes=1) as pool:
@@ -235,7 +251,6 @@ class TestCrossProcessRoundTrip:
         """The session pool's provisioned-template blob — the object
         service recovery ships around — restores identically across
         the process boundary."""
-        from repro.core.checkpoint import restore
         from repro.service import ServiceConfig, SessionPool
 
         cfg = ServiceConfig(
@@ -243,13 +258,7 @@ class TestCrossProcessRoundTrip:
             provision_requests=32, **FAULT_KW
         )
         blob = SessionPool(cfg).template_blob()
-        sim = restore(blob)
-        local = {
-            "cycles": sim.clock_value,
-            "stats": sim.stats(),
-            "registers": [d.regs.snapshot() for d in sim.devices],
-            "links": _link_state_fingerprint(sim),
-        }
+        local = _worker_template_fingerprint(blob)
         with WorkerPool(processes=1) as pool:
             remote = pool.map(_worker_template_fingerprint, [blob])[0]
         assert remote == local

@@ -14,12 +14,10 @@ and asserts exactly that.
 from __future__ import annotations
 
 import io
-import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import repro.packets.packet as packet_mod
 from repro.core.config import DeviceConfig, SimConfig
 from repro.core.errors import LinkDeadError, WatchdogError
 from repro.core.simulator import HMCSim
@@ -71,12 +69,7 @@ def _drive(
     idle_tail: int = 500,
     **engine_kw,
 ) -> dict:
-    """Run one deterministic workload on ``BUILD[scheduler]``, fingerprint it.
-
-    The global packet serial counter is reset first so trace streams
-    from consecutive runs are byte-comparable.
-    """
-    packet_mod._packet_serial = itertools.count()
+    """Run one deterministic workload on ``BUILD[scheduler]``, fingerprint it."""
     scfg = SimConfig(device=device, num_devs=num_devs, **engine_kw)
     sim = BUILD[scheduler](scfg)
     if chain:
@@ -93,22 +86,11 @@ def _drive(
     racfg = RandomAccessConfig(num_requests=num_requests, seed=7)
     stream = random_access_requests(device.capacity_bytes, racfg)
     if chain:
-        # Interleave targets across the chain so remote routing and the
+        # Alternate targets across the chain so remote routing and the
         # cross-chain response stages carry real traffic.
-        ndev = num_devs
-        stream = (
-            (cmd, addr, payload)
-            for i, (cmd, addr, payload) in enumerate(stream)
-        )
         reqs = list(stream)
-        host.run(
-            ((cmd, addr, payload) for (cmd, addr, payload) in reqs[::2]),
-            cub=0,
-        )
-        host.run(
-            ((cmd, addr, payload) for (cmd, addr, payload) in reqs[1::2]),
-            cub=ndev - 1,
-        )
+        host.run(iter(reqs[::2]), cub=0)
+        host.run(iter(reqs[1::2]), cub=num_devs - 1)
     else:
         host.run(stream, cub=0)
     if idle_tail:
@@ -344,7 +326,6 @@ def drive_sparse(scheduler: str, sched: dict, clock=HMCSim.clock) -> dict:
     between them), so both sides see the same inputs; a watchdog trip
     ends the run and is part of the fingerprint.
     """
-    packet_mod._packet_serial = itertools.count()
     chain = sched["chain"]
     fit_rate, scrub = sched.get("ecc") or (0.0, 0)
     sim = BUILD[scheduler](SimConfig(

@@ -1,11 +1,9 @@
 """Unit tests for the top-level HMCSim object (repro.core.simulator)."""
 
 import io
-import itertools
 
 import pytest
 
-import repro.packets.packet as packet_mod
 from repro.core.config import DeviceConfig, SimConfig
 from repro.core.errors import (
     HMCError,
@@ -19,6 +17,7 @@ from repro.host.host import Host
 from repro.packets.commands import CMD
 from repro.packets.packet import build_memrequest
 from repro.registers.regdefs import index_by_name, physical_index
+from repro.topology.builder import build_chain, build_simple
 from repro.trace.binfmt import BinarySink
 from repro.trace.events import EventType
 from repro.workloads.random_access import (
@@ -283,7 +282,6 @@ class TestLifecycle:
             return s
 
         def run(s, num_requests):
-            packet_mod._packet_serial = itertools.count()
             buf = io.BytesIO()
             sink = s.add_trace_sink(
                 BinarySink(buf, num_vaults=s.config.device.num_vaults))
@@ -300,6 +298,31 @@ class TestLifecycle:
         reused.reset()
         assert reused.engine.stage_counts == [0] * 7
         assert run(reused, 500) == run(fresh(), 500)
+
+    def test_interleaved_simulators_trace_as_they_do_alone(self):
+        """Each simulation numbers its own packets: two run in turns —
+        one a 2-cube chain whose noisy link replays packets — each write
+        the trace they write alone."""
+        chunks = [list(random_access_requests(2 << 30, RandomAccessConfig(
+            num_requests=32, seed=seed))) for seed in range(8)]
+
+        def lane(chain):
+            s = mk_sim(trace_mask=EventType.STANDARD, **(dict(
+                num_devs=2, link_ber=2e-4, link_seed=3) if chain else {}))
+            (build_chain if chain else build_simple)(s, host_links=1)
+            buf = io.BytesIO()
+            s.add_trace_sink(BinarySink(buf, num_vaults=s.config.device.num_vaults))
+            return Host(s), int(chain), buf
+
+        def run(lanes):
+            for chunk in chunks:
+                for host, cub, _ in lanes:
+                    host.run(chunk, cub=cub)
+            return [(h.sim.clock_value, buf.getvalue()) for h, _, buf in lanes]
+
+        both = [lane(False), lane(True)]
+        assert run(both) == run([lane(False)]) + run([lane(True)])
+        assert both[1][0].sim._link_fault_states[0].stats.crc_failures > 0
 
     def test_free_blocks_further_use(self):
         s = mk_sim()

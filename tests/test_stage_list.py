@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import inspect
 import io
-import itertools
 import textwrap
 from collections import deque
 
@@ -21,7 +20,6 @@ import pytest
 
 import repro.core.clock as clock_mod
 import repro.core.queueing as queueing_mod
-import repro.packets.packet as packet_mod
 from repro.analysis.profiling import attach, detach
 from repro.core.checkpoint import restore, snapshot
 from repro.core.clock import ClockEngine
@@ -94,7 +92,6 @@ def _backed_up_responses(scheduler: str) -> dict:
     """Eight reads through a two-slot crossbar and a host that drains
     late: for a while the only non-empty queues are vault response
     queues waiting for a response slot."""
-    packet_mod._packet_serial = itertools.count()
     device = DeviceConfig(num_links=4, num_banks=8, capacity=2, xbar_depth=2)
     sim = _sim(BUILD[scheduler], device=device)
     buf = io.BytesIO()
@@ -222,7 +219,6 @@ def _traffic(sim: HMCSim, rounds: int, switch=None, at=()):
 
 
 def _traced(mask, switch=None, at=(), sink_from_start=True, rounds=24):
-    packet_mod._packet_serial = itertools.count()
     sim = _sim(num_devs=2)
     sim.tracer.mask = mask
     sink = MemorySink()
@@ -263,7 +259,6 @@ def test_first_sink_on_a_masked_tracer_rebuilds_the_list():
 
 
 def _bytes_traced(profile_rounds=()):
-    packet_mod._packet_serial = itertools.count()
     sim = _sim(num_devs=2, refresh_interval=16)
     buf = io.BytesIO()
     sink = BinarySink(buf, num_vaults=_SMALL.num_vaults)
@@ -316,7 +311,6 @@ def test_attach_link_fault_mid_run_adds_the_lrs_mirror():
 
 class TestProfilerStaysOutOfCheckpoints:
     def _profiled_run(self):
-        packet_mod._packet_serial = itertools.count()
         sim = _sim(num_devs=2)
         prof = attach(sim)
         _traffic(sim, 8)

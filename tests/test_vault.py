@@ -2,15 +2,14 @@
 (stage 3) and request processing (stage 4), both driven through the one
 walk the engine runs, ``Vault.stage34``."""
 
-import itertools
+import copy
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
-
-import repro.packets.packet as packet_mod
+from hypothesis import given, settings
 
 from repro.addressing.address_map import AddressMap
+from repro.core.bank import Bank
 from repro.core.vault import Vault
 from repro.packets.commands import CMD
 from repro.packets.flow import make_null
@@ -19,6 +18,7 @@ from repro.registers.regdefs import physical_index, index_by_name
 from repro.registers.regfile import RegisterFile
 from repro.trace.events import EventType
 from repro.trace.tracer import MemorySink, Tracer
+from tests.test_vault_walk_reference import _VAULT_SCALARS, _build, _cases, _state
 
 GB = 1 << 30
 
@@ -324,125 +324,38 @@ class TestLifecycle:
 
 # -- one call (window, width) == the two calls (window, 0) then (0, width) ----
 
-_AMAP = AddressMap(num_vaults=16, num_banks=8, block_size=64,
-                   capacity_bytes=2 * GB)
-_EDR0 = physical_index(index_by_name("EDR0"))
 
-#: kind -> (command, payload words); every kind a vault queue can hold.
-_KINDS = {
-    "read": (CMD.RD64, None),
-    "write": (CMD.WR64, [7] * 8),
-    "posted_write": (CMD.P_WR64, [9] * 8),
-    "atomic": (CMD.ADD16, [3, 4]),
-    "posted_atomic": (CMD.P_2ADD8, [5, 6]),
-    "bwr": (CMD.BWR, [0x1122334455667788, 0x0F]),
-    "mode_read": (CMD.MD_RD, None),
-    "mode_write": (CMD.MD_WR, [0xBEEF, 0]),
-    "flow": (None, None),
-}
-
-_DEPTH = 8
-
-
-@st.composite
-def _walk_cases(draw):
-    requests = draw(st.lists(
-        st.tuples(st.sampled_from(sorted(_KINDS)),
-                  st.integers(0, 7), st.integers(0, 3)),  # kind, bank, row
-        min_size=1, max_size=_DEPTH,
-    ))
-    return {
-        "requests": requests,
-        # bank -> busy cycles occupied at cycle 0; the walk runs at `cycle`.
-        "busy": draw(st.dictionaries(st.integers(0, 7), st.integers(1, 6),
-                                     max_size=8)),
-        "cycle": draw(st.integers(0, 6)),
-        "rsp_fill": draw(st.sampled_from([0, _DEPTH // 2, _DEPTH - 1, _DEPTH])),
-        "width": draw(st.integers(1, 4)),
-        "window": draw(st.integers(1, _DEPTH)),
-        "row_timing": draw(st.sampled_from([None, (4, 16)])),
-    }
-
-
-def _build(case):
-    """A vault in the drawn state plus the tracer that records its walk."""
-    packet_mod._packet_serial = itertools.count()
-    v = mk_vault(queue_depth=_DEPTH, device=SimpleNamespace(regs=RegisterFile()))
-    for bank, cycles in case["busy"].items():
-        v.banks[bank].occupy(0, cycles)
-    for tag, (kind, bank, row) in enumerate(case["requests"]):
-        cmd, payload = _KINDS[kind]
-        if cmd is None:
-            pkt = make_null()
-        elif kind.startswith("mode"):
-            pkt = build_memrequest(0, _EDR0, tag, cmd, payload=payload)
-        else:
-            pkt = build_memrequest(0, addr_for_bank(_AMAP, bank, row), tag,
-                                   cmd, payload=payload)
-        assert v.rqst.push(pkt)
-    for tag in range(case["rsp_fill"]):
-        assert v.rsp.push(rd(_AMAP, 0, tag=100 + tag))
-    tracer = Tracer(mask=EventType.ALL)
-    tracer.add_sink(MemorySink())
-    return v, tracer
-
-
-def _banks(v):
-    """Everything a bank holds except its conflict counter."""
-    return [
-        (b.busy_until, b.open_row, b.reads, b.writes, b.atomics,
-         b.row_hits, b.row_misses,
-         [(pg, w.tolist(), t.tolist()) for pg, w, t in b.export_storage()])
-        for b in v.banks
-    ]
-
-
-def _queues(v):
-    def key(p):
-        return (p.cmd, p.addr, p.tag, tuple(p.payload or ()), p.serial)
-    return ([key(p) for p in v.rqst], list(v.rqst._stamps),
-            [key(p) for p in v.rsp], v.device.regs.snapshot())
-
-
-def _observables(v, tracer):
-    return {
-        "counters": (v.conflict_count, v.issue_stall_cycles, v.rsp_stall_count,
-                     v.rd_count, v.wr_count, v.atomic_count, v.mode_count),
-        "bank_conflicts": [b.conflicts for b in v.banks],
-        "banks": _banks(v),
-        "queues": _queues(v),
-        "events": [(e.type, e.cycle, e.dev, e.quad, e.vault, e.bank, e.serial,
-                    e.extra) for e in tracer.sinks[0].events],
-    }
+def _fixed(state: dict) -> dict:
+    """*state* less what recognition may move: conflict counts, the
+    trace and the busy-bank cache it re-validates."""
+    vault = [x for n, x in zip(_VAULT_SCALARS, state["vault"])
+             if n not in ("conflict_count", "_busy_mask", "_next_free")]
+    banks = [([x for n, x in zip(Bank._INT_SLOTS, ints) if n != "conflicts"], *rest)
+             for ints, *rest in state["banks"]]
+    return {**state, "vault": vault, "banks": banks, "events": None,
+            "emitted": None, "batches": None}
 
 
 class TestOneCallEqualsTwoCalls:
     """The marked engine mode runs the walk as two halves; they must add
-    up to the one call every unmarked run makes."""
+    up to the one call every unmarked run makes.  Vault states are drawn
+    as tests/test_vault_walk_reference.py draws them."""
 
-    @given(_walk_cases())
+    @given(_cases())
     @settings(max_examples=300, deadline=None)
     def test_halves_compose_and_recognition_is_read_only(self, case):
-        cycle, window, width = case["cycle"], case["window"], case["width"]
-        rest = dict(bank_busy_cycles=5, dev_id=0, row_timing=case["row_timing"])
+        def walk(v, amap, tracer, window, width):
+            return v.stage34(case["cycle"], amap, window, width, 5, tracer, 0,
+                             case["row_timing"])
 
-        one, one_tracer = _build(case)
-        counts = one.stage34(cycle, _AMAP, window, width, tracer=one_tracer, **rest)
-
-        two, two_tracer = _build(case)
-        banks, queues = _banks(two), _queues(two)
-        stalls = (two.issue_stall_cycles, two.rsp_stall_count)
-        conflicts, zero = two.stage34(cycle, _AMAP, window, 0, tracer=two_tracer,
-                                      **rest)
+        one, amap, one_tracer = _build(Vault, case)
+        counts = walk(one, amap, one_tracer, case["window"], case["width"])
+        two, _, two_tracer = _build(Vault, case)
+        before = copy.deepcopy(_fixed(_state(two, two_tracer)))
+        conflicts, zero = walk(two, amap, two_tracer, case["window"], 0)
         # §IV.C.3: recognition "does not modify any internal data
         # representations" — only the conflict counters may have moved.
-        assert zero == 0
-        assert _banks(two) == banks and _queues(two) == queues
-        assert (two.issue_stall_cycles, two.rsp_stall_count) == stalls
-        assert two.total_requests == 0
-        none, issued = two.stage34(cycle, _AMAP, 0, width, tracer=two_tracer,
-                                   **rest)
-        assert none == 0
-
-        assert (conflicts, issued) == counts
-        assert _observables(two, two_tracer) == _observables(one, one_tracer)
+        assert zero == 0 and _fixed(_state(two, two_tracer)) == before
+        none, issued = walk(two, amap, two_tracer, 0, case["width"])
+        assert none == 0 and (conflicts, issued) == counts
+        assert _state(two, two_tracer) == _state(one, one_tracer)

@@ -23,12 +23,10 @@ runs 1,000.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 from types import SimpleNamespace
 
 from hypothesis import given, settings, strategies as st
 
-import repro.packets.packet as packet_mod
 from repro.addressing.address_map import AddressMap
 from repro.addressing.custom import BitPermutationMap
 from repro.core.bank import Bank
@@ -149,7 +147,6 @@ def _attach_ras(v, tracer):
 
 def _build(cls, case):
     """A *cls* vault in the drawn state plus the tracer recording its walk."""
-    packet_mod._packet_serial = itertools.count()
     amap = _AMAPS[case["amap"]]
     v = cls(vault_id=0, quad_id=0, num_banks=8, bank_bytes=_BANK_BYTES,
             num_drams=8, queue_depth=_DEPTH,
@@ -175,7 +172,9 @@ def _build(cls, case):
                 words = list(pkt.payload)
                 words[: len(wild)] = wild
                 pkt.payload = tuple(words)
-        # As a chained injection leaves it: two route records.
+        # As a chained injection leaves it: numbered, two route records.
+        pkt.serial = tracer.next_serial
+        tracer.next_serial += 1
         pkt.route_stack = [(1, tag % 4), (0, 2)]
         pkt.injected_at = tag
         pkt.ingress_link = tag % 4
@@ -211,21 +210,7 @@ def _run(cls, case):
                                case["row_timing"]))
         if step % 2 and v.rsp._q:
             v.rsp.pop()
-    left = {
-        "walks": walks,
-        "rqst": [p.serial for p in v.rqst],
-        "rqst_queue": v.rqst.__getstate__()[3:],
-        "rsp": [tuple(getattr(p, f) for f in _FIELDS) for p in v.rsp],
-        "rsp_queue": v.rsp.__getstate__()[3:],
-        "serial_next": next(packet_mod._packet_serial),
-        "vault": tuple(getattr(v, n) for n in _VAULT_SCALARS),
-        "banks": [_bank_state(b) for b in v.banks],
-        "regs": v.device.regs.snapshot(),
-        "events": [(e.type, e.cycle, e.dev, e.quad, e.vault, e.bank, e.serial,
-                    e.extra) for e in tracer.sinks[0].events],
-        "emitted": (tracer.emitted, tracer.dropped),
-        "batches": tracer.sinks[1].sizes,
-    }
+    left = {"walks": walks, **_state(v, tracer)}
     # Outside a batch window (``_limit == 1``) each event the walk
     # appends to the tracer's buffer is flushed on its own.
     assert tracer._limit == 1 and not tracer._buf
@@ -236,6 +221,24 @@ def _run(cls, case):
         rsp.route_stack.pop()
     left["request_stacks"] = [p.route_stack for p in requests]
     return left
+
+
+def _state(v, tracer) -> dict:
+    """The queues, replies, counters, banks, registers and trace of *v*."""
+    return {
+        "rqst": [p.serial for p in v.rqst],
+        "rqst_queue": v.rqst.__getstate__()[3:],
+        "rsp": [tuple(getattr(p, f) for f in _FIELDS) for p in v.rsp],
+        "rsp_queue": v.rsp.__getstate__()[3:],
+        "serial_next": tracer.next_serial,
+        "vault": tuple(getattr(v, n) for n in _VAULT_SCALARS),
+        "banks": [_bank_state(b) for b in v.banks],
+        "regs": v.device.regs.snapshot(),
+        "events": [(e.type, e.cycle, e.dev, e.quad, e.vault, e.bank, e.serial,
+                    e.extra) for e in tracer.sinks[0].events],
+        "emitted": (tracer.emitted, tracer.dropped),
+        "batches": tracer.sinks[1].sizes,
+    }
 
 
 class TestEngineWalkEqualsReference:
