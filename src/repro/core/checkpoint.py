@@ -171,9 +171,10 @@ def _check_bank(bank: Bank, j: int, vault: Vault, dev: DeviceConfig,
 
 def _check_serial(sim: HMCSim, kind: str) -> None:
     """CheckpointError unless the restored tracer's ``next_serial`` is a
-    non-negative int.  A blob written before the counter travelled in
-    it resumes one past the largest serial a restored packet or link
-    gate holds."""
+    non-negative int below 2**62, which leaves the C's signed 64-bit
+    counter room for any run.  A blob written before the counter
+    travelled in it resumes one past the largest serial a restored
+    packet or link gate holds."""
     tracer = getattr(sim, "tracer", None)
     if type(tracer) is not Tracer:
         raise CheckpointError(f"{kind}: the simulation has no tracer")
@@ -186,9 +187,9 @@ def _check_serial(sim: HMCSim, kind: str) -> None:
             tracer.next_serial = max(held, default=-1) + 1
         except (AttributeError, TypeError) as exc:
             raise CheckpointError(f"{kind}: unreadable packet queues ({exc})") from None
-    if type(n := tracer.next_serial) is not int or n < 0:
+    if type(n := tracer.next_serial) is not int or not 0 <= n < 1 << 62:
         raise CheckpointError(
-            f"{kind}: packet serial counter {n!r} is not a non-negative int")
+            f"{kind}: packet serial counter {n!r} is not an int in [0, 2**62)")
 
 
 def _tracer_holders(sim: HMCSim) -> List[Any]:

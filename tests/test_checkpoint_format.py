@@ -12,7 +12,7 @@ bounded by the simulation's own config.
   config bounds, and so is a count no DRAM list could hold, at once;
 * the packet serial counter travels in the blob, a blob without it
   resumes one past the largest serial it holds, and a counter that is
-  not a non-negative int is refused;
+  not an int in [0, 2**62) is refused;
 * both committed version-1 fixtures re-snapshot as version 2 and
   continue identically after that round trip.
 """
@@ -169,7 +169,7 @@ def test_the_serial_counter_travels_and_an_old_blob_resumes_past_its_packets():
     assert old.tracer.next_serial == max(held) + 1
 
 
-@pytest.mark.parametrize("counter", [True, -1, 2.0, "7"])
+@pytest.mark.parametrize("counter", [True, -1, 2.0, "7", 1 << 62, 1 << 63])
 def test_a_serial_counter_that_is_not_a_non_negative_int_is_refused(counter):
     sim = _cube()
     sim.tracer.next_serial = counter

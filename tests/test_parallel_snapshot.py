@@ -192,7 +192,14 @@ class TestCrossProcessRoundTrip:
     def test_continuation_matches_never_pickled_original(self):
         """The pickled path is not just self-consistent — it matches
         the simulation that never crossed a process boundary."""
-        sim, host = _midflight_sim()
+        scfg = SimConfig(device=DEVICE, num_devs=2, **FAULT_KW)
+        sim = build_chain(HMCSim(scfg), host_links=2)
+        host = Host(sim)
+        cfg = RandomAccessConfig(num_requests=120, seed=3)
+        host.run(random_access_requests(DEVICE.capacity_bytes, cfg), cub=1)
+        for i in range(8):
+            host.send_request(CMD.RD64, 0x1000 + 64 * i, cub=1)
+        sim.run(3)
         blob = snapshot_bundle(sim, host)
         original = _continue_and_fingerprint(sim, host)
         with WorkerPool(processes=1) as pool:
@@ -251,6 +258,7 @@ class TestCrossProcessRoundTrip:
         """The session pool's provisioned-template blob — the object
         service recovery ships around — restores identically across
         the process boundary."""
+        from repro.core.checkpoint import restore
         from repro.service import ServiceConfig, SessionPool
 
         cfg = ServiceConfig(
@@ -258,7 +266,13 @@ class TestCrossProcessRoundTrip:
             provision_requests=32, **FAULT_KW
         )
         blob = SessionPool(cfg).template_blob()
-        local = _worker_template_fingerprint(blob)
+        sim = restore(blob)
+        local = {
+            "cycles": sim.clock_value,
+            "stats": sim.stats(),
+            "registers": [d.regs.snapshot() for d in sim.devices],
+            "links": _link_state_fingerprint(sim),
+        }
         with WorkerPool(processes=1) as pool:
             remote = pool.map(_worker_template_fingerprint, [blob])[0]
         assert remote == local

@@ -86,11 +86,22 @@ def _drive(
     racfg = RandomAccessConfig(num_requests=num_requests, seed=7)
     stream = random_access_requests(device.capacity_bytes, racfg)
     if chain:
-        # Alternate targets across the chain so remote routing and the
+        # Interleave targets across the chain so remote routing and the
         # cross-chain response stages carry real traffic.
+        ndev = num_devs
+        stream = (
+            (cmd, addr, payload)
+            for i, (cmd, addr, payload) in enumerate(stream)
+        )
         reqs = list(stream)
-        host.run(iter(reqs[::2]), cub=0)
-        host.run(iter(reqs[1::2]), cub=num_devs - 1)
+        host.run(
+            ((cmd, addr, payload) for (cmd, addr, payload) in reqs[::2]),
+            cub=0,
+        )
+        host.run(
+            ((cmd, addr, payload) for (cmd, addr, payload) in reqs[1::2]),
+            cub=ndev - 1,
+        )
     else:
         host.run(stream, cub=0)
     if idle_tail:

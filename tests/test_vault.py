@@ -18,7 +18,7 @@ from repro.registers.regdefs import physical_index, index_by_name
 from repro.registers.regfile import RegisterFile
 from repro.trace.events import EventType
 from repro.trace.tracer import MemorySink, Tracer
-from tests.test_vault_walk_reference import _VAULT_SCALARS, _build, _cases, _state
+from tests.vault_states import VAULT_SCALARS, build, cases, state
 
 GB = 1 << 30
 
@@ -325,37 +325,37 @@ class TestLifecycle:
 # -- one call (window, width) == the two calls (window, 0) then (0, width) ----
 
 
-def _fixed(state: dict) -> dict:
-    """*state* less what recognition may move: conflict counts, the
+def _fixed(left: dict) -> dict:
+    """*left* less what recognition may move: conflict counts, the
     trace and the busy-bank cache it re-validates."""
-    vault = [x for n, x in zip(_VAULT_SCALARS, state["vault"])
+    vault = [x for n, x in zip(VAULT_SCALARS, left["vault"])
              if n not in ("conflict_count", "_busy_mask", "_next_free")]
     banks = [([x for n, x in zip(Bank._INT_SLOTS, ints) if n != "conflicts"], *rest)
-             for ints, *rest in state["banks"]]
-    return {**state, "vault": vault, "banks": banks, "events": None,
+             for ints, *rest in left["banks"]]
+    return {**left, "vault": vault, "banks": banks, "events": None,
             "emitted": None, "batches": None}
 
 
 class TestOneCallEqualsTwoCalls:
     """The marked engine mode runs the walk as two halves; they must add
-    up to the one call every unmarked run makes.  Vault states are drawn
-    as tests/test_vault_walk_reference.py draws them."""
+    up to the one call every unmarked run makes.  Vault states come from
+    tests/vault_states.py, traced with every event type."""
 
-    @given(_cases())
+    @given(cases(masks=["all"]))
     @settings(max_examples=300, deadline=None)
     def test_halves_compose_and_recognition_is_read_only(self, case):
         def walk(v, amap, tracer, window, width):
             return v.stage34(case["cycle"], amap, window, width, 5, tracer, 0,
                              case["row_timing"])
 
-        one, amap, one_tracer = _build(Vault, case)
+        one, amap, one_tracer = build(Vault, case)
         counts = walk(one, amap, one_tracer, case["window"], case["width"])
-        two, _, two_tracer = _build(Vault, case)
-        before = copy.deepcopy(_fixed(_state(two, two_tracer)))
+        two, _, two_tracer = build(Vault, case)
+        before = copy.deepcopy(_fixed(state(two, two_tracer)))
         conflicts, zero = walk(two, amap, two_tracer, case["window"], 0)
         # §IV.C.3: recognition "does not modify any internal data
         # representations" — only the conflict counters may have moved.
-        assert zero == 0 and _fixed(_state(two, two_tracer)) == before
+        assert zero == 0 and _fixed(state(two, two_tracer)) == before
         none, issued = walk(two, amap, two_tracer, 0, case["width"])
         assert none == 0 and (conflicts, issued) == counts
-        assert _state(two, two_tracer) == _state(one, one_tracer)
+        assert state(two, two_tracer) == state(one, one_tracer)
