@@ -4,17 +4,18 @@
  * the banks' row read/write (§IV.A); stage 5, response registration
  * and the chain-link response hops.
  *
- * Built on first import by repro/core/_native.py; ``bank_methods``,
- * ``queue_methods``, ``tracer_methods``, ``vault_methods`` and
- * ``crossbar_methods`` install the functions below as methods of
- * ``Bank``, ``PacketQueue``, ``Tracer``, ``Vault`` and ``CrossbarUnit``,
- * and ``stage_functions`` hands the clock one function per stage.  The
- * C holds no state of its own: it reads and writes the same
- * ``__slots__`` the Python code does, at the offsets their member
- * descriptors give, the bank arrays through the buffer protocol, and
- * the simulator's and links' attributes by name, so pickles and
- * checkpoints do not change.  Trace events without extras are appended
- * to the tracer's buffer as ``Tracer.emit_fast`` (also C) appends them.
+ * Built on first import by repro/core/_native.py.  One ``bind`` call
+ * (from repro/core/clock.py), driven by a table of classes and a table
+ * of named constants, resolves the slots the C addresses and installs
+ * the functions below as methods of ``Bank``, ``PacketQueue``,
+ * ``Tracer``, ``Vault`` and ``CrossbarUnit``; the clock calls the three
+ * stage functions.  The C holds no state of its own: it reads and
+ * writes the same ``__slots__`` the Python code does, at the offsets
+ * their member descriptors give, the bank arrays through the buffer
+ * protocol, and the simulator's and links' attributes by name, so
+ * pickles and checkpoints do not change.  Trace events without extras
+ * are appended to the tracer's buffer as ``Tracer.emit_fast`` (also C)
+ * appends them.
  * What stays in Python is called back: MODE packets, error replies,
  * BWR and the atomics, open-row timing, address maps other than
  * ``AddressMap``, ECC reads/writes, ``CrossbarUnit._reject`` and
@@ -99,15 +100,6 @@ slot_offset(PyTypeObject *tp, const char *name)
     return off;
 }
 
-static int
-resolve(PyTypeObject *tp, const char *const *names, Py_ssize_t *off, int n)
-{
-    for (int i = 0; i < n; i++)
-        if ((off[i] = slot_offset(tp, names[i])) < 0)
-            return -1;
-    return 0;
-}
-
 /* 0 if *o* is a *tp* (whose slots the offsets address), else TypeError. */
 static int
 check_type(PyObject *o, PyTypeObject *tp)
@@ -190,7 +182,7 @@ static long long atom_bytes, fetch_bytes, far_cycle;
 static PyObject *np_zeros, *word_dtype, *flag_dtype;    /* page store arrays */
 static PyObject *reply_proto[NCMD];     /* per request CMD, from _fast_new */
 static long long read_bytes[NCMD];      /* REQUEST_DATA_BYTES */
-static char is_bwr_cmd[NCMD];
+static long long is_bwr_cmd[NCMD];      /* 1 for BWR and P_BWR */
 static PyObject *cls_flow, *cls_read, *cls_write, *cls_posted_write;
 static PyObject *cls_atomic, *cls_posted_atomic;
 static PyObject *err_address, *err_cmd;
@@ -213,7 +205,7 @@ static PyObject *s_access_busy_cycles;
 static PyObject *s_popleft, *s_discard, *s_event, *s_reject, *s_expire;
 static PyObject *s_try_transmit, *s_note_failure, *s_build_routes, *s_routes;
 static PyObject *s_link_faults, *s_link_peers, *s_devices, *s_config;
-static PyObject *s_queue_timeout, *s_penalty, *s_num_devs, *s_hop_limit;
+static PyObject *s_queue_timeout, *s_penalty, *s_num_devs;
 static PyObject *s_dropped, *s_tx_packets, *s_tx_flits, *s_rx_packets;
 static PyObject *s_rx_flits, *s_vs, *s_vault_mask, *s_vault_of;
 static PyObject *s_target_cub, *s_remote, *s_to_dev, *s_to_link;
@@ -239,7 +231,7 @@ intern_all(void)
     I(s_build_routes, "_build_routes") I(s_link_faults, "_link_faults")
     I(s_link_peers, "_link_peers") I(s_devices, "devices") I(s_config, "config")
     I(s_queue_timeout, "queue_timeout") I(s_penalty, "nonlocal_penalty_cycles")
-    I(s_num_devs, "num_devs") I(s_hop_limit, "enforce_hop_limit")
+    I(s_num_devs, "num_devs")
     I(s_dropped, "dropped_responses") I(s_tx_packets, "tx_packets") I(s_vs, "_vs")
     I(s_tx_flits, "tx_flits") I(s_rx_packets, "rx_packets") I(s_rx_flits, "rx_flits")
     I(s_vault_mask, "_vault_mask") I(s_vault_of, "vault_of") I(s_remote, "remote")
@@ -1505,14 +1497,13 @@ Vault_push_response(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 typedef struct {
     PyObject *sim, *tracer, *cycle_obj, *devices;
     long long cycle, live, moves, penalty, timeout, num_devs;
-    int hop_limit;
 } Stage;
 
 static int
 stage_begin(Stage *s, PyObject *sim, PyObject *cycle, PyObject *moves,
             PyObject *tracer)
 {
-    PyObject *config = NULL, *hop_limit = NULL;
+    PyObject *config = NULL;
     *s = (Stage){.sim = sim, .tracer = tracer, .cycle_obj = cycle};
     int rc = parse_ll(cycle, &s->cycle) < 0 || parse_ll(moves, &s->moves) < 0
         || check_type(tracer, tracer_type) < 0
@@ -1521,11 +1512,8 @@ stage_begin(Stage *s, PyObject *sim, PyObject *cycle, PyObject *moves,
         || attr_ll(config, s_queue_timeout, &s->timeout) < 0
         || attr_ll(config, s_penalty, &s->penalty) < 0
         || attr_ll(config, s_num_devs, &s->num_devs) < 0
-        || (hop_limit = PyObject_GetAttr(sim, s_hop_limit)) == NULL
-        || (s->hop_limit = PyObject_IsTrue(hop_limit)) < 0
         || (s->devices = PyObject_GetAttr(sim, s_devices)) == NULL ? -1 : 0;
     Py_XDECREF(config);
-    Py_XDECREF(hop_limit);
     return rc;
 }
 
@@ -1921,7 +1909,7 @@ route_xbar(Stage *s, PyObject *xbar, PyObject *dev)
             goto done;
         if (cub != r.dev_id) {
             /* One hop per cycle; a held egress is offered once. */
-            go = !(s->hop_limit && s->cycle - when < 1);
+            go = s->cycle - when >= 1;
             if (go && r.held != NULL)
                 go = (go = PySet_Contains(r.held, cub_obj)) < 0 ? -1 : !go;
             if (go > 0)
@@ -1936,7 +1924,7 @@ route_xbar(Stage *s, PyObject *xbar, PyObject *dev)
             go = 0;
         else {
             int local_quad = vid < num_vaults && vid >> 2 == my_quad;
-            if (s->hop_limit && s->cycle - when < (local_quad ? 1 : 1 + s->penalty))
+            if (s->cycle - when < (local_quad ? 1 : 1 + s->penalty))
                 go = 0;     /* not ready: later packets to it must wait */
             else if (vid >= num_vaults)
                 /* Decoded past the vault structure: a deliberate
@@ -2170,7 +2158,7 @@ cross_chain(Stage *s, PyObject *dev, PyObject *dev_obj)
             Py_DECREF(first);
             /* One hop per cycle: same-cycle arrivals wait. */
             if (rc == 0)
-                rc = s->hop_limit && stamp >= s->cycle ? 0
+                rc = stamp >= s->cycle ? 0
                     : hop_response(s, dev, dev_obj, PyTuple_GET_ITEM(key, 1), rsp, q,
                                    pdev, peer_id, state);
             count += rc == 1;
@@ -2335,6 +2323,7 @@ static PyMethodDef bank_defs[] = {
      "_materialize(pg)\n--\n\n"
      "Give page *pg* the next (zeroed) row of the store and return it.\n"
      "The store starts as one row and doubles when full."},
+    {NULL, NULL, 0, NULL},
 };
 
 static PyMethodDef vault_defs[] = {
@@ -2363,52 +2352,8 @@ static PyMethodDef vault_defs[] = {
      "Queue *rsp* as *request*'s reply, numbered with the tracer's\n"
      "``next_serial``; the caller checked for room.\n"
      "Returns the slots taken (1)."},
+    {NULL, NULL, 0, NULL},
 };
-
-static PyObject *
-methods_of(PyTypeObject *tp, PyMethodDef *defs, int n)
-{
-    PyObject *out = PyTuple_New(n);
-    for (int i = 0; out != NULL && i < n; i++) {
-        PyObject *d = PyDescr_NewMethod(tp, &defs[i]);
-        if (d == NULL)
-            Py_CLEAR(out);
-        else
-            PyTuple_SET_ITEM(out, i, d);
-    }
-    return out;
-}
-
-static PyTypeObject *
-as_type(PyObject *o, const char *what)
-{
-    if (!PyType_Check(o)) {
-        PyErr_Format(PyExc_TypeError, "%s must be a class", what);
-        return NULL;
-    }
-    Py_INCREF(o);
-    return (PyTypeObject *)o;
-}
-
-static PyObject *
-bank_methods(PyObject *mod, PyObject *args)
-{
-    PyObject *tp;
-    if (!PyArg_ParseTuple(args, "OLLOOO", &tp, &atom_bytes, &fetch_bytes,
-                          &np_zeros, &word_dtype, &flag_dtype))
-        return NULL;
-    Py_INCREF(np_zeros);
-    Py_INCREF(word_dtype);
-    Py_INCREF(flag_dtype);
-    if (atom_bytes != 16) {
-        PyErr_SetString(PyExc_ValueError, "the bank rows hold 16-byte atoms");
-        return NULL;
-    }
-    if ((bank_type = as_type(tp, "Bank")) == NULL
-        || resolve(bank_type, B_names, B_off, B_N) < 0)
-        return NULL;
-    return methods_of(bank_type, bank_defs, 3);
-}
 
 static PyMethodDef queue_defs[] = {
     {"remove_positions", (PyCFunction)Queue_remove_positions, METH_O,
@@ -2416,21 +2361,8 @@ static PyMethodDef queue_defs[] = {
      "Remove the entries at ascending FIFO *positions* in one pass.\n\n"
      "FIFO order of the survivors is preserved; removed entries count\n"
      "as dequeued (the same accounting as ``pop``)."},
+    {NULL, NULL, 0, NULL},
 };
-
-static PyObject *
-queue_methods(PyObject *mod, PyObject *args)
-{
-    PyObject *qt, *pt;
-    if (!PyArg_ParseTuple(args, "OO", &qt, &pt))
-        return NULL;
-    if ((queue_type = as_type(qt, "PacketQueue")) == NULL
-        || (packet_type = as_type(pt, "Packet")) == NULL
-        || resolve(queue_type, Q_names, Q_off, Q_N) < 0
-        || resolve(packet_type, P_names, P_off, P_N) < 0)
-        return NULL;
-    return methods_of(queue_type, queue_defs, 1);
-}
 
 static PyMethodDef tracer_defs[] = {
     {"emit_fast", (PyCFunction)(void (*)(void))Tracer_emit_fast, METH_FASTCALL,
@@ -2439,33 +2371,167 @@ static PyMethodDef tracer_defs[] = {
      "Buffer one event as a compact tuple (hot call sites), positional\n"
      "arguments only.  Callers have tested ``live_mask & etype``: no mask\n"
      "test, no TraceEvent.  Flushes once the buffer holds ``_limit``."},
+    {NULL, NULL, 0, NULL},
 };
 
+static PyMethodDef xbar_defs[] = {
+    {"route_requests", (PyCFunction)(void (*)(void))Xbar_route_requests,
+     METH_VARARGS | METH_KEYWORDS,
+     "route_requests(device, sim, cycle, moves, tracer)\n--\n\n"
+     "Route up to *moves* packets of the request queue to local vaults\n"
+     "or one hop along the chain (stages 1/2); returns the count moved."},
+    {NULL, NULL, 0, NULL},
+};
+
+/* The classes the C addresses, each passed to ``bind`` under its name:
+ * the slots it reads at resolved offsets, and the methods ``bind``
+ * installs on the class. */
+static const struct {
+    const char *name;
+    PyTypeObject **type;
+    const char *const *slots;
+    Py_ssize_t *off;
+    int nslots;
+    PyMethodDef *defs;
+} class_table[] = {
+    {"Packet", &packet_type, P_names, P_off, P_N, NULL},
+    {"PacketQueue", &queue_type, Q_names, Q_off, Q_N, queue_defs},
+    {"Vault", &vault_type, V_names, V_off, V_N, vault_defs},
+    {"Bank", &bank_type, B_names, B_off, B_N, bank_defs},
+    {"Tracer", &tracer_type, T_names, T_off, T_N, tracer_defs},
+    {"CrossbarUnit", &xbar_type, C_names, C_off, C_N, xbar_defs},
+    {"HMCDevice", &device_type, D_names, D_off, D_N, NULL},
+    {"AddressMap", &amap_type, NULL, NULL, 0, NULL},
+};
+
+/* The named values the C reads: member *name* of the namespace passed
+ * to ``bind`` as *ns*, or without *ns* the keyword argument *name*
+ * itself.  *obj* takes the value, or with *ll* set its int (a buffered
+ * tuple's etype), and *ll* takes that int. */
+static const struct {
+    const char *ns, *name;
+    PyObject **obj;
+    long long *ll;
+} constant_table[] = {
+    {"CommandClass", "FLOW", &cls_flow},
+    {"CommandClass", "READ", &cls_read},
+    {"CommandClass", "WRITE", &cls_write},
+    {"CommandClass", "POSTED_WRITE", &cls_posted_write},
+    {"CommandClass", "ATOMIC", &cls_atomic},
+    {"CommandClass", "POSTED_ATOMIC", &cls_posted_atomic},
+    {"CommandClass", "MODE_READ", &cls_mode_read},
+    {"CommandClass", "MODE_WRITE", &cls_mode_write},
+    {"ErrStat", "INVALID_ADDRESS", &err_address},
+    {"ErrStat", "INVALID_CMD", &err_cmd},
+    {"ErrStat", "UNROUTABLE", &err_unroutable},
+    {"EventType", "BANK_CONFLICT", &ev_conflict, &m_conflict},
+    {"EventType", "VAULT_RSP_STALL", &ev_stall, &m_stall},
+    {"EventType", "RQST_READ", &ev_read, &m_read},
+    {"EventType", "RQST_WRITE", &ev_write, &m_write},
+    {"EventType", "XBAR_RQST_STALL", &ev_rqst_stall, &m_rqst_stall},
+    {"EventType", "LATENCY_PENALTY", &ev_latency, &m_latency},
+    {"EventType", "XBAR_RSP_STALL", &ev_rsp_stall, &m_rsp_stall},
+    {"EventType", "PKT_EXPIRED", &ev_expired, &m_expired},
+    {"EventType", "RSP_REGISTERED", &ev_registered, &m_registered},
+    {"EventType", "CHAIN_HOP", NULL, &m_chain_hop},
+    {"EventType", "XBAR_RQST_STALL", &member_rqst_stall},
+    {"EventType", "CHAIN_HOP", &member_chain_hop},
+    {"EventType", "MISROUTE", &member_misroute},
+    {NULL, "zeros", &np_zeros},
+    {NULL, "word_dtype", &word_dtype},
+    {NULL, "flag_dtype", &flag_dtype},
+    {NULL, "ok", &tx_ok},
+    {NULL, "dead", &tx_dead},
+    {NULL, "far", NULL, &far_cycle},
+    {NULL, "atom_bytes", NULL, &atom_bytes},
+    {NULL, "fetch_bytes", NULL, &fetch_bytes},
+};
+
+#define LEN(a) ((int)(sizeof(a) / sizeof((a)[0])))
+
+/* ``bind``'s keyword argument *name*, borrowed; TypeError when absent. */
 static PyObject *
-tracer_methods(PyObject *mod, PyObject *tt)
+arg(PyObject *kw, const char *name)
 {
-    if ((tracer_type = as_type(tt, "Tracer")) == NULL
-        || resolve(tracer_type, T_names, T_off, T_N) < 0)
-        return NULL;
-    return methods_of(tracer_type, tracer_defs, 1);
+    PyObject *v = kw == NULL ? NULL : PyDict_GetItemString(kw, name);
+    if (v == NULL)
+        PyErr_Format(PyExc_TypeError, "bind() needs the keyword argument %s=", name);
+    return v;
 }
 
+/* Row *i* of the class table: the class, its slot offsets, its methods. */
 static int
-member(PyObject *ns, const char *name, PyObject **out)
+bind_class(PyObject *kw, int i)
 {
-    *out = PyObject_GetAttrString(ns, name);
-    return *out == NULL ? -1 : 0;
-}
-
-static int
-event(PyObject *events, const char *name, PyObject **obj, long long *mask)
-{
-    PyObject *e = PyObject_GetAttrString(events, name);
-    if (e == NULL)
+    PyObject *tp = arg(kw, class_table[i].name);
+    if (tp == NULL)
         return -1;
-    *obj = PyNumber_Index(e);
-    Py_DECREF(e);
-    return *obj == NULL ? -1 : parse_ll(*obj, mask);
+    if (!PyType_Check(tp)) {
+        PyErr_Format(PyExc_TypeError, "%s must be a class", class_table[i].name);
+        return -1;
+    }
+    PyTypeObject *type = (PyTypeObject *)Py_NewRef(tp);
+    Py_XSETREF(*class_table[i].type, type);
+    for (int k = 0; k < class_table[i].nslots; k++)
+        if ((class_table[i].off[k] = slot_offset(type, class_table[i].slots[k])) < 0)
+            return -1;
+    for (PyMethodDef *def = class_table[i].defs; def && def->ml_name; def++) {
+        PyObject *method = PyDescr_NewMethod(type, def);
+        int rc = method == NULL ? -1 : PyObject_SetAttrString(tp, def->ml_name, method);
+        Py_XDECREF(method);
+        if (rc < 0)
+            return -1;
+    }
+    return 0;
+}
+
+/* Row *i* of the constant table. */
+static int
+bind_constant(PyObject *kw, int i)
+{
+    const char *ns = constant_table[i].ns, *name = constant_table[i].name;
+    PyObject *v = arg(kw, ns ? ns : name);
+    if (v == NULL || (v = ns ? PyObject_GetAttrString(v, name) : Py_NewRef(v)) == NULL)
+        return -1;
+    if (constant_table[i].ll != NULL) {
+        Py_SETREF(v, PyNumber_Index(v));
+        if (v == NULL || parse_ll(v, constant_table[i].ll) < 0) {
+            Py_XDECREF(v);
+            return -1;
+        }
+    }
+    if (constant_table[i].obj != NULL)
+        Py_XSETREF(*constant_table[i].obj, v);
+    else
+        Py_DECREF(v);
+    return 0;
+}
+
+/* The offsets of every slot of Packet, for copying a reply prototype. */
+static int
+bind_packet_slots(void)
+{
+    PyObject *slots = PyObject_GetAttrString((PyObject *)packet_type, "__slots__");
+    PyObject *fast = slots ? PySequence_Fast(slots, "Packet.__slots__") : NULL;
+    Py_XDECREF(slots);
+    if (fast == NULL)
+        return -1;
+    Py_ssize_t n = PySequence_Fast_GET_SIZE(fast);
+    Py_ssize_t *off = PyMem_New(Py_ssize_t, n);
+    int rc = off == NULL ? (PyErr_NoMemory(), -1) : 0;
+    for (Py_ssize_t i = 0; rc == 0 && i < n; i++) {
+        const char *name = PyUnicode_AsUTF8(PySequence_Fast_GET_ITEM(fast, i));
+        rc = name == NULL || (off[i] = slot_offset(packet_type, name)) < 0 ? -1 : 0;
+    }
+    Py_DECREF(fast);
+    if (rc < 0) {
+        PyMem_Free(off);
+        return -1;
+    }
+    PyMem_Free(packet_all_off);
+    packet_all_off = off;
+    packet_nslots = n;
+    return 0;
 }
 
 /* Table keyed by CMD value: a dict {int(cmd): value} into *out*. */
@@ -2474,6 +2540,8 @@ cmd_table(PyObject *dict, PyObject **objs, long long *ints)
 {
     PyObject *key, *value;
     Py_ssize_t pos = 0;
+    if (dict == NULL)
+        return -1;
     if (!PyDict_Check(dict)) {
         PyErr_SetString(PyExc_TypeError, "command tables are dicts");
         return -1;
@@ -2500,121 +2568,50 @@ cmd_table(PyObject *dict, PyObject **objs, long long *ints)
     return 0;
 }
 
-static PyObject *
-vault_methods(PyObject *mod, PyObject *args, PyObject *kw)
+/* The per-command inputs: reply prototypes, read sizes, BWR commands. */
+static int
+bind_commands(PyObject *kw)
 {
-    static char *names[] = {"vault", "amap", "replies", "read_bytes", "bwr",
-                            "classes", "errstat", "events", "far", NULL};
-    PyObject *vt, *at, *replies, *rbytes, *bwr, *classes, *errstat, *events;
-    if (!PyArg_ParseTupleAndKeywords(args, kw, "OOOOOOOOL", names, &vt, &at,
-                                     &replies, &rbytes, &bwr, &classes,
-                                     &errstat, &events, &far_cycle))
-        return NULL;
-    if (bank_type == NULL || packet_type == NULL) {
-        PyErr_SetString(PyExc_RuntimeError,
-                        "bind the Bank and PacketQueue methods first");
-        return NULL;
-    }
-    PyObject *pt = (PyObject *)packet_type, *slots;
-    if ((vault_type = as_type(vt, "vault")) == NULL
-        || (amap_type = as_type(at, "amap")) == NULL
-        || resolve(vault_type, V_names, V_off, V_N) < 0)
-        return NULL;
-    if ((slots = PyObject_GetAttrString(pt, "__slots__")) == NULL)
-        return NULL;
-    PyObject *fast = PySequence_Fast(slots, "Packet.__slots__");
-    Py_DECREF(slots);
-    if (fast == NULL)
-        return NULL;
-    packet_nslots = PySequence_Fast_GET_SIZE(fast);
-    PyMem_Free(packet_all_off);
-    if ((packet_all_off = PyMem_New(Py_ssize_t, packet_nslots)) == NULL) {
-        Py_DECREF(fast);
-        return PyErr_NoMemory();
-    }
-    for (Py_ssize_t i = 0; i < packet_nslots; i++) {
-        const char *name = PyUnicode_AsUTF8(PySequence_Fast_GET_ITEM(fast, i));
-        if (name == NULL
-            || (packet_all_off[i] = slot_offset(packet_type, name)) < 0) {
-            Py_DECREF(fast);
-            return NULL;
-        }
-    }
-    Py_DECREF(fast);
-    if (cmd_table(replies, reply_proto, NULL) < 0
-        || cmd_table(rbytes, NULL, read_bytes) < 0)
-        return NULL;
-    PyObject *bwr_fast = PySequence_Fast(bwr, "bwr commands");
-    if (bwr_fast == NULL)
-        return NULL;
-    for (Py_ssize_t i = 0; i < PySequence_Fast_GET_SIZE(bwr_fast); i++) {
-        long cmd = PyLong_AsLong(PySequence_Fast_GET_ITEM(bwr_fast, i));
-        if (cmd < 0 || cmd >= NCMD) {
-            Py_DECREF(bwr_fast);
-            if (!PyErr_Occurred())
-                PyErr_SetString(PyExc_ValueError, "BWR command is not 6-bit");
-            return NULL;
-        }
-        is_bwr_cmd[cmd] = 1;
-    }
-    Py_DECREF(bwr_fast);
-    if (member(classes, "FLOW", &cls_flow) < 0
-        || member(classes, "READ", &cls_read) < 0
-        || member(classes, "WRITE", &cls_write) < 0
-        || member(classes, "POSTED_WRITE", &cls_posted_write) < 0
-        || member(classes, "ATOMIC", &cls_atomic) < 0
-        || member(classes, "POSTED_ATOMIC", &cls_posted_atomic) < 0
-        || member(errstat, "INVALID_ADDRESS", &err_address) < 0
-        || member(errstat, "INVALID_CMD", &err_cmd) < 0
-        || event(events, "BANK_CONFLICT", &ev_conflict, &m_conflict) < 0
-        || event(events, "VAULT_RSP_STALL", &ev_stall, &m_stall) < 0
-        || event(events, "RQST_READ", &ev_read, &m_read) < 0
-        || event(events, "RQST_WRITE", &ev_write, &m_write) < 0)
-        return NULL;
-    return methods_of(vault_type, vault_defs, 3);
+    for (int cmd = 0; cmd < NCMD; cmd++)
+        Py_CLEAR(reply_proto[cmd]);
+    memset(read_bytes, 0, sizeof read_bytes);
+    memset(is_bwr_cmd, 0, sizeof is_bwr_cmd);
+    return cmd_table(arg(kw, "replies"), reply_proto, NULL) < 0
+        || cmd_table(arg(kw, "read_bytes"), NULL, read_bytes) < 0
+        || cmd_table(arg(kw, "bwr"), NULL, is_bwr_cmd) < 0 ? -1 : 0;
 }
 
-static PyMethodDef xbar_defs[] = {
-    {"route_requests", (PyCFunction)(void (*)(void))Xbar_route_requests,
-     METH_VARARGS | METH_KEYWORDS,
-     "route_requests(device, sim, cycle, moves, tracer)\n--\n\n"
-     "Route up to *moves* packets of the request queue to local vaults\n"
-     "or one hop along the chain (stages 1/2); returns the count moved."},
-};
-
 static PyObject *
-crossbar_methods(PyObject *mod, PyObject *args, PyObject *kw)
+bind(PyObject *mod, PyObject *args, PyObject *kw)
 {
-    static char *names[] = {"xbar", "amap", "classes", "errstat", "events",
-                            "ok", "dead", NULL};
-    PyObject *xt, *at, *classes, *errstat, *events;
-    if (!PyArg_ParseTupleAndKeywords(args, kw, "OOOOOOO", names, &xt, &at,
-                                     &classes, &errstat, &events, &tx_ok, &tx_dead))
+    if (PyTuple_GET_SIZE(args) != 0) {
+        PyErr_SetString(PyExc_TypeError, "bind() takes keyword arguments only");
         return NULL;
-    Py_INCREF(tx_ok);
-    Py_INCREF(tx_dead);
-    Py_XDECREF(amap_type);
-    if ((xbar_type = as_type(xt, "CrossbarUnit")) == NULL
-        || (amap_type = as_type(at, "amap")) == NULL
-        || resolve(xbar_type, C_names, C_off, C_N) < 0
-        || member(classes, "MODE_READ", &cls_mode_read) < 0
-        || member(classes, "MODE_WRITE", &cls_mode_write) < 0
-        || member(errstat, "INVALID_ADDRESS", &err_address) < 0
-        || member(errstat, "UNROUTABLE", &err_unroutable) < 0
-        || event(events, "XBAR_RQST_STALL", &ev_rqst_stall, &m_rqst_stall) < 0
-        || event(events, "LATENCY_PENALTY", &ev_latency, &m_latency) < 0
-        || event(events, "XBAR_RSP_STALL", &ev_rsp_stall, &m_rsp_stall) < 0
-        || event(events, "PKT_EXPIRED", &ev_expired, &m_expired) < 0
-        || event(events, "RSP_REGISTERED", &ev_registered, &m_registered) < 0
-        || member(events, "XBAR_RQST_STALL", &member_rqst_stall) < 0
-        || member(events, "CHAIN_HOP", &member_chain_hop) < 0
-        || parse_ll(member_chain_hop, &m_chain_hop) < 0
-        || member(events, "MISROUTE", &member_misroute) < 0)
+    }
+    for (int i = 0; i < LEN(class_table); i++)
+        if (bind_class(kw, i) < 0)
+            return NULL;
+    for (int i = 0; i < LEN(constant_table); i++)
+        if (bind_constant(kw, i) < 0)
+            return NULL;
+    if (bind_packet_slots() < 0 || bind_commands(kw) < 0)
         return NULL;
-    return methods_of(xbar_type, xbar_defs, 1);
+    if (atom_bytes != 16) {
+        PyErr_SetString(PyExc_ValueError, "the bank rows hold 16-byte atoms");
+        return NULL;
+    }
+    Py_RETURN_NONE;
 }
 
-static PyMethodDef stage_defs[] = {
+static PyMethodDef module_defs[] = {
+    {"bind", (PyCFunction)(void (*)(void))bind, METH_VARARGS | METH_KEYWORDS,
+     "bind(*, Packet, PacketQueue, Vault, Bank, Tracer, CrossbarUnit, HMCDevice,\n"
+     "     AddressMap, CommandClass, ErrStat, EventType, replies, read_bytes, bwr,\n"
+     "     far, atom_bytes, fetch_bytes, zeros, word_dtype, flag_dtype, ok, dead)\n"
+     "--\n\n"
+     "Resolve the slots of the classes the C addresses, install their C\n"
+     "methods, and hand over the named members and the constants it reads.\n"
+     "A second call re-resolves everything."},
     {"route_stage", (PyCFunction)(void (*)(void))route_stage, METH_FASTCALL,
      "route_stage(devices, sim, cycle, order, moves, tracer) -> moved"},
     {"vault_stage", (PyCFunction)(void (*)(void))vault_stage, METH_FASTCALL,
@@ -2622,38 +2619,6 @@ static PyMethodDef stage_defs[] = {
      " -> (conflicts, issued)"},
     {"response_stage", (PyCFunction)(void (*)(void))response_stage, METH_FASTCALL,
      "response_stage(devices, sim, cycle, moves, tracer) -> moved"},
-};
-
-static PyObject *
-stage_functions(PyObject *mod, PyObject *dt)
-{
-    if ((device_type = as_type(dt, "HMCDevice")) == NULL
-        || resolve(device_type, D_names, D_off, D_N) < 0)
-        return NULL;
-    return Py_BuildValue("(NNN)", PyCFunction_New(&stage_defs[0], mod),
-                         PyCFunction_New(&stage_defs[1], mod),
-                         PyCFunction_New(&stage_defs[2], mod));
-}
-
-static PyMethodDef module_defs[] = {
-    {"bank_methods", bank_methods, METH_VARARGS,
-     "bank_methods(Bank, atom_bytes, fetch_bytes, zeros, word_dtype, flag_dtype)\n"
-     "-> (read, write, _materialize)"},
-    {"tracer_methods", tracer_methods, METH_O,
-     "tracer_methods(Tracer) -> (emit_fast,)"},
-    {"queue_methods", queue_methods, METH_VARARGS,
-     "queue_methods(PacketQueue, Packet) -> (remove_positions,)"},
-    {"vault_methods", (PyCFunction)(void (*)(void))vault_methods,
-     METH_VARARGS | METH_KEYWORDS,
-     "vault_methods(vault=, amap=, replies=, read_bytes=, bwr=, classes=, "
-     "errstat=, events=, far=)\n"
-     "-> (stage34, _busy_state, _push_response)"},
-    {"crossbar_methods", (PyCFunction)(void (*)(void))crossbar_methods,
-     METH_VARARGS | METH_KEYWORDS,
-     "crossbar_methods(xbar=, amap=, classes=, errstat=, events=, ok=, dead=)\n"
-     "-> (route_requests,)"},
-    {"stage_functions", stage_functions, METH_O,
-     "stage_functions(HMCDevice) -> (route_stage, vault_stage, response_stage)"},
     {NULL, NULL, 0, NULL},
 };
 

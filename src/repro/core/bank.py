@@ -20,7 +20,6 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.core._native import load
 
 #: Addressable atom: one 16-byte block = two 64-bit words.
 ATOM_BYTES = 16
@@ -87,6 +86,9 @@ class Bank:
     :meth:`sync_image`; its one consumer is the delta checkpoint
     (:class:`repro.core.checkpoint.PageStore`), which copies exactly
     those pages per epoch instead of pickling the whole bank.
+
+    Demand ``read`` / ``write`` and ``_materialize`` are C, shared with
+    the vault walk (``_vaultwalk.c``; installed by :mod:`repro.core.clock`).
     """
 
     __slots__ = ("bank_id", "capacity_bytes", "num_drams", "_page_words",
@@ -438,10 +440,3 @@ class Bank:
         self.dram_access_count = 0
         if self.ras is not None:
             self.ras.reset()
-
-
-#: Demand reads and writes (counters, ECC hooks, the page rows) and page
-#: materialisation are C, shared with the vault walk (``_vaultwalk.c``).
-_walk = load("repro.core._vaultwalk")
-Bank.read, Bank.write, Bank._materialize = _walk.bank_methods(
-    Bank, ATOM_BYTES, COLUMN_FETCH_BYTES, np.zeros, np.uint64, bool)

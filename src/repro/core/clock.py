@@ -48,12 +48,22 @@ from functools import wraps
 from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, List, Optional
 
+import numpy as np
+
+from repro.addressing.address_map import AddressMap
 from repro.core._native import load
+from repro.core.bank import ATOM_BYTES, COLUMN_FETCH_BYTES, Bank
+from repro.core.crossbar import CrossbarUnit
 from repro.core.device import HMCDevice
 from repro.core.errors import WatchdogError
 from repro.core.quad import closest_quad_of_link
-from repro.faults.inband import LinkHealth
+from repro.core.queueing import PacketQueue
+from repro.core.vault import _BWR_CMDS, _FAR, Vault
+from repro.faults.inband import TX_DEAD, TX_OK, LinkHealth
+from repro.packets.commands import REQUEST_DATA_BYTES, CommandClass
+from repro.packets.packet import _RSP_CACHE, _ZERO_WORDS, ErrStat, Packet, _fast_new
 from repro.trace.events import EventType
+from repro.trace.tracer import Tracer
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.simulator import HMCSim
@@ -232,8 +242,8 @@ class ClockEngine:
         if not held:
             return NEVER
         cfg = sim.config
-        if not sim.enforce_hop_limit or cfg.queue_timeout > 0:
-            return now  # no transit timer / zombie expiry reads every cycle
+        if cfg.queue_timeout > 0:
+            return now  # zombie expiry reads every cycle
         penalty = cfg.nonlocal_penalty_cycles
         wake = NEVER
         for dev in held:
@@ -570,6 +580,31 @@ class ClockEngine:
         )
 
 
-#: Stages 1/2, 3/4 and 5 are C (``_vaultwalk.c``), one call per step.
-_route_stage, _vault_stage, _response_stage = load(
-    "repro.core._vaultwalk").stage_functions(HMCDevice)
+#: Stages 1-5 are C (``_vaultwalk.c``), one call per step, and so are
+#: ``Bank.read`` / ``write`` / ``_materialize``,
+#: ``PacketQueue.remove_positions``, ``Tracer.emit_fast``, ``Vault.stage34``
+#: / ``_busy_state`` / ``_push_response`` and ``CrossbarUnit.route_requests``.
+#: The one ``bind`` installs those methods and hands the C the classes
+#: whose slots it addresses, the members it reads by name and its
+#: per-command tables.  Every import of ``repro`` runs it: the package
+#: imports ``repro.core.simulator``, which imports this module.
+_walk = load("repro.core._vaultwalk")
+_walk.bind(
+    Packet=Packet, PacketQueue=PacketQueue, Vault=Vault, Bank=Bank,
+    Tracer=Tracer, CrossbarUnit=CrossbarUnit, HMCDevice=HMCDevice,
+    AddressMap=AddressMap, CommandClass=CommandClass, ErrStat=ErrStat,
+    EventType=EventType,
+    # Per request command, the reply ``_fast_new`` builds with a zero
+    # payload (serial -1): the C walk copies one per READ/WRITE reply.
+    replies={
+        int(cmd): _fast_new(rsp_cmd, 0, 0, 0, _ZERO_WORDS[need], 0, 0, info)
+        for cmd, (rsp_cmd, need, info) in _RSP_CACHE.items()
+    },
+    read_bytes={int(cmd): n for cmd, n in REQUEST_DATA_BYTES.items()},
+    bwr={int(cmd): 1 for cmd in _BWR_CMDS}, far=_FAR,
+    atom_bytes=ATOM_BYTES, fetch_bytes=COLUMN_FETCH_BYTES,
+    zeros=np.zeros, word_dtype=np.uint64, flag_dtype=bool,
+    ok=TX_OK, dead=TX_DEAD,
+)
+_route_stage, _vault_stage, _response_stage = (
+    _walk.route_stage, _walk.vault_stage, _walk.response_stage)

@@ -23,11 +23,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.addressing.address_map import AddressMap
-from repro.core._native import load
 from repro.core.queueing import PacketQueue
-from repro.faults.inband import TX_DEAD, TX_OK
-from repro.packets.commands import CommandClass
 from repro.packets.packet import ErrStat, Packet, build_response
 from repro.trace.events import EventType
 from repro.trace.tracer import Tracer
@@ -115,9 +111,3 @@ class CrossbarUnit:
             f"CrossbarUnit(link={self.link_id}, rqst={len(self.rqst)}/"
             f"{self.rqst.depth}, rsp={len(self.rsp)}/{self.rsp.depth})"
         )
-
-
-(CrossbarUnit.route_requests,) = load("repro.core._vaultwalk").crossbar_methods(
-    xbar=CrossbarUnit, amap=AddressMap, classes=CommandClass, errstat=ErrStat,
-    events=EventType, ok=TX_OK, dead=TX_DEAD,
-)

@@ -86,20 +86,6 @@ class LinkDeadError(HMCError):
         self.report = report if report is not None else {}
 
 
-class DeadlineError(HMCError):
-    """A request (or its session) blew through its service deadline.
-
-    The memory service (:mod:`repro.service`) stamps every injected
-    request; when a tenant spec carries ``deadline_cycles`` and a
-    response returns later than that — or the head-of-line request
-    cannot even be injected within the deadline — the miss is recorded
-    with this error's errno (``E_DEADLINE``) and billed to the tenant
-    as a ``deadline_misses`` count feeding the per-class SLO report.
-    """
-
-    errno = E_DEADLINE
-
-
 class CheckpointError(HMCError):
     """A snapshot blob is corrupt, truncated, or version-incompatible.
 

@@ -18,7 +18,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Iterator, List, Optional
 
-from repro.core._native import load
 from repro.packets.packet import Packet
 
 __all__ = ["PacketQueue", "QueueSlot"]
@@ -46,6 +45,9 @@ class PacketQueue:
         stall the caller must surface (trace event / E_STALL).
     name:
         Diagnostic label, e.g. ``"dev0.link2.xbar_rqst"``.
+
+    ``remove_positions``, the routing and vault-issue scans' batched
+    removal, is C (``_vaultwalk.c``; installed by :mod:`repro.core.clock`).
     """
 
     __slots__ = ("depth", "name", "_q", "_stamps", "high_water",
@@ -254,9 +256,3 @@ class PacketQueue:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"PacketQueue({self.name!r}, {len(self._q)}/{self.depth})"
-
-
-#: The batched removal of the routing and vault-issue scans is C, shared
-#: with the vault walk (``_vaultwalk.c``).
-_walk = load("repro.core._vaultwalk")
-(PacketQueue.remove_positions,) = _walk.queue_methods(PacketQueue, Packet)

@@ -100,8 +100,6 @@ class HMCSim:
 
             for d in self.devices:
                 d.ras = RasController(d, config, self.tracer)
-        #: Enforce one structural hop per sub-cycle stage (paper §IV.C).
-        self.enforce_hop_limit = True
 
         # Topology state.  The epoch bumps on every topology mutation so
         # the clock engine can refresh its cached root/child lists and

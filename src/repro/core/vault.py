@@ -21,19 +21,10 @@ from __future__ import annotations
 from operator import attrgetter
 from typing import TYPE_CHECKING, List, Optional
 
-from repro.addressing.address_map import AddressMap
-from repro.core._native import load
 from repro.core.bank import Bank
 from repro.core.queueing import PacketQueue
-from repro.packets.commands import CMD, REQUEST_DATA_BYTES, CommandClass
-from repro.packets.packet import (
-    _RSP_CACHE,
-    _ZERO_WORDS,
-    ErrStat,
-    Packet,
-    _fast_new,
-    build_response,
-)
+from repro.packets.commands import CMD, CommandClass
+from repro.packets.packet import ErrStat, Packet, build_response
 from repro.trace.events import EventType
 from repro.trace.tracer import Tracer
 
@@ -228,17 +219,3 @@ class Vault:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Vault({self.vault_id}, quad={self.quad_id}, banks={len(self.banks)})"
-
-
-_walk = load("repro.core._vaultwalk")
-Vault.stage34, Vault._busy_state, Vault._push_response = _walk.vault_methods(
-    # Per request command, the reply ``_fast_new`` builds with a zero
-    # payload (serial -1): the C walk copies one per READ/WRITE reply.
-    vault=Vault, amap=AddressMap, replies={
-        int(cmd): _fast_new(rsp_cmd, 0, 0, 0, _ZERO_WORDS[need], 0, 0, info)
-        for cmd, (rsp_cmd, need, info) in _RSP_CACHE.items()
-    },
-    read_bytes={int(cmd): n for cmd, n in REQUEST_DATA_BYTES.items()},
-    bwr=[int(cmd) for cmd in _BWR_CMDS], classes=CommandClass,
-    errstat=ErrStat, events=EventType, far=_FAR,
-)

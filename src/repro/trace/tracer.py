@@ -434,12 +434,3 @@ class Tracer:
         self.flush()
         for sink in self._sinks:
             sink.close()
-
-
-#: ``emit_fast`` is C (``core/_vaultwalk.c``), the append the vault walk
-#: makes for its own events: a hot call site pays no Python frame per
-#: event.  Imported here, not at the top: ``repro.core`` imports this
-#: module, and ``Tracer`` must exist when it does.
-from repro.core._native import load  # noqa: E402
-
-(Tracer.emit_fast,) = load("repro.core._vaultwalk").tracer_methods(Tracer)

@@ -10,7 +10,11 @@ their Python as it stood before the move, verbatim:
 ``_stage34`` steps, and ``_stage5`` with ``_drain_vault_responses``,
 ``_egress_link_for`` and ``_cross_chain_responses``.  The vault walk
 itself (``Vault.stage34``) stays C on both sides; its own oracle is
-``tests/reference/vault_walk.py``.
+``tests/reference/vault_walk.py``.  Two edits since: the one-hop-per-cycle
+limit is unconditional, as the engine has no switch for it, and the
+batched removal of routed packets is that module's Python
+:func:`~tests.reference.vault_walk.remove_positions`, not the engine's
+C, so a fault in the C cannot move both sides alike.
 
 :func:`adopt` puts a simulator under the reference: its engine becomes a
 :class:`ReferenceEngine` (run state kept) and every crossbar a
@@ -33,6 +37,7 @@ from repro.packets.commands import CommandClass
 from repro.packets.packet import ErrStat, Packet
 from repro.trace.events import EventType
 from repro.trace.tracer import Tracer
+from tests.reference.vault_walk import remove_positions
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.simulator import HMCSim
@@ -82,7 +87,6 @@ class ReferenceCrossbarUnit(CrossbarUnit):
             self._expire_zombies(device, sim, cycle, tracer)
             if not rqst._q:
                 return 0
-        hop_limit = sim is not None and sim.enforce_hop_limit
         penalty = sim.config.nonlocal_penalty_cycles if sim is not None else 0
         moved = 0
         removed: list = []
@@ -116,7 +120,7 @@ class ReferenceCrossbarUnit(CrossbarUnit):
                 break
             if pkt.cub != dev_id:
                 # One-hop-per-cycle for chained forwards.
-                if hop_limit and cycle - stamp < 1:
+                if cycle - stamp < 1:
                     continue
                 if held is None:
                     held = set()
@@ -154,7 +158,7 @@ class ReferenceCrossbarUnit(CrossbarUnit):
             local_quad = vault_id < num_vaults and (
                 vault_id >> 2 == my_quad  # quad_of_vault, inlined
             )
-            if hop_limit and cycle - stamp < (1 if local_quad else 1 + penalty):
+            if cycle - stamp < (1 if local_quad else 1 + penalty):
                 # Not ready: later same-vault packets must not pass.
                 blocked |= bit
                 continue
@@ -201,8 +205,7 @@ class ReferenceCrossbarUnit(CrossbarUnit):
             self.routed_local += 1
             removed.append(pos)
             moved += 1
-        if removed:
-            rqst.remove_positions(removed)
+        remove_positions(rqst, removed)
         return moved
 
     def _route_remote(
@@ -503,7 +506,6 @@ class ReferenceEngine(ClockEngine):
         tracer = sim.tracer
         live = tracer.live_mask
         moves = self._moves
-        hop_limit = sim.enforce_hop_limit
         peers = sim._link_peers
         link_faults = sim._link_faults
         dev_id = dev.dev_id
@@ -529,7 +531,7 @@ class ReferenceEngine(ClockEngine):
                     break
                 pkt = q[0]
                 # One hop per cycle: leave same-cycle arrivals alone.
-                if hop_limit and stamps[0] >= cycle:
+                if stamps[0] >= cycle:
                     break
                 stack = pkt.route_stack
                 if stack:

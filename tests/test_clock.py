@@ -125,13 +125,3 @@ class TestMultiDeviceOrdering:
         assert child.vaults[0].rqst.occupancy == 0
         s.clock()  # child's stage-1 pass moves it to the vault & processes
         assert child.total_requests_processed == 1
-
-
-class TestHopLimit:
-    def test_disabling_hop_limit_accelerates_delivery(self):
-        fast = HMCSim(num_devs=1, num_links=4, num_banks=8, capacity=2)
-        fast.attach_host(0, 0)
-        fast.enforce_hop_limit = False
-        fast.send(build_memrequest(0, 0x40, 1, CMD.RD64, link=0))
-        fast.clock()
-        assert fast.devices[0].total_requests_processed == 1

@@ -104,7 +104,6 @@ def _build(spec: dict, reference: bool):
     if amap is not None:
         for dev in sim.devices:
             dev.amap = amap
-    sim.enforce_hop_limit = spec["hop_limit"]
     sink = sim.trace_to_memory(_MASKS[spec["mask"]])
     return (adopt(sim) if reference else sim), sink
 
@@ -228,7 +227,6 @@ _spec = st.fixed_dictionaries({
     "devs": st.integers(1, 4),
     "shape": st.sampled_from(["chain", "ring", "mesh"]),
     "host_links": st.integers(1, 2),
-    "hop_limit": st.sampled_from([True, True, False]),
     "penalty": st.integers(0, 3),
     "timeout": st.sampled_from([0, 0, 4, 12]),
     "amap": st.sampled_from(sorted(_AMAPS)),

@@ -531,22 +531,33 @@ def _drive_mixed(sim, stream, cubs, max_cycles=1_000_000) -> None:
         host.drain_responses()
 
 
+def _golden_run(name: str, scheduler: str) -> HMCSim:
+    """The simulator after run *name* of :data:`_GOLDEN_RUNS` on the
+    engine (``"active"``) or the tests' full walk (``"naive"``)."""
+    build, requests, cubs, sim_kw = _GOLDEN_RUNS[name]
+    sim = build(BUILD[scheduler](num_links=4, num_banks=8, capacity=2,
+                                 watchdog_cycles=100_000, **sim_kw))
+    cfg = RandomAccessConfig(num_requests=requests, seed=7)
+    stream = random_access_requests(sim.config.device.capacity_bytes, cfg)
+    if len(cubs) == 1:
+        Host(sim).run(stream, cub=cubs[0])
+    else:
+        _drive_mixed(sim, stream, cubs)
+    return sim
+
+
 class TestInbandGolden:
     """The fault stream must not move: exact cycles and link counters."""
 
     @pytest.mark.parametrize("scheduler", ["naive", "active"])
     @pytest.mark.parametrize("name", sorted(_GOLDEN))
     def test_cycles_and_link_counters_are_pinned(self, name, scheduler):
-        build, requests, cubs, sim_kw = _GOLDEN_RUNS[name]
-        sim = build(BUILD[scheduler](num_links=4, num_banks=8, capacity=2,
-                                     watchdog_cycles=100_000, **sim_kw))
-        cfg = RandomAccessConfig(num_requests=requests, seed=7)
-        stream = random_access_requests(sim.config.device.capacity_bytes, cfg)
-        if len(cubs) == 1:
-            Host(sim).run(stream, cub=cubs[0])
-        else:
-            _drive_mixed(sim, stream, cubs)
+        sim = _golden_run(name, scheduler)
         assert (sim.clock_value, sim.stats()["link_faults"]) == _GOLDEN[name]
+
+    @pytest.mark.parametrize("name", sorted(_GOLDEN))
+    def test_engine_and_full_walk_agree_on_every_stat(self, name):
+        assert _golden_run(name, "active").stats() == _golden_run(name, "naive").stats()
 
 
 class TestFlowProperties:

@@ -8,7 +8,9 @@ in new interpreters, so the caches start empty: the first import
 compiles each module once, later ones load the cached modules without
 the compiler, concurrent first imports leave one loadable module each,
 a missing compiler is an ``ImportError`` that names it and the module,
-and a warm import loads none of the modules only a build needs.
+a warm import loads none of the modules only a build needs, importing
+any one module runs the vault walk's one ``bind``, and binding again
+changes nothing.
 """
 
 from __future__ import annotations
@@ -130,8 +132,8 @@ def test_missing_compiler_is_an_import_error_naming_it(tmp_path):
     ))
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("ImportError:") and "'gcc'" in done.stdout
-    assert "repro.core._vaultwalk" in done.stdout
-    assert _cache(root) == []
+    assert "repro.trace._tracecodec" in done.stdout  # the first one loaded
+    assert _caches(root) == [[], []]
 
 
 def test_missing_compiler_for_the_trace_codec_names_it(built):
@@ -156,3 +158,90 @@ def test_missing_compiler_for_the_trace_codec_names_it(built):
     assert "repro.trace._tracecodec" in done.stdout
     assert _cache(tmp, "trace", "_tracecodec") == []
     assert len(_cache(tmp)) == 1
+
+
+def test_missing_compiler_for_the_vault_walk_names_it(built):
+    """With the trace codec cached and the vault walk not, a missing
+    compiler is an ImportError naming gcc and the vault walk."""
+    root, _ = built
+    tmp = root.parent / "walk_only"
+    shutil.copytree(root, tmp)
+    cache = tmp / "repro" / "core" / "__pycache__"
+    for name in _cache(tmp):
+        (cache / name).unlink()
+    done = _python(tmp, (
+        "import shutil\n"
+        "shutil.which = lambda *args, **kw: None\n"
+        "try:\n"
+        "    import repro.core.vault\n"
+        "except ImportError as exc:\n"
+        "    print('ImportError:', exc)\n"
+    ))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("ImportError:") and "'gcc'" in done.stdout
+    assert "repro.core._vaultwalk" in done.stdout
+    assert _cache(tmp) == []
+    assert len(_cache(tmp, "trace", "_tracecodec")) == 1
+
+
+#: What the one ``bind`` installs, read from ``sys.modules`` only, so
+#: the probe imports nothing beyond the module under test.
+BOUND = """
+import sys
+m = sys.modules
+methods = (m["repro.core.bank"].Bank.read, m["repro.core.queueing"].PacketQueue.remove_positions,
+           m["repro.core.vault"].Vault.stage34, m["repro.core.crossbar"].CrossbarUnit.route_requests,
+           m["repro.trace.tracer"].Tracer.emit_fast)
+clock, walk = m["repro.core.clock"], m["repro.core._vaultwalk"]
+stages = (clock._route_stage, clock._vault_stage, clock._response_stage)
+assert stages == (walk.route_stage, walk.vault_stage, walk.response_stage)
+print(" ".join(type(f).__name__ for f in methods + stages))
+"""
+
+
+@pytest.mark.parametrize("module", [
+    "repro.core.bank", "repro.core.queueing", "repro.core.vault", "repro.core.crossbar",
+    "repro.core.clock", "repro.trace.tracer", "repro.trace"])
+def test_importing_one_module_binds_the_c(built, module):
+    root, _ = built
+    done = _python(root, f"import {module}\n{BOUND}")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["method_descriptor"] * 5 + ["builtin_function_or_method"] * 3
+
+
+#: A short traced Table I run, bound once and then bound again by
+#: re-running ``repro.core.clock``: its cycles, trace bytes and the
+#: references the C holds must not move.
+REBIND = """
+import hashlib, importlib, io, sys
+from repro.core.simulator import HMCSim
+from repro.host.host import Host
+from repro.packets.packet import ErrStat
+from repro.trace.binfmt import BinarySink
+from repro.trace.events import EventType
+from repro.workloads.random_access import RandomAccessConfig, random_access_requests
+
+def run():
+    sim = HMCSim(num_devs=1, num_links=4, num_banks=8, capacity=2)
+    for link in range(4):
+        sim.attach_host(0, link)
+    buf = io.BytesIO()
+    sim.set_trace_mask(EventType.STANDARD)
+    sim.add_trace_sink(BinarySink(buf, num_vaults=sim.config.device.num_vaults))
+    Host(sim).run(random_access_requests(sim.config.device.capacity_bytes,
+                                         RandomAccessConfig(num_requests=512, seed=3)))
+    sim.tracer.flush()
+    return sim.clock_value, hashlib.sha256(buf.getvalue()).hexdigest()
+
+held = (ErrStat.INVALID_ADDRESS, EventType.CHAIN_HOP, EventType.MISROUTE)
+first, refs = run(), [sys.getrefcount(o) for o in held]
+importlib.reload(sys.modules["repro.core.clock"])
+print(run() == first, [sys.getrefcount(o) for o in held] == refs, first[0] > 0)
+"""
+
+
+def test_a_second_bind_changes_nothing(built):
+    root, _ = built
+    done = _python(root, REBIND)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["True"] * 3

@@ -293,7 +293,6 @@ _RWS = ("GC", "BAT", "RASCE", "RASSCR", "LRS0", "LRS2")
 sparse_schedules = st.fixed_dictionaries({
     "penalty": st.sampled_from([0, 1, 3]),
     # Weighted toward the settings under which packets are held at all.
-    "hop_limit": st.sampled_from([True, True, False]),
     "queue_timeout": st.sampled_from([0, 0, 2, 8]),
     "refresh_interval": st.sampled_from([0, 7]),
     "watchdog_cycles": st.sampled_from([0, 20, 50]),
@@ -350,7 +349,6 @@ def drive_sparse(scheduler: str, sched: dict, clock=HMCSim.clock) -> dict:
         link_ber=sched.get("link_ber", 0.0), link_seed=5,
         link_max_retries=sched.get("link_retries", 8),
     ))
-    sim.enforce_hop_limit = sched["hop_limit"]
     if chain:
         build_chain(sim, host_links=2)
     else:

@@ -30,7 +30,7 @@ from repro.analysis.tenants import (
     slo_report,
 )
 from repro.core.config import DeviceConfig
-from repro.core.errors import E_DEADLINE, DeadlineError, InitError
+from repro.core.errors import E_DEADLINE, InitError
 from repro.faults.chaos import ChaosEvent, ChaosSchedule
 from repro.service import (
     BreakerState,
@@ -251,7 +251,6 @@ class TestLinkAndLatencyChaos:
 class TestDeadlines:
     def test_e_deadline_constant(self):
         assert E_DEADLINE == -7
-        assert DeadlineError("late").errno == E_DEADLINE
 
     def test_deadline_misses_counted(self):
         profiles = tenant_mix_profiles(4, seed=5, base_requests=16)

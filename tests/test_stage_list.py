@@ -115,7 +115,7 @@ def _backed_up_responses(scheduler: str) -> dict:
     return out
 
 
-_SPARSE = dict(penalty=3, hop_limit=True, queue_timeout=0, refresh_interval=0,
+_SPARSE = dict(penalty=3, queue_timeout=0, refresh_interval=0,
                watchdog_cycles=0, chain=True,
                sends=[(2, 0, "offquad", 1), (1, 1, "remote", 4), (9, 0, "local", 7)])
 
