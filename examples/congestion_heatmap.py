@@ -16,15 +16,13 @@ import sys
 
 from repro.analysis.occupancy import sample_run
 from repro.core.simulator import HMCSim
-from repro.host.host import Host
 from repro.topology.builder import build_simple
 from repro.workloads.random_access import RandomAccessConfig, random_access_requests
 from repro.workloads.stride import stride_requests
 
 
 def fresh():
-    sim = build_simple(HMCSim(num_devs=1, num_links=4, num_banks=8, capacity=2))
-    return sim, Host(sim)
+    return build_simple(HMCSim(num_devs=1, num_links=4, num_banks=8, capacity=2))
 
 
 def main(argv=None) -> int:
@@ -33,9 +31,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     print("=== uniform random traffic ===")
-    sim, host = fresh()
     res, sampler = sample_run(
-        sim, host,
+        fresh(),
         random_access_requests(2 << 30, RandomAccessConfig(num_requests=args.requests)),
     )
     print(sampler.render_heatmap())
@@ -44,9 +41,8 @@ def main(argv=None) -> int:
           f"{res.cycles:,} cycles\n")
 
     print("=== vault-pinning stride (stride = vaults x block) ===")
-    sim, host = fresh()
     res, sampler = sample_run(
-        sim, host,
+        fresh(),
         stride_requests(2 << 30, args.requests // 4, stride_bytes=16 * 64),
     )
     print(sampler.render_heatmap())

@@ -9,12 +9,12 @@ configured depth, where the paper's 128/64 depths are head-room).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
 from repro.core.simulator import HMCSim
+from repro.host.host import Host
 
 
 class OccupancySampler:
@@ -109,56 +109,32 @@ class OccupancySampler:
         return "\n".join(lines)
 
 
-def sample_run(sim: HMCSim, host, requests, every: int = 1, dev: int = 0):
-    """Drive *requests* through *host* while sampling occupancy.
+class _SamplingHost(Host):
+    """A :class:`Host` that samples every *every* cycles, after the
+    clock and before the drain."""
 
-    Returns ``(HostRunResult, OccupancySampler)``.  The loop mirrors
-    ``Host.run`` with a sampling call after each clock.
+    def __init__(self, sim: HMCSim, sampler: OccupancySampler, every: int,
+                 **host_kwargs) -> None:
+        super().__init__(sim, **host_kwargs)
+        self.sampler = sampler
+        self.every = every
+        self._ticks = 0
+
+    def drain_responses(self):
+        if self._ticks % self.every == 0:
+            self.sampler.sample()
+        self._ticks += 1
+        return super().drain_responses()
+
+
+def sample_run(sim: HMCSim, requests, every: int = 1, dev: int = 0,
+               **host_kwargs):
+    """Drive *requests* with :meth:`Host.run` while sampling occupancy
+    of device *dev* every *every* cycles.
+
+    Returns ``(HostRunResult, OccupancySampler)``.  *host_kwargs* go to
+    the :class:`Host` (``policy``, ``max_outstanding``, ...).
     """
     sampler = OccupancySampler(sim, dev=dev)
-    it = iter(requests)
-    pending = None
-    exhausted = False
-    start_recv = host.received
-    start_sent = host.sent
-    start_err = host.errors
-    lat_mark = len(host.latencies)
-    start_cycle = sim.clock_value
-    stall_cycles = 0
-    tick = 0
-    while True:
-        issued = 0
-        while True:
-            if pending is None:
-                try:
-                    pending = next(it)
-                except StopIteration:
-                    exhausted = True
-                    break
-            cmd, addr, payload = pending
-            if host.send_request(cmd, addr, payload=payload) is None:
-                break
-            pending = None
-            issued += 1
-        if issued == 0 and not exhausted:
-            stall_cycles += 1
-        sim.clock()
-        if tick % every == 0:
-            sampler.sample()
-        tick += 1
-        host.drain_responses()
-        if exhausted and pending is None and host.outstanding == 0:
-            break
-    from repro.host.host import HostRunResult
-
-    return (
-        HostRunResult(
-            requests_sent=host.sent - start_sent,
-            responses_received=host.received - start_recv,
-            errors_received=host.errors - start_err,
-            cycles=sim.clock_value - start_cycle,
-            send_stall_cycles=stall_cycles,
-            latencies=host.latencies[lat_mark:],
-        ),
-        sampler,
-    )
+    host = _SamplingHost(sim, sampler, every, **host_kwargs)
+    return host.run(requests), sampler

@@ -18,8 +18,6 @@ import enum
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.packets.flow import FlowController
-
 
 class EndpointType(enum.Enum):
     """Physical endpoint configuration of a link side (paper §V.B)."""
@@ -53,8 +51,6 @@ class Link:
         8-link devices).
     lanes:
         Serial lanes per link: 16 on 4-link devices, 8 on 8-link.
-    flow:
-        Optional token-based flow controller for the egress direction.
     """
 
     link_id: int
@@ -65,7 +61,6 @@ class Link:
     dst_type: EndpointType = EndpointType.NONE
     rate_gbps: float = 10.0
     lanes: int = 16
-    flow: Optional[FlowController] = None
     #: In-band fault/retry/degradation state covering this link, when
     #: one is attached (:class:`repro.faults.inband.InbandLinkState`;
     #: chain-link peers share one object).

@@ -16,7 +16,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.errors import LinkDeadError, NoDataError, StallError, TopologyError
+from repro.core.errors import LinkDeadError, StallError, TopologyError
 from repro.core.quad import quad_of_vault
 from repro.core.simulator import HMCSim
 from repro.faults.inband import HOST_SENDER, TX_DEAD, TX_OK
@@ -25,6 +25,9 @@ from repro.packets.packet import ErrStat, Packet, build_memrequest
 
 #: Posted commands: they take no tag and get no response.
 _POSTED = frozenset(c for c in CMD if is_posted(c))
+
+#: The end of a request stream.  A ``None`` item is a bubble, not the end.
+_END = object()
 
 
 class LinkPolicy(enum.Enum):
@@ -200,15 +203,16 @@ class Host:
         return None
 
     def _inject(
-        self, item: Optional[tuple], more: Optional[Iterator], cub: int
-    ) -> Tuple[int, Optional[tuple]]:
+        self, item: object, more: Optional[Iterator], cub: int
+    ) -> Tuple[int, object]:
         """Send *item*, then items from *more*, until one cannot go.
 
         The one inject body, behind :meth:`send_request` (one item) and
         :meth:`run` (a cycle's burst).  Items are ``(cmd, addr,
-        payload)``.  Returns ``(sent, held)``: *held* is the item that
-        found no free tag or a stalled link — retry it after a clock —
-        or None once *more* (or the single item) is used up.
+        payload)``, or None for a bubble.  Returns ``(sent, held)``:
+        *held* is the item that found no free tag or a stalled link —
+        retry it after a clock —, None when a bubble ended the burst, or
+        ``_END`` once *more* (or the single item) is used up.
 
         Per request, in order: pick a link, take a tag (none free: stop
         before building), build the packet, inject.  The packet takes the
@@ -230,7 +234,7 @@ class Host:
         host_cub = sim.config.host_cub
         clock = sim.clock_value
         sent = 0
-        while item is not None:
+        while item is not None and item is not _END:
             cmd, addr, payload = item
             if round_robin:
                 links = self._host_links
@@ -306,21 +310,21 @@ class Host:
             self.sent += 1
             # Exposed for wrappers that need the full correlation key.
             self.last_send = (dev, link, tag)
-            item = next(more, None) if more is not None else None
-        return sent, None
+            item = next(more, _END) if more is not None else _END
+        return sent, item
 
     def _inject_each(
-        self, item: Optional[tuple], more: Iterator, cub: int
-    ) -> Tuple[int, Optional[tuple]]:
+        self, item: object, more: Iterator, cub: int
+    ) -> Tuple[int, object]:
         """:meth:`_inject`'s contract, one :meth:`send_request` call per item."""
         sent = 0
-        while item is not None:
+        while item is not None and item is not _END:
             cmd, addr, payload = item
             if self.send_request(cmd, addr, cub=cub, payload=payload) is None:
                 return sent, item
             sent += 1
-            item = next(more, None)
-        return sent, None
+            item = next(more, _END)
+        return sent, item
 
     # -- response handling ----------------------------------------------------------
 
@@ -334,14 +338,23 @@ class Host:
         if self._partitioned:
             sim = self.sim
             sim._check_alive()
+            poll = sim._poll
             responses = []
-            for d, l in self._host_links:
-                queue = sim.devices[d].xbars[l].rsp._q
+            for lane in self._host_links:
+                queue = sim.devices[lane[0]].xbars[lane[1]].rsp._q
+                if not queue:
+                    continue
+                if sim._link_peers.get(lane) != "host":
+                    raise TopologyError(
+                        f"dev {lane[0]} link {lane[1]} is not attached to the host"
+                    )
+                # recv(dev=, link=)'s poll, without its per-packet checks.
+                lanes = (lane,)
                 while queue:
-                    try:
-                        responses.append(sim.recv(dev=d, link=l))
-                    except NoDataError:
+                    pkt = poll(lanes, 1, 0)
+                    if pkt is None:
                         break  # head held back by an in-band replay window
+                    responses.append(pkt)
         else:
             responses = self.sim.recv_all()
         self.received += len(responses)
@@ -413,8 +426,13 @@ class Host:
         With *drain* true the loop keeps clocking after the stream is
         exhausted until every outstanding response has returned.
 
-        *requests* yields ``(cmd, addr, payload)`` tuples; *cub* selects
-        the target cube for the whole stream.
+        *requests* yields ``(cmd, addr, payload)`` tuples, or None for a
+        bubble: the host sends nothing more that cycle, and the cycle is
+        not a stall (``repro.workloads.mixes.bursty`` makes them).  *cub*
+        selects the target cube for the whole stream.  Subclasses hook
+        the loop through :meth:`send_request` (then every request goes
+        through it) and :meth:`drain_responses`, called once per cycle
+        right after the clock.
         """
         it: Iterator = iter(requests)
         sim = self.sim
@@ -430,7 +448,7 @@ class Host:
             inject = self._inject
         else:
             inject = self._inject_each
-        held: Optional[Tuple] = None
+        held: object = None
         exhausted = False
 
         # One outer trace-batch window for the whole drive loop, so
@@ -440,13 +458,14 @@ class Host:
         tracer.begin_batch()
         try:
             while sim.clock_value - start_cycle < max_cycles:
-                # Send phase: inject until stall / exhaustion.
+                # Send phase: inject until a stall, a bubble or the end.
                 if not exhausted:
                     sent, held = inject(
-                        next(it, None) if held is None else held, it, cub
+                        next(it, _END) if held is None else held, it, cub
                     )
-                    exhausted = held is None
-                    if not sent and not exhausted:
+                    if held is _END:
+                        exhausted = True
+                    elif not sent and held is not None:
                         stall_cycles += 1
                 sim.clock()
                 self.drain_responses()

@@ -13,8 +13,9 @@ used by the simulator:
 * :mod:`repro.packets.packet` — 64-bit header/tail bit packing and the
   high-level :class:`~repro.packets.packet.Packet` object with build /
   encode / decode helpers for every legal FLIT count;
-* :mod:`repro.packets.flow` — token-based link flow control and retry
-  pointer bookkeeping.
+* :mod:`repro.packets.flow` — the host links' token credits
+  (:class:`~repro.packets.flow.LinkTokens`) and the retry-pointer state
+  the in-band link gate stamps.
 """
 
 from repro.packets.commands import (

@@ -17,10 +17,9 @@ queue-full condition.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Deque, Optional
+from typing import Deque
 from collections import deque
 
-from repro.packets.commands import CMD
 from repro.packets.packet import FRP_BITS, Packet
 
 
@@ -131,54 +130,3 @@ class RetryPointerState:
                 return freed
         # rrp not found: the buffer is empty now.
         return freed
-
-
-def make_tret(cub: int, rtc: int, link: int = 0) -> Packet:
-    """Build a TRET (token-return) flow packet carrying *rtc* tokens."""
-    pkt = Packet(cmd=CMD.TRET, cub=cub, slid=link)
-    pkt.rtc = min(rtc, (1 << 5) - 1)
-    return pkt
-
-
-def make_pret(cub: int, rrp: int, link: int = 0) -> Packet:
-    """Build a PRET (pointer-return) flow packet echoing *rrp*."""
-    pkt = Packet(cmd=CMD.PRET, cub=cub, slid=link)
-    pkt.rrp = rrp & 0xFF
-    return pkt
-
-
-def make_null(cub: int = 0) -> Packet:
-    """Build a NULL flow packet (link idle filler; receivers discard)."""
-    return Packet(cmd=CMD.NULL, cub=cub)
-
-
-@dataclass
-class FlowController:
-    """Combined per-link-direction flow state used by the cycle engine."""
-
-    token_capacity: int
-    retry_slots: int = 256
-    tokens: Optional[LinkTokens] = None
-    retry: Optional[RetryPointerState] = None
-
-    def __post_init__(self) -> None:
-        if self.tokens is None:
-            self.tokens = LinkTokens(capacity=self.token_capacity)
-        if self.retry is None:
-            self.retry = RetryPointerState(buffer_slots=self.retry_slots)
-
-    def try_send(self, pkt: Packet) -> bool:
-        """Attempt to move *pkt* across the link; False means stall."""
-        flits = pkt.num_flits
-        if not self.tokens.can_send(flits):
-            return False
-        self.tokens.consume(flits)
-        self.retry.stamp(pkt)
-        return True
-
-    def on_receive(self, pkt: Packet) -> None:
-        """Process token/pointer returns piggybacked on an arrival."""
-        if pkt.rtc:
-            self.tokens.restore(pkt.rtc)
-        if pkt.cmd in (CMD.PRET, CMD.TRET) or pkt.is_response:
-            self.retry.acknowledge(pkt.rrp)

@@ -2,7 +2,7 @@
 
 :class:`ShadowMemory` is a functional (zero-latency) golden model of one
 cube's storage with the same 16-byte-atom semantics as the banks.
-:class:`CheckingHost` wraps a :class:`~repro.host.host.Host`: every
+:class:`CheckingHost` is a :class:`~repro.host.host.Host`: every
 write/atomic updates the shadow at send time, and every read response is
 compared word-for-word against the shadow at receipt.
 
@@ -19,12 +19,13 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.simulator import HMCSim
-from repro.host.host import Host
+from repro.host.host import Host, LinkPolicy
 from repro.packets.commands import (
     CMD,
     REQUEST_DATA_BYTES,
     CommandClass,
     command_class,
+    is_posted,
 )
 from repro.packets.packet import ErrStat, Packet
 
@@ -88,36 +89,38 @@ class CheckStats:
     mismatches: int = 0
 
 
-class CheckingHost:
+class CheckingHost(Host):
     """A host whose every read is verified against a shadow model.
 
-    Drop-in wrapper over :class:`Host` for single-cube traffic; raises
-    :class:`CheckFailure` immediately on any data mismatch (or records
-    it when ``raise_on_mismatch`` is False).
+    A :class:`Host` for single-cube traffic: :meth:`send_request` updates
+    or arms the shadow after the send, and :meth:`drain_responses`
+    checks each response after the host's own bookkeeping.  A data
+    mismatch, an error response or a response with an unknown tag raises
+    :class:`CheckFailure` immediately (or is counted in
+    ``stats.mismatches`` when ``raise_on_mismatch`` is False).
     """
 
     def __init__(
         self,
         sim: HMCSim,
         cub: int = 0,
-        host: Optional[Host] = None,
         raise_on_mismatch: bool = True,
     ) -> None:
-        self.sim = sim
-        self.cub = cub
         # The HMC ordering model only preserves link->bank streams, so a
         # read may legally overtake a same-address write issued on a
         # different link.  The checker therefore needs address-
         # deterministic link selection; the locality policy provides it
         # (a given address always maps to the same co-located link).
-        from repro.host.host import LinkPolicy
-
-        self.host = host or Host(sim, policy=LinkPolicy.LOCALITY)
+        super().__init__(sim, policy=LinkPolicy.LOCALITY)
+        self.cub = cub
         self.shadow = ShadowMemory(sim.config.device.capacity_bytes)
         self.raise_on_mismatch = raise_on_mismatch
         self.stats = CheckStats()
-        #: tag -> (addr, nbytes) for in-flight reads / atomics.
-        self._pending_reads: Dict[Tuple[int, int, int], Tuple[int, int]] = {}
+        #: (dev, link, tag) of each tagged request in flight -> what its
+        #: response must carry: None (no data), ``(addr, nbytes)`` (a
+        #: read: the shadow at receipt) or ``(addr, 16, old)`` (an
+        #: atomic's old value).
+        self._expected: Dict[Tuple[int, int, int], Optional[tuple]] = {}
 
     # -- issue -------------------------------------------------------------
 
@@ -125,14 +128,19 @@ class CheckingHost:
         self,
         cmd: CMD,
         addr: int,
+        cub: Optional[int] = None,
         payload: Optional[Sequence[int]] = None,
     ) -> Optional[int]:
-        """Issue a request and update / arm the shadow accordingly."""
+        """Issue a request (to ``self.cub`` unless *cub* is given) and
+        update / arm the shadow accordingly."""
         cmd = CMD(cmd)
-        cls = command_class(cmd)
-        tag = self.host.send_request(cmd, addr, cub=self.cub, payload=payload)
+        tag = super().send_request(
+            cmd, addr, cub=self.cub if cub is None else cub, payload=payload
+        )
         if tag is None:
             return None
+        cls = command_class(cmd)
+        expected = None
         if cls in (CommandClass.WRITE, CommandClass.POSTED_WRITE):
             nbytes = REQUEST_DATA_BYTES[cmd]
             words = list(payload or [])
@@ -141,57 +149,40 @@ class CheckingHost:
             self.stats.writes_shadowed += 1
         elif cls in (CommandClass.ATOMIC, CommandClass.POSTED_ATOMIC):
             ops = list(payload or [0, 0])[:2] + [0, 0]
-            expected_old = self.shadow.add16(addr, ops[:2])
+            expected = (addr, 16, self.shadow.add16(addr, ops[:2]))
             self.stats.atomics_shadowed += 1
-            if cls is CommandClass.ATOMIC:
-                self._arm(tag, addr, 16, expected=expected_old)
         elif cls is CommandClass.READ:
-            self._arm(tag, addr, REQUEST_DATA_BYTES[cmd])
+            expected = (addr, REQUEST_DATA_BYTES[cmd])
+        if not is_posted(cmd):
+            self._expected[self.last_send] = expected
         return tag
-
-    def _arm(self, tag: int, addr: int, nbytes: int, expected=None) -> None:
-        # Key pending reads by the (dev, link, tag) correlation domain,
-        # which the host exposes for its most recent successful send.
-        pool_key = self.host.last_send
-        assert pool_key[2] == tag
-        self._pending_reads[pool_key] = (addr, nbytes) if expected is None else (
-            addr,
-            nbytes,
-            tuple(expected),
-        )
 
     # -- receive + check -----------------------------------------------------
 
-    def drain_and_check(self) -> List[Packet]:
-        """Drain responses, verifying read data against the shadow."""
-        responses = self.sim.recv_all()
+    def drain_responses(self) -> List[Packet]:
+        """Drain as :meth:`Host.drain_responses` does, then verify each
+        response: its tag, its status and its data against the shadow."""
+        responses = super().drain_responses()
         for rsp in responses:
-            self.host.received += 1
-            dev, link = rsp.delivered_from
-            pool = self.host.tag_pools[(dev, link)]
-            try:
-                ctx = pool.release(rsp.tag)
-            except KeyError:
+            key = (*rsp.delivered_from, rsp.tag)
+            if key not in self._expected:
                 self._fail(f"response with unknown tag {rsp.tag}")
                 continue
-            if ctx is not None:
-                self.host.latencies.append(self.sim.clock_value - ctx.sent_cycle)
+            expected = self._expected.pop(key)
             if rsp.errstat is not ErrStat.OK:
                 self._fail(f"error response {rsp.errstat} for tag {rsp.tag}")
                 continue
-            pending = self._pending_reads.pop((dev, link, rsp.tag), None)
-            if pending is None:
+            if expected is None:
                 continue  # write response
-            addr, nbytes = pending[0], pending[1]
-            if len(pending) == 3:
-                expected = list(pending[2])  # atomic: old value
+            if len(expected) == 3:
+                want = list(expected[2])  # atomic: old value
             else:
-                expected = self.shadow.read(addr, nbytes)
+                want = self.shadow.read(*expected)
             got = list(rsp.payload)
             self.stats.reads_checked += 1
-            if got != expected:
+            if got != want:
                 self._fail(
-                    f"data mismatch at {addr:#x}: expected {expected[:4]}..., "
+                    f"data mismatch at {expected[0]:#x}: expected {want[:4]}..., "
                     f"got {got[:4]}..."
                 )
         return responses
@@ -204,25 +195,7 @@ class CheckingHost:
     # -- drive loop ---------------------------------------------------------------
 
     def run(self, requests, max_cycles: int = 1_000_000) -> CheckStats:
-        """Drive a request stream to completion with continuous checking."""
-        it = iter(requests)
-        pending = None
-        exhausted = False
-        start = self.sim.clock_value
-        while self.sim.clock_value - start < max_cycles:
-            while True:
-                if pending is None:
-                    try:
-                        pending = next(it)
-                    except StopIteration:
-                        exhausted = True
-                        break
-                cmd, addr, payload = pending
-                if self.send_request(cmd, addr, payload=payload) is None:
-                    break
-                pending = None
-            self.sim.clock()
-            self.drain_and_check()
-            if exhausted and pending is None and self.host.outstanding == 0:
-                break
+        """Drive a request stream to ``self.cub`` with :meth:`Host.run`,
+        checking continuously; returns the verification counters."""
+        super().run(requests, cub=self.cub, max_cycles=max_cycles)
         return self.stats

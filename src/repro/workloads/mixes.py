@@ -75,8 +75,8 @@ def bursty(
     """Gate a stream into bursts: *burst_len* requests, then *gap_len*
     ``None`` bubbles (idle cycles), repeating.
 
-    Consumers that understand bubbles (``run_with_bubbles``) idle the
-    host for each ``None``; plain consumers can filter them out.
+    ``Host.run`` ends the cycle's sends at each ``None`` (an idle
+    cycle, not a stall); other consumers can filter them out.
     """
     if burst_len <= 0 or gap_len < 0:
         raise ValueError("burst_len must be positive, gap_len non-negative")
@@ -199,55 +199,3 @@ def tenant_requests(profile: dict, capacity_bytes: int) -> Iterator[Request]:
 
         return gups_requests(capacity_bytes, n, seed=seed)
     raise ValueError(f"unknown tenant kind {kind!r} (want {TENANT_KINDS})")
-
-
-def run_with_bubbles(host, stream: Iterable[Optional[Request]], cub: int = 0):
-    """Drive a bubble-aware stream: ``None`` items idle one cycle.
-
-    Returns the host's :class:`~repro.host.host.HostRunResult`-style
-    counters via ``host.run`` semantics, implemented inline because the
-    standard run loop treats the stream as gapless.
-    """
-    from repro.host.host import HostRunResult
-
-    sim = host.sim
-    it = iter(stream)
-    pending: Optional[Request] = None
-    exhausted = False
-    start_cycle = sim.clock_value
-    s0, r0, e0 = host.sent, host.received, host.errors
-    lat_mark = len(host.latencies)
-    stall_cycles = 0
-    while True:
-        issued = 0
-        bubble = False
-        while not bubble:
-            if pending is None:
-                try:
-                    item = next(it)
-                except StopIteration:
-                    exhausted = True
-                    break
-                if item is None:
-                    bubble = True  # idle this cycle
-                    break
-                pending = item
-            cmd, addr, payload = pending
-            if host.send_request(cmd, addr, cub=cub, payload=payload) is None:
-                break
-            pending = None
-            issued += 1
-        if issued == 0 and not exhausted and not bubble:
-            stall_cycles += 1
-        sim.clock()
-        host.drain_responses()
-        if exhausted and pending is None and host.outstanding == 0:
-            break
-    return HostRunResult(
-        requests_sent=host.sent - s0,
-        responses_received=host.received - r0,
-        errors_received=host.errors - e0,
-        cycles=sim.clock_value - start_cycle,
-        send_stall_cycles=stall_cycles,
-        latencies=host.latencies[lat_mark:],
-    )

@@ -1,6 +1,8 @@
 """Tests for the binary trace format and workload mixes."""
 
+import hashlib
 import io
+import json
 
 import pytest
 
@@ -20,9 +22,14 @@ from repro.trace.binfmt import (
 )
 from repro.trace.events import EventType, TraceEvent
 from repro.trace.parse import replay_into_stats
-from repro.workloads.mixes import bursty, phases, run_with_bubbles, weighted_mix
+from repro.workloads.mixes import bursty, phases, weighted_mix
 from repro.workloads.random_access import RandomAccessConfig, random_access_requests
 from repro.workloads.stream import stream_requests
+
+
+def latency_digest(latencies):
+    """A short digest of a latency list, for pinning long runs."""
+    return hashlib.sha256(json.dumps(latencies).encode()).hexdigest()[:16]
 
 
 def ev(**kw):
@@ -173,16 +180,53 @@ class TestPhasesAndBursts:
         with pytest.raises(ValueError):
             list(bursty([], burst_len=0, gap_len=1))
 
-    def test_run_with_bubbles_end_to_end(self):
+    def test_host_run_honours_bubbles_end_to_end(self):
+        """``Host.run`` sends every request of a bursty stream: a bubble
+        ends the cycle's sends and is not a stall, nor the end of the
+        stream.  The figures are those the retired bubble-aware copy of
+        the loop reported on the same stream."""
         sim = build_simple(HMCSim(num_devs=1, num_links=4, num_banks=8,
                                   capacity=2))
-        host = Host(sim)
         stream = bursty([(CMD.RD64, i * 64, None) for i in range(32)],
                         burst_len=4, gap_len=8)
-        res = run_with_bubbles(host, stream)
-        assert res.responses_received == 32
-        # Bubbles stretch the run: at least gap cycles per burst gap.
-        assert res.cycles >= 7 * 8
+        res = Host(sim).run(stream)
+        assert res.requests_sent == res.responses_received == 32
+        assert (res.errors_received, res.cycles, res.send_stall_cycles) == (0, 65, 0)
+        assert res.latencies == [2, 3, 3, 3] * 8
+        assert sim.stats() == {
+            "cycles": 65, "packets_sent": 32, "packets_received": 32,
+            "send_stalls": 0, "dropped_responses": 0, "bank_conflicts": 0,
+            "xbar_stalls": 0, "latency_penalties": 24,
+            "requests_processed": 32,
+        }
+
+    def test_host_run_counts_stalls_but_not_bubbles(self):
+        """Bursts that outrun a 4-tag-per-link pool stall; their gaps do
+        not.  Pinned to the retired bubble-aware loop's result."""
+        sim = build_simple(HMCSim(num_devs=1, num_links=4, num_banks=8,
+                                  capacity=2))
+        cfg = RandomAccessConfig(num_requests=256, read_fraction=0.5, seed=3)
+        stream = bursty(random_access_requests(2 << 30, cfg),
+                        burst_len=48, gap_len=3)
+        res = Host(sim, max_outstanding=4).run(stream)
+        assert (res.requests_sent, res.responses_received, res.errors_received,
+                res.cycles, res.send_stall_cycles) == (256, 256, 0, 92, 12)
+        assert (len(res.latencies), sum(res.latencies)) == (256, 1130)
+        assert latency_digest(res.latencies) == "1566cf64c66f31c2"
+        assert sim.stats() == {
+            "cycles": 92, "packets_sent": 256, "packets_received": 256,
+            "send_stalls": 0, "dropped_responses": 0, "bank_conflicts": 430,
+            "xbar_stalls": 0, "latency_penalties": 188,
+            "requests_processed": 256,
+        }
+
+    def test_a_bubble_first_is_not_the_end(self):
+        sim = build_simple(HMCSim(num_devs=1, num_links=4, num_banks=8,
+                                  capacity=2))
+        res = Host(sim).run([None, None, (CMD.RD64, 0, None), None])
+        assert res.requests_sent == res.responses_received == 1
+        assert res.send_stall_cycles == 0
+        assert sim.stats()["packets_sent"] == 1
 
     def test_mixed_phases_run_on_simulator(self):
         sim = build_simple(HMCSim(num_devs=1, num_links=4, num_banks=8,

@@ -4,15 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.packets.commands import CMD
-from repro.packets.flow import (
-    FlowControlError,
-    FlowController,
-    LinkTokens,
-    RetryPointerState,
-    make_null,
-    make_pret,
-    make_tret,
-)
+from repro.packets.flow import FlowControlError, LinkTokens, RetryPointerState
 from repro.packets.packet import Packet
 
 
@@ -115,47 +107,16 @@ class TestRetryPointers:
 
 
 class TestFlowPacketBuilders:
+    """Flow packets are built with :class:`Packet` directly."""
+
     def test_tret_carries_tokens(self):
-        pkt = make_tret(cub=1, rtc=12, link=2)
+        pkt = Packet(cmd=CMD.TRET, cub=1, slid=2, rtc=12)
         assert pkt.cmd is CMD.TRET
         assert pkt.rtc == 12
         assert pkt.slid == 2
         assert pkt.num_flits == 1
 
-    def test_tret_clamps_to_field_width(self):
-        assert make_tret(0, rtc=1000).rtc == 31
-
-    def test_pret_echoes_rrp(self):
-        pkt = make_pret(cub=0, rrp=0x1FF)
-        assert pkt.cmd is CMD.PRET
-        assert pkt.rrp == 0xFF
-
     def test_null(self):
-        pkt = make_null()
+        pkt = Packet(cmd=CMD.NULL)
         assert pkt.cmd is CMD.NULL
         assert not pkt.expects_response
-
-
-class TestFlowController:
-    def test_try_send_consumes_and_stamps(self):
-        fc = FlowController(token_capacity=8)
-        pkt = Packet(cmd=CMD.WR16, payload=(1, 2))  # 2 FLITs
-        assert fc.try_send(pkt)
-        assert fc.tokens.available == 6
-        assert fc.retry.outstanding == 1
-
-    def test_try_send_stalls_without_tokens(self):
-        fc = FlowController(token_capacity=1)
-        pkt = Packet(cmd=CMD.WR16, payload=(1, 2))
-        assert not fc.try_send(pkt)
-        assert fc.tokens.available == 1  # untouched
-
-    def test_on_receive_returns_tokens_and_acks(self):
-        fc = FlowController(token_capacity=8)
-        out = Packet(cmd=CMD.RD16)
-        fc.try_send(out)
-        rsp = Packet(cmd=CMD.WR_RS, rrp=out.frp)
-        rsp.rtc = 1
-        fc.on_receive(rsp)
-        assert fc.tokens.available == 8
-        assert fc.retry.outstanding == 0

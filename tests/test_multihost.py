@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.errors import TopologyError
+from repro.core.errors import NoDataError, TopologyError
 from repro.core.simulator import HMCSim
 from repro.host.host import Host
 from repro.packets.commands import CMD
@@ -165,3 +165,48 @@ class TestResponsesQueued:
             host.responses_queued()
         with pytest.raises(HMCError, match="freed"):
             host.drain_responses()
+
+
+class TestPartitionedDrain:
+    @staticmethod
+    def _recv_each(sim, links):
+        """The per-packet reference: ``recv(dev=, link=)`` on each link
+        until a replay window holds the head back or the queue empties."""
+        out = []
+        for d, l in links:
+            while sim.devices[d].xbars[l].rsp._q:
+                try:
+                    out.append(sim.recv(dev=d, link=l))
+                except NoDataError:
+                    break
+        return out
+
+    def test_same_responses_in_the_same_order_as_recv(self):
+        """A partitioned drain polls each of its links as ``recv(dev=,
+        link=)`` would, on noisy host links whose replay windows hold
+        responses back."""
+        links = [(0, 2), (0, 0), (0, 3)]
+        sims = [build_simple(HMCSim(num_devs=1, num_links=4, num_banks=8,
+                                    capacity=2, link_ber=5e-4, link_seed=7))
+                for _ in range(2)]
+        hosts = [Host(sim, links=links) for sim in sims]
+        rng = LCG(11)
+        addrs = [rng.next_below(1 << 20) * 64 for _ in range(96)]
+        seen = [[], []]
+        for _ in range(2000):
+            for host in hosts:
+                while host.sent < len(addrs) and host.send_request(
+                        CMD.RD64, addrs[host.sent]) is not None:
+                    pass
+            for sim in sims:
+                sim.clock()
+            got = (hosts[0].drain_responses(), self._recv_each(sims[1], links))
+            for out, rsps in zip(seen, got):
+                out += [(r.delivered_from, r.tag, r.serial, r.completed_at)
+                        for r in rsps]
+            if len(seen[0]) == len(addrs):
+                break
+        assert seen[0] == seen[1]
+        assert len(seen[0]) == hosts[1].sent == 96
+        faults = sims[0].stats()["link_faults"]
+        assert sum(f["crc_failures"] for f in faults.values()) > 0

@@ -7,7 +7,7 @@ without its pages, an older checkpoint state shape read outside
 subsystem named in ``advance`` beside its due list, a way back to a
 selectable scheduler or to a ``tick()`` that branches on its observers,
 a sort or a host query in the shard pump, a per-cycle pump beside
-``pump_until`` — and, over the whole repository, a public function
+``pump_until``, a send/clock/drain loop beside ``Host.run`` — and, over the whole repository, a public function
 nobody mentions and a module no command, example, experiment or
 benchmark workload imports."""
 
@@ -299,6 +299,47 @@ def test_the_pump_crosses_its_waits_in_one_call():
     ]
     assert not loops, "_drive loops per cycle again"
     assert "pump_until" in _called(drive)
+
+
+#: The drive loops that may clock and drain: ``Host.run`` is the one
+#: send, clock, drain loop (bubbles, occupancy sampling and the checking
+#: host hook it by subclassing); the others each do something it cannot.
+_DRIVE_LOOPS = {
+    ("host/host.py", "run"): "the one loop",
+    ("host/multichannel.py", "run"): "clocks N simulations in reference "
+        "ticks across clock domains (§V.C); folding it in would make "
+        "Host.run branch on its caller",
+    ("workloads/pointer_chase.py", "pointer_chase_run"): "a dependent "
+        "read waits for its predecessor's response, one request in flight",
+}
+
+
+def test_one_loop_sends_clocks_and_drains():
+    """No ``src`` loop outside ``_DRIVE_LOOPS`` calls both ``clock()``
+    and a drain (``drain_*`` or ``recv_all``): a copy of ``Host.run``
+    with one small difference belongs in a ``Host`` subclass.  An
+    allowlisted loop that is deleted leaves the allowlist too."""
+    def names(node):
+        return {
+            call.func.attr if isinstance(call.func, ast.Attribute) else call.func.id
+            for call in ast.walk(node)
+            if isinstance(call, ast.Call)
+            and isinstance(call.func, (ast.Name, ast.Attribute))
+        }
+
+    loops = {
+        (rel, fn.name)
+        for rel, fn in _walk_src()
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for loop in ast.walk(fn)
+        if isinstance(loop, (ast.For, ast.While))
+        and "clock" in (called := names(loop))
+        and any(n.startswith("drain") or n == "recv_all" for n in called)
+    }
+    assert loops == set(_DRIVE_LOOPS), (
+        f"send/clock/drain loops beside Host.run: "
+        f"{sorted(loops - set(_DRIVE_LOOPS))}; "
+        f"allowlisted but gone: {sorted(set(_DRIVE_LOOPS) - loops)}")
 
 
 #: Modules under ``src/repro/`` that no root below imports, each kept

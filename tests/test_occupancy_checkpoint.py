@@ -1,5 +1,7 @@
 """Tests for occupancy sampling and checkpoint/restore."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from repro.topology.builder import build_simple
 from repro.trace.events import EventType
 from repro.trace.tracer import MemorySink
 from repro.workloads.random_access import RandomAccessConfig, random_access_requests
+from repro.workloads.stride import stride_requests
 from tests.checkpoint_blobs import frame
 
 
@@ -58,10 +61,8 @@ class TestOccupancySampler:
 
     def test_sample_run_end_to_end(self):
         sim = mk_sim()
-        host = Host(sim)
         cfg = RandomAccessConfig(num_requests=512)
-        res, sampler = sample_run(
-            sim, host, random_access_requests(2 << 30, cfg))
+        res, sampler = sample_run(sim, random_access_requests(2 << 30, cfg))
         assert res.responses_received == 512
         assert sampler.samples == res.cycles
         assert sampler.peak_vault_occupancy() > 0
@@ -70,12 +71,41 @@ class TestOccupancySampler:
 
     def test_render_heatmap(self):
         sim = mk_sim()
-        host = Host(sim)
         cfg = RandomAccessConfig(num_requests=256)
-        _, sampler = sample_run(sim, host, random_access_requests(2 << 30, cfg))
+        _, sampler = sample_run(sim, random_access_requests(2 << 30, cfg))
         text = sampler.render_heatmap()
         assert "vault  0 |" in text
         assert text.count("|") == 32  # 16 vaults x 2 pipes
+
+    @pytest.mark.parametrize("stream, every, host_kwargs, want", [
+        (lambda: random_access_requests(
+            2 << 30, RandomAccessConfig(num_requests=512)), 1, {},
+         (512, 0, 92, 0, 15035, 92, 6075, 8448,
+          "64dd9fcf9fc41a7d", "066f41a58de6699d", "036fb078c6374caa")),
+        (lambda: random_access_requests(
+            2 << 30, RandomAccessConfig(num_requests=1024, read_fraction=0.5,
+                                        seed=5)), 2, {"max_outstanding": 8},
+         (1024, 0, 251, 18, 6366, 126, 1746, 924,
+          "b40ce958bd084b66", "90fd97baabe787f3", "0fd3f96c660a2153")),
+        (lambda: stride_requests(2 << 30, 128, stride_bytes=16 * 64),
+         3, {},
+         (128, 0, 169, 0, 10944, 57, 2644, 1004,
+          "b8eecfd004b43d82", "bfa06db7c008cf3e", "c01971e007dc0f22")),
+    ], ids=["random", "stalling", "stride"])
+    def test_sample_run_pinned(self, stream, every, host_kwargs, want):
+        """The run and both matrices equal those of the hand-copied
+        sampling loop ``sample_run`` was before it became ``Host.run``
+        on a sampling host (the digests are sha256 prefixes)."""
+        def digest(array):
+            return hashlib.sha256(array.tobytes()).hexdigest()[:16]
+
+        res, s = sample_run(mk_sim(), stream(), every=every, **host_kwargs)
+        assert res.requests_sent == res.responses_received
+        assert (res.responses_received, res.errors_received, res.cycles,
+                res.send_stall_cycles, sum(res.latencies), s.samples,
+                int(s.vault_matrix().sum()), int(s.xbar_matrix().sum()),
+                digest(s.vault_matrix()), digest(s.xbar_matrix()),
+                digest(s.cycles())) == want
 
     def test_empty_sampler(self):
         sampler = OccupancySampler(mk_sim())

@@ -12,8 +12,7 @@ from repro.addressing.address_map import AddressMap
 from repro.core.bank import Bank
 from repro.core.vault import Vault
 from repro.packets.commands import CMD
-from repro.packets.flow import make_null
-from repro.packets.packet import ErrStat, build_memrequest
+from repro.packets.packet import ErrStat, Packet, build_memrequest
 from repro.registers.regdefs import physical_index, index_by_name
 from repro.registers.regfile import RegisterFile
 from repro.trace.events import EventType
@@ -224,9 +223,8 @@ class TestRequestProcessing:
         assert v.atomic_count == 1
 
     def test_flow_packets_consumed_silently(self, amap, tracer):
-        from repro.packets.flow import make_null
         v = mk_vault()
-        v.rqst.push(make_null())
+        v.rqst.push(Packet(cmd=CMD.NULL))
         v.rqst.push(rd(amap, 0, tag=1))
         assert process(v, 0, amap, 4, 0, tracer, 0) == 1
         assert v.rqst.is_empty

@@ -6,6 +6,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.core.simulator import HMCSim
 from repro.host.host import Host, LinkPolicy
 from repro.packets.commands import CMD
+from repro.packets.packet import build_memrequest, build_response
 from repro.topology.builder import build_simple
 from repro.verification.shadow import CheckFailure, CheckingHost, ShadowMemory
 
@@ -73,7 +74,7 @@ class TestCheckingHost:
         assert stats.mismatches == 0
 
     def test_atomic_old_value_checked(self):
-        sim, ch = mk_checker(host=None)
+        sim, ch = mk_checker()
         # Serialise same-address atomics (ordering caveat in module docs).
         ch.run([(CMD.WR16, 0x40, [100, 200])])
         ch.run([(CMD.ADD16, 0x40, [1, 2])])
@@ -110,6 +111,63 @@ class TestCheckingHost:
         ch.cub = 5  # unroutable cube
         stats = ch.run([(CMD.RD64, 0x0, None)])
         assert stats.mismatches == 1
+
+    def test_unknown_tag_is_reported(self):
+        """A response no request of this host is waiting for fails the
+        check; the host's own drain counts it as an error."""
+        sim, ch = mk_checker()
+        ch.run([(CMD.WR64, 0x40, [1] * 8)])
+        stray = build_response(build_memrequest(0, 0x40, 77, CMD.RD64, link=0))
+        sim.devices[0].xbars[0].rsp.push(stray)
+        with pytest.raises(CheckFailure, match="unknown tag 77"):
+            ch.drain_responses()
+        assert ch.errors == 1 and ch.outstanding == 0
+
+
+#: The mixed program of the first pinned run: writes, posted writes and
+#: atomics, then reads of all of them.
+_PROGRAM = (
+    [(CMD.WR64, i * 64, [i + 1] * 8) for i in range(64)]
+    + [(CMD.P_WR32, 0x8000 + i * 64, [i, i + 1, i + 2, i + 3]) for i in range(16)]
+    + [(CMD.ADD16, 0x10000 + i * 64, [i, 2 * i]) for i in range(16)]
+    + [(CMD.RD64, i * 64, None) for i in range(64)]
+    + [(CMD.RD32, 0x8000 + i * 64, None) for i in range(16)]
+    + [(CMD.RD16, 0x10000 + i * 64, None) for i in range(16)]
+)
+
+
+def _sim_stats(cycles, sent, received, processed, conflicts):
+    return {"cycles": cycles, "packets_sent": sent,
+            "packets_received": received, "send_stalls": 0,
+            "dropped_responses": 0, "bank_conflicts": conflicts,
+            "xbar_stalls": 0, "latency_penalties": 0,
+            "requests_processed": processed}
+
+
+@pytest.mark.parametrize("runs, cub, corrupt, stats, sim_stats", [
+    ([_PROGRAM], None, None, (80, 16, 112, 0), _sim_stats(57, 192, 176, 192, 2304)),
+    ([[(CMD.WR64, 0x200, [5] * 8)], [(CMD.RD64, 0x200, None)]], None, 0x200,
+     (1, 0, 1, 1), _sim_stats(13, 2, 2, 2, 9)),
+    ([[(CMD.RD64, 0x0, None), (CMD.WR64, 0x40, [1] * 8)]], 5, None,
+     (1, 0, 0, 2), _sim_stats(2, 2, 2, 0, 0)),
+], ids=["program", "mismatch", "error-responses"])
+def test_checking_runs_are_pinned(runs, cub, corrupt, stats, sim_stats):
+    """CheckStats (writes, atomics, reads checked, mismatches) and
+    ``sim.stats()`` equal what the hand-copied checking loop reported
+    before CheckingHost became a Host subclass on ``Host.run``."""
+    sim, ch = mk_checker(raise_on_mismatch=False)
+    if cub is not None:
+        ch.cub = cub
+    for i, requests in enumerate(runs):
+        if corrupt is not None and i == 1:
+            dev = sim.devices[0]
+            d = dev.amap.decode(corrupt)
+            rel = d.dram * dev.amap.block_size + d.offset
+            dev.vaults[d.vault].banks[d.bank].write(rel, [9] * 8)
+        got = ch.run(requests)
+    assert (got.writes_shadowed, got.atomics_shadowed, got.reads_checked,
+            got.mismatches) == stats
+    assert sim.stats() == sim_stats
 
 
 @given(

@@ -22,7 +22,6 @@ from repro.addressing.custom import BitPermutationMap
 from repro.core.bank import Bank
 from repro.core.vault import Vault
 from repro.packets.commands import CMD
-from repro.packets.flow import make_null
 from repro.packets.packet import Packet, build_memrequest
 from repro.ras.controller import RasController
 from repro.registers.regdefs import index_by_name, physical_index
@@ -150,7 +149,7 @@ def build(cls, case):
     for tag, (kind, bank, row, offset, wild) in enumerate(case["requests"]):
         cmd, payload = _KINDS[kind]
         if cmd is None:
-            pkt = make_null()
+            pkt = Packet(cmd=CMD.NULL)
         elif kind.startswith("mode"):
             pkt = build_memrequest(_CUB, _EDR0, tag, cmd, payload=payload)
         else:
