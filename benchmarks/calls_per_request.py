@@ -16,6 +16,12 @@ what a noisy wall cannot.  Three streams:
   cube, every link on the host, the ``STANDARD`` trace mask into a
   ``BinarySink`` over ``BytesIO`` and a ``StatsSink``, so the count
   includes every Python call the trace pipeline makes per request;
+* ``chase``: the spine's ``chase_think64`` shape — one 4-Link/8-Bank
+  cube, every link on the host, a pointer chase over ``CHASE_NODES``
+  nodes for ``CHASE_HOPS`` dependent reads (the spine's sizes) with 64
+  think cycles between them; only ``pointer_chase_run`` is profiled,
+  and the count is per request, the table writes included (as the
+  spine counts them);
 * ``serve``: the spine's ``serve128_armed`` shape — ``repro serve``
   with ``checkpoint_interval=256`` over a seed-1 tenant mix; only
   ``serve_sync`` is profiled (the shard template is set-up), and the
@@ -25,7 +31,7 @@ what a noisy wall cannot.  Three streams:
   not an idle driver waiting on shard processes.
 
     PYTHONPATH=src python benchmarks/calls_per_request.py \
-        [--workload table1|chain4|fig5|serve] [--requests-log2 11] \
+        [--workload table1|chain4|fig5|chase|serve] [--requests-log2 11] \
         [--tenants 32] [--requests-per-tenant 8] [--max N]
 
 Exits 1 when the count exceeds ``--max``.
@@ -45,6 +51,7 @@ from repro.service import MemoryService, ServiceConfig, specs_from_profiles
 from repro.topology.builder import build_chain
 from repro.trace import BinarySink, EventType, StatsSink, TraceStats
 from repro.workloads.mixes import tenant_mix_profiles
+from repro.workloads.pointer_chase import pointer_chase_run
 from repro.workloads.random_access import RandomAccessConfig, random_access_requests
 
 
@@ -100,6 +107,21 @@ def fig5(requests: int, seed: int = 1) -> float:
     return _profiled_calls(Host(sim, seed=seed), stream, cub=0) / requests
 
 
+CHASE_NODES, CHASE_HOPS = 4096, 25_000
+
+
+def chase(nodes: int, hops: int, seed: int = 1) -> float:
+    """Profiled calls per request of the think-time pointer chase."""
+    device = PAPER_CONFIGS["4-Link; 8-Bank; 2GB"]
+    sim = HMCSim(SimConfig(device=device))
+    for link in range(device.num_links):
+        sim.attach_host(0, link)
+    prof = cProfile.Profile()
+    prof.runcall(pointer_chase_run, sim, Host(sim, seed=seed), num_nodes=nodes,
+                 hops=hops, think_cycles=64, seed=seed)
+    return calls_of(prof) / (nodes + hops)
+
+
 def serve(tenants: int, per_tenant: int, seed: int = 1) -> float:
     """Profiled calls per served request of an armed ``repro serve``."""
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
@@ -121,6 +143,8 @@ WORKLOADS = {
                "4-cube chain at BER 1e-5, 2^{requests_log2} requests"),
     "fig5": (lambda a: fig5(1 << a.requests_log2),
              "traced 4-Link/8-Bank, 2^{requests_log2} requests"),
+    "chase": (lambda a: chase(CHASE_NODES, CHASE_HOPS),
+              "pointer chase, 64 think cycles"),
     "serve": (lambda a: serve(a.tenants, a.requests_per_tenant),
               "armed serve, {tenants} tenants x {requests_per_tenant} requests"),
 }

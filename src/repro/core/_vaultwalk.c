@@ -2,26 +2,33 @@
  * stages 1 and 2, the crossbar's request routing; stages 3 and 4, the
  * vault walk with its READ/WRITE execute, the reply build and push and
  * the banks' row read/write (§IV.A); stage 5, response registration
- * and the chain-link response hops.
+ * and the chain-link response hops.  And the host lane around them
+ * (§V.C, §VI.A): ``build_memrequest``, the host's inject burst, the
+ * host-link send, the delivery poll and the host's drain.
  *
  * Built on first import by repro/core/_native.py.  One ``bind`` call
  * (from repro/core/clock.py), driven by a table of classes and a table
  * of named constants, resolves the slots the C addresses and installs
  * the functions below as methods of ``Bank``, ``PacketQueue``,
  * ``Tracer``, ``Vault`` and ``CrossbarUnit``; the clock calls the three
- * stage functions.  The C holds no state of its own: it reads and
- * writes the same ``__slots__`` the Python code does, at the offsets
- * their member descriptors give, the bank arrays through the buffer
- * protocol, and the simulator's and links' attributes by name, so
- * pickles and checkpoints do not change.  Trace events without extras
- * are appended to the tracer's buffer as ``Tracer.emit_fast`` (also C)
- * appends them.
+ * stage functions, and ``Host`` and ``HMCSim`` the ``host_*`` ones (the
+ * host module, which imports the clock, hands them its own classes).
+ * The C holds no state of its own: it reads and writes the same
+ * ``__slots__`` the Python code does, at the offsets their member
+ * descriptors give, the bank arrays through the buffer protocol, and
+ * the attributes of the simulator, the hosts, their tag pools and the
+ * links by name, so pickles and checkpoints do not change.  Trace events
+ * without extras are appended to the tracer's buffer as
+ * ``Tracer.emit_fast`` (also C) appends them.
  * What stays in Python is called back: MODE packets, error replies,
  * BWR and the atomics, open-row timing, address maps other than
  * ``AddressMap``, ECC reads/writes, ``CrossbarUnit._reject`` and
  * ``_expire_zombies``, the in-band link gate (``try_transmit``), the
- * route rebuild, ``HMCSim._note_link_failure``, and ``Tracer.event``
- * for the events with extras (MISROUTE, CHAIN_HOP, a remote stall).
+ * route rebuild, ``HMCSim._note_link_failure`` and ``_host_link_dead``,
+ * ``Tracer.event`` for the events with extras (MISROUTE, CHAIN_HOP, a
+ * remote stall), ``Host._pick_link`` for the RANDOM and LOCALITY
+ * policies, the link tokens, and a ``send`` / ``recv_all`` that the
+ * simulator's class overrides.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -31,6 +38,7 @@
 /* -- slot access ---------------------------------------------------------- */
 
 #define SLOT(o, off) (*(PyObject **)((char *)(o) + (off)))
+#define LEN(a) ((int)(sizeof(a) / sizeof((a)[0])))
 
 #define E(p, n) p##_##n,
 #define S(p, n) #n,
@@ -39,7 +47,8 @@
     X(P, slid) X(P, serial) X(P, injected_at) X(P, hops)                   \
     X(P, ingress_link) X(P, src_cub) X(P, route_stack) X(P, dec_bank)      \
     X(P, cls) X(P, expects_response) X(P, is_special) X(P, num_flits)     \
-    X(P, dec_vault)
+    X(P, dec_vault) X(P, is_response) X(P, completed_at) X(P, delivered_from) \
+    X(P, errstat)
 #define QUEUE(X) X(Q, depth) X(Q, _q) X(Q, _stamps) X(Q, high_water) \
     X(Q, total_enqueued) X(Q, total_dequeued) X(Q, _act_set) X(Q, _act_key) X(Q, special_count)
 #define VAULT(X) X(V, vault_id) X(V, quad_id) X(V, banks) X(V, rqst)     \
@@ -65,6 +74,8 @@ enum { BANK(E) B_N };
 enum { TRACER(E) T_N };
 enum { XBAR(E) C_N };
 enum { DEVICE(E) D_N };
+#define PENDING(X) X(R, cmd) X(R, addr) X(R, dev) X(R, link) X(R, sent_cycle)
+enum { PENDING(E) R_N };
 static const char *const P_names[] = { PACKET(S) };
 static const char *const Q_names[] = { QUEUE(S) };
 static const char *const V_names[] = { VAULT(S) };
@@ -72,8 +83,9 @@ static const char *const B_names[] = { BANK(S) };
 static const char *const T_names[] = { TRACER(S) };
 static const char *const C_names[] = { XBAR(S) };
 static const char *const D_names[] = { DEVICE(S) };
+static const char *const R_names[] = { PENDING(S) };
 static Py_ssize_t P_off[P_N], Q_off[Q_N], V_off[V_N], B_off[B_N], T_off[T_N];
-static Py_ssize_t C_off[C_N], D_off[D_N];
+static Py_ssize_t C_off[C_N], D_off[D_N], R_off[R_N];
 
 /* Every slot of Packet, for copying a reply prototype. */
 static Py_ssize_t *packet_all_off;
@@ -81,6 +93,7 @@ static Py_ssize_t packet_nslots;
 
 static PyTypeObject *packet_type, *queue_type, *vault_type, *bank_type;
 static PyTypeObject *amap_type, *tracer_type, *xbar_type, *device_type;
+static PyTypeObject *pending_type;      /* the host's, resolved on first sight */
 
 /* Offset of the ``__slots__`` entry *name* of *tp*. */
 static Py_ssize_t
@@ -195,6 +208,15 @@ static PyObject *cls_mode_read, *cls_mode_write, *err_unroutable, *tx_ok, *tx_de
 static PyObject *ev_rqst_stall, *ev_latency, *ev_rsp_stall, *ev_expired, *ev_registered;
 static long long m_rqst_stall, m_latency, m_rsp_stall, m_expired, m_registered, m_chain_hop;
 static PyObject *member_rqst_stall, *member_chain_hop, *member_misroute;
+/* The host lane's: request prototypes (per CMD, from _fast_new), the
+ * posted commands, the errors it raises and the members it compares. */
+static PyObject *request_proto[NCMD];
+static char posted_cmd[NCMD];
+static PyTypeObject *cmd_type;
+static PyObject *posted_set, *host_sender, *health_failed, *err_ok, *ev_delivered;
+static PyObject *cmd_error_obj;
+static PyObject *exc_topology, *exc_stall, *exc_dead;
+static long long m_delivered, cmd_error, max_tag, max_adrs, max_cub;
 
 static PyObject *s_append, *s_add, *s_flush, *s_addr;
 static PyObject *s_do_mode, *s_error_response, *s_read_modify_write;
@@ -210,6 +232,15 @@ static PyObject *s_dropped, *s_tx_packets, *s_tx_flits, *s_rx_packets;
 static PyObject *s_rx_flits, *s_vs, *s_vault_mask, *s_vault_of;
 static PyObject *s_target_cub, *s_remote, *s_to_dev, *s_to_link;
 static PyObject *s_get, *event_kw;      /* Tracer.event's keywords, as passed */
+static PyObject *s_sim, *s_tag_pools, *s_policy, *s_host_links, *s_rotor, *s_pick_link;
+static PyObject *s_free, *s_bound, *s_allocated, *s_released, *s_sent, *s_last_send;
+static PyObject *s_send, *s_recv_all, *s_freed, *s_tokens, *s_check_alive;
+static PyObject *s_link_dead, *s_send_stalls;
+static PyObject *s_packets_sent, *s_packets_received, *s_clock_value, *s_tracer;
+static PyObject *s_host_cub, *s_can_send, *s_consume, *s_restore, *s_outstanding;
+static PyObject *s_health, *s_recv_rotor, *s_partitioned, *s_received, *s_errors;
+static PyObject *s_latencies, *s_error_stats, *s_sent_cycle, *s_name, *s_pop;
+static PyObject *s_hash_x, *s_empty, *send_kw, *zero, *one;  /* HMCSim.send's keywords */
 
 static int
 intern_all(void)
@@ -236,12 +267,30 @@ intern_all(void)
     I(s_tx_flits, "tx_flits") I(s_rx_packets, "rx_packets") I(s_rx_flits, "rx_flits")
     I(s_vault_mask, "_vault_mask") I(s_vault_of, "vault_of") I(s_remote, "remote")
     I(s_target_cub, "target_cub") I(s_to_dev, "to_dev") I(s_to_link, "to_link")
+    I(s_sim, "sim") I(s_tag_pools, "tag_pools") I(s_policy, "policy")
+    I(s_host_links, "_host_links") I(s_rotor, "_rotor") I(s_pick_link, "_pick_link")
+    I(s_free, "_free") I(s_bound, "_bound") I(s_allocated, "allocated_total")
+    I(s_released, "released_total") I(s_sent, "sent") I(s_last_send, "last_send")
+    I(s_send, "send") I(s_recv_all, "recv_all") I(s_freed, "_freed")
+    I(s_tokens, "_tokens") I(s_check_alive, "_check_alive")
+    I(s_link_dead, "_host_link_dead") I(s_send_stalls, "send_stalls")
+    I(s_packets_sent, "packets_sent") I(s_packets_received, "packets_received")
+    I(s_clock_value, "clock_value") I(s_tracer, "tracer") I(s_host_cub, "host_cub")
+    I(s_can_send, "can_send") I(s_consume, "consume") I(s_restore, "restore")
+    I(s_outstanding, "_outstanding_flits") I(s_health, "health")
+    I(s_recv_rotor, "_recv_rotor") I(s_partitioned, "_partitioned")
+    I(s_received, "received") I(s_errors, "errors") I(s_latencies, "latencies")
+    I(s_error_stats, "error_stats") I(s_sent_cycle, "sent_cycle") I(s_name, "name")
+    I(s_pop, "pop") I(s_hash_x, "#x") I(s_empty, "")
 #undef I
     event_kw = Py_BuildValue("(ssss)", "dev", "link", "serial", "extra");
+    send_kw = Py_BuildValue("(ss)", "dev", "link");
     minus_one = PyLong_FromLong(-1);
+    zero = PyLong_FromLong(0);
+    one = PyLong_FromLong(1);
     busy_true = Py_BuildValue("(sO)", "busy", Py_True);
     busy_false = Py_BuildValue("(sO)", "busy", Py_False);
-    return (minus_one && busy_true && busy_false && event_kw) ? 0 : -1;
+    return (minus_one && zero && one && busy_true && busy_false && event_kw && send_kw) ? 0 : -1;
 }
 
 static int
@@ -684,24 +733,34 @@ queue_push(PyObject *queue, PyObject *q, Py_ssize_t n, PyObject *pkt,
     return 0;
 }
 
-/* Drop the head of *queue* (deque *q*), counted as dequeued; with
- * *specials* a FLOW/MODE head is uncounted, as PacketQueue.pop does. */
-static int
-queue_pop(PyObject *queue, PyObject *q, int specials)
+/* Take the head of *queue* (deque *q*), counted as dequeued: a new
+ * reference, or NULL.  With *specials* a FLOW/MODE head is uncounted,
+ * as PacketQueue.pop does. */
+static PyObject *
+queue_take(PyObject *queue, PyObject *q, int specials)
 {
     PyObject *stamps = get(queue, Q_off[Q__stamps]);
     PyObject *pkt = stamps ? PyObject_CallMethodNoArgs(q, s_popleft) : NULL;
+    Py_ssize_t left;
     if (pkt == NULL)
-        return -1;
+        return NULL;
     int special = specials ? special_packet(pkt) : 0;
-    Py_DECREF(pkt);
     if (special < 0
         || call_none(PyObject_CallMethodNoArgs(stamps, s_popleft)) < 0
         || add_ll(queue, Q_off[Q_total_dequeued], 1) < 0
-        || (special && add_ll(queue, Q_off[Q_special_count], -1) < 0))
-        return -1;
-    Py_ssize_t left = PyObject_Size(q);
-    return left < 0 ? -1 : left ? 0 : set_active(queue, 0);
+        || (special && add_ll(queue, Q_off[Q_special_count], -1) < 0)
+        || (left = PyObject_Size(q)) < 0 || (left == 0 && set_active(queue, 0) < 0))
+        Py_CLEAR(pkt);
+    return pkt;
+}
+
+/* Drop the head of *queue*, as queue_take takes it. */
+static int
+queue_pop(PyObject *queue, PyObject *q, int specials)
+{
+    PyObject *pkt = queue_take(queue, q, specials);
+    Py_XDECREF(pkt);
+    return pkt == NULL ? -1 : 0;
 }
 
 /* Remove the entries at ascending FIFO positions *pos* from *queue*,
@@ -944,6 +1003,15 @@ emit_addr(Walk *w, PyObject *etype, long long bank, PyObject *pkt,
     return rc;
 }
 
+/* Number *pkt* with the next serial of *tracer*'s simulation. */
+static int
+take_serial(PyObject *pkt, PyObject *tracer)
+{
+    PyObject *serial = get(tracer, T_off[T_next_serial]);
+    return serial == NULL || set_ref(pkt, P_off[P_serial], serial) < 0
+        || add_ll(tracer, T_off[T_next_serial], 1) < 0 ? -1 : 0;
+}
+
 /* Queue *rsp* (a new reference, consumed) as *request*'s reply in the
  * vault's response queue, numbered with the next serial of *tracer*'s
  * simulation; the caller proved the room. */
@@ -952,14 +1020,11 @@ push_reply(PyObject *vault, PyObject *rsp, PyObject *request, PyObject *cycle,
            PyObject *tracer)
 {
     int rc = -1;
-    PyObject *queue = get(vault, V_off[V_rsp]), *serial;
+    PyObject *queue = get(vault, V_off[V_rsp]);
     if (queue == NULL || check_type(queue, queue_type) < 0
         || check_type(rsp, packet_type) < 0
         || check_type(request, packet_type) < 0
-        || check_type(tracer, tracer_type) < 0
-        || (serial = get(tracer, T_off[T_next_serial])) == NULL
-        || set_ref(rsp, P_off[P_serial], serial) < 0
-        || add_ll(tracer, T_off[T_next_serial], 1) < 0)
+        || check_type(tracer, tracer_type) < 0 || take_serial(rsp, tracer) < 0)
         goto done;
     PyObject *stack = get(request, P_off[P_route_stack]);
     if (stack == NULL)
@@ -2309,6 +2374,788 @@ Xbar_route_requests(PyObject *self, PyObject *args, PyObject *kw)
     return moved < 0 ? NULL : PyLong_FromLongLong(moved);
 }
 
+/* -- the host lane: request build, inject, send, poll and drain ----------- */
+
+/* ``a, b, ... = o`` into the *count* new references of *out*. */
+static int
+unpack(PyObject *o, Py_ssize_t count, PyObject **out)
+{
+    PyObject *t = PyTuple_CheckExact(o) ? Py_NewRef(o) : PySequence_Tuple(o);
+    Py_ssize_t n = t ? PyTuple_GET_SIZE(t) : -1;
+    if (n >= 0 && n != count)
+        PyErr_Format(PyExc_ValueError, n < count ? "not enough values to unpack (expected "
+                     "%zd, got %zd)" : "too many values to unpack (expected %zd)", count, n);
+    for (Py_ssize_t i = 0; n == count && i < n; i++)
+        out[i] = Py_NewRef(PyTuple_GET_ITEM(t, i));
+    Py_XDECREF(t);
+    return n == count ? 0 : -1;
+}
+
+/* ``d.get(key, dflt)``: a new reference, or NULL. */
+static PyObject *
+dict_get(PyObject *d, PyObject *key, PyObject *dflt)
+{
+    PyObject *args[] = {d, key, dflt}, *v;
+    if (!PyDict_Check(d))
+        return PyObject_VectorcallMethod(s_get, args, 3, NULL);
+    v = PyDict_GetItemWithError(d, key);
+    return v ? Py_NewRef(v) : PyErr_Occurred() ? NULL : Py_NewRef(dflt);
+}
+
+/* Set attribute *name* of *o* to the int *x*. */
+static int
+set_attr_ll(PyObject *o, PyObject *name, long long x)
+{
+    PyObject *v = PyLong_FromLongLong(x);
+    int rc = v == NULL ? -1 : PyObject_SetAttr(o, name, v);
+    Py_XDECREF(v);
+    return rc;
+}
+
+/* The error raised before a write-back that must not lose it. */
+typedef struct { PyObject *type, *value, *tb; } Raised;
+
+static Raised
+set_aside(void)
+{
+    Raised r;
+    PyErr_Fetch(&r.type, &r.value, &r.tb);
+    return r;
+}
+
+/* Raise *r* again unless the write-back (*rc*) raised its own: -1 when
+ * an error is set after, else *rc*. */
+static int
+raise_again(Raised r, int rc)
+{
+    if (r.type != NULL && rc == 0) {
+        PyErr_Restore(r.type, r.value, r.tb);
+        return -1;
+    }
+    Py_XDECREF(r.type);
+    Py_XDECREF(r.value);
+    Py_XDECREF(r.tb);
+    return rc;
+}
+
+/* 1 if ``type(o).<name> is cls.<name>``, 0 if not, -1. */
+static int
+same_method(PyObject *o, PyObject *cls, PyObject *name)
+{
+    PyObject *a = PyObject_GetAttr((PyObject *)Py_TYPE(o), name);
+    PyObject *b = a ? PyObject_GetAttr(cls, name) : NULL;
+    int rc = b == NULL ? -1 : a == b;
+    Py_XDECREF(a);
+    Py_XDECREF(b);
+    return rc;
+}
+
+/* ``HMCSim._check_alive`` once the simulation was freed. */
+static int
+check_alive(PyObject *sim)
+{
+    PyObject *freed = PyObject_GetAttr(sim, s_freed);
+    int rc = freed == NULL ? -1 : PyObject_IsTrue(freed);
+    Py_XDECREF(freed);
+    return rc ? (rc < 0 ? -1 : call_none(PyObject_CallMethodNoArgs(sim, s_check_alive))) : 0;
+}
+
+/* ValueError "<what>: <format(v, spec)>" unless 0 <= v <= hi. */
+static int
+check_field(PyObject *v, long long hi, const char *what, PyObject *spec)
+{
+    int ok, big;
+    long long x = PyLong_CheckExact(v) ? PyLong_AsLongLongAndOverflow(v, &big) : 0;
+    PyObject *top = PyLong_CheckExact(v) ? NULL : PyLong_FromLongLong(hi), *text;
+    if (PyLong_CheckExact(v))
+        ok = x == -1 && PyErr_Occurred() ? -1 : !big && 0 <= x && x <= hi;
+    else if ((ok = top ? PyObject_RichCompareBool(zero, v, Py_LE) : -1) > 0)
+        ok = PyObject_RichCompareBool(v, top, Py_LE);
+    Py_XDECREF(top);
+    if (ok == 0 && (text = PyObject_Format(v, spec)) != NULL) {
+        PyErr_Format(PyExc_ValueError, "%s: %U", what, text);
+        Py_DECREF(text);
+    }
+    return ok > 0 ? 0 : -1;
+}
+
+/* ``build_memrequest(cub, addr, tag, cmd, payload, link)``: a request
+ * copied from its command's prototype; the payload's words taken mod
+ * 2**64, zero-filled or truncated to the command's, or the prototype's
+ * shared zero payload when none is given. */
+static PyObject *
+build_request(PyObject *cub, PyObject *addr, PyObject *tag, PyObject *cmd,
+              PyObject *payload, PyObject *link)
+{
+    PyObject *proto = NULL, *member, *zeros, *words = NULL, *w = NULL, *pkt = NULL;
+    long long v = PyLong_Check(cmd) ? PyLong_AsLongLong(cmd) : -1;
+    int given;
+    PyErr_Clear();      /* a value past 64 bits is no command either */
+    if (packet_type == NULL)
+        return PyErr_Format(PyExc_RuntimeError, "build_memrequest before bind()");
+    if (0 <= v && v < NCMD)
+        proto = request_proto[v];
+    if (proto == NULL) {    /* CMD(cmd) raises for no command at all */
+        member = Py_IS_TYPE(cmd, cmd_type) ? Py_NewRef(cmd)
+            : PyObject_CallOneArg((PyObject *)cmd_type, cmd);
+        if (member == NULL)
+            return NULL;
+        v = PyLong_AsLongLong(member);
+        if (0 <= v && v < NCMD && (proto = request_proto[v]) == NULL
+            && (w = PyObject_GetAttr(member, s_name)) != NULL) {
+            PyErr_Format(PyExc_ValueError, "%S is a response command", w);
+            Py_DECREF(w);
+        }
+        Py_DECREF(member);
+        if (proto == NULL)
+            return NULL;
+    }
+    Py_ssize_t need = (zeros = get(proto, P_off[P_payload])) ? PyTuple_GET_SIZE(zeros) : 0, n;
+    if (zeros == NULL || (given = PyObject_IsTrue(payload)) < 0)
+        return NULL;
+    if (!given)
+        words = Py_NewRef(zeros);
+    else if ((w = PySequence_Fast(payload, "payload words")) != NULL
+             && (words = PyTuple_New(need)) != NULL) {
+        for (n = 0; n < PySequence_Fast_GET_SIZE(w) || n < need; n++) {
+            PyObject *i = n < PySequence_Fast_GET_SIZE(w)
+                ? PyNumber_Long(PySequence_Fast_GET_ITEM(w, n)) : Py_NewRef(zero);
+            unsigned long long m = i ? PyLong_AsUnsignedLongLongMask(i) : 0;
+            Py_XDECREF(i);
+            if (i == NULL || PyErr_Occurred()
+                || (n < need && (PyTuple_SET_ITEM(words, n, PyLong_FromUnsignedLongLong(m)),
+                                 PyTuple_GET_ITEM(words, n) == NULL))) {
+                Py_CLEAR(words);
+                break;
+            }
+        }
+    }
+    Py_XDECREF(w);
+    if (words == NULL || check_field(tag, max_tag, "tag out of range", s_empty) < 0
+        || check_field(addr, max_adrs, "address out of range", s_hash_x) < 0
+        || check_field(cub, max_cub, "cube id out of range", s_empty) < 0
+        || (pkt = packet_type->tp_alloc(packet_type, 0)) == NULL) {
+        Py_XDECREF(words);
+        return NULL;
+    }
+    for (n = 0; n < packet_nslots; n++)
+        SLOT(pkt, packet_all_off[n]) = Py_XNewRef(SLOT(proto, packet_all_off[n]));
+    if (set_ref(pkt, P_off[P_cub], cub) < 0 || set_ref(pkt, P_off[P_tag], tag) < 0
+        || set_ref(pkt, P_off[P_addr], addr) < 0 || set_new(pkt, P_off[P_payload], words) < 0
+        || set_ref(pkt, P_off[P_slid], link) < 0
+        || set_new(pkt, P_off[P_route_stack], PyList_New(0)) < 0)
+        Py_CLEAR(pkt);
+    return pkt;
+}
+
+static PyObject *
+build_memrequest(PyObject *mod, PyObject *args, PyObject *kw)
+{
+    static char *names[] = {"cub", "addr", "tag", "cmd", "payload", "link", NULL};
+    PyObject *cub, *addr, *tag, *cmd, *payload = Py_None, *link = zero;
+    if (!PyArg_ParseTupleAndKeywords(args, kw, "OOOO|OO:build_memrequest", names,
+                                     &cub, &addr, &tag, &cmd, &payload, &link))
+        return NULL;
+    return build_request(cub, addr, tag, cmd, payload, link);
+}
+
+/* One call's reads of the simulator. */
+typedef struct {
+    PyObject *sim, *tracer, *devices, *peers, *faults, *tokens, *clock, *host_cub;
+    int faulty, tokened;
+} Lane;
+
+static void
+lane_end(Lane *l)
+{
+    PyObject **held[] = {&l->sim, &l->tracer, &l->devices, &l->peers, &l->faults,
+                         &l->tokens, &l->clock, &l->host_cub};
+    for (int i = 0; i < 8; i++)
+        Py_CLEAR(*held[i]);
+}
+
+static int
+lane_begin(Lane *l, PyObject *sim)
+{
+    memset(l, 0, sizeof *l);
+    l->sim = Py_NewRef(sim);
+    if ((l->tracer = PyObject_GetAttr(sim, s_tracer)) && check_type(l->tracer, tracer_type) == 0
+        && (l->devices = PyObject_GetAttr(sim, s_devices))
+        && (l->peers = PyObject_GetAttr(sim, s_link_peers))
+        && (l->faults = PyObject_GetAttr(sim, s_link_faults))
+        && (l->faulty = PyObject_IsTrue(l->faults)) >= 0
+        && (l->tokens = PyObject_GetAttr(sim, s_tokens))
+        && (l->tokened = PyObject_IsTrue(l->tokens)) >= 0
+        && (l->clock = PyObject_GetAttr(sim, s_clock_value)))
+        return 0;
+    lane_end(l);
+    return -1;
+}
+
+/* TopologyError unless the peer of lane *key*, (*dev*, *link*), is the
+ * host. */
+static int
+host_peer(Lane *l, PyObject *key, PyObject *dev, PyObject *link)
+{
+    PyObject *peer = dict_get(l->peers, key, Py_None);
+    int host = peer && PyUnicode_Check(peer) && !PyUnicode_CompareWithASCIIString(peer, "host");
+    if (peer && !host)
+        PyErr_Format(exc_topology, "dev %S link %S is not attached to the host", dev, link);
+    Py_XDECREF(peer);
+    return host ? 0 : -1;
+}
+
+/* The crossbar of lane (*dev*, *link*), the device in *device*: new
+ * references, or NULL. */
+static PyObject *
+lane_xbar(Lane *l, PyObject *dev, PyObject *link, PyObject **device)
+{
+    PyObject *xbars, *xbar = NULL;
+    if ((*device = PyObject_GetItem(l->devices, dev)) && check_type(*device, device_type) == 0
+        && (xbars = get(*device, D_off[D_xbars])) && (xbar = PyObject_GetItem(xbars, link))
+        && check_type(xbar, xbar_type) == 0)
+        return xbar;
+    Py_CLEAR(*device);
+    Py_XDECREF(xbar);
+    return NULL;
+}
+
+/* Drop the references of *objs*. */
+static void
+drop(PyObject *const *objs, int n)
+{
+    for (int i = 0; i < n; i++)
+        Py_XDECREF(objs[i]);
+}
+
+static const char *const stall_text[] = {
+    "crossbar request queue full on dev %S link %S",
+    "link tokens exhausted on dev %S link %S",
+    "link %S on dev %S in retry/replay window",
+};
+
+/* ``HMCSim.send``'s host-link lane for *pkt* (numbered already) at
+ * (*dev*, *link*): the peer check, the room check, the link tokens, the
+ * in-band gate and the push.  1 queued; 0 stalled, counted (*why* says
+ * where: a replay window stalls like a full queue); -1 with the error
+ * set, ``LinkDeadError`` for a dead link.  The route stack starts from
+ * *lane*, or from a new (dev, link) record. */
+static int
+lane_send(Lane *l, PyObject *pkt, PyObject *dev, PyObject *link, PyObject *lane, int *why)
+{
+    PyObject *key = lane ? Py_NewRef(lane) : PyTuple_Pack(2, dev, link), *device = NULL;
+    PyObject *xbar = NULL, *tokens = NULL, *state = NULL, *status = NULL, *r = NULL;
+    PyObject *flits, *rq, *q, *config, *held = NULL, *tkey = NULL;
+    Py_ssize_t n;
+    long long depth, nflits;
+    int rc = -1, ok = 1;
+    if (key == NULL || host_peer(l, key, dev, link) < 0
+        || (xbar = lane_xbar(l, dev, link, &device)) == NULL
+        || (rq = queue_of(xbar, C_off[C_rqst], &q)) == NULL
+        || (n = PyObject_Size(q)) < 0 || get_ll(rq, Q_off[Q_depth], &depth) < 0
+        || (flits = get(pkt, P_off[P_num_flits])) == NULL || parse_ll(flits, &nflits) < 0
+        || (tokens = l->tokened ? dict_get(l->tokens, key, Py_None) : Py_NewRef(Py_None)) == NULL
+        || (state = l->faulty ? dict_get(l->faults, key, Py_None) : Py_NewRef(Py_None)) == NULL)
+        goto done;
+    if ((*why = 0, n >= depth)
+        || (*why = 1, tokens != Py_None
+            && (ok = (r = PyObject_CallMethodOneArg(tokens, s_can_send, flits))
+                ? PyObject_IsTrue(r) : -1) <= 0))
+        goto stall;
+    if (state != Py_None) {
+        PyObject *args[] = {state, host_sender, pkt, l->clock, l->tracer};
+        if ((status = PyObject_VectorcallMethod(s_try_transmit, args, 5, NULL)) == tx_dead) {
+            PyObject *dead[] = {l->sim, state, dev, link};
+            Py_SETREF(status, PyObject_VectorcallMethod(s_link_dead, dead, 4, NULL));
+            if (status != NULL)
+                PyErr_SetObject((PyObject *)Py_TYPE(status), status);
+        }
+        if (status == NULL || PyErr_Occurred())
+            goto done;
+        if ((*why = 2, status != tx_ok))
+            goto stall;
+    }
+    if (tokens != Py_None) {    /* posted traffic returns its credit at once */
+        ok = call_none(PyObject_CallMethodOneArg(tokens, s_consume, flits)) < 0 ? -1
+            : PyObject_IsTrue(get(pkt, P_off[P_expects_response]));
+        if (ok < 0 || (ok ? (held = PyObject_GetAttr(l->sim, s_outstanding)) == NULL
+                       || (tkey = PyTuple_Pack(3, dev, link, get(pkt, P_off[P_tag]))) == NULL
+                       || PyObject_SetItem(held, tkey, flits) < 0
+                       : call_none(PyObject_CallMethodOneArg(tokens, s_restore, flits)) < 0))
+            goto done;
+    }
+    if (l->host_cub == NULL && (config = PyObject_GetAttr(l->sim, s_config)) != NULL) {
+        l->host_cub = PyObject_GetAttr(config, s_host_cub);
+        Py_DECREF(config);
+    }
+    if (l->host_cub == NULL || set_ref(pkt, P_off[P_injected_at], l->clock) < 0
+        || set_ref(pkt, P_off[P_ingress_link], link) < 0
+        || set_ref(pkt, P_off[P_src_cub], l->host_cub) < 0
+        || set_new(pkt, P_off[P_route_stack], PyList_New(1)) < 0)
+        goto done;
+    PyList_SET_ITEM(SLOT(pkt, P_off[P_route_stack]), 0, Py_NewRef(key));
+    rc = count_link(device, link, s_rx_packets, s_rx_flits, nflits) < 0
+        || queue_push(rq, q, n, pkt, l->clock, 1) < 0
+        || add_attr(l->sim, s_packets_sent, 1) < 0 ? -1 : 1;
+    goto done;
+stall:
+    rc = ok < 0 ? -1 : add_attr(l->sim, s_send_stalls, 1) < 0 ? -1 : 0;
+done:
+    drop((PyObject *[]){key, device, xbar, tokens, state, status, r, held, tkey}, 9);
+    return rc;
+}
+
+/* ``host_send(sim, pkt, dev, link)``: ``lane_send``, a stall raised as
+ * StallError. */
+static PyObject *
+host_send(PyObject *mod, PyObject *const *args, Py_ssize_t nargs)
+{
+    Lane l;
+    int rc = -1, why;
+    if (nargs != 4 || check_type(args[1], packet_type) < 0 || lane_begin(&l, args[0]) < 0)
+        return nargs != 4 ? PyErr_Format(PyExc_TypeError, "host_send(sim, pkt, dev, link)") : NULL;
+    if ((rc = lane_send(&l, args[1], args[2], args[3], NULL, &why)) == 0)
+        PyErr_Format(exc_stall, stall_text[why], args[why == 2 ? 3 : 2], args[why == 2 ? 2 : 3]);
+    lane_end(&l);
+    return rc > 0 ? Py_NewRef(Py_None) : NULL;
+}
+
+/* Lane (*d*, *k*) of a delivery poll: 1 with the response popped into
+ * *out*, 0 when none crosses now, -1.  With *key*, the partitioned
+ * host's peer check first.  Delivery crosses the link in-band: a failed
+ * transmission keeps the response queued for the replay window, a dead
+ * link strands it. */
+static int
+poll_lane(Lane *l, PyObject *key, PyObject *d, PyObject *k, PyObject **out)
+{
+    PyObject *device, *xbar = lane_xbar(l, d, k, &device), *rsp, *q, *serial;
+    PyObject *lane = NULL, *state = NULL, *health = NULL, *sender = NULL, *head = NULL;
+    PyObject *status = NULL, *pkt = NULL, *tokens = NULL, *tkey = NULL, *flits = NULL;
+    Py_ssize_t len;
+    long long nflits, mask;
+    int rc = -1;
+    if (xbar == NULL || (rsp = queue_of(xbar, C_off[C_rsp], &q)) == NULL
+        || (len = PyObject_Size(q)) < 0)
+        goto done;
+    if ((rc = len == 0 ? 0 : -1) == 0 || (key && host_peer(l, key, d, k) < 0)
+        || ((l->faulty || l->tokened) && (lane = PyTuple_Pack(2, d, k)) == NULL)
+        || (state = l->faulty ? dict_get(l->faults, lane, Py_None) : Py_NewRef(Py_None)) == NULL)
+        goto done;
+    if (state != Py_None) {
+        PyObject *args[] = {state, NULL, NULL, l->clock, l->tracer};
+        if ((health = PyObject_GetAttr(state, s_health)) == NULL || (rc = 0, health == health_failed)
+            || (rc = -1, sender = args[1] = PyTuple_Pack(2, d, k)) == NULL
+            || (head = args[2] = PySequence_GetItem(q, 0)) == NULL
+            || (status = PyObject_VectorcallMethod(s_try_transmit, args, 5, NULL)) == NULL)
+            goto done;
+        if (status != tx_ok) {
+            rc = status != tx_dead ? 0
+                : call_none(PyObject_CallMethodOneArg(l->sim, s_note_failure, state));
+            goto done;
+        }
+    }
+    if ((pkt = queue_take(rsp, q, 1)) == NULL || check_type(pkt, packet_type) < 0
+        || set_ref(pkt, P_off[P_completed_at], l->clock) < 0
+        || set_new(pkt, P_off[P_delivered_from], PyTuple_Pack(2, d, k)) < 0
+        || get_ll(pkt, P_off[P_num_flits], &nflits) < 0
+        || count_link(device, k, s_tx_packets, s_tx_flits, nflits) < 0
+        || add_attr(l->sim, s_packets_received, 1) < 0
+        || (l->tokened && (tokens = dict_get(l->tokens, lane, Py_None)) == NULL))
+        goto done;
+    if (tokens != NULL && tokens != Py_None) {  /* the request's FLITs come back */
+        PyObject *held = PyObject_GetAttr(l->sim, s_outstanding);
+        PyObject *args[] = {held, tkey = PyTuple_Pack(3, d, k, get(pkt, P_off[P_tag])), zero};
+        int some = held && tkey && (flits = PyObject_VectorcallMethod(s_pop, args, 3, NULL))
+            ? PyObject_IsTrue(flits) : -1;
+        Py_XDECREF(held);
+        if (some < 0 || (some && call_none(PyObject_CallMethodOneArg(tokens, s_restore, flits)) < 0))
+            goto done;
+    }
+    if (get_ll(l->tracer, T_off[T_live_mask], &mask) < 0 || (serial = get(pkt, P_off[P_serial])) == NULL
+        || ((mask & m_delivered) && trace_append(l->tracer, PyTuple_Pack(
+                10, ev_delivered, l->clock, d, k, minus_one, minus_one, minus_one, minus_one,
+                serial, Py_None)) < 0))
+        goto done;
+    *out = Py_NewRef(pkt);
+    rc = 1;
+done:
+    drop((PyObject *[]){device, xbar, lane, state, health, sender, head, status, pkt, tokens,
+                        tkey, flits}, 12);
+    return rc;
+}
+
+/* The delivery poll: pop the first head response of the *n* lanes of
+ * *links*, scanned from *rotor* on, that crosses now.  A new reference,
+ * None when none does, or NULL. */
+static PyObject *
+lane_poll(Lane *l, PyObject *links, Py_ssize_t n, Py_ssize_t rotor, PyObject *key)
+{
+    PyObject *out = NULL, *lane, *pair[2];
+    for (Py_ssize_t i = rotor; i < rotor + n; i++) {
+        int rc = (lane = PySequence_GetItem(links, i >= n ? i - n : i)) == NULL ? -1
+            : unpack(lane, 2, pair);
+        Py_XDECREF(lane);
+        if (rc == 0) {
+            rc = poll_lane(l, key, pair[0], pair[1], &out);
+            Py_DECREF(pair[0]);
+            Py_DECREF(pair[1]);
+        }
+        if (rc != 0)
+            return rc < 0 ? NULL : out;
+    }
+    return Py_NewRef(Py_None);
+}
+
+/* ``host_poll(sim, links, n, rotor)``: ``HMCSim.recv``'s poll. */
+static PyObject *
+host_poll(PyObject *mod, PyObject *const *args, Py_ssize_t nargs)
+{
+    Py_ssize_t n = nargs == 4 ? PyNumber_AsSsize_t(args[2], NULL) : -1;
+    Py_ssize_t rotor = nargs == 4 ? PyNumber_AsSsize_t(args[3], NULL) : -1;
+    PyObject *pkt = NULL;
+    Lane l;
+    if (nargs != 4)
+        PyErr_SetString(PyExc_TypeError, "host_poll(sim, links, n, rotor)");
+    if (PyErr_Occurred() || lane_begin(&l, args[0]) < 0)
+        return NULL;
+    pkt = lane_poll(&l, args[1], n, rotor, NULL);
+    lane_end(&l);
+    return pkt;
+}
+
+/* ``HMCSim.recv_all``: the poll ``recv()`` makes, repeated until one
+ * finds nothing -- the rotor advancing once per poll, the terminal empty
+ * one included.  A new list. */
+static PyObject *
+host_recv_all(PyObject *mod, PyObject *sim)
+{
+    PyObject *links, *out = NULL, *pkt;
+    long long rotor;
+    Py_ssize_t n = -1;
+    Lane l;
+    if (check_alive(sim) < 0 || (links = PyObject_GetAttr(sim, s_host_links)) == NULL)
+        return NULL;
+    if ((n = PyObject_Size(links)) == 0)
+        PyErr_SetString(exc_topology, "no host link configured");
+    if (n > 0 && attr_ll(sim, s_recv_rotor, &rotor) == 0 && lane_begin(&l, sim) == 0) {
+        for (out = PyList_New(0); out != NULL; Py_XDECREF(pkt)) {
+            Py_ssize_t r = (Py_ssize_t)(((rotor % n) + n) % n);  /* stale after growth */
+            rotor = r + 1 < n ? r + 1 : 0;
+            if ((pkt = lane_poll(&l, links, n, r, NULL)) == Py_None) {
+                Py_DECREF(pkt);
+                break;
+            }
+            if (pkt == NULL || PyList_Append(out, pkt) < 0)
+                Py_CLEAR(out);
+        }
+        Raised r = set_aside();
+        if (raise_again(r, set_attr_ll(sim, s_recv_rotor, rotor)) < 0)
+            Py_CLEAR(out);
+        lane_end(&l);
+    }
+    Py_DECREF(links);
+    return out;
+}
+
+/* What the host module hands its calls: ``(PendingRequest, HMCSim,
+ * LinkPolicy.ROUND_ROBIN, end of stream)``. */
+typedef struct {
+    PyObject *pending, *hmcsim, *round_robin, *end;
+} HostKinds;
+
+static int
+host_kinds(PyObject *o, HostKinds *k)
+{
+    Py_ssize_t off[R_N];
+    if (!PyArg_ParseTuple(o, "O!OOO", &PyType_Type, &k->pending, &k->hmcsim,
+                          &k->round_robin, &k->end))
+        return -1;
+    for (int i = 0; (PyTypeObject *)k->pending != pending_type && i < R_N; i++)
+        if ((off[i] = slot_offset((PyTypeObject *)k->pending, R_names[i])) < 0)
+            return -1;
+    if ((PyTypeObject *)k->pending != pending_type) {
+        memcpy(R_off, off, sizeof off);
+        Py_XSETREF(pending_type, (PyTypeObject *)Py_NewRef(k->pending));
+    }
+    return 0;
+}
+
+/* ``TagPool.release(tag)``. */
+static int
+release_tag(PyObject *pool, PyObject *tag)
+{
+    PyObject *bound = PyObject_GetAttr(pool, s_bound), *free = NULL, *ctx = NULL;
+    int rc = bound == NULL || (ctx = PyObject_CallMethodOneArg(bound, s_pop, tag)) == NULL
+        || (free = PyObject_GetAttr(pool, s_free)) == NULL
+        || call_none(PyObject_CallMethodOneArg(free, s_append, tag)) < 0
+        || add_attr(pool, s_released, 1) < 0 ? -1 : 0;
+    Py_XDECREF(bound);
+    Py_XDECREF(ctx);
+    Py_XDECREF(free);
+    return rc;
+}
+
+/* One ``Host._inject`` call. */
+typedef struct {
+    Lane l;
+    HostKinds k;
+    PyObject *host, *cub, *pools, *links, *last;
+    long long rotor, sent;
+    int round_robin, inline_lane;
+} Burst;
+
+/* Inject request *item*: 1 sent, 0 held (no free tag, or a stall), -1.
+ * In order: pick a link, take a tag (none free: stop before building),
+ * build the packet, inject.  The packet takes the simulation's next
+ * serial before the room check: a stalled injection has taken one, and
+ * returns its tag to the back of the free list.  The inlined lane is
+ * ``lane_send``; otherwise it is a call of ``sim.send``. */
+static int
+inject_one(Burst *b, PyObject *item)
+{
+    PyObject *f[3], *pair[2] = {NULL, NULL}, *lane = NULL, *pool = NULL, *tag = NULL;
+    PyObject *free = NULL, *ctx = NULL, *bound = NULL, *pkt = NULL, *r, *dead, *left;
+    Py_ssize_t n = -1, i;
+    int rc = -1, posted = 0, why;
+    if (unpack(item, 3, f) < 0)
+        return -1;
+    PyObject *pick[] = {b->host, b->cub, f[1]};
+    long long v = PyLong_Check(f[0]) ? PyLong_AsLongLong(f[0]) : -1;
+    PyErr_Clear();
+    if (!b->round_robin)
+        lane = PyObject_VectorcallMethod(s_pick_link, pick, 3, NULL);
+    else if ((n = PyList_GET_SIZE(b->links)) == 0)
+        PyErr_SetString(PyExc_ZeroDivisionError, "integer modulo by zero");
+    else
+        lane = Py_NewRef(PyList_GET_ITEM(b->links, ((b->rotor++ % n) + n) % n));
+    if (lane == NULL || unpack(lane, 2, pair) < 0
+        || (pool = PyObject_GetItem(b->pools, lane)) == NULL
+        || (posted = 0 <= v && v < NCMD ? posted_cmd[v] : PySet_Contains(posted_set, f[0])) < 0)
+        goto done;
+    PyObject *fields[] = {f[0], f[1], pair[0], pair[1], b->l.clock};
+    if (posted)
+        tag = Py_NewRef(zero);
+    else if ((free = PyObject_GetAttr(pool, s_free)) == NULL || (n = PyObject_Size(free)) <= 0
+             || (tag = PyObject_CallMethodNoArgs(free, s_popleft)) == NULL
+             || (ctx = pending_type->tp_alloc(pending_type, 0)) == NULL) {
+        rc = n == 0 ? 0 : -1;
+        goto done;
+    }
+    for (i = 0; ctx != NULL && i < R_N; i++)
+        SLOT(ctx, R_off[i]) = Py_NewRef(fields[i]);
+    if (ctx != NULL && ((bound = PyObject_GetAttr(pool, s_bound)) == NULL
+                        || PyObject_SetItem(bound, tag, ctx) < 0
+                        || add_attr(pool, s_allocated, 1) < 0))
+        goto done;
+    if ((pkt = build_request(b->cub, f[1], tag, f[0], f[2], pair[1])) == NULL)
+        rc = -1;
+    else if (b->inline_lane)
+        rc = take_serial(pkt, b->l.tracer) < 0 ? -1
+            : lane_send(&b->l, pkt, pair[0], pair[1], lane, &why);
+    else {
+        PyObject *args[] = {b->l.sim, pkt, pair[0], pair[1]};
+        rc = (r = PyObject_VectorcallMethod(s_send, args, 2, send_kw)) == NULL ? -1 : 1;
+        Py_XDECREF(r);
+    }
+    if (rc < 0 && PyErr_ExceptionMatches(exc_stall)) {
+        PyErr_Clear();
+        rc = 0;
+    }
+    else if (rc < 0 && PyErr_ExceptionMatches(exc_dead)) {
+        /* Fail over to the surviving host links.  Requests outstanding on
+         * the dead one are stranded (the engine watchdog turns that into
+         * a typed abort when armed); with no survivor the error stays. */
+        Raised dead_link = set_aside();
+        left = (dead = PyTuple_Pack(2, pair[0], pair[1])) ? PyList_New(0) : NULL;
+        for (i = 0; left && i < PyList_GET_SIZE(b->links); i++)
+            if ((rc = PyObject_RichCompareBool(PyList_GET_ITEM(b->links, i), dead, Py_NE)) < 0
+                || (rc && PyList_Append(left, PyList_GET_ITEM(b->links, i)) < 0))
+                Py_CLEAR(left);
+        Py_XDECREF(dead);
+        if (left == NULL || PyObject_SetAttr(b->host, s_host_links, left) < 0) {
+            Py_XDECREF(left);
+            rc = raise_again(dead_link, -1);
+        }
+        else {
+            Py_SETREF(b->links, left);
+            rc = PyList_GET_SIZE(left) ? raise_again(dead_link, 1) - 1 : raise_again(dead_link, 0);
+        }
+    }
+    /* The builder and the send raise before queueing, so on any failure
+     * the tag goes back: a leaked tag holds ``outstanding`` above zero
+     * and a draining run() never ends. */
+    if (rc <= 0 && !posted) {
+        Raised failed = set_aside();
+        rc = raise_again(failed, release_tag(pool, tag)) < 0 ? -1 : rc;
+    }
+    if (rc > 0) {
+        b->sent++;
+        Py_XSETREF(b->last, PyTuple_Pack(3, pair[0], pair[1], tag));
+        rc = b->last ? 1 : -1;
+    }
+done:
+    drop((PyObject *[]){f[0], f[1], f[2], pair[0], pair[1], lane, pool, tag, free, ctx, bound,
+                        pkt}, 12);
+    return rc;
+}
+
+/* ``host_inject(host, item, more, cub, kinds)``: ``Host._inject``.  Send
+ * *item*, then items from *more*, until one cannot go: (sent, held).
+ * The inlined lane runs when the simulator has no link tokens and its
+ * own ``HMCSim.send``. */
+static PyObject *
+host_inject(PyObject *mod, PyObject *const *args, Py_ssize_t nargs)
+{
+    PyObject *sim, *item, *more, *next = NULL, *out = NULL, *policy = NULL, *freed = NULL;
+    Burst b;
+    long long rotor = 0;
+    int rc = -1, dead;
+    if (nargs != 5)
+        return PyErr_Format(PyExc_TypeError, "host_inject(host, item, more, cub, kinds)");
+    b = (Burst){.host = args[0], .cub = args[3]};
+    if (host_kinds(args[4], &b.k) < 0 || (sim = PyObject_GetAttr(b.host, s_sim)) == NULL)
+        return NULL;
+    rc = lane_begin(&b.l, sim);
+    Py_DECREF(sim);
+    if (rc < 0)
+        return NULL;
+    more = args[2];
+    if ((b.pools = PyObject_GetAttr(b.host, s_tag_pools)) && (policy = PyObject_GetAttr(b.host, s_policy))
+        && (freed = PyObject_GetAttr(b.l.sim, s_freed)) && (dead = PyObject_IsTrue(freed)) >= 0
+        && (b.inline_lane = same_method(b.l.sim, b.k.hmcsim, s_send)) >= 0
+        && (b.links = PyObject_GetAttr(b.host, s_host_links))
+        && ((b.round_robin = policy == b.k.round_robin) == 0
+            || attr_ll(b.host, s_rotor, &rotor) == 0)) {
+        b.inline_lane = b.inline_lane && !dead && !b.l.tokened;
+        b.rotor = rotor;
+        if (!PyList_Check(b.links))
+            PyErr_SetString(PyExc_TypeError, "Host._host_links must be a list");
+        else if (more != Py_None && !PyIter_Check(more))
+            PyErr_Format(PyExc_TypeError, "'%.200s' object is not an iterator",
+                         Py_TYPE(more)->tp_name);
+    }
+    Py_XDECREF(policy);
+    Py_XDECREF(freed);
+    rc = PyErr_Occurred() ? -1 : 0;
+    item = Py_NewRef(args[1]);
+    while (rc == 0 && item != Py_None && item != b.k.end && (rc = inject_one(&b, item)) > 0) {
+        next = more == Py_None ? Py_NewRef(b.k.end) : PyIter_Next(more);
+        if (next == NULL && !PyErr_Occurred())
+            next = Py_NewRef(b.k.end);
+        rc = next == NULL ? -1 : 0;
+        if (next != NULL)
+            Py_SETREF(item, next);
+    }
+    /* What the burst moved: the rotor, ``sent`` and ``last_send``. */
+    Raised failed = set_aside();
+    rc = raise_again(failed, (b.round_robin && b.rotor != rotor
+                              && set_attr_ll(b.host, s_rotor, b.rotor) < 0)
+                     || (b.sent && add_attr(b.host, s_sent, b.sent) < 0)
+                     || (b.last && PyObject_SetAttr(b.host, s_last_send, b.last) < 0) ? -1 : 0);
+    lane_end(&b.l);
+    if (rc == 0)
+        out = Py_BuildValue("(LO)", b.sent, item);
+    drop((PyObject *[]){b.pools, b.links, b.last, item}, 4);
+    return out;
+}
+
+/* The drain's bookkeeping for response *rsp*: its tag back to its pool,
+ * its latency and its error status.  The host's ``errors`` counts error
+ * responses and responses to no tag it holds (e.g. after a restart). */
+static int
+settle(Lane *l, PyObject *host, PyObject *rsp, PyObject *pools, PyObject *latencies,
+       PyObject *error_stats)
+{
+    PyObject *from, *tag, *errstat, *cmd, *pool = NULL, *bound = NULL, *ctx = NULL;
+    PyObject *code = NULL, *count = NULL, *sent = NULL, *lat = NULL;
+    int rc = -1, known = 0, failed;
+    if (check_type(rsp, packet_type) < 0 || (from = get(rsp, P_off[P_delivered_from])) == NULL
+        || (tag = get(rsp, P_off[P_tag])) == NULL || (pool = dict_get(pools, from, Py_None)) == NULL
+        || (pool != Py_None && ((bound = PyObject_GetAttr(pool, s_bound)) == NULL
+                                || (known = PySequence_Contains(bound, tag)) < 0))
+        || (!known && (rc = add_attr(host, s_errors, 1), 1))
+        || (ctx = PyObject_GetItem(bound, tag)) == NULL || release_tag(pool, tag) < 0
+        || (errstat = get(rsp, P_off[P_errstat])) == NULL || (cmd = get(rsp, P_off[P_cmd])) == NULL
+        || (failed = errstat != err_ok ? 1 : PyLong_CheckExact(cmd) || Py_IS_TYPE(cmd, cmd_type)
+            ? PyLong_AsLongLong(cmd) == cmd_error
+            : PyObject_RichCompareBool(cmd, cmd_error_obj, Py_EQ)) < 0 || PyErr_Occurred())
+        goto done;
+    if (failed && (add_attr(host, s_errors, 1) < 0 || (code = PyNumber_Long(errstat)) == NULL
+                   || (sent = dict_get(error_stats, code, zero)) == NULL
+                   || (count = PyNumber_Add(sent, one)) == NULL
+                   || PyObject_SetItem(error_stats, code, count) < 0))
+        goto done;
+    Py_CLEAR(sent);
+    if (ctx != Py_None
+        && ((sent = Py_IS_TYPE(ctx, pending_type) ? hold(ctx, R_off[R_sent_cycle])
+             : PyObject_GetAttr(ctx, s_sent_cycle)) == NULL
+            || (lat = PyNumber_Subtract(l->clock, sent)) == NULL
+            || (PyList_CheckExact(latencies) ? PyList_Append(latencies, lat)
+                : call_none(PyObject_CallMethodOneArg(latencies, s_append, lat))) < 0))
+        goto done;
+    rc = 0;
+done:
+    drop((PyObject *[]){pool, bound, ctx, code, count, sent, lat}, 7);
+    return rc;
+}
+
+/* ``host_drain(host, kinds)``: ``Host.drain_responses``.  Receive every
+ * pending response -- a partitioned host polls only its own lanes, as
+ * ``recv(dev=, link=)`` polls one, so co-resident hosts never steal each
+ * other's -- and settle each. */
+static PyObject *
+host_drain(PyObject *mod, PyObject *const *args, Py_ssize_t nargs)
+{
+    PyObject *sim, *part = NULL, *out = NULL, *pools = NULL, *lats = NULL, *stats = NULL;
+    PyObject *it = NULL, *rsp, *links = NULL, *lane, *lanes, *pkt;
+    Py_ssize_t n;
+    int own = -1, rc = -1;
+    HostKinds k;
+    Lane l;
+    if (nargs != 2)
+        return PyErr_Format(PyExc_TypeError, "host_drain(host, kinds)");
+    if (host_kinds(args[1], &k) < 0 || (sim = PyObject_GetAttr(args[0], s_sim)) == NULL)
+        return NULL;
+    rc = lane_begin(&l, sim);
+    Py_DECREF(sim);
+    if (rc < 0)
+        return NULL;
+    if ((part = PyObject_GetAttr(args[0], s_partitioned)) && (own = PyObject_IsTrue(part)) > 0
+        && check_alive(l.sim) == 0 && (links = PyObject_GetAttr(args[0], s_host_links))
+        && (it = PyObject_GetIter(links)))
+        for (out = PyList_New(0); out != NULL && (lane = PyIter_Next(it)) != NULL; Py_DECREF(lane)) {
+            if ((lanes = PyTuple_Pack(1, lane)) == NULL)
+                Py_CLEAR(out);
+            while (lanes != NULL && out != NULL) {
+                if ((pkt = lane_poll(&l, lanes, 1, 0, lane)) == NULL || pkt == Py_None
+                    || PyList_Append(out, pkt) < 0) {
+                    if (pkt != Py_None)     /* else empty, or held by a replay window */
+                        Py_CLEAR(out);
+                    Py_XDECREF(pkt);
+                    break;
+                }
+                Py_DECREF(pkt);
+            }
+            Py_XDECREF(lanes);
+        }
+    else if (own == 0 && (own = same_method(l.sim, k.hmcsim, s_recv_all)) >= 0)
+        out = own ? host_recv_all(NULL, l.sim) : PyObject_CallMethodNoArgs(l.sim, s_recv_all);
+    Py_CLEAR(it);
+    rc = -1;
+    if (out != NULL && !PyErr_Occurred() && (n = PyObject_Size(out)) >= 0
+        && add_attr(args[0], s_received, n) == 0
+        && (pools = PyObject_GetAttr(args[0], s_tag_pools))
+        && (lats = PyObject_GetAttr(args[0], s_latencies))
+        && (stats = PyObject_GetAttr(args[0], s_error_stats)) && (it = PyObject_GetIter(out)))
+        for (rc = 0; rc == 0 && (rsp = PyIter_Next(it)) != NULL; Py_DECREF(rsp))
+            rc = settle(&l, args[0], rsp, pools, lats, stats);
+    if (rc < 0)
+        Py_CLEAR(out);
+    lane_end(&l);
+    drop((PyObject *[]){part, pools, lats, stats, it, links}, 6);
+    return out;
+}
+
 /* -- binding -------------------------------------------------------------- */
 
 static PyMethodDef bank_defs[] = {
@@ -2402,6 +3249,7 @@ static const struct {
     {"CrossbarUnit", &xbar_type, C_names, C_off, C_N, xbar_defs},
     {"HMCDevice", &device_type, D_names, D_off, D_N, NULL},
     {"AddressMap", &amap_type, NULL, NULL, 0, NULL},
+    {"CMD", &cmd_type, NULL, NULL, 0, NULL},
 };
 
 /* The named values the C reads: member *name* of the namespace passed
@@ -2437,6 +3285,18 @@ static const struct {
     {"EventType", "XBAR_RQST_STALL", &member_rqst_stall},
     {"EventType", "CHAIN_HOP", &member_chain_hop},
     {"EventType", "MISROUTE", &member_misroute},
+    {"EventType", "RSP_DELIVERED", &ev_delivered, &m_delivered},
+    {"ErrStat", "OK", &err_ok},
+    {"CMD", "ERROR", &cmd_error_obj, &cmd_error},
+    {"LinkHealth", "FAILED", &health_failed},
+    {NULL, "TopologyError", &exc_topology},
+    {NULL, "StallError", &exc_stall},
+    {NULL, "LinkDeadError", &exc_dead},
+    {NULL, "host_sender", &host_sender},
+    {NULL, "posted", &posted_set},
+    {NULL, "max_tag", NULL, &max_tag},
+    {NULL, "max_adrs", NULL, &max_adrs},
+    {NULL, "max_cub", NULL, &max_cub},
     {NULL, "zeros", &np_zeros},
     {NULL, "word_dtype", &word_dtype},
     {NULL, "flag_dtype", &flag_dtype},
@@ -2446,8 +3306,6 @@ static const struct {
     {NULL, "atom_bytes", NULL, &atom_bytes},
     {NULL, "fetch_bytes", NULL, &fetch_bytes},
 };
-
-#define LEN(a) ((int)(sizeof(a) / sizeof((a)[0])))
 
 /* ``bind``'s keyword argument *name*, borrowed; TypeError when absent. */
 static PyObject *
@@ -2568,15 +3426,33 @@ cmd_table(PyObject *dict, PyObject **objs, long long *ints)
     return 0;
 }
 
-/* The per-command inputs: reply prototypes, read sizes, BWR commands. */
+/* The per-command inputs: reply and request prototypes, read sizes,
+ * BWR commands, posted commands. */
 static int
 bind_commands(PyObject *kw)
 {
-    for (int cmd = 0; cmd < NCMD; cmd++)
-        Py_CLEAR(reply_proto[cmd]);
+    PyObject *it = PyObject_GetIter(posted_set), *cmd;
+    long long v;
+    for (int i = 0; i < NCMD; i++) {
+        Py_CLEAR(reply_proto[i]);
+        Py_CLEAR(request_proto[i]);
+    }
     memset(read_bytes, 0, sizeof read_bytes);
     memset(is_bwr_cmd, 0, sizeof is_bwr_cmd);
+    memset(posted_cmd, 0, sizeof posted_cmd);
+    while (it != NULL && (cmd = PyIter_Next(it)) != NULL) {
+        int rc = parse_ll(cmd, &v);
+        Py_DECREF(cmd);
+        if (rc < 0 || v < 0 || v >= NCMD)
+            break;
+        posted_cmd[v] = 1;
+    }
+    Py_XDECREF(it);
+    if (it == NULL || PyErr_Occurred() || (cmd != NULL && !PyErr_Format(
+            PyExc_ValueError, "command %lld is not 6-bit", v)))
+        return -1;
     return cmd_table(arg(kw, "replies"), reply_proto, NULL) < 0
+        || cmd_table(arg(kw, "requests"), request_proto, NULL) < 0
         || cmd_table(arg(kw, "read_bytes"), NULL, read_bytes) < 0
         || cmd_table(arg(kw, "bwr"), NULL, is_bwr_cmd) < 0 ? -1 : 0;
 }
@@ -2606,8 +3482,10 @@ bind(PyObject *mod, PyObject *args, PyObject *kw)
 static PyMethodDef module_defs[] = {
     {"bind", (PyCFunction)(void (*)(void))bind, METH_VARARGS | METH_KEYWORDS,
      "bind(*, Packet, PacketQueue, Vault, Bank, Tracer, CrossbarUnit, HMCDevice,\n"
-     "     AddressMap, CommandClass, ErrStat, EventType, replies, read_bytes, bwr,\n"
-     "     far, atom_bytes, fetch_bytes, zeros, word_dtype, flag_dtype, ok, dead)\n"
+     "     AddressMap, CMD, CommandClass, ErrStat, EventType, LinkHealth, replies,\n"
+     "     requests, read_bytes, bwr, posted, far, atom_bytes, fetch_bytes, zeros,\n"
+     "     word_dtype, flag_dtype, ok, dead, host_sender, TopologyError, StallError,\n"
+     "     LinkDeadError, max_tag, max_adrs, max_cub)\n"
      "--\n\n"
      "Resolve the slots of the classes the C addresses, install their C\n"
      "methods, and hand over the named members and the constants it reads.\n"
@@ -2619,12 +3497,33 @@ static PyMethodDef module_defs[] = {
      " -> (conflicts, issued)"},
     {"response_stage", (PyCFunction)(void (*)(void))response_stage, METH_FASTCALL,
      "response_stage(devices, sim, cycle, moves, tracer) -> moved"},
+    {"build_memrequest", (PyCFunction)(void (*)(void))build_memrequest,
+     METH_VARARGS | METH_KEYWORDS,
+     "build_memrequest(cub, addr, tag, cmd, payload=None, link=0)\n--\n\n"
+     "Build a fully formed, compliant request packet.\n\n"
+     "Mirrors the C library's ``hmcsim_build_memrequest`` (Fig. 4): the\n"
+     "caller supplies target cube, physical address, tag, command and -- for\n"
+     "write/atomic commands -- the data payload as 64-bit words.  For\n"
+     "commands that carry data, the payload is zero-filled or truncated to\n"
+     "the exact FLIT count the command requires, matching the C behaviour\n"
+     "of reading a caller buffer of the prescribed length."},
+    {"host_inject", (PyCFunction)(void (*)(void))host_inject, METH_FASTCALL,
+     "host_inject(host, item, more, cub, kinds) -> (sent, held)"},
+    {"host_drain", (PyCFunction)(void (*)(void))host_drain, METH_FASTCALL,
+     "host_drain(host, kinds) -> responses"},
+    {"host_send", (PyCFunction)(void (*)(void))host_send, METH_FASTCALL,
+     "host_send(sim, pkt, dev, link)"},
+    {"host_poll", (PyCFunction)(void (*)(void))host_poll, METH_FASTCALL,
+     "host_poll(sim, links, n, rotor) -> response or None"},
+    {"host_recv_all", (PyCFunction)host_recv_all, METH_O,
+     "host_recv_all(sim) -> responses"},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT, "_vaultwalk",
-    "The cycle's queue stages 1-5 and the banks' row read/write, in C.",
+    "The cycle's queue stages 1-5, the banks' row read/write and the host\n"
+    "lane, in C.",
     -1, module_defs,
 };
 

@@ -55,13 +55,30 @@ from repro.core._native import load
 from repro.core.bank import ATOM_BYTES, COLUMN_FETCH_BYTES, Bank
 from repro.core.crossbar import CrossbarUnit
 from repro.core.device import HMCDevice
-from repro.core.errors import WatchdogError
+from repro.core.errors import LinkDeadError, StallError, TopologyError, WatchdogError
 from repro.core.quad import closest_quad_of_link
 from repro.core.queueing import PacketQueue
 from repro.core.vault import _BWR_CMDS, _FAR, Vault
-from repro.faults.inband import TX_DEAD, TX_OK, LinkHealth
-from repro.packets.commands import REQUEST_DATA_BYTES, CommandClass
-from repro.packets.packet import _RSP_CACHE, _ZERO_WORDS, ErrStat, Packet, _fast_new
+from repro.faults.inband import HOST_SENDER, TX_DEAD, TX_OK, LinkHealth
+from repro.packets.commands import (
+    CMD,
+    REQUEST_DATA_BYTES,
+    CommandClass,
+    is_posted,
+    is_response,
+    request_flits,
+)
+from repro.packets.packet import (
+    _RSP_CACHE,
+    _ZERO_WORDS,
+    MAX_ADRS,
+    MAX_CUB,
+    MAX_TAG,
+    ErrStat,
+    Packet,
+    _class_info,
+    _fast_new,
+)
 from repro.trace.events import EventType
 from repro.trace.tracer import Tracer
 
@@ -583,7 +600,9 @@ class ClockEngine:
 #: Stages 1-5 are C (``_vaultwalk.c``), one call per step, and so are
 #: ``Bank.read`` / ``write`` / ``_materialize``,
 #: ``PacketQueue.remove_positions``, ``Tracer.emit_fast``, ``Vault.stage34``
-#: / ``_busy_state`` / ``_push_response`` and ``CrossbarUnit.route_requests``.
+#: / ``_busy_state`` / ``_push_response`` and ``CrossbarUnit.route_requests``,
+#: and the host lane's module functions (``build_memrequest``, and the
+#: ``host_*`` functions ``Host`` and ``HMCSim`` call).
 #: The one ``bind`` installs those methods and hands the C the classes
 #: whose slots it addresses, the members it reads by name and its
 #: per-command tables.  Every import of ``repro`` runs it: the package
@@ -592,19 +611,29 @@ _walk = load("repro.core._vaultwalk")
 _walk.bind(
     Packet=Packet, PacketQueue=PacketQueue, Vault=Vault, Bank=Bank,
     Tracer=Tracer, CrossbarUnit=CrossbarUnit, HMCDevice=HMCDevice,
-    AddressMap=AddressMap, CommandClass=CommandClass, ErrStat=ErrStat,
-    EventType=EventType,
+    AddressMap=AddressMap, CMD=CMD, CommandClass=CommandClass, ErrStat=ErrStat,
+    EventType=EventType, LinkHealth=LinkHealth,
     # Per request command, the reply ``_fast_new`` builds with a zero
     # payload (serial -1): the C walk copies one per READ/WRITE reply.
     replies={
         int(cmd): _fast_new(rsp_cmd, 0, 0, 0, _ZERO_WORDS[need], 0, 0, info)
         for cmd, (rsp_cmd, need, info) in _RSP_CACHE.items()
     },
+    # Per request command, the request ``build_memrequest`` copies: its
+    # shared zero payload, its class and FLIT count.
+    requests={
+        int(cmd): _fast_new(cmd, 0, 0, 0, _ZERO_WORDS[(request_flits(cmd) - 1) * 2],
+                            0, 0, _class_info(cmd))
+        for cmd in CMD if not is_response(cmd)
+    },
+    posted=frozenset(cmd for cmd in CMD if is_posted(cmd)),
     read_bytes={int(cmd): n for cmd, n in REQUEST_DATA_BYTES.items()},
     bwr={int(cmd): 1 for cmd in _BWR_CMDS}, far=_FAR,
     atom_bytes=ATOM_BYTES, fetch_bytes=COLUMN_FETCH_BYTES,
     zeros=np.zeros, word_dtype=np.uint64, flag_dtype=bool,
-    ok=TX_OK, dead=TX_DEAD,
+    ok=TX_OK, dead=TX_DEAD, host_sender=HOST_SENDER,
+    TopologyError=TopologyError, StallError=StallError,
+    LinkDeadError=LinkDeadError, max_tag=MAX_TAG, max_adrs=MAX_ADRS, max_cub=MAX_CUB,
 )
 _route_stage, _vault_stage, _response_stage = (
     _walk.route_stage, _walk.vault_stage, _walk.response_stage)

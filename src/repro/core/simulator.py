@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.core.clock import ClockEngine
+from repro.core.clock import ClockEngine, _walk
 from repro.core.config import DeviceConfig, SimConfig
 from repro.core.device import HMCDevice
 from repro.core.errors import (
@@ -35,20 +35,11 @@ from repro.core.errors import (
     TopologyError,
 )
 from repro.core.link import EndpointType
-from repro.faults.inband import (
-    HOST_SENDER,
-    TX_DEAD,
-    TX_OK,
-    InbandLinkState,
-    LinkHealth,
-)
+from repro.faults.inband import HOST_SENDER, InbandLinkState, LinkHealth
 from repro.packets.flow import LinkTokens
 from repro.packets.packet import Packet
 from repro.trace.events import EventType, TraceEvent
 from repro.trace.tracer import MemorySink, Sink, Tracer
-
-# Plain-int event mask (avoid IntFlag __rand__ in the recv hot path).
-_EV_RSP_DELIVERED = int(EventType.RSP_DELIVERED)
 
 LinkPeer = Union[str, Tuple[int, int]]  # "host" or (dev_id, link_id)
 
@@ -339,53 +330,11 @@ class HMCSim:
             link = pkt.slid
         if dev is None:
             dev = self._find_host_dev(link)
-        if self._link_peers.get((dev, link)) != "host":
-            raise TopologyError(f"dev {dev} link {link} is not attached to the host")
-        if not self._host_links:
-            self.validate_topology()
-        device = self.devices[dev]
-        rq = device.xbars[link].rqst
-        if len(rq._q) >= rq.depth:
-            self.send_stalls += 1
-            raise StallError(f"crossbar request queue full on dev {dev} link {link}")
-        tokens = None
-        if self._tokens:
-            tokens = self._tokens.get((dev, link))
-            if tokens is not None and not tokens.can_send(pkt.num_flits):
-                self.send_stalls += 1
-                raise StallError(f"link tokens exhausted on dev {dev} link {link}")
-        cycle = self.clock_value
-        if self._link_faults:
-            # In-band fault path: the transmission runs the link retry
-            # protocol in real simulated time.  A failure opens a replay
-            # window — the host sees a stall, clocks, and retries, so
-            # recovery cycles land in the total cycle count.
-            state = self._link_faults.get((dev, link))
-            if state is not None:
-                status = state.try_transmit(HOST_SENDER, pkt, cycle, self.tracer)
-                if status is not TX_OK:
-                    if status is TX_DEAD:
-                        raise self._host_link_dead(state, dev, link)
-                    self.send_stalls += 1
-                    raise StallError(
-                        f"link {link} on dev {dev} in retry/replay window"
-                    )
-        flits = pkt.num_flits
-        if tokens is not None:
-            tokens.consume(flits)
-            if pkt.expects_response:
-                self._outstanding_flits[(dev, link, pkt.tag)] = flits
-            else:
-                # Posted traffic: credit returns when the device logically
-                # consumes the packet; approximated as immediate return.
-                tokens.restore(flits)
-        pkt.injected_at = cycle
-        pkt.ingress_link = link
-        pkt.src_cub = self.host_cub
-        pkt.route_stack = [(dev, link)]
-        device.links[link].count_rx(flits)
-        rq.push(pkt, cycle)
-        self.packets_sent += 1
+        # The host-link lane: the peer check, the room check, the link
+        # tokens, the in-band gate (a failure opens a replay window: the
+        # host sees a stall, clocks and retries, so recovery cycles land
+        # in the cycle count) and the push.  C, shared with Host's inject.
+        _walk.host_send(self, pkt, dev, link)
 
     def _host_link_dead(self, state: InbandLinkState, dev: int, link: int) -> LinkDeadError:
         """Note a host link's gate reporting FAILED; the error to raise."""
@@ -448,7 +397,7 @@ class HMCSim:
             raise TopologyError(f"dev {dev} link {link} is not attached to the host")
         else:
             links, n, rotor = ((dev, link),), 1, 0
-        pkt = self._poll(links, n, rotor)
+        pkt = _walk.host_poll(self, links, n, rotor)
         if pkt is None:
             raise NoDataError("no response packets pending")
         return pkt
@@ -456,68 +405,11 @@ class HMCSim:
     def recv_all(self) -> List[Packet]:
         """Drain every pending host-visible response: the poll ``recv()``
         makes, repeated until one finds nothing — the rotor advancing
-        once per poll, the terminal empty one included."""
-        self._check_alive()
-        links = self._host_links
-        n = len(links)
-        if not n:
-            raise TopologyError("no host link configured")
-        out: List[Packet] = []
-        poll = self._poll
-        while True:
-            rotor = self._recv_rotor % n  # stale after topology growth
-            self._recv_rotor = rotor + 1 if rotor + 1 < n else 0
-            pkt = poll(links, n, rotor)
-            if pkt is None:
-                return out
-            out.append(pkt)
-
-    def _poll(self, links, n: int, rotor: int) -> Optional[Packet]:
-        """One delivery poll: pop the first head response of the *n*
-        *links*, scanned from *rotor* on, whose link's in-band gate —
-        when one is attached — lets it cross; None when none can.
-
-        Device→host delivery crosses the link in-band: a failed
-        transmission keeps the response queued for the replay window; a
-        dead link strands it.
-        """
-        devices = self.devices
-        link_faults = self._link_faults
-        for i in range(rotor, rotor + n):
-            d, l = links[i - n if i >= n else i]
-            rsp = devices[d].xbars[l].rsp
-            if not rsp._q:
-                continue
-            if link_faults:
-                state = link_faults.get((d, l))
-                if state is not None:
-                    if state.health is LinkHealth.FAILED:
-                        continue
-                    status = state.try_transmit(
-                        (d, l), rsp._q[0], self.clock_value, self.tracer
-                    )
-                    if status is not TX_OK:
-                        if status is TX_DEAD:
-                            self._note_link_failure(state)
-                        continue
-            pkt = rsp.pop()
-            pkt.completed_at = self.clock_value
-            pkt.delivered_from = (d, l)
-            devices[d].links[l].count_tx(pkt.num_flits)
-            self.packets_received += 1
-            if self._tokens:
-                tokens = self._tokens.get((d, l))
-                if tokens is not None:
-                    flits = self._outstanding_flits.pop((d, l, pkt.tag), 0)
-                    if flits:
-                        tokens.restore(flits)
-            if self.tracer.live_mask & _EV_RSP_DELIVERED:
-                self.tracer.emit_fast(
-                    _EV_RSP_DELIVERED, self.clock_value, d, l, -1, -1, -1, -1,
-                    pkt.serial, None,
-                )
-            return pkt
-        return None
+        once per poll, the terminal empty one included.  C, as is the
+        poll: device→host delivery crosses the link in-band, so a failed
+        transmission keeps the response queued for the replay window and
+        a dead link strands it."""
+        return _walk.host_recv_all(self)
 
     def clock(self, cycles: int = 1) -> None:
         """Advance the clock domain by *cycles* full clock cycles.

@@ -16,15 +16,12 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.errors import LinkDeadError, StallError, TopologyError
+from repro.core.clock import _walk
+from repro.core.errors import TopologyError
 from repro.core.quad import quad_of_vault
 from repro.core.simulator import HMCSim
-from repro.faults.inband import HOST_SENDER, TX_DEAD, TX_OK
-from repro.packets.commands import CMD, is_posted
-from repro.packets.packet import ErrStat, Packet, build_memrequest
-
-#: Posted commands: they take no tag and get no response.
-_POSTED = frozenset(c for c in CMD if is_posted(c))
+from repro.packets.commands import CMD
+from repro.packets.packet import Packet
 
 #: The end of a request stream.  A ``None`` item is a bubble, not the end.
 _END = object()
@@ -51,6 +48,12 @@ class PendingRequest:
     dev: int
     link: int
     sent_cycle: int
+
+
+#: What the host lane's C reads of this module: the tag context it
+#: builds, the class whose ``send`` / ``recv_all`` it may inline, the
+#: policy it picks links for itself, and the end of a request stream.
+_KINDS = (PendingRequest, HMCSim, LinkPolicy.ROUND_ROBIN, _END)
 
 
 @dataclass(frozen=True, slots=True)
@@ -219,99 +222,13 @@ class Host:
         simulation's next serial before the room check: a stalled
         injection has taken one, and returns its tag to the back of the
         free list.  With no link tokens and the sim's own
-        ``HMCSim.send``, the injection is ``HMCSim.send``'s lane,
-        inlined: the room check, then the host link's in-band gate when
-        one is attached; otherwise it is the call.
+        ``HMCSim.send``, the injection is ``HMCSim.send``'s host-link
+        lane; otherwise it is the call.  A link that fails fails over to
+        the surviving host links (requests outstanding on it are
+        stranded; with no survivor the ``LinkDeadError`` propagates).
+        C (``core/_vaultwalk.c``).
         """
-        sim = self.sim
-        pools = self.tag_pools
-        round_robin = self.policy is LinkPolicy.ROUND_ROBIN
-        inline = type(sim).send is HMCSim.send and not (sim._freed or sim._tokens)
-        peers = sim._link_peers
-        devices = sim.devices
-        link_faults = sim._link_faults
-        tracer = sim.tracer
-        host_cub = sim.config.host_cub
-        clock = sim.clock_value
-        sent = 0
-        while item is not None and item is not _END:
-            cmd, addr, payload = item
-            if round_robin:
-                links = self._host_links
-                lane = links[self._rotor % len(links)]
-                self._rotor += 1
-            else:
-                lane = self._pick_link(cub, addr)
-            dev, link = lane
-            pool = pools[lane]
-            posted = cmd in _POSTED
-            tag = 0
-            if not posted:
-                free = pool._free
-                if not free:
-                    return sent, item
-                tag = free.popleft()
-                pool._bound[tag] = PendingRequest(cmd, addr, dev, link, clock)
-                pool.allocated_total += 1
-            accepted = False
-            try:
-                pkt = build_memrequest(cub, addr, tag, cmd, payload, link)
-                if inline:
-                    pkt.serial = tracer.next_serial
-                    tracer.next_serial += 1
-                    if peers.get(lane) != "host":
-                        raise TopologyError(
-                            f"dev {dev} link {link} is not attached to the host"
-                        )
-                    device = devices[dev]
-                    rq = device.xbars[link].rqst
-                    state = link_faults.get(lane) if link_faults else None
-                    if len(rq._q) >= rq.depth:
-                        sim.send_stalls += 1
-                    elif state is not None and (
-                        status := state.try_transmit(HOST_SENDER, pkt, clock, tracer)
-                    ) is not TX_OK:
-                        # A replay window: a stall like a full queue.
-                        if status is TX_DEAD:
-                            raise sim._host_link_dead(state, dev, link)
-                        sim.send_stalls += 1
-                    else:
-                        pkt.injected_at = clock
-                        pkt.ingress_link = link
-                        pkt.src_cub = host_cub
-                        pkt.route_stack = [lane]
-                        device.links[link].count_rx(pkt.num_flits)
-                        rq.push(pkt, clock)
-                        sim.packets_sent += 1
-                        accepted = True
-                else:
-                    sim.send(pkt, dev=dev, link=link)
-                    accepted = True
-            except StallError:
-                pass
-            except LinkDeadError:
-                # The link degraded to FAILED: fail over to the surviving
-                # host links.  Requests already outstanding on the dead
-                # link are stranded (the engine watchdog converts that
-                # into a typed abort when armed); with no survivor the
-                # typed error propagates to the caller.
-                self._host_links = [hl for hl in self._host_links if hl != (dev, link)]
-                if not self._host_links:
-                    raise
-            finally:
-                # The builder and send both raise before enqueueing, so on
-                # any failure the tag goes back: a leaked tag holds
-                # `outstanding` above zero and a draining run() never ends.
-                if not accepted and not posted:
-                    pool.release(tag)
-            if not accepted:
-                return sent, item
-            sent += 1
-            self.sent += 1
-            # Exposed for wrappers that need the full correlation key.
-            self.last_send = (dev, link, tag)
-            item = next(more, _END) if more is not None else _END
-        return sent, item
+        return _walk.host_inject(self, item, more, cub, _KINDS)
 
     def _inject_each(
         self, item: object, more: Iterator, cub: int
@@ -330,56 +247,14 @@ class Host:
 
     def drain_responses(self) -> List[Packet]:
         """Receive every pending response, recycling tags and recording
-        latencies; error responses are tallied separately.
+        latencies; error responses (and responses to a tag or link this
+        host does not hold) are tallied separately.
 
         A partitioned host polls only its own links, so co-resident
-        hosts never steal each other's responses.
+        hosts never steal each other's responses.  C
+        (``core/_vaultwalk.c``).
         """
-        if self._partitioned:
-            sim = self.sim
-            sim._check_alive()
-            poll = sim._poll
-            responses = []
-            for lane in self._host_links:
-                queue = sim.devices[lane[0]].xbars[lane[1]].rsp._q
-                if not queue:
-                    continue
-                if sim._link_peers.get(lane) != "host":
-                    raise TopologyError(
-                        f"dev {lane[0]} link {lane[1]} is not attached to the host"
-                    )
-                # recv(dev=, link=)'s poll, without its per-packet checks.
-                lanes = (lane,)
-                while queue:
-                    pkt = poll(lanes, 1, 0)
-                    if pkt is None:
-                        break  # head held back by an in-band replay window
-                    responses.append(pkt)
-        else:
-            responses = self.sim.recv_all()
-        self.received += len(responses)
-        pools = self.tag_pools
-        now = self.sim.clock_value
-        for rsp in responses:
-            pool = pools.get(rsp.delivered_from)
-            tag = rsp.tag
-            if pool is None or tag not in pool._bound:
-                # Response with an unknown tag or from an unknown link
-                # (e.g. after host restart): count as an error and move on.
-                self.errors += 1
-                continue
-            # TagPool.release, inlined.
-            ctx: PendingRequest = pool._bound.pop(tag)
-            pool._free.append(tag)
-            pool.released_total += 1
-            if rsp.errstat is not ErrStat.OK or rsp.cmd == CMD.ERROR:
-                self.errors += 1
-                self.error_stats[int(rsp.errstat)] = (
-                    self.error_stats.get(int(rsp.errstat), 0) + 1
-                )
-            if ctx is not None:
-                self.latencies.append(now - ctx.sent_cycle)
-        return responses
+        return _walk.host_drain(self, _KINDS)
 
     def responses_queued(self) -> bool:
         """True iff one of this host's links holds a queued response

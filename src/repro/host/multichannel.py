@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.core.errors import InitError
 from repro.core.simulator import HMCSim
-from repro.host.host import Host, HostRunResult, LinkPolicy
+from repro.host.host import _END, Host, HostRunResult, LinkPolicy
 from repro.packets.commands import CMD
 
 
@@ -169,12 +169,17 @@ class MultiChannelHost:
         requests: Iterable[Tuple[CMD, int, Optional[Sequence[int]]]],
         max_ticks: int = 10_000_000,
     ) -> HostRunResult:
-        """Drive a flat-address request stream across all channels."""
+        """Drive a flat-address request stream across all channels.
+
+        As :meth:`Host.run`: *requests* yields ``(cmd, addr, payload)``
+        tuples, or None for a bubble — the host sends nothing more that
+        tick, and the tick is not a stall.
+        """
         it = iter(requests)
         pending: Optional[Tuple] = None
         exhausted = False
         start = self.reference_ticks
-        sent = recv0 = sum(h.received for h in self.hosts)
+        recv0 = sum(h.received for h in self.hosts)
         sent0 = sum(h.sent for h in self.hosts)
         err0 = sum(h.errors for h in self.hosts)
         lat_marks = [len(h.latencies) for h in self.hosts]
@@ -182,19 +187,22 @@ class MultiChannelHost:
 
         while self.reference_ticks - start < max_ticks:
             issued = 0
+            bubble = False
             while True:
                 if pending is None:
-                    try:
-                        pending = next(it)
-                    except StopIteration:
-                        exhausted = True
+                    pending = next(it, _END)
+                    if pending is _END:
+                        exhausted, pending = True, None
+                        break
+                    if pending is None:
+                        bubble = True
                         break
                 cmd, addr, payload = pending
                 if self.send_request(cmd, addr, payload=payload) is None:
                     break
                 pending = None
                 issued += 1
-            if issued == 0 and not exhausted:
+            if issued == 0 and not (exhausted or bubble):
                 stall_ticks += 1
             self.clock()
             self.drain_responses()

@@ -65,6 +65,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
+from repro.core._native import load
 from repro.packets import crc as _crc
 from repro.packets.commands import (
     CMD,
@@ -523,9 +524,6 @@ _ERRSTAT_OK = ErrStat.OK
 #: bounded by MAX_FLITS (9 FLITs = 16 payload words).
 _ZERO_WORDS = {n: (0,) * n for n in range(0, (MAX_FLITS - 1) * 2 + 1, 2)}
 
-#: Request-layout cache: cmd -> (CMD, payload word count, class info).
-_REQ_CACHE: dict = {}
-
 #: Response layout: request CMD -> (response CMD, payload word count,
 #: class info), for exactly the commands that expect a response — so a
 #: hit implies the expects_response check passed, and a caller holding
@@ -587,47 +585,12 @@ def _fast_new(
     return p
 
 
-def build_memrequest(
-    cub: int,
-    addr: int,
-    tag: int,
-    cmd: CMD,
-    payload: Optional[Sequence[int]] = None,
-    link: int = 0,
-) -> Packet:
-    """Build a fully formed, compliant request packet.
-
-    Mirrors the C library's ``hmcsim_build_memrequest`` (Fig. 4): the
-    caller supplies target cube, physical address, tag, command and — for
-    write/atomic commands — the data payload as 64-bit words.  For
-    commands that carry data, the payload is zero-filled or truncated to
-    the exact FLIT count the command requires, matching the C behaviour
-    of reading a caller buffer of the prescribed length.
-    """
-    info = _REQ_CACHE.get(cmd)
-    if info is None:
-        if cmd.__class__ is not CMD:
-            cmd = CMD(cmd)
-        if is_response(cmd):
-            raise ValueError(f"{cmd.name} is a response command")
-        need_words = (request_flits(cmd) - 1) * 2
-        info = (cmd, need_words, _class_info(cmd))
-        _REQ_CACHE[cmd] = info
-    cmd, need_words, cls_info = info
-    if payload:
-        words = [int(w) & _MASK64 for w in payload]
-        if len(words) < need_words:
-            words += [0] * (need_words - len(words))
-        payload = tuple(words[:need_words])
-    else:
-        payload = _ZERO_WORDS[need_words]
-    if not 0 <= tag <= MAX_TAG:
-        raise ValueError(f"tag out of range: {tag}")
-    if not 0 <= addr <= MAX_ADRS:
-        raise ValueError(f"address out of range: {addr:#x}")
-    if not 0 <= cub <= MAX_CUB:
-        raise ValueError(f"cube id out of range: {cub}")
-    return _fast_new(cmd, cub, tag, addr, payload, link, 0, cls_info)
+#: ``build_memrequest(cub, addr, tag, cmd, payload=None, link=0)``: the
+#: C library's ``hmcsim_build_memrequest`` (Fig. 4), itself C
+#: (``core/_vaultwalk.c``): a request copied from its command's prototype,
+#: with the ValueErrors of an unknown or response command, a tag, address
+#: or cube id out of range, or a payload word that is no int.
+build_memrequest = load("repro.core._vaultwalk").build_memrequest
 
 
 def build_response(

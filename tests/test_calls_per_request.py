@@ -6,7 +6,8 @@ import cProfile
 import pstats
 from dataclasses import dataclass
 
-from benchmarks.calls_per_request import calls_of
+from benchmarks import calls_per_request
+from benchmarks.calls_per_request import calls_of, chase, main
 
 
 @dataclass
@@ -36,3 +37,13 @@ def test_two_dataclass_constructors_are_counted_separately():
     # _build_both, 20 constructors, and the profiler's own disable call.
     assert calls_of(prof) == 22
     assert pstats.Stats(prof).total_calls < calls_of(prof)
+
+
+def test_chase_workload_counts_per_request(capsys, monkeypatch):
+    # Tiny: 64 table writes and 64 dependent reads, 64 think cycles each.
+    assert 0 < chase(64, 64) < 200
+    monkeypatch.setattr(calls_per_request, "CHASE_NODES", 64)
+    monkeypatch.setattr(calls_per_request, "CHASE_HOPS", 64)
+    assert main(["--workload", "chase"]) == 0
+    assert capsys.readouterr().out.startswith("calls per request: ")
+    assert main(["--workload", "chase", "--max", "0.5"]) == 1

@@ -7,6 +7,7 @@ from repro.core.simulator import HMCSim
 from repro.host.multichannel import ChannelClock, MultiChannelHost
 from repro.packets.commands import CMD
 from repro.topology.builder import build_simple
+from repro.workloads.mixes import bursty
 
 
 def mk_channels(n=2, links=4):
@@ -98,6 +99,36 @@ class TestTraffic:
         assert res.errors_received == 0
         assert mc.traffic_balance() > 0.8
         assert mc.outstanding == 0
+
+    def test_bursty_stream_runs_to_completion(self):
+        # A bubble ends the tick's sends; it is neither a request nor a
+        # stall (as in Host.run).
+        mc = MultiChannelHost(mk_channels(2), interleave_bytes=256)
+        reqs = [(CMD.RD64, i * 64, None) for i in range(32)]
+        res = mc.run(bursty(reqs, burst_len=4, gap_len=8))
+        assert res.requests_sent == res.responses_received == 32
+        assert res.errors_received == 0 and res.send_stall_cycles == 0
+        assert res.cycles > 8 * 7    # seven gaps of eight idle ticks
+        assert mc.outstanding == 0
+
+    def test_bubble_free_stream_is_unchanged(self):
+        # Pinned to the values the loop gave before bubbles were handled.
+        chans = [build_simple(HMCSim(num_devs=1, num_links=4, num_banks=8,
+                                     capacity=2, xbar_depth=4)) for _ in range(2)]
+        mc = MultiChannelHost(chans, interleave_bytes=256, max_outstanding=16)
+        reqs = [(CMD.RD64 if i % 3 else CMD.WR64, (i * 7919 * 64) % (1 << 30),
+                 None if i % 3 else [i] * 8) for i in range(600)]
+        res = mc.run(reqs)
+        assert (res.requests_sent, res.responses_received, res.errors_received,
+                res.cycles, res.send_stall_cycles) == (600, 600, 0, 57, 7)
+        assert (sum(res.latencies), len(res.latencies), max(res.latencies)) == (1662, 600, 3)
+        common = {"cycles": 57, "packets_sent": 300, "packets_received": 300,
+                  "dropped_responses": 0, "bank_conflicts": 0, "xbar_stalls": 0,
+                  "requests_processed": 300}
+        assert mc.channel_stats() == [
+            {**common, "send_stalls": 31, "latency_penalties": 230},
+            {**common, "send_stalls": 23, "latency_penalties": 232},
+        ]
 
     def test_write_read_across_channels(self):
         mc = MultiChannelHost(mk_channels(2), interleave_bytes=64)

@@ -65,9 +65,10 @@ def _python(root: Path, code: str) -> subprocess.CompletedProcess:
 
 
 def _cache(root: Path, package: str = "core", stem: str = "_vaultwalk") -> list:
+    """The built modules of *stem*; none when the package was never
+    imported (a failed build can stop the import before it)."""
     cache = root / "repro" / package / "__pycache__"
-    return sorted(p.name for p in cache.iterdir()
-                  if p.name.startswith(stem + "."))
+    return sorted(p.name for p in cache.glob(stem + ".*"))
 
 
 def _caches(root: Path) -> list:
@@ -132,7 +133,9 @@ def test_missing_compiler_is_an_import_error_naming_it(tmp_path):
     ))
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("ImportError:") and "'gcc'" in done.stdout
-    assert "repro.trace._tracecodec" in done.stdout  # the first one loaded
+    # The first one loaded: repro.packets.packet takes build_memrequest
+    # from the vault walk's module.
+    assert "repro.core._vaultwalk" in done.stdout
     assert _caches(root) == [[], []]
 
 
@@ -207,6 +210,40 @@ def test_importing_one_module_binds_the_c(built, module):
     done = _python(root, f"import {module}\n{BOUND}")
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["method_descriptor"] * 5 + ["builtin_function_or_method"] * 3
+
+
+#: The host lane after ``import repro.host.host``: ``build_memrequest``
+#: is the C builder, each of ``Host._inject`` / ``drain_responses`` and
+#: ``HMCSim.send`` / ``recv`` / ``recv_all`` is one call into the C, and
+#: after a second ``bind`` a request still goes out and comes back.
+HOST_LANE = """
+import importlib, sys
+import repro.host.host
+m = sys.modules
+walk, packet = m["repro.core._vaultwalk"], m["repro.packets.packet"]
+Host, HMCSim = m["repro.host.host"].Host, m["repro.core.simulator"].HMCSim
+lane = (walk.build_memrequest, walk.host_inject, walk.host_drain, walk.host_send,
+        walk.host_poll, walk.host_recv_all)
+assert packet.build_memrequest is walk.build_memrequest
+for method, name in ((Host._inject, "host_inject"), (Host.drain_responses, "host_drain"),
+                     (HMCSim.send, "host_send"), (HMCSim.recv, "host_poll"),
+                     (HMCSim.recv_all, "host_recv_all")):
+    assert name in method.__code__.co_names, method
+importlib.reload(m["repro.core.clock"])
+sim = HMCSim(num_devs=1, num_links=4, num_banks=8, capacity=2)
+sim.attach_host(0, 0)
+host = Host(sim)
+tag = host.send_request(m["repro.packets.commands"].CMD.RD64, 0x40)
+sim.clock_until_response(1000)
+print(" ".join(type(f).__name__ for f in lane), [r.tag for r in host.drain_responses()] == [tag])
+"""
+
+
+def test_the_host_lane_is_c(built):
+    root, _ = built
+    done = _python(root, HOST_LANE)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["builtin_function_or_method"] * 6 + ["True"]
 
 
 #: A short traced Table I run, bound once and then bound again by

@@ -115,6 +115,29 @@ def _backed_up_responses(scheduler: str) -> dict:
     return out
 
 
+def _rejected_at_a_chain_hop(scheduler: str) -> dict:
+    """A read for the far cube of a three-cube chain whose second chain
+    link has failed: the middle cube answers it with an error response
+    (``CrossbarUnit._reject``), which enters the response queue of the
+    chain link it came in on and must hop home from there."""
+    sim = BUILD[scheduler](SimConfig(device=_SMALL, num_devs=3))
+    build_chain(sim, host_links=1)
+    (link,) = [l for (d, l), peer in sim._link_peers.items() if d == 1 and peer[0] == 2]
+    state = sim.attach_link_fault(1, link, LinkFaultModel())
+    buf = io.BytesIO()
+    sink = BinarySink(buf, num_vaults=_SMALL.num_vaults)
+    sim.tracer.mask = EventType.STANDARD
+    sim.tracer.add_sink(sink)
+    assert sim.try_send(build_memrequest(2, 0x40, 9, CMD.RD16, link=0))
+    sim.clock(2)    # the read waits at the middle cube
+    state.fail()
+    sim._note_link_failure(state)
+    sim.clock(40)
+    out = _fingerprint(sim, sink, buf)
+    out["received"] = [(p.tag, p.errstat) for p in sim.recv_all()]
+    return out
+
+
 _SPARSE = dict(penalty=3, queue_timeout=0, refresh_interval=0,
                watchdog_cycles=0, chain=True,
                sends=[(2, 0, "offquad", 1), (1, 1, "remote", 4), (9, 0, "local", 7)])
@@ -125,6 +148,9 @@ def _engine_equals_reference() -> None:
     naive, active = _backed_up_responses("naive"), _backed_up_responses("active")
     assert naive["received"] == active["received"]
     assert sum(map(len, active["received"])) == 8
+    _assert_identical(naive, active)
+    naive, active = _rejected_at_a_chain_hop("naive"), _rejected_at_a_chain_hop("active")
+    assert naive["received"] == active["received"] and len(active["received"]) == 1
     _assert_identical(naive, active)
 
 
